@@ -22,18 +22,26 @@ graph reconfiguration, custom run loops, shared-state races).
 
 from __future__ import annotations
 
-from typing import List
+from typing import TYPE_CHECKING, List
 
-from repro.analysis.astlint import (RULES, lint_callable, lint_class,
-                                    lint_file, lint_paths, lint_source)
-from repro.analysis.findings import (FAILING_SEVERITIES,
-                                     JSON_SCHEMA_VERSION, Finding,
-                                     sort_findings, summarize)
-from repro.analysis.fuse import dynamic_reason, fusion_blockers
-from repro.analysis.graphproofs import (GraphProof, graph_findings,
-                                        prove_graph)
+from repro._lazy import lazy_exports
 from repro.analysis.markers import declared_nondeterminate, nondeterminate
-from repro.analysis.races import Race, detect_races, race_findings
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.analysis.findings import Finding
+
+# Zero runtime cost includes import cost: the process library imports this
+# package for the ``@nondeterminate`` marker alone, so the passes (ast,
+# tokenize, inspect) load when a lint entry point is first used.
+__getattr__ = lazy_exports(__name__, {
+    "astlint": ("RULES", "lint_callable", "lint_class", "lint_file",
+                "lint_paths", "lint_source"),
+    "findings": ("FAILING_SEVERITIES", "JSON_SCHEMA_VERSION", "Finding",
+                 "sort_findings", "summarize"),
+    "fuse": ("dynamic_reason", "fusion_blockers"),
+    "graphproofs": ("GraphProof", "graph_findings", "prove_graph"),
+    "races": ("Race", "detect_races", "race_findings"),
+})
 
 __all__ = [
     "Finding", "FAILING_SEVERITIES", "JSON_SCHEMA_VERSION", "RULES",
@@ -55,6 +63,10 @@ def lint_network(network) -> List[Finding]:
     state, and runs the graph proofs.  Returns the combined findings,
     errors first.
     """
+    from repro.analysis.astlint import lint_class
+    from repro.analysis.findings import sort_findings
+    from repro.analysis.graphproofs import graph_findings
+    from repro.analysis.races import race_findings
     from repro.kpn.process import CompositeProcess
 
     findings: List[Finding] = []

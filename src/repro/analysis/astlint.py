@@ -13,7 +13,8 @@ Rules
 -----
 ``poll``
     Non-blocking channel inspection: ``occupancy()`` / ``available()`` /
-    ``poll_ready()`` / ``at_eof()`` / ``wait_any_readable(...)`` or a
+    ``buffered()`` / ``held()`` / ``poll_ready()`` / ``at_eof()`` /
+    ``wait_any_readable(...)`` or a
     ``read(..., timeout=...)``.  Testing an input for data is exactly
     the operation Kahn forbids — the result depends on scheduling, not
     on the streams.
@@ -80,7 +81,7 @@ _PROCESS_BASES = {"Process", "IterativeProcess", "CompositeProcess"}
 _POLL_ATTRS = {"occupancy", "poll_ready", "wait_any_readable"}
 #: poll attrs that double as ordinary names elsewhere; only flagged on
 #: likely stream receivers (see _looks_like_stream)
-_POLL_ATTRS_STREAMY = {"available", "at_eof"}
+_POLL_ATTRS_STREAMY = {"available", "at_eof", "buffered", "held"}
 
 _TIME_FUNCS = {"time", "monotonic", "perf_counter", "time_ns",
                "monotonic_ns", "perf_counter_ns", "process_time",

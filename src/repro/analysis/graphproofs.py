@@ -138,7 +138,7 @@ def _edges(network) -> Tuple[List[ChannelEdge], Dict[str, Process]]:
         deferred_attrs = tuple(getattr(consumer, "kpn_deferred_inputs", ()))
         is_deferred = attr is not None and attr in deferred_attrs
         try:
-            buffered = ch.buffer.available()
+            buffered = ch.buffered()
         except Exception:
             buffered = 0
         strict = bool(getattr(consumer, "kpn_strict", False)) \

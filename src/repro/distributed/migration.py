@@ -189,8 +189,7 @@ class MigrationPickler(pickle.Pickler):
             raise MigrationError(
                 f"process holds a direct reference to boundary channel "
                 f"{ch.name!r}; hold endpoint streams instead")
-        data = ch.buffer.drain()
-        return (_rebuild_channel, (ch.name, ch.capacity, data))
+        return (_rebuild_channel, (ch.name, ch.capacity, ch.drain()))
 
     def _reduce_output(self, out: ChannelOutputStream):
         ch = out.channel
@@ -232,20 +231,24 @@ class MigrationPickler(pickle.Pickler):
         receiver: Optional[ReceiverPump] = getattr(ch, "receiver_pump", None)
         if receiver is not None:
             # Re-migration of the consumer end: producer side accepts a
-            # reconnect; unconsumed local bytes travel in the pickle.
+            # reconnect; unconsumed local bytes travel in the pickle, the
+            # endpoint's read-ahead ahead of the ring's.
             host, port = receiver.begin_migration()
-            drained = receiver.detach_and_drain()
+            drained = ch.reader.take_held() + receiver.detach_and_drain()
             return (_rebuild_remote_input,
                     (host, port, ch.capacity, ch.name, drained))
         # First migration of the consumer end: producer stays; install a
-        # sender pump draining the producer's existing buffer.
+        # sender pump draining the producer's existing buffer.  What the
+        # endpoint read ahead is older than anything the pump will send,
+        # so it travels in the pickle and is preloaded on the destination.
         pump = SenderPump(ch.buffer, name=ch.name,
                           chunk=getattr(ch, "link_chunk", None),
                           coalesce=getattr(ch, "coalesce", None))
         host, port = pump.ensure_listener()
         ch.sender_pump = pump
         self.post_actions.append(pump.start)
-        return (_rebuild_remote_input, (host, port, ch.capacity, ch.name, b""))
+        return (_rebuild_remote_input,
+                (host, port, ch.capacity, ch.name, ch.reader.take_held()))
 
 
 # ---------------------------------------------------------------------------

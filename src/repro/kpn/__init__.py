@@ -9,9 +9,7 @@ Parks' bounded scheduling.  :mod:`~repro.kpn.data` and
 :mod:`~repro.kpn.objects` layer typed traffic over byte channels.
 """
 
-from repro.kpn.checker import GraphConsistencyError, Issue, check_network
-from repro.kpn.history import HistoryCapture, decode_bytes, infer_codecs
-from repro.kpn.tracing import ChannelTrace, TraceReport, Tracer
+from repro._lazy import lazy_exports
 from repro.kpn.buffers import BlockAccounting, BoundedByteBuffer, DEFAULT_CAPACITY
 from repro.kpn.channel import (Channel, ChannelInputStream, ChannelOutputStream,
                                wait_any_readable)
@@ -42,13 +40,13 @@ __all__ = [
     "SequenceOutputStream",
 ]
 
-_COMPILE_EXPORTS = {"FusedChain", "FusionPlan", "compile_network", "fuse"}
-
-
-def __getattr__(name):
-    # the graph compiler imports the codec layer, which imports back into
-    # repro.kpn — load it lazily to keep this package import-cycle free
-    if name in _COMPILE_EXPORTS:
-        from repro.kpn import compile as _compile
-        return getattr(_compile, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# Loaded on first use.  The graph compiler imports the codec layer, which
+# imports back into repro.kpn, so it cannot load here at all; the checker,
+# history capture and tracer are tools around a run that no running
+# network needs.
+__getattr__ = lazy_exports(__name__, {
+    "compile": ("FusedChain", "FusionPlan", "compile_network", "fuse"),
+    "checker": ("GraphConsistencyError", "Issue", "check_network"),
+    "history": ("HistoryCapture", "decode_bytes", "infer_codecs"),
+    "tracing": ("ChannelTrace", "TraceReport", "Tracer"),
+})

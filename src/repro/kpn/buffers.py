@@ -201,6 +201,11 @@ class BoundedByteBuffer:
         # condition variable.  Empty (and free) under the thread backend.
         self._async_readers: list = []
         self._async_writers: list = []
+        # threads inside _block_on_empty / _block_on_full (counted under
+        # the lock): the data plane signals a condition only when someone
+        # waits on it — most writes and reads find nobody
+        self._readers_waiting = 0
+        self._writers_waiting = 0
         self.name = name
         self.accounting = accounting
         #: total bytes ever written / read (for stats & tests)
@@ -408,8 +413,10 @@ class BoundedByteBuffer:
                     _telemetry.inc("kpn.channel.reads", 1, channel=self.name)
                     _telemetry.inc("kpn.channel.bytes_read", take,
                                    channel=self.name)
-                self._not_full.notify_all()
-                self._wake_async_writers()
+                if self._writers_waiting:
+                    self._not_full.notify_all()
+                if self._async_writers:
+                    self._wake_async_writers()
                 return take
             if self._write_closed:
                 self._check_aborted_eof()
@@ -448,9 +455,12 @@ class BoundedByteBuffer:
                 if _telemetry.enabled:
                     _telemetry.inc("kpn.channel.bytes_written", len(chunk),
                                    channel=self.name)
-                self._not_empty.notify_all()
-                self._wake_async_readers()
-                self._fire_listeners()
+                if self._readers_waiting:
+                    self._not_empty.notify_all()
+                if self._async_readers:
+                    self._wake_async_readers()
+                if self._listeners:
+                    self._fire_listeners()
             return offset
 
     # ------------------------------------------------------------------
@@ -531,9 +541,12 @@ class BoundedByteBuffer:
                 if _telemetry.enabled:
                     _telemetry.inc("kpn.channel.bytes_written", len(data),
                                    channel=self.name)
-                self._not_empty.notify_all()
-                self._wake_async_readers()
-                self._fire_listeners()
+                if self._readers_waiting:
+                    self._not_empty.notify_all()
+                if self._async_readers:
+                    self._wake_async_readers()
+                if self._listeners:
+                    self._fire_listeners()
                 return
             self._write_locked(memoryview(data).cast("B"))
 
@@ -563,9 +576,12 @@ class BoundedByteBuffer:
             if _telemetry.enabled:
                 _telemetry.inc("kpn.channel.bytes_written", len(chunk),
                                channel=self.name)
-            self._not_empty.notify_all()
-            self._wake_async_readers()
-            self._fire_listeners()
+            if self._readers_waiting:
+                self._not_empty.notify_all()
+            if self._async_readers:
+                self._wake_async_readers()
+            if self._listeners:
+                self._fire_listeners()
 
     def _block_on_full(self) -> None:
         acct = self.accounting
@@ -581,9 +597,11 @@ class BoundedByteBuffer:
                              channel=self.name, capacity=self._capacity,
                              process=threading.current_thread().name)
             _telemetry.inc("kpn.channel.write_blocks", 1, channel=self.name)
+        self._writers_waiting += 1
         try:
             self._not_full.wait()
         finally:
+            self._writers_waiting -= 1
             if traced:
                 _telemetry.end("block.write", category="kpn.block")
             if acct is not None:
@@ -648,8 +666,10 @@ class BoundedByteBuffer:
         if _telemetry.enabled:
             _telemetry.inc("kpn.channel.reads", 1, channel=self.name)
             _telemetry.inc("kpn.channel.bytes_read", take, channel=self.name)
-        self._not_full.notify_all()
-        self._wake_async_writers()
+        if self._writers_waiting:
+            self._not_full.notify_all()
+        if self._async_writers:
+            self._wake_async_writers()
         return view
 
     def drain_up_to(self, max_bytes: int) -> memoryview:
@@ -732,8 +752,10 @@ class BoundedByteBuffer:
                                        channel=self.name)
                         _telemetry.inc("kpn.channel.bytes_read", take,
                                        channel=self.name)
-                    self._not_full.notify_all()
-                    self._wake_async_writers()
+                    if self._writers_waiting:
+                        self._not_full.notify_all()
+                    if self._async_writers:
+                        self._wake_async_writers()
                     return take
                 if self._write_closed:
                     self._check_aborted_eof()
@@ -750,9 +772,11 @@ class BoundedByteBuffer:
                              channel=self.name,
                              process=threading.current_thread().name)
             _telemetry.inc("kpn.channel.read_blocks", 1, channel=self.name)
+        self._readers_waiting += 1
         try:
             self._not_empty.wait()
         finally:
+            self._readers_waiting -= 1
             if traced:
                 _telemetry.end("block.read", category="kpn.block")
             if acct is not None:
@@ -770,9 +794,29 @@ class BoundedByteBuffer:
             self._data.clear()
             self._read_pos = 0
             self.total_read += len(chunk)
-            self._not_full.notify_all()
-            self._wake_async_writers()
+            if self._writers_waiting:
+                self._not_full.notify_all()
+            if self._async_writers:
+                self._wake_async_writers()
             return chunk
+
+    def unread(self, data) -> None:
+        """Put ``data`` back at the front of the ring (non-blocking).
+
+        The inverse of a read, for a consumer endpoint that read ahead
+        and must hand its bytes back (see
+        :class:`~repro.kpn.streams.LocalInputStream`).  The ring may sit
+        above its capacity until the bytes are consumed again; writers
+        block meanwhile, exactly as after a preload.
+        """
+        with self._lock:
+            if self._read_closed or not data:
+                return
+            self._data[self._read_pos:self._read_pos] = data
+            self.total_read -= len(data)
+            self._not_empty.notify_all()
+            self._wake_async_readers()
+            self._fire_listeners()
 
     # ------------------------------------------------------------------
     # control plane

@@ -174,6 +174,10 @@ class Channel:
         self.coalesce = coalesce
         self.buffer = BoundedByteBuffer(capacity, name=self.name,
                                         accounting=accounting)
+        #: the consumer end of the local pipe.  It reads ahead, so the
+        #: channel's unconsumed bytes are the ring's plus what it holds:
+        #: ask :meth:`buffered` / :meth:`drain`, not the buffer.
+        self.reader = LocalInputStream(self.buffer)
         if _telemetry.enabled:
             _telemetry.inc("kpn.channel.created")
             _telemetry.instant("channel.created", category="kpn.channel",
@@ -197,7 +201,7 @@ class Channel:
     def get_input_stream(self) -> ChannelInputStream:
         with self._lock:
             if self._input is None:
-                seq = SequenceInputStream(LocalInputStream(self.buffer))
+                seq = SequenceInputStream(self.reader)
                 self._input = ChannelInputStream(self, BlockingInputStream(seq), seq)
             return self._input
 
@@ -212,9 +216,20 @@ class Channel:
     def set_accounting(self, accounting: Optional[BlockAccounting]) -> None:
         self.buffer.accounting = accounting
 
+    def buffered(self) -> int:
+        """Unconsumed bytes: in the ring plus read ahead by the consumer
+        endpoint.  Every diagnostic that asks "is this channel empty"
+        goes through here."""
+        return self.reader.available()
+
+    def drain(self) -> bytes:
+        """Non-blocking: remove and return every unconsumed byte, the
+        endpoint's read-ahead first (it is older than the ring's)."""
+        return self.reader.take_held() + self.buffer.drain()
+
     def occupancy(self) -> dict:
         """Current fill level for the profiler's channel sampling."""
-        entry = {"channel": self.name, "buffered": self.buffer.available(),
+        entry = {"channel": self.name, "buffered": self.buffered(),
                  "capacity": self.buffer.capacity,
                  "high_watermark": self.buffer.high_watermark}
         if self.fused:

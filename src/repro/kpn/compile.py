@@ -749,7 +749,7 @@ def compile_network(network, spec=None, object_passing: bool = True,
         return p.name not in blockers
 
     def channel_ok(ch: Channel) -> bool:
-        return (ch.buffer.available() == 0
+        return (ch.buffered() == 0
                 and getattr(ch, "receiver_pump", None) is None
                 and getattr(ch, "sender_pump", None) is None)
 

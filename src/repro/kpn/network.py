@@ -476,9 +476,15 @@ class Network:
         blocked_map = self.accounting.snapshot()
         live = self.live_threads()
         live_names = [t.name for t in live]
+        with self._lock:
+            channels = list(self.channels)
+        # fill levels come from the channel, which also counts what its
+        # consumer endpoint read ahead; the accounting only knows buffers
+        by_buffer = {id(ch.buffer): ch for ch in channels}
         blocked = []
         for actor, (buffer, mode) in blocked_map.items():
             if actor in live:
+                ch = by_buffer.get(id(buffer))
                 blocked.append({
                     "thread": actor.name,
                     "kind": ("thread" if isinstance(actor, threading.Thread)
@@ -486,12 +492,12 @@ class Network:
                     "mode": mode,
                     "channel": buffer.name,
                     "capacity": buffer.capacity,
-                    "buffered": buffer.available(),
+                    "buffered": (ch.buffered() if ch is not None
+                                 else buffer.available()),
                 })
-        with self._lock:
-            remote = [ch.name for ch in self.channels
-                      if getattr(ch, "receiver_pump", None) is not None
-                      or getattr(ch, "sender_pump", None) is not None]
+        remote = [ch.name for ch in channels
+                  if getattr(ch, "receiver_pump", None) is not None
+                  or getattr(ch, "sender_pump", None) is not None]
         return {
             "network": self.name,
             "backend": self.backend,
@@ -532,7 +538,7 @@ class Network:
                    for ch in channels)
 
     def total_buffered_bytes(self) -> int:
-        return sum(ch.buffer.available() for ch in self.channels)
+        return sum(ch.buffered() for ch in self.channels)
 
     def growth_events(self):
         return list(self.monitor.growth_events) if self.monitor else []

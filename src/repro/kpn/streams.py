@@ -20,11 +20,12 @@ splicing possible.
 
 from __future__ import annotations
 
+import sys
 import threading
 from typing import Iterable, Optional
 
 from repro.errors import ChannelClosedError, EndOfStreamError
-from repro.kpn.buffers import BoundedByteBuffer
+from repro.kpn.buffers import BoundedByteBuffer, current_async_context
 
 __all__ = [
     "InputStream",
@@ -35,6 +36,10 @@ __all__ = [
     "SequenceInputStream",
     "SequenceOutputStream",
 ]
+
+
+#: what an endpoint holds when it holds nothing (also the EOF view)
+_NOTHING = memoryview(b"")
 
 
 class InputStream:
@@ -127,28 +132,116 @@ class OutputStream:
 # ---------------------------------------------------------------------------
 
 class LocalInputStream(InputStream):
-    """Read side of an in-memory pipe (``java.io.PipedInputStream``)."""
+    """Read side of an in-memory pipe (``java.io.PipedInputStream``).
+
+    The endpoint reads ahead: a read that finds nothing held takes
+    *everything* the ring currently buffers in one critical section
+    (:meth:`BoundedByteBuffer.drain_up_to` steals the ring's storage, so
+    nothing is copied) and blocks exactly as before while the ring is
+    empty.  Later reads slice that batch with no lock and no condition
+    variable until it is used up.  The bytes a channel can hold are
+    therefore its capacity plus one stolen batch (at most twice the
+    capacity) — the same relaxation a socket-stretched channel has.
+
+    A read running on a cooperative task (async backend) takes no
+    read-ahead: the task's reads are journaled per operation at the
+    buffer, and bytes held outside that journal would be replayed twice.
+    If a thread read ahead and then handed the stream to a task, the
+    task's first read puts those bytes back at the front of the ring.
+
+    Like the channel it ends, the stream has one consumer at a time.
+    """
 
     def __init__(self, buffer: BoundedByteBuffer) -> None:
         self.buffer = buffer
+        #: bytes read ahead (storage owned by this stream, never mutated)
+        #: and how many of them have been consumed
+        self._batch = _NOTHING
+        self._pos = 0
+
+    def _refill(self) -> memoryview:
+        """Replace the used-up batch with everything buffered, blocking
+        while the ring is empty; an empty batch is end of stream."""
+        # drop the used-up storage before blocking; with _pos already 0
+        # the one store below is all an observer of held() can race
+        self._batch = _NOTHING
+        self._pos = 0
+        batch = self._batch = self.buffer.drain_up_to(sys.maxsize)
+        return batch
+
+    def _unhold(self) -> BoundedByteBuffer:
+        """The buffer, for a cooperative task to read directly — with any
+        read-ahead a thread left here returned to it first."""
+        if self._pos < len(self._batch):
+            self.buffer.unread(self.take_held())
+        return self.buffer
 
     def read(self, max_bytes: int) -> bytes:
-        return self.buffer.read(max_bytes)
+        if max_bytes <= 0:
+            return b""
+        if current_async_context() is not None:
+            return self._unhold().read(max_bytes)
+        batch, pos = self._batch, self._pos
+        if pos >= len(batch):
+            batch, pos = self._refill(), 0
+        chunk = bytes(batch[pos:pos + max_bytes])
+        self._pos = pos + len(chunk)
+        return chunk
 
     def readinto(self, target) -> int:
-        return self.buffer.readinto(target)
+        if current_async_context() is not None:
+            return self._unhold().readinto(target)
+        out = memoryview(target).cast("B")
+        if len(out) == 0:
+            return 0
+        batch, pos = self._batch, self._pos
+        if pos >= len(batch):
+            batch, pos = self._refill(), 0
+        part = batch[pos:pos + len(out)]
+        got = len(part)
+        out[:got] = part
+        self._pos = pos + got
+        return got
 
     def read_view(self, max_bytes: int) -> memoryview:
-        return self.buffer.drain_up_to(max_bytes)
+        if max_bytes <= 0:
+            return _NOTHING
+        if current_async_context() is not None:
+            return self._unhold().drain_up_to(max_bytes)
+        batch, pos = self._batch, self._pos
+        if pos >= len(batch):
+            batch, pos = self._refill(), 0
+        view = batch[pos:pos + max_bytes]
+        self._pos = pos + len(view)
+        return view
+
+    def held(self) -> int:
+        """Bytes read ahead and not yet consumed.
+
+        Exact for the consuming thread and whenever the consumer is
+        quiescent; an observer racing a running consumer gets a value
+        that was true a moment ago, like any occupancy sample.
+        """
+        return max(0, len(self._batch) - self._pos)
+
+    def take_held(self) -> bytes:
+        """Remove and return the read-ahead bytes (migration ships them
+        ahead of whatever the ring still buffers)."""
+        batch, pos = self._batch, self._pos
+        self._batch = _NOTHING
+        self._pos = 0
+        return bytes(batch[pos:])
 
     def close(self) -> None:
         self.buffer.close_read()
+        self._batch = _NOTHING
+        self._pos = 0
 
     def available(self) -> int:
-        return self.buffer.available()
+        return self.held() + self.buffer.available()
 
     def at_eof(self) -> bool:
-        return self.buffer.at_eof()
+        return self.held() == 0 and self.buffer.at_eof()
 
 
 class LocalOutputStream(OutputStream):
@@ -201,19 +294,26 @@ class BlockingInputStream(InputStream):
     def read_exactly(self, n: int) -> bytes:
         if n <= 0:
             return b""
-        # Fill one preallocated buffer via readinto: no per-chunk bytes
-        # objects and no join, however many blocking reads it takes.
+        # The common case is one read: a local endpoint slices the element
+        # out of the batch it holds, and the result is final.
+        chunk = self.source.read(n)
+        filled = len(chunk)
+        if filled == n:
+            return chunk
+        if filled == 0:
+            raise EndOfStreamError("end of stream")
+        # Short read: finish into one preallocated buffer via readinto —
+        # no per-chunk bytes objects and no join, however many blocking
+        # reads it takes.
         out = bytearray(n)
+        out[:filled] = chunk
         view = memoryview(out)
-        filled = 0
         while filled < n:
             got = self.source.readinto(view[filled:])
             if got == 0:
-                if filled:
-                    raise EndOfStreamError(
-                        f"stream ended mid-element: wanted {n} bytes, "
-                        f"got {filled}")
-                raise EndOfStreamError("end of stream")
+                raise EndOfStreamError(
+                    f"stream ended mid-element: wanted {n} bytes, "
+                    f"got {filled}")
             filled += got
         view.release()
         return bytes(out)

@@ -201,7 +201,7 @@ class Tracer:
             if trace is None:
                 trace = ChannelTrace(ch.name, ch.capacity)
                 self._channels[ch.name] = trace
-            occupancy = ch.buffer.available()
+            occupancy = ch.buffered()
             trace.high_water = max(trace.high_water, occupancy)
             trace.capacity_final = ch.capacity
             trace.total_bytes = ch.buffer.total_written

@@ -61,8 +61,11 @@ class StructCodec(Codec):
         out.write(self._struct.pack(value))
 
     def read(self, source: InputStream) -> Any:
-        data = _read_exactly(source, self.width)
-        return self._struct.unpack(data)[0]
+        try:
+            exact = source._codec_read_exactly
+        except AttributeError:
+            exact = _exact_reader(source)
+        return self._struct.unpack_from(exact(self.width))[0]
 
     def encode(self, value: Any) -> bytes:
         return self._struct.pack(value)
@@ -87,7 +90,8 @@ class ObjectCodec(Codec):
     instead of re-deriving it per element:
 
     * reads cache the stream's bound ``read_exactly`` on the stream itself
-      — no ``getattr`` probe and no fallback-loop dispatch per element;
+      (:func:`_exact_reader`, shared with :class:`StructCodec`) — no
+      ``getattr`` probe and no fallback-loop dispatch per element;
     * writes go through the stream's ``write_vectored`` when present, so
       the 4-byte header and the payload reach the channel in one call with
       no ``header + payload`` concatenation copy.
@@ -129,11 +133,7 @@ class ObjectCodec(Codec):
             exact = source._codec_read_exactly
         except AttributeError:
             exact = _exact_reader(source)
-            try:
-                source._codec_read_exactly = exact
-            except AttributeError:      # slotted/foreign source: no cache
-                pass
-        (length,) = self._LEN.unpack(exact(4))
+        (length,) = self._LEN.unpack_from(exact(4))
         return pickle.loads(exact(length))
 
     def encode(self, value: Any) -> bytes:
@@ -142,28 +142,27 @@ class ObjectCodec(Codec):
 
 
 def _exact_reader(source: InputStream):
-    """A bound exact-length reader for ``source`` (cacheable per stream)."""
-    read_exactly = getattr(source, "read_exactly", None)
-    if read_exactly is not None:
-        return read_exactly
-
-    def _fallback(n: int) -> bytes:
-        parts: list[bytes] = []
-        remaining = n
-        while remaining > 0:
-            chunk = source.read(remaining)
-            if not chunk:
-                from repro.errors import EndOfStreamError
-                raise EndOfStreamError("end of stream")
-            parts.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(parts)
-
-    return _fallback
-
-
-def _read_exactly(source: InputStream, n: int) -> bytes:
-    return _exact_reader(source)(n)
+    """The exact-length reader of ``source``, cached on the stream as
+    ``_codec_read_exactly`` so codecs resolve it once per stream, not
+    once per element."""
+    exact = getattr(source, "read_exactly", None)
+    if exact is None:
+        def exact(n: int) -> bytes:
+            parts: list[bytes] = []
+            remaining = n
+            while remaining > 0:
+                chunk = source.read(remaining)
+                if not chunk:
+                    from repro.errors import EndOfStreamError
+                    raise EndOfStreamError("end of stream")
+                parts.append(chunk)
+                remaining -= len(chunk)
+            return b"".join(parts)
+    try:
+        source._codec_read_exactly = exact
+    except AttributeError:      # slotted/foreign source: no cache
+        pass
+    return exact
 
 
 LONG = StructCodec(">q", "long")

@@ -254,6 +254,8 @@ class Accumulate(IterativeProcess):
 # ---------------------------------------------------------------------------
 
 def _register_dsp_kernels() -> None:
+    """Called by :mod:`repro.semantics.compile` when *it* is imported, so
+    importing the process library does not load the semantics package."""
     from repro.semantics.closed import CStream
     from repro.semantics.compile import register_kernel
 
@@ -353,6 +355,3 @@ def _register_dsp_kernels() -> None:
             return (CStream(tuple(out), s.closed),)
 
         ctx.node(p, kernel, [p.source], [p.out])
-
-
-_register_dsp_kernels()

@@ -80,7 +80,13 @@ def primes(count: Optional[int] = None, below: Optional[int] = None,
     termination modes (section 3.4):
 
     * ``count=k`` — "the first k primes": iteration limit on the sink;
-      upstream processes are cut off by broken-channel exceptions.
+      upstream processes are cut off by broken-channel exceptions.  The
+      iterative Sift carries the same limit: it rewires the graph after
+      every prime it emits, and how many primes it emits before noticing
+      that the sink has closed is a race — bounded only by how promptly
+      the sink thread gets to run — so without the limit the *graph* a
+      run builds (and the channels its history names) would vary from
+      run to run even though the sink's output never does.
     * ``below=m`` — "all primes less than m": iteration limit on the
       Sequence source; the pipeline drains before terminating.
 
@@ -104,7 +110,7 @@ def primes(count: Optional[int] = None, below: Optional[int] = None,
         net.add(Sequence(feed.get_output_stream(), start=2,
                          iterations=source_iterations, name="Sequence"))
     sift_cls = RecursiveSift if recursive else Sift
-    kwargs = {} if recursive else {"iterations": 0}
+    kwargs = {} if recursive else {"iterations": count or 0}
     net.add(sift_cls(feed.get_input_stream(), found.get_output_stream(),
                      channel_capacity=channel_capacity, name="Sift",
                      **kwargs))

@@ -236,6 +236,13 @@ def _register_standard() -> None:
     _COMPILERS[Print] = _sink
     _COMPILERS[Discard] = _sink
 
+    # the DSP library keeps its kernels beside its processes, but they are
+    # registered from here: importing the process library must not load
+    # this package
+    from repro.processes.dsp import _register_dsp_kernels
+
+    _register_dsp_kernels()
+
 
 _register_standard()
 

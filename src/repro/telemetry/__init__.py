@@ -23,18 +23,29 @@ Quickstart::
     write_chrome_trace("trace.json")
 """
 
+import os
+
+from repro._lazy import lazy_exports
 from repro.telemetry.core import (Event, HistogramData, TELEMETRY,
                                   TelemetryHub, render_key)
-from repro.telemetry.export import (chrome_trace, cluster_report,
-                                    merge_counters, profile_gauges,
-                                    prometheus_text, write_chrome_trace)
-from repro.telemetry.clock import OffsetEstimate, ProbeSample, estimate_offset
-from repro.telemetry.profile import (PROFILER, Profiler, analyze, fold_stacks,
-                                     merge_profiles, process_utilization,
-                                     render_profile, write_capacity_spec)
-from repro.telemetry.distributed import (TraceContext, current_context,
-                                         event_to_dict, merge_node_traces,
-                                         render_top, write_merged_trace)
+
+# the runtime only needs the hub; exporters, clock sync, the profiler and
+# the trace merger load when first used
+__getattr__ = lazy_exports(__name__, {
+    "export": ("chrome_trace", "cluster_report", "merge_counters",
+               "profile_gauges", "prometheus_text", "write_chrome_trace"),
+    "clock": ("OffsetEstimate", "ProbeSample", "estimate_offset"),
+    "profile": ("PROFILER", "Profiler", "analyze", "fold_stacks",
+                "merge_profiles", "process_utilization", "render_profile",
+                "write_capacity_spec"),
+    "distributed": ("TraceContext", "current_context", "event_to_dict",
+                    "merge_node_traces", "render_top", "write_merged_trace"),
+})
+
+if os.environ.get("REPRO_PROFILE"):
+    # the profiler's module reads the variable and switches itself on
+    # process-wide when it is imported; asked for, it cannot be deferred
+    from repro.telemetry import profile as _profile  # noqa: F401
 
 __all__ = [
     "Event", "HistogramData", "TELEMETRY", "TelemetryHub", "render_key",

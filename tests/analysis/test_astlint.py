@@ -36,6 +36,16 @@ class P(IterativeProcess):
     assert findings[0].subject == "P.step"
 
 
+def test_read_ahead_counts_are_polls_too():
+    findings = lint(PRELUDE + """
+class P(IterativeProcess):
+    def step(self):
+        if self.source.channel.buffered() or self.source.channel.reader.held():
+            self.out.write(self.source.read(8))
+""")
+    assert rules(findings) == ["poll", "poll"]
+
+
 def test_read_with_timeout_flagged():
     findings = lint(PRELUDE + """
 class P(IterativeProcess):
