@@ -207,7 +207,7 @@ class ComputeServer:
                         "backend": self.network.backend,
                         "tasks_run": self.tasks_run,
                         "processes_hosted": self.processes_hosted,
-                        "live_threads": len(self.network.live_threads()),
+                        "live_threads": self.network.live_count(),
                         "channels": len(self.network.channels),
                         "uptime_seconds": time.monotonic() - self.started_at,
                         "telemetry_enabled": _telemetry.enabled,
@@ -229,7 +229,7 @@ class ComputeServer:
                         "events_emitted": _telemetry.events_emitted,
                         "tasks_run": self.tasks_run,
                         "processes_hosted": self.processes_hosted,
-                        "live_threads": len(self.network.live_threads()),
+                        "live_threads": self.network.live_count(),
                         "channels": len(self.network.channels)}
             if op == "trace":
                 # One node's share of the cluster trace: the event ring on

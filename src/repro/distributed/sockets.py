@@ -36,6 +36,7 @@ import pickle
 import queue
 import socket
 import threading
+import time
 from typing import Optional, Tuple
 
 from repro.errors import BrokenChannelError, ChannelError, MigrationError
@@ -289,8 +290,6 @@ class SenderPump(_LinkBase):
         return views
 
     def _send_data(self, views: list) -> None:
-        import time
-
         deadline = time.monotonic() + 120.0
         while True:
             # During a consumer hand-off (LISTEN_REQ seen, replacement not

@@ -226,6 +226,9 @@ class _AsyncContext:
 
 _MAX_SNAP_DEPTH = 6
 
+#: the types :func:`_record_containers` descends into or copies
+_SNAPPED_TYPES = frozenset((list, dict, deque, set, bytearray, tuple))
+
 
 def _record_containers(value, out: list, seen: set, depth: int = 0) -> None:
     """Register builtin mutable containers for in-place content restore.
@@ -279,14 +282,20 @@ def _restore_containers(containers: list) -> None:
 
 
 def _snap_object(obj, containers: list, seen: set) -> dict:
-    saved = dict(obj.__dict__)
+    saved = obj.__dict__.copy()
     for v in saved.values():
-        # inline pre-filter: most attributes are scalars/objects, and a
-        # per-value call into _record_containers dominates snapshot cost
-        t = v.__class__
-        if (t is list or t is dict or t is deque or t is tuple
-                or t is set or t is bytearray):
-            _record_containers(v, containers, seen)
+        # most attributes are scalars/objects: one set probe filters them
+        t = type(v)
+        if t in _SNAPPED_TYPES:
+            if t is list and _SNAPPED_TYPES.isdisjoint(map(type, v)):
+                # a flat list (the tracked-stream lists every process
+                # has): what _record_containers would record, minus the
+                # call per element that finds nothing to descend into
+                if id(v) not in seen:
+                    seen.add(id(v))
+                    containers.append((v, v[:]))
+            else:
+                _record_containers(v, containers, seen)
     return saved
 
 
@@ -623,6 +632,10 @@ class Task:
 
     # -- termination --------------------------------------------------------
     def _complete(self) -> None:
+        if self._done.is_set():
+            # once only: the loop's defensive handler completes a task
+            # again when _on_finish itself raised
+            return
         self._done.set()
         if self._on_finish is not None:
             self._on_finish()
@@ -684,6 +697,13 @@ class EventLoop:
         self.thread.start()
 
     def schedule(self, task: Task) -> None:
+        if threading.get_ident() == self.thread.ident:
+            # a wake-up issued by a task this loop is running: the loop is
+            # awake, so nobody waits on the condition, and deque.append is
+            # atomic against _run's lock-free popleft
+            if not self._stopped:
+                self._runnable.append(task)
+            return
         with self._cond:
             if self._stopped:
                 return
@@ -700,13 +720,19 @@ class EventLoop:
         return self._stopped
 
     def _run(self) -> None:
+        runnable = self._runnable
         while True:
-            with self._cond:
-                while not self._runnable and not self._stopped:
-                    self._cond.wait()
-                if self._stopped:
-                    return
-                task = self._runnable.popleft()
+            if self._stopped:
+                return
+            try:
+                # only this thread pops, so a non-empty deque stays
+                # non-empty; the condition is needed only to sleep
+                task = runnable.popleft()
+            except IndexError:
+                with self._cond:
+                    while not runnable and not self._stopped:
+                        self._cond.wait()
+                continue
             try:
                 task._resume()
             except BaseException as exc:  # pragma: no cover - defensive

@@ -116,6 +116,9 @@ class Network:
         # its object alive via the list, so ids are never recycled.
         self._process_ids: set = set()
         self._threads: List[threading.Thread] = []
+        #: actors of ``_threads`` that have reported finishing; with the
+        #: append-only list's length this makes :meth:`live_count` O(1)
+        self._finished = 0
         self._lock = threading.RLock()
         self._started = False
         self.fusion_plan = None
@@ -191,7 +194,7 @@ class Network:
             from repro.kpn.aio import Task, async_hostable
             if async_hostable(process):
                 actor = Task(process, self._loops.place(),
-                             on_finish=self._kick_monitor)
+                             on_finish=self._actor_finished)
         if actor is None:
             actor = threading.Thread(target=self._run_process,
                                      args=(process,),
@@ -203,14 +206,27 @@ class Network:
             if id(process) not in self._process_ids:
                 self._process_ids.add(id(process))
                 self.processes.append(process)
-        actor.start()
+        try:
+            actor.start()
+        except BaseException:
+            # never ran (e.g. the OS refused another thread): it must not
+            # count as live forever and blind the monitor's pre-check
+            self._actor_finished()
+            raise
         return actor
 
     def _run_process(self, process: Process) -> None:
         try:
             process.run()
         finally:
-            self._kick_monitor()
+            self._actor_finished()
+
+    def _actor_finished(self) -> None:
+        """One spawned actor is done: count it, then let the monitor look
+        (the last runnable actor exiting can complete a stall)."""
+        with self._lock:
+            self._finished += 1
+        self._kick_monitor()
 
     def preflight(self) -> None:
         """Static pre-flight: graph consistency, proofs, and race scan.
@@ -285,9 +301,24 @@ class Network:
         return self
 
     def live_threads(self) -> List:
-        """Process actors (threads and tasks) still alive (monitor's view)."""
+        """Process actors (threads and tasks) still alive (monitor's view).
+
+        O(actors ever spawned); callers that only need the number use
+        :meth:`live_count`.
+        """
         with self._lock:
             return [t for t in self._threads if t.is_alive()]
+
+    def live_count(self) -> int:
+        """Actors spawned minus actors that reported finishing, in O(1).
+
+        Agrees with ``len(live_threads())`` except while an actor is
+        starting or exiting: a thread is counted from ``spawn`` (before
+        ``is_alive()`` turns true) until its ``run`` returns (just before
+        it turns false), a task until its ``on_finish`` has been counted.
+        """
+        with self._lock:
+            return len(self._threads) - self._finished
 
     def join(self, timeout: Optional[float] = None) -> bool:
         """Wait for every process thread (including late-spawned ones).

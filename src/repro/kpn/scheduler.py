@@ -19,9 +19,16 @@ run time:
 
 Detection uses the blocked-thread accounting that
 :class:`~repro.kpn.buffers.BoundedByteBuffer` reports into
-:class:`~repro.kpn.buffers.BlockAccounting`: the monitor wakes on every
-blocking transition, and a generation-stable double-read filters out the
+:class:`~repro.kpn.buffers.BlockAccounting`: every blocking transition
+kicks the monitor, and a generation-stable double-read filters out the
 race where a thread is about to be woken.
+
+A stall needs at least as many blocked actors as live ones, so the
+monitor first compares two counters — the accounting's blocked count and
+:meth:`Network.live_count` — and builds the live-actor list for the
+authoritative wait-graph check only when ``blocked >= live``.  Kicks
+coalesce on a pending flag: an unstalled network of any size costs the
+monitor nothing per park.
 """
 
 from __future__ import annotations
@@ -133,7 +140,14 @@ class DeadlockMonitor:
             self._thread.join(timeout=5)
 
     def kick(self) -> None:
-        """Wake the monitor to re-examine the network."""
+        """Wake the monitor to re-examine the network.
+
+        A kick already pending covers this one: the monitor clears the
+        flag *before* it examines, so whatever the caller changed before
+        kicking is seen by that examination.
+        """
+        if self._kicked:
+            return
         with self._cond:
             self._kicked = True
             self._cond.notify_all()
@@ -160,6 +174,13 @@ class DeadlockMonitor:
     def _stalled(self) -> Optional[dict]:
         """Return the blocked map if every live network thread is blocked."""
         acct = self.network.accounting
+        # O(1) pre-check: fewer blocked actors than live ones cannot be a
+        # stall.  Blocked actors outside the network (a link's pump thread
+        # in write_donate) only make it pass more often; the wait-graph
+        # check below stays authoritative.
+        live_count = self.network.live_count()
+        if live_count <= 0 or acct.total_blocked < live_count:
+            return None
         live = self.network.live_threads()
         if not live:
             return None
@@ -212,9 +233,12 @@ class DeadlockMonitor:
         deadline = time.monotonic() + self.policy.settle_ms / 1000.0
         while True:
             remaining = deadline - time.monotonic()
-            if remaining <= 0 or self._stop:
+            if remaining <= 0:
                 break
-            threading.Event().wait(min(remaining, 0.01))
+            with self._cond:
+                if self._stop:
+                    return      # a stopped monitor reaches no verdict
+                self._cond.wait(min(remaining, 0.01))
             self._watchdog()
         if acct.generation != gen:
             return
@@ -225,7 +249,7 @@ class DeadlockMonitor:
 
     # -- resolution ----------------------------------------------------------
     def _resolve(self, blocked: dict) -> None:
-        live = self.network.live_threads()
+        live = set(self.network.live_threads())
         names = tuple(sorted(t.name for t in live))
         write_waits = [
             (buffer, thread)

@@ -1,5 +1,6 @@
 """DeadlockMonitor unit behaviours beyond the integration tests."""
 
+import sys
 import threading
 import time
 
@@ -91,3 +92,152 @@ def test_blocked_processes_recorded_in_diagnosis():
         built.run(timeout=60)
     assert info.value.blocked  # names of the stuck processes
     assert any("Mod" in n or "Merge" in n for n in info.value.blocked)
+
+
+# ---------------------------------------------------------------------------
+# kick coalescing, the settle wait, the live-actor counter
+# ---------------------------------------------------------------------------
+
+class _NoPollCondition(threading.Condition):
+    """The monitor's 50 ms poll would paper over a lost kick; without it
+    a lost kick is a hang the test can see."""
+
+    def wait(self, timeout=None):
+        return super().wait()
+
+
+def test_coalesced_kicks_never_lose_an_examination():
+    """Every state change made before a kick — coalesced or not — is seen
+    by an examination that starts after it."""
+    net = Network()
+    monitor = net.monitor
+    monitor._cond = _NoPollCondition()
+    kickers = 4
+    rounds = 3000
+    counters = [0] * kickers
+    seen = []
+
+    def examine():
+        seen.append(tuple(counters))
+        time.sleep(0.001)           # kicks land *during* examinations
+
+    monitor._examine = examine
+
+    def kicker(k):
+        for _ in range(rounds):
+            counters[k] += 1        # "the last actor blocks" ...
+            monitor.kick()          # ... right after a coalesced kick
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        monitor.start()
+        threads = [threading.Thread(target=kicker, args=(k,), daemon=True)
+                   for k in range(kickers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+            assert not t.is_alive()
+        final = (rounds,) * kickers
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline and (not seen or seen[-1] != final):
+            time.sleep(0.005)
+        assert seen and seen[-1] == final, "the last kick was lost"
+        # coalescing is real: far fewer examinations than kicks
+        assert len(seen) < kickers * rounds
+    finally:
+        sys.setswitchinterval(interval)
+        monitor.stop()
+
+
+def test_kick_during_an_examination_triggers_another():
+    """The directed form of the race: the state changes, and both kicks
+    (the second one coalesced) arrive while the monitor is examining."""
+    net = Network()
+    monitor = net.monitor
+    monitor._cond = _NoPollCondition()
+    state = [0]
+    seen = []
+    entered = threading.Event()
+    release = threading.Event()
+
+    def examine():
+        seen.append(state[0])
+        entered.set()
+        release.wait(5)
+
+    monitor._examine = examine
+    monitor.start()
+    try:
+        monitor.kick()
+        assert entered.wait(5)
+        state[0] = 1
+        monitor.kick()
+        state[0] = 2
+        monitor.kick()              # pending flag already set: returns at once
+        release.set()
+        deadline = time.monotonic() + 5
+        while seen[-1] != 2 and time.monotonic() < deadline:
+            time.sleep(0.005)
+        assert seen[-1] == 2
+    finally:
+        release.set()
+        monitor.stop()
+
+
+def test_stop_interrupts_the_settle_window():
+    net = Network(policy=DeadlockPolicy(settle_ms=30_000))
+    ch = net.channel()
+
+    class ReadForever(IterativeProcess):
+        def __init__(self, stream):
+            super().__init__()
+            self.stream = stream
+            self.track(stream)
+
+        def step(self):
+            self.stream.read_exactly(8)
+
+    net.add(ReadForever(ch.get_input_stream()))
+    net.start()
+    deadline = time.monotonic() + 5
+    while net.accounting.total_blocked == 0 and time.monotonic() < deadline:
+        time.sleep(0.005)
+    time.sleep(0.1)                 # the monitor is inside its settle wait
+    start = time.monotonic()
+    net.monitor.stop()
+    assert time.monotonic() - start < 1.0
+    assert not net.monitor._thread.is_alive()
+    assert net.monitor.error is None    # stopped mid-settle: no verdict
+    net.shutdown()
+    assert net.join(timeout=10)
+
+
+@pytest.mark.parametrize("backend", ["thread", "async"])
+def test_live_count_tracks_live_threads(backend):
+    net = Network(backend=backend)
+    assert net.live_count() == 0
+    ch = net.channel()
+    out = []
+    net.add(Sequence(ch.get_output_stream(), iterations=50))
+    net.add(Collect(ch.get_input_stream(), out))
+    net.start()
+    assert net.live_count() >= len(net.live_threads())
+    assert net.join(timeout=30)
+    assert out == list(range(50))
+    assert net.live_count() == 0 == len(net.live_threads())
+
+
+def test_actor_that_fails_to_start_is_not_counted_live(monkeypatch):
+    net = Network()
+    ch = net.channel()
+
+    def refuse(self):
+        raise RuntimeError("can't start new thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    with pytest.raises(RuntimeError):
+        net.spawn(Sequence(ch.get_output_stream(), iterations=1))
+    monkeypatch.undo()
+    assert net.live_count() == 0
