@@ -14,7 +14,7 @@ Rules
 ``poll``
     Non-blocking channel inspection: ``occupancy()`` / ``available()`` /
     ``buffered()`` / ``held()`` / ``poll_ready()`` / ``at_eof()`` /
-    ``wait_any_readable(...)`` or a
+    ``would_block_on()`` / ``wait_any_readable(...)`` or a
     ``read(..., timeout=...)``.  Testing an input for data is exactly
     the operation Kahn forbids — the result depends on scheduling, not
     on the streams.
@@ -78,7 +78,8 @@ RULES: Dict[str, str] = {
 _PROCESS_BASES = {"Process", "IterativeProcess", "CompositeProcess"}
 
 #: attribute calls that test a channel for data instead of blocking on it
-_POLL_ATTRS = {"occupancy", "poll_ready", "wait_any_readable"}
+_POLL_ATTRS = {"occupancy", "poll_ready", "wait_any_readable",
+               "would_block_on"}
 #: poll attrs that double as ordinary names elsewhere; only flagged on
 #: likely stream receivers (see _looks_like_stream)
 _POLL_ATTRS_STREAMY = {"available", "at_eof", "buffered", "held"}

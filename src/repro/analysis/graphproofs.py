@@ -22,10 +22,13 @@ initial-token accounting:
 
 Processes advertise the contract via three class attributes declared in
 :mod:`repro.kpn.process` (``kpn_strict``, ``kpn_rate_balanced``,
-``kpn_deferred_inputs``); library processes set them where true
-(e.g. ``Cons`` defers its ``tail``, ``Delay`` defers ``source`` when it
-has initial values).  Undeclared classes are treated conservatively:
-they defeat both proofs, never enable one.
+``kpn_deferred_inputs``) and the firing-rule hook
+:meth:`~repro.kpn.process.Process.awaits`; library processes set them
+where true (e.g. ``Cons`` defers its ``tail``, ``Delay`` defers
+``source`` when it has initial values, ``Gather`` awaits one input per
+step).  An input edge counts as strictly read only when the un-started
+consumer's rule names it.  Undeclared classes are treated
+conservatively: they defeat both proofs, never enable one.
 """
 
 from __future__ import annotations
@@ -59,7 +62,8 @@ class ChannelEdge:
     #: blocking edge of a zero-token cycle
     deferred: bool
     #: the consumer certainly reads this channel before producing any
-    #: output each step (strict, non-deferred input of a declared class)
+    #: output: a strict class whose firing rule, asked before its first
+    #: step, names this input — and does not defer it
     strict_read: bool
 
 
@@ -117,24 +121,30 @@ def _edges(network) -> Tuple[List[ChannelEdge], Dict[str, Process]]:
     leaves = _leaves(network)
     by_name = {p.name: p for p in leaves}
     producers: Dict[str, str] = {}
-    consumers: Dict[str, Tuple[Process, Optional[str]]] = {}
+    consumers: Dict[str, Tuple[Process, Optional[str], bool]] = {}
     for p in leaves:
         attr_of = _stream_attr_names(p)
         for s in p.output_streams:
             ch = getattr(s, "channel", None)
             if ch is not None:
                 producers[ch.name] = p.name
+        # the same question the async scheduler asks before every step,
+        # asked once of the un-started process: which inputs does the
+        # next (first) step read before anything else?  Gather names
+        # inputs[0] only, Cons its head; unknown names nothing.
+        awaited = p.awaits() or ()
         for s in p.input_streams:
             ch = getattr(s, "channel", None)
             if ch is not None:
-                consumers[ch.name] = (p, attr_of.get(id(s)))
+                consumers[ch.name] = (p, attr_of.get(id(s)),
+                                      any(s is a for a in awaited))
     edges: List[ChannelEdge] = []
     for ch in network.channels:
         src = producers.get(ch.name)
         entry = consumers.get(ch.name)
         if src is None or entry is None:
             continue  # dangling ends are the checker's department
-        consumer, attr = entry
+        consumer, attr, awaited = entry
         deferred_attrs = tuple(getattr(consumer, "kpn_deferred_inputs", ()))
         is_deferred = attr is not None and attr in deferred_attrs
         try:
@@ -142,7 +152,7 @@ def _edges(network) -> Tuple[List[ChannelEdge], Dict[str, Process]]:
         except Exception:
             buffered = 0
         strict = bool(getattr(consumer, "kpn_strict", False)) \
-            and not is_deferred
+            and awaited and not is_deferred
         edges.append(ChannelEdge(channel=ch.name, producer=src,
                                  consumer=consumer.name, buffered=buffered,
                                  deferred=is_deferred or buffered > 0,

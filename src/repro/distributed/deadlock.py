@@ -128,7 +128,10 @@ class DistributedDeadlockDetector:
             live = set(snap["live"])
             if live:
                 any_live = True
-                blocked = {b["thread"] for b in snap["blocked"]}
+                # a task parked on a guess is not known to be stuck: its
+                # site's own monitor runs it for real before any verdict
+                blocked = {b["thread"] for b in snap["blocked"]
+                           if not b.get("assumed")}
                 if not live <= blocked:
                     return False
         return any_live

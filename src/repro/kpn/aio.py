@@ -11,34 +11,39 @@ reads, bounded blocking writes — observably identical.
 How a blocking operation suspends without a dedicated stack
 -----------------------------------------------------------
 
-CPython (no greenlets here) cannot snapshot a C-level call stack, so a
-task cannot be frozen mid-``step()`` the way a thread can.  Instead the
-runtime executes each ``step()`` as a **speculative transaction with an
-operation journal**:
+CPython (no greenlets here) cannot freeze a task mid-``step()`` the way
+a thread can.  So a step is not started unless it can probably finish,
+and a step that has to sleep anyway is given a stack to sleep on:
 
-1. Before a step, the runner snapshots the process's mutable state
-   (attributes + the channel-endpoint layering state).
-2. Channel operations inside the step go through the thread-local async
-   context installed by the event loop.  Each *completed* operation is
-   journaled: reads record the returned bytes, writes record how many
-   bytes were actually delivered to the ring.  Writes deliver directly —
-   they are never staged — so a same-step write-then-read feedback cycle
-   (Figure 7's Cons/Delay loop) behaves exactly as in the thread backend.
-3. When an operation would block, :class:`_WouldBlock` (a BaseException,
-   so user ``except Exception`` clauses cannot swallow it) unwinds the
-   step, the snapshot is restored, and the task parks on the buffer's
-   waiter list (:meth:`~repro.kpn.buffers.BoundedByteBuffer.async_park`).
-4. On wake the step is **re-executed**: journaled reads replay their
-   recorded bytes without consuming anything, journaled writes resume at
-   the recorded offset.  Because Kahn processes are determinate, the
-   re-execution reaches the blocked operation with identical arguments —
-   the journal is a proof obligation of exactly the property the paper's
-   model guarantees.
+* **Gate.**  Before each step the task asks the process for its *firing
+  rule* (:meth:`~repro.kpn.process.Process.awaits`: the inputs the step
+  reads before anything else) and looks, lock-free, at those inputs'
+  consumer endpoints (held read-ahead, ring non-empty, either end
+  closed) and at every tracked output (room for a byte, or closed).  If
+  something is not ready the task parks on that buffer's waiter list
+  (:meth:`~repro.kpn.buffers.BoundedByteBuffer.async_park`) and runs
+  nothing; whichever thread next changes the buffer re-schedules it and
+  the whole gate is evaluated again.
+* **Hand-off.**  A step that passes the gate is plain Python on the
+  ordinary blocking channel code, read-ahead included.  If one of its
+  operations must sleep after all, the buffer tells the task
+  (:meth:`Task.hand_off`): the event loop continues its run queue on a
+  fresh thread, and the thread the step is on *becomes the task's* — it
+  blocks exactly as a thread-backend process would, with the task as its
+  accounting identity.  When the step returns the task goes back on the
+  run queue and the borrowed thread ends.
 
-Effects at the channels are therefore exactly-once even though the Python
-code of a step may run many times; the state restore makes the re-runs
-invisible.  The cost is one ``__dict__``-level snapshot per step — cheap
-for the fine-grained processes KPN graphs are made of.
+Nothing is ever re-executed, so a step may keep its state anywhere.
+
+A park on a *declared* rule (the class overrides ``awaits``, or is
+``kpn_strict``: it reads what the default names before it writes) is as
+good as an observed blocking read.  A park on a bare default rule, on a
+fused chain's head stage, or on output room is an **assumption** — the
+step might not read, or might write elsewhere — made only where somebody
+can un-make it: before the deadlock monitor reaches a verdict that ends
+the network it releases every such task (:meth:`Task.force`) to run for
+real, and judges observed waits only.  A network without a monitor
+(``bounded=False``) gates on declared rules alone.
 
 What runs as a task
 -------------------
@@ -46,23 +51,15 @@ What runs as a task
 ``Network.spawn`` routes a process here when it is an
 :class:`~repro.kpn.process.IterativeProcess` with the *default* ``run``
 and no ``@nondeterminate`` marker, or a compiler-produced
-:class:`~repro.kpn.compile.FusedChain` (the whole chain becomes one task;
-each ``pump`` is one transaction).  Everything else — custom ``run``
-loops, Turnstile's readiness polling, plain composites — keeps its OS
-thread, and both kinds of actor interoperate freely on the same channels:
-the buffer wakes condition-variable waiters and parked tasks alike.
-
-Known limits (documented, deliberate):
-
-* A step that mutates a *non-builtin* mutable object (say, a numpy array
-  held in an attribute) before a blocking channel op would replay that
-  mutation; the snapshot covers attributes and builtin containers
-  (list/dict/deque/set/bytearray, nested).  Processes that execute
-  opaque user objects opt out with ``kpn_async = False`` — the farm's
-  Producer/Worker/Consumer do exactly that, because user ``Task.run()``
-  methods mutate their own state — and keep their OS thread.
-* Live migration pause points are not polled between task steps; migrate
-  from thread-backend networks (servers default to threads).
+:class:`~repro.kpn.compile.FusedChain` (one task for the whole chain).
+Everything else — custom ``run`` loops, Turnstile's readiness polling,
+plain composites — keeps its OS thread, as does a process that sleeps on
+something that is not a channel and says so with ``kpn_async = False``
+(the farm's Worker waits on executor futures: it would stall every task
+sharing its loop).  Both kinds of actor interoperate freely on the same
+channels: the buffer wakes condition-variable waiters and parked tasks
+alike.  Live migration pause points are not polled between task steps;
+migrate from thread-backend networks (servers default to threads).
 """
 
 from __future__ import annotations
@@ -72,13 +69,8 @@ import threading
 from collections import deque
 from typing import Callable, List, Optional
 
-from repro.errors import (
-    BrokenChannelError,
-    ChannelClosedError,
-    ChannelError,
-)
-from repro.kpn.buffers import BoundedByteBuffer, set_async_context
-from repro.kpn.process import IterativeProcess, StopProcess
+from repro.kpn.buffers import BoundedByteBuffer, set_current_task
+from repro.kpn.process import IterativeProcess, Process, _StepDriver
 from repro.telemetry.core import TELEMETRY as _telemetry
 
 __all__ = ["EventLoop", "Task", "async_hostable"]
@@ -95,295 +87,6 @@ def _next_vtid() -> int:
     idents in merged traces."""
     return -next(_vtid_counter)
 
-
-# ---------------------------------------------------------------------------
-# suspension signal
-# ---------------------------------------------------------------------------
-
-class _WouldBlock(BaseException):
-    """Unwinds a speculative step at an operation that would block.
-
-    BaseException on purpose: step bodies and the fused-stage driver
-    legitimately catch ``Exception`` (and ``ChannelError``), and none of
-    them may swallow a suspension.
-    """
-
-    def __init__(self, buffer: BoundedByteBuffer, mode: str) -> None:
-        self.buffer = buffer
-        self.mode = mode
-
-
-# ---------------------------------------------------------------------------
-# the operation journal
-# ---------------------------------------------------------------------------
-
-class _AsyncContext:
-    """Per-task channel-operation journal (installed thread-locally).
-
-    Journal entries are ``["read", buffer, bytes]`` (recorded result;
-    ``b""`` records EOF) or ``["write", buffer, total, delivered]``.  A
-    write entry with ``delivered < total`` is always the journal's last
-    entry — the op that blocked; re-execution resumes delivery at
-    ``delivered``.  ``["record", buffer]`` marks a history append (fused
-    chains mirror bytes into channel histories) so replays do not append
-    twice.
-    """
-
-    __slots__ = ("task", "journal", "pos")
-
-    def __init__(self, task: "Task") -> None:
-        self.task = task
-        self.journal: list = []
-        self.pos = 0
-
-    # -- transaction control ------------------------------------------------
-    def begin_attempt(self) -> None:
-        self.pos = 0
-
-    def finish(self) -> None:
-        self.journal.clear()
-        self.pos = 0
-
-    def _divergence(self, buffer, kind) -> RuntimeError:  # pragma: no cover
-        return RuntimeError(
-            f"async replay divergence in task {self.task.name!r}: expected "
-            f"{self.journal[self.pos]!r}, got {kind} on {buffer.name!r} — "
-            "the step is not determinate; host it on a thread "
-            "(kpn_async = False)")
-
-    # -- operations (called from buffers.py hooks) --------------------------
-    def read(self, buffer: BoundedByteBuffer, max_bytes: int) -> bytes:
-        if self.pos < len(self.journal):
-            entry = self.journal[self.pos]
-            if entry[0] != "read" or entry[1] is not buffer:
-                raise self._divergence(buffer, "read")
-            self.pos += 1
-            return entry[2]
-        res = buffer.try_read(max_bytes)
-        if res is None:
-            raise _WouldBlock(buffer, "read")
-        self.journal.append(["read", buffer, res])
-        self.pos += 1
-        return res
-
-    def readinto(self, buffer: BoundedByteBuffer, out: memoryview) -> int:
-        if self.pos < len(self.journal):
-            entry = self.journal[self.pos]
-            if entry[0] != "read" or entry[1] is not buffer:
-                raise self._divergence(buffer, "readinto")
-            data = entry[2]
-            out[:len(data)] = data
-            self.pos += 1
-            return len(data)
-        n = buffer.try_readinto(out)
-        if n is None:
-            raise _WouldBlock(buffer, "read")
-        # journal the bytes (not just the count): the replayed target
-        # buffer is a fresh object, so the data must come from the journal
-        self.journal.append(["read", buffer, bytes(out[:n])])
-        self.pos += 1
-        return n
-
-    def write(self, buffer: BoundedByteBuffer, data) -> None:
-        view = memoryview(data).cast("B")
-        if self.pos < len(self.journal):
-            entry = self.journal[self.pos]
-            if entry[0] != "write" or entry[1] is not buffer:
-                raise self._divergence(buffer, "write")
-            if entry[3] >= entry[2]:
-                self.pos += 1
-                return
-            # trailing partial entry: resume delivery where it blocked
-            entry[3] = buffer.try_write_part(view, entry[3])
-            if entry[3] < entry[2]:
-                raise _WouldBlock(buffer, "write")
-            self.pos += 1
-            return
-        if _telemetry.enabled:
-            _telemetry.inc("kpn.channel.writes", 1, channel=buffer.name)
-        entry = ["write", buffer, len(view), 0]
-        self.journal.append(entry)
-        entry[3] = buffer.try_write_part(view, 0)
-        if entry[3] < entry[2]:
-            raise _WouldBlock(buffer, "write")
-        self.pos += 1
-
-    def record_bytes(self, buffer: BoundedByteBuffer, data) -> None:
-        if self.pos < len(self.journal):
-            entry = self.journal[self.pos]
-            if entry[0] != "record" or entry[1] is not buffer:
-                raise self._divergence(buffer, "record")
-            self.pos += 1
-            return
-        buffer.record_bytes_direct(data)
-        self.journal.append(["record", buffer])
-        self.pos += 1
-
-
-# ---------------------------------------------------------------------------
-# state snapshot / restore
-# ---------------------------------------------------------------------------
-
-_MAX_SNAP_DEPTH = 6
-
-#: the types :func:`_record_containers` descends into or copies
-_SNAPPED_TYPES = frozenset((list, dict, deque, set, bytearray, tuple))
-
-
-def _record_containers(value, out: list, seen: set, depth: int = 0) -> None:
-    """Register builtin mutable containers for in-place content restore.
-
-    Identity is the whole point: a process may share a container with the
-    outside world (``Collect(into=results)`` aliases the caller's list),
-    so a rollback must rewind the *contents* of the original objects, not
-    swap in copies.  Streams, codecs, channels, processes stay shared
-    references — their replay-relevant state is captured separately
-    (stream layering) or journaled (buffers).  Depth-capped as a cycle
-    guard (the ``seen`` set already stops direct cycles).
-    """
-    if depth >= _MAX_SNAP_DEPTH:
-        return
-    t = type(value)
-    if t is tuple:
-        for v in value:
-            _record_containers(v, out, seen, depth + 1)
-        return
-    if t not in (list, dict, deque, set, bytearray):
-        return
-    vid = id(value)
-    if vid in seen:
-        return
-    seen.add(vid)
-    if t is list or t is deque:
-        out.append((value, list(value)))
-        for v in value:
-            _record_containers(v, out, seen, depth + 1)
-    elif t is dict:
-        out.append((value, dict(value)))
-        for v in value.values():
-            _record_containers(v, out, seen, depth + 1)
-    elif t is set:
-        out.append((value, set(value)))
-    else:  # bytearray
-        out.append((value, bytes(value)))
-
-
-def _restore_containers(containers: list) -> None:
-    for obj, state in containers:
-        t = type(obj)
-        if t is list or t is bytearray:
-            obj[:] = state
-        elif t is dict or t is set:
-            obj.clear()
-            obj.update(state)
-        else:  # deque (maxlen survives clear+extend)
-            obj.clear()
-            obj.extend(state)
-
-
-def _snap_object(obj, containers: list, seen: set) -> dict:
-    saved = obj.__dict__.copy()
-    for v in saved.values():
-        # most attributes are scalars/objects: one set probe filters them
-        t = type(v)
-        if t in _SNAPPED_TYPES:
-            if t is list and _SNAPPED_TYPES.isdisjoint(map(type, v)):
-                # a flat list (the tracked-stream lists every process
-                # has): what _record_containers would record, minus the
-                # call per element that finds nothing to descend into
-                if id(v) not in seen:
-                    seen.add(id(v))
-                    containers.append((v, v[:]))
-            else:
-                _record_containers(v, containers, seen)
-    return saved
-
-
-def _restore_object(obj, saved: dict) -> None:
-    obj.__dict__.clear()
-    obj.__dict__.update(saved)
-
-
-def _stream_plan(process) -> list:
-    """Find the endpoint-layering objects a replay must rewind.
-
-    The :class:`~repro.kpn.streams.SequenceInputStream` advance protocol
-    *pops* its head stream on EOF before trying the next one; if a step
-    advanced a sequence and then blocked, re-execution would otherwise
-    skip ops and desynchronize the journal.  Same for the output
-    sequence's target swap and the endpoint ``detached`` flag.  The plan
-    (which objects to capture) is stable while the tracked-stream lists
-    are; tasks cache it keyed on those lists' lengths.
-    """
-    plan = []
-    for s in getattr(process, "input_streams", ()):
-        seq = getattr(s, "sequence", None)
-        if seq is not None and hasattr(seq, "_streams"):
-            plan.append(("in", seq))
-        if hasattr(s, "detached"):
-            plan.append(("det", s))
-    for s in getattr(process, "output_streams", ()):
-        seq = getattr(s, "sequence", None)
-        if seq is not None and hasattr(seq, "_target"):
-            plan.append(("out", seq))
-    return plan
-
-
-def _capture_streams(plan: list) -> list:
-    states = []
-    for kind, obj in plan:
-        if kind == "in":
-            states.append(("in", obj, list(obj._streams),
-                           obj._closed, obj._finished))
-        elif kind == "out":
-            states.append(("out", obj, obj._target, obj._closed))
-        else:
-            states.append(("det", obj, obj.detached))
-    return states
-
-
-def _restore_streams(states: list) -> None:
-    for st in states:
-        kind = st[0]
-        if kind == "in":
-            _, seq, streams, closed, finished = st
-            with seq._lock:
-                # another process may have spliced new upstream sequences
-                # in while we were parked (Figure 10 reconfiguration);
-                # appends land at the tail and must survive the rollback
-                known = {id(x) for x in streams}
-                appended = [x for x in seq._streams if id(x) not in known]
-                seq._streams[:] = streams + appended
-                seq._closed = closed
-                seq._finished = finished and not appended
-        elif kind == "out":
-            _, seq, target, closed = st
-            seq._target = target
-            seq._closed = closed
-        else:
-            _, s, detached = st
-            s.detached = detached
-
-
-class _Snapshot:
-    __slots__ = ("objects", "containers", "streams")
-
-    def __init__(self, objects: list, containers: list,
-                 streams: list) -> None:
-        self.objects = objects        # [(obj, saved_dict_of_refs), ...]
-        self.containers = containers  # [(container, shallow_state), ...]
-        self.streams = streams
-
-    def restore(self) -> None:
-        for obj, saved in self.objects:
-            _restore_object(obj, saved)
-        _restore_containers(self.containers)
-        _restore_streams(self.streams)
-
-
-# ---------------------------------------------------------------------------
-# tasks
-# ---------------------------------------------------------------------------
 
 class Task:
     """One cooperative KPN process: the async backend's thread-equivalent.
@@ -404,21 +107,28 @@ class Task:
         self.vtid = _next_vtid()
         self._on_finish = on_finish
         self._done = threading.Event()
-        self._ctx = _AsyncContext(self)
-        self._phase = "start"
-        self._began = False
-        self._traced = False
         self._park_traced = False
-        self._reason = "limit"
-        self._body = self._advance_chain if _is_fused_chain(process) \
-            else self._advance_iterative
-        # fused-chain cursor: drivers still to finish, tail first
-        self._drivers = (list(reversed(process.drivers))
-                         if _is_fused_chain(process) else None)
+        #: parked by the gate on a guess, not on a declared rule
+        self.assumed = False
+        #: sleeping (or finishing a step that slept) on a borrowed thread
+        self.on_thread = False
+        self._forced = False
+        # a fused chain is driven tail first; a lone process is a chain of one
+        self._chain = process if _is_fused_chain(process) else None
+        self._drivers = (list(reversed(process.drivers)) if self._chain
+                         else [_StepDriver(process)])
         self._dindex = 0
-        # cached snapshot plan (see _snap_targets)
-        self._plan = None
-        self._plan_key = None
+        # the gate: whose rule names the inputs, whose outputs need room
+        head = process.processes[0] if self._chain else process
+        self._awaits = head.awaits
+        # declared: the class wrote the rule, or vouches (kpn_strict) that
+        # every step reads what the default names before it writes
+        self._declared = not self._chain and (
+            type(head).awaits is not Process.awaits or head.kpn_strict)
+        self._outputs_of = process.processes[-1] if self._chain else process
+        # a guess needs the deadlock monitor to release it if it was wrong
+        network = getattr(process, "network", None)
+        self._guesses = getattr(network, "monitor", None) is not None
 
     # -- Thread-compatible surface ------------------------------------------
     def is_alive(self) -> bool:
@@ -431,11 +141,14 @@ class Task:
         self.loop.schedule(self)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = "done" if self._done.is_set() else self._phase
+        state = ("done" if self._done.is_set()
+                 else "on-thread" if self.on_thread else "task")
         return f"<Task {self.name!r} {state}>"
 
-    # -- wake protocol (called by buffers, any thread, buffer lock held) ----
+    # -- called by buffers and the monitor (any thread) -----------------------
     def unparked(self, buffer: BoundedByteBuffer, mode: str) -> None:
+        """Woken off ``buffer``'s wait list (buffer lock held)."""
+        self.assumed = False
         if self._park_traced:
             self._park_traced = False
             # close the block span in the *task's* lane even though the
@@ -447,187 +160,105 @@ class Task:
                 _telemetry.swap_actor(prev)
         self.loop.schedule(self)
 
+    def hand_off(self, buffer: BoundedByteBuffer, mode: str) -> None:
+        """An operation of the running step must sleep on ``buffer``
+        (called by the buffer on the step's thread, buffer lock held):
+        keep this thread, let the loop go on without it."""
+        if self.on_thread:
+            return
+        self.on_thread = True
+        if _telemetry.enabled:
+            _telemetry.instant("task.handoff", category="kpn.scheduler",
+                               process=self.name, channel=buffer.name,
+                               mode=mode)
+            _telemetry.inc("kpn.task.handoffs")
+        self.loop.hand_off()
+
+    def force(self, buffer: BoundedByteBuffer, mode: str) -> None:
+        """The deadlock monitor found this task parked on an assumption:
+        run its next resume ungated, so that it proceeds or blocks
+        observably."""
+        self._forced = True
+        if _telemetry.enabled:
+            _telemetry.instant("task.forced", category="kpn.scheduler",
+                               process=self.name, channel=buffer.name,
+                               mode=mode)
+        buffer.async_release(mode)
+
     # -- execution ----------------------------------------------------------
     def _resume(self) -> None:
-        """One scheduling quantum; runs on the event-loop thread."""
-        set_async_context(self._ctx)
+        """One scheduling quantum; starts on the event-loop thread."""
+        set_current_task(self)
         prev = _telemetry.swap_actor((self.vtid, self.name))
         try:
-            self._body()
+            self._advance()
         finally:
             _telemetry.swap_actor(prev)
-            set_async_context(None)
+            set_current_task(None)
 
-    def _park(self, wb: _WouldBlock) -> None:
+    def _gate(self) -> bool:
+        """May the next step start?  False: parked, run nothing."""
+        if self._forced:
+            return True             # until this resume ends (_requeue)
+        guesses = self._guesses
+        if guesses or self._declared:
+            for stream in self._awaits() or ():
+                buffer = stream.would_block_on()
+                if buffer is not None:
+                    return self._park(buffer, "read", not self._declared)
+        if guesses:
+            for stream in self._outputs_of.output_streams:
+                buffer = stream.would_block_on()
+                if buffer is not None:
+                    return self._park(buffer, "write", True)
+        return True
+
+    def _park(self, buffer: BoundedByteBuffer, mode: str,
+              assumed: bool) -> bool:
+        self.assumed = assumed
         self._park_traced = _telemetry.enabled
-        if not wb.buffer.async_park(wb.mode, self):
-            # state changed between the would-block and the park: retry
+        if not buffer.async_park(mode, self):
+            # the buffer changed between the hint and the park: look again
+            self.assumed = False
             self._park_traced = False
             self.loop.schedule(self)
+        return False
 
-    def _tx(self, fn):
-        """Run ``fn`` as one speculative transaction.
+    def _requeue(self) -> None:
+        """End this resume with the task runnable again.  A thread the
+        step borrowed to sleep on ends when the resume returns."""
+        self.on_thread = False
+        self._forced = False
+        self.loop.schedule(self)
 
-        Returns ``(True, result)`` on commit; ``(False, None)`` after
-        parking (the caller returns immediately — resume re-enters it).
-        Non-suspension exceptions commit partial channel effects and
-        propagate, mirroring a thread that dies mid-step.
+    def _advance(self) -> None:
+        """Mirror of :meth:`FusedChain.run` — and, a lone process being a
+        chain of one, of :meth:`IterativeProcess.run`: pump the drivers
+        tail-to-head until each has finished, one quantum at a time.
+
+        The gate applies once the tail driver has started (its first pump
+        is ``on_start`` alone, which may write — a Delay's initial values
+        — before anything is read).  A pump that sleeps in a channel op
+        takes the thread it is on, exactly as it would block a thread of
+        the thread backend.
         """
-        ctx = self._ctx
-        ctx.begin_attempt()
-        snapshot = self._take_snapshot()
-        try:
-            result = fn()
-        except _WouldBlock as wb:
-            snapshot.restore()
-            self._park(wb)
-            return False, None
-        except BaseException:
-            ctx.finish()
-            raise
-        ctx.finish()
-        return True, result
-
-    def _snap_targets(self) -> tuple:
-        """Objects to __dict__-snapshot + the stream plan, cached.
-
-        The cache key is the tracked-stream list lengths: ``track`` /
-        ``untrack`` (dynamic reconfiguration) change them, everything
-        else leaves the plan stable from step to step.
-        """
-        p = self.process
-        if self._drivers is not None:
-            procs = p.processes
-            key = tuple((len(s.input_streams), len(s.output_streams))
-                        for s in procs)
-            if self._plan is None or self._plan_key != key:
-                plan: list = []
-                for st in procs:
-                    plan.extend(_stream_plan(st))
-                self._plan_key = key
-                self._plan = ([p, *procs, *p.drivers, *p.pipes], plan)
-            return self._plan
-        key = (len(p.input_streams), len(p.output_streams))
-        if self._plan is None or self._plan_key != key:
-            self._plan_key = key
-            self._plan = ([p], _stream_plan(p))
-        return self._plan
-
-    def _take_snapshot(self) -> _Snapshot:
-        objects_to_snap, plan = self._snap_targets()
-        containers: list = []
-        seen: set = set()
-        objects = [(o, _snap_object(o, containers, seen))
-                   for o in objects_to_snap]
-        return _Snapshot(objects, containers, _capture_streams(plan))
-
-    # -- IterativeProcess body ----------------------------------------------
-    def _advance_iterative(self) -> None:
-        """Mirror of :meth:`IterativeProcess.run`, one quantum at a time."""
-        p = self.process
-        if not self._began:
-            self._began = True
-            self._traced = _telemetry.enabled
-            if self._traced:
-                _telemetry.begin(p.name, category="kpn.process",
-                                 kind=type(p).__name__, process=p.name)
-                _telemetry.inc("kpn.process.started")
+        chain = self._chain
+        drivers = self._drivers
+        if chain is not None and not drivers[0].started:
+            chain.begin()           # first resume: it pumps drivers[0]
         budget = MAX_STEPS_PER_RESUME
-        try:
-            if self._phase == "start":
-                if not p._live_migrated:
-                    ok, _ = self._tx(p.on_start)
-                    if not ok:
-                        return
-                self._phase = "step"
-            while self._phase == "step":
-                if 0 < p.iterations <= p.steps_completed:
-                    self._reason = "limit"
-                    self._phase = "stop"
-                    break
-                ok, _ = self._tx(p.step)
-                if not ok:
-                    return
-                p.steps_completed += 1
+        while self._dindex < len(drivers):
+            if drivers[0].started and not self._gate():
+                return
+            if drivers[self._dindex].pump():
                 budget -= 1
-                if budget <= 0:
-                    self.loop.schedule(self)
-                    return
-        except StopProcess:
-            self._reason = "stop"
-            self._phase = "stop"
-        except ChannelError as exc:
-            self._reason = "channel-closed"
-            if isinstance(exc, (BrokenChannelError, ChannelClosedError)):
-                p._abort_on_close = True
-            self._phase = "stop"
-        except Exception as exc:  # noqa: BLE001 - mirror IterativeProcess.run
-            p.failure = exc
-            self._reason = "failure"
-            self._phase = "stop"
-        if self._phase == "stop":
-            self._run_stop()
-
-    def _run_stop(self) -> None:
-        p = self.process
-        self._phase = "stop"
-        self._body = self._run_stop  # a park inside on_stop resumes here
-        try:
-            ok, _ = self._tx(p.on_stop)
-            if not ok:
-                return
-        except ChannelError:
-            pass
-        except Exception as exc:  # noqa: BLE001 - keep the cascade alive
-            if p.failure is None:
-                p.failure = exc
-        self._finish_iterative()
-
-    def _finish_iterative(self) -> None:
-        p = self.process
-        if self._traced:
-            _telemetry.end(p.name, category="kpn.process",
-                           reason=self._reason, steps=p.steps_completed,
-                           process=p.name)
-            _telemetry.inc("kpn.process.terminated", 1, reason=self._reason)
-        self._complete()
-
-    # -- FusedChain body ----------------------------------------------------
-    def _advance_chain(self) -> None:
-        """Mirror of :meth:`FusedChain.run`: drive stages tail-to-head.
-
-        Each ``pump`` is one transaction; a pump that blocks in a
-        boundary-channel op parks the whole chain, exactly as it would
-        block the chain's thread.
-        """
-        chain = self.process
-        if not self._began:
-            self._began = True
-            self._traced = _telemetry.enabled
-            if self._traced:
-                _telemetry.begin(chain.name, category="kpn.process",
-                                 kind="FusedChain",
-                                 members=len(chain.processes),
-                                 process=chain.name)
-        budget = MAX_STEPS_PER_RESUME
-        while self._dindex < len(self._drivers):
-            driver = self._drivers[self._dindex]
-            ok, more = self._tx(driver.pump)
-            if not ok:
-                return
-            if not more:
+            else:
                 self._dindex += 1
-                continue
-            budget -= 1
-            if budget <= 0:
-                self.loop.schedule(self)
+            if self.on_thread or budget <= 0:
+                self._requeue()
                 return
-        failures = [p for p in chain.processes if p.failure is not None]
-        if failures:
-            chain.failure = failures[0].failure
-        if self._traced:
-            _telemetry.end(chain.name, category="kpn.process",
-                           failures=len(failures), process=chain.name)
+        if chain is not None:
+            chain.end()
         self._complete()
 
     # -- termination --------------------------------------------------------
@@ -653,16 +284,16 @@ def async_hostable(process) -> bool:
     Yes for compiler-produced fused chains and for IterativeProcess
     subclasses that keep the default ``run`` skeleton, are not declared
     ``@nondeterminate`` (Turnstile polls for readiness — it needs a
-    thread), and do not opt out with ``kpn_async = False``.  Everything
-    else keeps the thread backend's semantics on its own OS thread.
+    thread), and do not opt out with ``kpn_async = False`` (they sleep on
+    something that is not a channel).  Everything else keeps the thread
+    backend's semantics on its own OS thread.
     """
     from repro.analysis.markers import declared_nondeterminate
 
     if not getattr(process, "kpn_async", True):
         return False
     if _is_fused_chain(process):
-        # every member must be replay-safe: the chain snapshots exactly
-        # what a lone task would snapshot, per stage
+        # one member that must not share a loop keeps the chain off it
         return all(getattr(p, "kpn_async", True) for p in process.processes)
     if not isinstance(process, IterativeProcess):
         return False
@@ -685,6 +316,9 @@ class EventLoop:
     buffer waiter lists and re-enter via :meth:`schedule` (thread-safe,
     called from whatever thread changed the buffer).  Fairness comes from
     FIFO order plus each task's per-resume step budget.
+
+    :attr:`thread` is the thread running the queue *now*: a task whose
+    step must sleep keeps the one it is on (:meth:`hand_off`).
     """
 
     def __init__(self, name: str = "kpn-loop") -> None:
@@ -692,7 +326,13 @@ class EventLoop:
         self._cond = threading.Condition()
         self._runnable: deque = deque()
         self._stopped = False
-        self.thread = threading.Thread(target=self._run, name=name,
+        self.hand_off()             # the first thread starts like every later one
+
+    def hand_off(self) -> None:
+        """Continue the run queue on a fresh thread.  Called by the
+        running task, on the loop's thread, which from here on is the
+        task's own and leaves :meth:`_run` when the task returns."""
+        self.thread = threading.Thread(target=self._run, name=self.name,
                                        daemon=True)
         self.thread.start()
 
@@ -720,12 +360,11 @@ class EventLoop:
         return self._stopped
 
     def _run(self) -> None:
+        me = threading.current_thread()
         runnable = self._runnable
-        while True:
-            if self._stopped:
-                return
+        while self.thread is me and not self._stopped:
             try:
-                # only this thread pops, so a non-empty deque stays
+                # only the loop's thread pops, so a non-empty deque stays
                 # non-empty; the condition is needed only to sleep
                 task = runnable.popleft()
             except IndexError:

@@ -23,16 +23,17 @@ the reproduction needs:
   (OS thread or cooperative task) is blocked — the precondition for
   Parks' artificial-deadlock resolution.
 
-* **Cooperative (async-backend) hooks.**  When the current thread is an
-  event loop resuming a cooperative task (``Network(backend="async")``),
-  a thread-local *async context* is installed and every consuming or
-  blocking operation routes through it: instead of waiting on a condition
-  variable, an operation that would block raises out of the task's step,
-  the task parks on the buffer's waiter list (:meth:`async_park`) and is
-  re-scheduled by whichever thread next changes the buffer state.  The
-  non-blocking primitives (``try_read`` / ``try_readinto`` /
-  ``try_write_part``) and the waiter lists below exist for that backend;
-  the thread backend never touches them.
+* **Cooperative (async-backend) hooks.**  A cooperative task
+  (``Network(backend="async")``) runs its step on the ordinary blocking
+  code below.  Before the step, its scheduler checks the lock-free
+  readiness hints (:meth:`readable_hint` / :meth:`writable_hint`) and
+  parks the task on the buffer's waiter list (:meth:`async_park`) when
+  the step could not proceed; whichever thread next changes the buffer
+  state re-schedules it.  A step that nevertheless has to sleep inside
+  an operation keeps the thread it is on: ``_block_on_empty`` /
+  ``_block_on_full`` tell the task (found through a thread-local), whose
+  event loop moves to a fresh thread, and then wait like any thread with
+  the task as the accounting identity.
 
 * **Abort-aware close.**  ``close_write(aborted=True)`` marks the end of
   stream as a *cascade* abort rather than a graceful exhaustion: readers
@@ -56,29 +57,24 @@ from repro.errors import BrokenChannelError, ChannelClosedError
 from repro.telemetry.core import TELEMETRY as _telemetry
 
 __all__ = ["BlockAccounting", "BoundedByteBuffer", "DEFAULT_CAPACITY",
-           "current_async_context", "set_async_context"]
+           "set_current_task"]
 
 
 class _AsyncTLS(threading.local):
-    """Per-thread pointer to the active async execution context."""
-    ctx = None
+    """Per-thread pointer to the cooperative task running a step here."""
+    task = None
 
 
 _ASYNC = _AsyncTLS()
 
 
-def current_async_context():
-    """The async context installed on this thread, or None (thread mode)."""
-    return _ASYNC.ctx
-
-
-def set_async_context(ctx) -> None:
-    """Install (or clear, with None) this thread's async context.
+def set_current_task(task) -> None:
+    """Install (or clear, with None) this thread's running task.
 
     Called by the event loop around each task resume; everything else
-    should treat the context as read-only.
+    should treat it as read-only.
     """
-    _ASYNC.ctx = ctx
+    _ASYNC.task = task
 
 #: Default channel capacity in bytes.  Java's ``PipedInputStream`` default
 #: is 1024 bytes; we match it so the paper's remark that "the default
@@ -107,20 +103,9 @@ class BlockAccounting:
         self._on_change = on_change
 
     # -- updates (called by buffers) -------------------------------------
-    def enter_read_wait(self, buffer: "BoundedByteBuffer") -> None:
-        self._enter(buffer, "read")
-
-    def exit_read_wait(self, buffer: "BoundedByteBuffer") -> None:
-        self._exit()
-
-    def enter_write_wait(self, buffer: "BoundedByteBuffer") -> None:
-        self._enter(buffer, "write")
-
-    def exit_write_wait(self, buffer: "BoundedByteBuffer") -> None:
-        self._exit()
-
     def _enter(self, buffer: "BoundedByteBuffer", mode: str,
                actor: object = None) -> None:
+        """``actor`` (default: the calling thread) starts waiting."""
         with self._lock:
             key = actor if actor is not None else threading.current_thread()
             self._blocked[key] = (buffer, mode)
@@ -341,8 +326,9 @@ class BoundedByteBuffer:
         """Park a cooperative task on this buffer, or refuse.
 
         Atomically re-checks that the operation would still block; a False
-        return means the buffer state changed since the task observed it
-        and the task should simply retry (classic lost-wakeup guard).  On
+        return means the buffer state changed since the task read the
+        lock-free hint and it should simply look again (classic
+        lost-wakeup guard).  On
         True the waiter is registered, blocked-actor accounting is entered
         (the waiter object *is* the actor key) and a ``block.read`` /
         ``block.write`` telemetry span opens — the waiter's ``unparked``
@@ -352,13 +338,11 @@ class BoundedByteBuffer:
         """
         with self._lock:
             if mode == "read":
-                if (self._buffered() > 0 or self._write_closed
-                        or self._read_closed):
+                if self.readable_hint():    # exact under the lock
                     return False
                 self._async_readers.append(waiter)
             else:
-                if (self._buffered() < self._capacity or self._read_closed
-                        or self._write_closed):
+                if self.writable_hint():
                     return False
                 self._async_writers.append(waiter)
             acct = self.accounting
@@ -374,94 +358,30 @@ class BoundedByteBuffer:
                                channel=self.name)
             return True
 
-    def try_read(self, max_bytes: int):
-        """Non-blocking :meth:`read`: bytes, ``b""`` at EOF, None if it
-        would block."""
-        if max_bytes <= 0:
-            return b""
+    def async_release(self, mode: str) -> None:
+        """Reschedule the tasks parked here for ``mode`` although nothing
+        changed — the deadlock monitor releasing waits that were only an
+        assumption.  A released task re-evaluates its whole gate, so
+        waking a bystander is harmless."""
         with self._lock:
-            if self._read_closed:
-                raise ChannelClosedError(
-                    f"read on closed input of channel {self.name!r}")
-            if self._buffered() > 0:
-                return self._take_locked(max_bytes, steal=False).obj
-            if self._write_closed:
-                self._check_aborted_eof()
-                return b""
-            return None
+            if mode == "read":
+                self._wake_async_readers()
+            else:
+                self._wake_async_writers()
 
-    def try_readinto(self, target) -> Optional[int]:
-        """Non-blocking :meth:`readinto`: count, 0 at EOF, None if it
-        would block."""
-        out = memoryview(target).cast("B")
-        if len(out) == 0:
-            return 0
-        with self._lock:
-            if self._read_closed:
-                raise ChannelClosedError(
-                    f"read on closed input of channel {self.name!r}")
-            buffered = self._buffered()
-            if buffered > 0:
-                take = min(len(out), buffered)
-                end = self._read_pos + take
-                with memoryview(self._data) as src:
-                    out[:take] = src[self._read_pos:end]
-                self._read_pos = end
-                self._compact()
-                self.total_read += take
-                if _telemetry.enabled:
-                    _telemetry.inc("kpn.channel.reads", 1, channel=self.name)
-                    _telemetry.inc("kpn.channel.bytes_read", take,
-                                   channel=self.name)
-                if self._writers_waiting:
-                    self._not_full.notify_all()
-                if self._async_writers:
-                    self._wake_async_writers()
-                return take
-            if self._write_closed:
-                self._check_aborted_eof()
-                return 0
-            return None
+    def readable_hint(self) -> bool:
+        """Lock-free guess that a read would not sleep (bytes buffered, or
+        either end closed).  Exact while no other thread touches the
+        buffer; a racing caller confirms a "no" under the lock
+        (:meth:`async_park`) and survives a wrong "yes" by blocking."""
+        return (len(self._data) > self._read_pos or self._write_closed
+                or self._read_closed)
 
-    def try_write_part(self, view: memoryview, offset: int) -> int:
-        """Deliver as much of ``view[offset:]`` as fits, without blocking.
-
-        Returns the new offset; an offset short of ``len(view)`` means the
-        buffer filled up and the caller should park.  Raises exactly like
-        :meth:`write` on closed ends.  Bytes delivered before a park are
-        *final* — the async backend journals the offset and resumes here,
-        which is what makes a re-executed step idempotent at the channel.
-        """
-        with self._lock:
-            while offset < len(view):
-                if self._write_closed:
-                    raise ChannelClosedError(
-                        f"write on closed output of channel {self.name!r}")
-                if self._read_closed:
-                    raise BrokenChannelError(
-                        f"reader closed channel {self.name!r}")
-                space = self._capacity - self._buffered()
-                if space <= 0:
-                    return offset
-                chunk = view[offset:offset + space]
-                self._data.extend(chunk)
-                if self.history is not None:
-                    self.history.extend(chunk)
-                offset += len(chunk)
-                self.total_written += len(chunk)
-                buffered = self._buffered()
-                if buffered > self._high_watermark:
-                    self._high_watermark = buffered
-                if _telemetry.enabled:
-                    _telemetry.inc("kpn.channel.bytes_written", len(chunk),
-                                   channel=self.name)
-                if self._readers_waiting:
-                    self._not_empty.notify_all()
-                if self._async_readers:
-                    self._wake_async_readers()
-                if self._listeners:
-                    self._fire_listeners()
-            return offset
+    def writable_hint(self) -> bool:
+        """Lock-free guess that a write finds room for a byte (or a closed
+        end to fail on); same caveats as :meth:`readable_hint`."""
+        return (len(self._data) - self._read_pos < self._capacity
+                or self._read_closed or self._write_closed)
 
     # ------------------------------------------------------------------
     # data plane
@@ -482,10 +402,6 @@ class BoundedByteBuffer:
         """
         if not data:
             return
-        ctx = _ASYNC.ctx
-        if ctx is not None:
-            ctx.write(self, data)
-            return
         if _telemetry.enabled:
             _telemetry.inc("kpn.channel.writes", 1, channel=self.name)
         with self._lock:
@@ -502,11 +418,6 @@ class BoundedByteBuffer:
         """
         views = [memoryview(c).cast("B") for c in chunks if len(c)]
         if not views:
-            return
-        ctx = _ASYNC.ctx
-        if ctx is not None:
-            for view in views:
-                ctx.write(self, view)
             return
         if _telemetry.enabled:
             _telemetry.inc("kpn.channel.writes", 1, channel=self.name)
@@ -584,28 +495,7 @@ class BoundedByteBuffer:
                 self._fire_listeners()
 
     def _block_on_full(self) -> None:
-        acct = self.accounting
-        if acct is not None:
-            acct.enter_write_wait(self)
-        traced = _telemetry.enabled
-        if traced:
-            # `process` makes block spans joinable with process lifecycle
-            # spans and channel.grow instants without relying on thread
-            # names (network-spawned threads carry the process name; pump
-            # and test threads may not)
-            _telemetry.begin("block.write", category="kpn.block",
-                             channel=self.name, capacity=self._capacity,
-                             process=threading.current_thread().name)
-            _telemetry.inc("kpn.channel.write_blocks", 1, channel=self.name)
-        self._writers_waiting += 1
-        try:
-            self._not_full.wait()
-        finally:
-            self._writers_waiting -= 1
-            if traced:
-                _telemetry.end("block.write", category="kpn.block")
-            if acct is not None:
-                acct.exit_write_wait(self)
+        self._block(self._not_full, "write")
 
     def read(self, max_bytes: int) -> bytes:
         """Remove and return 1..max_bytes bytes, blocking while empty.
@@ -620,9 +510,6 @@ class BoundedByteBuffer:
         """
         if max_bytes <= 0:
             return b""
-        ctx = _ASYNC.ctx
-        if ctx is not None:
-            return ctx.read(self, max_bytes)
         with self._lock:
             while True:
                 if self._read_closed:
@@ -685,9 +572,6 @@ class BoundedByteBuffer:
         """
         if max_bytes <= 0:
             return memoryview(b"")
-        ctx = _ASYNC.ctx
-        if ctx is not None:
-            return memoryview(ctx.read(self, max_bytes))
         with self._lock:
             while True:
                 if self._read_closed:
@@ -730,9 +614,6 @@ class BoundedByteBuffer:
         out = memoryview(target).cast("B")
         if len(out) == 0:
             return 0
-        ctx = _ASYNC.ctx
-        if ctx is not None:
-            return ctx.readinto(self, out)
         with self._lock:
             while True:
                 if self._read_closed:
@@ -763,24 +644,45 @@ class BoundedByteBuffer:
                 self._block_on_empty()
 
     def _block_on_empty(self) -> None:
+        self._block(self._not_empty, "read")
+
+    def _block(self, cond: threading.Condition, mode: str) -> None:
+        """Sleep until ``cond`` is signalled (caller holds the lock)."""
+        task = _ASYNC.task
+        if task is not None:
+            # a cooperative task's step has to sleep after all: it keeps
+            # this thread, its event loop continues on a fresh one
+            task.hand_off(self, mode)
         acct = self.accounting
         if acct is not None:
-            acct.enter_read_wait(self)
+            acct._enter(self, mode, task)
         traced = _telemetry.enabled
         if traced:
-            _telemetry.begin("block.read", category="kpn.block",
-                             channel=self.name,
-                             process=threading.current_thread().name)
-            _telemetry.inc("kpn.channel.read_blocks", 1, channel=self.name)
-        self._readers_waiting += 1
+            # `process` makes block spans joinable with process lifecycle
+            # spans and channel.grow instants without relying on thread
+            # names (network-spawned threads carry the process name, a
+            # handed-off task runs on a thread named after its loop; pump
+            # and test threads may carry neither)
+            _telemetry.begin(
+                f"block.{mode}", category="kpn.block", channel=self.name,
+                process=(task or threading.current_thread()).name,
+                **({"capacity": self._capacity} if mode == "write" else {}))
+            _telemetry.inc(f"kpn.channel.{mode}_blocks", 1, channel=self.name)
+        if mode == "read":
+            self._readers_waiting += 1
+        else:
+            self._writers_waiting += 1
         try:
-            self._not_empty.wait()
+            cond.wait()
         finally:
-            self._readers_waiting -= 1
+            if mode == "read":
+                self._readers_waiting -= 1
+            else:
+                self._writers_waiting -= 1
             if traced:
-                _telemetry.end("block.read", category="kpn.block")
+                _telemetry.end(f"block.{mode}", category="kpn.block")
             if acct is not None:
-                acct.exit_read_wait(self)
+                acct._exit(task)
 
     def drain(self) -> bytes:
         """Non-blocking: remove and return everything currently buffered.
@@ -799,24 +701,6 @@ class BoundedByteBuffer:
             if self._async_writers:
                 self._wake_async_writers()
             return chunk
-
-    def unread(self, data) -> None:
-        """Put ``data`` back at the front of the ring (non-blocking).
-
-        The inverse of a read, for a consumer endpoint that read ahead
-        and must hand its bytes back (see
-        :class:`~repro.kpn.streams.LocalInputStream`).  The ring may sit
-        above its capacity until the bytes are consumed again; writers
-        block meanwhile, exactly as after a preload.
-        """
-        with self._lock:
-            if self._read_closed or not data:
-                return
-            self._data[self._read_pos:self._read_pos] = data
-            self.total_read -= len(data)
-            self._not_empty.notify_all()
-            self._wake_async_readers()
-            self._fire_listeners()
 
     # ------------------------------------------------------------------
     # control plane
@@ -881,19 +765,6 @@ class BoundedByteBuffer:
         ring still show up in the channel history, so HistoryCapture
         sees the same stream fused and unfused.
         """
-        ctx = _ASYNC.ctx
-        if ctx is not None:
-            # history is observable state: a replayed step must not append
-            # the same bytes twice, so the async context journals this too
-            ctx.record_bytes(self, data)
-            return
-        with self._lock:
-            if self.history is not None:
-                self.history += data
-
-    def record_bytes_direct(self, data) -> None:
-        """:meth:`record_bytes` without the async-context hook (the async
-        context itself calls this once per *first* execution of an op)."""
         with self._lock:
             if self.history is not None:
                 self.history += data

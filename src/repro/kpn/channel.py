@@ -69,6 +69,9 @@ class ChannelOutputStream(OutputStream):
     def abort(self) -> None:
         self.sequence.abort()
 
+    def would_block_on(self) -> Optional[BoundedByteBuffer]:
+        return self.sequence.would_block_on()
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<ChannelOutputStream of {self.channel.name!r}>"
 
@@ -113,6 +116,9 @@ class ChannelInputStream(InputStream):
     def poll_ready(self) -> bool:
         """True if a read would not block (data buffered or EOF)."""
         return self.blocking.available() > 0 or self.blocking.at_eof()
+
+    def would_block_on(self) -> Optional[BoundedByteBuffer]:
+        return self.sequence.would_block_on()
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:

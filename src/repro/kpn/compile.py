@@ -52,11 +52,11 @@ import json
 from collections import deque
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import (BrokenChannelError, ChannelClosedError, ChannelError,
+from repro.errors import (BrokenChannelError, ChannelClosedError,
                           EndOfStreamError)
 from repro.kpn.channel import Channel
 from repro.kpn.process import (CompositeProcess, IterativeProcess, Process,
-                               StopProcess)
+                               _StepDriver)
 from repro.kpn.streams import InputStream, OutputStream
 from repro.processes.codecs import Codec, ObjectCodec, StructCodec
 from repro.telemetry.core import TELEMETRY as _telemetry
@@ -331,79 +331,6 @@ class _CodecShim(Codec):
 # fused execution: one thread, demand-driven stages
 # ---------------------------------------------------------------------------
 
-class _StageDriver:
-    """Runs one fused stage's on_start/step/on_stop protocol inline.
-
-    Mirrors :meth:`IterativeProcess.run` — iteration limits,
-    ``StopProcess``, channel-error termination, failure capture, and the
-    per-stage telemetry span — minus the thread (and minus live-migration
-    pause points: fused stages are not migratable).
-    """
-
-    def __init__(self, stage: IterativeProcess) -> None:
-        self.stage = stage
-        self.started = False
-        self.finished = False
-        self.reason = "limit"
-        self._traced = False
-
-    def pump(self) -> bool:
-        """Run one step of the stage; False once it has terminated."""
-        if self.finished:
-            return False
-        st = self.stage
-        try:
-            if not self.started:
-                self.started = True
-                self._traced = _telemetry.enabled
-                if self._traced:
-                    _telemetry.begin(st.name, category="kpn.process",
-                                     kind=type(st).__name__, fused=True,
-                                     process=st.name)
-                    _telemetry.inc("kpn.process.started")
-                if not st._live_migrated:
-                    st.on_start()
-            if 0 < st.iterations <= st.steps_completed:
-                self._finish("limit")
-                return False
-            st.step()
-            st.steps_completed += 1
-            return True
-        except StopProcess:
-            self._finish("stop")
-        except ChannelError as exc:
-            # mirror IterativeProcess.run: a broken/closed channel is a
-            # cascade — abort the stage's outputs rather than close them
-            if isinstance(exc, (BrokenChannelError, ChannelClosedError)):
-                st._abort_on_close = True
-            self._finish("channel-closed")
-        except Exception as exc:  # noqa: BLE001 - mirror IterativeProcess.run
-            st.failure = exc
-            self._finish("failure")
-        return False
-
-    def drive(self) -> None:
-        """Run the stage to completion (tail stage / finish cascade)."""
-        while self.pump():
-            pass
-
-    def _finish(self, reason: str) -> None:
-        self.finished = True
-        self.reason = reason
-        st = self.stage
-        try:
-            st.on_stop()
-        except ChannelError:
-            pass
-        except Exception as exc:  # noqa: BLE001 - keep the cascade alive
-            if st.failure is None:
-                st.failure = exc
-        if self._traced:
-            _telemetry.end(st.name, category="kpn.process", reason=reason,
-                           steps=st.steps_completed, process=st.name)
-            _telemetry.inc("kpn.process.terminated", 1, reason=reason)
-
-
 class FusedChain(CompositeProcess):
     """One thread driving a fused chain of stages by direct calls.
 
@@ -423,31 +350,43 @@ class FusedChain(CompositeProcess):
                          name=name or "fused:" + "+".join(s.name
                                                           for s in stages))
         self.pipes: List[_FusedPipe] = list(pipes)
-        self.drivers: List[_StageDriver] = [_StageDriver(s) for s in stages]
+        self.drivers: List[_StepDriver] = [_StepDriver(s, fused=True)
+                                          for s in stages]
         # pipe i carries stage i -> stage i+1
         for pipe, driver in zip(self.pipes, self.drivers):
             pipe.upstream = driver
+        self._traced = False
 
     @property
     def channel_names(self) -> List[str]:
         return [p.channel.name for p in self.pipes]
 
     def run(self) -> None:
-        traced = _telemetry.enabled
-        if traced:
-            _telemetry.begin(self.name, category="kpn.process",
-                             kind="FusedChain", members=len(self.processes),
-                             process=self.name)
+        self.begin()
         try:
             for driver in reversed(self.drivers):
                 driver.drive()
         finally:
-            failures = [p for p in self.processes if p.failure is not None]
-            if failures:
-                self.failure = failures[0].failure
-            if traced:
-                _telemetry.end(self.name, category="kpn.process",
-                               failures=len(failures), process=self.name)
+            self.end()
+
+    def begin(self) -> None:
+        """Open the chain's own span (whoever drives the stages — this
+        thread, or a cooperative task — calls this first)."""
+        self._traced = _telemetry.enabled
+        if self._traced:
+            _telemetry.begin(self.name, category="kpn.process",
+                             kind="FusedChain", members=len(self.processes),
+                             process=self.name)
+
+    def end(self) -> None:
+        """Every stage has finished: surface the first failure, close the
+        span."""
+        failures = [p for p in self.processes if p.failure is not None]
+        if failures:
+            self.failure = failures[0].failure
+        if self._traced:
+            _telemetry.end(self.name, category="kpn.process",
+                           failures=len(failures), process=self.name)
 
 
 # ---------------------------------------------------------------------------

@@ -346,12 +346,12 @@ class Network:
                 t.join(timeout=remaining if remaining is not None else 0.5)
                 if deadline is not None and time.monotonic() >= deadline and t.is_alive():
                     return False
+        if self._loops is not None:
+            self._loops.stop()
         if self.monitor is not None:
             self.monitor.stop()
             if self.monitor.error is not None:
                 raise self.monitor.error
-        if self._loops is not None:
-            self._loops.stop()
         self.raise_failures()
         return True
 
@@ -516,16 +516,22 @@ class Network:
         for actor, (buffer, mode) in blocked_map.items():
             if actor in live:
                 ch = by_buffer.get(id(buffer))
-                blocked.append({
+                entry = {
                     "thread": actor.name,
-                    "kind": ("thread" if isinstance(actor, threading.Thread)
-                             else "task"),
+                    "kind": "thread",
                     "mode": mode,
                     "channel": buffer.name,
                     "capacity": buffer.capacity,
                     "buffered": (ch.buffered() if ch is not None
                                  else buffer.available()),
-                })
+                }
+                if not isinstance(actor, threading.Thread):
+                    # a task: parked by its gate on a guess or on a
+                    # declared rule, or asleep inside an operation on a
+                    # thread it borrowed from its loop
+                    entry.update(kind="task", assumed=actor.assumed,
+                                 on_thread=actor.on_thread)
+                blocked.append(entry)
         remote = [ch.name for ch in channels
                   if getattr(ch, "receiver_pump", None) is not None
                   or getattr(ch, "sender_pump", None) is not None]

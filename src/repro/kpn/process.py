@@ -104,10 +104,12 @@ class Process:
     """
 
     # -- static-analysis contract (repro.analysis.graphproofs) -------------
-    #: True when every step reads exactly one element/chunk from each
-    #: non-deferred input *before* producing any output.  Lets the
-    #: deadlock pass prove that a zero-token cycle through this process
-    #: can never start.
+    #: True when every step reads one element/chunk from each input its
+    #: firing rule (:meth:`awaits`) names *before* producing any output —
+    #: not from every input: Gather is strict and reads one input per
+    #: step, Cons only its head until that ends.  Lets the deadlock pass
+    #: prove that a zero-token cycle entering this process through a
+    #: named input can never start.
     kpn_strict = False
     #: True when long-run production on every output matches consumption
     #: on the inputs (1:1 transforms, filters on a single output) — i.e.
@@ -196,6 +198,33 @@ class Process:
                 s.close()
             except Exception:
                 pass
+
+    # -- firing rule -------------------------------------------------------
+    def awaits(self) -> Optional[Sequence[InputStream]]:
+        """The input streams the next step reads before it does anything
+        else — this process's *firing rule* — or None when unknown.
+
+        A Kahn process with blocking reads waits on one known input at any
+        moment; this hook says which, one step ahead.  The async backend
+        asks before every step and does not start a step whose named
+        inputs are empty (it parks the task on the empty buffer instead);
+        the deadlock prover asks an un-started process which of its input
+        edges its first step certainly reads.  Must be pure and
+        channel-free: look at own state, touch no stream.
+
+        Name only what the step reads before its first write.  Naming too
+        little merely costs a thread hand-off when the step blocks after
+        all; naming too much can deadlock a network that threads run fine
+        (a step that writes before it reads the named input never gets to
+        write).  The default names the only tracked input when there is
+        exactly one and is unknown with several.  An override is a
+        declaration, and so is the default on a ``kpn_strict`` class (it
+        vouches that every step reads what the rule names before
+        writing); a bare inherited default is a guess — see
+        :mod:`repro.kpn.aio` for how differently the runtime trusts them.
+        """
+        inputs = self.input_streams
+        return inputs if len(inputs) <= 1 else None
 
     # -- runtime helpers -----------------------------------------------------
     def new_channel(self, capacity: Optional[int] = None, name: str = "") -> Channel:
@@ -327,6 +356,85 @@ class IterativeProcess(Process):
                                reason=reason, steps=self.steps_completed,
                                process=self.name)
                 _telemetry.inc("kpn.process.terminated", 1, reason=reason)
+
+
+class _StepDriver:
+    """Runs one process's on_start/step/on_stop protocol a call at a time.
+
+    Mirrors :meth:`IterativeProcess.run` — iteration limits,
+    ``StopProcess``, channel-error termination, failure capture, and the
+    process's telemetry span — minus the thread and minus live-migration
+    pause points.  It is how a process runs when something other than a
+    thread of its own decides when its next step happens: a stage of a
+    compiler-fused chain (pumped from inside its consumer's read), a
+    cooperative task (pumped by its event loop).
+    """
+
+    def __init__(self, stage: IterativeProcess, fused: bool = False) -> None:
+        self.stage = stage
+        self.fused = fused
+        self.started = False
+        self.finished = False
+        self._traced = False
+
+    def pump(self) -> bool:
+        """Run ``on_start`` (the first call) or one step; False once the
+        process has terminated.  The first call stops short of a step so
+        that a scheduler can look at the started process before its
+        first one."""
+        if self.finished:
+            return False
+        st = self.stage
+        try:
+            if not self.started:
+                self.started = True
+                self._traced = _telemetry.enabled
+                if self._traced:
+                    _telemetry.begin(st.name, category="kpn.process",
+                                     kind=type(st).__name__, process=st.name,
+                                     **({"fused": True} if self.fused else {}))
+                    _telemetry.inc("kpn.process.started")
+                if not st._live_migrated:
+                    st.on_start()
+                return True
+            if 0 < st.iterations <= st.steps_completed:
+                self._finish("limit")
+                return False
+            st.step()
+            st.steps_completed += 1
+            return True
+        except StopProcess:
+            self._finish("stop")
+        except ChannelError as exc:
+            # mirror IterativeProcess.run: a broken/closed channel is a
+            # cascade — abort the stage's outputs rather than close them
+            if isinstance(exc, (BrokenChannelError, ChannelClosedError)):
+                st._abort_on_close = True
+            self._finish("channel-closed")
+        except Exception as exc:  # noqa: BLE001 - mirror IterativeProcess.run
+            st.failure = exc
+            self._finish("failure")
+        return False
+
+    def drive(self) -> None:
+        """Run the process to completion."""
+        while self.pump():
+            pass
+
+    def _finish(self, reason: str) -> None:
+        self.finished = True
+        st = self.stage
+        try:
+            st.on_stop()
+        except ChannelError:
+            pass
+        except Exception as exc:  # noqa: BLE001 - keep the cascade alive
+            if st.failure is None:
+                st.failure = exc
+        if self._traced:
+            _telemetry.end(st.name, category="kpn.process", reason=reason,
+                           steps=st.steps_completed, process=st.name)
+            _telemetry.inc("kpn.process.terminated", 1, reason=reason)
 
 
 class CompositeProcess(Process):

@@ -256,27 +256,41 @@ class DeadlockMonitor:
             for thread, (buffer, mode) in blocked.items()
             if mode == "write" and thread in live
         ]
+        if write_waits and self.policy.grow \
+                and self._grow_smallest(write_waits, names):
+            return
+        # Every other verdict ends the network, or leaves it blocked for
+        # good: it may rest on observed waits only.  A task the async
+        # backend parked on a guess (its default firing rule, output room)
+        # first runs its step for real; we look again once it has blocked
+        # where it really blocks — or gone on.
+        guesses = [(actor, wait) for actor, wait in blocked.items()
+                   if actor in live and getattr(actor, "assumed", False)]
+        if guesses:
+            for actor, (buffer, mode) in guesses:
+                actor.force(buffer, mode)
+            return
         if write_waits:
-            self._resolve_artificial(write_waits, names)
+            if self.policy.grow:
+                full = min((b for b, _ in write_waits),
+                           key=lambda b: b.capacity)
+                message = (f"channel {full.name!r} already at max capacity "
+                           f"{full.capacity}")
+            else:
+                message = "artificial deadlock (growth disabled)"
+            self.error = ArtificialDeadlockError(message, names)
+            self.network.shutdown()
         else:
             self._resolve_true(names)
 
-    def _resolve_artificial(self, write_waits, names) -> None:
-        if not self.policy.grow:
-            self.error = ArtificialDeadlockError(
-                "artificial deadlock (growth disabled)", names)
-            self.network.shutdown()
-            return
-        # Parks' rule: among the full channels being written to, grow the
-        # one with the smallest capacity.
+    def _grow_smallest(self, write_waits, names) -> bool:
+        """Parks' rule: among the full channels being written to, grow the
+        one with the smallest capacity.  False at ``max_capacity``."""
         buffer = min((b for b, _ in write_waits), key=lambda b: b.capacity)
         old = buffer.capacity
         new = min(old * self.policy.growth_factor, self.policy.max_capacity)
         if new <= old:
-            self.error = ArtificialDeadlockError(
-                f"channel {buffer.name!r} already at max capacity {old}", names)
-            self.network.shutdown()
-            return
+            return False
         # grow() emits the channel.grow instant from *this* monitor thread;
         # hand it the blocked writer's name so the profiler can attribute
         # the growth to the process it unblocks.
@@ -293,6 +307,7 @@ class DeadlockMonitor:
             _telemetry.inc("kpn.scheduler.artificial_deadlocks")
         if self.on_event is not None:
             self.on_event(event)
+        return True
 
     def _resolve_true(self, names) -> None:
         if self.policy.on_true == "ignore":

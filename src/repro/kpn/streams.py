@@ -25,7 +25,7 @@ import threading
 from typing import Iterable, Optional
 
 from repro.errors import ChannelClosedError, EndOfStreamError
-from repro.kpn.buffers import BoundedByteBuffer, current_async_context
+from repro.kpn.buffers import BoundedByteBuffer
 
 __all__ = [
     "InputStream",
@@ -89,6 +89,13 @@ class InputStream:
         """True if end of stream has definitely been reached."""
         return False
 
+    def would_block_on(self) -> Optional[BoundedByteBuffer]:
+        """Lock-free hint for the async backend's gate: the local buffer
+        a read would sleep on right now, or None — the read would not
+        sleep, or this stream cannot tell (a socket stream, a fused pipe)
+        and the reader finds out by blocking."""
+        return None
+
 
 class OutputStream:
     """Abstract byte sink with blocking writes (section 3.5)."""
@@ -126,6 +133,10 @@ class OutputStream:
         """
         self.close()
 
+    def would_block_on(self) -> Optional[BoundedByteBuffer]:
+        """Like :meth:`InputStream.would_block_on`, for a write."""
+        return None
+
 
 # ---------------------------------------------------------------------------
 # local (shared-memory) implementations
@@ -142,12 +153,6 @@ class LocalInputStream(InputStream):
     variable until it is used up.  The bytes a channel can hold are
     therefore its capacity plus one stolen batch (at most twice the
     capacity) — the same relaxation a socket-stretched channel has.
-
-    A read running on a cooperative task (async backend) takes no
-    read-ahead: the task's reads are journaled per operation at the
-    buffer, and bytes held outside that journal would be replayed twice.
-    If a thread read ahead and then handed the stream to a task, the
-    task's first read puts those bytes back at the front of the ring.
 
     Like the channel it ends, the stream has one consumer at a time.
     """
@@ -169,18 +174,9 @@ class LocalInputStream(InputStream):
         batch = self._batch = self.buffer.drain_up_to(sys.maxsize)
         return batch
 
-    def _unhold(self) -> BoundedByteBuffer:
-        """The buffer, for a cooperative task to read directly — with any
-        read-ahead a thread left here returned to it first."""
-        if self._pos < len(self._batch):
-            self.buffer.unread(self.take_held())
-        return self.buffer
-
     def read(self, max_bytes: int) -> bytes:
         if max_bytes <= 0:
             return b""
-        if current_async_context() is not None:
-            return self._unhold().read(max_bytes)
         batch, pos = self._batch, self._pos
         if pos >= len(batch):
             batch, pos = self._refill(), 0
@@ -189,8 +185,6 @@ class LocalInputStream(InputStream):
         return chunk
 
     def readinto(self, target) -> int:
-        if current_async_context() is not None:
-            return self._unhold().readinto(target)
         out = memoryview(target).cast("B")
         if len(out) == 0:
             return 0
@@ -206,8 +200,6 @@ class LocalInputStream(InputStream):
     def read_view(self, max_bytes: int) -> memoryview:
         if max_bytes <= 0:
             return _NOTHING
-        if current_async_context() is not None:
-            return self._unhold().drain_up_to(max_bytes)
         batch, pos = self._batch, self._pos
         if pos >= len(batch):
             batch, pos = self._refill(), 0
@@ -243,6 +235,11 @@ class LocalInputStream(InputStream):
     def at_eof(self) -> bool:
         return self.held() == 0 and self.buffer.at_eof()
 
+    def would_block_on(self) -> Optional[BoundedByteBuffer]:
+        if self._pos < len(self._batch) or self.buffer.readable_hint():
+            return None
+        return self.buffer
+
 
 class LocalOutputStream(OutputStream):
     """Write side of an in-memory pipe (``java.io.PipedOutputStream``)."""
@@ -261,6 +258,9 @@ class LocalOutputStream(OutputStream):
 
     def abort(self) -> None:
         self.buffer.close_write(aborted=True)
+
+    def would_block_on(self) -> Optional[BoundedByteBuffer]:
+        return None if self.buffer.writable_hint() else self.buffer
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +326,9 @@ class BlockingInputStream(InputStream):
 
     def at_eof(self) -> bool:
         return self.source.at_eof()
+
+    def would_block_on(self) -> Optional[BoundedByteBuffer]:
+        return self.source.would_block_on()
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +485,15 @@ class SequenceInputStream(InputStream):
                 return True
             return all(s.at_eof() for s in self._streams) if self._streams else False
 
+    def would_block_on(self) -> Optional[BoundedByteBuffer]:
+        # whatever is the head *now*: splices, EOF pops and replace_head
+        # all change it between two looks
+        try:
+            head = self._streams[0]
+        except IndexError:
+            return None             # finished or closed: a read returns
+        return head.would_block_on()
+
 
 class SequenceOutputStream(OutputStream):
     """A switchable output target preserving byte order.
@@ -551,6 +563,9 @@ class SequenceOutputStream(OutputStream):
             self._closed = True
             target = self._target
         target.abort()
+
+    def would_block_on(self) -> Optional[BoundedByteBuffer]:
+        return self._target.would_block_on()
 
 
 def concatenated(streams: Iterable[InputStream]) -> SequenceInputStream:

@@ -38,11 +38,6 @@ class Producer(IterativeProcess):
     mechanism); a producer task returning ``None`` ends the supply early.
     """
 
-    #: user Task objects mutate their own (non-builtin) state in run() —
-    #: e.g. RangeProducerTask.next_index — which the async backend's
-    #: speculative replay cannot roll back; farms host on threads
-    kpn_async = False
-
     def __init__(self, task: Any, out: OutputStream, iterations: int = 0,
                  name: Optional[str] = None) -> None:
         super().__init__(iterations=iterations, name=name)
@@ -77,8 +72,8 @@ class Worker(IterativeProcess):
     executor's future instead of the GIL.
     """
 
-    #: runs arbitrary user tasks (and may time.sleep a slowdown): not
-    #: replay-safe and must not stall a shared event-loop thread
+    #: sleeps its slowdown and waits on executor futures, neither of them
+    #: a channel: on a shared event loop it would stall every other task
     kpn_async = False
 
     def __init__(self, source: InputStream, out: OutputStream,
@@ -136,9 +131,6 @@ class Consumer(IterativeProcess):
     predicate on those values holds — both optional, neither changes the
     Task protocol.
     """
-
-    #: consumer tasks are user code too (see Producer.kpn_async)
-    kpn_async = False
 
     def __init__(self, source: InputStream, iterations: int = 0,
                  collect_into: Optional[List[Any]] = None,

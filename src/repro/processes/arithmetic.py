@@ -39,6 +39,9 @@ class BinaryOp(IterativeProcess):
     def combine(self, a, b):
         raise NotImplementedError
 
+    def awaits(self):
+        return self.left, self.right
+
     def step(self) -> None:
         a = self.codec.read(self.left)
         b = self.codec.read(self.right)

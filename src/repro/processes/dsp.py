@@ -172,6 +172,9 @@ class Zip(IterativeProcess):
         self.codec = get_codec(codec)
         self.track(left, right, out)
 
+    def awaits(self):
+        return self.left, self.right
+
     def step(self) -> None:
         a = self.codec.read(self.left)
         b = self.codec.read(self.right)

@@ -42,6 +42,14 @@ class OrderedMerge(IterativeProcess):
         self._right_done = False
         self.track(left, right, out)
 
+    def awaits(self):
+        named = []                  # exactly what _fill is about to read
+        if self._a is _MISSING and not self._left_done:
+            named.append(self.left)
+        if self._b is _MISSING and not self._right_done:
+            named.append(self.right)
+        return named
+
     def _fill(self) -> None:
         if self._a is _MISSING and not self._left_done:
             try:

@@ -49,6 +49,9 @@ class Guard(IterativeProcess):
         self.stop_after_true = stop_after_true
         self.track(data, control, out)
 
+    def awaits(self):
+        return self.control, self.data
+
     def step(self) -> None:
         passed = BOOL.read(self.control)
         value = self.codec.read(self.data)
@@ -138,6 +141,9 @@ class Gather(IterativeProcess):
         self._next = 0
         self.track(*inputs, self.out)
 
+    def awaits(self):
+        return (self.inputs[self._next],)   # this step's turn only
+
     def step(self) -> None:
         value = self.codec.read(self.inputs[self._next])
         self.codec.write(self.out, value)
@@ -166,6 +172,9 @@ class Direct(IterativeProcess):
         self.outputs = list(outputs)
         self.codec = get_codec(codec)
         self.track(tasks, index, *outputs)
+
+    def awaits(self):
+        return self.index, self.tasks
 
     def step(self) -> None:
         worker = INT.read(self.index)

@@ -56,6 +56,11 @@ class Cons(IterativeProcess):
         self._phase = 0  # 0 = copying head, 1 = copying tail
         self.track(head, tail, out)
 
+    def awaits(self):
+        # never the tail while the head lasts: on a feedback cycle the
+        # head is the initial token (SelfRemovingCons stays in phase 0)
+        return (self.head if self._phase == 0 else self.tail,)
+
     def step(self) -> None:
         source = self.head if self._phase == 0 else self.tail
         chunk = source.read(COPY_CHUNK)

@@ -270,7 +270,9 @@ def render_top(rows: Sequence[Mapping[str, Any]],
                 fill = f"{b.get('buffered', 0)}/{b.get('capacity', '?')}B"
                 # async-backend waiters are parked tasks, not threads —
                 # tag them so a wait-graph reader knows what's suspended
-                kind = " [task]" if b.get("kind") == "task" else ""
+                kind = ""
+                if b.get("kind") == "task":
+                    kind = " [task+thread]" if b.get("on_thread") else " [task]"
                 details.append(f"  {name}: {b.get('thread')} blocked-"
                                f"{b.get('mode')} on {b.get('channel')} "
                                f"({fill}){kind}")

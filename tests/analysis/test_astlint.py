@@ -46,6 +46,17 @@ class P(IterativeProcess):
     assert rules(findings) == ["poll", "poll"]
 
 
+def test_firing_rule_that_looks_at_the_channel_is_a_poll():
+    """``awaits`` says what the next step reads; asking the stream whether
+    that would block is the scheduler's business."""
+    findings = lint(PRELUDE + """
+class P(IterativeProcess):
+    def awaits(self):
+        return () if self.source.would_block_on() else (self.source,)
+""")
+    assert rules(findings) == ["poll"]
+
+
 def test_read_with_timeout_flagged():
     findings = lint(PRELUDE + """
 class P(IterativeProcess):

@@ -7,9 +7,10 @@ from repro.kpn.checker import GraphConsistencyError, check_network
 from repro.kpn.network import Network
 from repro.processes.networks import (fibonacci, hamming, modulo_merge,
                                       newton_sqrt, primes)
+from repro.processes.routing import Gather
 from repro.processes.sinks import Collect
-from repro.processes.sources import FromIterable
-from repro.processes.transforms import Cons, Scale
+from repro.processes.sources import FromIterable, Sequence
+from repro.processes.transforms import Cons, Duplicate, Scale
 
 
 def zero_token_loop():
@@ -34,6 +35,31 @@ def seeded_loop():
     net.add(Scale(joined.get_input_stream(), fb.get_output_stream(), 2,
                   name="scale"))
     return net
+
+
+def gather_fed_by_its_own_output(backend=None):
+    """Sequence -> Gather[0]; Gather -> Duplicate -> Scale -> Gather[1].
+
+    The cycle enters Gather through ``inputs[1]``, which its first step
+    does not read: input 0 supplies the token that starts the loop.
+    """
+    net = Network(name="gather-loop", backend=backend)
+    feed = net.channel(name="feed")
+    merged = net.channel(name="merged")
+    tap = net.channel(name="tap")
+    loop = net.channel(name="loop")
+    back = net.channel(name="back")
+    out = []
+    net.add(Sequence(feed.get_output_stream(), name="seq"))
+    net.add(Gather([feed.get_input_stream(), back.get_input_stream()],
+                   merged.get_output_stream(), codec="long", name="gather"))
+    net.add(Duplicate(merged.get_input_stream(),
+                      [tap.get_output_stream(), loop.get_output_stream()],
+                      name="dup"))
+    net.add(Scale(loop.get_input_stream(), back.get_output_stream(), 10,
+                  name="scale"))
+    net.add(Collect(tap.get_input_stream(), out, iterations=10, name="sink"))
+    return net, out
 
 
 # ---------------------------------------------------------------------------
@@ -68,6 +94,34 @@ def test_deferred_tail_breaks_deadlock():
     assert proof.has_directed_cycle
     assert not proof.proved_deadlocks
     assert all(c.verdict == "live" for c in proof.cycles)
+
+
+@pytest.mark.parametrize("backend", ["thread", "async"])
+def test_cycle_through_an_input_the_rule_does_not_name_is_no_deadlock(backend):
+    """Gather is strict but reads one input per step: a zero-token cycle
+    through ``inputs[1]`` used to be a proved deadlock, and
+    ``start(lint=True)`` refused a network that runs to completion."""
+    net, out = gather_fed_by_its_own_output(backend)
+    proof = prove_graph(net)
+    assert proof.has_directed_cycle
+    assert not proof.proved_deadlocks
+    assert not [f for f in graph_findings(net) if f.severity == "error"]
+    assert net.run(timeout=30, lint=True)
+    assert out == [0, 0, 1, 0, 2, 10, 3, 0, 4, 20]
+
+
+def test_cycle_through_the_awaited_gather_input_still_proved_dead():
+    """The same shape entered through ``inputs[0]`` cannot start."""
+    net = Network(name="gather-dead")
+    a = net.channel(name="a")
+    b = net.channel(name="b")
+    other = net.channel(name="other")
+    net.add(Sequence(other.get_output_stream(), name="seq"))
+    net.add(Gather([b.get_input_stream(), other.get_input_stream()],
+                   a.get_output_stream(), codec="long", name="gather"))
+    net.add(Scale(a.get_input_stream(), b.get_output_stream(), 10,
+                  name="scale"))
+    assert prove_graph(net).proved_deadlocks
 
 
 # ---------------------------------------------------------------------------

@@ -137,6 +137,28 @@ def test_dynamic_farm_result_set_stable_across_backends():
     assert sorted(map(repr, o1)) == sorted(map(repr, o0))
 
 
+@pytest.mark.parametrize("mode", ["pipeline", "dynamic"])
+def test_farm_producer_and_consumer_are_tasks_under_async(mode):
+    """User Task objects keep state the runtime cannot see; a step that
+    runs exactly once does not care, so only the Worker (it waits on
+    executor futures, not channels) still needs a thread of its own."""
+    from repro.kpn.aio import Task
+    from repro.kpn.network import Network
+    from repro.parallel.farm import build_farm
+    from repro.parallel.tasks import CallableTask, RangeProducerTask
+
+    farm = build_farm(RangeProducerTask(20, lambda i: CallableTask(pow, i, 2)),
+                      n_workers=2, mode=mode,
+                      network=Network(backend="async"))
+    farm.network.start()
+    hosted = {t.name: isinstance(t, Task) for t in farm.network._threads}
+    assert farm.network.join(timeout=60)
+    assert hosted["Producer"] and hosted["Consumer"]
+    assert not any(task for name, task in hosted.items()
+                   if "Worker" in name)
+    assert sorted(farm.results) == [i * i for i in range(20)]
+
+
 def test_resolve_backend_precedence(monkeypatch):
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
     assert resolve_backend(None) == "thread"
