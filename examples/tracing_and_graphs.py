@@ -1,11 +1,12 @@
-"""Observe a running network: tracing, consistency checking, DOT export.
+"""Observe a running network: graph rules, tracing, DOT export.
 
 Run:  python examples/tracing_and_graphs.py
 
 Tools an open-source user reaches for on day two:
 
-1. `check_network` — static validation of the graph (single
-   producer/consumer, connectivity, boundedness risk) before it runs;
+1. `graph_findings` — static validation of the graph (single
+   producer/consumer, connectivity, codec agreement, deadlock and
+   boundedness proofs) before it runs;
 2. `Tracer` — samples channel occupancy and blocked-thread counts while
    the Hamming network runs under deliberately tiny channels, catching
    Parks' capacity growths in the act;
@@ -13,7 +14,8 @@ Tools an open-source user reaches for on day two:
    the measured byte counts and high-water marks.
 """
 
-from repro.kpn import Network, Tracer, check_network
+from repro.analysis import graph_findings
+from repro.kpn import Network, Tracer
 from repro.kpn.scheduler import DeadlockPolicy
 from repro.kpn.visual import to_ascii, to_dot
 from repro.processes import hamming
@@ -25,8 +27,8 @@ def main() -> None:
     built = hamming(40, network=net, channel_capacity=16)
 
     print("== static checks ==")
-    for issue in check_network(net):
-        print(" ", issue)
+    for finding in graph_findings(net):
+        print(" ", finding)
 
     print("\n== running under the tracer ==")
     with Tracer(net, period=0.001) as tracer:

@@ -7,12 +7,16 @@ Three passes, surfaced together by ``repro lint`` (see docs/analysis.md):
   mutation, foreign I/O);
 * :mod:`repro.analysis.races` — mutable objects reachable from two or
   more processes of a *built* network;
-* :mod:`repro.analysis.graphproofs` — directed-cycle deadlock proofs
-  and boundedness proofs with initial-token accounting.
+* :mod:`repro.analysis.graphproofs` — the graph pass: the paper's
+  construction rules (single producer/consumer, connectivity, codec
+  agreement) plus directed-cycle deadlock proofs and boundedness proofs
+  with initial-token accounting.
 
 :func:`lint_network` chains all three over a built
 :class:`~repro.kpn.network.Network`; the source-level entry points
-(:func:`lint_paths`, :func:`lint_source`) run the AST pass alone.
+(:func:`lint_paths`, :func:`lint_source`) run the AST pass alone.  The
+network-level passes all read one program graph,
+:meth:`repro.kpn.network.Network.topology`.
 
 :mod:`repro.analysis.fuse` layers fusion-safety judgements on top of the
 same passes for the graph compiler (:mod:`repro.kpn.compile`): which
@@ -60,28 +64,19 @@ def lint_network(network) -> List[Finding]:
     """All three passes over a built network.
 
     AST-lints each distinct leaf process class, detects shared mutable
-    state, and runs the graph proofs.  Returns the combined findings,
-    errors first.
+    state, and runs the graph rules and proofs — all over one
+    :meth:`~repro.kpn.network.Network.topology`.  Returns the combined
+    findings, errors first.
     """
     from repro.analysis.astlint import lint_class
     from repro.analysis.findings import sort_findings
     from repro.analysis.graphproofs import graph_findings
     from repro.analysis.races import race_findings
-    from repro.kpn.process import CompositeProcess
 
+    topology = network.topology()
     findings: List[Finding] = []
-    seen_classes: set = set()
-    pending = list(network.processes)
-    while pending:
-        p = pending.pop()
-        if isinstance(p, CompositeProcess):
-            pending.extend(p.processes)
-            continue
-        klass = type(p)
-        if klass in seen_classes:
-            continue
-        seen_classes.add(klass)
+    for klass in dict.fromkeys(type(p) for p in topology.leaves):
         findings.extend(lint_class(klass))
-    findings.extend(race_findings(network))
-    findings.extend(graph_findings(network))
+    findings.extend(race_findings(network, topology))
+    findings.extend(graph_findings(network, topology))
     return sort_findings(findings)

@@ -75,7 +75,7 @@ def dynamic_reason(klass: type) -> Optional[str]:
     return reason
 
 
-def fusion_blockers(network) -> Dict[str, str]:
+def fusion_blockers(network, topology=None) -> Dict[str, str]:
     """Map every unfusable leaf process's name to the reason.
 
     Consults the ``@nondeterminate`` markers, the run-loop protocol, the
@@ -86,8 +86,9 @@ def fusion_blockers(network) -> Dict[str, str]:
     """
     from repro.kpn.process import IterativeProcess
 
+    topology = topology or network.topology()
     blockers: Dict[str, str] = {}
-    for p in network._leaf_processes():
+    for p in topology.leaves:
         klass = type(p)
         declared = getattr(klass, NONDETERMINATE_ATTR, None)
         if declared is not None:
@@ -101,7 +102,7 @@ def fusion_blockers(network) -> Dict[str, str]:
         dyn = dynamic_reason(klass)
         if dyn is not None:
             blockers[p.name] = f"dynamic: {dyn}"
-    for race in detect_races(network):
+    for race in detect_races(network, topology):
         shared = ", ".join(race.processes)
         for name in race.processes:
             blockers.setdefault(

@@ -1,8 +1,25 @@
-"""Static deadlock and boundedness proofs over the program graph.
+"""The graph pass: construction rules and deadlock/boundedness proofs.
 
-This upgrades the checker's blanket "graph has an undirected cycle"
-flag (paper section 3.5) into directed-cycle analysis with
-initial-token accounting:
+"It would not be impossible to enforce these restrictions, such as
+having only a single producer and a single consumer process for each
+stream, but this would incur some run-time overhead.  Alternatively, a
+visual front end could be used ...  The responsibility for consistency
+checking could be given to this visual front end" (paper section 3).
+:func:`graph_findings` is that front end: it validates a *built*
+network before it starts, at zero run-time cost, reading the one
+program graph :meth:`~repro.kpn.network.Network.topology` discovers.
+
+**Rules** (one :class:`~repro.analysis.findings.Finding` each):
+``multi-producer`` / ``multi-consumer`` (a channel end with two
+owners), ``self-loop`` (one process on both ends deadlocks on itself),
+``no-producer`` / ``no-consumer`` / ``orphan-channel`` (dangling ends
+stall or leak), ``codec-mismatch`` (the consumer decodes another
+element format than the producer wrote), ``non-terminating`` (no
+iteration limit and no data-dependent stop anywhere: fine for signal
+processing, surprising in a test).
+
+**Proofs** upgrade the blanket "graph has an undirected cycle" flag of
+section 3.5 into directed-cycle analysis with initial-token accounting:
 
 * **Guaranteed deadlock.**  A directed cycle in which every process
   must read its cycle input before producing its cycle output, with no
@@ -37,8 +54,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.analysis.findings import Finding
-from repro.kpn.process import CompositeProcess, Process
+from repro.analysis.findings import Finding, sort_findings
+from repro.kpn.process import IterativeProcess, Process
 
 __all__ = ["ChannelEdge", "CycleReport", "GraphProof", "prove_graph",
            "graph_findings"]
@@ -94,100 +111,35 @@ class GraphProof:
         return [c for c in self.cycles if c.verdict == "deadlock"]
 
 
-def _leaves(network) -> List[Process]:
-    leaves: List[Process] = []
-    pending = list(network.processes)
-    while pending:
-        p = pending.pop()
-        if isinstance(p, CompositeProcess):
-            pending.extend(p.processes)
-        else:
-            leaves.append(p)
-    return leaves
-
-
-def _stream_attr_names(process: Process) -> Dict[int, str]:
-    """Map id(stream) -> the scalar attribute name holding it."""
-    names: Dict[int, str] = {}
-    for attr, value in vars(process).items():
-        if attr in ("input_streams", "output_streams"):
-            continue
-        names.setdefault(id(value), attr)
-    return names
-
-
-def _edges(network) -> Tuple[List[ChannelEdge], Dict[str, Process]]:
-    """Channel edges with per-edge deferral/strictness annotations."""
-    leaves = _leaves(network)
-    by_name = {p.name: p for p in leaves}
-    producers: Dict[str, str] = {}
-    consumers: Dict[str, Tuple[Process, Optional[str], bool]] = {}
-    for p in leaves:
-        attr_of = _stream_attr_names(p)
-        for s in p.output_streams:
-            ch = getattr(s, "channel", None)
-            if ch is not None:
-                producers[ch.name] = p.name
-        # the same question the async scheduler asks before every step,
-        # asked once of the un-started process: which inputs does the
-        # next (first) step read before anything else?  Gather names
-        # inputs[0] only, Cons its head; unknown names nothing.
-        awaited = p.awaits() or ()
-        for s in p.input_streams:
-            ch = getattr(s, "channel", None)
-            if ch is not None:
-                consumers[ch.name] = (p, attr_of.get(id(s)),
-                                      any(s is a for a in awaited))
+def _edges(network, topology=None
+           ) -> Tuple[List[ChannelEdge], Dict[str, Process]]:
+    """One annotated edge per connected producer/consumer pair, and the
+    leaf processes by name."""
+    topology = topology or network.topology()
     edges: List[ChannelEdge] = []
-    for ch in network.channels:
-        src = producers.get(ch.name)
-        entry = consumers.get(ch.name)
-        if src is None or entry is None:
-            continue  # dangling ends are the checker's department
-        consumer, attr, awaited = entry
-        deferred_attrs = tuple(getattr(consumer, "kpn_deferred_inputs", ()))
-        is_deferred = attr is not None and attr in deferred_attrs
-        try:
-            buffered = ch.buffered()
-        except Exception:
-            buffered = 0
-        strict = bool(getattr(consumer, "kpn_strict", False)) \
-            and awaited and not is_deferred
-        edges.append(ChannelEdge(channel=ch.name, producer=src,
-                                 consumer=consumer.name, buffered=buffered,
-                                 deferred=is_deferred or buffered > 0,
-                                 strict_read=strict))
-    return edges, by_name
-
-
-def _undirected_cycle(edges: List[ChannelEdge]) -> bool:
-    """Undirected cycle (incl. parallel edges), without networkx."""
-    import collections
-    adj: Dict[str, set] = collections.defaultdict(set)
-    pair_counts: Dict[Tuple[str, str], int] = collections.Counter()
-    for e in edges:
-        if e.producer == e.consumer:
-            return True
-        key = tuple(sorted((e.producer, e.consumer)))
-        pair_counts[key] += 1
-        adj[e.producer].add(e.consumer)
-        adj[e.consumer].add(e.producer)
-    if any(n > 1 for n in pair_counts.values()):
-        return True
-    seen: set = set()
-    for start in list(adj):
-        if start in seen:
-            continue
-        stack = [(start, None)]
-        while stack:
-            node, parent = stack.pop()
-            if node in seen:
-                return True
-            seen.add(node)
-            for nb in adj[node]:
-                if nb != parent:
-                    stack.append((nb, node))
-    return False
+    for edge in topology.edges:
+        if not edge.producers:
+            continue  # dangling ends are the rules' department
+        buffered = edge.channel.buffered()
+        for consumer, stream in edge.consumers:
+            is_deferred = any(
+                getattr(consumer, attr, None) is stream
+                for attr in getattr(consumer, "kpn_deferred_inputs", ()))
+            # the same question the async scheduler asks before every
+            # step, asked once of the un-started process: which inputs
+            # does the next (first) step read before anything else?
+            # Gather names inputs[0] only, Cons its head; unknown names
+            # nothing.
+            awaited = any(stream is a for a in consumer.awaits() or ())
+            strict = bool(getattr(consumer, "kpn_strict", False)) \
+                and awaited and not is_deferred
+            for producer, _ in edge.producers:
+                edges.append(ChannelEdge(
+                    channel=edge.name, producer=producer.name,
+                    consumer=consumer.name, buffered=buffered,
+                    deferred=is_deferred or buffered > 0,
+                    strict_read=strict))
+    return edges, {p.name: p for p in topology.leaves}
 
 
 def _directed_cycles(edges: List[ChannelEdge]):
@@ -202,11 +154,12 @@ def _directed_cycles(edges: List[ChannelEdge]):
     return cycles[:_MAX_CYCLES], truncated
 
 
-def prove_graph(network) -> GraphProof:
+def prove_graph(network, topology=None) -> GraphProof:
     """Run the deadlock and boundedness analyses over ``network``."""
-    edges, by_name = _edges(network)
+    topology = topology or network.topology()
+    edges, by_name = _edges(network, topology)
     proof = GraphProof()
-    proof.has_undirected_cycle = _undirected_cycle(edges)
+    proof.has_undirected_cycle = topology.has_undirected_cycle()
 
     by_pair: Dict[Tuple[str, str], List[ChannelEdge]] = {}
     for e in edges:
@@ -285,26 +238,93 @@ def prove_graph(network) -> GraphProof:
     return proof
 
 
-def graph_findings(network) -> List[Finding]:
-    """Proofs as lint findings (errors for deadlocks, info for proofs)."""
-    proof = prove_graph(network)
+def _finding(severity: str, rule: str, subject: str, message: str) -> Finding:
+    return Finding(rule=rule, severity=severity, analysis="graph",
+                   subject=subject, message=message)
+
+
+def _rule_findings(network, topology) -> List[Finding]:
+    """The construction rules of paper section 3, one finding each."""
     findings: List[Finding] = []
+
+    def report(*row: str) -> None:
+        findings.append(_finding(*row))
+
+    for edge in topology.edges:
+        name, writers, readers = (edge.name, edge.producer_names,
+                                  edge.consumer_names)
+        if len(writers) > 1:
+            report("error", "multi-producer", name,
+                   f"channel {name!r} written by {writers}")
+        if len(readers) > 1:
+            report("error", "multi-consumer", name,
+                   f"channel {name!r} read by {readers}")
+        for p, _ in edge.producers:
+            if any(p is c for c, _ in edge.consumers):
+                report("error", "self-loop", p.name,
+                       f"{p.name} both reads and writes channel {name!r}; "
+                       "it will deadlock on itself")
+        if not edge.remote:  # a pumped channel's other end is elsewhere
+            if not writers and not readers:
+                report("warning", "orphan-channel", name,
+                       f"channel {name!r} has no endpoints in this network")
+            elif not writers:
+                report("error", "no-producer", name,
+                       f"channel {name!r} is read by {readers} but never "
+                       "written")
+            elif not readers:
+                report("error", "no-consumer", name,
+                       f"channel {name!r} is written by {writers} but never "
+                       "read")
+        # a consumer with several inputs may read a side input through a
+        # codec nobody declares (Guard's BOOL control read), so only a
+        # single-input consumer's ``codec`` certainly decodes this edge
+        reader = edge.consumer
+        if (edge.codec is not None and edge.read_codec is not None
+                and len(reader.input_streams) == 1
+                and not edge.codec.same_format(edge.read_codec)):
+            wrote, reads = (getattr(c, "name", type(c).__name__)
+                            for c in (edge.codec, edge.read_codec))
+            report("error", "codec-mismatch", name,
+                   f"channel {name!r} carries {wrote!r} elements but "
+                   f"{reader.name} decodes {reads!r}")
+
+    leaves = topology.leaves
+    if leaves and not any(
+            isinstance(p, IterativeProcess) and p.iterations > 0
+            or type(p).__name__ in ("FromIterable", "Guard") for p in leaves):
+        report("info", "non-terminating", network.name,
+               "no process has an iteration limit or data-dependent stop; "
+               "the network runs until externally stopped (fine for "
+               "signal-processing-style programs)")
+    return findings
+
+
+def graph_findings(network, topology=None) -> List[Finding]:
+    """Construction rules plus proofs as lint findings, errors first."""
+    topology = topology or network.topology()
+    findings = _rule_findings(network, topology)
+    proof = prove_graph(network, topology)
     for cycle in proof.proved_deadlocks:
         loop = " -> ".join(cycle.processes + (cycle.processes[0],))
-        findings.append(Finding(
-            rule="proved-deadlock", severity="error", analysis="graph",
-            subject=loop,
-            message=f"directed cycle {loop} is a guaranteed deadlock: "
-                    f"{cycle.reason}"))
+        findings.append(_finding(
+            "error", "proved-deadlock", loop,
+            f"directed cycle {loop} is a guaranteed deadlock: "
+            f"{cycle.reason}"))
     if proof.bounded:
-        findings.append(Finding(
-            rule="proved-bounded", severity="info", analysis="graph",
-            subject=getattr(network, "name", ""),
-            message=f"boundedness proof: {proof.bounded_reason}"))
-    elif proof.has_undirected_cycle:
-        findings.append(Finding(
-            rule="cycle-unproved", severity="info", analysis="graph",
-            subject=getattr(network, "name", ""),
-            message="undirected cycle with no boundedness proof: "
-                    + proof.bounded_reason))
-    return findings
+        findings.append(_finding(
+            "info", "proved-bounded", network.name,
+            f"boundedness proof: {proof.bounded_reason}"))
+    elif network.monitor is None:
+        findings.append(_finding(
+            "warning", "cycle-unbounded-monitorless", network.name,
+            "undirected cycle with no boundedness proof and the deadlock "
+            "monitor is disabled: bounded channels may deadlock with no "
+            "recovery (section 3.5): " + proof.bounded_reason))
+    else:
+        findings.append(_finding(
+            "info", "cycle-unproved", network.name,
+            "undirected cycle with no boundedness proof (default "
+            "capacities may need growth, handled by the deadlock "
+            "monitor): " + proof.bounded_reason))
+    return sort_findings(findings)

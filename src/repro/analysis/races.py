@@ -35,7 +35,7 @@ from repro.analysis.findings import Finding
 from repro.kpn.buffers import BlockAccounting, BoundedByteBuffer
 from repro.kpn.channel import Channel
 from repro.kpn.network import Network
-from repro.kpn.process import CompositeProcess, Process
+from repro.kpn.process import Process
 from repro.kpn.streams import InputStream, OutputStream
 
 __all__ = ["Race", "detect_races", "race_findings"]
@@ -148,20 +148,9 @@ def _children(obj: Any) -> List[Tuple[str, Any]]:
     return out
 
 
-def _leaves(network: Network) -> List[Process]:
-    leaves: List[Process] = []
-    pending = list(network.processes)
-    while pending:
-        p = pending.pop()
-        if isinstance(p, CompositeProcess):
-            pending.extend(p.processes)
-        else:
-            leaves.append(p)
-    return leaves
-
-
-def detect_races(network: Network) -> List[Race]:
+def detect_races(network: Network, topology=None) -> List[Race]:
     """All mutable objects reachable from >= 2 of the network's processes."""
+    topology = topology or network.topology()
     #: id(obj) -> (obj, {process name -> capture path})
     seen: Dict[int, Tuple[Any, Dict[str, str]]] = {}
 
@@ -185,7 +174,7 @@ def detect_races(network: Network) -> List[Race]:
         for label, child in _children(obj):
             visit(child, owner, path + label, depth + 1, visited)
 
-    for p in _leaves(network):
+    for p in topology.leaves:
         visited: set = set()
         for attr, value in list(vars(p).items()):
             if attr in ("network", "_ctrl"):
@@ -209,8 +198,8 @@ def detect_races(network: Network) -> List[Race]:
     return races
 
 
-def race_findings(network: Network) -> List[Finding]:
+def race_findings(network: Network, topology=None) -> List[Finding]:
     return [Finding(rule="shared-state", severity="error",
                     message=race.describe(), analysis="races",
                     subject=", ".join(race.processes))
-            for race in detect_races(network)]
+            for race in detect_races(network, topology)]

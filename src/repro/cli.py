@@ -14,11 +14,10 @@ metrics         scrape a server's telemetry counters (Prometheus text)
 top             live refreshing view of per-server cluster state
 experiment      regenerate table1 / table2 / fig19 / fig20 on the simulator
 example         run one of the bundled examples by name
-check           build a figure network and run the consistency checker
-                (``--strict`` also fails on warnings)
 lint            Kahn-semantics static analyzer: AST process lint,
-                shared-state race detection, deadlock/boundedness proofs
-                over files, directories, figure networks, or modules
+                shared-state race detection, graph construction rules and
+                deadlock/boundedness proofs over files, directories,
+                figure networks, or modules
 profile         run an example network under the continuous profiler:
                 ranked bottleneck report, per-process utilization,
                 capacity-advisor spec, optional folded stacks
@@ -123,15 +122,9 @@ def build_parser() -> argparse.ArgumentParser:
                            "or cooperative tasks on event loops "
                            "(also: REPRO_BACKEND; default thread)")
 
-    p_check = sub.add_parser("check",
-                             help="consistency-check a figure network")
-    p_check.add_argument("which", choices=CHECKABLE)
-    p_check.add_argument("--strict", action="store_true",
-                         help="exit non-zero on warnings as well as errors")
-
     p_lint = sub.add_parser(
         "lint", help="Kahn-semantics static analysis (AST lint, race "
-                     "detection, deadlock/boundedness proofs)")
+                     "detection, graph rules, deadlock/boundedness proofs)")
     p_lint.add_argument(
         "targets", nargs="+",
         help="what to lint: a source file or directory (AST pass only), "
@@ -398,30 +391,8 @@ def _run_example(args) -> int:
     return 0
 
 
-def _cmd_check(args) -> int:
-    from repro.kpn.checker import check_network
-    from repro.processes import (fibonacci, hamming, modulo_merge,
-                                 newton_sqrt, primes)
-
-    builders = {
-        "fibonacci": lambda: fibonacci(10),
-        "primes": lambda: primes(count=10),
-        "hamming": lambda: hamming(10),
-        "newton": lambda: newton_sqrt(2.0),
-        "fig13": lambda: modulo_merge(50, 10),
-    }
-    built = builders[args.which]()
-    issues = check_network(built.network)
-    if not issues:
-        print("no findings: graph is clean")
-    for issue in issues:
-        print(issue)
-    failing = {"error", "warning"} if getattr(args, "strict", False) \
-        else {"error"}
-    return 1 if any(i.severity in failing for i in issues) else 0
-
-
-def _lint_builders():
+def _figure_builders():
+    """The figure networks ``lint``, ``profile`` and ``compile`` build."""
     from repro.processes import (fibonacci, hamming, modulo_merge,
                                  newton_sqrt, primes)
 
@@ -447,7 +418,7 @@ def _cmd_lint(args) -> int:
         if os.path.exists(target):
             findings.extend(lint_paths([target]))
         elif target in CHECKABLE:
-            findings.extend(lint_network(_lint_builders()[target]().network))
+            findings.extend(lint_network(_figure_builders()[target]().network))
         else:
             import importlib
             try:
@@ -496,17 +467,7 @@ def _profile_target(args):
             RangeProducerTask(args.tasks, lambda i: CallableTask(pow, i, 3)),
             n_workers=args.workers, mode="dynamic")
         return handle.network, lambda: handle.run(timeout=300)
-    from repro.processes import (fibonacci, hamming, modulo_merge,
-                                 newton_sqrt, primes)
-
-    builders = {
-        "fibonacci": lambda: fibonacci(10),
-        "primes": lambda: primes(count=10),
-        "hamming": lambda: hamming(10),
-        "newton": lambda: newton_sqrt(2.0),
-        "fig13": lambda: modulo_merge(50, 10),
-    }
-    built = builders[args.which]()
+    built = _figure_builders()[args.which]()
     return built.network, lambda: built.run(timeout=300)
 
 
@@ -579,7 +540,6 @@ _HANDLERS = {
     "top": _cmd_top,
     "experiment": _cmd_experiment,
     "example": _cmd_example,
-    "check": _cmd_check,
     "lint": _cmd_lint,
     "profile": _cmd_profile,
     "compile": _cmd_compile,

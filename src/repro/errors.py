@@ -22,6 +22,7 @@ __all__ = [
     "RemoteError",
     "RegistryError",
     "MigrationError",
+    "GraphConsistencyError",
 ]
 
 
@@ -113,3 +114,15 @@ class RegistryError(RuntimeError):
 
 class MigrationError(RuntimeError):
     """A process/stream could not be migrated between servers."""
+
+
+class GraphConsistencyError(ValueError):
+    """The static pre-flight found the program graph unsound.
+
+    Raised by :meth:`repro.kpn.network.Network.preflight`; ``findings``
+    holds the error-severity :class:`repro.analysis.Finding` rows.
+    """
+
+    def __init__(self, findings) -> None:
+        super().__init__("; ".join(str(f) for f in findings))
+        self.findings = list(findings)

@@ -4,9 +4,10 @@ Layering (bottom → top): :mod:`~repro.kpn.buffers` (bounded blocking byte
 pipes) → :mod:`~repro.kpn.streams` (the Figure-3 stream stack) →
 :mod:`~repro.kpn.channel` (producer/consumer endpoints, splicing) →
 :mod:`~repro.kpn.process` (threaded processes) → :mod:`~repro.kpn.network`
-(lifecycle + graph analysis) with :mod:`~repro.kpn.scheduler` providing
-Parks' bounded scheduling.  :mod:`~repro.kpn.data` and
-:mod:`~repro.kpn.objects` layer typed traffic over byte channels.
+(lifecycle; :mod:`~repro.kpn.topology` reads its program graph) with
+:mod:`~repro.kpn.scheduler` providing Parks' bounded scheduling.
+:mod:`~repro.kpn.data` and :mod:`~repro.kpn.objects` layer typed traffic
+over byte channels.
 """
 
 from repro._lazy import lazy_exports
@@ -25,7 +26,6 @@ from repro.kpn.streams import (BlockingInputStream, InputStream, LocalInputStrea
 
 __all__ = [
     "FusedChain", "FusionPlan", "compile_network", "fuse",
-    "GraphConsistencyError", "Issue", "check_network",
     "HistoryCapture", "decode_bytes", "infer_codecs",
     "ChannelTrace", "TraceReport", "Tracer",
     "BlockAccounting", "BoundedByteBuffer", "DEFAULT_CAPACITY",
@@ -41,12 +41,11 @@ __all__ = [
 ]
 
 # Loaded on first use.  The graph compiler imports the codec layer, which
-# imports back into repro.kpn, so it cannot load here at all; the checker,
-# history capture and tracer are tools around a run that no running
-# network needs.
+# imports back into repro.kpn, so it cannot load here at all; history
+# capture and the tracer are tools around a run that no running network
+# needs.
 __getattr__ = lazy_exports(__name__, {
     "compile": ("FusedChain", "FusionPlan", "compile_network", "fuse"),
-    "checker": ("GraphConsistencyError", "Issue", "check_network"),
     "history": ("HistoryCapture", "decode_bytes", "infer_codecs"),
     "tracing": ("ChannelTrace", "TraceReport", "Tracer"),
 })

@@ -602,47 +602,6 @@ class BoundedByteBuffer:
                 return memoryview(b"")
             return self._take_locked(max_bytes)
 
-    def readinto(self, target) -> int:
-        """Blocking read into a caller-provided writable bytes-like.
-
-        Copies 1..len(target) bytes directly from the ring storage into
-        ``target`` and returns the count — 0 only at end of stream.  Saves
-        the intermediate bytes object a ``read()`` would allocate; exact-
-        length readers (:meth:`BlockingInputStream.read_exactly`) fill one
-        preallocated buffer instead of joining chunk lists.
-        """
-        out = memoryview(target).cast("B")
-        if len(out) == 0:
-            return 0
-        with self._lock:
-            while True:
-                if self._read_closed:
-                    raise ChannelClosedError(
-                        f"read on closed input of channel {self.name!r}")
-                buffered = self._buffered()
-                if buffered > 0:
-                    take = min(len(out), buffered)
-                    end = self._read_pos + take
-                    with memoryview(self._data) as src:
-                        out[:take] = src[self._read_pos:end]
-                    self._read_pos = end
-                    self._compact()
-                    self.total_read += take
-                    if _telemetry.enabled:
-                        _telemetry.inc("kpn.channel.reads", 1,
-                                       channel=self.name)
-                        _telemetry.inc("kpn.channel.bytes_read", take,
-                                       channel=self.name)
-                    if self._writers_waiting:
-                        self._not_full.notify_all()
-                    if self._async_writers:
-                        self._wake_async_writers()
-                    return take
-                if self._write_closed:
-                    self._check_aborted_eof()
-                    return 0
-                self._block_on_empty()
-
     def _block_on_empty(self) -> None:
         self._block(self._not_empty, "read")
 

@@ -36,9 +36,12 @@ Three passes over a constructed (not yet started) :class:`Network`:
 Safety is enforced, not assumed: :func:`repro.analysis.fuse.fusion_blockers`
 refuses ``@nondeterminate`` processes, graph-reconfiguring (dynamic)
 processes, custom run loops, and shared-state race findings; the planner
-additionally refuses remote-pumped channels, pre-seeded buffers, and
-chains short-circuited by a side channel.  Every refusal is recorded on
-the plan with its reason (``repro compile <target>`` prints them).
+additionally refuses channels with more than one producer or consumer,
+remote-pumped channels, pre-seeded buffers, and chains short-circuited
+by a side channel.  Every refusal is recorded on the plan with its
+reason (``repro compile <target>`` prints them).  The planner reads the
+same program graph as the prover and the lint rules
+(:meth:`repro.kpn.network.Network.topology`).
 
 The compiler runs strictly *before* ``Network.start()`` — and therefore
 before the deadlock monitor arms.  Entry points: :func:`compile_network`
@@ -273,9 +276,6 @@ class _PipeInput(InputStream):
     def readinto(self, target) -> int:
         return self.pipe.readinto(target)
 
-    def read_view(self, max_bytes: int) -> memoryview:
-        return memoryview(self.pipe.read(max_bytes))
-
     def close(self) -> None:
         self.pipe.close_read()
 
@@ -318,6 +318,9 @@ class _CodecShim(Codec):
     def encode(self, value) -> bytes:
         return self._inner.encode(value)
 
+    def _format_key(self):
+        return self._inner._format_key()
+
     def __reduce__(self):
         # pickling (e.g. a capacity-advisor report referencing a stage)
         # resolves back to the wrapped codec
@@ -334,13 +337,13 @@ class _CodecShim(Codec):
 class FusedChain(CompositeProcess):
     """One thread driving a fused chain of stages by direct calls.
 
-    A CompositeProcess subclass so graph export, the consistency
-    checker, and the analysis passes still see the member stages — but
-    ``run`` replaces thread-per-member execution with the demand-driven
-    loop: the tail stage runs eagerly; empty intra-chain pipes pump
-    their upstream stage from inside the read.  Stages are then finished
-    tail-to-head, so closing streams cascades termination exactly as it
-    would across threads.
+    A CompositeProcess subclass so the program graph
+    (:mod:`repro.kpn.topology`) and every pass reading it still see the
+    member stages — but ``run`` replaces thread-per-member execution
+    with the demand-driven loop: the tail stage runs eagerly; empty
+    intra-chain pipes pump their upstream stage from inside the read.
+    Stages are then finished tail-to-head, so closing streams cascades
+    termination exactly as it would across threads.
     """
 
     def __init__(self, stages: Sequence[IterativeProcess],
@@ -443,8 +446,10 @@ class FusionPlan:
                  chains: List[Tuple[List[Process], List[Channel],
                                     List[Optional[Codec]], Any]],
                  refusals: List[Tuple[str, str]],
-                 spec: Dict[str, int]) -> None:
+                 spec: Dict[str, int], leaf_count: int) -> None:
         self.network = network
+        #: leaf processes (= threads) of the unfused network
+        self.leaf_count = leaf_count
         #: (stages, intra-chain channels, per-channel object codec or
         #: None, direct container of every stage)
         self.chains = chains
@@ -462,7 +467,7 @@ class FusionPlan:
         return [ch.name for _, chans, _, _ in self.chains for ch in chans]
 
     def process_counts(self) -> Tuple[int, int]:
-        before = len(self.network._leaf_processes())
+        before = self.leaf_count
         fused_away = sum(len(stages) - 1 for stages, _, _, _ in self.chains)
         return before, before - fused_away
 
@@ -581,33 +586,7 @@ def _install_codec_shims(stage: Process,
             setattr(stage, attr, entry[1])
 
 
-def _container_map(network) -> Dict[int, Any]:
-    """id(leaf process) -> the object whose .processes list runs it."""
-    containers: Dict[int, Any] = {}
-
-    def visit(container, procs) -> None:
-        for p in procs:
-            if isinstance(p, CompositeProcess):
-                visit(p, p.processes)
-            else:
-                containers[id(p)] = container
-    visit(network, network.processes)
-    return containers
-
-
-def _write_codec(stage: Process) -> Optional[Codec]:
-    codec = getattr(stage, "out_codec", None) or getattr(stage, "codec", None)
-    return codec if isinstance(codec, Codec) else None
-
-
-def _read_codec(stage: Process) -> Optional[Codec]:
-    codec = getattr(stage, "codec", None)
-    return codec if isinstance(codec, Codec) else None
-
-
-def _object_codec_for(producer: Process, channel: Channel,
-                      consumer: Process, share_objects: bool
-                      ) -> Optional[Codec]:
+def _object_codec_for(edge, share_objects: bool) -> Optional[Codec]:
     """The codec to move elements as objects over this edge, or None.
 
     The fast path needs proof that every byte crossing the channel is
@@ -615,8 +594,8 @@ def _object_codec_for(producer: Process, channel: Channel,
 
     * history capture must be off for the channel (histories are byte
       streams; recording them requires the encode anyway);
-    * the producer's write codec (``out_codec``/``codec`` convention)
-      and the consumer's read codec must agree;
+    * the producer's write codec and the consumer's read codec (both
+      resolved by :mod:`repro.kpn.topology`) must agree;
     * the consumer must have exactly one input — multi-input stages can
       read a side input through a codec the planner cannot see (Guard's
       module-level BOOL control read);
@@ -625,17 +604,15 @@ def _object_codec_for(producer: Process, channel: Channel,
       graphs the unfused network would have *copied*, so they stay on
       the byte path unless ``share_objects`` opts in.
     """
-    if channel.buffer.history is not None:
+    if edge.channel.buffer.history is not None:
         return None
-    w = _write_codec(producer)
-    r = _read_codec(consumer)
-    if w is None or r is None or type(w) is not type(r):
+    w, r = edge.write_codec, edge.read_codec
+    if w is None or r is None or not w.same_format(r):
         return None
-    if len(consumer.input_streams) != 1:
+    if len(edge.consumer.input_streams) != 1:
         return None
-    if isinstance(w, StructCodec):
-        return w if w._struct.format == r._struct.format else None
-    if isinstance(w, ObjectCodec) and share_objects:
+    if isinstance(w, StructCodec) or (isinstance(w, ObjectCodec)
+                                      and share_objects):
         return w
     return None
 
@@ -654,80 +631,61 @@ def compile_network(network, spec=None, object_passing: bool = True,
 
     if network._started:
         raise RuntimeError("compile_network must run before Network.start()")
-    blockers = fusion_blockers(network)
-    containers = _container_map(network)
-    leaves = network._leaf_processes()
-
-    producer: Dict[str, Process] = {}
-    consumer: Dict[str, Process] = {}
-    out_chs: Dict[int, List[Channel]] = {}
-    in_chs: Dict[int, List[Channel]] = {}
-    loose_outs: Dict[int, int] = {}
-    loose_ins: Dict[int, int] = {}
-    for p in leaves:
-        seen_out: Dict[int, Channel] = {}
-        seen_in: Dict[int, Channel] = {}
-        for s in p.output_streams:
-            ch = getattr(s, "channel", None)
-            if ch is None:
-                loose_outs[id(p)] = loose_outs.get(id(p), 0) + 1
-            else:
-                seen_out[id(ch)] = ch
-                producer[ch.name] = p
-        for s in p.input_streams:
-            ch = getattr(s, "channel", None)
-            if ch is None:
-                loose_ins[id(p)] = loose_ins.get(id(p), 0) + 1
-            else:
-                seen_in[id(ch)] = ch
-                consumer[ch.name] = p
-        out_chs[id(p)] = list(seen_out.values())
-        in_chs[id(p)] = list(seen_in.values())
+    topology = network.topology()
+    blockers = fusion_blockers(network, topology)
+    containers = topology.containers
+    leaves = topology.leaves
+    refusals: List[Tuple[str, str]] = sorted(blockers.items())
 
     def fusable(p: Process) -> bool:
         return p.name not in blockers
 
-    def channel_ok(ch: Channel) -> bool:
-        return (ch.buffered() == 0
-                and getattr(ch, "receiver_pump", None) is None
-                and getattr(ch, "sender_pump", None) is None)
+    def linear(p: Process, edges, loose) -> bool:
+        return len(edges.get(id(p), ())) == 1 and not loose.get(id(p))
 
-    # A -> B links: A has exactly one (channel-backed) output, both ends
-    # are fusable and live in the same container.
-    link: Dict[int, Tuple[Channel, Process]] = {}
+    # A -> B links: A has exactly one (channel-backed) output, that
+    # channel has exactly one producer and one consumer, carries no
+    # pre-seeded data and stays on this server, and both ends are
+    # fusable leaves of the same container.
+    link: Dict[int, Tuple[Any, Process]] = {}
     preds: Dict[int, Process] = {}
     through_ok: Dict[int, bool] = {}
-    by_id: Dict[int, Process] = {id(p): p for p in leaves}
+    for edge in topology.edges:
+        if len(edge.producers) > 1 or len(edge.consumers) > 1:
+            refusals.append((
+                edge.name,
+                f"channel {edge.name!r} is not single-producer/"
+                f"single-consumer (written by {edge.producer_names}, read "
+                f"by {edge.consumer_names}); it is never fused through"))
     for p in leaves:
-        through_ok[id(p)] = (fusable(p) and len(in_chs[id(p)]) == 1
-                             and not loose_ins.get(id(p)))
-        if not fusable(p):
+        through_ok[id(p)] = (fusable(p) and linear(p, topology.inputs,
+                                                   topology.loose_inputs))
+        if not fusable(p) or not linear(p, topology.outputs,
+                                        topology.loose_outputs):
             continue
-        outs = out_chs[id(p)]
-        if len(outs) != 1 or loose_outs.get(id(p)):
+        edge = topology.outputs[id(p)][0]
+        q = edge.consumer
+        if (not edge.spsc or q is p or not fusable(q)
+                or edge.remote or edge.channel.buffered() != 0
+                or id(q) not in containers
+                or containers[id(p)] is not containers[id(q)]):
             continue
-        ch = outs[0]
-        q = consumer.get(ch.name)
-        if (q is None or q is p or not fusable(q)
-                or not channel_ok(ch)
-                or containers.get(id(p)) is not containers.get(id(q))):
-            continue
-        link[id(p)] = (ch, q)
+        link[id(p)] = (edge, q)
         preds[id(q)] = p
 
     visited: set = set()
-    raw_chains: List[Tuple[List[Process], List[Channel]]] = []
+    raw_chains: List[Tuple[List[Process], List[Any]]] = []
 
     def walk(start: Process) -> None:
         stages = [start]
-        edges: List[Channel] = []
+        edges: List[Any] = []
         visited.add(id(start))
         cur = start
         while id(cur) in link:
-            ch, nxt = link[id(cur)]
+            edge, nxt = link[id(cur)]
             if id(nxt) in visited:
                 break
-            edges.append(ch)
+            edges.append(edge)
             stages.append(nxt)
             visited.add(id(nxt))
             if not through_ok.get(id(nxt), False):
@@ -749,16 +707,14 @@ def compile_network(network, spec=None, object_passing: bool = True,
         if id(p) not in visited and id(p) in link:
             walk(p)
 
-    refusals: List[Tuple[str, str]] = sorted(blockers.items())
     chains: List[Tuple[List[Process], List[Channel],
                        List[Optional[Codec]], Any]] = []
     for stages, edges in raw_chains:
         member_ids = {id(s) for s in stages}
-        edge_ids = {id(ch) for ch in edges}
-        side = next((ch for ch in network.channels
-                     if id(ch) not in edge_ids
-                     and id(producer.get(ch.name, _MISSING)) in member_ids
-                     and id(consumer.get(ch.name, _MISSING)) in member_ids),
+        side = next((e for e in topology.edges
+                     if e not in edges
+                     and any(id(p) in member_ids for p, _ in e.producers)
+                     and any(id(c) in member_ids for c, _ in e.consumers)),
                     None)
         if side is not None:
             refusals.append((" -> ".join(s.name for s in stages),
@@ -768,21 +724,13 @@ def compile_network(network, spec=None, object_passing: bool = True,
             for s in stages:
                 visited.discard(id(s))
             continue
-        codecs: List[Optional[Codec]] = []
-        for ch, a, b in zip(edges, stages, stages[1:]):
-            oc = (_object_codec_for(a, ch, b, share_objects)
-                  if object_passing else None)
-            codecs.append(oc)
-        chains.append((stages, edges, codecs, containers[id(stages[0])]))
+        codecs = [_object_codec_for(e, share_objects) if object_passing
+                  else None for e in edges]
+        chains.append((stages, [e.channel for e in edges], codecs,
+                       containers[id(stages[0])]))
 
-    return FusionPlan(network, chains, refusals, load_capacity_spec(spec))
-
-
-class _Missing:
-    pass
-
-
-_MISSING = _Missing()
+    return FusionPlan(network, chains, refusals, load_capacity_spec(spec),
+                      leaf_count=len(leaves))
 
 
 def fuse(network, spec=None, object_passing: bool = True,

@@ -12,8 +12,8 @@ least fixed point of the compiled equations:
     histories = capture.decode()   # {channel name: tuple of elements}
 
 Byte histories are recorded losslessly in the buffers (a flag set before
-the run); decoding applies each channel's codec.  ``infer_codecs`` pulls
-per-channel codecs from the producing process where the standard library
+the run); decoding applies each channel's codec.  ``infer_codecs`` takes
+per-channel codecs from the program graph where the standard library
 exposes them (the ``codec`` attribute convention).
 """
 
@@ -23,7 +23,6 @@ import io
 from typing import Dict, Optional, Tuple
 
 from repro.kpn.network import Network
-from repro.kpn.process import CompositeProcess
 
 __all__ = ["HistoryCapture", "decode_bytes", "infer_codecs"]
 
@@ -64,48 +63,14 @@ def decode_bytes(data: bytes, codec) -> Tuple:
 
 
 def infer_codecs(network: Network) -> Dict[str, object]:
-    """Per-channel codec, taken from each channel's *producer* process.
+    """Per-channel element codec, for every channel where it is known.
 
-    Relies on the library convention that typed processes expose their
-    element codec as ``.codec`` (and ``.out_codec`` when output framing
-    differs) and track their endpoints.  Byte-level processes (Cons,
-    Duplicate, Identity) forward their *input* channel's codec, resolved
-    iteratively so chains of byte-level processes propagate.
+    The program graph resolves it (:mod:`repro.kpn.topology`): the
+    codec the *producer* declares, forwarded through byte-level
+    processes (Cons, Duplicate, Identity) from their input channel.
     """
-    from repro.processes.codecs import Codec
-
-    producers: Dict[str, object] = {}
-    byte_level: Dict[str, str] = {}  # out channel -> in channel (copy deps)
-    pending = list(network.processes)
-    leaves = []
-    while pending:
-        p = pending.pop()
-        if isinstance(p, CompositeProcess):
-            pending.extend(p.processes)
-        else:
-            leaves.append(p)
-    for p in leaves:
-        out_codec = getattr(p, "out_codec", None) or getattr(p, "codec", None)
-        out_names = [s.channel.name for s in p.output_streams
-                     if getattr(s, "channel", None) is not None]
-        in_names = [s.channel.name for s in p.input_streams
-                    if getattr(s, "channel", None) is not None]
-        for name in out_names:
-            if isinstance(out_codec, Codec):
-                producers[name] = out_codec
-            elif in_names:
-                byte_level[name] = in_names[0]
-    # propagate through byte-level chains (bounded: acyclic dependency or
-    # give up after |channels| rounds)
-    for _ in range(len(byte_level) + 1):
-        progressed = False
-        for out_name, in_name in list(byte_level.items()):
-            if out_name not in producers and in_name in producers:
-                producers[out_name] = producers[in_name]
-                progressed = True
-        if not progressed:
-            break
-    return producers
+    return {edge.name: edge.codec for edge in network.topology().edges
+            if edge.codec is not None}
 
 
 class HistoryCapture:

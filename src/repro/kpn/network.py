@@ -11,9 +11,10 @@ richer equivalent this library uses as its main entry point: it
 * optionally runs the :class:`~repro.kpn.scheduler.DeadlockMonitor`
   implementing Parks' bounded scheduling;
 * joins everything and surfaces process failures and deadlock diagnoses;
-* can export the program graph to :mod:`networkx` for analysis (the
-  paper's claim that default capacities suffice "for all programs with no
-  *undirected* cycles" is checkable with :meth:`has_undirected_cycle`).
+* reads its own program graph (:meth:`topology`) for the analyses, the
+  graph compiler and the exports (the paper's claim that default
+  capacities suffice "for all programs with no *undirected* cycles" is
+  checkable with :meth:`has_undirected_cycle`).
 
 Typical use::
 
@@ -36,6 +37,7 @@ from repro.kpn.buffers import BlockAccounting, DEFAULT_CAPACITY
 from repro.kpn.channel import Channel
 from repro.kpn.process import CompositeProcess, Process
 from repro.kpn.scheduler import DeadlockMonitor, DeadlockPolicy
+from repro.kpn.topology import Topology, build_topology, is_remote
 
 __all__ = ["Network", "BACKENDS", "resolve_backend"]
 
@@ -229,22 +231,24 @@ class Network:
         self._kick_monitor()
 
     def preflight(self) -> None:
-        """Static pre-flight: graph consistency, proofs, and race scan.
+        """Static pre-flight: graph rules, proofs, and race scan.
 
-        Runs :func:`repro.kpn.checker.check_network` in strict mode —
-        which includes the directed-cycle deadlock/boundedness proofs —
-        and the shared-state race detector, raising
-        :class:`~repro.kpn.checker.GraphConsistencyError` on any error.
-        Opt-in via ``start(lint=True)`` / ``run(lint=True)``.
+        Raises :class:`~repro.errors.GraphConsistencyError` carrying the
+        error rows of :func:`repro.analysis.graph_findings` (the
+        structural rules and the directed-cycle deadlock proofs) and
+        :func:`repro.analysis.race_findings`.  Opt-in via
+        ``start(lint=True)`` / ``run(lint=True)``.
         """
-        from repro.analysis.races import detect_races
-        from repro.kpn.checker import GraphConsistencyError, Issue, check_network
+        from repro.analysis.graphproofs import graph_findings
+        from repro.analysis.races import race_findings
+        from repro.errors import GraphConsistencyError
 
-        issues = [i for i in check_network(self) if i.severity == "error"]
-        for race in detect_races(self):
-            issues.append(Issue("error", "shared-state", race.describe()))
-        if issues:
-            raise GraphConsistencyError(issues)
+        topology = self.topology()
+        errors = [f for f in (graph_findings(self, topology)
+                              + race_findings(self, topology))
+                  if f.severity == "error"]
+        if errors:
+            raise GraphConsistencyError(errors)
 
     def optimize(self, spec=None, **kwargs) -> "Network":
         """Run the graph compiler over this network (before :meth:`start`).
@@ -406,42 +410,28 @@ class Network:
     # ------------------------------------------------------------------
     # analysis
     # ------------------------------------------------------------------
-    def _leaf_processes(self) -> List[Process]:
-        leaves: List[Process] = []
-        for p in self.processes:
-            if isinstance(p, CompositeProcess):
-                leaves.extend(p.flatten())
-            else:
-                leaves.append(p)
-        return leaves
+    def topology(self) -> Topology:
+        """The program graph as built right now: leaf processes, and per
+        channel every producer and consumer (see
+        :mod:`repro.kpn.topology`).  Every analysis, the graph compiler
+        and the exports below start from this one view."""
+        return build_topology(self)
 
     def graph(self):
         """Export the program graph as a ``networkx.MultiDiGraph``.
 
         Nodes are process names; edges are channels from producer to
-        consumer, discovered by matching tracked endpoint streams back to
-        their channels.
+        consumer (one per pair, should a channel have several owners).
         """
         import networkx as nx
 
+        topology = self.topology()
         g = nx.MultiDiGraph()
-        producers: dict[str, str] = {}
-        consumers: dict[str, str] = {}
-        for p in self._leaf_processes():
+        for p in topology.leaves:
             g.add_node(p.name, process=type(p).__name__)
-            for s in p.output_streams:
-                ch = getattr(s, "channel", None)
-                if ch is not None:
-                    producers[ch.name] = p.name
-            for s in p.input_streams:
-                ch = getattr(s, "channel", None)
-                if ch is not None:
-                    consumers[ch.name] = p.name
-        for ch in self.channels:
-            src = producers.get(ch.name)
-            dst = consumers.get(ch.name)
-            if src is not None and dst is not None:
-                g.add_edge(src, dst, channel=ch.name, capacity=ch.capacity)
+        for src, dst, edge in topology.links():
+            g.add_edge(src.name, dst.name, channel=edge.name,
+                       capacity=edge.channel.capacity)
         return g
 
     def channel_map(self) -> dict:
@@ -451,25 +441,13 @@ class Network:
         :meth:`graph` computes, but as a picklable structure with no
         networkx dependency: ``{channel: {"producer", "consumer",
         "capacity"}}`` (either end ``None`` when untracked, e.g. a channel
-        stretched to another server).
+        stretched to another server; the first declared owner when a
+        channel has several).
         """
-        producers: dict[str, str] = {}
-        consumers: dict[str, str] = {}
-        for p in self._leaf_processes():
-            for s in p.output_streams:
-                ch = getattr(s, "channel", None)
-                if ch is not None:
-                    producers[ch.name] = p.name
-            for s in p.input_streams:
-                ch = getattr(s, "channel", None)
-                if ch is not None:
-                    consumers[ch.name] = p.name
-        with self._lock:
-            channels = list(self.channels)
-        return {ch.name: {"producer": producers.get(ch.name),
-                          "consumer": consumers.get(ch.name),
-                          "capacity": ch.capacity}
-                for ch in channels}
+        return {edge.name: {"producer": getattr(edge.producer, "name", None),
+                            "consumer": getattr(edge.consumer, "name", None),
+                            "capacity": edge.channel.capacity}
+                for edge in self.topology().edges}
 
     def has_undirected_cycle(self) -> bool:
         """True if the program graph has an undirected cycle.
@@ -478,23 +456,7 @@ class Network:
         for ... all programs with no undirected cycles"; graphs *with*
         undirected cycles (Figures 12 and 13) may need capacity growth.
         """
-        import networkx as nx
-
-        g = self.graph().to_undirected(as_view=False)
-        simple = nx.Graph()
-        multi_edges = 0
-        for u, v in g.edges():
-            if u == v or simple.has_edge(u, v):
-                multi_edges += 1
-            else:
-                simple.add_edge(u, v)
-        if multi_edges:
-            return True
-        try:
-            nx.find_cycle(simple)
-            return True
-        except nx.NetworkXNoCycle:
-            return False
+        return self.topology().has_undirected_cycle()
 
     def wait_snapshot(self) -> dict:
         """Blocking-state snapshot for distributed deadlock detection.
@@ -532,9 +494,7 @@ class Network:
                     entry.update(kind="task", assumed=actor.assumed,
                                  on_thread=actor.on_thread)
                 blocked.append(entry)
-        remote = [ch.name for ch in channels
-                  if getattr(ch, "receiver_pump", None) is not None
-                  or getattr(ch, "sender_pump", None) is not None]
+        remote = [ch.name for ch in channels if is_remote(ch)]
         return {
             "network": self.name,
             "backend": self.backend,
@@ -570,9 +530,7 @@ class Network:
         """
         with self._lock:
             channels = list(self.channels)
-        return any(getattr(ch, "receiver_pump", None) is not None
-                   or getattr(ch, "sender_pump", None) is not None
-                   for ch in channels)
+        return any(is_remote(ch) for ch in channels)
 
     def total_buffered_bytes(self) -> int:
         return sum(ch.buffered() for ch in self.channels)

@@ -7,22 +7,6 @@ bytes" discipline.  The generic Producer/Worker/Consumer processes of
 section 5.1 move :class:`~repro.parallel.tasks.Task` objects through these
 streams.
 
-Both stream classes have an optional **buffered mode** (the analogue of
-wrapping the paper's object streams in ``java.io.Buffered*Stream``):
-
-* ``ObjectOutputStream(out, buffer_bytes=N)`` packs consecutive small
-  frames into one channel write, so the producer pays the channel's
-  lock/condvar round trip once per batch instead of once per object.
-  Buffered frames become visible downstream at the next ``flush()``,
-  when the batch exceeds ``N`` bytes, or at ``close()`` — byte order and
-  framing are identical to the unbuffered stream.
-* ``ObjectInputStream(source, buffer_bytes=N)`` slurps whatever the
-  channel has ready (one lock acquisition) and parses as many frames as
-  arrived, instead of doing two exact-length reads per object.
-
-Blocking semantics survive buffering: a buffered read still blocks until
-at least one whole object is available, exactly like the unbuffered one.
-
 A frame size cap guards against a corrupted or misaligned stream being
 interpreted as a multi-gigabyte allocation.
 """
@@ -34,7 +18,7 @@ import pickle
 import struct
 from typing import Any
 
-from repro.errors import ChannelError, EndOfStreamError
+from repro.errors import ChannelError
 from repro.kpn.data import DataInputStream
 from repro.kpn.streams import InputStream, OutputStream
 
@@ -47,26 +31,12 @@ _LEN = struct.Struct(">I")
 
 
 class ObjectOutputStream:
-    """Pickles objects into length-prefixed frames on an output stream.
+    """Pickles objects into length-prefixed frames on an output stream."""
 
-    Parameters
-    ----------
-    out:
-        The byte sink (usually a channel output endpoint).
-    protocol:
-        Pickle protocol for the frames.
-    buffer_bytes:
-        0 (default) writes each frame immediately; > 0 enables buffered
-        mode — frames accumulate locally and are flushed downstream in
-        batches of roughly this many bytes.
-    """
-
-    def __init__(self, out: OutputStream, protocol: int = pickle.HIGHEST_PROTOCOL,
-                 buffer_bytes: int = 0) -> None:
+    def __init__(self, out: OutputStream,
+                 protocol: int = pickle.HIGHEST_PROTOCOL) -> None:
         self.out = out
         self.protocol = protocol
-        self.buffer_bytes = buffer_bytes
-        self._pending = bytearray()
 
     def write_object(self, obj: Any) -> None:
         payload = pickle.dumps(obj, protocol=self.protocol)
@@ -74,18 +44,8 @@ class ObjectOutputStream:
             raise ChannelError(
                 f"object frame of {len(payload)} bytes exceeds cap {MAX_FRAME_BYTES}")
         header = _LEN.pack(len(payload))
-        if self.buffer_bytes > 0 and len(payload) < self.buffer_bytes:
-            self._pending += header
-            self._pending += payload
-            if len(self._pending) >= self.buffer_bytes:
-                self._flush_pending()
-            return
-        if self._pending:
-            # large frame bypasses the batch: flush what's queued first so
-            # byte order is preserved, then write the frame directly.
-            self._flush_pending()
-        # Unbuffered: one vectored write keeps the frame contiguous with
-        # no header+payload concatenation; readers reassemble by
+        # One vectored write keeps the frame contiguous with no
+        # header+payload concatenation; readers reassemble by
         # exact-length reads.
         write_vectored = getattr(self.out, "write_vectored", None)
         if write_vectored is not None:
@@ -93,54 +53,21 @@ class ObjectOutputStream:
         else:
             self.out.write(header + payload)
 
-    def _flush_pending(self) -> None:
-        if self._pending:
-            batch, self._pending = self._pending, bytearray()
-            self.out.write(batch)
-
     def flush(self) -> None:
-        self._flush_pending()
         self.out.flush()
 
     def close(self) -> None:
-        self._flush_pending()
         self.out.close()
 
 
 class ObjectInputStream:
-    """Reads frames produced by :class:`ObjectOutputStream`.
+    """Reads frames produced by :class:`ObjectOutputStream`."""
 
-    ``buffer_bytes > 0`` enables buffered mode: each blocking read pulls
-    whatever the channel currently holds (at least ``buffer_bytes`` is
-    requested per read) and subsequent objects are parsed straight out of
-    the local batch with no further channel locking.
-    """
-
-    def __init__(self, source: InputStream, buffer_bytes: int = 0) -> None:
+    def __init__(self, source: InputStream) -> None:
         self._data = DataInputStream(source)
         self.source = source
-        self.buffer_bytes = buffer_bytes
-        # fixed batch storage; [_pos, _end) is the unparsed range.  Twice
-        # the batch size so any sub-batch frame plus its header fits.
-        self._pending = (bytearray(max(2 * buffer_bytes, 64))
-                         if buffer_bytes > 0 else bytearray())
-        self._pos = 0
-        self._end = 0
-        #: adaptive peek: after a large frame, the next header is read
-        #: exactly so the (likely large) payload behind it stays out of
-        #: the batch and takes the direct single-copy path.
-        self._last_large = False
-        #: zero-copy parse state: when the source can hand out owned views
-        #: of the channel's ring storage (``read_view``), whole batches of
-        #: frames are unpickled straight from the view with no copy into
-        #: the local batch buffer.  ``[_vpos, len(_view))`` is unparsed.
-        self._view: Any = None
-        self._vpos = 0
-        self._read_view = getattr(source, "read_view", None)
 
     def read_object(self) -> Any:
-        if self.buffer_bytes > 0:
-            return self._read_object_buffered()
         header = self._data._exact(4)
         (length,) = _LEN.unpack(header)
         if length > MAX_FRAME_BYTES:
@@ -149,152 +76,6 @@ class ObjectInputStream:
                 " (corrupted or misaligned stream?)")
         payload = self._data._exact(length)
         return pickle.loads(payload)
-
-    # -- buffered mode ------------------------------------------------------
-    def _read_object_buffered(self) -> Any:
-        while True:
-            view = self._view
-            if view is not None:
-                avail = len(view) - self._vpos
-                if avail >= 4:
-                    (length,) = _LEN.unpack_from(view, self._vpos)
-                    if length > MAX_FRAME_BYTES:
-                        raise ChannelError(
-                            f"incoming frame of {length} bytes exceeds cap "
-                            f"{MAX_FRAME_BYTES} (corrupted or misaligned "
-                            "stream?)")
-                    start = self._vpos + 4
-                    if avail - 4 >= length:
-                        # whole frame in the view: unpickle in place
-                        obj = pickle.loads(view[start:start + length])
-                        self._vpos = start + length
-                        if self._vpos == len(view):
-                            self._view = None
-                        return obj
-                    # frame continues beyond the view: assemble the payload
-                    # from the view's tail plus further source reads
-                    self._view = None
-                    return pickle.loads(self._assemble(length, view[start:]))
-                # a partial header at the view's tail spills into the batch
-                if avail:
-                    self._pending[:avail] = view[self._vpos:]
-                self._pos, self._end = 0, avail
-                self._view = None
-            elif self._pos == self._end and self._read_view is not None:
-                # batch fully parsed: take the next stretch of the stream
-                # as an owned view — when the channel's storage was donated
-                # by the receiver pump, the drain steals it back and frames
-                # reach ``pickle.loads`` without ever being copied.
-                fresh = self._read_view(MAX_FRAME_BYTES)
-                if len(fresh) == 0:
-                    raise EndOfStreamError("end of stream")
-                self._view, self._vpos = fresh, 0
-                continue
-            return self._read_batch_object()
-
-    def _read_batch_object(self) -> Any:
-        """Parse one frame via the copying batch buffer (sources without
-        ``read_view``, and leftovers spilled from a view)."""
-        self._ensure(4, gulp=not self._last_large)
-        (length,) = _LEN.unpack_from(self._pending, self._pos)
-        if length > MAX_FRAME_BYTES:
-            raise ChannelError(
-                f"incoming frame of {length} bytes exceeds cap {MAX_FRAME_BYTES}"
-                " (corrupted or misaligned stream?)")
-        self._last_large = length >= self.buffer_bytes
-        if length >= self.buffer_bytes:
-            # Large frame bypasses the batch (mirror of the writer's
-            # bypass): fill one exact-size buffer straight from the
-            # source instead of growing ``_pending`` through it.
-            start = self._pos + 4
-            have = min(self._end - start, length)
-            self._pos = start + have
-            with memoryview(self._pending) as mv:
-                return pickle.loads(
-                    self._assemble(length, mv[start:start + have]))
-        self._ensure(4 + length)
-        start = self._pos + 4
-        with memoryview(self._pending) as mv:
-            obj = pickle.loads(mv[start:start + length])
-        self._pos = start + length
-        return obj
-
-    def _assemble(self, length: int, prefix):
-        """Build a ``length``-byte payload from ``prefix`` (bytes already
-        in hand) plus direct source reads — one allocation, no batch
-        growth.  Returns a buffer for ``pickle.loads``.
-        """
-        have = len(prefix)
-        if have == 0:
-            # Nothing in hand: a single read() usually returns the whole
-            # payload in one allocation-plus-copy (no zero-fill of a
-            # destination buffer first).  Partial reads fall through to
-            # the assembling path below.
-            chunk = self.source.read(length)
-            if not chunk:
-                raise EndOfStreamError(
-                    f"stream ended mid-element: wanted {length} bytes, got 0")
-            if len(chunk) == length:
-                return chunk
-            out = bytearray(length)
-            out[:len(chunk)] = chunk
-            have = len(chunk)
-        else:
-            out = bytearray(length)
-            out[:have] = prefix
-        readinto = getattr(self.source, "readinto", None)
-        with memoryview(out) as dst:
-            filled = have
-            while filled < length:
-                if readinto is not None:
-                    got = readinto(dst[filled:])
-                    if got == 0:
-                        raise EndOfStreamError(
-                            f"stream ended mid-element: wanted {length} "
-                            f"bytes, got {filled}")
-                    filled += got
-                else:
-                    chunk = self.source.read(length - filled)
-                    if not chunk:
-                        raise EndOfStreamError(
-                            f"stream ended mid-element: wanted {length} "
-                            f"bytes, got {filled}")
-                    dst[filled:filled + len(chunk)] = chunk
-                    filled += len(chunk)
-        return out
-
-    def _ensure(self, n: int, gulp: bool = True) -> None:
-        """Make ``n`` unparsed bytes available, reading straight into the
-        fixed storage (one copy, no joins).  With ``gulp`` each read takes
-        as much as fits (batching small frames); without it exactly ``n``
-        bytes are fetched, keeping a large payload behind a header out of
-        the batch."""
-        avail = self._end - self._pos
-        if avail >= n:
-            return
-        if len(self._pending) - self._pos < n:
-            # slide the leftover to the front to make room for n bytes
-            self._pending[:avail] = self._pending[self._pos:self._end]
-            self._pos, self._end = 0, avail
-        readinto = getattr(self.source, "readinto", None)
-        with memoryview(self._pending) as mv:
-            while self._end - self._pos < n:
-                stop = (len(self._pending) if gulp
-                        else self._pos + n)
-                if readinto is not None:
-                    got = readinto(mv[self._end:stop])
-                else:
-                    chunk = self.source.read(stop - self._end)
-                    got = len(chunk)
-                    mv[self._end:self._end + got] = chunk
-                if not got:
-                    have = self._end - self._pos
-                    if have:
-                        raise EndOfStreamError(
-                            f"stream ended mid-element: wanted {n} bytes, "
-                            f"got {have}")
-                    raise EndOfStreamError("end of stream")
-                self._end += got
 
     def close(self) -> None:
         self.source.close()

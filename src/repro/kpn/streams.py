@@ -66,18 +66,6 @@ class InputStream:
         view[:len(chunk)] = chunk
         return len(chunk)
 
-    def read_view(self, max_bytes: int) -> memoryview:
-        """Blocking read returning an *owned* memoryview (empty at EOF).
-
-        The view's storage belongs to the caller — later stream operations
-        never mutate it.  The default wraps :meth:`read`; local streams
-        override it to hand out the channel's ring storage itself when a
-        drain takes everything buffered (zero copies).  Frame parsers
-        (:class:`~repro.kpn.objects.ObjectInputStream` in buffered mode)
-        unpickle straight out of these views.
-        """
-        return memoryview(self.read(max_bytes))
-
     def close(self) -> None:
         raise NotImplementedError
 
@@ -197,16 +185,6 @@ class LocalInputStream(InputStream):
         self._pos = pos + got
         return got
 
-    def read_view(self, max_bytes: int) -> memoryview:
-        if max_bytes <= 0:
-            return _NOTHING
-        batch, pos = self._batch, self._pos
-        if pos >= len(batch):
-            batch, pos = self._refill(), 0
-        view = batch[pos:pos + max_bytes]
-        self._pos = pos + len(view)
-        return view
-
     def held(self) -> int:
         """Bytes read ahead and not yet consumed.
 
@@ -287,9 +265,6 @@ class BlockingInputStream(InputStream):
 
     def readinto(self, target) -> int:
         return self.source.readinto(target)
-
-    def read_view(self, max_bytes: int) -> memoryview:
-        return self.source.read_view(max_bytes)
 
     def read_exactly(self, n: int) -> bytes:
         if n <= 0:
@@ -441,28 +416,6 @@ class SequenceInputStream(InputStream):
                 if not self._streams:
                     self._finished = True
                     return 0
-
-    def read_view(self, max_bytes: int) -> memoryview:
-        # Same advance protocol again: a spliced-in stream takes over only
-        # after the current one reports EOF (an empty view).
-        while True:
-            with self._lock:
-                if self._closed:
-                    raise ChannelClosedError(
-                        "read on closed SequenceInputStream")
-                if not self._streams:
-                    self._finished = True
-                    return memoryview(b"")
-                current = self._streams[0]
-            view = current.read_view(max_bytes)
-            if len(view):
-                return view
-            with self._lock:
-                if self._streams and self._streams[0] is current:
-                    self._streams.pop(0)
-                if not self._streams:
-                    self._finished = True
-                    return memoryview(b"")
 
     def close(self) -> None:
         with self._lock:

@@ -40,59 +40,41 @@ def to_dot(network: Network, trace=None, title: Optional[str] = None) -> str:
     ``trace`` (a TraceReport) adds per-edge annotations; remote-linked
     channels are drawn with dashed edges to a cloud node.
     """
-    g = network.graph()
+    topology = network.topology()
     lines = ["digraph kpn {",
              "  rankdir=LR;",
              "  node [shape=box, style=filled, fontname=\"Helvetica\"];"]
     if title:
         lines.append(f"  label=\"{title}\"; labelloc=top;")
-    for node, data in g.nodes(data=True):
-        ptype = data.get("process", "?")
+    for p in topology.leaves:
+        ptype = type(p).__name__
         lines.append(
-            f"  \"{node}\" [label=\"{node}\\n({ptype})\", "
+            f"  \"{p.name}\" [label=\"{p.name}\\n({ptype})\", "
             f"fillcolor=\"{_style_for(ptype)}\"];")
-    for src, dst, data in g.edges(data=True):
-        channel = data.get("channel", "")
-        label = channel
+    for src, dst, edge in topology.links():
+        channel = edge.name
+        label = f"{channel}\\ncap {edge.channel.capacity}"
         if trace is not None and channel in trace.channels:
             t = trace.channels[channel]
             label = (f"{channel}\\n{t.total_bytes}B, "
                      f"hw {t.high_water}/{t.capacity_final}")
-        elif data.get("capacity"):
-            label = f"{channel}\\ncap {data['capacity']}"
-        lines.append(f"  \"{src}\" -> \"{dst}\" [label=\"{label}\"];")
+        lines.append(f"  \"{src.name}\" -> \"{dst.name}\" "
+                     f"[label=\"{label}\"];")
 
     # remote links: dashed edges to/from a cloud placeholder
-    remote = [ch for ch in network.channels
-              if getattr(ch, "receiver_pump", None) is not None
-              or getattr(ch, "sender_pump", None) is not None]
+    remote = [e for e in topology.edges if e.remote]
     if remote:
         lines.append("  \"(remote)\" [shape=ellipse, style=dashed, "
                      "fillcolor=white];")
-        for ch in remote:
-            if getattr(ch, "receiver_pump", None) is not None:
-                lines.append(f"  \"(remote)\" -> \"{_reader_of(g, ch.name)}\" "
-                             f"[style=dashed, label=\"{ch.name}\"];")
-            else:
-                lines.append(f"  \"{_writer_of(g, ch.name)}\" -> \"(remote)\" "
-                             f"[style=dashed, label=\"{ch.name}\"];")
+        for edge in remote:
+            for reader in edge.consumer_names:
+                lines.append(f"  \"(remote)\" -> \"{reader}\" "
+                             f"[style=dashed, label=\"{edge.name}\"];")
+            for writer in edge.producer_names:
+                lines.append(f"  \"{writer}\" -> \"(remote)\" "
+                             f"[style=dashed, label=\"{edge.name}\"];")
     lines.append("}")
     return "\n".join(lines)
-
-
-def _reader_of(g, channel_name: str) -> str:
-    for src, dst, data in g.edges(data=True):
-        if data.get("channel") == channel_name:
-            return dst
-    # the reader isn't a graph edge (producer is remote): find by inputs
-    return "(local reader)"
-
-
-def _writer_of(g, channel_name: str) -> str:
-    for src, dst, data in g.edges(data=True):
-        if data.get("channel") == channel_name:
-            return src
-    return "(local writer)"
 
 
 def to_ascii(network: Network, trace=None) -> str:

@@ -18,7 +18,6 @@ import struct
 from typing import Any
 
 from repro.kpn.data import DataInputStream, DataOutputStream
-from repro.kpn.objects import ObjectInputStream, ObjectOutputStream
 from repro.kpn.streams import InputStream, OutputStream
 
 __all__ = [
@@ -48,6 +47,16 @@ class Codec:
     def encode(self, value: Any) -> bytes:
         raise NotImplementedError
 
+    def _format_key(self):
+        """What two codecs must share to read each other's bytes."""
+        return type(self)
+
+    def same_format(self, other: "Codec") -> bool:
+        """True when ``other`` decodes exactly the bytes this codec writes
+        (the graph compiler's object fast path and the ``codec-mismatch``
+        lint rule both ask this of an edge's two ends)."""
+        return self._format_key() == other._format_key()
+
 
 class StructCodec(Codec):
     """Fixed-width codec described by a :mod:`struct` format string."""
@@ -69,6 +78,9 @@ class StructCodec(Codec):
 
     def encode(self, value: Any) -> bytes:
         return self._struct.pack(value)
+
+    def _format_key(self):
+        return (type(self), self._struct.format)
 
     def __reduce__(self):
         # struct.Struct objects are unpicklable; named codecs rebuild via

@@ -33,10 +33,10 @@ non-determinate) raise :class:`UncompilableProcessError`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Tuple, Type
+from typing import Any, Callable, Dict, Optional, Tuple, Type
 
 from repro.kpn.network import Network
-from repro.kpn.process import CompositeProcess, Process
+from repro.kpn.process import Process
 from repro.semantics.closed import (CStream, ClosedEquationNetwork,
                                     ClosedFixpointResult, ck_binary, ck_cons,
                                     ck_duplicate, ck_filter, ck_guard,
@@ -102,18 +102,21 @@ class _Ctx:
     """Compilation context: stream naming + equation accumulation."""
 
     def __init__(self, eq: ClosedEquationNetwork, compiled: CompiledNetwork,
-                 max_len: int) -> None:
+                 max_len: int, topology) -> None:
         self.eq = eq
         self.compiled = compiled
         self.max_len = max_len
+        #: id(tracked endpoint stream) -> the name of its channel
+        self._streams = {id(stream): edge.name for edge in topology.edges
+                         for _, stream in edge.producers + edge.consumers}
 
-    @staticmethod
-    def stream_of(endpoint) -> str:
-        channel = getattr(endpoint, "channel", None)
-        if channel is None:
+    def stream_of(self, endpoint) -> str:
+        try:
+            return self._streams[id(endpoint)]
+        except KeyError:
             raise UncompilableProcessError(
-                f"endpoint {endpoint!r} is not a channel endpoint")
-        return channel.name
+                f"endpoint {endpoint!r} is not a tracked channel endpoint"
+            ) from None
 
     def node(self, process: Process, kernel, inputs, outputs) -> None:
         self.eq.node(process.name, kernel,
@@ -261,13 +264,9 @@ def compile_network(network: Network, max_len: int = 1000,
     """
     eq = ClosedEquationNetwork(max_len=max_len, max_iterations=max_iterations)
     compiled = CompiledNetwork(eq)
-    ctx = _Ctx(eq, compiled, max_len)
-    pending: List[Process] = list(network.processes)
-    while pending:
-        process = pending.pop(0)
-        if isinstance(process, CompositeProcess):
-            pending.extend(process.processes)
-            continue
+    topology = network.topology()
+    ctx = _Ctx(eq, compiled, max_len, topology)
+    for process in topology.leaves:
         compiler = _COMPILERS.get(type(process))
         if compiler is None:
             # walk the MRO so subclasses of library processes inherit

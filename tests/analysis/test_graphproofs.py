@@ -3,7 +3,7 @@
 import pytest
 
 from repro.analysis.graphproofs import graph_findings, prove_graph
-from repro.kpn.checker import GraphConsistencyError, check_network
+from repro.errors import GraphConsistencyError
 from repro.kpn.network import Network
 from repro.processes.networks import (fibonacci, hamming, modulo_merge,
                                       newton_sqrt, primes)
@@ -82,11 +82,11 @@ def test_deadlock_reported_as_error_finding():
 
 
 def test_checker_surfaces_proved_deadlock():
-    issues = check_network(zero_token_loop())
-    assert any(i.code == "proved-deadlock" and i.severity == "error"
+    issues = graph_findings(zero_token_loop())
+    assert any(i.rule == "proved-deadlock" and i.severity == "error"
                for i in issues)
     with pytest.raises(GraphConsistencyError):
-        check_network(zero_token_loop(), strict=True)
+        zero_token_loop().preflight()
 
 
 def test_deferred_tail_breaks_deadlock():

@@ -159,6 +159,24 @@ def test_two_process_cycle_not_fused():
     assert plan.chains == []
 
 
+def test_channel_with_two_readers_is_never_fused_through():
+    # the planner used to keep one consumer per channel, last one wins:
+    # it fused Src -> Map -> Dst over "tap" and starved the second reader
+    net = Network()
+    tap = net.channel(name="tap")
+    out = net.channel(name="out")
+    net.add(Sequence(tap.get_output_stream(), iterations=10, name="Src"))
+    net.add(Collect(tap.get_input_stream(), [], name="Thief"))
+    net.add(Scale(tap.get_input_stream(), out.get_output_stream(), factor=2,
+                  name="Map"))
+    net.add(Collect(out.get_input_stream(), [], name="Dst"))
+    plan = compile_network(net)
+    assert "tap" not in plan.fused_channel_names
+    assert chain_names(plan) == [("Map", "Dst")]
+    reason = dict(plan.refusals)["tap"]
+    assert "Thief" in reason and "Map" in reason and "Src" in reason
+
+
 def test_compile_after_start_rejected():
     net, _ = build_linear()
     net.start()

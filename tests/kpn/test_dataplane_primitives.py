@@ -1,6 +1,5 @@
 """Unit tests for the zero-copy data-plane primitives of BoundedByteBuffer
-(write_vectored / write_donate / drain_up_to / read_available / readinto)
-and the stream-level ``read_view`` API built on them."""
+(write_vectored / write_donate / drain_up_to / read_available)."""
 
 import threading
 import time
@@ -9,9 +8,6 @@ import pytest
 
 from repro.errors import BrokenChannelError, ChannelClosedError
 from repro.kpn.buffers import BoundedByteBuffer
-from repro.kpn.streams import (BlockingInputStream, LocalInputStream,
-                               SequenceInputStream)
-
 from tests.conftest import start_thread
 
 
@@ -177,31 +173,6 @@ def test_drain_and_available_raise_after_close_read():
 
 
 # ---------------------------------------------------------------------------
-# readinto
-# ---------------------------------------------------------------------------
-
-def test_readinto_fills_caller_buffer():
-    buf = BoundedByteBuffer(64)
-    buf.write(b"abcdef")
-    target = bytearray(4)
-    assert buf.readinto(target) == 4
-    assert bytes(target) == b"abcd"
-    assert buf.readinto(target) == 2
-    assert bytes(target[:2]) == b"ef"
-
-
-def test_readinto_zero_at_eof():
-    buf = BoundedByteBuffer(64)
-    buf.close_write()
-    assert buf.readinto(bytearray(4)) == 0
-
-
-def test_readinto_empty_target_returns_zero():
-    buf = BoundedByteBuffer(64)
-    assert buf.readinto(bytearray()) == 0
-
-
-# ---------------------------------------------------------------------------
 # _compact edge cases
 # ---------------------------------------------------------------------------
 
@@ -278,38 +249,3 @@ def test_interleaved_close_read_breaks_blocked_writer():
     buf.close_read()     # now break it mid-write
     assert failed.wait(timeout=10)
     t.join(timeout=10)
-
-
-# ---------------------------------------------------------------------------
-# read_view on the stream stack
-# ---------------------------------------------------------------------------
-
-def test_local_read_view_is_zero_copy_on_full_drain():
-    buf = BoundedByteBuffer(64)
-    donated = bytearray(b"straight through")
-    buf.write_donate(donated)
-    view = LocalInputStream(buf).read_view(64)
-    assert view.obj is donated
-
-
-def test_blocking_stream_forwards_read_view():
-    buf = BoundedByteBuffer(64)
-    buf.write(b"fwd")
-    stream = BlockingInputStream(LocalInputStream(buf))
-    assert bytes(stream.read_view(16)) == b"fwd"
-    buf.close_write()
-    assert len(stream.read_view(16)) == 0
-
-
-def test_sequence_read_view_advances_across_streams():
-    first, second = BoundedByteBuffer(64), BoundedByteBuffer(64)
-    first.write(b"one")
-    first.close_write()
-    second.write(b"two")
-    second.close_write()
-    seq = SequenceInputStream(LocalInputStream(first))
-    seq.append(LocalInputStream(second))
-    assert bytes(seq.read_view(16)) == b"one"
-    assert bytes(seq.read_view(16)) == b"two"
-    assert len(seq.read_view(16)) == 0
-    assert seq.at_eof()

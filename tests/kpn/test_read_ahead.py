@@ -78,7 +78,7 @@ class ReadAheadMachine(RuleBasedStateMachine):
             assert len(read()) == 0
 
     def _short_read(self, n, read):
-        """read / readinto / read_view: 1..n bytes, the oldest first."""
+        """read / readinto: 1..n bytes, the oldest first."""
         if not self.model:
             if self.closed:
                 self._expect_end(read)
@@ -97,10 +97,6 @@ class ReadAheadMachine(RuleBasedStateMachine):
         target = bytearray(n)
         self._short_read(
             n, lambda: target[:self.inp.readinto(target)])
-
-    @rule(n=sizes)
-    def read_view(self, n):
-        self._short_read(n, lambda: self.inp.blocking.read_view(n))
 
     @rule(n=sizes)
     def read_exactly(self, n):

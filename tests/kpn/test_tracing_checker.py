@@ -5,11 +5,12 @@ import json
 import pytest
 
 from repro.kpn import Network
-from repro.kpn.checker import GraphConsistencyError, Issue, check_network
+from repro.analysis import graph_findings
+from repro.errors import GraphConsistencyError
 from repro.kpn.scheduler import DeadlockPolicy
 from repro.kpn.tracing import Tracer
 from repro.processes import (Collect, Duplicate, FromIterable, MapProcess,
-                             Sequence, fibonacci, hamming, primes)
+                             Scale, Sequence, fibonacci, hamming, primes)
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +86,7 @@ def test_tracer_blocked_timeline():
 # ---------------------------------------------------------------------------
 
 def codes(issues):
-    return {i.code for i in issues}
+    return {i.rule for i in issues}
 
 
 def test_clean_pipeline_passes():
@@ -94,7 +95,8 @@ def test_clean_pipeline_passes():
     net.add(FromIterable(a.get_output_stream(), [1]))
     net.add(MapProcess(a.get_input_stream(), b.get_output_stream(), abs))
     net.add(Collect(b.get_input_stream(), []))
-    issues = check_network(net, strict=True)  # must not raise
+    net.preflight()  # must not raise
+    issues = graph_findings(net)
     assert not any(i.severity == "error" for i in issues)
 
 
@@ -104,10 +106,67 @@ def test_multi_consumer_detected():
     net.add(FromIterable(ch.get_output_stream(), [1]))
     net.add(Collect(ch.get_input_stream(), [], name="c1"))
     net.add(Collect(ch.get_input_stream(), [], name="c2"))
-    issues = check_network(net)
+    issues = graph_findings(net)
     assert "multi-consumer" in codes(issues)
     with pytest.raises(GraphConsistencyError):
-        check_network(net, strict=True)
+        net.preflight()
+
+
+def two_readers():
+    net = Network(name="two-readers")
+    a, b = net.channel(name="a"), net.channel(name="b")
+    net.add(Sequence(a.get_output_stream(), iterations=10, name="src"))
+    net.add(Collect(a.get_input_stream(), [], name="thief"))
+    net.add(Scale(a.get_input_stream(), b.get_output_stream(), 2, name="m"))
+    net.add(Collect(b.get_input_stream(), [], name="sink"))
+    return net
+
+
+def test_lint_network_reports_what_preflight_refuses():
+    # lint_network used to run the proofs without the construction rules
+    # and called this network proved-bounded and clean
+    from repro.analysis import lint_network
+
+    (finding,) = [f for f in lint_network(two_readers())
+                  if f.severity == "error"]
+    assert finding.rule == "multi-consumer"
+    assert "read by ['thief', 'm']" in finding.message
+    with pytest.raises(GraphConsistencyError, match="multi-consumer"):
+        two_readers().start(lint=True)
+
+
+def test_repro_lint_fails_on_a_network_with_two_readers(monkeypatch, capsys):
+    from types import SimpleNamespace
+
+    from repro import cli
+
+    monkeypatch.setattr(cli, "_figure_builders", lambda: {
+        "fibonacci": lambda: SimpleNamespace(network=two_readers())})
+    assert cli.main(["lint", "fibonacci"]) == 1
+    assert "[error:multi-consumer]" in capsys.readouterr().out
+
+
+def test_long_writer_wired_to_double_reader_detected():
+    net = Network()
+    ch = net.channel(name="typed")
+    out = []
+    net.add(Sequence(ch.get_output_stream(), start=1, iterations=3))
+    net.add(Collect(ch.get_input_stream(), out, codec="double", name="sink"))
+    (finding,) = [f for f in graph_findings(net) if f.severity == "error"]
+    assert finding.rule == "codec-mismatch"
+    assert "'long'" in finding.message and "'double'" in finding.message
+    with pytest.raises(GraphConsistencyError, match="codec-mismatch"):
+        net.run(timeout=30, lint=True)
+    assert out == []  # refused before anything ran
+
+
+def test_side_input_read_through_another_codec_is_no_mismatch():
+    # Guard declares the codec of its data input and reads its control
+    # input as BOOL: a consumer with several inputs is not judged
+    from repro.processes import newton_sqrt
+
+    findings = graph_findings(newton_sqrt(2.0).network)
+    assert "codec-mismatch" not in codes(findings)
 
 
 def test_multi_producer_detected():
@@ -116,27 +175,27 @@ def test_multi_producer_detected():
     net.add(FromIterable(ch.get_output_stream(), [1], name="p1"))
     net.add(FromIterable(ch.get_output_stream(), [2], name="p2"))
     net.add(Collect(ch.get_input_stream(), []))
-    assert "multi-producer" in codes(check_network(net))
+    assert "multi-producer" in codes(graph_findings(net))
 
 
 def test_no_producer_detected():
     net = Network()
     ch = net.channel()
     net.add(Collect(ch.get_input_stream(), []))
-    assert "no-producer" in codes(check_network(net))
+    assert "no-producer" in codes(graph_findings(net))
 
 
 def test_no_consumer_detected():
     net = Network()
     ch = net.channel()
     net.add(FromIterable(ch.get_output_stream(), [1]))
-    assert "no-consumer" in codes(check_network(net))
+    assert "no-consumer" in codes(graph_findings(net))
 
 
 def test_orphan_channel_warned():
     net = Network()
     net.channel(name="floating")
-    assert "orphan-channel" in codes(check_network(net))
+    assert "orphan-channel" in codes(graph_findings(net))
 
 
 def test_self_loop_detected():
@@ -144,16 +203,16 @@ def test_self_loop_detected():
     ch = net.channel()
     net.add(MapProcess(ch.get_input_stream(), ch.get_output_stream(), abs,
                        name="ouroboros"))
-    assert "self-loop" in codes(check_network(net))
+    assert "self-loop" in codes(graph_findings(net))
 
 
 def test_fibonacci_cycle_proved_bounded():
     # fibonacci's feedback loops all carry initial tokens (Cons defers its
     # tail), so the blanket cycle flag is discharged by the static proof
     built = fibonacci(5)
-    issues = check_network(built.network)
-    assert "cycle-proved-bounded" in codes(issues)
-    assert "cycle" not in codes(issues)
+    issues = graph_findings(built.network)
+    assert "proved-bounded" in codes(issues)
+    assert "cycle-unproved" not in codes(issues)
     assert not any(i.severity == "error" for i in issues)
 
 
@@ -161,8 +220,8 @@ def test_unproved_cycle_reported_as_info_with_monitor():
     # hamming's OrderedMerge carries no rate-balance declaration (it is
     # genuinely unbounded at fixed capacities), so no proof discharges it
     built = hamming(5)
-    issues = check_network(built.network)
-    assert "cycle" in codes(issues)
+    issues = graph_findings(built.network)
+    assert "cycle-unproved" in codes(issues)
     assert not any(i.severity == "error" for i in issues)
 
 
@@ -170,15 +229,15 @@ def test_proved_bounded_cycle_not_warned_without_monitor():
     # a proof makes the monitor unnecessary: no warning even when it is off
     net = Network(bounded=False)
     built = fibonacci(5, network=net)
-    issues = check_network(built.network)
-    assert "cycle-proved-bounded" in codes(issues)
+    issues = graph_findings(built.network)
+    assert "proved-bounded" in codes(issues)
     assert "cycle-unbounded-monitorless" not in codes(issues)
 
 
 def test_unproved_cycle_warned_without_monitor():
     net = Network(bounded=False)
     built = hamming(5, network=net)
-    issues = check_network(built.network)
+    issues = graph_findings(built.network)
     assert "cycle-unbounded-monitorless" in codes(issues)
 
 
@@ -187,13 +246,13 @@ def test_non_terminating_flagged():
     ch = net.channel()
     net.add(Sequence(ch.get_output_stream()))          # unbounded
     net.add(Collect(ch.get_input_stream(), []))        # unbounded
-    assert "non-terminating" in codes(check_network(net))
+    assert "non-terminating" in codes(graph_findings(net))
 
 
 def test_checked_graph_actually_runs():
     """A graph that passes strict checking runs to completion."""
     built = fibonacci(10)
-    check_network(built.network, strict=True)
+    built.network.preflight()
     assert built.run(timeout=60) == [1, 1, 2, 3, 5, 8, 13, 21, 34, 55]
 
 
@@ -212,8 +271,8 @@ def test_checker_recurses_into_nested_composites():
     net.add(outer)
     net.add(Sequence(ch.get_output_stream(), name="writer-b"))
     net.add(Collect(ch.get_input_stream(), []))
-    issues = check_network(net)
-    multi = [i for i in issues if i.code == "multi-producer"]
+    issues = graph_findings(net)
+    multi = [i for i in issues if i.rule == "multi-producer"]
     assert multi, "producer buried two composites deep must still be seen"
     assert "writer-a" in multi[0].message
 
@@ -230,8 +289,8 @@ def test_composite_tracked_boundary_stream_counts_as_endpoint():
     comp.track(ch.get_output_stream())
     net.add(comp)
     net.add(Collect(ch.get_input_stream(), []))
-    issues = check_network(net)
-    assert not any(i.code == "no-producer" for i in issues)
+    issues = graph_findings(net)
+    assert not any(i.rule == "no-producer" for i in issues)
 
 
 def test_composite_retracking_member_stream_not_multi_producer():
@@ -246,5 +305,5 @@ def test_composite_retracking_member_stream_not_multi_producer():
     comp.track(ch.get_output_stream())
     net.add(comp)
     net.add(Collect(ch.get_input_stream(), []))
-    issues = check_network(net)
-    assert not any(i.code == "multi-producer" for i in issues)
+    issues = graph_findings(net)
+    assert not any(i.rule == "multi-producer" for i in issues)

@@ -28,12 +28,12 @@ def test_experiments_print_tables(which, capsys):
 
 
 def test_check_clean_graph(capsys):
-    assert run_cli("check", "fibonacci") == 0
+    assert run_cli("lint", "fibonacci") == 0
     assert "cycle" in capsys.readouterr().out
 
 
 def test_check_fig13(capsys):
-    assert run_cli("check", "fig13") == 0
+    assert run_cli("lint", "fig13") == 0
 
 
 def test_example_list(capsys):
@@ -246,4 +246,4 @@ def test_lint_module_target(capsys):
 
 
 def test_check_strict_flag(capsys):
-    assert run_cli("check", "fibonacci", "--strict") == 0
+    assert run_cli("lint", "fibonacci") == 0

@@ -12,7 +12,8 @@ import time
 import pytest
 
 from repro.errors import RemoteError
-from repro.kpn import Network, check_network
+from repro.analysis import graph_findings
+from repro.kpn import Network
 from repro.distributed import (LocalCluster, RegistryClient, ServerClient,
                                profile_servers)
 from repro.parallel import (FactorConsumerResult, FactorProducerTask,
@@ -37,7 +38,7 @@ def run_paper_workflow(cluster: LocalCluster) -> None:
                         cluster=cluster)
 
     # 3. static validation before running
-    issues = check_network(handle.network)
+    issues = graph_findings(handle.network)
     assert not any(i.severity == "error" for i in issues)
 
     # 4. run; the answer must come back in task order with the hit last

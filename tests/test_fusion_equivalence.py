@@ -86,7 +86,7 @@ def run_example(builder, optimize, capture=True):
 def eof_tolerant_producers(net):
     """Channel names produced by merges that survive an input's EOF."""
     out = set()
-    for p in net._leaf_processes():
+    for p in net.topology().leaves:
         if isinstance(p, (OrderedMerge, Select)):
             for s in p.output_streams:
                 ch = getattr(s, "channel", None)
