@@ -7,11 +7,13 @@ Tools an open-source user reaches for on day two:
 1. `graph_findings` — static validation of the graph (single
    producer/consumer, connectivity, codec agreement, deadlock and
    boundedness proofs) before it runs;
-2. `Tracer` — samples channel occupancy and blocked-thread counts while
-   the Hamming network runs under deliberately tiny channels, catching
-   Parks' capacity growths in the act;
-3. `to_dot` / `to_ascii` — render the traced graph, edge labels carrying
-   the measured byte counts and high-water marks.
+2. `Network.census()` — what the channels themselves recorded: initial
+   and final capacity, exact high-water mark, bytes through, and every
+   capacity growth with its cause — and `Tracer`, which reads it on a
+   timer while the Hamming network runs under deliberately tiny
+   channels, for the occupancy and blocked-actor timelines;
+3. `to_dot` / `to_ascii` — render the graph, edge labels carrying the
+   census' byte counts and high-water marks.
 """
 
 from repro.analysis import graph_findings
@@ -35,13 +37,15 @@ def main() -> None:
         out = built.run(timeout=120)
     assert out[-1] == 144  # the 40th Hamming number
 
-    report = tracer.report()
-    print(report.summary())
+    print(tracer.report().summary())
+    for growth in net.census()["growths"][:5]:
+        print(f"  {growth['channel']}: {growth['old']}->{growth['new']}B "
+              f"({growth['cause']}, freed {growth['process']})")
 
-    print("\n== ASCII graph with trace annotations ==")
-    print(to_ascii(net, trace=report))
+    print("\n== ASCII graph with census annotations ==")
+    print(to_ascii(net))
 
-    dot = to_dot(net, trace=report, title="Hamming under Parks scheduling")
+    dot = to_dot(net, title="Hamming under Parks scheduling")
     path = "/tmp/repro_hamming.dot"
     with open(path, "w") as fh:
         fh.write(dot)

@@ -60,25 +60,10 @@ def build_parser() -> argparse.ArgumentParser:
                     "(Parks/Roberts/Millman 2003 reproduction)")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_server = sub.add_parser("server", help="start a compute server")
-    p_server.add_argument("--port", type=int, default=0)
-    p_server.add_argument("--name", default="server")
-    p_server.add_argument("--registry", default=None, help="host:port")
-    p_server.add_argument("--advertise", default=None)
-    p_server.add_argument("--telemetry", action="store_true",
-                          help="enable the telemetry hub on this server")
-    p_server.add_argument("--profile", action="store_true",
-                          help="enable the continuous KPN profiler "
-                               "(implies --telemetry)")
-    p_server.add_argument("--executor", default=None,
-                          choices=["inline", "thread", "process"],
-                          help="compute backend for shipped tasks/workers")
-    p_server.add_argument("--pool-size", type=int, default=None,
-                          help="executor pool width (default: CPU count)")
-    p_server.add_argument("--backend", default=None,
-                          choices=["thread", "async"],
-                          help="scheduler backend for the hosted network "
-                               "(also: REPRO_BACKEND)")
+    from repro.distributed.server import add_server_arguments
+
+    add_server_arguments(
+        sub.add_parser("server", help="start a compute server"))
 
     p_registry = sub.add_parser("registry", help="start a name registry")
     p_registry.add_argument("--port", type=int, default=5000)
@@ -205,24 +190,9 @@ def _traced(args, label: str, fn) -> int:
 
 
 def _cmd_server(args) -> int:
-    from repro.distributed.server import main as server_main
+    from repro.distributed.server import serve
 
-    argv = ["--port", str(args.port), "--name", args.name]
-    if args.registry:
-        argv += ["--registry", args.registry]
-    if args.advertise:
-        argv += ["--advertise", args.advertise]
-    if args.telemetry:
-        argv += ["--telemetry"]
-    if args.profile:
-        argv += ["--profile"]
-    if args.executor:
-        argv += ["--executor", args.executor]
-    if args.pool_size is not None:
-        argv += ["--pool-size", str(args.pool_size)]
-    if args.backend:
-        argv += ["--backend", args.backend]
-    server_main(argv)
+    serve(args)
     return 0
 
 

@@ -62,7 +62,7 @@ class LocalCluster:
         #: hops that stayed on this host
         self.optimize = optimize
         #: compute backend every server executes shipped tasks (and hosted
-        #: workers with unset specs) on: "inline"/"thread"/"process"
+        #: workers with unset specs) on: "inline"/"process"
         self.executor = executor
         self.pool_size = pool_size
         #: start process-mode servers with their telemetry hubs enabled

@@ -40,7 +40,7 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 from repro.errors import TrueDeadlockError
 from repro.kpn.network import Network
@@ -86,37 +86,28 @@ class DistributedDeadlockDetector:
         Parks-rule parameters applied to the chosen channel.
     settle_s:
         Stability window between the two confirming polls.
-    on_grow / on_true:
-        Optional callbacks for observability (tests, logging).
     """
 
     def __init__(self, participants: Sequence[Participant],
                  growth_factor: int = 2,
                  max_capacity: int = 64 * 1024 * 1024,
-                 settle_s: float = 0.05,
-                 on_grow: Optional[Callable[[GrowthEvent], None]] = None,
-                 on_true: Optional[Callable[[GlobalStallReport], None]] = None) -> None:
+                 settle_s: float = 0.05) -> None:
         if not participants:
             raise ValueError("need at least one participant")
         self.participants = list(participants)
         self.growth_factor = growth_factor
         self.max_capacity = max_capacity
         self.settle_s = settle_s
-        self.on_grow = on_grow
-        self.on_true = on_true
+        #: the coordinator's cross-site decision log (each entry is also
+        #: in the owning site's own record, see :meth:`_grow_at`)
         self.growth_events: List[GrowthEvent] = []
         self.true_deadlocks: List[GlobalStallReport] = []
         self._stop = threading.Event()
         self._thread: Optional[threading.Thread] = None
 
     # -- polling -----------------------------------------------------------
-    def _snapshot(self, participant: Participant) -> dict:
-        if isinstance(participant, Network):
-            return participant.wait_snapshot()
-        return participant.wait_snapshot()
-
     def snapshot_all(self) -> dict:
-        return {_site_name(p, i): self._snapshot(p)
+        return {_site_name(p, i): p.wait_snapshot()
                 for i, p in enumerate(self.participants)}
 
     @staticmethod
@@ -168,8 +159,6 @@ class DistributedDeadlockDetector:
             self._resolve_artificial(report)
         else:
             self.true_deadlocks.append(report)
-            if self.on_true is not None:
-                self.on_true(report)
         return report
 
     def _resolve_artificial(self, report: GlobalStallReport) -> None:
@@ -180,25 +169,20 @@ class DistributedDeadlockDetector:
         if new <= old:
             # cap reached: record as unresolvable (true-deadlock handling)
             self.true_deadlocks.append(report)
-            if self.on_true is not None:
-                self.on_true(report)
             return
-        self._grow_at(site, entry["channel"], new)
-        event = GrowthEvent(entry["channel"], old, new,
-                            (f"{site}/{entry['thread']}",))
-        self.growth_events.append(event)
-        if self.on_grow is not None:
-            self.on_grow(event)
+        self._grow_at(site, entry["channel"], new, entry["thread"])
+        self.growth_events.append(GrowthEvent(
+            entry["channel"], old, new, (f"{site}/{entry['thread']}",)))
 
-    def _grow_at(self, site: str, channel: str, capacity: int) -> None:
+    def _grow_at(self, site: str, channel: str, capacity: int,
+                 writer: str) -> None:
+        """Apply the decision where the channel lives: the owning site's
+        buffer records it (cause ``parks-distributed``), so that site's
+        census and ``growth_events()`` show it too."""
         for i, participant in enumerate(self.participants):
-            if _site_name(participant, i) != site:
-                continue
-            if isinstance(participant, Network):
-                participant.grow_channel(channel, capacity)
-            else:
-                participant.grow_channel(channel, capacity)
-            return
+            if _site_name(participant, i) == site:
+                participant.grow_channel(channel, capacity, writer)
+                return
         raise KeyError(f"unknown site {site!r}")
 
     # -- background operation ----------------------------------------------------

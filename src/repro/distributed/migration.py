@@ -79,7 +79,7 @@ def _preload(ch: Channel, data: bytes) -> None:
     if not data:
         return
     if len(data) > ch.buffer.capacity:
-        ch.buffer.grow(len(data))
+        ch.buffer.grow(len(data), "migration")
     ch.buffer.write(data)
 
 
@@ -102,12 +102,10 @@ def _channel_input(ch: Channel) -> ChannelInputStream:
     return ch.get_input_stream()
 
 
-def _rebuild_remote_output(host: str, port: int, capacity: int, name: str,
-                           link_chunk: Optional[int] = None,
-                           coalesce: Optional[int] = None) -> ChannelOutputStream:
+def _rebuild_remote_output(host: str, port: int, capacity: int,
+                           name: str) -> ChannelOutputStream:
     ch = _make_channel(name, capacity)
-    pump = SenderPump(ch.buffer, connect=(host, port), name=name,
-                      chunk=link_chunk, coalesce=coalesce).start()
+    pump = SenderPump(ch.buffer, connect=(host, port), name=name).start()
     ch.sender_pump = pump
     return ch.get_output_stream()
 
@@ -203,19 +201,14 @@ class MigrationPickler(pickle.Pickler):
             host, port = sender.begin_migration()
             self.post_actions.append(sender.finish_migration)
             return (_rebuild_remote_output,
-                    (host, port, ch.capacity, ch.name,
-                     getattr(ch, "link_chunk", None),
-                     getattr(ch, "coalesce", None)))
+                    (host, port, ch.capacity, ch.name))
         # First migration of the producer end: the consumer stays here;
         # install a receiver pump feeding the consumer's existing buffer.
         pump = ReceiverPump(ch.buffer, name=ch.name)
         host, port = pump.ensure_listener()
         ch.receiver_pump = pump
         self.post_actions.append(pump.start)
-        return (_rebuild_remote_output,
-                (host, port, ch.capacity, ch.name,
-                 getattr(ch, "link_chunk", None),
-                 getattr(ch, "coalesce", None)))
+        return (_rebuild_remote_output, (host, port, ch.capacity, ch.name))
 
     def _reduce_input(self, inp: ChannelInputStream):
         if inp.detached:
@@ -241,9 +234,7 @@ class MigrationPickler(pickle.Pickler):
         # sender pump draining the producer's existing buffer.  What the
         # endpoint read ahead is older than anything the pump will send,
         # so it travels in the pickle and is preloaded on the destination.
-        pump = SenderPump(ch.buffer, name=ch.name,
-                          chunk=getattr(ch, "link_chunk", None),
-                          coalesce=getattr(ch, "coalesce", None))
+        pump = SenderPump(ch.buffer, name=ch.name)
         host, port = pump.ensure_listener()
         ch.sender_pump = pump
         self.post_actions.append(pump.start)

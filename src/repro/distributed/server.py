@@ -38,7 +38,7 @@ import traceback
 from typing import Any, Callable, List, Optional
 
 from repro.errors import RemoteError
-from repro.kpn.network import Network
+from repro.kpn.network import BACKENDS, Network
 from repro.kpn.process import Process
 from repro.distributed.codebase import SourceShippingPickler, dumps_shipped
 from repro.distributed.migration import loads_migration
@@ -52,7 +52,8 @@ from repro.telemetry.clock import ProbeSample, estimate_offset
 from repro.telemetry.distributed import (TraceContext, activate,
                                          current_context, event_to_dict)
 
-__all__ = ["ComputeServer", "ServerClient", "Runnable"]
+__all__ = ["ComputeServer", "ServerClient", "Runnable", "add_server_arguments",
+           "serve"]
 
 
 class Runnable:
@@ -195,8 +196,9 @@ class ComputeServer:
             if op == "wait_snapshot":
                 return {"ok": True, "snapshot": self.network.wait_snapshot()}
             if op == "grow_channel":
-                grown = self.network.grow_channel(request["channel"],
-                                                  request["capacity"])
+                grown = self.network.grow_channel(
+                    request["channel"], request["capacity"],
+                    request.get("process", ""))
                 return {"ok": True, "grown": grown}
             if op == "stats":
                 failures = [
@@ -362,10 +364,13 @@ class ServerClient:
         """Per-server blocking snapshot (distributed deadlock detection)."""
         return self._request({"op": "wait_snapshot"})["snapshot"]
 
-    def grow_channel(self, channel: str, capacity: int) -> bool:
-        """Grow a channel buffer on the remote server by name."""
+    def grow_channel(self, channel: str, capacity: int,
+                     process: str = "") -> bool:
+        """Grow a channel buffer on the remote server by name (see
+        :meth:`repro.kpn.network.Network.grow_channel`)."""
         return self._request({"op": "grow_channel", "channel": channel,
-                              "capacity": capacity})["grown"]
+                              "capacity": capacity,
+                              "process": process})["grown"]
 
     def stats(self) -> dict:
         return self._request({"op": "stats"})
@@ -411,8 +416,9 @@ class ServerClient:
                 self._sock = None
 
 
-def main(argv: Optional[List[str]] = None) -> None:  # pragma: no cover
-    parser = argparse.ArgumentParser(description="repro compute server")
+def add_server_arguments(parser: argparse.ArgumentParser) -> None:
+    """The compute server's options: the one spelling, shared by ``python
+    -m repro.distributed.server`` and ``repro server``."""
     parser.add_argument("--port", type=int, default=0)
     parser.add_argument("--name", default="server")
     parser.add_argument("--registry", default=None,
@@ -424,18 +430,29 @@ def main(argv: Optional[List[str]] = None) -> None:  # pragma: no cover
     parser.add_argument("--profile", action="store_true",
                         help="enable the continuous KPN profiler — implies "
                              "--telemetry (also: REPRO_PROFILE=1)")
+    # spelled out, not imported: repro.parallel pulls numpy into a process
+    # that may never run a task (setup time and resident memory)
     parser.add_argument("--executor", default=None,
-                        choices=["inline", "thread", "process"],
+                        choices=("inline", "process"),
                         help="compute backend for shipped tasks and hosted "
                              "workers (also: REPRO_EXECUTOR)")
     parser.add_argument("--pool-size", type=int, default=None,
-                        help="process/thread pool width (also: REPRO_POOL_SIZE;"
+                        help="process pool width (also: REPRO_POOL_SIZE;"
                              " default: CPU count)")
-    parser.add_argument("--backend", default=None,
-                        choices=["thread", "async"],
+    parser.add_argument("--backend", default=None, choices=BACKENDS,
                         help="scheduler backend for the hosted network "
                              "(also: REPRO_BACKEND; default thread)")
-    args = parser.parse_args(argv)
+
+
+def main(argv: Optional[List[str]] = None) -> None:  # pragma: no cover
+    parser = argparse.ArgumentParser(description="repro compute server")
+    add_server_arguments(parser)
+    serve(parser.parse_args(argv))
+
+
+def serve(args: argparse.Namespace) -> None:  # pragma: no cover
+    """Run a compute server configured by parsed
+    :func:`add_server_arguments` options, until the process is killed."""
     if args.telemetry:
         _telemetry.enable()
     if args.profile:

@@ -31,7 +31,6 @@ like the paper's RedirectedInputStream + SequenceInputStream).
 
 from __future__ import annotations
 
-import os
 import pickle
 import queue
 import socket
@@ -51,27 +50,15 @@ __all__ = ["SenderPump", "ReceiverPump", "LINK_CHUNK", "COALESCE_WATERMARK",
            "LINK_SOCKBUF"]
 
 
-def _env_bytes(name: str, default: int) -> int:
-    """Integer byte-count from the environment, falling back on nonsense."""
-    raw = os.environ.get(name, "")
-    try:
-        return int(raw) if raw else default
-    except ValueError:
-        return default
-
-
 #: bytes read from the local buffer per pump read
-#: (override: env ``REPRO_LINK_CHUNK`` or the pump's ``chunk`` argument)
-LINK_CHUNK = _env_bytes("REPRO_LINK_CHUNK", 64 * 1024)
+LINK_CHUNK = 64 * 1024
 
 #: coalescing watermark: maximum payload bytes packed into one DATA frame.
 #: The sender never *waits* for this much — it sends whatever one blocking
 #: read returned plus anything already buffered, so latency is unaffected
 #: while back-to-back small writes share one frame.  0 disables
 #: coalescing (one buffer read per frame, the pre-coalescing behaviour).
-#: Override: env ``REPRO_COALESCE_WATERMARK`` or the pump's ``coalesce``
-#: argument.
-COALESCE_WATERMARK = _env_bytes("REPRO_COALESCE_WATERMARK", 4 * LINK_CHUNK)
+COALESCE_WATERMARK = 4 * LINK_CHUNK
 
 #: cap on memoryview segments per coalesced frame (stays well under any
 #: platform's IOV_MAX for the scatter-gather sendmsg)
@@ -84,19 +71,17 @@ _MAX_DRAIN = 8 * 1024 * 1024
 #: kernel send/receive buffer size requested for link sockets.  Generous
 #: in-kernel buffering lets each pump run longer bursts before blocking,
 #: which matters most when producer, pumps, and consumer share few cores.
-#: Override: env ``REPRO_LINK_SOCKBUF``; 0 keeps the system default.
-LINK_SOCKBUF = _env_bytes("REPRO_LINK_SOCKBUF", 1 << 20)
+LINK_SOCKBUF = 1 << 20
 
 
 def _tune_link_socket(sock: socket.socket) -> None:
     """Apply the data-plane socket options to a freshly made link socket."""
     sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-    if LINK_SOCKBUF:
-        try:
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, LINK_SOCKBUF)
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, LINK_SOCKBUF)
-        except OSError:  # pragma: no cover - platform-dependent limits
-            pass
+    try:
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, LINK_SOCKBUF)
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, LINK_SOCKBUF)
+    except OSError:  # pragma: no cover - platform-dependent limits
+        pass
 
 
 class _LinkBase:

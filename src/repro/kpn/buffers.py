@@ -51,13 +51,14 @@ use it strictly single-producer/single-consumer.
 from __future__ import annotations
 
 import threading
+import time
 from typing import Callable, Optional
 
 from repro.errors import BrokenChannelError, ChannelClosedError
 from repro.telemetry.core import TELEMETRY as _telemetry
 
 __all__ = ["BlockAccounting", "BoundedByteBuffer", "DEFAULT_CAPACITY",
-           "set_current_task"]
+           "PARKS_CAUSES", "set_current_task"]
 
 
 class _AsyncTLS(threading.local):
@@ -80,6 +81,14 @@ def set_current_task(task) -> None:
 #: is 1024 bytes; we match it so the paper's remark that "the default
 #: buffer capacities ... are sufficient for many programs" carries over.
 DEFAULT_CAPACITY = 1024
+
+#: the :meth:`BoundedByteBuffer.grow` causes that are resolutions of an
+#: artificial deadlock (section 3.5): the network's own monitor, and the
+#: cross-site coordinator acting through ``Network.grow_channel``.  The
+#: others — ``"presize"`` (the graph compiler applying a capacity spec),
+#: ``"migration"`` (making room for shipped bytes), ``"manual"`` — change a
+#: capacity without anything having been stuck.
+PARKS_CAUSES = ("parks", "parks-distributed")
 
 
 class BlockAccounting:
@@ -176,6 +185,14 @@ class BoundedByteBuffer:
         self._data = bytearray()
         self._read_pos = 0
         self._capacity = capacity
+        #: the capacity this buffer was built with; with :attr:`growths`
+        #: the channel's own record of its size, which every observer
+        #: reads (``Network.census``) and none copies
+        self.initial_capacity = capacity
+        #: one entry per capacity change, oldest first: ``{"t", "old",
+        #: "new", "cause", "process", "blocked"}`` (see :meth:`grow`); a
+        #: tuple, so the channels that never grow share one empty object
+        self.growths: tuple = ()
         self._read_closed = False
         self._write_closed = False
         #: close_write(aborted=True) was used: drained readers observe a
@@ -728,15 +745,18 @@ class BoundedByteBuffer:
             if self.history is not None:
                 self.history += data
 
-    def grow(self, new_capacity: int, process: str = "") -> None:
+    def grow(self, new_capacity: int, cause: str = "manual",
+             process: str = "", blocked: tuple = ()) -> None:
         """Enlarge the buffer, waking any writers blocked on a full buffer.
 
         Shrinking is rejected: it could strand already-buffered data above
         the bound and is never needed by Parks' algorithm, which only ever
-        increases capacities.  ``process`` names the blocked writer the
-        growth unblocks: the instant is emitted from the deadlock-monitor
-        thread, so without an explicit arg it could not be joined with the
-        process's block span.
+        increases capacities.  Every change is appended to
+        :attr:`growths` with its ``cause`` (:data:`PARKS_CAUSES`,
+        ``"presize"``, ``"migration"`` or ``"manual"``), the blocked
+        writer it frees (``process`` — the call comes from a monitor
+        thread, so the name must be handed in to be joinable with that
+        writer's block span) and every actor ``blocked`` at the time.
         """
         with self._lock:
             if new_capacity < self._capacity:
@@ -745,12 +765,17 @@ class BoundedByteBuffer:
                     f"{self._capacity} -> {new_capacity}")
             old = self._capacity
             self._capacity = new_capacity
+            if new_capacity != old:
+                self.growths += ({
+                    "t": time.monotonic(), "old": old, "new": new_capacity,
+                    "cause": cause, "process": process,
+                    "blocked": tuple(blocked)},)
             self._not_full.notify_all()
             self._wake_async_writers()
         if _telemetry.enabled and new_capacity != old:
             _telemetry.instant("channel.grow", category="kpn.channel",
                                channel=self.name, old=old, new=new_capacity,
-                               process=process)
+                               process=process, cause=cause)
             _telemetry.inc("kpn.channel.grow_events", 1, channel=self.name)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -158,26 +158,11 @@ class Channel:
         Blocked-thread accounting shared with the owning network's
         deadlock monitor.  Installed automatically by
         :class:`repro.kpn.network.Network`.
-    link_chunk:
-        Bytes per pump read when this channel is stretched over a socket
-        link (default: :data:`repro.distributed.sockets.LINK_CHUNK`, env
-        ``REPRO_LINK_CHUNK``).
-    coalesce:
-        Coalescing watermark for this channel's sender pump — the maximum
-        bytes packed into one DATA frame (0 disables coalescing; default:
-        :data:`repro.distributed.sockets.COALESCE_WATERMARK`, env
-        ``REPRO_COALESCE_WATERMARK``).
     """
 
     def __init__(self, capacity: int = DEFAULT_CAPACITY, name: str = "",
-                 accounting: Optional[BlockAccounting] = None,
-                 link_chunk: Optional[int] = None,
-                 coalesce: Optional[int] = None) -> None:
+                 accounting: Optional[BlockAccounting] = None) -> None:
         self.name = name or f"channel-{next(_channel_counter)}"
-        #: per-channel socket-link tuning, consumed by the migration
-        #: machinery when it installs pumps for this channel
-        self.link_chunk = link_chunk
-        self.coalesce = coalesce
         self.buffer = BoundedByteBuffer(capacity, name=self.name,
                                         accounting=accounting)
         #: the consumer end of the local pipe.  It reads ahead, so the
@@ -193,7 +178,8 @@ class Channel:
         self._output: Optional[ChannelOutputStream] = None
         #: set by the graph compiler when this channel's ring is bypassed
         #: by an intra-chain fused pipe (name and endpoints survive; the
-        #: profiler and capacity advisor skip fused channels)
+        #: ring's byte counts then stay zero, so every observer reports
+        #: the channel as fused rather than as idle)
         self.fused = False
 
     # -- endpoints ---------------------------------------------------------
@@ -216,8 +202,9 @@ class Channel:
     def capacity(self) -> int:
         return self.buffer.capacity
 
-    def grow(self, new_capacity: int, process: str = "") -> None:
-        self.buffer.grow(new_capacity, process=process)
+    def grow(self, new_capacity: int, cause: str = "manual",
+             process: str = "", blocked: tuple = ()) -> None:
+        self.buffer.grow(new_capacity, cause, process, blocked)
 
     def set_accounting(self, accounting: Optional[BlockAccounting]) -> None:
         self.buffer.accounting = accounting
@@ -234,10 +221,14 @@ class Channel:
         return self.reader.take_held() + self.buffer.drain()
 
     def occupancy(self) -> dict:
-        """Current fill level for the profiler's channel sampling."""
+        """This channel's row of :meth:`Network.census`: what the buffer
+        records about itself, plus the endpoint's read-ahead."""
+        buffer = self.buffer
         entry = {"channel": self.name, "buffered": self.buffered(),
-                 "capacity": self.buffer.capacity,
-                 "high_watermark": self.buffer.high_watermark}
+                 "capacity": buffer.capacity,
+                 "initial_capacity": buffer.initial_capacity,
+                 "high_watermark": buffer.high_watermark,
+                 "total_written": buffer.total_written}
         if self.fused:
             entry["fused"] = True
         return entry

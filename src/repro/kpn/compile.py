@@ -358,7 +358,6 @@ class FusedChain(CompositeProcess):
         # pipe i carries stage i -> stage i+1
         for pipe, driver in zip(self.pipes, self.drivers):
             pipe.upstream = driver
-        self._traced = False
 
     @property
     def channel_names(self) -> List[str]:
@@ -371,25 +370,6 @@ class FusedChain(CompositeProcess):
                 driver.drive()
         finally:
             self.end()
-
-    def begin(self) -> None:
-        """Open the chain's own span (whoever drives the stages — this
-        thread, or a cooperative task — calls this first)."""
-        self._traced = _telemetry.enabled
-        if self._traced:
-            _telemetry.begin(self.name, category="kpn.process",
-                             kind="FusedChain", members=len(self.processes),
-                             process=self.name)
-
-    def end(self) -> None:
-        """Every stage has finished: surface the first failure, close the
-        span."""
-        failures = [p for p in self.processes if p.failure is not None]
-        if failures:
-            self.failure = failures[0].failure
-        if self._traced:
-            _telemetry.end(self.name, category="kpn.process",
-                           failures=len(failures), process=self.name)
 
 
 # ---------------------------------------------------------------------------
@@ -551,6 +531,10 @@ class FusionPlan:
             for s in stages:
                 members.remove(s)
             members.insert(idx, chain)
+            if container is net:
+                # registered like Network.add would, or start() appends
+                # the chain to net.processes a second time
+                net._process_ids.add(id(chain))
             self.fused.append(chain)
             if _telemetry.enabled:
                 _telemetry.instant("compile.fuse", category="kpn.compile",
@@ -564,7 +548,7 @@ class FusionPlan:
                 continue
             old = ch.capacity
             if cap > old:
-                ch.grow(cap, process="compile")
+                ch.grow(cap, "presize")
                 self.presized.append((name, old, cap))
         if _telemetry.enabled:
             _telemetry.inc("kpn.compile.chains", len(self.chains))

@@ -33,10 +33,10 @@ import time
 from typing import Iterable, List, Optional
 
 from repro.errors import DeadlockError
-from repro.kpn.buffers import BlockAccounting, DEFAULT_CAPACITY
+from repro.kpn.buffers import BlockAccounting, DEFAULT_CAPACITY, PARKS_CAUSES
 from repro.kpn.channel import Channel
 from repro.kpn.process import CompositeProcess, Process
-from repro.kpn.scheduler import DeadlockMonitor, DeadlockPolicy
+from repro.kpn.scheduler import DeadlockMonitor, DeadlockPolicy, GrowthEvent
 from repro.kpn.topology import Topology, build_topology, is_remote
 
 __all__ = ["Network", "BACKENDS", "resolve_backend"]
@@ -504,6 +504,33 @@ class Network:
             "remote_links": remote,
         }
 
+    def census(self) -> dict:
+        """The one reading of the network's run-time state.
+
+        :meth:`wait_snapshot` (who is blocked where) plus ``channels`` —
+        per channel name ``{buffered, capacity, initial_capacity,
+        high_watermark, total_written, fused}``, ``buffered`` counting
+        the consumer endpoint's read-ahead — and ``growths``, every
+        capacity change in order with its cause.  The facts live on the
+        channels' buffers; this only reads them, and every observer
+        (tracer, profiler, capacity advisor, visualiser) reads this.
+        Built on demand, never from a start, a step or the monitor.
+        """
+        census = self.wait_snapshot()
+        with self._lock:
+            channels = list(self.channels)
+        census["channels"] = {ch.name: dict(ch.occupancy(), fused=ch.fused)
+                              for ch in channels}
+        census["growths"] = self._growths(channels)
+        return census
+
+    @staticmethod
+    def _growths(channels) -> list:
+        """The channels' own growth records, merged oldest first."""
+        return sorted((dict(g, channel=ch.name) for ch in channels
+                       for g in ch.buffer.growths),
+                      key=lambda g: g["t"])
+
     def channel_by_name(self, name: str) -> Optional[Channel]:
         with self._lock:
             for ch in self.channels:
@@ -511,13 +538,17 @@ class Network:
                     return ch
         return None
 
-    def grow_channel(self, name: str, new_capacity: int) -> bool:
-        """Grow a channel by name (remote-resolution hook); False if the
-        channel is unknown here."""
+    def grow_channel(self, name: str, new_capacity: int,
+                     process: str = "") -> bool:
+        """Grow a channel by name on behalf of a cross-site coordinator
+        resolving a global artificial deadlock (section 6.2), ``process``
+        being the blocked writer it saw; False if the channel is unknown
+        here."""
         ch = self.channel_by_name(name)
         if ch is None:
             return False
-        ch.grow(new_capacity)
+        ch.grow(new_capacity, "parks-distributed", process,
+                (process,) if process else ())
         return True
 
     def has_remote_links(self) -> bool:
@@ -535,5 +566,10 @@ class Network:
     def total_buffered_bytes(self) -> int:
         return sum(ch.buffered() for ch in self.channels)
 
-    def growth_events(self):
-        return list(self.monitor.growth_events) if self.monitor else []
+    def growth_events(self) -> List[GrowthEvent]:
+        """Parks resolutions so far, local and distributed, oldest first."""
+        with self._lock:
+            channels = list(self.channels)
+        return [GrowthEvent(g["channel"], g["old"], g["new"], g["blocked"])
+                for g in self._growths(channels)
+                if g["cause"] in PARKS_CAUSES]

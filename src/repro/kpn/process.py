@@ -306,15 +306,62 @@ class IterativeProcess(Process):
             return ctrl.park() == "abandon"
         return False
 
-    def run(self) -> None:
-        abandoned = False
+    # -- the Figure 4 protocol, once ----------------------------------------
+    # The thread loop below and the call-at-a-time driver both go through
+    # these three: what starts a process, what an exception out of a step
+    # means, and what finishing does.
+    def _begin(self, **span_args) -> bool:
+        """Open the process's span; True if telemetry is recording it."""
         traced = _telemetry.enabled
         if traced:
             # `process` repeats the span name so kpn.process / kpn.block /
             # kpn.channel events are all joinable on the same arg key
             _telemetry.begin(self.name, category="kpn.process",
-                             kind=type(self).__name__, process=self.name)
+                             kind=type(self).__name__, process=self.name,
+                             **span_args)
             _telemetry.inc("kpn.process.started")
+        return traced
+
+    def _ended_by(self, exc: Exception) -> str:
+        """Why ``exc`` ends the process (recording what must be kept)."""
+        if isinstance(exc, StopProcess):
+            # Voluntary, data-dependent termination (Guard, ConsumerTask
+            # finding its answer): treated like an iteration limit.
+            return "stop"
+        if isinstance(exc, ChannelError):
+            # Normal termination signal: an upstream or downstream process
+            # stopped and closed its streams (section 3.4).  A *graceful*
+            # end (EndOfStreamError after source exhaustion) closes our
+            # outputs normally; a cascade (the channel broken or closed
+            # under us) aborts them, so the abort — not a fake EOF —
+            # propagates downstream and merge tails stay deterministic.
+            if isinstance(exc, (BrokenChannelError, ChannelClosedError)):
+                self._abort_on_close = True
+            return "channel-closed"
+        self.failure = exc          # reported by join, after the cleanup
+        return "failure"
+
+    def _finish(self, reason: str, traced: bool) -> None:
+        """Run ``on_stop`` and close the span.  A channel error in the
+        cleanup is the cascade already under way; any other error is the
+        process's failure unless it already has one.  An ``"abandoned"``
+        process skips the cleanup: its streams belong to the migrated
+        copy now, and closing them would sever that copy's channels."""
+        try:
+            if reason != "abandoned":
+                self.on_stop()
+        except ChannelError:
+            pass
+        except Exception as exc:  # noqa: BLE001 - keep the cascade alive
+            if self.failure is None:
+                self.failure = exc
+        if traced:
+            _telemetry.end(self.name, category="kpn.process", reason=reason,
+                           steps=self.steps_completed, process=self.name)
+            _telemetry.inc("kpn.process.terminated", 1, reason=reason)
+
+    def run(self) -> None:
+        traced = self._begin()
         reason = "limit"
         try:
             if not self._live_migrated:
@@ -324,48 +371,22 @@ class IterativeProcess(Process):
             # it parked — "data elements are neither lost nor repeated".
             while self.iterations <= 0 or self.steps_completed < self.iterations:
                 if self._pause_point():
-                    abandoned = True
                     reason = "abandoned"
-                    return
+                    break
                 self.step()
                 self.steps_completed += 1
-        except StopProcess:
-            # Voluntary, data-dependent termination (Guard, ConsumerTask
-            # finding its answer): treated like an iteration limit.
-            reason = "stop"
-        except ChannelError as exc:
-            # Normal termination signal: an upstream or downstream process
-            # stopped and closed its streams (section 3.4).  A *graceful*
-            # end (EndOfStreamError after source exhaustion) closes our
-            # outputs normally; a cascade (the channel broken or closed
-            # under us) aborts them, so the abort — not a fake EOF —
-            # propagates downstream and merge tails stay deterministic.
-            reason = "channel-closed"
-            if isinstance(exc, (BrokenChannelError, ChannelClosedError)):
-                self._abort_on_close = True
-        except Exception as exc:  # noqa: BLE001 - report, then still clean up
-            self.failure = exc
-            reason = "failure"
-        finally:
-            if not abandoned:
-                self.on_stop()
-            # abandoned: the streams belong to the migrated copy now —
-            # closing them here would sever the moved process's channels.
-            if traced:
-                _telemetry.end(self.name, category="kpn.process",
-                               reason=reason, steps=self.steps_completed,
-                               process=self.name)
-                _telemetry.inc("kpn.process.terminated", 1, reason=reason)
+        except Exception as exc:  # noqa: BLE001 - classified, then cleaned up
+            reason = self._ended_by(exc)
+        self._finish(reason, traced)
 
 
 class _StepDriver:
     """Runs one process's on_start/step/on_stop protocol a call at a time.
 
-    Mirrors :meth:`IterativeProcess.run` — iteration limits,
-    ``StopProcess``, channel-error termination, failure capture, and the
-    process's telemetry span — minus the thread and minus live-migration
-    pause points.  It is how a process runs when something other than a
-    thread of its own decides when its next step happens: a stage of a
+    The same protocol as :meth:`IterativeProcess.run` (it calls the same
+    three methods) minus the thread and minus live-migration pause
+    points.  It is how a process runs when something other than a thread
+    of its own decides when its next step happens: a stage of a
     compiler-fused chain (pumped from inside its consumer's read), a
     cooperative task (pumped by its event loop).
     """
@@ -388,53 +409,26 @@ class _StepDriver:
         try:
             if not self.started:
                 self.started = True
-                self._traced = _telemetry.enabled
-                if self._traced:
-                    _telemetry.begin(st.name, category="kpn.process",
-                                     kind=type(st).__name__, process=st.name,
-                                     **({"fused": True} if self.fused else {}))
-                    _telemetry.inc("kpn.process.started")
+                self._traced = st._begin(**({"fused": True} if self.fused
+                                            else {}))
                 if not st._live_migrated:
                     st.on_start()
                 return True
-            if 0 < st.iterations <= st.steps_completed:
-                self._finish("limit")
-                return False
-            st.step()
-            st.steps_completed += 1
-            return True
-        except StopProcess:
-            self._finish("stop")
-        except ChannelError as exc:
-            # mirror IterativeProcess.run: a broken/closed channel is a
-            # cascade — abort the stage's outputs rather than close them
-            if isinstance(exc, (BrokenChannelError, ChannelClosedError)):
-                st._abort_on_close = True
-            self._finish("channel-closed")
-        except Exception as exc:  # noqa: BLE001 - mirror IterativeProcess.run
-            st.failure = exc
-            self._finish("failure")
+            if not 0 < st.iterations <= st.steps_completed:
+                st.step()
+                st.steps_completed += 1
+                return True
+            reason = "limit"
+        except Exception as exc:  # noqa: BLE001 - as IterativeProcess.run
+            reason = st._ended_by(exc)
+        self.finished = True
+        st._finish(reason, self._traced)
         return False
 
     def drive(self) -> None:
         """Run the process to completion."""
         while self.pump():
             pass
-
-    def _finish(self, reason: str) -> None:
-        self.finished = True
-        st = self.stage
-        try:
-            st.on_stop()
-        except ChannelError:
-            pass
-        except Exception as exc:  # noqa: BLE001 - keep the cascade alive
-            if st.failure is None:
-                st.failure = exc
-        if self._traced:
-            _telemetry.end(st.name, category="kpn.process", reason=reason,
-                           steps=st.steps_completed, process=st.name)
-            _telemetry.inc("kpn.process.terminated", 1, reason=reason)
 
 
 class CompositeProcess(Process):
@@ -472,12 +466,31 @@ class CompositeProcess(Process):
                 leaves.append(p)
         return leaves
 
-    def run(self) -> None:
-        traced = _telemetry.enabled
-        if traced:
+    #: whether :meth:`begin` opened a span for :meth:`end` to close
+    _traced = False
+
+    def begin(self) -> None:
+        """Open the composite's own span (whoever runs the members — the
+        threads below, a fused chain's one thread or task — calls this
+        first)."""
+        self._traced = _telemetry.enabled
+        if self._traced:
             _telemetry.begin(self.name, category="kpn.process",
                              kind=type(self).__name__,
                              members=len(self.processes), process=self.name)
+
+    def end(self) -> None:
+        """Every member has finished: surface the first failure, close
+        the span."""
+        failures = [p for p in self.processes if p.failure is not None]
+        if failures:
+            self.failure = failures[0].failure
+        if self._traced:
+            _telemetry.end(self.name, category="kpn.process",
+                           failures=len(failures), process=self.name)
+
+    def run(self) -> None:
+        self.begin()
         threads = []
         for p in self.processes:
             if p.network is None:
@@ -490,12 +503,7 @@ class CompositeProcess(Process):
                 threads.append(t)
         for t in threads:
             t.join()
-        failures = [p for p in self.processes if p.failure is not None]
-        if failures:
-            self.failure = failures[0].failure
-        if traced:
-            _telemetry.end(self.name, category="kpn.process",
-                           failures=len(failures), process=self.name)
+        self.end()
 
     def close_all_streams(self) -> None:
         super().close_all_streams()

@@ -52,7 +52,8 @@ __all__ = ["DeadlockMonitor", "DeadlockPolicy", "GrowthEvent"]
 
 @dataclass
 class GrowthEvent:
-    """Record of one capacity-growth action (for tests and benchmarks)."""
+    """One resolution of an artificial deadlock: a view of the entry the
+    grown channel's buffer keeps (``BoundedByteBuffer.growths``)."""
 
     channel_name: str
     old_capacity: int
@@ -112,7 +113,6 @@ class DeadlockMonitor:
         self.network = network
         self.policy = policy or DeadlockPolicy()
         self.on_event = on_event
-        self.growth_events: List[GrowthEvent] = []
         #: wait-graph snapshots the stall watchdog captured (newest last)
         self.stall_snapshots: List[dict] = []
         self.error: Optional[Exception] = None
@@ -125,6 +125,10 @@ class DeadlockMonitor:
         self._stall_gen: Optional[int] = None
         self._stall_since: float = 0.0
         self._stall_reported = False
+
+    @property
+    def growth_events(self) -> List[GrowthEvent]:
+        return self.network.growth_events()
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> None:
@@ -291,13 +295,11 @@ class DeadlockMonitor:
         new = min(old * self.policy.growth_factor, self.policy.max_capacity)
         if new <= old:
             return False
-        # grow() emits the channel.grow instant from *this* monitor thread;
-        # hand it the blocked writer's name so the profiler can attribute
-        # the growth to the process it unblocks.
+        # the buffer records the growth (and emits the channel.grow
+        # instant) from *this* monitor thread; hand it the blocked writer's
+        # name so readers can attribute the growth to the process it frees
         writers = sorted(t.name for b, t in write_waits if b is buffer)
-        buffer.grow(new, process=writers[0] if writers else "")
-        event = GrowthEvent(buffer.name, old, new, names)
-        self.growth_events.append(event)
+        buffer.grow(new, "parks", writers[0] if writers else "", names)
         if _telemetry.enabled:
             # buffer.grow already emitted the channel.grow instant; this
             # one carries the scheduler's verdict (who was blocked).
@@ -306,7 +308,7 @@ class DeadlockMonitor:
                                blocked=len(names))
             _telemetry.inc("kpn.scheduler.artificial_deadlocks")
         if self.on_event is not None:
-            self.on_event(event)
+            self.on_event(GrowthEvent(buffer.name, old, new, names))
         return True
 
     def _resolve_true(self, names) -> None:

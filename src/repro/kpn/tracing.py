@@ -1,22 +1,11 @@
-"""Execution tracing: observe a running network without perturbing it.
+"""Execution tracing: a timeline of census readings.
 
-The paper's systems story (fairness from bounded buffers, overlap of
-communication and computation, buffer growth under Parks scheduling) is
-about *dynamics*; this module makes those dynamics measurable:
-
-* :class:`Tracer` samples every channel's occupancy and the network's
-  blocked-thread census on a fixed period (pure readers — no locks taken
-  beyond the buffers' own, no channel semantics touched);
-* the result is a :class:`TraceReport` with per-channel high-water marks,
-  occupancy/blocked timelines, throughput figures, and capacity-growth
-  events, exportable as JSON or a text summary.
-
-Typical use::
-
-    net = Network(); ...build...
-    with Tracer(net, period=0.005) as tracer:
-        net.run()
-    print(tracer.report().summary())
+Capacities, high-water marks, bytes through and capacity growths are kept
+by the channels and read with :meth:`Network.census`; what nobody keeps is
+how that state moved *over time*.  ``with Tracer(net) as tracer:
+net.run()`` reads the census on a fixed period and keeps each channel's
+occupancy and the blocked-actor counts as timelines; the totals of
+``tracer.report()`` are the final census, never a maximum over samples.
 """
 
 from __future__ import annotations
@@ -24,25 +13,27 @@ from __future__ import annotations
 import json
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import asdict, dataclass, field
+from typing import Dict, List
 
 from repro.kpn.network import Network
-from repro.telemetry.core import TELEMETRY as _telemetry, Event
 
 __all__ = ["Tracer", "TraceReport", "ChannelTrace"]
+
+#: readings after which the sampling thread stops (bounds the timelines)
+MAX_SAMPLES = 100000
 
 
 @dataclass
 class ChannelTrace:
-    """Per-channel observations."""
+    """One channel's final census row plus its ``(t, buffered)`` timeline."""
 
     name: str
     capacity_initial: int
-    capacity_final: int = 0
-    high_water: int = 0
-    total_bytes: int = 0
-    #: (t, occupancy) samples
+    capacity_final: int
+    high_water: int
+    total_bytes: int
+    fused: bool = False
     occupancy: List[tuple] = field(default_factory=list)
 
     @property
@@ -51,19 +42,19 @@ class ChannelTrace:
 
     @property
     def peak_utilization(self) -> float:
-        cap = max(self.capacity_final, 1)
-        return self.high_water / cap
+        return self.high_water / max(self.capacity_final, 1)
 
 
 @dataclass
 class TraceReport:
-    """Everything a trace run collected."""
+    """The final census, and the timelines sampled on the way there."""
 
     duration: float
     samples: int
     channels: Dict[str, ChannelTrace]
-    #: (t, read_blocked, write_blocked) census timeline
+    #: (t, read_blocked, write_blocked) actor counts
     blocked_timeline: List[tuple] = field(default_factory=list)
+    #: the census' ``growths``: every capacity change, with its cause
     growth_events: List[dict] = field(default_factory=list)
 
     def hottest_channels(self, n: int = 5) -> List[ChannelTrace]:
@@ -74,108 +65,55 @@ class TraceReport:
         return sum(c.total_bytes for c in self.channels.values())
 
     def max_blocked(self) -> tuple:
-        """Peak simultaneous (read-blocked, write-blocked) thread counts."""
-        r = max((entry[1] for entry in self.blocked_timeline), default=0)
-        w = max((entry[2] for entry in self.blocked_timeline), default=0)
-        return r, w
+        """Peak simultaneous (read-blocked, write-blocked) actor counts."""
+        return (max((e[1] for e in self.blocked_timeline), default=0),
+                max((e[2] for e in self.blocked_timeline), default=0))
 
     def summary(self) -> str:
-        lines = [
-            f"trace: {self.duration:.3f}s, {self.samples} samples, "
-            f"{self.total_bytes_moved()} bytes moved, "
-            f"{len(self.growth_events)} growths",
-        ]
+        fused = sum(c.fused for c in self.channels.values())
+        # a fused channel's ring is bypassed: it is unmetered, not idle
+        moved = (f"{fused} fused channel(s) not metered" if fused
+                 and fused == len(self.channels)
+                 else f"{self.total_bytes_moved()} bytes moved"
+                 + (f" (+{fused} fused, not metered)" if fused else ""))
         r, w = self.max_blocked()
-        lines.append(f"peak blocked threads: {r} reading, {w} writing")
-        for ch in self.hottest_channels():
-            grown = (f" (grew {ch.capacity_initial}->{ch.capacity_final})"
-                     if ch.grew else "")
-            lines.append(
-                f"  {ch.name}: high-water {ch.high_water}B of "
-                f"{ch.capacity_final}B{grown}, {ch.total_bytes}B through")
+        lines = [f"trace: {self.duration:.3f}s, {self.samples} samples, "
+                 f"{moved}, {len(self.growth_events)} growths",
+                 f"peak blocked actors: {r} reading, {w} writing"]
+        lines += [f"  {c.name}: fused into a chain" if c.fused else
+                  f"  {c.name}: high-water {c.high_water}B of {c.capacity_final}B"
+                  f" (initially {c.capacity_initial}B), {c.total_bytes}B through"
+                  for c in self.hottest_channels()]
         return "\n".join(lines)
 
     def to_json(self) -> str:
-        return json.dumps({
-            "duration": self.duration,
-            "samples": self.samples,
-            "growth_events": self.growth_events,
-            "blocked_timeline": self.blocked_timeline,
-            "channels": {
-                name: {
-                    "capacity_initial": c.capacity_initial,
-                    "capacity_final": c.capacity_final,
-                    "high_water": c.high_water,
-                    "total_bytes": c.total_bytes,
-                    "occupancy": c.occupancy,
-                }
-                for name, c in self.channels.items()
-            },
-        })
+        return json.dumps(asdict(self))
 
 
 class Tracer:
-    """Periodic sampler over a network's channels and accounting.
+    """Reads :meth:`Network.census` every ``period`` seconds; channels
+    created during the run appear in the next reading."""
 
-    Channels created *during* the run (self-reconfiguring graphs) are
-    picked up automatically on the next sample.
-    """
-
-    def __init__(self, network: Network, period: float = 0.005,
-                 keep_timelines: bool = True, max_samples: int = 100000) -> None:
+    def __init__(self, network: Network, period: float = 0.005) -> None:
         self.network = network
         self.period = period
-        self.keep_timelines = keep_timelines
-        self.max_samples = max_samples
-        self._channels: Dict[str, ChannelTrace] = {}
+        self._occupancy: Dict[str, List[tuple]] = {}
         self._blocked: List[tuple] = []
-        self._samples = 0
-        self._t0 = 0.0
-        self._elapsed = 0.0
-        self._stop = threading.Event()
-        self._thread: Optional[threading.Thread] = None
-        #: growth events collected off the telemetry bus (when enabled),
-        #: replacing the monitor double-bookkeeping
-        self._bus_growths: List[dict] = []
-        self._bus_lock = threading.Lock()
-        self._subscribed = False
-
-    # -- lifecycle ---------------------------------------------------------
-    def start(self) -> "Tracer":
         self._t0 = time.monotonic()
-        if _telemetry.enabled:
-            # Event-bus mode: growth events arrive as channel.grow
-            # instants; the sampling loop below still owns the occupancy
-            # and blocked-census timelines (those are censuses, not
-            # events).
-            _telemetry.subscribe(self._on_event)
-            self._subscribed = True
+        self._stop = threading.Event()
         self._thread = threading.Thread(target=self._run, name="tracer",
                                         daemon=True)
+
+    def start(self) -> "Tracer":
+        self._t0 = time.monotonic()
         self._thread.start()
         return self
 
-    def _on_event(self, event: Event) -> None:
-        if event.name == "channel.grow" and event.args:
-            with self._bus_lock:
-                self._bus_growths.append({
-                    "channel": event.args.get("channel"),
-                    "old": event.args.get("old"),
-                    "new": event.args.get("new"),
-                })
-
     def stop(self) -> None:
         self._stop.set()
-        if self._thread is not None:
+        if self._thread.is_alive():
             self._thread.join(timeout=5)
-        if self._subscribed:
-            _telemetry.unsubscribe(self._on_event)
-            self._subscribed = False
-        # Final sample *before* freezing the duration (it catches post-run
-        # totals), so its timestamp cannot land past the reported duration
-        # in to_json() timelines; _sample additionally clamps.
-        self._sample()
-        self._elapsed = time.monotonic() - self._t0
+        self._read()    # the post-run state; its time is the duration
 
     def __enter__(self) -> "Tracer":
         return self.start()
@@ -183,53 +121,26 @@ class Tracer:
     def __exit__(self, exc_type, exc, tb) -> None:
         self.stop()
 
-    # -- sampling ----------------------------------------------------------
     def _run(self) -> None:
-        while not self._stop.is_set() and self._samples < self.max_samples:
-            self._sample()
+        while not self._stop.is_set() and len(self._blocked) < MAX_SAMPLES:
+            self._read()
             self._stop.wait(self.period)
 
-    def _sample(self) -> None:
-        now = time.monotonic() - self._t0
-        if self._elapsed:
-            now = min(now, self._elapsed)
-        self._samples += 1
-        with self.network._lock:
-            channels = list(self.network.channels)
-        for ch in channels:
-            trace = self._channels.get(ch.name)
-            if trace is None:
-                trace = ChannelTrace(ch.name, ch.capacity)
-                self._channels[ch.name] = trace
-            occupancy = ch.buffered()
-            trace.high_water = max(trace.high_water, occupancy)
-            trace.capacity_final = ch.capacity
-            trace.total_bytes = ch.buffer.total_written
-            if self.keep_timelines:
-                trace.occupancy.append((round(now, 6), occupancy))
-        acct = self.network.accounting
-        if self.keep_timelines:
-            self._blocked.append((round(now, 6), acct.read_blocked,
-                                  acct.write_blocked))
+    def _read(self) -> None:
+        census = self.network.census()
+        now = round(time.monotonic() - self._t0, 6)
+        for name, row in census["channels"].items():
+            self._occupancy.setdefault(name, []).append((now, row["buffered"]))
+        modes = [b["mode"] for b in census["blocked"]]
+        self._blocked.append((now, modes.count("read"), modes.count("write")))
 
-    # -- results ------------------------------------------------------------
     def report(self) -> TraceReport:
-        with self.network._lock:
-            known = {ch.name for ch in self.network.channels}
-        with self._bus_lock:
-            # the bus is process-wide; keep only this network's channels
-            growths = [g for g in self._bus_growths if g["channel"] in known]
-        if not growths:
-            # Telemetry was off during the run: fall back to the
-            # monitor's own growth bookkeeping.
-            growths = [
-                {"channel": e.channel_name, "old": e.old_capacity,
-                 "new": e.new_capacity}
-                for e in (self.network.monitor.growth_events
-                          if self.network.monitor else [])
-            ]
-        duration = self._elapsed or (time.monotonic() - self._t0)
-        return TraceReport(duration=duration, samples=self._samples,
-                           channels=dict(self._channels),
-                           blocked_timeline=list(self._blocked),
-                           growth_events=growths)
+        census = self.network.census()
+        channels = {
+            name: ChannelTrace(name, row["initial_capacity"], row["capacity"],
+                               row["high_watermark"], row["total_written"],
+                               row["fused"], list(self._occupancy.get(name, ())))
+            for name, row in census["channels"].items()}
+        blocked = list(self._blocked)
+        return TraceReport(blocked[-1][0] if blocked else 0.0, len(blocked),
+                           channels, blocked, census["growths"])

@@ -4,9 +4,10 @@ The paper imagines "a visual front end ... for programming", generating
 code from a drawn graph.  Going the other direction is immediately
 useful: render a built network in Graphviz DOT (for papers, debugging,
 documentation) or as an indented ASCII adjacency listing (for terminals
-and tests).  Optionally annotates edges with trace data — capacity,
-high-water mark, bytes moved — turning a :class:`~repro.kpn.tracing.TraceReport`
-into a labelled dataflow diagram.
+and tests).  Edges are labelled from :meth:`Network.census` — bytes
+moved, high-water mark, capacity, or "fused" where the graph compiler
+bypassed the ring — so rendering a network after it ran gives a
+measured dataflow diagram.
 """
 
 from __future__ import annotations
@@ -34,13 +35,28 @@ def _style_for(process_type: str) -> str:
     return "#f4f4f4"
 
 
-def to_dot(network: Network, trace=None, title: Optional[str] = None) -> str:
-    """Render the network as Graphviz DOT.
+def _census_rows(network: Network, topology) -> Dict[str, dict]:
+    """The census row of every channel in the topology."""
+    rows = network.census()["channels"]
+    # a channel reached only through a stream is in no network's census
+    return {edge.name: rows.get(edge.name) or edge.channel.occupancy()
+            for edge in topology.edges}
 
-    ``trace`` (a TraceReport) adds per-edge annotations; remote-linked
-    channels are drawn with dashed edges to a cloud node.
-    """
+
+def _note(row: dict) -> str:
+    """What the census knows about one channel, as an edge annotation."""
+    if row.get("fused"):
+        return "fused"
+    return (f"{row['total_written']}B, "
+            f"hw {row['high_watermark']}/{row['capacity']}")
+
+
+def to_dot(network: Network, title: Optional[str] = None) -> str:
+    """Render the network as Graphviz DOT, edges labelled from the
+    census (fused edges dotted); remote-linked channels are drawn with
+    dashed edges to a cloud node."""
     topology = network.topology()
+    rows = _census_rows(network, topology)
     lines = ["digraph kpn {",
              "  rankdir=LR;",
              "  node [shape=box, style=filled, fontname=\"Helvetica\"];"]
@@ -52,14 +68,10 @@ def to_dot(network: Network, trace=None, title: Optional[str] = None) -> str:
             f"  \"{p.name}\" [label=\"{p.name}\\n({ptype})\", "
             f"fillcolor=\"{_style_for(ptype)}\"];")
     for src, dst, edge in topology.links():
-        channel = edge.name
-        label = f"{channel}\\ncap {edge.channel.capacity}"
-        if trace is not None and channel in trace.channels:
-            t = trace.channels[channel]
-            label = (f"{channel}\\n{t.total_bytes}B, "
-                     f"hw {t.high_water}/{t.capacity_final}")
+        row = rows[edge.name]
         lines.append(f"  \"{src.name}\" -> \"{dst.name}\" "
-                     f"[label=\"{label}\"];")
+                     f"[label=\"{edge.name}\\n{_note(row)}\""
+                     f"{', style=dotted' if row.get('fused') else ''}];")
 
     # remote links: dashed edges to/from a cloud placeholder
     remote = [e for e in topology.edges if e.remote]
@@ -77,21 +89,17 @@ def to_dot(network: Network, trace=None, title: Optional[str] = None) -> str:
     return "\n".join(lines)
 
 
-def to_ascii(network: Network, trace=None) -> str:
-    """Terminal-friendly adjacency rendering."""
-    g = network.graph()
+def to_ascii(network: Network) -> str:
+    """Terminal-friendly adjacency rendering, annotated like the DOT."""
+    topology = network.topology()
+    rows = _census_rows(network, topology)
     adjacency: Dict[str, list] = {}
-    for src, dst, data in g.edges(data=True):
-        adjacency.setdefault(src, []).append((dst, data.get("channel", "")))
-    lines = [f"network {network.name!r}: {g.number_of_nodes()} processes, "
-             f"{g.number_of_edges()} channels"]
-    for node in sorted(g.nodes):
-        ptype = g.nodes[node].get("process", "?")
-        lines.append(f"  {node} ({ptype})")
-        for dst, channel in sorted(adjacency.get(node, [])):
-            extra = ""
-            if trace is not None and channel in trace.channels:
-                t = trace.channels[channel]
-                extra = f"  [{t.total_bytes}B, hw {t.high_water}]"
-            lines.append(f"    --{channel}--> {dst}{extra}")
+    for src, dst, edge in topology.links():
+        adjacency.setdefault(src.name, []).append((dst.name, edge.name))
+    lines = [f"network {network.name!r}: {len(topology.leaves)} processes, "
+             f"{sum(map(len, adjacency.values()))} channels"]
+    for p in sorted(topology.leaves, key=lambda p: p.name):
+        lines.append(f"  {p.name} ({type(p).__name__})")
+        for dst, channel in sorted(adjacency.get(p.name, [])):
+            lines.append(f"    --{channel}--> {dst}  [{_note(rows[channel])}]")
     return "\n".join(lines)

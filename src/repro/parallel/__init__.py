@@ -16,9 +16,8 @@ from repro.parallel.factor import (DEFAULT_BATCH, FactorConsumerResult,
                                    is_probable_prime, make_weak_key,
                                    random_prime, solve_difference)
 from repro.parallel.executor import (InlineExecutor, ProcessPool,
-                                     TaskExecutor, ThreadExecutor,
-                                     default_pool_size, resolve_executor,
-                                     shared_executor,
+                                     TaskExecutor, default_pool_size,
+                                     resolve_executor, shared_executor,
                                      shutdown_shared_executors)
 from repro.parallel.farm import FarmHandle, build_farm, run_farm
 from repro.parallel.generic import Consumer, Producer, Worker
@@ -36,7 +35,7 @@ __all__ = [
     "is_probable_prime", "make_weak_key", "random_prime", "solve_difference",
     "FarmHandle", "build_farm", "run_farm",
     "Consumer", "Producer", "Worker",
-    "InlineExecutor", "ProcessPool", "TaskExecutor", "ThreadExecutor",
+    "InlineExecutor", "ProcessPool", "TaskExecutor",
     "default_pool_size", "resolve_executor", "shared_executor",
     "shutdown_shared_executors",
     "BLOCK", "BlockTask", "CompressedBlock", "ImageProducerTask",

@@ -12,9 +12,6 @@ executor:
 
 * ``"inline"`` — run the task on the worker's own thread (the original
   behaviour, and the default: zero new moving parts);
-* ``"thread"``  — run on a shared :class:`ThreadPoolExecutor`.  Still
-  GIL-bound, but submission-path-identical to the process pool, which
-  makes it the honest baseline for the multicore benchmark;
 * ``"process"`` — run on a shared :class:`ProcessPool` of warm child
   interpreters, one per CPU by default.  The KPN worker thread blocks on
   the future while the compute sidesteps the GIL entirely.
@@ -66,13 +63,13 @@ from repro.errors import ChannelError, RemoteError
 from repro.telemetry.core import TELEMETRY as _telemetry
 
 __all__ = [
-    "TaskExecutor", "InlineExecutor", "ThreadExecutor", "ProcessPool",
+    "TaskExecutor", "InlineExecutor", "ProcessPool",
     "resolve_executor", "shared_executor", "shutdown_shared_executors",
     "default_pool_size", "EXECUTOR_KINDS",
 ]
 
 #: the executor spec names ``resolve_executor`` accepts
-EXECUTOR_KINDS = ("inline", "thread", "process")
+EXECUTOR_KINDS = ("inline", "process")
 
 _U32 = struct.Struct(">I")
 _STATUS_OK = 0
@@ -142,42 +139,6 @@ class InlineExecutor(TaskExecutor):
             return _DoneFuture(task.run())
         except BaseException as exc:  # noqa: BLE001 - future carries it
             return _DoneFuture(error=exc)
-
-
-class ThreadExecutor(TaskExecutor):
-    """A shared :class:`concurrent.futures.ThreadPoolExecutor` backend.
-
-    GIL-bound like inline execution, but tasks travel the same
-    submit/future path as the process pool — the apples-to-apples
-    baseline the multicore benchmark compares against.
-    """
-
-    kind = "thread"
-
-    def __init__(self, size: Optional[int] = None) -> None:
-        from concurrent.futures import ThreadPoolExecutor
-
-        self.size = size or default_pool_size()
-        self._pool = ThreadPoolExecutor(max_workers=self.size,
-                                        thread_name_prefix="repro-exec")
-        self.tasks_completed = 0
-
-    def submit(self, task: Any):
-        future = self._pool.submit(task.run)
-        future.add_done_callback(self._done)
-        return future
-
-    def _done(self, _future) -> None:
-        self.tasks_completed += 1
-        if _telemetry.enabled:
-            _telemetry.inc("parallel.pool_tasks", 1, backend=self.kind)
-
-    def stats(self) -> dict:
-        return {"kind": self.kind, "size": self.size,
-                "tasks_completed": self.tasks_completed}
-
-    def close(self) -> None:
-        self._pool.shutdown(wait=False, cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------
@@ -518,19 +479,15 @@ def shared_executor(kind: str, size: Optional[int] = None) -> TaskExecutor:
     with _shared_lock:
         ex = _shared.get(kind)
         if ex is None:
-            if kind == "thread":
-                ex = ThreadExecutor(size)
-            elif kind == "process":
-                ex = ProcessPool(size)
-            else:
+            if kind != "process":
                 raise ValueError(
                     f"unknown executor kind {kind!r}; known: {EXECUTOR_KINDS}")
-            _shared[kind] = ex
+            ex = _shared[kind] = ProcessPool(size)
         return ex
 
 
 def shutdown_shared_executors() -> None:
-    """Close and forget the shared thread/process executors (idempotent)."""
+    """Close and forget the shared process pool (idempotent)."""
     with _shared_lock:
         executors, _shared_state = list(_shared.values()), _shared.clear()
     for ex in executors:

@@ -75,7 +75,7 @@ def build_farm(producer_task: Any, n_workers: int = 1, mode: str = "dynamic",
     uses.
 
     ``executor`` selects the compute backend for every worker:
-    ``"inline"`` (default), ``"thread"``, ``"process"``, or a live
+    ``"inline"`` (default), ``"process"``, or a live
     :class:`~repro.parallel.executor.TaskExecutor` — see
     :mod:`repro.parallel.executor`.
     """

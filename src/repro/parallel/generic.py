@@ -64,7 +64,7 @@ class Worker(IterativeProcess):
 
     ``executor`` selects where ``task.run()`` executes: ``None`` (the
     host's ``REPRO_EXECUTOR`` setting, default inline), ``"inline"``,
-    ``"thread"``, ``"process"``, or a live
+    ``"process"``, or a live
     :class:`~repro.parallel.executor.TaskExecutor`.  The spec is resolved
     lazily in ``on_start`` so a worker shipped to a compute server uses
     *that* host's shared pool, and the KPN thread's blocking-read /

@@ -20,8 +20,11 @@ Three instrument kinds:
   the Chrome trace-event convention directly: ``"B"``/``"E"`` bracket a
   span on one thread (process lifetime, a blocked read), ``"i"`` is an
   instant (a capacity growth, a deadlock verdict).  Subscribers (the
-  :class:`~repro.kpn.tracing.Tracer`, tests) receive each event as it is
-  emitted.
+  profiler, tests) receive each event as it is emitted.  The hub tells
+  what *happened*; what is true *now* — capacities, high-water marks,
+  growths so far — is the channels' own record
+  (:meth:`repro.kpn.network.Network.census`), not something to rebuild
+  from events.
 * **counters** — monotonically increasing values keyed by name plus
   optional labels (``inc("wire.frames_sent", 1, tag="DATA")``).
 * **histograms** — count/sum/min/max plus power-of-two bucket counts,

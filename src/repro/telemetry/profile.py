@@ -10,12 +10,14 @@ module turns the event stream into answers, in three pieces:
 * :class:`Profiler` — an always-cheap accounting layer that subscribes to
   the telemetry hub and attributes each process's wall time to
   ``running`` / ``read-blocked-on-<channel>`` / ``write-blocked-on-<channel>``.
-  It is a per-thread state machine over four event kinds (process span
-  begin/end, block span begin/end, ``channel.grow`` and
-  ``channel.created`` instants), so the cost per event is a category
-  check plus a couple of dict updates under a leaf lock — safe under the
-  buffer critical sections that emit block spans, because the profiler
-  never touches channels or the hub from its callback.
+  It is a per-thread state machine over two span kinds (process
+  begin/end, block begin/end), so the cost per event is a category
+  check plus a couple of dict updates — safe under the buffer critical
+  sections that emit block spans, because the profiler never touches
+  channels or the hub from its callback.  Time is all it keeps: what a
+  channel's capacity was, is, and why it changed is the channel's own
+  record, read through :meth:`Network.census` when a snapshot is taken
+  with ``network=``.
 * :func:`analyze` — the analyzer over a profile snapshot plus the
   ``Network`` graph: ranks bottleneck channels by total blocked time,
   computes per-process utilization, walks the backpressure chain from the
@@ -50,10 +52,6 @@ __all__ = [
     "process_utilization", "render_profile", "write_capacity_spec",
 ]
 
-#: mirrors :data:`repro.kpn.buffers.DEFAULT_CAPACITY` (not imported: the
-#: kpn layer imports telemetry, so importing it back would be circular)
-_DEFAULT_CAPACITY = 1024
-
 #: advisor threshold: writers blocked for more than this fraction of the
 #: wall time marks a channel as under sustained write pressure
 _PRESSURE_FRACTION = 0.02
@@ -78,11 +76,6 @@ def _proc_entry() -> Dict[str, Any]:
             "finished": None}
 
 
-def _chan_entry() -> Dict[str, Any]:
-    return {"initial_capacity": None, "grown_to": None, "grow_events": 0,
-            "growers": []}
-
-
 class Profiler:
     """Blocked-time accounting over the hub's event stream.
 
@@ -100,8 +93,6 @@ class Profiler:
         self._threads: Dict[int, _ThreadState] = {}
         #: process name -> accumulated attribution
         self._procs: Dict[str, Dict[str, Any]] = {}
-        #: channel name -> creation/growth facts
-        self._channels: Dict[str, Dict[str, Any]] = {}
         #: events the state machine actually consumed (diagnostics)
         self.events_seen = 0
 
@@ -130,7 +121,6 @@ class Profiler:
         with self._lock:
             self._threads.clear()
             self._procs.clear()
-            self._channels.clear()
             self.events_seen = 0
         return self
 
@@ -155,7 +145,7 @@ class Profiler:
         # threading.Lock here meant a futex wait inside the buffer lock,
         # which is exactly the overhead this layer must not add.
         cat = event.category
-        if cat != "kpn.block" and cat != "kpn.process" and cat != "kpn.channel":
+        if cat != "kpn.block" and cat != "kpn.process":
             return
         ts = event.ts
         phase = event.phase
@@ -165,27 +155,10 @@ class Profiler:
                 self._enter_block(event, ts)
             elif phase == "E":
                 self._exit_block(event, ts)
-        elif cat == "kpn.process":
-            if phase == "B":
-                self._enter_process(event, ts)
-            elif phase == "E":
-                self._exit_process(event, ts)
-        else:  # kpn.channel instants
-            args = event.args or {}
-            name = args.get("channel")
-            if not name:
-                return
-            chan = self._channels.get(name)
-            if chan is None:
-                chan = self._channels[name] = _chan_entry()
-            if event.name == "channel.created":
-                chan["initial_capacity"] = args.get("capacity")
-            elif event.name == "channel.grow":
-                chan["grown_to"] = args.get("new")
-                chan["grow_events"] += 1
-                grower = args.get("process")
-                if grower and grower not in chan["growers"]:
-                    chan["growers"].append(grower)
+        elif phase == "B":
+            self._enter_process(event, ts)
+        elif phase == "E":
+            self._exit_process(event, ts)
 
     def _enter_process(self, event: Event, ts: float) -> None:
         name = event.name
@@ -273,12 +246,12 @@ class Profiler:
     def snapshot(self, network=None, now: Optional[float] = None) -> dict:
         """Picklable attribution snapshot, open intervals charged to now.
 
-        ``network`` additionally samples every channel's live occupancy /
-        capacity / high watermark into the snapshot and publishes the
-        per-channel occupancy and per-process utilization gauges on the
-        hub.  The channel sampling happens *outside* the profiler lock —
-        buffer locks and the profiler lock must never nest in both
-        orders.  ``now`` overrides the hub clock (deterministic tests).
+        ``network`` additionally copies its census (:func:`_channel_facts`)
+        into ``channels`` and publishes the per-channel occupancy and
+        per-process utilization gauges on the hub.  The census is read
+        *outside* the profiler lock — buffer locks and the profiler lock
+        must never nest in both orders.  ``now`` overrides the hub clock
+        (deterministic tests).
         """
         t = self._hub.now() if now is None else now
         # the lock serializes concurrent snapshot/reset callers, not the
@@ -307,32 +280,38 @@ class Profiler:
                 else:
                     key = f"{state.state}:{state.channel}"
                     entry["blocked"][key] = entry["blocked"].get(key, 0.0) + dt
-            channels = {name: dict(c) for name, c in list(self._channels.items())}
         snap: Dict[str, Any] = {"node": self._hub.node, "pid": os.getpid(),
-                                "t": t, "processes": procs,
-                                "channels": channels}
+                                "t": t, "processes": procs, "channels": {}}
         if network is not None:
             snap["network"] = network.name
-            for ch in list(network.channels):
-                entry = channels.setdefault(ch.name, _chan_entry())
-                occ = ch.occupancy()
-                entry["buffered"] = occ["buffered"]
-                entry["capacity"] = occ["capacity"]
-                entry["high_watermark"] = occ["high_watermark"]
-                if occ.get("fused"):
-                    entry["fused"] = True
-                if self._hub.enabled:
-                    self._hub.set_gauge("kpn.channel.occupancy_bytes",
-                                        occ["buffered"], channel=ch.name)
-                    self._hub.set_gauge("kpn.channel.capacity_bytes",
-                                        occ["capacity"], channel=ch.name)
-                    self._hub.set_gauge("kpn.channel.high_watermark_bytes",
-                                        occ["high_watermark"], channel=ch.name)
+            snap["channels"] = _channel_facts(network.census())
             if self._hub.enabled:
-                for name, util in process_utilization(snap).items():
-                    self._hub.set_gauge("kpn.process.utilization",
-                                        round(util, 4), process=name)
+                from repro.telemetry.core import parse_key
+                from repro.telemetry.export import profile_gauges
+
+                for key, value in profile_gauges(snap).items():
+                    name, labels = parse_key(key)
+                    self._hub.set_gauge(name, value, **dict(labels))
         return snap
+
+
+def _channel_facts(census: Mapping[str, Any]) -> Dict[str, Dict[str, Any]]:
+    """A census as the snapshot's ``channels``: each row, plus what the
+    advisor asks of the growth list — ``grown_to`` (the capacity, once
+    above the initial one, whatever raised it), ``grow_events`` (how many
+    raises resolved an artificial deadlock) and ``growers`` (the blocked
+    writers those resolutions freed)."""
+    from repro.kpn.buffers import PARKS_CAUSES   # kpn imports telemetry
+
+    parks = [g for g in census["growths"] if g["cause"] in PARKS_CAUSES]
+    facts = {}
+    for name, row in census["channels"].items():
+        freed = [g["process"] for g in parks if g["channel"] == name]
+        grew = row["capacity"] > row["initial_capacity"]
+        facts[name] = dict(row, grown_to=row["capacity"] if grew else None,
+                           grow_events=len(freed),
+                           growers=sorted(set(filter(None, freed))))
+    return facts
 
 
 #: the process-wide profiler over the global hub
@@ -395,7 +374,8 @@ def merge_profiles(per_node: Mapping[str, Mapping[str, Any]]) -> dict:
             entry["node"] = node
             merged["processes"][key] = entry
         for cname, c in (snap.get("channels") or {}).items():
-            tgt = merged["channels"].setdefault(cname, _chan_entry())
+            tgt = merged["channels"].setdefault(
+                cname, {"grow_events": 0, "growers": []})
             for field in ("initial_capacity", "grown_to", "capacity",
                           "high_watermark", "buffered"):
                 value = c.get(field)
@@ -488,11 +468,11 @@ def _advise(ranked: List[Dict[str, Any]], wall: float,
         cap = e.get("capacity") or e.get("grown_to") or initial
         watermark = e.get("high_watermark") or 0
         grown = e.get("grown_to")
-        if grown and grown > initial:
+        if grown and grown > initial and e.get("grow_events"):
             e["recommended_capacity"] = int(grown)
             e["reason"] = (
                 f"grew {initial}->{grown}B under Parks scheduling "
-                f"({e.get('grow_events', 0)} deadlock resolution(s)); "
+                f"({e['grow_events']} deadlock resolution(s)); "
                 f"pre-size to the final capacity")
         elif wall > 0 and e["write_blocked_s"] > _PRESSURE_FRACTION * wall:
             e["recommended_capacity"] = _pow2ceil(max(cap, watermark) * 2)
@@ -551,8 +531,8 @@ def _backpressure_chain(ranked: List[Dict[str, Any]],
 
 
 def analyze(snapshot: Mapping[str, Any],
-            channel_map: Optional[Mapping[str, Mapping[str, Any]]] = None,
-            default_capacity: int = _DEFAULT_CAPACITY) -> dict:
+            channel_map: Optional[Mapping[str, Mapping[str, Any]]] = None
+            ) -> dict:
     """Turn one snapshot (plus the graph's producer/consumer map) into a
     bottleneck report with a capacity-advisor spec attached.
 
@@ -560,6 +540,8 @@ def analyze(snapshot: Mapping[str, Any],
     output; without it, producers/consumers are inferred from who blocked
     on each channel (enough for merged cluster snapshots).
     """
+    # stands in where a hand-built or shipped snapshot lacks a capacity
+    from repro.kpn.buffers import DEFAULT_CAPACITY as default_capacity
     wall = _wall_seconds(snapshot)
     procs = snapshot.get("processes") or {}
     utils = process_utilization(snapshot)
@@ -673,9 +655,9 @@ def render_profile(report: Mapping[str, Any], top: int = 10) -> str:
         lines.append(f"root cause: {root['process']} "
                      f"({root['why']}, utilization {root['utilization']:.0%})")
     grows = [e for e in report["channels"]
-             if e["recommended_capacity"] != (e.get("capacity")
-                                              or e.get("initial_capacity")
-                                              or _DEFAULT_CAPACITY)]
+             if e["recommended_capacity"] != (
+                 e.get("capacity") or e.get("initial_capacity")
+                 or report["spec"]["default_capacity"])]
     lines.append(f"capacity advisor: {len(grows)} channel(s) should be "
                  f"pre-sized; see the spec file for all "
                  f"{len(report['channels'])} recommendation(s)")

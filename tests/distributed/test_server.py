@@ -168,12 +168,12 @@ def test_call_routes_through_server_executor():
 
 
 def test_stats_report_unresolved_executor_spec():
-    server = ComputeServer(name="lazy-server", executor="thread").start()
+    server = ComputeServer(name="lazy-server", executor="process").start()
     client = ServerClient("127.0.0.1", server.port)
     try:
         stats = client.stats()
         # no call yet: the spec is reported but nothing was built
-        assert stats["executor"] == {"kind": "thread", "resolved": False}
+        assert stats["executor"] == {"kind": "process", "resolved": False}
     finally:
         client.close()
         server.stop()

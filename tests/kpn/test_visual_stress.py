@@ -39,7 +39,7 @@ def test_dot_with_trace_annotations():
     net.add(Collect(ch.get_input_stream(), [], name="c"))
     with Tracer(net, period=0.001) as tracer:
         net.run(timeout=30)
-    dot = to_dot(net, trace=tracer.report())
+    dot = to_dot(net)
     assert "800B" in dot  # 100 longs through the annotated channel
 
 

@@ -15,8 +15,8 @@ import pytest
 from repro.errors import RemoteError
 from repro.parallel.executor import (EXECUTOR_KINDS, InlineExecutor,
                                      ProcessPool, TaskExecutor,
-                                     ThreadExecutor, default_pool_size,
-                                     resolve_executor, shared_executor)
+                                     default_pool_size, resolve_executor,
+                                     shared_executor)
 from repro.parallel.tasks import CallableTask, RangeProducerTask
 from repro.parallel.farm import run_farm
 from repro.telemetry.core import TELEMETRY
@@ -36,8 +36,8 @@ def test_resolve_default_is_inline():
 
 
 def test_resolve_env_knob(monkeypatch):
-    monkeypatch.setenv("REPRO_EXECUTOR", "thread")
-    assert resolve_executor(None).kind == "thread"
+    monkeypatch.setenv("REPRO_EXECUTOR", "process")
+    assert resolve_executor(None).kind == "process"
     monkeypatch.setenv("REPRO_EXECUTOR", "bogus")
     with pytest.raises(ValueError, match="bogus"):
         resolve_executor(None)
@@ -49,9 +49,9 @@ def test_resolve_instance_passthrough():
 
 
 def test_shared_executors_are_singletons():
-    a = shared_executor("thread")
-    b = shared_executor("thread", size=99)  # size ignored after creation
-    assert a is b and isinstance(a, ThreadExecutor)
+    a = shared_executor("process", size=1)
+    b = shared_executor("process", size=99)  # size ignored after creation
+    assert a is b and isinstance(a, ProcessPool)
 
 
 def test_pool_size_env(monkeypatch):
@@ -64,15 +64,8 @@ def test_pool_size_env(monkeypatch):
     assert default_pool_size() == (os.cpu_count() or 1)
 
 
-def test_inline_and_thread_run_task():
+def test_inline_run_task():
     assert InlineExecutor().run_task(CallableTask(pow, 2, 10)) == 1024
-    ex = ThreadExecutor(size=1)
-    try:
-        assert ex.run_task(CallableTask(pow, 2, 10)) == 1024
-        with pytest.raises(ZeroDivisionError):
-            ex.run_task(CallableTask(lambda: 1 // 0))
-    finally:
-        ex.close()
 
 
 # ---------------------------------------------------------------------------
@@ -187,7 +180,7 @@ def test_pool_close_is_idempotent_and_kills_children():
 # farm integration
 # ---------------------------------------------------------------------------
 
-@pytest.mark.parametrize("backend", ["inline", "thread", "process"])
+@pytest.mark.parametrize("backend", ["inline", "process"])
 def test_farm_equivalent_across_backends(backend):
     got = run_farm(square_producer(12), n_workers=2, mode="dynamic",
                    executor=backend, timeout=120)
@@ -223,5 +216,5 @@ def test_worker_getstate_drops_resolved_executor():
 
 
 def test_executor_kinds_constant():
-    assert set(EXECUTOR_KINDS) == {"inline", "thread", "process"}
+    assert set(EXECUTOR_KINDS) == {"inline", "process"}
     assert isinstance(resolve_executor("inline"), TaskExecutor)

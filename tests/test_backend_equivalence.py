@@ -159,6 +159,38 @@ def test_farm_producer_and_consumer_are_tasks_under_async(mode):
     assert sorted(farm.results) == [i * i for i in range(20)]
 
 
+@pytest.mark.parametrize("backend,fused", [("thread", False),
+                                           ("async", False),
+                                           ("thread", True),
+                                           ("async", True)])
+def test_on_stop_failure_ends_the_run_the_same_way(backend, fused):
+    """One Figure-4 implementation: a cleanup that raises is the
+    process's failure — recorded, and raised from join — whoever drives
+    the process (its own thread used to lose it to threading.excepthook
+    and report a clean run)."""
+    from repro.kpn.network import Network
+    from repro.processes import Collect, Scale, Sequence
+
+    class BadCleanup(Scale):
+        def on_stop(self):
+            super().on_stop()
+            raise RuntimeError("cleanup went wrong")
+
+    net = Network(backend=backend)
+    a, b = net.channel(name="a"), net.channel(name="b")
+    out = []
+    net.add(Sequence(a.get_output_stream(), iterations=5))
+    bad = net.add(BadCleanup(a.get_input_stream(), b.get_output_stream(), 2))
+    net.add(Collect(b.get_input_stream(), out))
+    if fused:
+        net.optimize()
+        assert net.fusion_plan.fused, "the stage must run inside a chain"
+    with pytest.raises(RuntimeError, match="cleanup went wrong"):
+        net.run(timeout=60)
+    assert isinstance(bad.failure, RuntimeError)
+    assert out == [0, 2, 4, 6, 8]
+
+
 def test_resolve_backend_precedence(monkeypatch):
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
     assert resolve_backend(None) == "thread"
