@@ -219,10 +219,7 @@ def dumps_shipped(obj: Any, process: Optional[Process] = None) -> bytes:
     if process is None and isinstance(obj, Process):
         process = obj
     buf = io.BytesIO()
-    pickler = SourceShippingPickler(buf, process)
-    pickler.dump(obj)
-    for action in pickler.post_actions:
-        action()
+    SourceShippingPickler(buf, process).dump(obj)
     return buf.getvalue()
 
 

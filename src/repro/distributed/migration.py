@@ -148,8 +148,10 @@ class MigrationPickler(pickle.Pickler):
 
     Side effects happen *during* ``dump`` (listeners open, peers are asked
     to accept reconnections); :attr:`post_actions` collects finalizers
-    that must run once the pickled bytes have actually been handed off
-    (e.g. closing the write side of a buffer whose producer migrated).
+    that must wait until the whole object is pickled (e.g. closing the
+    write side of a buffer whose producer migrated) and ``dump`` runs
+    them last — for every user of the pickler, the RPC layer's
+    ``pickler_factory`` hook included.
     """
 
     def __init__(self, file, process: Process,
@@ -159,6 +161,12 @@ class MigrationPickler(pickle.Pickler):
                          buffer_callback=buffer_callback)
         self._owned = owned_endpoints(process)
         self.post_actions: List[Callable[[], None]] = []
+
+    def dump(self, obj: Any) -> None:
+        super().dump(obj)
+        actions, self.post_actions = self.post_actions, []
+        for action in actions:
+            action()
 
     # -- classification helpers ------------------------------------------
     def _is_internal(self, ch: Channel) -> bool:
@@ -254,10 +262,7 @@ def dumps_migration(process: Process) -> bytes:
     ``writeObject`` connection setup.
     """
     buf = io.BytesIO()
-    pickler = MigrationPickler(buf, process)
-    pickler.dump(process)
-    for action in pickler.post_actions:
-        action()
+    MigrationPickler(buf, process).dump(process)
     return buf.getvalue()
 
 

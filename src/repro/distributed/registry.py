@@ -18,64 +18,23 @@ or standalone: ``python -m repro.distributed.registry --port 5000``.
 from __future__ import annotations
 
 import argparse
-import socket
 import threading
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import RegistryError
-from repro.distributed.wire import open_listener, recv_obj, send_obj
+from repro.distributed.wire import (RequestClient, RequestServer,
+                                    connect_with_retry)
 
 __all__ = ["RegistryServer", "RegistryClient"]
 
 
-class RegistryServer:
+class RegistryServer(RequestServer):
     """Threaded TCP registry server."""
 
     def __init__(self, port: int = 0) -> None:
-        self._listener = open_listener(port)
-        self.port = self._listener.getsockname()[1]
+        super().__init__(port, "registry")
         self._entries: Dict[str, Tuple[str, int]] = {}
         self._lock = threading.Lock()
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._serve, name="registry",
-                                        daemon=True)
-
-    def start(self) -> "RegistryServer":
-        self._thread.start()
-        return self
-
-    def stop(self) -> None:
-        self._stop.set()
-        try:
-            self._listener.close()
-        except OSError:
-            pass
-
-    # -- server loop -------------------------------------------------------
-    def _serve(self) -> None:
-        while not self._stop.is_set():
-            try:
-                sock, _ = self._listener.accept()
-            except OSError:
-                return
-            threading.Thread(target=self._handle, args=(sock,),
-                             name="registry-conn", daemon=True).start()
-
-    def _handle(self, sock: socket.socket) -> None:
-        with sock:
-            while True:
-                try:
-                    request = recv_obj(sock)
-                except Exception:
-                    return
-                try:
-                    reply = self._dispatch(request)
-                except Exception as exc:  # noqa: BLE001
-                    reply = {"ok": False, "error": str(exc)}
-                try:
-                    send_obj(sock, reply)
-                except OSError:
-                    return
 
     def _dispatch(self, request: dict) -> dict:
         op = request.get("op")
@@ -101,53 +60,27 @@ class RegistryServer:
             return dict(self._entries)
 
 
-class RegistryClient:
+class RegistryClient(RequestClient):
     """Client for :class:`RegistryServer`; one connection, thread-safe."""
 
     def __init__(self, host: str, port: int) -> None:
         self.host = host
         self.port = port
-        self._lock = threading.Lock()
-        self._sock: Optional[socket.socket] = None
-
-    def _request(self, payload: dict) -> dict:
-        with self._lock:
-            try:
-                if self._sock is None:
-                    from repro.distributed.wire import connect_with_retry
-
-                    self._sock = connect_with_retry(self.host, self.port,
-                                                    attempts=5)
-                send_obj(self._sock, payload)
-                reply = recv_obj(self._sock)
-            except OSError as exc:
-                self._sock = None
-                raise RegistryError(f"registry unreachable: {exc}") from exc
-        if not reply.get("ok"):
-            raise RegistryError(reply.get("error", "registry error"))
-        return reply
+        super().__init__(lambda: connect_with_retry(host, port, attempts=5),
+                         RegistryError, f"registry {host}:{port}")
 
     def register(self, name: str, host: str, port: int) -> None:
-        self._request({"op": "register", "name": name, "host": host, "port": port})
+        self.request({"op": "register", "name": name, "host": host, "port": port})
 
     def unregister(self, name: str) -> None:
-        self._request({"op": "unregister", "name": name})
+        self.request({"op": "unregister", "name": name})
 
     def lookup(self, name: str) -> Tuple[str, int]:
-        reply = self._request({"op": "lookup", "name": name})
+        reply = self.request({"op": "lookup", "name": name})
         return reply["host"], reply["port"]
 
     def list(self) -> List[str]:
-        return self._request({"op": "list"})["names"]
-
-    def close(self) -> None:
-        with self._lock:
-            if self._sock is not None:
-                try:
-                    self._sock.close()
-                except OSError:
-                    pass
-                self._sock = None
+        return self.request({"op": "list"})["names"]
 
 
 def main(argv: Optional[List[str]] = None) -> None:  # pragma: no cover

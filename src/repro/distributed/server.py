@@ -31,11 +31,9 @@ from __future__ import annotations
 
 import argparse
 import os
-import socket
 import threading
 import time
-import traceback
-from typing import Any, Callable, List, Optional
+from typing import Any, List, Optional
 
 from repro.errors import RemoteError
 from repro.kpn.network import BACKENDS, Network
@@ -43,9 +41,8 @@ from repro.kpn.process import Process
 from repro.distributed.codebase import SourceShippingPickler, dumps_shipped
 from repro.distributed.migration import loads_migration
 from repro.distributed.registry import RegistryClient
-from repro.distributed.wire import (OutOfBand, advertised_host,
-                                    connect_with_retry, open_listener,
-                                    recv_obj, send_obj)
+from repro.distributed.wire import (OutOfBand, RequestClient, RequestServer,
+                                    advertised_host, connect_with_retry)
 from repro.telemetry.core import TELEMETRY as _telemetry
 from repro.telemetry.profile import PROFILER as _profiler
 from repro.telemetry.clock import ProbeSample, estimate_offset
@@ -63,11 +60,7 @@ class Runnable:
         raise NotImplementedError
 
 
-def _shipping_pickler_factory(file, buffer_callback=None):
-    return SourceShippingPickler(file, buffer_callback=buffer_callback)
-
-
-class ComputeServer:
+class ComputeServer(RequestServer):
     """Hosts migrated processes and executes shipped tasks.
 
     Parameters
@@ -84,20 +77,17 @@ class ComputeServer:
                  registry: Optional[tuple[str, int]] = None,
                  executor: Any = None,
                  backend: Optional[str] = None) -> None:
-        self.name = name
+        # replies go through the shipping pickler: results built from
+        # shipped classes return to the client by source
+        super().__init__(port, name, SourceShippingPickler)
         #: compute backend spec for shipped ``call`` tasks (resolved lazily
         #: so servers that never execute tasks never build a pool)
         self.executor = executor
         self._exec: Any = None
-        self._listener = open_listener(port)
-        self.port = self._listener.getsockname()[1]
         #: network hosting every process migrated to this server;
         #: ``backend`` picks its scheduler (None: REPRO_BACKEND or thread)
         self.network = Network(name=f"{name}-net",
                                backend=backend).ensure_running()
-        self._stop = threading.Event()
-        self._thread = threading.Thread(target=self._serve, name=f"{name}-accept",
-                                        daemon=True)
         self._registry_client: Optional[RegistryClient] = None
         if registry is not None:
             self._registry_client = RegistryClient(*registry)
@@ -108,55 +98,28 @@ class ComputeServer:
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> "ComputeServer":
-        self._thread.start()
+        super().start()
         if self._registry_client is not None:
             self._registry_client.register(self.name, advertised_host(), self.port)
         return self
 
     def stop(self) -> None:
-        self._stop.set()
         if self._registry_client is not None:
             try:
                 self._registry_client.unregister(self.name)
             except Exception:
                 pass
-        try:
-            self._listener.close()
-        except OSError:
-            pass
+        super().stop()
         self.network.shutdown()
 
-    # -- server loops ----------------------------------------------------------
-    def _serve(self) -> None:
-        while not self._stop.is_set():
-            try:
-                sock, _ = self._listener.accept()
-            except OSError:
-                return
-            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-            threading.Thread(target=self._handle, args=(sock,),
-                             name=f"{self.name}-conn", daemon=True).start()
-
-    def _handle(self, sock: socket.socket) -> None:
-        with sock:
-            while not self._stop.is_set():
-                try:
-                    request = recv_obj(sock)
-                except Exception:
-                    return
-                reply = self._dispatch(request)
-                try:
-                    send_obj(sock, reply, pickler_factory=_shipping_pickler_factory)
-                except Exception:
-                    return
-
+    # -- the dispatch table ------------------------------------------------------
     def _dispatch(self, request: dict) -> dict:
         if not _telemetry.enabled:
             return self._dispatch_inner(request)
         # The connection thread adopted the sender's trace context when
-        # recv_obj unwrapped the envelope: the execute span continues the
-        # dispatching trace, and the flow-end event draws the arrow from
-        # the client's send span into this lane.
+        # the serve loop unpickled the envelope: the execute span continues
+        # the dispatching trace, and the flow-end event draws the arrow
+        # from the client's send span into this lane.
         ctx = current_context()
         _telemetry.begin("rpc.execute", category="dist.rpc",
                          op=request.get("op"), server=self.name,
@@ -177,80 +140,76 @@ class ComputeServer:
 
     def _dispatch_inner(self, request: dict) -> dict:
         op = request.get("op")
-        try:
-            if op == "ping":
-                # hub_now is the clock-alignment epoch exchange: clients
-                # time this round trip to estimate our clock offset.
-                return {"ok": True, "name": self.name,
-                        "hub_now": _telemetry.now()}
-            if op == "run":
-                target = loads_migration(self._payload(request),
-                                         network=self.network)
-                self._run_async(target)
-                return {"ok": True}
-            if op == "call":
-                target = loads_migration(self._payload(request),
-                                         network=self.network)
-                self.tasks_run += 1
-                return {"ok": True, "result": self._executor().run_task(target)}
-            if op == "wait_snapshot":
-                return {"ok": True, "snapshot": self.network.wait_snapshot()}
-            if op == "grow_channel":
-                grown = self.network.grow_channel(
-                    request["channel"], request["capacity"],
-                    request.get("process", ""))
-                return {"ok": True, "grown": grown}
-            if op == "stats":
-                failures = [
-                    {"process": p.name, "error": repr(p.failure)}
-                    for p in self.network.processes if p.failure is not None
-                ]
-                return {"ok": True, "name": self.name,
-                        "backend": self.network.backend,
-                        "tasks_run": self.tasks_run,
-                        "processes_hosted": self.processes_hosted,
-                        "live_threads": self.network.live_count(),
-                        "channels": len(self.network.channels),
-                        "uptime_seconds": time.monotonic() - self.started_at,
-                        "telemetry_enabled": _telemetry.enabled,
-                        "executor": self._executor_stats(),
-                        "failures": failures}
-            if op == "metrics":
-                # Telemetry counterpart of wait_snapshot: one server's
-                # share of a cluster-wide metrics aggregation.  The hub is
-                # process-wide, so thread-mode clusters (several servers in
-                # one interpreter) see the interpreter's combined counters.
-                profile = (_profiler.snapshot(network=self.network)
-                           if _profiler.enabled else None)
-                return {"ok": True, "name": self.name,
-                        "telemetry_enabled": _telemetry.enabled,
-                        "counters": _telemetry.counters(),
-                        "histograms": _telemetry.histogram_snapshots(),
-                        "gauges": _telemetry.gauges(),
-                        "profile": profile,
-                        "events_emitted": _telemetry.events_emitted,
-                        "tasks_run": self.tasks_run,
-                        "processes_hosted": self.processes_hosted,
-                        "live_threads": self.network.live_count(),
-                        "channels": len(self.network.channels)}
-            if op == "trace":
-                # One node's share of the cluster trace: the event ring on
-                # this hub's clock, plus identity (pid dedupes thread-mode
-                # servers that share one interpreter hub) and hub_now so
-                # the collector can sanity-check its offset estimate.
-                return {"ok": True, "name": self.name,
-                        "node": _telemetry.node, "pid": os.getpid(),
-                        "hub_now": _telemetry.now(),
-                        "telemetry_enabled": _telemetry.enabled,
-                        "events": [event_to_dict(e)
-                                   for e in _telemetry.events()]}
-            if op == "shutdown":
-                threading.Thread(target=self.stop, daemon=True).start()
-                return {"ok": True}
-            return {"ok": False, "error": f"unknown op {op!r}"}
-        except Exception as exc:  # noqa: BLE001
-            return {"ok": False, "error": f"{type(exc).__name__}: {exc}",
-                    "traceback": traceback.format_exc()}
+        if op == "ping":
+            # hub_now is the clock-alignment epoch exchange: clients
+            # time this round trip to estimate our clock offset.
+            return {"ok": True, "name": self.name,
+                    "hub_now": _telemetry.now()}
+        if op == "run":
+            target = loads_migration(self._payload(request),
+                                     network=self.network)
+            self._run_async(target)
+            return {"ok": True}
+        if op == "call":
+            target = loads_migration(self._payload(request),
+                                     network=self.network)
+            self.tasks_run += 1
+            return {"ok": True, "result": self._executor().run_task(target)}
+        if op == "wait_snapshot":
+            return {"ok": True, "snapshot": self.network.wait_snapshot()}
+        if op == "grow_channel":
+            grown = self.network.grow_channel(
+                request["channel"], request["capacity"],
+                request.get("process", ""))
+            return {"ok": True, "grown": grown}
+        if op == "stats":
+            failures = [
+                {"process": p.name, "error": repr(p.failure)}
+                for p in self.network.processes if p.failure is not None
+            ]
+            return {"ok": True, "name": self.name,
+                    "backend": self.network.backend,
+                    "tasks_run": self.tasks_run,
+                    "processes_hosted": self.processes_hosted,
+                    "live_threads": self.network.live_count(),
+                    "channels": len(self.network.channels),
+                    "uptime_seconds": time.monotonic() - self.started_at,
+                    "telemetry_enabled": _telemetry.enabled,
+                    "executor": self._executor_stats(),
+                    "failures": failures}
+        if op == "metrics":
+            # Telemetry counterpart of wait_snapshot: one server's
+            # share of a cluster-wide metrics aggregation.  The hub is
+            # process-wide, so thread-mode clusters (several servers in
+            # one interpreter) see the interpreter's combined counters.
+            profile = (_profiler.snapshot(network=self.network)
+                       if _profiler.enabled else None)
+            return {"ok": True, "name": self.name,
+                    "telemetry_enabled": _telemetry.enabled,
+                    "counters": _telemetry.counters(),
+                    "histograms": _telemetry.histogram_snapshots(),
+                    "gauges": _telemetry.gauges(),
+                    "profile": profile,
+                    "events_emitted": _telemetry.events_emitted,
+                    "tasks_run": self.tasks_run,
+                    "processes_hosted": self.processes_hosted,
+                    "live_threads": self.network.live_count(),
+                    "channels": len(self.network.channels)}
+        if op == "trace":
+            # One node's share of the cluster trace: the event ring on
+            # this hub's clock, plus identity (pid dedupes thread-mode
+            # servers that share one interpreter hub) and hub_now so
+            # the collector can sanity-check its offset estimate.
+            return {"ok": True, "name": self.name,
+                    "node": _telemetry.node, "pid": os.getpid(),
+                    "hub_now": _telemetry.now(),
+                    "telemetry_enabled": _telemetry.enabled,
+                    "events": [event_to_dict(e)
+                               for e in _telemetry.events()]}
+        if op == "shutdown":
+            threading.Thread(target=self.stop, daemon=True).start()
+            return {"ok": True}
+        return {"ok": False, "error": f"unknown op {op!r}"}
 
     def _executor(self):
         """The server's compute backend, resolved on first use.
@@ -298,95 +257,82 @@ class ComputeServer:
             raise TypeError(f"cannot run {type(target).__name__}: no run()")
 
 
-class ServerClient:
+class ServerClient(RequestClient):
     """Client stub for a :class:`ComputeServer` (the RMI stub analogue)."""
 
     def __init__(self, host: str, port: int) -> None:
         self.host = host
         self.port = port
-        self._lock = threading.Lock()
-        self._sock: Optional[socket.socket] = None
+        super().__init__(lambda: connect_with_retry(host, port), RemoteError,
+                         f"server {host}:{port}", SourceShippingPickler)
 
     @classmethod
     def from_registry(cls, registry: RegistryClient, name: str) -> "ServerClient":
         host, port = registry.lookup(name)
         return cls(host, port)
 
-    def _roundtrip(self, payload: dict) -> dict:
-        with self._lock:
-            if self._sock is None:
-                self._sock = connect_with_retry(self.host, self.port)
-            send_obj(self._sock, payload,
-                     pickler_factory=_shipping_pickler_factory)
-            return recv_obj(self._sock)
-
-    def _request(self, payload: dict) -> dict:
-        if _telemetry.enabled:
-            # Continue the caller's trace (or root a new one), bracket the
-            # round trip in a send span, and open a flow: the server's
-            # execute span ends it, so the merged trace draws an arrow
-            # from this lane into the server's.
-            parent = current_context()
-            ctx = parent.child() if parent is not None else TraceContext.new_root()
-            with activate(ctx):
-                _telemetry.begin("rpc.send", category="dist.rpc",
-                                 op=payload.get("op"),
-                                 server=f"{self.host}:{self.port}",
-                                 trace=ctx.trace_id)
-                _telemetry.flow("s", "rpc", category="dist.rpc",
-                                flow_id=ctx.flow_id)
-                try:
-                    reply = self._roundtrip(payload)
-                finally:
-                    _telemetry.end("rpc.send", category="dist.rpc")
-        else:
-            reply = self._roundtrip(payload)
-        if not reply.get("ok"):
-            raise RemoteError(reply.get("error", "remote failure"),
-                              reply.get("traceback", ""))
-        return reply
+    def request(self, payload: dict) -> dict:
+        if not _telemetry.enabled:
+            return super().request(payload)
+        # Continue the caller's trace (or root a new one), bracket the
+        # round trip in a send span, and open a flow: the server's
+        # execute span ends it, so the merged trace draws an arrow
+        # from this lane into the server's.
+        parent = current_context()
+        ctx = parent.child() if parent is not None else TraceContext.new_root()
+        with activate(ctx):
+            _telemetry.begin("rpc.send", category="dist.rpc",
+                             op=payload.get("op"),
+                             server=f"{self.host}:{self.port}",
+                             trace=ctx.trace_id)
+            _telemetry.flow("s", "rpc", category="dist.rpc",
+                            flow_id=ctx.flow_id)
+            try:
+                return super().request(payload)
+            finally:
+                _telemetry.end("rpc.send", category="dist.rpc")
 
     # -- the Server interface (section 4.1) ---------------------------------
     def ping(self) -> str:
-        return self._request({"op": "ping"})["name"]
+        return self.request({"op": "ping"})["name"]
 
     def run(self, target: Any) -> None:
         """``void run(Runnable)``: ship and return immediately."""
-        self._request({"op": "run",
+        self.request({"op": "run",
                        "payload": OutOfBand(dumps_shipped(target))})
 
     def call(self, task: Any) -> Any:
         """``Object run(Task)``: ship, execute, return the result."""
-        return self._request({"op": "call",
+        return self.request({"op": "call",
                               "payload": OutOfBand(dumps_shipped(task))})["result"]
 
     def wait_snapshot(self) -> dict:
         """Per-server blocking snapshot (distributed deadlock detection)."""
-        return self._request({"op": "wait_snapshot"})["snapshot"]
+        return self.request({"op": "wait_snapshot"})["snapshot"]
 
     def grow_channel(self, channel: str, capacity: int,
                      process: str = "") -> bool:
         """Grow a channel buffer on the remote server by name (see
         :meth:`repro.kpn.network.Network.grow_channel`)."""
-        return self._request({"op": "grow_channel", "channel": channel,
+        return self.request({"op": "grow_channel", "channel": channel,
                               "capacity": capacity,
                               "process": process})["grown"]
 
     def stats(self) -> dict:
-        return self._request({"op": "stats"})
+        return self.request({"op": "stats"})
 
     def metrics(self) -> dict:
         """The server's telemetry snapshot (counters + hub status)."""
-        return self._request({"op": "metrics"})
+        return self.request({"op": "metrics"})
 
     def trace(self) -> dict:
         """The server's event buffer on its own hub clock (``trace`` op)."""
-        return self._request({"op": "trace"})
+        return self.request({"op": "trace"})
 
     def clock_probe(self) -> ProbeSample:
         """One NTP-style probe: time a ping, note the server's hub clock."""
         sent = _telemetry.now()
-        reply = self._request({"op": "ping"})
+        reply = self.request({"op": "ping"})
         received = _telemetry.now()
         return ProbeSample(sent=sent, remote=reply.get("hub_now", 0.0),
                            received=received)
@@ -402,18 +348,9 @@ class ServerClient:
 
     def shutdown(self) -> None:
         try:
-            self._request({"op": "shutdown"})
+            self.request({"op": "shutdown"})
         except Exception:
             pass
-
-    def close(self) -> None:
-        with self._lock:
-            if self._sock is not None:
-                try:
-                    self._sock.close()
-                except OSError:
-                    pass
-                self._sock = None
 
 
 def add_server_arguments(parser: argparse.ArgumentParser) -> None:

@@ -6,8 +6,11 @@ Two layers share the same framing:
   between servers with ``DATA``/``EOF``/``SWITCH`` frames plus the
   ``LISTEN_REQ``/``LISTEN_OK`` control handshake that implements the
   paper's decentralized reconnection (section 4.3);
-* **compute-server RPC** (:mod:`repro.distributed.server`) sends pickled
-  request/response objects with ``OBJ`` frames.
+* **request/reply** — the registry, the compute servers and the process
+  pool's children are one endpoint with three dispatch tables: pickled
+  request and reply objects in ``OBJ``/``OBJ_OOB`` frames, served by
+  :class:`RequestServer` / :func:`serve_connection` and called through
+  :class:`RequestClient`.
 
 A frame is ``1-byte tag + 4-byte big-endian length + payload``.  Payload
 size is capped to catch stream corruption early.
@@ -18,7 +21,9 @@ from __future__ import annotations
 import pickle
 import socket
 import struct
-from typing import Any, Optional, Tuple
+import threading
+import traceback
+from typing import Any, Callable, Optional, Tuple
 
 from repro.errors import ChannelError
 from repro.telemetry.core import TELEMETRY as _telemetry
@@ -28,6 +33,7 @@ from repro.telemetry.distributed import (TraceContext, current_context,
 __all__ = [
     "Tag", "send_frame", "send_frame_views", "recv_frame", "FrameReader",
     "send_obj", "recv_obj", "OutOfBand", "read_exact", "FrameError", "open_listener",
+    "encode_obj", "decode_obj", "serve_connection", "RequestServer", "RequestClient",
     "advertised_host", "set_advertised_host", "connect_with_retry",
     "retry_delays",
 ]
@@ -289,14 +295,14 @@ def _dump_oob(obj: Any, pickler_factory=None) -> Tuple[bytes, list]:
     return buf.getvalue(), buffers
 
 
-def send_obj(sock: socket.socket, obj: Any, pickler_factory=None) -> None:
-    """Send a pickled object as an OBJ or OBJ_OOB frame.
+def encode_obj(obj: Any, pickler_factory=None) -> Tuple[int, list]:
+    """Pickle ``obj`` into one frame: ``(tag, payload views)``.
 
     ``pickler_factory(file, buffer_callback=...) -> Pickler`` lets callers
     substitute the migration or source-shipping picklers.
 
     Objects whose reduction yields protocol-5 ``PickleBuffer``s (numpy
-    arrays, :class:`OutOfBand` wrappers) travel as an ``OBJ_OOB`` frame:
+    arrays, :class:`OutOfBand` wrappers) become an ``OBJ_OOB`` frame:
     the pickle stream references the buffers by position and the raw bytes
     ride behind it in the same frame, delivered scatter-gather — the large
     payload is never copied into the pickle stream or a concatenation.
@@ -306,6 +312,9 @@ def send_obj(sock: socket.socket, obj: Any, pickler_factory=None) -> None:
     wrapped in a context-header envelope so the receiver continues the
     same trace — this is what links a dispatch span on one node to the
     execute span on another in merged cluster traces.
+
+    Raises :class:`FrameError` for an object above ``MAX_PAYLOAD`` —
+    here, before any byte is on the wire, so the connection stays usable.
     """
     if _telemetry.enabled:
         ctx = current_context()
@@ -313,6 +322,8 @@ def send_obj(sock: socket.socket, obj: Any, pickler_factory=None) -> None:
             obj = {_CTX_KEY: ctx.to_wire(), "payload": obj}
     payload, buffers = _dump_oob(obj, pickler_factory)
     total = len(payload) + sum(len(b) for b in buffers)
+    if total > MAX_PAYLOAD:
+        raise FrameError(f"pickled object of {total} bytes exceeds cap")
     if _telemetry.enabled:
         _telemetry.inc("wire.pickles_out")
         _telemetry.inc("wire.pickle_bytes_out", total)
@@ -320,15 +331,23 @@ def send_obj(sock: socket.socket, obj: Any, pickler_factory=None) -> None:
         if buffers:
             _telemetry.inc("wire.oob_buffers_out", len(buffers))
     if not buffers:
-        send_frame(sock, Tag.OBJ, payload)
-        return
+        return Tag.OBJ, [payload]
     head = _OOB_HEAD.pack(len(buffers), len(payload))
     lens = b"".join(_OOB_LEN.pack(len(b)) for b in buffers)
-    send_frame_views(sock, Tag.OBJ_OOB, [head, lens, payload, *buffers])
+    return Tag.OBJ_OOB, [head, lens, payload, *buffers]
+
+
+def send_obj(sock: socket.socket, obj: Any, pickler_factory=None) -> None:
+    """Send a pickled object as an OBJ or OBJ_OOB frame (:func:`encode_obj`)."""
+    send_frame_views(sock, *encode_obj(obj, pickler_factory))
 
 
 def recv_obj(sock: socket.socket, unpickler_factory=None) -> Any:
-    tag, payload = recv_frame(sock)
+    return decode_obj(*recv_frame(sock), unpickler_factory)
+
+
+def decode_obj(tag: int, payload, unpickler_factory=None) -> Any:
+    """Unpickle one received ``OBJ``/``OBJ_OOB`` frame."""
     if tag not in (Tag.OBJ, Tag.OBJ_OOB):
         raise FrameError(f"expected OBJ frame, got tag {tag}")
     if _telemetry.enabled:
@@ -455,3 +474,164 @@ def connect_with_retry(host: str, port: int, attempts: int = 12,
         _telemetry.inc("wire.connect.attempts", attempts)
         _telemetry.inc("wire.connect.failures")
     raise ChannelError(f"cannot connect to {host}:{port}: {last}")
+
+
+# ---------------------------------------------------------------------------
+# the request/reply endpoint
+# ---------------------------------------------------------------------------
+
+def serve_connection(sock: socket.socket, dispatch: Callable[[Any], Any],
+                     pickler_factory=None) -> None:
+    """Serve one connection until its peer goes away.
+
+    Each frame is unpickled, handed to ``dispatch`` and answered with what
+    ``dispatch`` returns (a dict with ``"ok": True``), pickled through
+    ``pickler_factory``.  A frame that cannot be read ends the connection;
+    a well-framed request that fails to unpickle, a handler that raises
+    and a reply that cannot be pickled or is over ``MAX_PAYLOAD`` are all
+    answered — ``{"ok": False, "error", "traceback"}`` — and the
+    connection carries on.
+    """
+    reader = FrameReader(sock)
+    with sock:
+        while True:
+            try:
+                frame = reader.recv_frame()
+            except OSError:
+                return
+            try:
+                reply = encode_obj(dispatch(decode_obj(*frame)), pickler_factory)
+            except Exception as exc:  # noqa: BLE001 - reported to the caller
+                reply = encode_obj({"ok": False,
+                                    "error": f"{type(exc).__name__}: {exc}",
+                                    "traceback": traceback.format_exc()})
+            try:
+                send_frame_views(sock, *reply)
+            except OSError:
+                return
+
+
+class RequestServer:
+    """A listener whose connections are each served on their own thread.
+
+    Subclasses supply ``_dispatch(request) -> reply``; see
+    :func:`serve_connection` for what happens around it.
+    """
+
+    def __init__(self, port: int, name: str, pickler_factory=None) -> None:
+        self.name = name
+        self._listener = open_listener(port)
+        self.port = self._listener.getsockname()[1]
+        self._pickler_factory = pickler_factory
+        self._connections: set = set()
+        self._stop = threading.Event()
+        self._thread = threading.Thread(target=self._accept,
+                                        name=f"{name}-accept", daemon=True)
+
+    def start(self):
+        self._thread.start()
+        return self
+
+    def stop(self) -> None:
+        self._stop.set()
+        # shutdown, not only close: a thread blocked in accept() or recv()
+        # keeps its socket (and the port) open past a close() from here
+        for sock in (self._listener, *self._connections):
+            try:
+                sock.shutdown(socket.SHUT_RDWR)
+            except OSError:
+                pass
+        self._listener.close()
+
+    def _accept(self) -> None:
+        while not self._stop.is_set():
+            try:
+                sock, _ = self._listener.accept()
+            except OSError:
+                return
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            threading.Thread(target=self._serve, args=(sock,),
+                             name=f"{self.name}-conn", daemon=True).start()
+
+    def _serve(self, sock: socket.socket) -> None:
+        self._connections.add(sock)
+        try:
+            # accepted while stop() ran, which may have missed it: hang up
+            if not self._stop.is_set():
+                serve_connection(sock, self._dispatch, self._pickler_factory)
+        finally:
+            self._connections.discard(sock)
+            sock.close()
+
+    def _dispatch(self, request: Any) -> Any:  # pragma: no cover - interface
+        raise NotImplementedError
+
+
+class RequestClient:
+    """The calling side of :func:`serve_connection`; one connection,
+    thread-safe.
+
+    ``connect()`` supplies the socket, on the first request and again
+    after a failure: any transport error during a round trip closes and
+    forgets the connection and raises ``error`` (as does an error reply,
+    with the far side's traceback), so the next request starts afresh.
+    ``peer`` names the far side in those errors.
+    """
+
+    def __init__(self, connect: Callable[[], socket.socket],
+                 error: Callable[..., Exception], peer: str,
+                 pickler_factory=None) -> None:
+        self._connect = connect
+        self._error = error
+        self._peer = peer
+        self._pickler_factory = pickler_factory
+        self._lock = threading.Lock()
+        self._reader: Optional[FrameReader] = None
+
+    def request(self, payload: Any) -> dict:
+        """One round trip: the reply dict, or ``error`` raised."""
+        frame = encode_obj(payload, self._pickler_factory)
+        with self._lock:
+            try:
+                self.send(frame)
+                reply = self.receive()
+            except OSError as exc:
+                raise self._error(f"{self._peer} unreachable: {exc}") from exc
+        return self.check(reply)
+
+    def check(self, reply: dict) -> dict:
+        """``reply`` if it reports success, else ``error`` raised from it."""
+        if not reply.get("ok"):
+            raise self._error(reply.get("error", "remote failure"),
+                              reply.get("traceback", ""))
+        return reply
+
+    # The two halves of a round trip, for a caller that owns the connection
+    # outright (a pool child checked out for one task) and wants to do
+    # something else between them.  They raise the transport's OSError.
+    def send(self, frame: Tuple[int, list]) -> None:
+        try:
+            if self._reader is None:
+                self._reader = FrameReader(self._connect())
+            send_frame_views(self._reader.sock, *frame)
+        except OSError:
+            self._drop()
+            raise
+
+    def receive(self) -> dict:
+        try:
+            if self._reader is None:
+                raise ConnectionError(f"no connection to {self._peer}")
+            return decode_obj(*self._reader.recv_frame())
+        except OSError:
+            self._drop()
+            raise
+
+    def _drop(self) -> None:
+        reader, self._reader = self._reader, None
+        if reader is not None:
+            reader.sock.close()
+
+    def close(self) -> None:
+        with self._lock:
+            self._drop()

@@ -90,12 +90,8 @@ class TrueDeadlockError(DeadlockError):
     """
 
 
-class RemoteError(RuntimeError):
-    """An exception raised while executing a task on a remote compute server.
-
-    Carries the remote traceback text so failures occurring on another
-    server (or OS process) remain diagnosable from the client.
-    """
+class _ReportedError(RuntimeError):
+    """A failure on the far side of a request, with its traceback text."""
 
     def __init__(self, message: str, remote_traceback: str = "") -> None:
         super().__init__(message)
@@ -108,7 +104,15 @@ class RemoteError(RuntimeError):
         return base
 
 
-class RegistryError(RuntimeError):
+class RemoteError(_ReportedError):
+    """An exception raised while executing a task on a remote compute server.
+
+    Carries the remote traceback text so failures occurring on another
+    server (or OS process) remain diagnosable from the client.
+    """
+
+
+class RegistryError(_ReportedError):
     """Name-registry lookup or registration failure."""
 
 

@@ -775,7 +775,8 @@ class BoundedByteBuffer:
         if _telemetry.enabled and new_capacity != old:
             _telemetry.instant("channel.grow", category="kpn.channel",
                                channel=self.name, old=old, new=new_capacity,
-                               process=process, cause=cause)
+                               process=process, cause=cause,
+                               blocked=len(blocked))
             _telemetry.inc("kpn.channel.grow_events", 1, channel=self.name)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

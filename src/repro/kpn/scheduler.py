@@ -296,16 +296,12 @@ class DeadlockMonitor:
         if new <= old:
             return False
         # the buffer records the growth (and emits the channel.grow
-        # instant) from *this* monitor thread; hand it the blocked writer's
-        # name so readers can attribute the growth to the process it frees
+        # instant, which counts the blocked) from *this* monitor thread;
+        # hand it the blocked writer's name so readers can attribute the
+        # growth to the process it frees
         writers = sorted(t.name for b, t in write_waits if b is buffer)
         buffer.grow(new, "parks", writers[0] if writers else "", names)
         if _telemetry.enabled:
-            # buffer.grow already emitted the channel.grow instant; this
-            # one carries the scheduler's verdict (who was blocked).
-            _telemetry.instant("deadlock.artificial", category="kpn.scheduler",
-                               channel=buffer.name, old=old, new=new,
-                               blocked=len(names))
             _telemetry.inc("kpn.scheduler.artificial_deadlocks")
         if self.on_event is not None:
             self.on_event(GrowthEvent(buffer.name, old, new, names))

@@ -10,24 +10,7 @@ compression (:mod:`~repro.parallel.imaging`, the paper's motivating
 example).
 """
 
-from repro.parallel.factor import (DEFAULT_BATCH, FactorConsumerResult,
-                                   FactorProducerTask, FactorResult,
-                                   FactorWorkerTask, factor_search_sequential,
-                                   is_probable_prime, make_weak_key,
-                                   random_prime, solve_difference)
-from repro.parallel.executor import (InlineExecutor, ProcessPool,
-                                     TaskExecutor, default_pool_size,
-                                     resolve_executor, shared_executor,
-                                     shutdown_shared_executors)
-from repro.parallel.farm import FarmHandle, build_farm, run_farm
-from repro.parallel.generic import Consumer, Producer, Worker
-from repro.parallel.imaging import (BLOCK, BlockTask, CompressedBlock,
-                                    ImageProducerTask, compress_block,
-                                    decompress_block, join_blocks,
-                                    random_image, reassemble, split_blocks)
-from repro.parallel.meta import ParallelHarness, meta_dynamic, meta_static
-from repro.parallel.tasks import (STOP, CallableTask, RangeProducerTask,
-                                  ResultTask, Task)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "DEFAULT_BATCH", "FactorConsumerResult", "FactorProducerTask",
@@ -44,3 +27,24 @@ __all__ = [
     "ParallelHarness", "meta_dynamic", "meta_static",
     "STOP", "CallableTask", "RangeProducerTask", "ResultTask", "Task",
 ]
+
+# Everything loads on first use: a pool child or a compute server imports
+# this package for its executor and tasks alone, and ``imaging`` would
+# bring numpy into a process that may never touch an image.
+__getattr__ = lazy_exports(__name__, {
+    "factor": ("DEFAULT_BATCH", "FactorConsumerResult", "FactorProducerTask",
+               "FactorResult", "FactorWorkerTask", "factor_search_sequential",
+               "is_probable_prime", "make_weak_key", "random_prime",
+               "solve_difference"),
+    "executor": ("InlineExecutor", "ProcessPool", "TaskExecutor",
+                 "default_pool_size", "resolve_executor", "shared_executor",
+                 "shutdown_shared_executors"),
+    "farm": ("FarmHandle", "build_farm", "run_farm"),
+    "generic": ("Consumer", "Producer", "Worker"),
+    "imaging": ("BLOCK", "BlockTask", "CompressedBlock", "ImageProducerTask",
+                "compress_block", "decompress_block", "join_blocks",
+                "random_image", "reassemble", "split_blocks"),
+    "meta": ("ParallelHarness", "meta_dynamic", "meta_static"),
+    "tasks": ("STOP", "CallableTask", "RangeProducerTask", "ResultTask",
+              "Task"),
+})

@@ -18,17 +18,23 @@ executor:
 
 The process pool deliberately does **not** use :mod:`multiprocessing`
 workers: children are plain ``python -m repro.parallel._pool_child``
-subprocesses speaking a length-prefixed frame protocol over their
-stdin/stdout pipes.  That is spawn-safe by construction (a fresh
-interpreter imports this module; nothing ever re-imports the parent's
-``__main__``), matches how :class:`~repro.distributed.cluster.LocalCluster`
-launches compute servers, and lets a crashed child be respawned
-individually.  Task and result transfer reuses the distributed layer's
-machinery end to end: the :class:`SourceShippingPickler` (so tasks whose
-classes live in the caller's ``__main__`` or a test module just work)
-with pickle protocol-5 out-of-band buffer collection (so numpy blocks
-and other large buffers ride behind the pickle stream, never copied
-into it).
+subprocesses, each on one end of a ``socket.socketpair()``.  That is
+spawn-safe by construction (a fresh interpreter imports this module;
+nothing ever re-imports the parent's ``__main__``), matches how
+:class:`~repro.distributed.cluster.LocalCluster` launches compute
+servers, and lets a crashed child be respawned individually.  A child is
+the distributed layer's request/reply endpoint
+(:func:`repro.distributed.wire.serve_connection`, the loop the registry
+and the compute servers run) with a one-entry dispatch table — run the
+task — and the pool holds a :class:`~repro.distributed.wire.RequestClient`
+per child: tasks and results are the wire's ``OBJ``/``OBJ_OOB`` frames,
+pickled by the :class:`SourceShippingPickler` (so tasks whose classes
+live in the caller's ``__main__`` or a test module just work) with
+protocol-5 out-of-band buffers (so numpy blocks ride behind the pickle
+stream, never copied into it).  Pool traffic therefore counts in the
+``wire.*`` telemetry counters, carries the trace-context envelope, and
+is bound by ``wire.MAX_PAYLOAD``: a task over it is a ``FrameError`` from
+``submit``, a result over it a ``RemoteError`` from ``result()``.
 
 Crash semantics: if a child dies mid-task (OOM kill, segfault,
 ``os.kill`` in the tests), the pool respawns it and retries the task
@@ -47,15 +53,12 @@ hub and any number of hosted runnables submit to the same warm pool.
 from __future__ import annotations
 
 import atexit
-import io
 import os
-import pickle
-import struct
+import socket
 import subprocess
 import sys
 import threading
 import time
-import traceback
 from collections import deque
 from typing import Any, List, Optional
 
@@ -70,10 +73,6 @@ __all__ = [
 
 #: the executor spec names ``resolve_executor`` accepts
 EXECUTOR_KINDS = ("inline", "process")
-
-_U32 = struct.Struct(">I")
-_STATUS_OK = 0
-_STATUS_TASK_ERROR = 1
 
 
 def default_pool_size() -> int:
@@ -120,7 +119,7 @@ class _DoneFuture:
         self._value = value
         self._error = error
 
-    def result(self, timeout: Optional[float] = None) -> Any:
+    def result(self) -> Any:
         if self._error is not None:
             raise self._error
         return self._value
@@ -142,108 +141,34 @@ class InlineExecutor(TaskExecutor):
 
 
 # ---------------------------------------------------------------------------
-# task/result transfer (reuses the distributed serialization plane)
-# ---------------------------------------------------------------------------
-
-def _dumps_task(obj: Any) -> List[Any]:
-    """Serialize for a pool child: source-shipping pickle + OOB buffers.
-
-    Returns ``[pickle_bytes, raw_buffer, ...]`` — the protocol-5
-    ``PickleBuffer`` views ride as separate frame parts, exactly like the
-    RPC layer's ``OBJ_OOB`` frames, so large payloads are written to the
-    pipe straight from their owning buffer.
-    """
-    from repro.distributed.codebase import SourceShippingPickler
-
-    buffers: List[Any] = []
-
-    def _collect(pb: pickle.PickleBuffer):
-        try:
-            buffers.append(pb.raw())
-        except BufferError:        # non-contiguous: keep it in the stream
-            return True
-        return None
-
-    buf = io.BytesIO()
-    pickler = SourceShippingPickler(buf, buffer_callback=_collect)
-    pickler.dump(obj)
-    for action in pickler.post_actions:
-        action()
-    return [buf.getvalue(), *buffers]
-
-
-def _loads_task(parts: List[bytes]) -> Any:
-    from repro.distributed.migration import loads_migration
-
-    return loads_migration(parts[0], buffers=parts[1:])
-
-
-def _write_frame(fh, parts: List[Any], status: Optional[int] = None) -> None:
-    header = bytearray()
-    if status is not None:
-        header.append(status)
-    header += _U32.pack(len(parts))
-    for p in parts:
-        header += _U32.pack(len(p))
-    fh.write(header)
-    for p in parts:
-        fh.write(p)
-    fh.flush()
-
-
-def _read_exact(fh, n: int) -> bytes:
-    data = fh.read(n)
-    if data is None or len(data) != n:
-        raise EOFError("pool pipe closed")
-    return data
-
-
-def _read_frame(fh, with_status: bool = False):
-    """Read one frame; returns ``None`` on clean EOF at a frame boundary."""
-    first = fh.read(1)
-    if not first:
-        return None
-    # without a status byte, ``first`` is already the nparts word's first
-    # byte; with one, the whole 4-byte word is still unread
-    status = first[0] if with_status else None
-    rest = 4 if with_status else 3
-    head = b"" if with_status else first
-    (nparts,) = _U32.unpack(head + _read_exact(fh, rest))
-    lens = _U32.iter_unpack(_read_exact(fh, 4 * nparts))
-    parts = [_read_exact(fh, n) for (n,) in lens]
-    return (status, parts) if with_status else parts
-
-
-# ---------------------------------------------------------------------------
 # the process pool
 # ---------------------------------------------------------------------------
 
 class _PoolChild:
-    """One warm child interpreter and its pipe endpoints."""
+    """One warm child interpreter and the client of its endpoint."""
 
-    __slots__ = ("proc", "stdin", "stdout", "spawned_at")
+    __slots__ = ("proc", "rpc")
 
-    def __init__(self, proc: subprocess.Popen) -> None:
+    def __init__(self, proc: subprocess.Popen, sock: socket.socket) -> None:
+        from repro.distributed.codebase import SourceShippingPickler
+        from repro.distributed.wire import RequestClient
+
         self.proc = proc
-        self.stdin = proc.stdin
-        self.stdout = proc.stdout
-        self.spawned_at = time.monotonic()
+        self.rpc = RequestClient(lambda: sock, RemoteError,
+                                 f"pool child {proc.pid}",
+                                 SourceShippingPickler)
 
     @property
     def pid(self) -> int:
         return self.proc.pid
 
     def kill(self) -> None:
-        for closer in (self.stdin.close, self.stdout.close):
-            try:
-                closer()
-            except OSError:
-                pass
         try:
             self.proc.kill()
         except OSError:
             pass
         self.proc.wait()
+        self.rpc.close()
 
 
 class _PoolFuture:
@@ -254,51 +179,48 @@ class _PoolFuture:
     respawning the child and retrying the task once if the child died.
     """
 
-    __slots__ = ("_pool", "_child", "_parts", "_t0")
+    __slots__ = ("_pool", "_child", "_frame", "_t0")
 
     def __init__(self, pool: "ProcessPool", child: _PoolChild,
-                 parts: List[Any]) -> None:
+                 frame: tuple) -> None:
         self._pool = pool
         self._child = child
-        self._parts = parts
+        self._frame = frame
         self._t0 = time.perf_counter()
 
-    def result(self, timeout: Optional[float] = None) -> Any:
+    def result(self) -> Any:
         pool = self._pool
         child = self._child
         attempts_left = pool.max_retries
-        while True:
-            try:
-                reply = _read_frame(child.stdout, with_status=True)
-                if reply is None:
-                    raise EOFError("pool child exited mid-task")
-            except (EOFError, OSError, ValueError) as exc:
-                child = pool._replace_crashed(child)
-                if child is None:
-                    raise ChannelError("process pool closed") from exc
-                if attempts_left <= 0:
-                    pool._checkin(child)
-                    raise RemoteError(
-                        f"pool task failed {pool.max_retries + 1} times: "
-                        f"child died while executing it ({exc})") from exc
-                attempts_left -= 1
+        try:
+            while True:
                 try:
-                    _write_frame(child.stdin, self._parts)
-                except OSError:
-                    continue       # the fresh child died too: loop retries
-                continue
-            break
-        pool._checkin(child)
+                    reply = child.rpc.receive()
+                    break
+                except OSError as exc:
+                    child = pool._replace_crashed(child)
+                    if child is None:
+                        raise ChannelError("process pool closed") from exc
+                    if attempts_left <= 0:
+                        raise RemoteError(
+                            f"pool task failed {pool.max_retries + 1} times: "
+                            f"child died while executing it ({exc})") from exc
+                    attempts_left -= 1
+                    try:
+                        child.rpc.send(self._frame)
+                    except OSError:
+                        pass       # the fresh child died too: loop retries
+        finally:
+            # also when the reply would not unpickle: its frame was read
+            # whole, the child is in step and can take the next task
+            if child is not None:
+                pool._checkin(child)
         pool.tasks_completed += 1
         if _telemetry.enabled:
             _telemetry.inc("parallel.pool_tasks", 1, backend="process")
             _telemetry.observe("parallel.pool_exec_seconds",
                                time.perf_counter() - self._t0)
-        status, parts = reply
-        if status == _STATUS_TASK_ERROR:
-            message, remote_tb = pickle.loads(parts[0])
-            raise RemoteError(message, remote_tb)
-        return _loads_task(parts)
+        return child.rpc.check(reply)["result"]
 
 
 class ProcessPool(TaskExecutor):
@@ -343,12 +265,18 @@ class ProcessPool(TaskExecutor):
         if pkg_root not in existing.split(os.pathsep):
             env["PYTHONPATH"] = (pkg_root + os.pathsep + existing
                                  if existing else pkg_root)
-        proc = subprocess.Popen(
-            [sys.executable, "-m", "repro.parallel._pool_child"],
-            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=None,
-            env=env)
+        ours, theirs = socket.socketpair()
+        with theirs:
+            # fd 1 is the parent's stderr: whatever a task writes there
+            # must not land in the parent's stdout, which may be a protocol
+            # of its own (a server's LISTENING line, a benchmark's JSON)
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro.parallel._pool_child",
+                 str(theirs.fileno())],
+                stdin=subprocess.DEVNULL, stdout=2, stderr=None,
+                pass_fds=(theirs.fileno(),), env=env)
         self.children_spawned += 1
-        return _PoolChild(proc)
+        return _PoolChild(proc, ours)
 
     def _replace_crashed(self, child: _PoolChild) -> Optional[_PoolChild]:
         """Reap a dead child and hand back a fresh one (None if closed)."""
@@ -394,11 +322,15 @@ class ProcessPool(TaskExecutor):
 
     # -- the executor interface ---------------------------------------------
     def submit(self, task: Any) -> _PoolFuture:
-        parts = _dumps_task(task)
+        from repro.distributed.codebase import SourceShippingPickler
+        from repro.distributed.wire import encode_obj
+
+        # pickled once: a retry after a crash resends these bytes
+        frame = encode_obj(task, SourceShippingPickler)
         while True:
             child = self._checkout()
             try:
-                _write_frame(child.stdin, parts)
+                child.rpc.send(frame)
             except OSError:
                 # child died while idle (e.g. killed between tasks):
                 # replace it and try the next one — nothing ran yet, so
@@ -408,7 +340,7 @@ class ProcessPool(TaskExecutor):
                     raise ChannelError("process pool closed")
                 self._checkin(fresh)
                 continue
-            return _PoolFuture(self, child, parts)
+            return _PoolFuture(self, child, frame)
 
     def stats(self) -> dict:
         with self._cv:
@@ -436,26 +368,16 @@ class ProcessPool(TaskExecutor):
 # child main loop (``python -m repro.parallel._pool_child``)
 # ---------------------------------------------------------------------------
 
-def _child_serve() -> None:  # pragma: no cover - runs in subprocesses
-    # Claim the stdout pipe for the frame protocol, then point fd 1 (and
-    # sys.stdout) at stderr so a print() inside a task cannot corrupt it.
-    proto_out = os.fdopen(os.dup(1), "wb")
-    os.dup2(2, 1)
+def _child_serve(fd: int) -> None:  # pragma: no cover - runs in subprocesses
+    from repro.distributed.codebase import SourceShippingPickler
+    from repro.distributed.wire import serve_connection
+
+    # a task's print() follows fd 1 to the parent's stderr, line by line:
+    # block-buffered, it would be lost when the parent kills this child
     sys.stdout = sys.stderr
-    inp = os.fdopen(os.dup(0), "rb")
-    while True:
-        frame = _read_frame(inp)
-        if frame is None:
-            return
-        try:
-            task = _loads_task(frame)
-            result = task.run()
-            _write_frame(proto_out, _dumps_task(result), status=_STATUS_OK)
-        except BaseException as exc:  # noqa: BLE001 - report to the parent
-            payload = pickle.dumps(
-                (f"{type(exc).__name__}: {exc}", traceback.format_exc()),
-                protocol=pickle.HIGHEST_PROTOCOL)
-            _write_frame(proto_out, [payload], status=_STATUS_TASK_ERROR)
+    serve_connection(socket.socket(fileno=fd),
+                     lambda task: {"ok": True, "result": task.run()},
+                     SourceShippingPickler)
 
 
 # ---------------------------------------------------------------------------
@@ -520,4 +442,4 @@ def resolve_executor(spec: "str | TaskExecutor | None") -> TaskExecutor:
 
 
 if __name__ == "__main__":  # pragma: no cover - child entry point
-    _child_serve()
+    _child_serve(int(sys.argv[1]))

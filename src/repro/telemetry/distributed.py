@@ -97,9 +97,9 @@ def current_context() -> Optional[TraceContext]:
 def set_current_context(ctx: Optional[TraceContext]) -> None:
     """Set the thread's context *stickily* (until replaced).
 
-    ``recv_obj`` uses this on server connection threads: each incoming
-    envelope re-points the handler thread at the sender's context, which
-    then covers everything the handler does for that request.
+    The wire's ``decode_obj`` uses this on server connection threads: each
+    incoming envelope re-points the handler thread at the sender's context,
+    which then covers everything the handler does for that request.
     """
     _local.ctx = ctx
 

@@ -21,7 +21,7 @@ def _python(code, **env):
 
 
 @pytest.mark.parametrize("package", ["repro.kpn", "repro.telemetry",
-                                     "repro.analysis"])
+                                     "repro.analysis", "repro.parallel"])
 def test_every_public_name_still_resolves(package):
     module = importlib.import_module(package)
     for name in module.__all__:
@@ -42,6 +42,13 @@ def test_runtime_import_skips_the_tools():
         "repro.analysis.fuse", "repro.analysis.graphproofs"))]
     assert deferred == []
     assert "repro.analysis.markers" in loaded
+
+
+def test_executor_and_tasks_import_without_numpy():
+    # what a pool child and a compute server take from repro.parallel
+    assert _python(
+        "import sys, repro.parallel.executor, repro.parallel.tasks\n"
+        "print('numpy' in sys.modules)") == ["False"]
 
 
 def test_dsp_kernels_register_with_the_semantics_compiler():
