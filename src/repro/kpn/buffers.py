@@ -3,7 +3,7 @@
 The paper's channels (Figure 3) bottom out in ``java.io.PipedInputStream``
 and ``PipedOutputStream``: a fixed-capacity byte pipe with blocking reads
 and blocking writes.  :class:`BoundedByteBuffer` is our equivalent, built
-on a ring buffer and a pair of condition variables, with three additions
+on a ring buffer and a pair of condition variables, with five additions
 the reproduction needs:
 
 * **Two-sided close semantics** (paper section 3.4).  Closing the *read*
@@ -422,6 +422,31 @@ class BoundedByteBuffer:
         if _telemetry.enabled:
             _telemetry.inc("kpn.channel.writes", 1, channel=self.name)
         with self._lock:
+            # The usual element — bytes, both ends open, room for all of
+            # it — is one += and the bookkeeping _write_locked does for a
+            # chunk, with no view, no loop and no further frame.  Anything
+            # else (a closed end to raise on, a full ring to block on, a
+            # chunked or non-bytes write) is _write_locked's, unchanged.
+            if (type(data) is bytes and not self._write_closed
+                    and not self._read_closed):
+                buffered = len(self._data) - self._read_pos + len(data)
+                if buffered <= self._capacity:
+                    self._data += data
+                    if self.history is not None:
+                        self.history += data
+                    self.total_written += len(data)
+                    if buffered > self._high_watermark:
+                        self._high_watermark = buffered
+                    if _telemetry.enabled:
+                        _telemetry.inc("kpn.channel.bytes_written", len(data),
+                                       channel=self.name)
+                    if self._readers_waiting:
+                        self._not_empty.notify_all()
+                    if self._async_readers:
+                        self._wake_async_readers()
+                    if self._listeners:
+                        self._fire_listeners()
+                    return
             self._write_locked(memoryview(data).cast("B"))
 
     def write_vectored(self, chunks) -> None:

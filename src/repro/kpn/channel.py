@@ -45,20 +45,20 @@ _channel_counter = itertools.count()
 class ChannelOutputStream(OutputStream):
     """Producer endpoint of a channel.
 
-    Writes pass through a :class:`SequenceOutputStream` so the transport
-    below can be swapped (local pipe ↔ network socket) without the owning
-    process noticing.
+    The transport below a :class:`SequenceOutputStream` can be swapped
+    (local pipe ↔ network socket ↔ fused pipe) without the owning process
+    noticing.  Swapping is rare and writing is not, so the sequence does
+    the work: ``write``, ``write_vectored`` and ``would_block_on`` are
+    instance attributes holding the bound methods of the *current lowest
+    layer* (for a local pipe, the ring's own ``write``), re-pointed by
+    the sequence's ``switch_to`` / ``close`` / ``abort``
+    (:meth:`SequenceOutputStream.bind`).
     """
 
     def __init__(self, channel: "Channel", sequence: SequenceOutputStream) -> None:
         self.channel = channel
         self.sequence = sequence
-
-    def write(self, data: bytes) -> None:
-        self.sequence.write(data)
-
-    def write_vectored(self, chunks) -> None:
-        self.sequence.write_vectored(chunks)
+        sequence.bind(self)
 
     def flush(self) -> None:
         self.sequence.flush()
@@ -68,9 +68,6 @@ class ChannelOutputStream(OutputStream):
 
     def abort(self) -> None:
         self.sequence.abort()
-
-    def would_block_on(self) -> Optional[BoundedByteBuffer]:
-        return self.sequence.would_block_on()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"<ChannelOutputStream of {self.channel.name!r}>"
@@ -105,6 +102,18 @@ class ChannelInputStream(InputStream):
         return self.blocking.readinto(target)
 
     def read_exactly(self, n: int) -> bytes:
+        # An element lying whole in what the local endpoint has read ahead
+        # is one slice of that batch (what LocalInputStream.read would do,
+        # four frames and a lock further down).  Nothing held, an element
+        # longer than what is left, a spliced, fused, remote, finished or
+        # closed sequence: the stack below, unchanged.
+        head = self.sequence.local_head
+        if head is not None:
+            batch, pos = head._batch, head._pos
+            end = pos + n
+            if pos < end <= len(batch):
+                head._pos = end
+                return bytes(batch[pos:end])
         return self.blocking.read_exactly(n)
 
     def available(self) -> int:
@@ -118,7 +127,8 @@ class ChannelInputStream(InputStream):
         return self.blocking.available() > 0 or self.blocking.at_eof()
 
     def would_block_on(self) -> Optional[BoundedByteBuffer]:
-        return self.sequence.would_block_on()
+        head = self.sequence.local_head
+        return (head if head is not None else self.sequence).would_block_on()
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:

@@ -369,11 +369,15 @@ class IterativeProcess(Process):
             # counting against steps_completed (rather than a local
             # countdown) lets a live-migrated process resume exactly where
             # it parked — "data elements are neither lost nor repeated".
+            step = self.step
             while self.iterations <= 0 or self.steps_completed < self.iterations:
-                if self._pause_point():
+                # _ctrl is None unless a migrator asked for control(), which
+                # it may do from its own thread at any time: re-read it
+                # every iteration, never hoist it out of the loop
+                if self._ctrl is not None and self._pause_point():
                     reason = "abandoned"
                     break
-                self.step()
+                step()
                 self.steps_completed += 1
         except Exception as exc:  # noqa: BLE001 - classified, then cleaned up
             reason = self._ended_by(exc)

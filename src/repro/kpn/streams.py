@@ -59,7 +59,7 @@ class InputStream:
     def readinto(self, target) -> int:
         """Blocking read into a writable bytes-like; returns the count
         (0 only at end of stream).  The default adapts :meth:`read`; local
-        streams override it to copy straight out of the ring storage.
+        streams override it to slice the batch they have read ahead.
         """
         view = memoryview(target).cast("B")
         chunk = self.read(len(view))
@@ -220,16 +220,17 @@ class LocalInputStream(InputStream):
 
 
 class LocalOutputStream(OutputStream):
-    """Write side of an in-memory pipe (``java.io.PipedOutputStream``)."""
+    """Write side of an in-memory pipe (``java.io.PipedOutputStream``).
+
+    This layer adds nothing to a write, so ``write`` and
+    ``write_vectored`` *are* the ring's bound methods: whoever keeps one
+    (the channel endpoint does) calls the ring with no frame in between.
+    """
 
     def __init__(self, buffer: BoundedByteBuffer) -> None:
         self.buffer = buffer
-
-    def write(self, data: bytes) -> None:
-        self.buffer.write(data)
-
-    def write_vectored(self, chunks) -> None:
-        self.buffer.write_vectored(chunks)
+        self.write = buffer.write
+        self.write_vectored = buffer.write_vectored
 
     def close(self) -> None:
         self.buffer.close_write()
@@ -336,6 +337,19 @@ class SequenceInputStream(InputStream):
         self._streams: list[InputStream] = [first] if first is not None else []
         self._closed = False
         self._finished = False  # saw EOF on the final stream
+        #: the head, while it is a local pipe end with nothing queued
+        #: behind it; None when empty, spliced, fused, remote, finished or
+        #: closed.  The channel endpoint serves whole elements out of
+        #: this stream's read-ahead without entering :meth:`read`; every
+        #: operation that changes the head re-points it under the lock.
+        self.local_head: Optional[LocalInputStream] = None
+        self._note_head()
+
+    def _note_head(self) -> None:
+        """Re-point :attr:`local_head` (caller holds the lock)."""
+        streams = self._streams
+        self.local_head = (streams[0] if len(streams) == 1
+                           and type(streams[0]) is LocalInputStream else None)
 
     def append(self, stream: InputStream) -> None:
         with self._lock:
@@ -345,6 +359,7 @@ class SequenceInputStream(InputStream):
                 raise ChannelClosedError(
                     "append after end of stream already observed")
             self._streams.append(stream)
+            self._note_head()
 
     def replace_head(self, stream: InputStream) -> None:
         """Swap the stream currently being consumed for ``stream``.
@@ -366,6 +381,7 @@ class SequenceInputStream(InputStream):
                 self._streams[0] = stream
             else:
                 self._streams.append(stream)
+            self._note_head()
 
     @property
     def current(self) -> Optional[InputStream]:
@@ -391,6 +407,7 @@ class SequenceInputStream(InputStream):
             with self._lock:
                 if self._streams and self._streams[0] is current:
                     self._streams.pop(0)
+                    self._note_head()
                 if not self._streams:
                     self._finished = True
                     return b""
@@ -413,6 +430,7 @@ class SequenceInputStream(InputStream):
             with self._lock:
                 if self._streams and self._streams[0] is current:
                     self._streams.pop(0)
+                    self._note_head()
                 if not self._streams:
                     self._finished = True
                     return 0
@@ -422,6 +440,7 @@ class SequenceInputStream(InputStream):
             streams = list(self._streams)
             self._streams.clear()
             self._closed = True
+            self._note_head()
         for s in streams:
             try:
                 s.close()
@@ -456,12 +475,47 @@ class SequenceOutputStream(OutputStream):
     so FIFO channel order is preserved as long as the old sink's bytes are
     delivered ahead of the new sink's (the migration machinery arranges
     exactly that with a drain-then-forward pump).
+
+    The lock guards re-pointing only.  A write is one load of the current
+    target, and a channel endpoint bound with :meth:`bind` does not come
+    through here at all: ``switch_to``, ``close`` and ``abort`` keep its
+    ``write`` / ``write_vectored`` / ``would_block_on`` equal to the
+    current target's bound methods, so a target must not re-bind its own
+    after it has been installed.
     """
 
     def __init__(self, target: OutputStream) -> None:
         self._lock = threading.RLock()
         self._target = target
         self._closed = False
+        self._endpoint: Optional[OutputStream] = None
+
+    def bind(self, endpoint: OutputStream) -> None:
+        """Make ``endpoint.write`` / ``.write_vectored`` /
+        ``.would_block_on`` the current target's, now and after every
+        ``switch_to``; once closed, its writes raise like this stream's."""
+        with self._lock:
+            self._endpoint = endpoint
+            self._point()
+
+    def _point(self) -> None:
+        """Re-point the bound endpoint (caller holds the lock)."""
+        endpoint = self._endpoint
+        if endpoint is None:
+            return
+        target = self._target
+        if self._closed:
+            write = write_vectored = self._raise_closed
+        else:
+            write, write_vectored = target.write, target.write_vectored
+        # one dict.update: no other thread runs bytecode inside it, so a
+        # producer that mixes write and write_vectored never finds one
+        # re-pointed and the other not (which could reorder its bytes)
+        vars(endpoint).update(write=write, write_vectored=write_vectored,
+                              would_block_on=target.would_block_on)
+
+    def _raise_closed(self, data) -> None:
+        raise ChannelClosedError("write on closed SequenceOutputStream")
 
     @property
     def current(self) -> OutputStream:
@@ -474,6 +528,7 @@ class SequenceOutputStream(OutputStream):
                 raise ChannelClosedError("switch_to on closed SequenceOutputStream")
             old = self._target
             self._target = new_target
+            self._point()
         if close_old and old is not new_target:
             try:
                 old.close()
@@ -481,20 +536,17 @@ class SequenceOutputStream(OutputStream):
                 pass
 
     def write(self, data: bytes) -> None:
-        # Snapshot the target outside the write so a blocked write does not
-        # hold our lock (a switch then applies to the *next* write).
-        with self._lock:
-            if self._closed:
-                raise ChannelClosedError("write on closed SequenceOutputStream")
-            target = self._target
-        target.write(data)
+        # No lock: the target is loaded once, so a switch applies to the
+        # *next* write, and a write that loses a race with close() reaches
+        # the closed target, which raises as it always did in that race.
+        if self._closed:
+            self._raise_closed(data)
+        self._target.write(data)
 
     def write_vectored(self, chunks) -> None:
-        with self._lock:
-            if self._closed:
-                raise ChannelClosedError("write on closed SequenceOutputStream")
-            target = self._target
-        target.write_vectored(chunks)
+        if self._closed:
+            self._raise_closed(chunks)
+        self._target.write_vectored(chunks)
 
     def flush(self) -> None:
         with self._lock:
@@ -507,6 +559,7 @@ class SequenceOutputStream(OutputStream):
                 return
             self._closed = True
             target = self._target
+            self._point()
         target.close()
 
     def abort(self) -> None:
@@ -515,6 +568,7 @@ class SequenceOutputStream(OutputStream):
                 return
             self._closed = True
             target = self._target
+            self._point()
         target.abort()
 
     def would_block_on(self) -> Optional[BoundedByteBuffer]:

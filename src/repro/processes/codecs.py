@@ -71,7 +71,7 @@ class StructCodec(Codec):
 
     def read(self, source: InputStream) -> Any:
         try:
-            exact = source._codec_read_exactly
+            exact = source.read_exactly
         except AttributeError:
             exact = _exact_reader(source)
         return self._struct.unpack_from(exact(self.width))[0]
@@ -98,12 +98,14 @@ class ObjectCodec(Codec):
     """Variable-width pickle-framed codec (``ObjectOutputStream`` analogue).
 
     This is the per-task hot path of every farm (one read + one write per
-    Worker step), so both directions keep per-stream serialization state
-    instead of re-deriving it per element:
+    Worker step).  Both directions call the stream's own attributes and
+    keep no copy of them: a channel endpoint's ``write_vectored`` is
+    re-pointed when its transport is switched, and a copy would go on
+    writing into the old one.
 
-    * reads cache the stream's bound ``read_exactly`` on the stream itself
-      (:func:`_exact_reader`, shared with :class:`StructCodec`) — no
-      ``getattr`` probe and no fallback-loop dispatch per element;
+    * reads use the stream's ``read_exactly`` (a foreign source without
+      one gets :func:`_exact_reader`'s loop, shared with
+      :class:`StructCodec`);
     * writes go through the stream's ``write_vectored`` when present, so
       the 4-byte header and the payload reach the channel in one call with
       no ``header + payload`` concatenation copy.
@@ -128,21 +130,15 @@ class ObjectCodec(Codec):
     def write(self, out: OutputStream, value: Any) -> None:
         payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
         try:
-            vectored = out._codec_write_vectored
-        except AttributeError:
-            vectored = getattr(out, "write_vectored", None)
-            try:
-                out._codec_write_vectored = vectored
-            except AttributeError:      # slotted/foreign sink: no cache
-                pass
-        if vectored is not None:
-            vectored((self._LEN.pack(len(payload)), payload))
-        else:
+            vectored = out.write_vectored
+        except AttributeError:          # foreign sink (a file, a BytesIO)
             out.write(self._LEN.pack(len(payload)) + payload)
+        else:
+            vectored((self._LEN.pack(len(payload)), payload))
 
     def read(self, source: InputStream) -> Any:
         try:
-            exact = source._codec_read_exactly
+            exact = source.read_exactly
         except AttributeError:
             exact = _exact_reader(source)
         (length,) = self._LEN.unpack_from(exact(4))
@@ -154,26 +150,19 @@ class ObjectCodec(Codec):
 
 
 def _exact_reader(source: InputStream):
-    """The exact-length reader of ``source``, cached on the stream as
-    ``_codec_read_exactly`` so codecs resolve it once per stream, not
-    once per element."""
-    exact = getattr(source, "read_exactly", None)
-    if exact is None:
-        def exact(n: int) -> bytes:
-            parts: list[bytes] = []
-            remaining = n
-            while remaining > 0:
-                chunk = source.read(remaining)
-                if not chunk:
-                    from repro.errors import EndOfStreamError
-                    raise EndOfStreamError("end of stream")
-                parts.append(chunk)
-                remaining -= len(chunk)
-            return b"".join(parts)
-    try:
-        source._codec_read_exactly = exact
-    except AttributeError:      # slotted/foreign source: no cache
-        pass
+    """An exact-length reader for a foreign ``source`` that has only
+    ``read`` (a file, a BytesIO): loop until the count is reached."""
+    def exact(n: int) -> bytes:
+        parts: list[bytes] = []
+        remaining = n
+        while remaining > 0:
+            chunk = source.read(remaining)
+            if not chunk:
+                from repro.errors import EndOfStreamError
+                raise EndOfStreamError("end of stream")
+            parts.append(chunk)
+            remaining -= len(chunk)
+        return b"".join(parts)
     return exact
 
 

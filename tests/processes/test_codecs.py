@@ -1,7 +1,7 @@
-"""Codec behaviour, including the OBJECT hot path's per-stream caching:
-frames must stay independent across messages and across interleaved
-streams — cached read/write dispatch state is per *stream*, never shared
-or stale."""
+"""Codec behaviour, including the OBJECT hot path: frames must stay
+independent across messages and across interleaved streams, and a codec
+keeps no copy of a stream's methods — an endpoint's are re-pointed when
+its transport is switched, and a copy would be stale."""
 
 import io
 
@@ -50,8 +50,31 @@ def test_object_codec_interleaved_streams():
         assert OBJECT.read(i1) == ("one", n)
 
 
+def test_object_codec_follows_a_switched_transport():
+    from repro.kpn.streams import OutputStream
+
+    class Other(OutputStream):
+        def __init__(self):
+            self.frames = []
+
+        def write(self, data):
+            self.frames.append(bytes(data))
+
+        def write_vectored(self, chunks):
+            self.frames.append(b"".join(chunks))
+
+    ch = Channel(4096)
+    out, other = ch.get_output_stream(), Other()
+    OBJECT.write(out, "first")
+    out.sequence.switch_to(other)
+    OBJECT.write(out, "second")
+    assert bytes(ch.buffer.drain()) == OBJECT.encode("first")
+    assert other.frames == [OBJECT.encode("second")]
+
+
 def test_object_codec_plain_bytesio_source():
-    # sources without read_exactly use the cached fallback reader
+    # a sink without write_vectored gets one joined frame, a source
+    # without read_exactly the fallback loop
     buf = io.BytesIO()
     OBJECT.write(buf, "abc")
     OBJECT.write(buf, [1, 2])
