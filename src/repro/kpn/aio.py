@@ -69,11 +69,15 @@ import threading
 from collections import deque
 from typing import Callable, List, Optional
 
-from repro.kpn.buffers import BoundedByteBuffer, set_current_task
+from repro.kpn.buffers import BoundedByteBuffer
 from repro.kpn.process import IterativeProcess, Process, _StepDriver
 from repro.telemetry.core import TELEMETRY as _telemetry
 
 __all__ = ["EventLoop", "Task", "async_hostable"]
+
+#: per-thread: the task whose step runs here (``.task``, read by the
+#: buffers) and its telemetry lane (``.actor``); set around each resume
+_HERE = _telemetry.local
 
 #: steps a task may run per resume before yielding the loop (fairness:
 #: a ring of never-blocking relays must not starve its loop-mates)
@@ -105,6 +109,8 @@ class Task:
         self.name = process.name
         self.loop = loop
         self.vtid = _next_vtid()
+        #: the telemetry lane this task's events land in
+        self._lane = (self.vtid, self.name)
         self._on_finish = on_finish
         self._done = threading.Event()
         self._park_traced = False
@@ -120,11 +126,14 @@ class Task:
         self._dindex = 0
         # the gate: whose rule names the inputs, whose outputs need room
         head = process.processes[0] if self._chain else process
-        self._awaits = head.awaits
+        inherited = type(head).awaits is Process.awaits
+        self._head = head
+        # None: the inherited default, which the gate reads inline
+        self._awaits = None if inherited else head.awaits
         # declared: the class wrote the rule, or vouches (kpn_strict) that
         # every step reads what the default names before it writes
         self._declared = not self._chain and (
-            type(head).awaits is not Process.awaits or head.kpn_strict)
+            not inherited or head.kpn_strict)
         self._outputs_of = process.processes[-1] if self._chain else process
         # a guess needs the deadlock monitor to release it if it was wrong
         network = getattr(process, "network", None)
@@ -153,7 +162,7 @@ class Task:
             self._park_traced = False
             # close the block span in the *task's* lane even though the
             # waking thread emits it
-            prev = _telemetry.swap_actor((self.vtid, self.name))
+            prev = _telemetry.swap_actor(self._lane)
             try:
                 _telemetry.end(f"block.{mode}", category="kpn.block")
             finally:
@@ -187,34 +196,72 @@ class Task:
 
     # -- execution ----------------------------------------------------------
     def _resume(self) -> None:
-        """One scheduling quantum; starts on the event-loop thread."""
-        set_current_task(self)
-        prev = _telemetry.swap_actor((self.vtid, self.name))
+        """One scheduling quantum, started on the event-loop thread.
+
+        Mirror of :meth:`FusedChain.run` — and, a lone process being a
+        chain of one, of :meth:`IterativeProcess.run`: pump the drivers
+        tail-to-head until each has finished, one quantum at a time.
+
+        The gate applies once the tail driver has started (its first pump
+        is ``on_start`` alone, which may write — a Delay's initial values
+        — before anything is read).  A pump that sleeps in a channel op
+        takes the thread it is on, exactly as it would block a thread of
+        the thread backend.
+        """
+        here = _HERE
+        prev = here.actor
+        here.task, here.actor = self, self._lane
         try:
-            self._advance()
+            chain = self._chain
+            drivers = self._drivers
+            if chain is not None and not drivers[0].started:
+                chain.begin()       # first resume: it pumps drivers[0]
+            budget = MAX_STEPS_PER_RESUME
+            while self._dindex < len(drivers):
+                if drivers[0].started and not self._gate():
+                    return
+                if drivers[self._dindex].pump():
+                    budget -= 1
+                else:
+                    self._dindex += 1
+                if self.on_thread or budget <= 0:
+                    self._requeue()
+                    return
+            if chain is not None:
+                chain.end()
+            self._complete()
         finally:
-            _telemetry.swap_actor(prev)
-            set_current_task(None)
+            here.task, here.actor = None, prev
 
     def _gate(self) -> bool:
-        """May the next step start?  False: parked, run nothing."""
+        """May the next step start?  False: parked on the first buffer
+        an operation of the step would sleep on, run nothing."""
         if self._forced:
             return True             # until this resume ends (_requeue)
         guesses = self._guesses
+        buffer = None
         if guesses or self._declared:
-            for stream in self._awaits() or ():
+            awaits = self._awaits
+            if awaits is None:
+                # Process.awaits, inlined: the only tracked input, if one
+                inputs = self._head.input_streams
+                if len(inputs) > 1:
+                    inputs = ()
+            else:
+                inputs = awaits() or ()
+            for stream in inputs:
                 buffer = stream.would_block_on()
                 if buffer is not None:
-                    return self._park(buffer, "read", not self._declared)
-        if guesses:
+                    mode, assumed = "read", not self._declared
+                    break
+        if buffer is None and guesses:
             for stream in self._outputs_of.output_streams:
                 buffer = stream.would_block_on()
                 if buffer is not None:
-                    return self._park(buffer, "write", True)
-        return True
-
-    def _park(self, buffer: BoundedByteBuffer, mode: str,
-              assumed: bool) -> bool:
+                    mode, assumed = "write", True
+                    break
+        if buffer is None:
+            return True
         self.assumed = assumed
         self._park_traced = _telemetry.enabled
         if not buffer.async_park(mode, self):
@@ -230,36 +277,6 @@ class Task:
         self.on_thread = False
         self._forced = False
         self.loop.schedule(self)
-
-    def _advance(self) -> None:
-        """Mirror of :meth:`FusedChain.run` — and, a lone process being a
-        chain of one, of :meth:`IterativeProcess.run`: pump the drivers
-        tail-to-head until each has finished, one quantum at a time.
-
-        The gate applies once the tail driver has started (its first pump
-        is ``on_start`` alone, which may write — a Delay's initial values
-        — before anything is read).  A pump that sleeps in a channel op
-        takes the thread it is on, exactly as it would block a thread of
-        the thread backend.
-        """
-        chain = self._chain
-        drivers = self._drivers
-        if chain is not None and not drivers[0].started:
-            chain.begin()           # first resume: it pumps drivers[0]
-        budget = MAX_STEPS_PER_RESUME
-        while self._dindex < len(drivers):
-            if drivers[0].started and not self._gate():
-                return
-            if drivers[self._dindex].pump():
-                budget -= 1
-            else:
-                self._dindex += 1
-            if self.on_thread or budget <= 0:
-                self._requeue()
-                return
-        if chain is not None:
-            chain.end()
-        self._complete()
 
     # -- termination --------------------------------------------------------
     def _complete(self) -> None:
@@ -326,18 +343,25 @@ class EventLoop:
         self._cond = threading.Condition()
         self._runnable: deque = deque()
         self._stopped = False
+        #: ident of the thread running the queue, stored by that thread
+        #: when it starts; None from a hand-off until the next one has
+        self._ident: Optional[int] = None
         self.hand_off()             # the first thread starts like every later one
 
     def hand_off(self) -> None:
         """Continue the run queue on a fresh thread.  Called by the
         running task, on the loop's thread, which from here on is the
         task's own and leaves :meth:`_run` when the task returns."""
+        # from here the calling thread is not the loop's: a wake-up it
+        # issues must go through the condition, or a next thread that has
+        # already gone to sleep would never see it
+        self._ident = None
         self.thread = threading.Thread(target=self._run, name=self.name,
                                        daemon=True)
         self.thread.start()
 
     def schedule(self, task: Task) -> None:
-        if threading.get_ident() == self.thread.ident:
+        if threading.get_ident() == self._ident:
             # a wake-up issued by a task this loop is running: the loop is
             # awake, so nobody waits on the condition, and deque.append is
             # atomic against _run's lock-free popleft
@@ -361,6 +385,7 @@ class EventLoop:
 
     def _run(self) -> None:
         me = threading.current_thread()
+        self._ident = me.ident
         runnable = self._runnable
         while self.thread is me and not self._stopped:
             try:

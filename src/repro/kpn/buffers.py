@@ -25,12 +25,14 @@ the reproduction needs:
 
 * **Cooperative (async-backend) hooks.**  A cooperative task
   (``Network(backend="async")``) runs its step on the ordinary blocking
-  code below.  Before the step, its scheduler checks the lock-free
-  readiness hints (:meth:`readable_hint` / :meth:`writable_hint`) and
-  parks the task on the buffer's waiter list (:meth:`async_park`) when
-  the step could not proceed; whichever thread next changes the buffer
-  state re-schedules it.  A step that nevertheless has to sleep inside
-  an operation keeps the thread it is on: ``_block_on_empty`` /
+  code below.  Before the step, its scheduler asks the task's channel
+  endpoints whether an operation would sleep (``would_block_on``: a
+  lock-free look at this ring's fill and close flags and at the
+  consumer's read-ahead) and parks the task on the buffer's waiter list
+  (:meth:`async_park`, which looks again under the lock) when the step
+  could not proceed; whichever thread next changes the buffer state
+  re-schedules it.  A step that nevertheless has to sleep inside an
+  operation keeps the thread it is on: ``_block_on_empty`` /
   ``_block_on_full`` tell the task (found through a thread-local), whose
   event loop moves to a fresh thread, and then wait like any thread with
   the task as the accounting identity.
@@ -58,24 +60,13 @@ from repro.errors import BrokenChannelError, ChannelClosedError
 from repro.telemetry.core import TELEMETRY as _telemetry
 
 __all__ = ["BlockAccounting", "BoundedByteBuffer", "DEFAULT_CAPACITY",
-           "PARKS_CAUSES", "set_current_task"]
+           "PARKS_CAUSES"]
 
-
-class _AsyncTLS(threading.local):
-    """Per-thread pointer to the cooperative task running a step here."""
-    task = None
-
-
-_ASYNC = _AsyncTLS()
-
-
-def set_current_task(task) -> None:
-    """Install (or clear, with None) this thread's running task.
-
-    Called by the event loop around each task resume; everything else
-    should treat it as read-only.
-    """
-    _ASYNC.task = task
+#: per-thread: ``.task`` is the cooperative task running a step on this
+#: thread (None on any other thread).  The event loop sets it around each
+#: resume, on the same thread-local as the task's telemetry lane;
+#: everything else treats it as read-only.
+_HERE = _telemetry.local
 
 #: Default channel capacity in bytes.  Java's ``PipedInputStream`` default
 #: is 1024 bytes; we match it so the paper's remark that "the default
@@ -119,16 +110,14 @@ class BlockAccounting:
             key = actor if actor is not None else threading.current_thread()
             self._blocked[key] = (buffer, mode)
             self.generation += 1
-        self._notify()
+        if self._on_change is not None:
+            self._on_change()
 
     def _exit(self, actor: object = None) -> None:
         with self._lock:
             key = actor if actor is not None else threading.current_thread()
             self._blocked.pop(key, None)
             self.generation += 1
-        self._notify()
-
-    def _notify(self) -> None:
         if self._on_change is not None:
             self._on_change()
 
@@ -342,9 +331,11 @@ class BoundedByteBuffer:
     def async_park(self, mode: str, waiter) -> bool:
         """Park a cooperative task on this buffer, or refuse.
 
-        Atomically re-checks that the operation would still block; a False
-        return means the buffer state changed since the task read the
-        lock-free hint and it should simply look again (classic
+        Atomically re-checks that the operation would still block (a read:
+        nothing buffered and both ends open; a write: no room for a byte
+        and both ends open); a False return means the buffer state changed
+        since the task read the lock-free hint (a stream's
+        ``would_block_on``) and it should simply look again (classic
         lost-wakeup guard).  On
         True the waiter is registered, blocked-actor accounting is entered
         (the waiter object *is* the actor key) and a ``block.read`` /
@@ -354,12 +345,15 @@ class BoundedByteBuffer:
         ``name``.
         """
         with self._lock:
+            if self._write_closed or self._read_closed:
+                return False
+            buffered = len(self._data) - self._read_pos
             if mode == "read":
-                if self.readable_hint():    # exact under the lock
+                if buffered > 0:
                     return False
                 self._async_readers.append(waiter)
             else:
-                if self.writable_hint():
+                if buffered < self._capacity:
                     return False
                 self._async_writers.append(waiter)
             acct = self.accounting
@@ -385,20 +379,6 @@ class BoundedByteBuffer:
                 self._wake_async_readers()
             else:
                 self._wake_async_writers()
-
-    def readable_hint(self) -> bool:
-        """Lock-free guess that a read would not sleep (bytes buffered, or
-        either end closed).  Exact while no other thread touches the
-        buffer; a racing caller confirms a "no" under the lock
-        (:meth:`async_park`) and survives a wrong "yes" by blocking."""
-        return (len(self._data) > self._read_pos or self._write_closed
-                or self._read_closed)
-
-    def writable_hint(self) -> bool:
-        """Lock-free guess that a write finds room for a byte (or a closed
-        end to fail on); same caveats as :meth:`readable_hint`."""
-        return (len(self._data) - self._read_pos < self._capacity
-                or self._read_closed or self._write_closed)
 
     # ------------------------------------------------------------------
     # data plane
@@ -577,7 +557,7 @@ class BoundedByteBuffer:
         (:meth:`read`) pass ``steal=False`` to keep the storage (and its
         already-grown allocation) in place.  Partial takes copy once.
         """
-        buffered = self._buffered()
+        buffered = len(self._data) - self._read_pos
         take = min(max_bytes, buffered)
         if steal and take == buffered:
             stolen = self._data
@@ -619,7 +599,7 @@ class BoundedByteBuffer:
                 if self._read_closed:
                     raise ChannelClosedError(
                         f"read on closed input of channel {self.name!r}")
-                if self._buffered() > 0:
+                if len(self._data) > self._read_pos:
                     return self._take_locked(max_bytes)
                 if self._write_closed:
                     self._check_aborted_eof()
@@ -649,7 +629,7 @@ class BoundedByteBuffer:
 
     def _block(self, cond: threading.Condition, mode: str) -> None:
         """Sleep until ``cond`` is signalled (caller holds the lock)."""
-        task = _ASYNC.task
+        task = _HERE.task
         if task is not None:
             # a cooperative task's step has to sleep after all: it keeps
             # this thread, its event loop continues on a fresh one

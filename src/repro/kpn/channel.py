@@ -21,6 +21,7 @@ hooks the rest of the system needs:
 from __future__ import annotations
 
 import itertools
+import sys
 import threading
 import time
 from typing import Optional, Sequence
@@ -28,6 +29,7 @@ from typing import Optional, Sequence
 from repro.kpn.buffers import BlockAccounting, BoundedByteBuffer, DEFAULT_CAPACITY
 from repro.telemetry.core import TELEMETRY as _telemetry
 from repro.kpn.streams import (
+    _NOTHING,
     BlockingInputStream,
     InputStream,
     LocalInputStream,
@@ -103,10 +105,12 @@ class ChannelInputStream(InputStream):
 
     def read_exactly(self, n: int) -> bytes:
         # An element lying whole in what the local endpoint has read ahead
-        # is one slice of that batch (what LocalInputStream.read would do,
-        # four frames and a lock further down).  Nothing held, an element
-        # longer than what is left, a spliced, fused, remote, finished or
-        # closed sequence: the stack below, unchanged.
+        # is one slice of that batch, and a used-up batch is refilled here
+        # with one drain_up_to (what LocalInputStream.read would do, four
+        # frames and a lock further down).  An element longer than what is
+        # left, end of stream, a refill shorter than the element, a
+        # spliced, fused, remote, finished or closed sequence: the stack
+        # below, unchanged.
         head = self.sequence.local_head
         if head is not None:
             batch, pos = head._batch, head._pos
@@ -114,6 +118,14 @@ class ChannelInputStream(InputStream):
             if pos < end <= len(batch):
                 head._pos = end
                 return bytes(batch[pos:end])
+            if pos >= len(batch) and n > 0:
+                # LocalInputStream._refill: drop the used-up storage before
+                # blocking, then hold everything the ring buffers
+                head._batch, head._pos = _NOTHING, 0
+                batch = head._batch = head.buffer.drain_up_to(sys.maxsize)
+                if n <= len(batch):
+                    head._pos = n
+                    return bytes(batch[:n])
         return self.blocking.read_exactly(n)
 
     def available(self) -> int:
@@ -128,7 +140,15 @@ class ChannelInputStream(InputStream):
 
     def would_block_on(self) -> Optional[BoundedByteBuffer]:
         head = self.sequence.local_head
-        return (head if head is not None else self.sequence).would_block_on()
+        if head is None:
+            return self.sequence.would_block_on()
+        # LocalInputStream.would_block_on, inlined: the async gate asks
+        # this before every step
+        ring = head.buffer
+        if (head._pos < len(head._batch) or len(ring._data) > ring._read_pos
+                or ring._write_closed or ring._read_closed):
+            return None
+        return ring
 
     # -- lifecycle ---------------------------------------------------------
     def close(self) -> None:

@@ -109,7 +109,13 @@ class Network:
             self.capacity_spec = load_capacity_spec(capacity_spec)
         else:
             self.capacity_spec = {}
-        self.accounting = BlockAccounting(on_change=self._kick_monitor)
+        self.monitor: Optional[DeadlockMonitor] = None
+        if bounded:
+            self.monitor = DeadlockMonitor(self, policy)
+        # every blocking transition kicks the monitor, so the accounting
+        # calls its bound kick with no frame in between
+        self.accounting = BlockAccounting(
+            on_change=self.monitor.kick if self.monitor is not None else None)
         self.channels: List[Channel] = []
         self.processes: List[Process] = []
         # identity set shadowing ``processes`` — membership checks on the
@@ -124,9 +130,6 @@ class Network:
         self._lock = threading.RLock()
         self._started = False
         self.fusion_plan = None
-        self.monitor: Optional[DeadlockMonitor] = None
-        if bounded:
-            self.monitor = DeadlockMonitor(self, policy)
 
     # ------------------------------------------------------------------
     # construction

@@ -214,9 +214,15 @@ class LocalInputStream(InputStream):
         return self.held() == 0 and self.buffer.at_eof()
 
     def would_block_on(self) -> Optional[BoundedByteBuffer]:
-        if self._pos < len(self._batch) or self.buffer.readable_hint():
+        # read ahead, bytes in the ring, or either end closed: a read
+        # returns or raises.  Lock-free, so exact while nobody else
+        # touches the ring; a racing "no" is confirmed under the lock by
+        # ``async_park``, a racing "yes" costs the step a hand-off.
+        ring = self.buffer
+        if (self._pos < len(self._batch) or len(ring._data) > ring._read_pos
+                or ring._write_closed or ring._read_closed):
             return None
-        return self.buffer
+        return ring
 
 
 class LocalOutputStream(OutputStream):
@@ -239,7 +245,13 @@ class LocalOutputStream(OutputStream):
         self.buffer.close_write(aborted=True)
 
     def would_block_on(self) -> Optional[BoundedByteBuffer]:
-        return None if self.buffer.writable_hint() else self.buffer
+        # room for a byte, or a closed end to fail on; lock-free, with the
+        # caveats of LocalInputStream.would_block_on
+        ring = self.buffer
+        if (len(ring._data) - ring._read_pos < ring._capacity
+                or ring._read_closed or ring._write_closed):
+            return None
+        return ring
 
 
 # ---------------------------------------------------------------------------

@@ -164,6 +164,19 @@ class HistogramData:
         return hist
 
 
+class _ThreadLocal(threading.local):
+    """Whom the calling thread is working for (:attr:`TelemetryHub.local`)."""
+
+    #: ``(tid, name)`` the thread's events are attributed to instead of
+    #: the OS thread, or None
+    actor: Optional[Tuple[int, str]] = None
+    #: the cooperative task whose step runs on this thread, or None.  The
+    #: async backend sets it next to the task's ``actor`` around each
+    #: resume (two stores on one thread-local); the channel buffers read
+    #: it to find a task whose step has to sleep.
+    task: Any = None
+
+
 def _labels_key(labels: Dict[str, Any]) -> LabelItems:
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
@@ -211,11 +224,12 @@ class TelemetryHub:
         self._t0 = time.monotonic()
         #: total events ever emitted (survives ring-buffer eviction)
         self.events_emitted = 0
-        #: per-thread actor override: ``(tid, name)`` attributed to events
-        #: instead of the OS thread.  The async scheduler backend sets it
-        #: around each coroutine-task resume so events from tasks that
-        #: share one event-loop thread land in distinct virtual lanes.
-        self._actor = threading.local()
+        #: per-thread state: ``actor``, the ``(tid, name)`` override
+        #: attributed to events instead of the OS thread, and ``task``.
+        #: The async scheduler backend sets both around each task resume
+        #: so events from tasks that share one event-loop thread land in
+        #: distinct virtual lanes.
+        self.local = _ThreadLocal()
 
     # ------------------------------------------------------------------
     # actor attribution (async scheduler backend)
@@ -226,8 +240,8 @@ class TelemetryHub:
 
         Virtual tids should not collide with OS thread idents — the async
         backend uses negative integers."""
-        prev = getattr(self._actor, "value", None)
-        self._actor.value = actor
+        prev = self.local.actor
+        self.local.actor = actor
         return prev
 
     # ------------------------------------------------------------------
@@ -275,7 +289,7 @@ class TelemetryHub:
               args: Optional[Dict[str, Any]]) -> None:
         if not self.enabled:
             return
-        actor = getattr(self._actor, "value", None)
+        actor = self.local.actor
         if actor is not None:
             tid, thread_name = actor
         else:

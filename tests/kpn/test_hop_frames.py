@@ -3,8 +3,10 @@
 ``LONG.write`` into a ring with room and ``LONG.read`` from a batch the
 endpoint already holds are each one frame below the codec and take no
 sequence lock (they were 8 and 5 frames and an RLock each when every call
-walked the Figure-3 stack).  An endpoint whose sequence is fused, spliced
-or closed still goes through the stack, layer by layer.  Counted with
+walked the Figure-3 stack); a read that finds the batch used up refills
+it with one ``drain_up_to``, still without the lock.  End of stream, and
+an endpoint whose sequence is fused, spliced or closed, still go through
+the stack, layer by layer.  Counted with
 ``sys.setprofile`` ``call`` events, which see Python frames only, so the
 numbers repeat exactly.
 """
@@ -13,7 +15,7 @@ import sys
 
 import pytest
 
-from repro.errors import ChannelClosedError
+from repro.errors import ChannelClosedError, EndOfStreamError
 from repro.kpn.channel import Channel
 from repro.kpn.compile import _FusedPipe, _PipeInput, _PipeOutput
 from repro.processes.codecs import LONG
@@ -81,15 +83,36 @@ def test_hit_path_is_one_frame_below_the_codec_and_takes_no_lock():
     assert inp.sequence.local_head is ch.reader
 
 
-def test_an_empty_batch_takes_the_stack_to_refill():
+def test_an_empty_batch_is_refilled_by_one_drain():
     ch, out, inp = channel()
     assert [LONG.read(inp), LONG.read(inp)] == [2, 3]
+    assert ch.reader.held() == 0
     LONG.write(out, 4)
-    assert calls(LONG.read, inp)[:5] == [
-        "StructCodec.read", "ChannelInputStream.read_exactly",
-        "BlockingInputStream.read_exactly", "SequenceInputStream.read",
-        "LocalInputStream.read"]
-    assert inp.sequence._lock.taken == 1
+    LONG.write(out, 5)
+    for _ in range(2):                    # exact, so it repeats
+        assert calls(LONG.read, inp) == [
+            "StructCodec.read", "ChannelInputStream.read_exactly",
+            "BoundedByteBuffer.drain_up_to", "BoundedByteBuffer._take_locked"]
+        assert ch.reader.held() == 8      # the refill took both elements
+        assert LONG.read(inp) == 5        # ... and the first was 4
+        LONG.write(out, 4)
+        LONG.write(out, 5)
+    assert inp.sequence._lock.taken == 0
+    assert inp.sequence.local_head is ch.reader
+    # end of stream is the stack's: the sequence pops its head
+    assert [LONG.read(inp), LONG.read(inp)] == [4, 5]
+    out.close()
+
+    def read_at_end():
+        with pytest.raises(EndOfStreamError, match="^end of stream$"):
+            LONG.read(inp)
+
+    frames = calls(read_at_end)
+    assert frames.index("BoundedByteBuffer.drain_up_to") < frames.index(
+        "BlockingInputStream.read_exactly") < frames.index(
+        "SequenceInputStream.read")
+    assert inp.sequence._lock.taken == 2
+    assert inp.sequence.local_head is None
 
 
 def test_spliced_endpoint_reads_through_the_stack():
