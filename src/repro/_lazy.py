@@ -20,12 +20,15 @@ def lazy_exports(package: str,
                  exports: Dict[str, Iterable[str]]) -> Callable[[str], object]:
     """A module ``__getattr__`` for ``package``.
 
-    ``exports`` maps each submodule to the public names it defines.  The
-    returned hook resolves those names (and the submodules themselves) on
-    first access and stores them in the package namespace, so the hook
-    runs once per name.
+    ``exports`` maps each submodule to the public names it defines; they
+    are appended to the package's ``__all__``, which lists only its eager
+    names.  The returned hook resolves those names (and the submodules
+    themselves) on first access and stores them in the package
+    namespace, so the hook runs once per name.
     """
     owner = {name: sub for sub, names in exports.items() for name in names}
+    module = sys.modules[package]
+    setattr(module, "__all__", [*getattr(module, "__all__", ()), *owner])
 
     def __getattr__(name: str):
         sub = owner.get(name)

@@ -34,6 +34,8 @@ from repro.analysis.markers import declared_nondeterminate, nondeterminate
 if TYPE_CHECKING:  # pragma: no cover
     from repro.analysis.findings import Finding
 
+__all__ = ["nondeterminate", "declared_nondeterminate", "lint_network"]
+
 # Zero runtime cost includes import cost: the process library imports this
 # package for the ``@nondeterminate`` marker alone, so the passes (ast,
 # tokenize, inspect) load when a lint entry point is first used.
@@ -46,18 +48,6 @@ __getattr__ = lazy_exports(__name__, {
     "graphproofs": ("GraphProof", "graph_findings", "prove_graph"),
     "races": ("Race", "detect_races", "race_findings"),
 })
-
-__all__ = [
-    "Finding", "FAILING_SEVERITIES", "JSON_SCHEMA_VERSION", "RULES",
-    "sort_findings", "summarize",
-    "nondeterminate", "declared_nondeterminate",
-    "lint_source", "lint_file", "lint_paths", "lint_class",
-    "lint_callable",
-    "Race", "detect_races", "race_findings",
-    "GraphProof", "prove_graph", "graph_findings",
-    "fusion_blockers", "dynamic_reason",
-    "lint_network",
-]
 
 
 def lint_network(network) -> List[Finding]:

@@ -35,7 +35,7 @@ Rules
     nondeterministic merge.
 ``global-write``
     Mutation of module-level state from inside a process body (a
-    ``global`` rebind, ``os.environ[...] = ...``, or a mutating method
+    ``global`` rebind, an item store into ``os.environ``, or a mutating method
     call / subscript store whose target is a module-level name).  Shared
     state between thread-backed processes is a race, not a stream.
 ``io``

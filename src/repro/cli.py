@@ -35,9 +35,10 @@ Chrome trace-event JSON file (load it in Perfetto / chrome://tracing).
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from typing import List, Optional
+
+from repro.config import RunConfig, add_run_arguments, use
 
 __all__ = ["main", "build_parser"]
 
@@ -101,11 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex.add_argument("--trace-out", default=None, metavar="FILE",
                       help="run with telemetry on; write a Chrome "
                            "trace-event JSON file")
-    p_ex.add_argument("--backend", default=None,
-                      choices=["thread", "async"],
-                      help="scheduler backend: one OS thread per process "
-                           "or cooperative tasks on event loops "
-                           "(also: REPRO_BACKEND; default thread)")
+    add_run_arguments(p_ex, "backend")
 
     p_lint = sub.add_parser(
         "lint", help="Kahn-semantics static analysis (AST lint, race "
@@ -134,9 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="fig19 farm width (default 4)")
     p_prof.add_argument("--tasks", type=int, default=120,
                         help="fig19 task count (default 120)")
-    p_prof.add_argument("--backend", default=None,
-                        choices=["thread", "async"],
-                        help="scheduler backend (also: REPRO_BACKEND)")
+    add_run_arguments(p_prof, "backend")
 
     p_compile = sub.add_parser(
         "compile", help="print the graph compiler's fusion plan for a "
@@ -155,10 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
                            help="fig19 farm width (default 4)")
     p_compile.add_argument("--tasks", type=int, default=120,
                            help="fig19 task count (default 120)")
-    p_compile.add_argument("--backend", default=None,
-                           choices=["thread", "async"],
-                           help="scheduler backend for --run "
-                                "(also: REPRO_BACKEND)")
+    add_run_arguments(p_compile, "backend")
 
     sub.add_parser("version", help="print the version")
     return parser
@@ -176,17 +168,14 @@ def _traced(args, label: str, fn) -> int:
     from repro.telemetry.core import TELEMETRY
     from repro.telemetry.export import write_chrome_trace
 
-    was = TELEMETRY.enabled
-    TELEMETRY.reset().enable()
     try:
-        with TELEMETRY.span(label, category="cli"):
-            rc = fn()
+        with TELEMETRY.enabled_scope(reset=True), \
+                TELEMETRY.span(label, category="cli"):
+            return fn()
     finally:
-        TELEMETRY.enabled = was
         write_chrome_trace(trace_out)
         print(f"trace written to {trace_out} "
               f"({TELEMETRY.events_emitted} events)", file=sys.stderr)
-    return rc
 
 
 def _cmd_server(args) -> int:
@@ -519,12 +508,11 @@ _HANDLERS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
-    backend = getattr(args, "backend", None)
-    if backend and args.command != "server":
-        # examples and figure networks build their own Network objects;
-        # the env var is how a backend choice reaches all of them
-        os.environ["REPRO_BACKEND"] = backend
-    return _HANDLERS[args.command](args)
+    # examples and figure networks build their own Network objects: the
+    # command's options reach them as the process config, for as long as
+    # the command runs
+    with use(RunConfig.from_args(args)):
+        return _HANDLERS[args.command](args)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -21,6 +21,7 @@ import threading
 import time
 from typing import Dict, List, Optional, Sequence
 
+from repro.config import RunConfig
 from repro.errors import RemoteError
 from repro.kpn.network import Network
 from repro.kpn.process import Process
@@ -39,42 +40,27 @@ class LocalCluster:
     ``python -m repro.distributed.server`` so workers truly run in
     parallel (separate GILs), which is what the real-execution benchmark
     uses.
+
+    ``config`` (a :class:`~repro.config.RunConfig`), settled when the
+    cluster starts, reaches every server: thread-mode servers get the
+    object, process-mode servers its ``argv()``.  Its telemetry and
+    profile switches reach process-mode servers only, which is what
+    :meth:`merged_trace` and :meth:`merged_profile` need.  Thread-mode
+    servers share this interpreter's hub and profiler (enable those
+    directly), and their hosted Workers with no executor spec follow the
+    interpreter's process config, as they follow its hub, not the
+    cluster's executor.
     """
 
     def __init__(self, n_servers: int = 2, mode: str = "thread",
-                 name_prefix: str = "server", telemetry: bool = False,
-                 profile: bool = False,
-                 executor: Optional[str] = None,
-                 pool_size: Optional[int] = None,
-                 optimize: bool = False,
-                 backend: Optional[str] = None) -> None:
+                 name_prefix: str = "server",
+                 config: Optional[RunConfig] = None) -> None:
         if mode not in ("thread", "process"):
             raise ValueError("mode must be 'thread' or 'process'")
         self.mode = mode
-        #: scheduler backend each server's hosted network runs on
-        #: (None: that host's REPRO_BACKEND, default thread)
-        self.backend = backend
         self.n_servers = n_servers
         self.name_prefix = name_prefix
-        #: run the graph compiler (:mod:`repro.kpn.compile`) over the
-        #: local partition before :func:`run_partitioned` starts it —
-        #: remote-linked channels are never fused, so this only collapses
-        #: hops that stayed on this host
-        self.optimize = optimize
-        #: compute backend every server executes shipped tasks (and hosted
-        #: workers with unset specs) on: "inline"/"process"
-        self.executor = executor
-        self.pool_size = pool_size
-        #: start process-mode servers with their telemetry hubs enabled
-        #: (thread-mode servers share this interpreter's hub — enable it
-        #: directly).  Required for :meth:`merged_trace` to see remote
-        #: events.
-        self.telemetry = telemetry
-        #: start process-mode servers with the continuous profiler on
-        #: (implies telemetry on those servers; thread-mode servers share
-        #: this interpreter's PROFILER — enable it directly).  Required
-        #: for :meth:`merged_profile` to see remote attributions.
-        self.profile = profile
+        self.config = config or RunConfig()
         self.registry_server: Optional[RegistryServer] = None
         self.registry: Optional[RegistryClient] = None
         self._servers: List[ComputeServer] = []
@@ -84,6 +70,7 @@ class LocalCluster:
 
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> "LocalCluster":
+        self.config = RunConfig.resolve(self.config)
         self.registry_server = RegistryServer().start()
         self.registry = RegistryClient("127.0.0.1", self.registry_server.port)
         for i in range(self.n_servers):
@@ -91,7 +78,7 @@ class LocalCluster:
             self.names.append(name)
             if self.mode == "thread":
                 server = ComputeServer(
-                    name=name, executor=self.executor, backend=self.backend,
+                    name=name, config=self.config,
                     registry=("127.0.0.1", self.registry_server.port)).start()
                 self._servers.append(server)
                 self.clients.append(ServerClient("127.0.0.1", server.port))
@@ -102,17 +89,8 @@ class LocalCluster:
     def _spawn_process_server(self, name: str) -> None:
         argv = [sys.executable, "-m", "repro.distributed.server",
                 "--name", name, "--port", "0",
-                "--registry", f"127.0.0.1:{self.registry_server.port}"]
-        if self.telemetry:
-            argv.append("--telemetry")
-        if self.profile:
-            argv.append("--profile")
-        if self.executor:
-            argv += ["--executor", self.executor]
-        if self.pool_size is not None:
-            argv += ["--pool-size", str(self.pool_size)]
-        if self.backend:
-            argv += ["--backend", self.backend]
+                "--registry", f"127.0.0.1:{self.registry_server.port}",
+                *self.config.argv()]
         proc = subprocess.Popen(
             argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
         self._procs.append(proc)
@@ -202,23 +180,14 @@ class LocalCluster:
 
         per_node: Dict[str, dict] = {}
         seen_pids: set = set()
-        for name, client in zip(self.names, self.clients):
-            snap = client.metrics().get("profile")
-            if not snap:
+        for name, snap in self.profiles().items():
+            if not snap or snap["pid"] in seen_pids:
                 continue
-            pid = snap.get("pid")
-            if pid is not None and pid in seen_pids:
-                continue
-            seen_pids.add(pid)
+            seen_pids.add(snap["pid"])
             per_node[snap.get("node") or name] = snap
         return merge_profiles(per_node)
 
     # -- cluster-causal tracing ---------------------------------------------
-    def clock_offsets(self, probes: int = 5) -> Dict[str, "OffsetEstimate"]:
-        """Per-server hub-clock offsets onto this interpreter's timeline."""
-        return {name: c.clock_offset(probes=probes)
-                for name, c in zip(self.names, self.clients)}
-
     def merged_trace(self, path: Optional[str] = None,
                      probes: int = 5) -> dict:
         """One causally-linked, time-aligned trace for the whole cluster.
@@ -263,8 +232,7 @@ def run_partitioned(local_part: Optional[Process],
                     cluster: LocalCluster,
                     network: Optional[Network] = None,
                     timeout: Optional[float] = 120.0,
-                    settle: float = 0.05,
-                    optimize: Optional[bool] = None) -> Network:
+                    settle: float = 0.05) -> Network:
     """The Figure 14/15 workflow.
 
     Build the whole graph on this machine, pass the composites to ship in
@@ -276,21 +244,16 @@ def run_partitioned(local_part: Optional[Process],
     Ships remote parts *in order* before starting the local part, matching
     the paper's staging; returns the local network after joining it.
 
-    ``optimize`` runs the graph compiler over the local partition before
-    it starts (defaults to ``cluster.optimize``).  Remote-pumped channels
-    are never fused, so only same-host hops collapse.
-
     When no ``network`` is supplied, the local partition runs on the
     cluster's scheduler backend — remote parts already do, on their
     servers' hosted networks.
     """
-    net = network or Network(name="partitioned", backend=cluster.backend)
+    net = network or Network(name="partitioned",
+                             backend=cluster.config.backend)
     for i, part in enumerate(remote_parts):
         cluster.client(i % len(cluster.clients)).run(part)
         time.sleep(settle)  # let listeners/pumps of that hop establish
     if local_part is not None:
         net.add(local_part)
-    if cluster.optimize if optimize is None else optimize:
-        net.optimize()
     net.run(timeout=timeout)
     return net

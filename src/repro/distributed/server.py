@@ -35,8 +35,9 @@ import threading
 import time
 from typing import Any, List, Optional
 
+from repro.config import RunConfig, add_run_arguments, use
 from repro.errors import RemoteError
-from repro.kpn.network import BACKENDS, Network
+from repro.kpn.network import Network
 from repro.kpn.process import Process
 from repro.distributed.codebase import SourceShippingPickler, dumps_shipped
 from repro.distributed.migration import loads_migration
@@ -71,23 +72,27 @@ class ComputeServer(RequestServer):
         Server name, registered with the registry when one is given.
     registry:
         Optional ``(host, port)`` of a :class:`RegistryServer`.
+    config:
+        The server's :class:`~repro.config.RunConfig`, settled against
+        the process config and the environment.  Its ``backend`` runs
+        the hosted network and its ``executor`` and ``pool_size`` run
+        shipped ``call`` tasks.  The telemetry and profile switches are
+        the interpreter's: :func:`serve` applies them.
     """
 
     def __init__(self, port: int = 0, name: str = "server",
                  registry: Optional[tuple[str, int]] = None,
-                 executor: Any = None,
-                 backend: Optional[str] = None) -> None:
+                 config: Optional[RunConfig] = None) -> None:
         # replies go through the shipping pickler: results built from
         # shipped classes return to the client by source
         super().__init__(port, name, SourceShippingPickler)
-        #: compute backend spec for shipped ``call`` tasks (resolved lazily
-        #: so servers that never execute tasks never build a pool)
-        self.executor = executor
+        self.config = RunConfig.resolve(config)
+        #: the executor for shipped ``call`` tasks, built lazily so
+        #: servers that never execute tasks never build a pool
         self._exec: Any = None
-        #: network hosting every process migrated to this server;
-        #: ``backend`` picks its scheduler (None: REPRO_BACKEND or thread)
+        #: network hosting every process migrated to this server
         self.network = Network(name=f"{name}-net",
-                               backend=backend).ensure_running()
+                               backend=self.config.backend).ensure_running()
         self._registry_client: Optional[RegistryClient] = None
         if registry is not None:
             self._registry_client = RegistryClient(*registry)
@@ -219,17 +224,15 @@ class ComputeServer(RequestServer):
         runnables — shares the one per-host pool.
         """
         if self._exec is None:
-            from repro.parallel.executor import resolve_executor
+            from repro.parallel.executor import shared_executor
 
-            self._exec = resolve_executor(self.executor)
+            self._exec = shared_executor(self.config.executor,
+                                         self.config.pool_size)
         return self._exec
 
     def _executor_stats(self) -> dict:
         if self._exec is None:
-            spec = self.executor
-            kind = spec if isinstance(spec, str) else getattr(
-                spec, "kind", None)
-            return {"kind": kind, "resolved": False}
+            return {"kind": self.config.executor, "resolved": False}
         return {**self._exec.stats(), "resolved": True}
 
     def _run_async(self, target: Any) -> None:
@@ -362,23 +365,7 @@ def add_server_arguments(parser: argparse.ArgumentParser) -> None:
                         help="host:port of a registry server")
     parser.add_argument("--advertise", default=None,
                         help="host other servers should dial back")
-    parser.add_argument("--telemetry", action="store_true",
-                        help="enable the telemetry hub (also: REPRO_TELEMETRY=1)")
-    parser.add_argument("--profile", action="store_true",
-                        help="enable the continuous KPN profiler — implies "
-                             "--telemetry (also: REPRO_PROFILE=1)")
-    # spelled out, not imported: repro.parallel pulls numpy into a process
-    # that may never run a task (setup time and resident memory)
-    parser.add_argument("--executor", default=None,
-                        choices=("inline", "process"),
-                        help="compute backend for shipped tasks and hosted "
-                             "workers (also: REPRO_EXECUTOR)")
-    parser.add_argument("--pool-size", type=int, default=None,
-                        help="process pool width (also: REPRO_POOL_SIZE;"
-                             " default: CPU count)")
-    parser.add_argument("--backend", default=None, choices=BACKENDS,
-                        help="scheduler backend for the hosted network "
-                             "(also: REPRO_BACKEND; default thread)")
+    add_run_arguments(parser)
 
 
 def main(argv: Optional[List[str]] = None) -> None:  # pragma: no cover
@@ -390,16 +377,11 @@ def main(argv: Optional[List[str]] = None) -> None:  # pragma: no cover
 def serve(args: argparse.Namespace) -> None:  # pragma: no cover
     """Run a compute server configured by parsed
     :func:`add_server_arguments` options, until the process is killed."""
-    if args.telemetry:
+    config = RunConfig.resolve(RunConfig.from_args(args))
+    if config.telemetry:
         _telemetry.enable()
-    if args.profile:
+    if config.profile:
         _profiler.enable()
-    if args.executor:
-        # env, not a constructor arg: hosted Workers resolve their specs
-        # against this process's environment, and both paths must agree
-        os.environ["REPRO_EXECUTOR"] = args.executor
-    if args.pool_size is not None:
-        os.environ["REPRO_POOL_SIZE"] = str(args.pool_size)
     # one server per process in standalone mode: name its trace lane
     _telemetry.node = args.name
     if args.advertise:
@@ -410,10 +392,13 @@ def serve(args: argparse.Namespace) -> None:  # pragma: no cover
     if args.registry:
         host, _, port = args.registry.partition(":")
         registry = (host, int(port))
-    server = ComputeServer(port=args.port, name=args.name,
-                           registry=registry, backend=args.backend).start()
-    print(f"SERVER {args.name} LISTENING {server.port}", flush=True)
-    threading.Event().wait()
+    # hosted Workers resolve their executor specs under the same config
+    # as the server's shipped tasks
+    with use(config):
+        server = ComputeServer(port=args.port, name=args.name,
+                               registry=registry, config=config).start()
+        print(f"SERVER {args.name} LISTENING {server.port}", flush=True)
+        threading.Event().wait()
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -25,9 +25,6 @@ from repro.kpn.streams import (BlockingInputStream, InputStream, LocalInputStrea
                                SequenceInputStream, SequenceOutputStream)
 
 __all__ = [
-    "FusedChain", "FusionPlan", "compile_network", "fuse",
-    "HistoryCapture", "decode_bytes", "infer_codecs",
-    "ChannelTrace", "TraceReport", "Tracer",
     "BlockAccounting", "BoundedByteBuffer", "DEFAULT_CAPACITY",
     "Channel", "ChannelInputStream", "ChannelOutputStream", "wait_any_readable",
     "DataInputStream", "DataOutputStream",

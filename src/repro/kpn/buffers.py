@@ -261,20 +261,10 @@ class BoundedByteBuffer:
     def write_closed(self) -> bool:
         return self._write_closed
 
-    def is_full(self) -> bool:
-        with self._lock:
-            return self._buffered() >= self._capacity
-
     def at_eof(self) -> bool:
         """True if a read would raise/return empty: writer closed & drained."""
         with self._lock:
             return self._write_closed and self._buffered() == 0
-
-    def readable_or_eof(self) -> bool:
-        """True if a read would *not* block (data ready or EOF reached)."""
-        with self._lock:
-            return (self._buffered() > 0 or self._write_closed
-                    or self._read_closed)
 
     def add_listener(self, callback: Callable[[], None]) -> None:
         """Register ``callback`` to run whenever readability may change.

@@ -46,7 +46,7 @@ same program graph as the prover and the lint rules
 The compiler runs strictly *before* ``Network.start()`` — and therefore
 before the deadlock monitor arms.  Entry points: :func:`compile_network`
 (plan only), :meth:`FusionPlan.apply`, :func:`fuse` (both), and
-``Network.run(optimize=True)``.
+``Network.optimize()``.
 """
 
 from __future__ import annotations

@@ -27,11 +27,11 @@ Typical use::
 
 from __future__ import annotations
 
-import os
 import threading
 import time
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
+from repro.config import RunConfig
 from repro.errors import DeadlockError
 from repro.kpn.buffers import BlockAccounting, DEFAULT_CAPACITY, PARKS_CAUSES
 from repro.kpn.channel import Channel
@@ -39,21 +39,7 @@ from repro.kpn.process import CompositeProcess, Process
 from repro.kpn.scheduler import DeadlockMonitor, DeadlockPolicy, GrowthEvent
 from repro.kpn.topology import Topology, build_topology, is_remote
 
-__all__ = ["Network", "BACKENDS", "resolve_backend"]
-
-#: scheduler backends: "thread" is the paper's one-OS-thread-per-process
-#: reference; "async" multiplexes cooperative tasks over event loops
-#: (see :mod:`repro.kpn.aio`) for 10k+-process graphs.
-BACKENDS = ("thread", "async")
-
-
-def resolve_backend(backend: Optional[str]) -> str:
-    """Explicit argument > ``REPRO_BACKEND`` env > ``"thread"``."""
-    choice = backend or os.environ.get("REPRO_BACKEND") or "thread"
-    if choice not in BACKENDS:
-        raise ValueError(
-            f"unknown scheduler backend {choice!r}; pick one of {BACKENDS}")
-    return choice
+__all__ = ["Network"]
 
 
 class Network:
@@ -80,7 +66,7 @@ class Network:
         Scheduler backend: ``"thread"`` (default; one OS thread per
         process, the paper's model) or ``"async"`` (cooperative tasks
         multiplexed over event loops — see :mod:`repro.kpn.aio`).
-        ``None`` consults the ``REPRO_BACKEND`` environment variable.
+        ``None`` follows the run configuration (:mod:`repro.config`).
         Processes the async runtime cannot host (custom ``run`` loops,
         ``@nondeterminate`` processes) transparently keep their own
         thread; the two actor kinds share channels freely.
@@ -98,7 +84,7 @@ class Network:
                  backend: Optional[str] = None,
                  workers: int = 1) -> None:
         self.name = name
-        self.backend = resolve_backend(backend)
+        self.backend = RunConfig.resolve(backend=backend).backend
         self._loops = None
         if self.backend == "async":
             from repro.kpn.aio import LoopPool
@@ -172,10 +158,6 @@ class Network:
                 self.processes.append(process)
         return process
 
-    def add_all(self, processes: Iterable[Process]) -> None:
-        for p in processes:
-            self.add(p)
-
     # ------------------------------------------------------------------
     # execution
     # ------------------------------------------------------------------
@@ -239,8 +221,8 @@ class Network:
         Raises :class:`~repro.errors.GraphConsistencyError` carrying the
         error rows of :func:`repro.analysis.graph_findings` (the
         structural rules and the directed-cycle deadlock proofs) and
-        :func:`repro.analysis.race_findings`.  Opt-in via
-        ``start(lint=True)`` / ``run(lint=True)``.
+        :func:`repro.analysis.race_findings`.  Opt-in: call it before
+        :meth:`start`.
         """
         from repro.analysis.graphproofs import graph_findings
         from repro.analysis.races import race_findings
@@ -270,11 +252,7 @@ class Network:
         fuse(self, spec=spec, **kwargs)
         return self
 
-    def start(self, lint: bool = False, optimize: bool = False) -> "Network":
-        if lint:
-            self.preflight()
-        if optimize:
-            self.optimize()
+    def start(self) -> "Network":
         with self._lock:
             if self._started:
                 raise RuntimeError("network already started")
@@ -362,14 +340,9 @@ class Network:
         self.raise_failures()
         return True
 
-    def run(self, timeout: Optional[float] = None, lint: bool = False,
-            optimize: bool = False) -> bool:
-        """``start()`` + ``join()``; the one-liner most programs need.
-
-        ``optimize=True`` runs the graph compiler (chain fusion, channel
-        collapse, buffer pre-sizing) before starting threads.
-        """
-        self.start(lint=lint, optimize=optimize)
+    def run(self, timeout: Optional[float] = None) -> bool:
+        """``start()`` + ``join()``; the one-liner most programs need."""
+        self.start()
         return self.join(timeout=timeout)
 
     def raise_failures(self) -> None:

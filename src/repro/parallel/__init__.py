@@ -12,22 +12,6 @@ example).
 
 from repro._lazy import lazy_exports
 
-__all__ = [
-    "DEFAULT_BATCH", "FactorConsumerResult", "FactorProducerTask",
-    "FactorResult", "FactorWorkerTask", "factor_search_sequential",
-    "is_probable_prime", "make_weak_key", "random_prime", "solve_difference",
-    "FarmHandle", "build_farm", "run_farm",
-    "Consumer", "Producer", "Worker",
-    "InlineExecutor", "ProcessPool", "TaskExecutor",
-    "default_pool_size", "resolve_executor", "shared_executor",
-    "shutdown_shared_executors",
-    "BLOCK", "BlockTask", "CompressedBlock", "ImageProducerTask",
-    "compress_block", "decompress_block", "join_blocks", "random_image",
-    "reassemble", "split_blocks",
-    "ParallelHarness", "meta_dynamic", "meta_static",
-    "STOP", "CallableTask", "RangeProducerTask", "ResultTask", "Task",
-]
-
 # Everything loads on first use: a pool child or a compute server imports
 # this package for its executor and tasks alone, and ``imaging`` would
 # bring numpy into a process that may never touch an image.

@@ -42,10 +42,10 @@ Crash semantics: if a child dies mid-task (OOM kill, segfault,
 :class:`~repro.errors.RemoteError` to the submitting thread.  Respawns
 are counted in the ``parallel.pool_respawns`` telemetry counter.
 
-Selection: ``run_farm(..., executor="process")``, the ``REPRO_EXECUTOR``
-environment variable (read where the worker actually *runs*, so a
-Worker shipped to a compute server picks up that host's setting), and
-``REPRO_POOL_SIZE`` for the pool width (default ``os.cpu_count()``).
+Selection: ``run_farm(..., executor="process")``, or the run
+configuration's ``executor`` and ``pool_size`` (:mod:`repro.config`,
+resolved where the worker actually *runs*, so a Worker shipped to a
+compute server picks up that host's setting).
 One pool is shared per host: a :class:`~repro.distributed.server.ComputeServer`
 hub and any number of hosted runnables submit to the same warm pool.
 """
@@ -62,6 +62,7 @@ import time
 from collections import deque
 from typing import Any, List, Optional
 
+from repro.config import EXECUTOR_KINDS, RunConfig
 from repro.errors import ChannelError, RemoteError
 from repro.telemetry.core import TELEMETRY as _telemetry
 
@@ -71,19 +72,10 @@ __all__ = [
     "default_pool_size", "EXECUTOR_KINDS",
 ]
 
-#: the executor spec names ``resolve_executor`` accepts
-EXECUTOR_KINDS = ("inline", "process")
-
 
 def default_pool_size() -> int:
-    """Pool width: ``REPRO_POOL_SIZE`` if set, else ``os.cpu_count()``."""
-    env = os.environ.get("REPRO_POOL_SIZE", "").strip()
-    if env:
-        size = int(env)
-        if size < 1:
-            raise ValueError(f"REPRO_POOL_SIZE must be >= 1, got {size}")
-        return size
-    return os.cpu_count() or 1
+    """Pool width: the run configuration's ``pool_size``."""
+    return RunConfig.resolve().pool_size
 
 
 # ---------------------------------------------------------------------------
@@ -229,7 +221,7 @@ class ProcessPool(TaskExecutor):
     Parameters
     ----------
     size:
-        Number of children (default: ``REPRO_POOL_SIZE`` or CPU count).
+        Number of children (default: :func:`default_pool_size`).
     max_retries:
         How many times a task whose child died is retried on a fresh
         child (default 1, per the crash-survival contract).
@@ -425,20 +417,17 @@ atexit.register(shutdown_shared_executors)
 def resolve_executor(spec: "str | TaskExecutor | None") -> TaskExecutor:
     """Resolve an executor spec to a live executor.
 
-    ``None`` consults ``REPRO_EXECUTOR`` (default ``"inline"``) *at call
-    time*, i.e. on the host where the worker runs — a Worker shipped to a
-    compute server resolves against that server's environment.  Strings
-    name the shared per-host executors; an executor instance passes
-    through (caller owns its lifecycle).
+    ``None`` follows the run configuration *at call time*, i.e. on the
+    host where the worker runs — a Worker shipped to a compute server
+    resolves against that server's configuration.  Strings name the
+    shared per-host executors, sized by the configuration's
+    ``pool_size``; an executor instance passes through (caller owns its
+    lifecycle).
     """
     if isinstance(spec, TaskExecutor):
         return spec
-    if spec is None:
-        spec = os.environ.get("REPRO_EXECUTOR", "").strip() or "inline"
-    if spec not in EXECUTOR_KINDS:
-        raise ValueError(
-            f"unknown executor {spec!r}; known: {EXECUTOR_KINDS}")
-    return shared_executor(spec)
+    config = RunConfig.resolve(executor=spec)
+    return shared_executor(config.executor, config.pool_size)
 
 
 if __name__ == "__main__":  # pragma: no cover - child entry point

@@ -63,7 +63,7 @@ class Worker(IterativeProcess):
     slowdown).
 
     ``executor`` selects where ``task.run()`` executes: ``None`` (the
-    host's ``REPRO_EXECUTOR`` setting, default inline), ``"inline"``,
+    host's run configuration, default inline), ``"inline"``,
     ``"process"``, or a live
     :class:`~repro.parallel.executor.TaskExecutor`.  The spec is resolved
     lazily in ``on_start`` so a worker shipped to a compute server uses

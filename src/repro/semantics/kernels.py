@@ -25,7 +25,7 @@ Kernel = Callable[[Streams], Streams]
 __all__ = [
     "k_constant", "k_sequence", "k_cons", "k_duplicate", "k_add", "k_binary",
     "k_scale", "k_map", "k_ordered_merge", "k_modulo_filter", "k_sieve",
-    "k_guard", "k_identity", "compose_check_monotonic",
+    "k_guard", "k_identity",
 ]
 
 
@@ -167,13 +167,3 @@ def k_guard(stop_after_true: bool = False) -> Kernel:
         return (tuple(out),)
 
     return kernel
-
-
-def compose_check_monotonic(kernel: Kernel, smaller: Streams, larger: Streams) -> bool:
-    """Check ``X ⊑ Y ⇒ f(X) ⊑ f(Y)`` for one sample pair (test helper)."""
-    from repro.semantics.streams import prefix_le, tuple_prefix_le
-
-    if not tuple_prefix_le(smaller, larger):
-        raise ValueError("sample pair must satisfy smaller ⊑ larger")
-    fs, fl = kernel(smaller), kernel(larger)
-    return all(prefix_le(a, b) for a, b in zip(fs, fl))

@@ -23,11 +23,12 @@ Quickstart::
     write_chrome_trace("trace.json")
 """
 
-import os
-
 from repro._lazy import lazy_exports
+from repro.config import RunConfig
 from repro.telemetry.core import (Event, HistogramData, TELEMETRY,
                                   TelemetryHub, render_key)
+
+__all__ = ["Event", "HistogramData", "TELEMETRY", "TelemetryHub", "render_key"]
 
 # the runtime only needs the hub; exporters, clock sync, the profiler and
 # the trace merger load when first used
@@ -42,18 +43,11 @@ __getattr__ = lazy_exports(__name__, {
                     "merge_node_traces", "render_top", "write_merged_trace"),
 })
 
-if os.environ.get("REPRO_PROFILE"):
-    # the profiler's module reads the variable and switches itself on
-    # process-wide when it is imported; asked for, it cannot be deferred
-    from repro.telemetry import profile as _profile  # noqa: F401
-
-__all__ = [
-    "Event", "HistogramData", "TELEMETRY", "TelemetryHub", "render_key",
-    "chrome_trace", "cluster_report", "merge_counters", "profile_gauges",
-    "prometheus_text", "write_chrome_trace",
-    "OffsetEstimate", "ProbeSample", "estimate_offset",
-    "PROFILER", "Profiler", "analyze", "fold_stacks", "merge_profiles",
-    "process_utilization", "render_profile", "write_capacity_spec",
-    "TraceContext", "current_context", "event_to_dict", "merge_node_traces",
-    "render_top", "write_merged_trace",
-]
+# the run configuration's switches, applied once, when the process starts
+_start = RunConfig.resolve()
+if _start.telemetry:
+    TELEMETRY.enable()
+if _start.profile:
+    # asked for at start-up, the profiler cannot be deferred
+    from repro.telemetry.profile import PROFILER as _profiler
+    _profiler.enable()

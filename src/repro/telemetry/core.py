@@ -35,8 +35,9 @@ monotonic, so exported traces are internally consistent.
 
 Enable programmatically (``TELEMETRY.enable()``), per scope
 (``with TELEMETRY.enabled_scope(): ...``), or for a whole process via the
-``REPRO_TELEMETRY`` environment variable (any non-empty value other than
-``0``) — the knob used to start instrumented compute servers.
+run configuration's ``telemetry`` switch (:mod:`repro.config`), which
+:mod:`repro.telemetry` applies when it is first imported — the knob used
+to start instrumented compute servers.
 """
 
 from __future__ import annotations
@@ -436,6 +437,3 @@ class TelemetryHub:
 
 #: the process-wide hub every instrumentation site uses
 TELEMETRY = TelemetryHub()
-
-if os.environ.get("REPRO_TELEMETRY", "0") not in ("", "0", "false", "no"):
-    TELEMETRY.enable()

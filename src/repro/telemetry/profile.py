@@ -35,7 +35,9 @@ attributions (:func:`merge_profiles`).  :func:`fold_stacks` renders a
 snapshot as folded-stack lines for flamegraph tooling.
 
 Enable with :data:`PROFILER` (``PROFILER.enable()`` — implies telemetry),
-per server with ``--profile``, or process-wide via ``REPRO_PROFILE=1``.
+per server with ``--profile``, or process-wide via the run
+configuration's ``profile`` switch (``REPRO_PROFILE=1``; see
+:mod:`repro.config`).
 """
 
 from __future__ import annotations
@@ -316,9 +318,6 @@ def _channel_facts(census: Mapping[str, Any]) -> Dict[str, Dict[str, Any]]:
 
 #: the process-wide profiler over the global hub
 PROFILER = Profiler(TELEMETRY)
-
-if os.environ.get("REPRO_PROFILE", "0") not in ("", "0", "false", "no"):
-    PROFILER.enable()
 
 
 # ---------------------------------------------------------------------------

@@ -100,13 +100,14 @@ def test_deferred_tail_breaks_deadlock():
 def test_cycle_through_an_input_the_rule_does_not_name_is_no_deadlock(backend):
     """Gather is strict but reads one input per step: a zero-token cycle
     through ``inputs[1]`` used to be a proved deadlock, and
-    ``start(lint=True)`` refused a network that runs to completion."""
+    ``preflight()`` refused a network that runs to completion."""
     net, out = gather_fed_by_its_own_output(backend)
     proof = prove_graph(net)
     assert proof.has_directed_cycle
     assert not proof.proved_deadlocks
     assert not [f for f in graph_findings(net) if f.severity == "error"]
-    assert net.run(timeout=30, lint=True)
+    net.preflight()
+    assert net.run(timeout=30)
     assert out == [0, 0, 1, 0, 2, 10, 3, 0, 4, 20]
 
 
@@ -175,12 +176,12 @@ def test_bounded_findings_are_info():
 
 
 # ---------------------------------------------------------------------------
-# Network.start(lint=True) pre-flight
+# Network.preflight()
 # ---------------------------------------------------------------------------
 
 def test_preflight_rejects_proved_deadlock():
     with pytest.raises(GraphConsistencyError, match="proved-deadlock"):
-        zero_token_loop().start(lint=True)
+        zero_token_loop().preflight()
 
 
 def test_preflight_rejects_shared_state():
@@ -193,10 +194,11 @@ def test_preflight_rejects_shared_state():
     net.add(Collect(c1.get_input_stream(), shared, name="k1"))
     net.add(Collect(c2.get_input_stream(), shared, name="k2"))
     with pytest.raises(GraphConsistencyError, match="shared-state"):
-        net.start(lint=True)
+        net.preflight()
 
 
 def test_preflight_passes_clean_network_and_runs():
     built = fibonacci(5)
-    assert built.network.run(timeout=60, lint=True)
+    built.network.preflight()
+    assert built.network.run(timeout=60)
     assert built.results == [1, 1, 2, 3, 5]

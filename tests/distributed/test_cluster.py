@@ -1,12 +1,15 @@
 """LocalCluster and the Figure 14/15 partitioned workflow."""
 
+import os
 import sys
 
 import pytest
 
+from repro.config import RunConfig, use
 from repro.kpn import Network
 from repro.distributed import LocalCluster, run_partitioned
 from repro.parallel import CallableTask
+from repro.parallel.executor import shutdown_shared_executors
 from repro.processes import Collect, FromIterable, Scale, Sequence
 
 
@@ -48,6 +51,28 @@ def test_run_partitioned_pipeline(thread_cluster):
     run_partitioned(None, [stage1, stage2], thread_cluster, network=net,
                     timeout=60)
     assert out == [6, 12, 18, 24]
+
+
+def test_thread_mode_servers_size_their_pool_from_the_config():
+    shutdown_shared_executors()
+    config = RunConfig(executor="process", pool_size=1)
+    try:
+        with LocalCluster(1, mode="thread", config=config) as cluster:
+            assert cluster.client(0).call(CallableTask(pow, 2, 5)) == 32
+            executor = cluster.stats()["server-0"]["executor"]
+    finally:
+        shutdown_shared_executors()
+    assert executor["kind"] == "process" and executor["size"] == 1
+
+
+@pytest.mark.slow
+def test_process_mode_servers_get_the_process_config_as_argv(monkeypatch):
+    monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    with use(RunConfig(backend="async")):
+        with LocalCluster(1, mode="process") as cluster:
+            stats = cluster.stats()["server-0"]
+    assert stats["backend"] == "async"
+    assert "REPRO_BACKEND" not in os.environ
 
 
 def test_invalid_mode_rejected():

@@ -5,6 +5,7 @@ import time
 
 import pytest
 
+from repro.config import RunConfig
 from repro.distributed.registry import RegistryClient, RegistryServer
 from repro.distributed.server import ComputeServer, ServerClient
 from repro.errors import RemoteError
@@ -150,10 +151,12 @@ def test_two_clients_concurrently(server_client):
 def test_call_routes_through_server_executor():
     """A server built with executor="process" executes shipped tasks in
     a pool child, and its stats expose the pool's counters."""
-    from repro.parallel.executor import ProcessPool
+    from repro.parallel.executor import shutdown_shared_executors
 
-    pool = ProcessPool(size=1)
-    server = ComputeServer(name="exec-server", executor=pool).start()
+    shutdown_shared_executors()
+    server = ComputeServer(
+        name="exec-server",
+        config=RunConfig(executor="process", pool_size=1)).start()
     client = ServerClient("127.0.0.1", server.port)
     try:
         assert client.call(CallableTask(pow, 3, 4)) == 81
@@ -164,11 +167,12 @@ def test_call_routes_through_server_executor():
     finally:
         client.close()
         server.stop()
-        pool.close()
+        shutdown_shared_executors()
 
 
 def test_stats_report_unresolved_executor_spec():
-    server = ComputeServer(name="lazy-server", executor="process").start()
+    server = ComputeServer(name="lazy-server",
+                           config=RunConfig(executor="process")).start()
     client = ServerClient("127.0.0.1", server.port)
     try:
         stats = client.stats()

@@ -461,6 +461,7 @@ def test_cli_compile_run_executes_fused(capsys):
 
 def test_network_run_optimize_flag():
     net, out = build_linear(3, count=25)
-    assert net.run(timeout=30, optimize=True)
+    net.optimize()
+    assert net.run(timeout=30)
     assert net.fusion_plan is not None and net.fusion_plan.applied
     assert out == [i * 2 for i in range(25)]

@@ -169,7 +169,9 @@ def test_no_body_is_entered_twice(fused, handoffs):
     counted = net.add(Counted(a.get_input_stream(), b.get_output_stream()))
     net.add(Scale(b.get_input_stream(), c.get_output_stream(), 1))
     net.add(Collect(c.get_input_stream(), out))
-    assert net.run(timeout=30, optimize=fused)
+    if fused:
+        net.optimize()
+    assert net.run(timeout=30)
     assert (net.fusion_plan is not None) == fused
     assert out == [-1, -2] + list(range(20))
     assert counted.entries == {"on_start": 1, "step": 11, "on_stop": 1}

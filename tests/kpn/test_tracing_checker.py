@@ -132,7 +132,7 @@ def test_lint_network_reports_what_preflight_refuses():
     assert finding.rule == "multi-consumer"
     assert "read by ['thief', 'm']" in finding.message
     with pytest.raises(GraphConsistencyError, match="multi-consumer"):
-        two_readers().start(lint=True)
+        two_readers().preflight()
 
 
 def test_repro_lint_fails_on_a_network_with_two_readers(monkeypatch, capsys):
@@ -156,7 +156,7 @@ def test_long_writer_wired_to_double_reader_detected():
     assert finding.rule == "codec-mismatch"
     assert "'long'" in finding.message and "'double'" in finding.message
     with pytest.raises(GraphConsistencyError, match="codec-mismatch"):
-        net.run(timeout=30, lint=True)
+        net.preflight()
     assert out == []  # refused before anything ran
 
 

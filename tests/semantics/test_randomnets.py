@@ -1,16 +1,19 @@
 """Property-based determinacy over *generated* networks.
 
 Three independent evaluators of every generated graph must agree:
-1. the threaded runtime (any channel capacity, any thread interleaving),
+1. the runtime (any drawn run configuration, graph-compiled or not, any
+   channel capacity, any thread interleaving),
 2. the compiled Kleene least fixed point,
 3. a direct single-pass reference evaluator.
 """
 
 import random
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.config import BACKENDS, RunConfig, use
 from repro.semantics.compile import compile_network
 from repro.semantics.randomnets import (NetSpec, build_operational,
                                         random_spec, reference_evaluate)
@@ -23,17 +26,38 @@ def stream_channel_name(idx: int) -> str:
     return f"rn-{idx}"
 
 
-def run_and_collect(spec: NetSpec, capacity=None):
+def run_and_collect(spec: NetSpec, capacity=None, optimize=False):
     net, sinks = build_operational(spec, capacity=capacity)
     compiled = compile_network(net, max_len=500)
+    if optimize:
+        net.optimize()
     net.run(timeout=120)
     return net, sinks, compiled
 
 
-@given(specs)
-@settings(max_examples=40, deadline=None)
-def test_runtime_equals_fixed_point_equals_reference(spec):
-    net, sinks, compiled = run_and_collect(spec)
+@contextmanager
+def hub_as(config: RunConfig):
+    """The telemetry hub switched as ``config`` says, and left empty."""
+    if not config.telemetry:
+        yield
+        return
+    from repro.telemetry import TELEMETRY
+
+    with TELEMETRY.enabled_scope(reset=True):
+        yield
+    TELEMETRY.reset()
+
+
+@given(specs,
+       st.builds(RunConfig, backend=st.sampled_from(BACKENDS),
+                 telemetry=st.booleans()),
+       st.booleans(), st.sampled_from([16, None]))
+@settings(max_examples=100, deadline=None)
+def test_runtime_equals_fixed_point_equals_reference(spec, config, optimize,
+                                                     capacity):
+    with use(config), hub_as(config):
+        net, sinks, compiled = run_and_collect(spec, capacity, optimize)
+    assert net.backend == config.backend
     reference = reference_evaluate(spec)
     for idx, collected in sinks.items():
         predicted = list(compiled.predict(stream_channel_name(idx)))

@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from repro.config import RunConfig
 from repro.distributed.cluster import LocalCluster
 from repro.parallel import CallableTask
 from repro.telemetry.clock import ProbeSample, estimate_offset
@@ -117,7 +118,8 @@ def test_process_mode_merged_trace_links_dispatch_across_lanes(hub, tmp_path):
     """
     artifact = os.environ.get("REPRO_TRACE_ARTIFACT")
     path = artifact or str(tmp_path / "merged-trace.json")
-    with LocalCluster(1, mode="process", telemetry=True) as cluster:
+    with LocalCluster(1, mode="process",
+                      config=RunConfig(telemetry=True)) as cluster:
         client = cluster.client(0)
         assert client.ping() == "server-0"
         assert client.call(CallableTask(pow, 2, 10)) == 1024

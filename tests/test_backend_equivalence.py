@@ -22,7 +22,7 @@ import os
 import pytest
 
 from repro.kpn.history import HistoryCapture
-from repro.kpn.network import resolve_backend
+from repro.config import RunConfig
 from repro.processes import (fibonacci, hamming, modulo_merge, newton_sqrt,
                              primes)
 
@@ -193,12 +193,12 @@ def test_on_stop_failure_ends_the_run_the_same_way(backend, fused):
 
 def test_resolve_backend_precedence(monkeypatch):
     monkeypatch.delenv("REPRO_BACKEND", raising=False)
-    assert resolve_backend(None) == "thread"
+    assert RunConfig.resolve().backend == "thread"
     monkeypatch.setenv("REPRO_BACKEND", "async")
-    assert resolve_backend(None) == "async"
-    assert resolve_backend("thread") == "thread"  # arg beats env
+    assert RunConfig.resolve().backend == "async"
+    assert RunConfig.resolve(backend="thread").backend == "thread"  # arg beats env
     with pytest.raises(ValueError):
-        resolve_backend("fibers")
+        RunConfig.resolve(backend="fibers")
     monkeypatch.setenv("REPRO_BACKEND", "bogus")
     with pytest.raises(ValueError):
-        resolve_backend(None)
+        RunConfig.resolve()

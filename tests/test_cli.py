@@ -1,5 +1,6 @@
 """CLI entry points (python -m repro.cli)."""
 
+import os
 import subprocess
 import sys
 
@@ -44,6 +45,26 @@ def test_example_list(capsys):
 def test_example_runs(capsys):
     assert run_cli("example", "newton_sqrt") == 0
     assert "newton sqrt OK" in capsys.readouterr().out
+
+
+def test_backend_flag_lasts_as_long_as_its_command(monkeypatch, capsys):
+    from repro.kpn.network import Network
+
+    monkeypatch.delenv("REPRO_BACKEND", raising=False)
+    environ = dict(os.environ)
+    built = []
+    init = Network.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        built.append(self.backend)
+
+    monkeypatch.setattr(Network, "__init__", recording_init)
+    assert run_cli("example", "newton_sqrt", "--backend", "async") == 0
+    assert built and set(built) == {"async"}  # the example's own networks
+    assert run_cli("compile", "fibonacci", "--backend", "async", "--run") == 0
+    assert dict(os.environ) == environ
+    assert Network().backend == "thread"
 
 
 def test_parser_rejects_unknown_command():

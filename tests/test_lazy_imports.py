@@ -61,6 +61,8 @@ def test_dsp_kernels_register_with_the_semantics_compiler():
 def test_profile_env_still_switches_the_profiler_on_at_import():
     code = ("import sys, repro\n"
             "m = sys.modules.get('repro.telemetry.profile')\n"
-            "print(m is not None and m.PROFILER.enabled)")
-    assert _python(code, REPRO_PROFILE="1") == ["True"]
-    assert _python(code) == ["False"]
+            "print(m is not None, m is not None and m.PROFILER.enabled)")
+    assert _python(code, REPRO_PROFILE="1") == ["True", "True"]
+    # off means off: "0" neither switches the profiler on nor loads it
+    assert _python(code, REPRO_PROFILE="0") == ["False", "False"]
+    assert _python(code) == ["False", "False"]
