@@ -23,7 +23,12 @@ and a step that has to sleep anyway is given a stack to sleep on:
   something is not ready the task parks on that buffer's waiter list
   (:meth:`~repro.kpn.buffers.BoundedByteBuffer.async_park`) and runs
   nothing; whichever thread next changes the buffer re-schedules it and
-  the whole gate is evaluated again.
+  the gate is evaluated again — all of it, except that a task woken off
+  a reader list takes the one input of its default rule as ready.  A
+  stale take (a splice moved the input since) costs a hand-off, never a
+  wrong park.  A park is one entry in the accounting's blocked map and
+  one on the buffer's waiter list; the deadlock monitor is kicked by the
+  loop when it runs out of work, not by each park.
 * **Hand-off.**  A step that passes the gate is plain Python on the
   ordinary blocking channel code, read-ahead included.  If one of its
   operations must sleep after all, the buffer tells the task
@@ -119,6 +124,9 @@ class Task:
         #: sleeping (or finishing a step that slept) on a borrowed thread
         self.on_thread = False
         self._forced = False
+        #: woken off a buffer's reader list: the next gate takes the
+        #: default rule's one input as ready (see _gate)
+        self._fed = False
         # a fused chain is driven tail first; a lone process is a chain of one
         self._chain = process if _is_fused_chain(process) else None
         self._drivers = (list(reversed(process.drivers)) if self._chain
@@ -158,6 +166,7 @@ class Task:
     def unparked(self, buffer: BoundedByteBuffer, mode: str) -> None:
         """Woken off ``buffer``'s wait list (buffer lock held)."""
         self.assumed = False
+        self._fed = mode == "read"
         if self._park_traced:
             self._park_traced = False
             # close the block span in the *task's* lane even though the
@@ -167,7 +176,14 @@ class Task:
                 _telemetry.end(f"block.{mode}", category="kpn.block")
             finally:
                 _telemetry.swap_actor(prev)
-        self.loop.schedule(self)
+        loop = self.loop
+        if threading.get_ident() == loop._ident:
+            # EventLoop.schedule's own-thread branch, inlined: a loop-mate
+            # wrote the buffer, so the loop is awake
+            if not loop._stopped:
+                loop._runnable.append(self)
+        else:
+            loop.schedule(self)
 
     def hand_off(self, buffer: BoundedByteBuffer, mode: str) -> None:
         """An operation of the running step must sleep on ``buffer``
@@ -243,10 +259,17 @@ class Task:
         if guesses or self._declared:
             awaits = self._awaits
             if awaits is None:
-                # Process.awaits, inlined: the only tracked input, if one
-                inputs = self._head.input_streams
-                if len(inputs) > 1:
+                if self._fed:
+                    # the write or close that woke us made the one input
+                    # ready; if a splice has moved it since, the step
+                    # hands off
+                    self._fed = False
                     inputs = ()
+                else:
+                    # Process.awaits, inlined: the only tracked input, if one
+                    inputs = self._head.input_streams
+                    if len(inputs) > 1:
+                        inputs = ()
             else:
                 inputs = awaits() or ()
             for stream in inputs:
@@ -336,10 +359,17 @@ class EventLoop:
 
     :attr:`thread` is the thread running the queue *now*: a task whose
     step must sleep keeps the one it is on (:meth:`hand_off`).
+
+    ``idle`` (the network's deadlock-monitor kick) is called each time
+    the queue runs dry, before the loop sleeps: task parks do not kick,
+    and a loop whose tasks have all parked is exactly a loop with nothing
+    to run.
     """
 
-    def __init__(self, name: str = "kpn-loop") -> None:
+    def __init__(self, name: str = "kpn-loop",
+                 idle: Optional[Callable[[], None]] = None) -> None:
         self.name = name
+        self._idle = idle
         self._cond = threading.Condition()
         self._runnable: deque = deque()
         self._stopped = False
@@ -387,12 +417,15 @@ class EventLoop:
         me = threading.current_thread()
         self._ident = me.ident
         runnable = self._runnable
+        idle = self._idle
         while self.thread is me and not self._stopped:
             try:
                 # only the loop's thread pops, so a non-empty deque stays
                 # non-empty; the condition is needed only to sleep
                 task = runnable.popleft()
             except IndexError:
+                if idle is not None:
+                    idle()
                 with self._cond:
                     while not runnable and not self._stopped:
                         self._cond.wait()
@@ -408,11 +441,14 @@ class EventLoop:
 
 
 class LoopPool:
-    """Round-robin task placement over ``workers`` event loops."""
+    """Round-robin task placement over ``workers`` event loops, each
+    calling ``idle`` when it runs dry (see :class:`EventLoop`)."""
 
-    def __init__(self, workers: int = 1, name: str = "kpn-loop") -> None:
+    def __init__(self, workers: int = 1, name: str = "kpn-loop",
+                 idle: Optional[Callable[[], None]] = None) -> None:
         self.workers = max(1, int(workers))
         self.name = name
+        self._idle = idle
         self._loops: List[EventLoop] = []
         self._next = 0
         self._lock = threading.Lock()
@@ -422,7 +458,7 @@ class LoopPool:
         with self._lock:
             if not self._loops or all(l.stopped for l in self._loops):
                 self._loops = [
-                    EventLoop(name=f"{self.name}-{i}")
+                    EventLoop(name=f"{self.name}-{i}", idle=self._idle)
                     for i in range(self.workers)
                 ]
                 self._next = 0

@@ -17,11 +17,14 @@ the reproduction needs:
   scheduler while writer threads are blocked on a full buffer; they wake
   up and retry against the new capacity.
 
-* **Blocking accounting.**  Every potentially-blocking operation reports
-  entry/exit to an optional :class:`BlockAccounting` object so that a
-  network-wide deadlock monitor can tell when *every* live process actor
-  (OS thread or cooperative task) is blocked — the precondition for
-  Parks' artificial-deadlock resolution.
+* **Blocking accounting.**  Every potentially-blocking operation records
+  who waits where in an optional :class:`BlockAccounting` object so that
+  a network-wide deadlock monitor can tell when *every* live process
+  actor (OS thread or cooperative task) is blocked — the precondition for
+  Parks' artificial-deadlock resolution.  A sleeping thread enters and
+  leaves through the accounting (its lock, a kick of the monitor); a
+  parked task is one entry in its map, written and removed under this
+  buffer's lock.
 
 * **Cooperative (async-backend) hooks.**  A cooperative task
   (``Network(backend="async")``) runs its step on the ordinary blocking
@@ -87,18 +90,24 @@ class BlockAccounting:
 
     A network installs one accounting object on all of its channel buffers.
     The default implementation counts blocked *actors* — OS threads in the
-    thread backend, cooperative tasks in the async backend — and invokes
-    an optional callback when the count changes, which is all the deadlock
-    monitor needs.  Methods are invoked *while holding the buffer's lock*,
-    so implementations must not call back into the buffer.
+    thread backend, cooperative tasks in the async backend — which is all
+    the deadlock monitor needs.  A thread's wait goes through
+    :meth:`_enter` / :meth:`_exit`, which invoke an optional callback
+    (the monitor's kick); a task's park and wake write :attr:`_blocked`
+    and :attr:`generation` directly (:meth:`BoundedByteBuffer.async_park`)
+    and call nothing.  That needs no lock: a single dict store or pop is
+    atomic, the queries copy or size the map in one call and never walk
+    it, and :attr:`generation` is only ever compared for change, so a
+    lost increment costs nothing.  Methods are invoked *while holding the
+    buffer's lock*, so implementations must not call back into the buffer.
     """
 
     def __init__(self, on_change: Optional[Callable[[], None]] = None) -> None:
         self._lock = threading.Lock()
         #: actor (thread or task) -> (buffer, "read"|"write") while blocked
         self._blocked: dict[object, tuple["BoundedByteBuffer", str]] = {}
-        #: bumped on every enter/exit so the monitor can detect churn
-        #: between two observations (stability check)
+        #: bumped on every blocking transition so the monitor can detect
+        #: churn between two observations (stability check)
         self.generation = 0
         self._on_change = on_change
 
@@ -124,23 +133,19 @@ class BlockAccounting:
     # -- queries (used by the deadlock monitor) --------------------------
     def snapshot(self) -> dict[object, tuple["BoundedByteBuffer", str]]:
         """Consistent copy of the blocked-actor map."""
-        with self._lock:
-            return dict(self._blocked)
+        return self._blocked.copy()
 
     @property
     def read_blocked(self) -> int:
-        with self._lock:
-            return sum(1 for _, m in self._blocked.values() if m == "read")
+        return sum(1 for _, m in self.snapshot().values() if m == "read")
 
     @property
     def write_blocked(self) -> int:
-        with self._lock:
-            return sum(1 for _, m in self._blocked.values() if m == "write")
+        return sum(1 for _, m in self.snapshot().values() if m == "write")
 
     @property
     def total_blocked(self) -> int:
-        with self._lock:
-            return len(self._blocked)
+        return len(self._blocked)
 
 
 class BoundedByteBuffer:
@@ -302,9 +307,12 @@ class BoundedByteBuffer:
             waiters = self._async_readers
             self._async_readers = []
             acct = self.accounting
+            if acct is not None:
+                # undo async_park's record the way it was written
+                acct.generation += 1
+                for w in waiters:
+                    acct._blocked.pop(w, None)
             for w in waiters:
-                if acct is not None:
-                    acct._exit(actor=w)
                 w.unparked(self, "read")
 
     def _wake_async_writers(self) -> None:
@@ -313,9 +321,11 @@ class BoundedByteBuffer:
             waiters = self._async_writers
             self._async_writers = []
             acct = self.accounting
+            if acct is not None:
+                acct.generation += 1
+                for w in waiters:
+                    acct._blocked.pop(w, None)
             for w in waiters:
-                if acct is not None:
-                    acct._exit(actor=w)
                 w.unparked(self, "write")
 
     def async_park(self, mode: str, waiter) -> bool:
@@ -327,12 +337,18 @@ class BoundedByteBuffer:
         since the task read the lock-free hint (a stream's
         ``would_block_on``) and it should simply look again (classic
         lost-wakeup guard).  On
-        True the waiter is registered, blocked-actor accounting is entered
-        (the waiter object *is* the actor key) and a ``block.read`` /
+        True the waiter is registered, blocked-actor accounting records
+        it (the waiter object *is* the actor key) and a ``block.read`` /
         ``block.write`` telemetry span opens — the waiter's ``unparked``
         callback closes it.  ``waiter`` must expose ``unparked(buffer,
         mode)`` (reschedule, called with the buffer lock held) and
         ``name``.
+
+        The record is one store into the accounting's map and a bump of
+        its generation, under this buffer's lock only (see
+        :class:`BlockAccounting`); the deadlock monitor is left to the
+        task's event loop, which wakes it on running dry (see
+        :mod:`repro.kpn.scheduler`).
         """
         with self._lock:
             if self._write_closed or self._read_closed:
@@ -348,7 +364,8 @@ class BoundedByteBuffer:
                 self._async_writers.append(waiter)
             acct = self.accounting
             if acct is not None:
-                acct._enter(self, mode, actor=waiter)
+                acct._blocked[waiter] = (self, mode)
+                acct.generation += 1
             if _telemetry.enabled:
                 _telemetry.begin(f"block.{mode}", category="kpn.block",
                                  channel=self.name,

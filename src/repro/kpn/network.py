@@ -85,23 +85,24 @@ class Network:
                  workers: int = 1) -> None:
         self.name = name
         self.backend = RunConfig.resolve(backend=backend).backend
+        self.monitor: Optional[DeadlockMonitor] = None
+        if bounded:
+            self.monitor = DeadlockMonitor(self, policy)
+        kick = self.monitor.kick if self.monitor is not None else None
         self._loops = None
         if self.backend == "async":
             from repro.kpn.aio import LoopPool
-            self._loops = LoopPool(workers, name=f"{name}-loop")
+            # a task's park does not kick; its loop does, on running dry
+            self._loops = LoopPool(workers, name=f"{name}-loop", idle=kick)
         self.default_capacity = default_capacity
         if capacity_spec:
             from repro.kpn.compile import load_capacity_spec
             self.capacity_spec = load_capacity_spec(capacity_spec)
         else:
             self.capacity_spec = {}
-        self.monitor: Optional[DeadlockMonitor] = None
-        if bounded:
-            self.monitor = DeadlockMonitor(self, policy)
-        # every blocking transition kicks the monitor, so the accounting
-        # calls its bound kick with no frame in between
-        self.accounting = BlockAccounting(
-            on_change=self.monitor.kick if self.monitor is not None else None)
+        # a thread's every blocking transition kicks the monitor, so the
+        # accounting calls its bound kick with no frame in between
+        self.accounting = BlockAccounting(on_change=kick)
         self.channels: List[Channel] = []
         self.processes: List[Process] = []
         # identity set shadowing ``processes`` — membership checks on the

@@ -17,11 +17,27 @@ run time:
    assignment helps.  Depending on policy we raise, stop the network, or
    leave it (an externally-fed network may legitimately idle).
 
-Detection uses the blocked-thread accounting that
+Detection uses the blocked-actor accounting that
 :class:`~repro.kpn.buffers.BoundedByteBuffer` reports into
-:class:`~repro.kpn.buffers.BlockAccounting`: every blocking transition
-kicks the monitor, and a generation-stable double-read filters out the
-race where a thread is about to be woken.
+:class:`~repro.kpn.buffers.BlockAccounting`, and a generation-stable
+double-read filters out the race where an actor is about to be woken.
+
+The monitor is kicked (woken to look) from three places, which between
+them follow every transition that can *complete* a stall:
+
+* a thread that starts or stops sleeping in a channel operation kicks
+  through the accounting;
+* an actor that finishes kicks from ``Network._actor_finished``;
+* an async event loop kicks each time its run queue runs dry, before it
+  sleeps.
+
+A cooperative task's park and wake kick nothing.  They need not: a stall
+needs every live actor blocked.  If the last actor to block is a task,
+it parked on its loop's thread, in that loop's last resume — every other
+task of the loop is parked too, or blocked on a borrowed thread — so the
+loop's queue is empty right after the park, and the loop kicks on its way
+to sleep.  If the last actor to block is a thread, it kicked itself.  The
+monitor's 50 ms poll stays as the backstop for a lost wake-up.
 
 A stall needs at least as many blocked actors as live ones, so the
 monitor first compares two counters — the accounting's blocked count and
@@ -29,6 +45,10 @@ monitor first compares two counters — the accounting's blocked count and
 authoritative wait-graph check only when ``blocked >= live``.  Kicks
 coalesce on a pending flag: an unstalled network of any size costs the
 monitor nothing per park.
+
+A monitor that raises stores the error and shuts the network down, so
+:meth:`Network.join` re-raises it promptly instead of the network
+running on without deadlock detection.
 """
 
 from __future__ import annotations
@@ -104,8 +124,9 @@ class DeadlockMonitor:
     """Watches a network for global stalls and applies the policy.
 
     The monitor runs in its own daemon thread.  It is *kicked* (woken) by
-    every blocking transition in the network's accounting and by process
-    thread exits, then re-verifies the stall after a settle window.
+    a thread's blocking transitions, by actor exits and by an event loop
+    running dry (see the module docstring), then re-verifies the stall
+    after a settle window.
     """
 
     def __init__(self, network: "Network", policy: Optional[DeadlockPolicy] = None,
@@ -171,8 +192,12 @@ class DeadlockMonitor:
             try:
                 self._watchdog()
                 self._examine()
-            except Exception as exc:  # pragma: no cover - defensive
+            except Exception as exc:
+                # without a monitor a later true deadlock would wait out
+                # the caller's timeout with this error never raised: end
+                # the run now, and join() raises it
                 self.error = exc
+                self.network.shutdown()
                 return
 
     def _stalled(self) -> Optional[dict]:

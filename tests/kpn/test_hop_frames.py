@@ -11,6 +11,7 @@ the stack, layer by layer.  Counted with
 numbers repeat exactly.
 """
 
+import gc
 import sys
 
 import pytest
@@ -39,7 +40,12 @@ class CountingLock:
 def calls(func, *args):
     """``Class.function`` of every Python frame entered by
     ``func(*args)``, ``func``'s own first (``co_qualname`` is 3.11+, so
-    the class is taken from the frame's ``self``)."""
+    the class is taken from the frame's ``self``).
+
+    The garbage collector stays off meanwhile: a collection inside the
+    call would run whatever Python code it triggers — ``gc.callbacks``
+    (hypothesis installs one once a ``@given`` test has run), finalizers
+    — on this thread, and those frames would be counted too."""
     seen = []
 
     def profiler(frame, event, arg):
@@ -47,6 +53,8 @@ def calls(func, *args):
             owner = frame.f_locals.get("self")
             seen.append(f"{type(owner).__name__}.{frame.f_code.co_name}")
 
+    collecting = gc.isenabled()
+    gc.disable()
     sys.setprofile(profiler)
     try:
         func(*args)
@@ -54,6 +62,8 @@ def calls(func, *args):
         pass
     finally:
         sys.setprofile(None)
+        if collecting:
+            gc.enable()
     return [name for name in seen if not name.startswith("CountingLock.")]
 
 
@@ -128,6 +138,32 @@ def test_spliced_endpoint_reads_through_the_stack():
         "LocalInputStream.read"]
     assert inp.sequence._lock.taken == 1
     assert inp.would_block_on() is None
+
+
+def test_a_collection_never_lands_in_a_count():
+    """Python code run by the collector is not the channel's: with a gc
+    callback installed and a collection due on every allocation, the
+    spliced read still counts exactly its own frames."""
+    ch, out, inp = channel()
+    inp.splice_from(Channel(1024, name="up").get_input_stream())
+    collections = []
+
+    def on_gc(phase, info):
+        collections.append(phase)
+
+    threshold = gc.get_threshold()
+    gc.callbacks.append(on_gc)
+    gc.set_threshold(1)
+    try:
+        frames = calls(LONG.read, inp)
+        assert collections              # due in the call, run after it
+    finally:
+        gc.set_threshold(*threshold)
+        gc.callbacks.remove(on_gc)
+    assert frames == [
+        "StructCodec.read", "ChannelInputStream.read_exactly",
+        "BlockingInputStream.read_exactly", "SequenceInputStream.read",
+        "LocalInputStream.read"]
 
 
 def test_fused_endpoint_reaches_the_pipe_through_the_stack():

@@ -1,5 +1,6 @@
 """The deadlock monitor at n = 2000: what an unstalled network costs it,
-and that the O(1) pre-check (``blocked >= live``) hides no real stall.
+that the O(1) pre-check (``blocked >= live``) hides no real stall, and
+that a monitor which raises ends the run with its error.
 
 Counts, not timings: a reintroduced per-park scan of every actor fails
 here by the number of ``Network.live_threads`` calls.
@@ -90,26 +91,31 @@ def _relay_chain(net, first, count, prefix):
 
 def _stamp_transitions(net):
     """Measure how long after the last blocking transition the monitor
-    first resolved a stall."""
+    first resolved a stall.  A thread's transitions go through the
+    accounting; a task's park and wake are the buffer's own (they write
+    the accounting's map directly and kick nothing)."""
     stamps = {"changed": None, "latency": None}
+
+    def stamped(call):
+        def stamping(*a, **kw):
+            stamps["changed"] = time.monotonic()
+            return call(*a, **kw)
+        return stamping
+
     acct = net.accounting
-    enter, leave = acct._enter, acct._exit
+    acct._enter, acct._exit = stamped(acct._enter), stamped(acct._exit)
+    for ch in net.channels:
+        buffer = ch.buffer
+        for name in ("async_park", "_wake_async_readers",
+                     "_wake_async_writers"):
+            setattr(buffer, name, stamped(getattr(buffer, name)))
     resolve = net.monitor._resolve
-
-    def stamped_enter(*a, **kw):
-        stamps["changed"] = time.monotonic()
-        enter(*a, **kw)
-
-    def stamped_exit(*a, **kw):
-        stamps["changed"] = time.monotonic()
-        leave(*a, **kw)
 
     def stamped_resolve(blocked):
         if stamps["latency"] is None:
             stamps["latency"] = time.monotonic() - stamps["changed"]
         resolve(blocked)
 
-    acct._enter, acct._exit = stamped_enter, stamped_exit
     net.monitor._resolve = stamped_resolve
     return stamps
 
@@ -204,6 +210,31 @@ def test_artificial_deadlock_grows_at_scale(backend):
     assert out == list(range(1, values + 1))
     assert {e.channel_name for e in net.growth_events()} == {"pk-lower"}
     _assert_within_settle_bound(net, stamps)
+
+
+class MonitorBug(Exception):
+    pass
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_monitor_that_raises_ends_the_run_with_its_error(backend):
+    """Without its monitor a token-less ring would wait out the caller's
+    timeout and ``join`` would return False with the error unseen."""
+    net = Network(name=f"crash-{backend}", backend=backend)
+    first = net.channel(name="cr-in")
+    last = _relay_chain(net, first, 49, "cr")
+    net.add(Relay(last.get_input_stream(), first.get_output_stream(),
+                  name="cr-close"))
+
+    def broken_resolve(blocked):
+        raise MonitorBug("resolve failed")
+
+    net.monitor._resolve = broken_resolve
+    start = time.monotonic()
+    with pytest.raises(MonitorBug, match="resolve failed"):
+        net.run(timeout=60)
+    assert time.monotonic() - start < 10
+    assert not net.live_threads()
 
 
 class _OutsidePump:
