@@ -6,17 +6,15 @@ pipes) → :mod:`~repro.kpn.streams` (the Figure-3 stream stack) →
 :mod:`~repro.kpn.process` (threaded processes) → :mod:`~repro.kpn.network`
 (lifecycle; :mod:`~repro.kpn.topology` reads its program graph) with
 :mod:`~repro.kpn.scheduler` providing Parks' bounded scheduling.
-:mod:`~repro.kpn.data` and :mod:`~repro.kpn.objects` layer typed traffic
-over byte channels.
+Typed traffic is layered over the byte channels by the codecs of
+:mod:`repro.processes.codecs`, inside the processes.
 """
 
 from repro._lazy import lazy_exports
 from repro.kpn.buffers import BlockAccounting, BoundedByteBuffer, DEFAULT_CAPACITY
 from repro.kpn.channel import (Channel, ChannelInputStream, ChannelOutputStream,
                                wait_any_readable)
-from repro.kpn.data import DataInputStream, DataOutputStream
 from repro.kpn.network import Network
-from repro.kpn.objects import ObjectInputStream, ObjectOutputStream
 from repro.kpn.process import (CompositeProcess, IterativeProcess, Process,
                                StopProcess)
 from repro.kpn.scheduler import DeadlockMonitor, DeadlockPolicy, GrowthEvent
@@ -27,9 +25,7 @@ from repro.kpn.streams import (BlockingInputStream, InputStream, LocalInputStrea
 __all__ = [
     "BlockAccounting", "BoundedByteBuffer", "DEFAULT_CAPACITY",
     "Channel", "ChannelInputStream", "ChannelOutputStream", "wait_any_readable",
-    "DataInputStream", "DataOutputStream",
     "Network",
-    "ObjectInputStream", "ObjectOutputStream",
     "CompositeProcess", "IterativeProcess", "Process", "StopProcess",
     "DeadlockMonitor", "DeadlockPolicy", "GrowthEvent",
     "BlockingInputStream", "InputStream", "LocalInputStream",

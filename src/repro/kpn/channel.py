@@ -5,8 +5,8 @@ one consuming process.  ``get_output_stream`` / ``get_input_stream`` hand
 out the two endpoint objects; all process communication goes through them
 as **streams of bytes**, so type-independent processes (Cons, Duplicate)
 need no knowledge of the traffic's structure, and typed traffic is layered
-on top with :mod:`repro.kpn.data` / :mod:`repro.kpn.objects` inside the
-processes themselves.
+on top by the codecs of :mod:`repro.processes.codecs` inside the processes
+themselves.
 
 The endpoint objects carry the full layer stack of Figure 3 and expose the
 hooks the rest of the system needs:

@@ -61,7 +61,7 @@ from repro.kpn.channel import Channel
 from repro.kpn.process import (CompositeProcess, IterativeProcess, Process,
                                _StepDriver)
 from repro.kpn.streams import InputStream, OutputStream
-from repro.processes.codecs import Codec, ObjectCodec, StructCodec
+from repro.processes.codecs import Codec, StructCodec
 from repro.telemetry.core import TELEMETRY as _telemetry
 
 __all__ = ["FusionPlan", "FusedChain", "compile_network", "fuse",
@@ -228,14 +228,11 @@ class _FusedPipe:
                 raise EndOfStreamError("end of stream")
 
     def available(self) -> int:
-        total = 0
-        width = self.object_codec.width if self.object_codec else None
-        for e in self.entries:
-            if type(e) is tuple:
-                total += width if width else 1
-            else:
-                total += len(e)
-        return total
+        # object entries exist only in object mode, whose codec is a
+        # fixed-width StructCodec
+        width = self.object_codec.width if self.object_codec else 0
+        return sum(width if type(e) is tuple else len(e)
+                   for e in self.entries)
 
     def at_eof(self) -> bool:
         return self.write_closed and not self.entries
@@ -570,7 +567,7 @@ def _install_codec_shims(stage: Process,
             setattr(stage, attr, entry[1])
 
 
-def _object_codec_for(edge, share_objects: bool) -> Optional[Codec]:
+def _object_codec_for(edge) -> Optional[Codec]:
     """The codec to move elements as objects over this edge, or None.
 
     The fast path needs proof that every byte crossing the channel is
@@ -586,7 +583,7 @@ def _object_codec_for(edge, share_objects: bool) -> Optional[Codec]:
     * fixed-width struct codecs carry immutable scalars, so sharing the
       decoded object is always safe; pickle codecs share mutable object
       graphs the unfused network would have *copied*, so they stay on
-      the byte path unless ``share_objects`` opts in.
+      the byte path.
     """
     if edge.channel.buffer.history is not None:
         return None
@@ -595,21 +592,14 @@ def _object_codec_for(edge, share_objects: bool) -> Optional[Codec]:
         return None
     if len(edge.consumer.input_streams) != 1:
         return None
-    if isinstance(w, StructCodec) or (isinstance(w, ObjectCodec)
-                                      and share_objects):
-        return w
-    return None
+    return w if isinstance(w, StructCodec) else None
 
 
-def compile_network(network, spec=None, object_passing: bool = True,
-                    share_objects: bool = False) -> FusionPlan:
+def compile_network(network, spec=None) -> FusionPlan:
     """Plan chain fusion and buffer pre-sizing for ``network``.
 
     Returns a :class:`FusionPlan` (not yet applied).  ``spec`` is a
     capacity spec accepted by :func:`load_capacity_spec`.
-    ``object_passing=False`` forces every fused pipe onto the byte path;
-    ``share_objects=True`` extends the object fast path to pickle
-    codecs (safe only if consumers do not mutate received objects).
     """
     from repro.analysis.fuse import fusion_blockers
 
@@ -708,8 +698,7 @@ def compile_network(network, spec=None, object_passing: bool = True,
             for s in stages:
                 visited.discard(id(s))
             continue
-        codecs = [_object_codec_for(e, share_objects) if object_passing
-                  else None for e in edges]
+        codecs = [_object_codec_for(e) for e in edges]
         chains.append((stages, [e.channel for e in edges], codecs,
                        containers[id(stages[0])]))
 
@@ -717,10 +706,8 @@ def compile_network(network, spec=None, object_passing: bool = True,
                       leaf_count=len(leaves))
 
 
-def fuse(network, spec=None, object_passing: bool = True,
-         share_objects: bool = False) -> FusionPlan:
+def fuse(network, spec=None) -> FusionPlan:
     """Compile and apply in one call; returns the applied plan."""
-    plan = compile_network(network, spec=spec, object_passing=object_passing,
-                           share_objects=share_objects)
+    plan = compile_network(network, spec=spec)
     plan.apply()
     return plan

@@ -23,30 +23,9 @@ import io
 from typing import Dict, Optional, Tuple
 
 from repro.kpn.network import Network
+from repro.kpn.streams import BlockingInputStream
 
 __all__ = ["HistoryCapture", "decode_bytes", "infer_codecs"]
-
-
-class _BytesSource:
-    """Minimal InputStream over captured bytes (for codec decoding)."""
-
-    def __init__(self, data: bytes) -> None:
-        self._buf = io.BytesIO(data)
-        self._len = len(data)
-
-    def read(self, n: int) -> bytes:
-        return self._buf.read(n)
-
-    def read_exactly(self, n: int) -> bytes:
-        data = self._buf.read(n)
-        if len(data) != n:
-            from repro.errors import EndOfStreamError
-
-            raise EndOfStreamError("history ended mid-element")
-        return data
-
-    def exhausted(self) -> bool:
-        return self._buf.tell() >= self._len
 
 
 def decode_bytes(data: bytes, codec) -> Tuple:
@@ -55,9 +34,10 @@ def decode_bytes(data: bytes, codec) -> Tuple:
     from repro.processes.codecs import get_codec
 
     codec = get_codec(codec)
-    source = _BytesSource(data)
+    buf = io.BytesIO(data)
+    source = BlockingInputStream(buf)
     out = []
-    while not source.exhausted():
+    while buf.tell() < len(data):
         out.append(codec.read(source))
     return tuple(out)
 

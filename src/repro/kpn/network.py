@@ -236,7 +236,7 @@ class Network:
         if errors:
             raise GraphConsistencyError(errors)
 
-    def optimize(self, spec=None, **kwargs) -> "Network":
+    def optimize(self, spec=None) -> "Network":
         """Run the graph compiler over this network (before :meth:`start`).
 
         Fuses eligible linear process chains into single threads,
@@ -250,7 +250,7 @@ class Network:
 
         if spec is None and self.capacity_spec:
             spec = self.capacity_spec
-        fuse(self, spec=spec, **kwargs)
+        fuse(self, spec=spec)
         return self
 
     def start(self) -> "Network":

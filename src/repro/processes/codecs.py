@@ -1,14 +1,23 @@
-"""Element codecs: how typed tokens map onto channel byte streams.
+"""Element codecs: the one typed layer over the byte channels.
 
 The paper's processes layer ``DataOutputStream`` / ``ObjectOutputStream``
 over the raw channel streams inside each process (section 3.1).  A *codec*
 bundles the two directions of that layering so that typed library
 processes (Add, Scale, Merge, …) can be written once and parameterized by
 element type, while the channels — and any byte-level process spliced in
-between, such as Cons or Duplicate — remain type-agnostic.
+between, such as Cons or Duplicate — remain type-agnostic.  The codecs are
+the only code that knows an element's bytes:
 
-Fixed-width codecs (LONG, DOUBLE, INT, BOOL) use Java-compatible
-big-endian encodings; OBJECT uses length-prefixed pickle frames.
+* :class:`StructCodec` carries the Java big-endian encodings
+  ``DataOutputStream`` wrote (LONG, INT, DOUBLE, BOOL);
+* :class:`ObjectCodec` stands in for ``ObjectOutputStream``: a 4-byte
+  big-endian length, then a pickle, at most :data:`MAX_FRAME_BYTES` long.
+
+A codec reads through the source's ``read_exactly`` and writes through
+the sink's ``write``/``write_vectored``: a channel endpoint has all three.
+A foreign byte source (a file, a ``BytesIO``) is wrapped in
+:class:`~repro.kpn.streams.BlockingInputStream` first; a foreign sink
+takes :meth:`Codec.encode`.
 """
 
 from __future__ import annotations
@@ -17,14 +26,18 @@ import pickle
 import struct
 from typing import Any
 
-from repro.kpn.data import DataInputStream, DataOutputStream
 from repro.kpn.streams import InputStream, OutputStream
 
 __all__ = [
     "Codec", "StructCodec", "ObjectCodec",
     "LONG", "INT", "DOUBLE", "BOOL", "OBJECT",
-    "get_codec",
+    "MAX_FRAME_BYTES", "get_codec",
 ]
+
+#: Upper bound on one pickled element (64 MiB).  A length prefix above it
+#: is a corrupted stream or a reader whose codec does not match the
+#: writer's, and is refused before a byte of the body is read.
+MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 
 class Codec:
@@ -70,11 +83,7 @@ class StructCodec(Codec):
         out.write(self._struct.pack(value))
 
     def read(self, source: InputStream) -> Any:
-        try:
-            exact = source.read_exactly
-        except AttributeError:
-            exact = _exact_reader(source)
-        return self._struct.unpack_from(exact(self.width))[0]
+        return self._struct.unpack_from(source.read_exactly(self.width))[0]
 
     def encode(self, value: Any) -> bytes:
         return self._struct.pack(value)
@@ -103,12 +112,15 @@ class ObjectCodec(Codec):
     re-pointed when its transport is switched, and a copy would go on
     writing into the old one.
 
-    * reads use the stream's ``read_exactly`` (a foreign source without
-      one gets :func:`_exact_reader`'s loop, shared with
-      :class:`StructCodec`);
-    * writes go through the stream's ``write_vectored`` when present, so
-      the 4-byte header and the payload reach the channel in one call with
-      no ``header + payload`` concatenation copy.
+    * reads use the stream's ``read_exactly``;
+    * writes go through the stream's ``write_vectored``, so the 4-byte
+      header and the payload reach the channel in one call with no
+      ``header + payload`` concatenation copy.
+
+    Both directions check the frame against :data:`MAX_FRAME_BYTES`
+    before a byte moves.  The error is a ``ValueError``, not a
+    :class:`~repro.errors.ChannelError`: a mismatched codec fails its
+    process, and the run, instead of ending it as a quiet termination.
 
     Reusing actual ``Pickler``/``Unpickler`` *objects* per stream was
     measured and rejected: with CPython's C implementation,
@@ -129,41 +141,29 @@ class ObjectCodec(Codec):
 
     def write(self, out: OutputStream, value: Any) -> None:
         payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        try:
-            vectored = out.write_vectored
-        except AttributeError:          # foreign sink (a file, a BytesIO)
-            out.write(self._LEN.pack(len(payload)) + payload)
-        else:
-            vectored((self._LEN.pack(len(payload)), payload))
+        out.write_vectored((self._header(payload), payload))
 
     def read(self, source: InputStream) -> Any:
-        try:
-            exact = source.read_exactly
-        except AttributeError:
-            exact = _exact_reader(source)
+        exact = source.read_exactly
         (length,) = self._LEN.unpack_from(exact(4))
+        if length > MAX_FRAME_BYTES:
+            raise _oversized(length)
         return pickle.loads(exact(length))
 
     def encode(self, value: Any) -> bytes:
         payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
-        return self._LEN.pack(len(payload)) + payload
+        return self._header(payload) + payload
+
+    def _header(self, payload: bytes) -> bytes:
+        if len(payload) > MAX_FRAME_BYTES:
+            raise _oversized(len(payload))
+        return self._LEN.pack(len(payload))
 
 
-def _exact_reader(source: InputStream):
-    """An exact-length reader for a foreign ``source`` that has only
-    ``read`` (a file, a BytesIO): loop until the count is reached."""
-    def exact(n: int) -> bytes:
-        parts: list[bytes] = []
-        remaining = n
-        while remaining > 0:
-            chunk = source.read(remaining)
-            if not chunk:
-                from repro.errors import EndOfStreamError
-                raise EndOfStreamError("end of stream")
-            parts.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(parts)
-    return exact
+def _oversized(length: int) -> ValueError:
+    return ValueError(
+        f"object frame of {length} bytes exceeds cap {MAX_FRAME_BYTES}; "
+        f"corrupted stream or mismatched codec?")
 
 
 LONG = StructCodec(">q", "long")

@@ -9,6 +9,7 @@ import pytest
 
 from repro.errors import EndOfStreamError
 from repro.kpn.channel import Channel
+from repro.kpn.streams import BlockingInputStream
 from repro.processes.codecs import (BOOL, DOUBLE, INT, LONG, OBJECT,
                                     get_codec)
 
@@ -73,16 +74,17 @@ def test_object_codec_follows_a_switched_transport():
 
 
 def test_object_codec_plain_bytesio_source():
-    # a sink without write_vectored gets one joined frame, a source
-    # without read_exactly the fallback loop
+    # a foreign sink takes encode(); a foreign source reads through
+    # BlockingInputStream, the one exact-length loop
     buf = io.BytesIO()
-    OBJECT.write(buf, "abc")
-    OBJECT.write(buf, [1, 2])
+    buf.write(OBJECT.encode("abc"))
+    buf.write(OBJECT.encode([1, 2]))
     buf.seek(0)
-    assert OBJECT.read(buf) == "abc"
-    assert OBJECT.read(buf) == [1, 2]
+    source = BlockingInputStream(buf)
+    assert OBJECT.read(source) == "abc"
+    assert OBJECT.read(source) == [1, 2]
     with pytest.raises(EndOfStreamError):
-        OBJECT.read(buf)
+        OBJECT.read(source)
 
 
 def test_object_encode_matches_write():

@@ -5,7 +5,6 @@ import time
 
 import pytest
 
-from repro.errors import ChannelError
 from repro.kpn import Network
 from repro.kpn.buffers import BoundedByteBuffer
 from repro.kpn.process import CompositeProcess
@@ -94,20 +93,17 @@ def test_graph_reflects_dynamically_inserted_processes():
 # object stream frame cap
 # ---------------------------------------------------------------------------
 
-def test_object_stream_rejects_oversized_object():
+def test_object_stream_rejects_oversized_object(monkeypatch):
     from repro.kpn.channel import Channel
-    from repro.kpn import objects
-    from repro.kpn.objects import ObjectOutputStream
+    from repro.processes import codecs
 
-    original = objects.MAX_FRAME_BYTES
-    objects.MAX_FRAME_BYTES = 128
-    try:
-        ch = Channel(1024)
-        out = ObjectOutputStream(ch.get_output_stream())
-        with pytest.raises(ChannelError, match="exceeds cap"):
-            out.write_object("x" * 1024)
-    finally:
-        objects.MAX_FRAME_BYTES = original
+    monkeypatch.setattr(codecs, "MAX_FRAME_BYTES", 128)
+    ch = Channel(1024)
+    with pytest.raises(ValueError, match="exceeds cap"):
+        codecs.OBJECT.write(ch.get_output_stream(), "x" * 1024)
+    with pytest.raises(ValueError, match="exceeds cap"):
+        codecs.OBJECT.encode("x" * 1024)
+    assert ch.buffer.available() == 0   # refused before a byte was written
 
 
 # ---------------------------------------------------------------------------
