@@ -15,6 +15,7 @@ reduced to two ergonomic entry points:
 
 from __future__ import annotations
 
+import collections
 import subprocess
 import sys
 import threading
@@ -71,19 +72,24 @@ class LocalCluster:
     # -- lifecycle ---------------------------------------------------------
     def start(self) -> "LocalCluster":
         self.config = RunConfig.resolve(self.config)
-        self.registry_server = RegistryServer().start()
-        self.registry = RegistryClient("127.0.0.1", self.registry_server.port)
-        for i in range(self.n_servers):
-            name = f"{self.name_prefix}-{i}"
-            self.names.append(name)
-            if self.mode == "thread":
-                server = ComputeServer(
-                    name=name, config=self.config,
-                    registry=("127.0.0.1", self.registry_server.port)).start()
-                self._servers.append(server)
-                self.clients.append(ServerClient("127.0.0.1", server.port))
-            else:
-                self._spawn_process_server(name)
+        try:
+            self.registry_server = RegistryServer().start()
+            registry = ("127.0.0.1", self.registry_server.port)
+            self.registry = RegistryClient(*registry)
+            for i in range(self.n_servers):
+                name = f"{self.name_prefix}-{i}"
+                self.names.append(name)
+                if self.mode == "thread":
+                    server = ComputeServer(name=name, config=self.config,
+                                           registry=registry).start()
+                    self._servers.append(server)
+                    self.clients.append(ServerClient("127.0.0.1", server.port))
+                else:
+                    self._spawn_process_server(name)
+        except BaseException:
+            # a failed __enter__ gets no __exit__: stop what did start
+            self.stop()
+            raise
         return self
 
     def _spawn_process_server(self, name: str) -> None:
@@ -91,16 +97,24 @@ class LocalCluster:
                 "--name", name, "--port", "0",
                 "--registry", f"127.0.0.1:{self.registry_server.port}",
                 *self.config.argv()]
-        proc = subprocess.Popen(
-            argv, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True)
+        proc = subprocess.Popen(argv, stdout=subprocess.PIPE,
+                                stderr=subprocess.STDOUT, text=True)
         self._procs.append(proc)
-        # the server announces "SERVER <name> LISTENING <port>" on stdout
-        line = proc.stdout.readline()
-        parts = line.split()
-        if len(parts) < 4 or parts[0] != "SERVER":
-            raise RemoteError(f"server {name} failed to start: {line!r}")
-        port = int(parts[3])
-        self.clients.append(ServerClient("127.0.0.1", port))
+        # the server announces "SERVER <name> LISTENING <port>"; what it
+        # writes before that (stderr shares the pipe) says why it did not
+        tail: collections.deque = collections.deque(maxlen=20)
+        for line in proc.stdout:
+            parts = line.split()
+            if len(parts) >= 4 and parts[0] == "SERVER":
+                break
+            tail.append(line)
+        else:
+            proc.stdout.close()
+            raise RemoteError(f"server {name} failed to start (exit code "
+                              f"{proc.wait(timeout=5)}): " + "".join(tail))
+        threading.Thread(target=_drain, args=(proc.stdout,),
+                         daemon=True).start()
+        self.clients.append(ServerClient("127.0.0.1", int(parts[3])))
 
     def stop(self) -> None:
         for client in self.clients:
@@ -225,6 +239,12 @@ class LocalCluster:
             with open(path, "w") as fh:
                 json.dump(doc, fh)
         return doc
+
+
+def _drain(pipe) -> None:
+    """Read a server's output to its end: a chatty server never blocks."""
+    with pipe:
+        collections.deque(pipe, maxlen=0)
 
 
 def run_partitioned(local_part: Optional[Process],

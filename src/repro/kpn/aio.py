@@ -62,8 +62,8 @@ plain composites — keeps its OS thread, as does a process that sleeps on
 something that is not a channel and says so with ``kpn_async = False``
 (the farm's Worker waits on executor futures: it would stall every task
 sharing its loop).  Both kinds of actor interoperate freely on the same
-channels: the buffer wakes condition-variable waiters and parked tasks
-alike.  Live migration pause points are not polled between task steps;
+channels: a sleeping thread and a parked task wait on one buffer waiter
+list.  Live migration pause points are not polled between task steps;
 migrate from thread-backend networks (servers default to threads).
 """
 
@@ -117,7 +117,10 @@ class Task:
         #: the telemetry lane this task's events land in
         self._lane = (self.vtid, self.name)
         self._on_finish = on_finish
-        self._done = threading.Event()
+        # held until _complete: what join waits on (is_alive reads the flag)
+        self._done = threading.Lock()
+        self._done.acquire()
+        self._finished = False
         self._park_traced = False
         #: parked by the gate on a guess, not on a declared rule
         self.assumed = False
@@ -149,16 +152,18 @@ class Task:
 
     # -- Thread-compatible surface ------------------------------------------
     def is_alive(self) -> bool:
-        return not self._done.is_set()
+        return not self._finished
 
     def join(self, timeout: Optional[float] = None) -> None:
-        self._done.wait(timeout)
+        if self._done.acquire(timeout=-1 if timeout is None
+                              else max(timeout, 0)):
+            self._done.release()
 
     def start(self) -> None:
         self.loop.schedule(self)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        state = ("done" if self._done.is_set()
+        state = ("done" if self._finished
                  else "on-thread" if self.on_thread else "task")
         return f"<Task {self.name!r} {state}>"
 
@@ -303,11 +308,12 @@ class Task:
 
     # -- termination --------------------------------------------------------
     def _complete(self) -> None:
-        if self._done.is_set():
+        if self._finished:
             # once only: the loop's defensive handler completes a task
             # again when _on_finish itself raised
             return
-        self._done.set()
+        self._finished = True
+        self._done.release()
         if self._on_finish is not None:
             self._on_finish()
 

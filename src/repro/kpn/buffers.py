@@ -3,7 +3,7 @@
 The paper's channels (Figure 3) bottom out in ``java.io.PipedInputStream``
 and ``PipedOutputStream``: a fixed-capacity byte pipe with blocking reads
 and blocking writes.  :class:`BoundedByteBuffer` is our equivalent, built
-on a ring buffer and a pair of condition variables, with five additions
+on a ring buffer and one waiter list per direction, with five additions
 the reproduction needs:
 
 * **Two-sided close semantics** (paper section 3.4).  Closing the *read*
@@ -24,7 +24,10 @@ the reproduction needs:
   Parks' artificial-deadlock resolution.  A sleeping thread enters and
   leaves through the accounting (its lock, a kick of the monitor); a
   parked task is one entry in its map, written and removed under this
-  buffer's lock.
+  buffer's lock.  Both wait on one list per direction (``_readers``,
+  ``_writers``) of anything with ``unparked(buffer, mode)``: the task, or
+  the thread's :class:`_Sleeper`.  A wake empties the list; a woken thread
+  looks again and may sleep again, as after ``Condition.notify_all``.
 
 * **Cooperative (async-backend) hooks.**  A cooperative task
   (``Network(backend="async")``) runs its step on the ordinary blocking
@@ -35,10 +38,9 @@ the reproduction needs:
   (:meth:`async_park`, which looks again under the lock) when the step
   could not proceed; whichever thread next changes the buffer state
   re-schedules it.  A step that nevertheless has to sleep inside an
-  operation keeps the thread it is on: ``_block_on_empty`` /
-  ``_block_on_full`` tell the task (found through a thread-local), whose
-  event loop moves to a fresh thread, and then wait like any thread with
-  the task as the accounting identity.
+  operation keeps the thread it is on: ``_block`` tells the task (found
+  through a thread-local), whose event loop moves to a fresh thread, and
+  then waits like any thread with the task as the accounting identity.
 
 * **Abort-aware close.**  ``close_write(aborted=True)`` marks the end of
   stream as a *cascade* abort rather than a graceful exhaustion: readers
@@ -148,6 +150,20 @@ class BlockAccounting:
         return len(self._blocked)
 
 
+class _Sleeper:
+    """A thread asleep on a waiter list: a lock taken at birth, which the
+    thread's second ``acquire`` waits on and the waker releases."""
+
+    __slots__ = ("lock",)
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.lock.acquire()
+
+    def unparked(self, buffer: "BoundedByteBuffer", mode: str) -> None:
+        self.lock.release()
+
+
 class BoundedByteBuffer:
     """A blocking, bounded, growable FIFO of bytes.
 
@@ -171,8 +187,6 @@ class BoundedByteBuffer:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self._lock = threading.Lock()
-        self._not_empty = threading.Condition(self._lock)
-        self._not_full = threading.Condition(self._lock)
         # ring-ish storage: consumed bytes are skipped via _read_pos and
         # compacted lazily — `del data[:n]` per read would make a read
         # O(buffered bytes) and large-buffer workloads quadratic.
@@ -192,16 +206,10 @@ class BoundedByteBuffer:
         #: close_write(aborted=True) was used: drained readers observe a
         #: BrokenChannelError instead of a clean end of stream
         self._write_aborted = False
-        # cooperative tasks parked on this buffer (async backend); woken —
-        # popped and rescheduled — at every site that notifies the matching
-        # condition variable.  Empty (and free) under the thread backend.
-        self._async_readers: list = []
-        self._async_writers: list = []
-        # threads inside _block_on_empty / _block_on_full (counted under
-        # the lock): the data plane signals a condition only when someone
-        # waits on it — most writes and reads find nobody
-        self._readers_waiting = 0
-        self._writers_waiting = 0
+        # who waits for data / for room, parked task or sleeping thread; a
+        # wake site tests its list first — most writes and reads find nobody
+        self._readers: list = []
+        self._writers: list = []
         self.name = name
         self.accounting = accounting
         #: total bytes ever written / read (for stats & tests)
@@ -301,32 +309,31 @@ class BoundedByteBuffer:
             raise BrokenChannelError(
                 f"writer of channel {self.name!r} aborted")
 
-    def _wake_async_readers(self) -> None:
-        """Reschedule tasks parked for data (caller holds the lock)."""
-        if self._async_readers:
-            waiters = self._async_readers
-            self._async_readers = []
-            acct = self.accounting
-            if acct is not None:
-                # undo async_park's record the way it was written
-                acct.generation += 1
-                for w in waiters:
-                    acct._blocked.pop(w, None)
+    def _wake_readers(self) -> None:
+        """Wake everyone waiting for data (caller holds the lock)."""
+        waiters = self._readers
+        self._readers = []
+        acct = self.accounting
+        if acct is not None:
+            # undo async_park's record the way it was written (a sleeping
+            # thread's is its own to remove, by _exit)
+            acct.generation += 1
             for w in waiters:
-                w.unparked(self, "read")
+                acct._blocked.pop(w, None)
+        for w in waiters:
+            w.unparked(self, "read")
 
-    def _wake_async_writers(self) -> None:
-        """Reschedule tasks parked for space (caller holds the lock)."""
-        if self._async_writers:
-            waiters = self._async_writers
-            self._async_writers = []
-            acct = self.accounting
-            if acct is not None:
-                acct.generation += 1
-                for w in waiters:
-                    acct._blocked.pop(w, None)
+    def _wake_writers(self) -> None:
+        """Wake everyone waiting for room (as :meth:`_wake_readers`)."""
+        waiters = self._writers
+        self._writers = []
+        acct = self.accounting
+        if acct is not None:
+            acct.generation += 1
             for w in waiters:
-                w.unparked(self, "write")
+                acct._blocked.pop(w, None)
+        for w in waiters:
+            w.unparked(self, "write")
 
     def async_park(self, mode: str, waiter) -> bool:
         """Park a cooperative task on this buffer, or refuse.
@@ -357,11 +364,11 @@ class BoundedByteBuffer:
             if mode == "read":
                 if buffered > 0:
                     return False
-                self._async_readers.append(waiter)
+                self._readers.append(waiter)
             else:
                 if buffered < self._capacity:
                     return False
-                self._async_writers.append(waiter)
+                self._writers.append(waiter)
             acct = self.accounting
             if acct is not None:
                 acct._blocked[waiter] = (self, mode)
@@ -379,13 +386,13 @@ class BoundedByteBuffer:
     def async_release(self, mode: str) -> None:
         """Reschedule the tasks parked here for ``mode`` although nothing
         changed — the deadlock monitor releasing waits that were only an
-        assumption.  A released task re-evaluates its whole gate, so
-        waking a bystander is harmless."""
+        assumption.  A released task re-evaluates its whole gate and a
+        woken thread its operation, so waking a bystander is harmless."""
         with self._lock:
             if mode == "read":
-                self._wake_async_readers()
+                self._wake_readers()
             else:
-                self._wake_async_writers()
+                self._wake_writers()
 
     # ------------------------------------------------------------------
     # data plane
@@ -427,10 +434,8 @@ class BoundedByteBuffer:
                     if _telemetry.enabled:
                         _telemetry.inc("kpn.channel.bytes_written", len(data),
                                        channel=self.name)
-                    if self._readers_waiting:
-                        self._not_empty.notify_all()
-                    if self._async_readers:
-                        self._wake_async_readers()
+                    if self._readers:
+                        self._wake_readers()
                     if self._listeners:
                         self._fire_listeners()
                     return
@@ -441,9 +446,9 @@ class BoundedByteBuffer:
 
         Equivalent to ``write(chunk) for chunk in chunks`` (same chunking,
         blocking, and close semantics — single-writer channels observe no
-        difference) but the producer pays the lock/condvar round trip once
-        per batch instead of once per chunk.  Used by the buffered object
-        stream and the receiver pump to cut per-message overhead.
+        difference) but the producer takes the lock once per batch
+        instead of once per chunk.  ``ObjectCodec.write`` is the caller:
+        a frame's 4-byte header and its pickle, with no concatenation.
         """
         views = [memoryview(c).cast("B") for c in chunks if len(c)]
         if not views:
@@ -481,10 +486,8 @@ class BoundedByteBuffer:
                 if _telemetry.enabled:
                     _telemetry.inc("kpn.channel.bytes_written", len(data),
                                    channel=self.name)
-                if self._readers_waiting:
-                    self._not_empty.notify_all()
-                if self._async_readers:
-                    self._wake_async_readers()
+                if self._readers:
+                    self._wake_readers()
                 if self._listeners:
                     self._fire_listeners()
                 return
@@ -502,7 +505,7 @@ class BoundedByteBuffer:
                     f"reader closed channel {self.name!r}")
             space = self._capacity - self._buffered()
             if space <= 0:
-                self._block_on_full()
+                self._block("write")
                 continue
             chunk = view[offset:offset + space]
             self._data.extend(chunk)
@@ -516,15 +519,10 @@ class BoundedByteBuffer:
             if _telemetry.enabled:
                 _telemetry.inc("kpn.channel.bytes_written", len(chunk),
                                channel=self.name)
-            if self._readers_waiting:
-                self._not_empty.notify_all()
-            if self._async_readers:
-                self._wake_async_readers()
+            if self._readers:
+                self._wake_readers()
             if self._listeners:
                 self._fire_listeners()
-
-    def _block_on_full(self) -> None:
-        self._block(self._not_full, "write")
 
     def read(self, max_bytes: int) -> bytes:
         """Remove and return 1..max_bytes bytes, blocking while empty.
@@ -551,7 +549,7 @@ class BoundedByteBuffer:
                 if self._write_closed:
                     self._check_aborted_eof()
                     return b""
-                self._block_on_empty()
+                self._block("read")
 
     def _take_locked(self, max_bytes: int, steal: bool = True) -> memoryview:
         """Consume up to ``max_bytes`` buffered bytes (caller holds the
@@ -582,10 +580,8 @@ class BoundedByteBuffer:
         if _telemetry.enabled:
             _telemetry.inc("kpn.channel.reads", 1, channel=self.name)
             _telemetry.inc("kpn.channel.bytes_read", take, channel=self.name)
-        if self._writers_waiting:
-            self._not_full.notify_all()
-        if self._async_writers:
-            self._wake_async_writers()
+        if self._writers:
+            self._wake_writers()
         return view
 
     def drain_up_to(self, max_bytes: int) -> memoryview:
@@ -611,7 +607,7 @@ class BoundedByteBuffer:
                 if self._write_closed:
                     self._check_aborted_eof()
                     return memoryview(b"")
-                self._block_on_empty()
+                self._block("read")
 
     def read_available(self, max_bytes: int) -> memoryview:
         """Non-blocking companion of :meth:`drain_up_to`.
@@ -631,11 +627,9 @@ class BoundedByteBuffer:
                 return memoryview(b"")
             return self._take_locked(max_bytes)
 
-    def _block_on_empty(self) -> None:
-        self._block(self._not_empty, "read")
-
-    def _block(self, cond: threading.Condition, mode: str) -> None:
-        """Sleep until ``cond`` is signalled (caller holds the lock)."""
+    def _block(self, mode: str) -> None:
+        """Sleep on the ``mode`` waiter list until a wake site empties it
+        (caller holds the lock, and holds it again on return)."""
         task = _HERE.task
         if task is not None:
             # a cooperative task's step has to sleep after all: it keeps
@@ -656,17 +650,19 @@ class BoundedByteBuffer:
                 process=(task or threading.current_thread()).name,
                 **({"capacity": self._capacity} if mode == "write" else {}))
             _telemetry.inc(f"kpn.channel.{mode}_blocks", 1, channel=self.name)
-        if mode == "read":
-            self._readers_waiting += 1
-        else:
-            self._writers_waiting += 1
+        sleeper = _Sleeper()
+        # a wake swaps the whole list out: unwoken, it is still the live one
+        waiters = self._readers if mode == "read" else self._writers
+        waiters.append(sleeper)
+        woken = False
+        self._lock.release()
         try:
-            cond.wait()
+            woken = sleeper.lock.acquire()
         finally:
-            if mode == "read":
-                self._readers_waiting -= 1
-            else:
-                self._writers_waiting -= 1
+            self._lock.acquire()
+            if not woken and sleeper in waiters:
+                # interrupted (a signal handler raised), as Condition.wait
+                waiters.remove(sleeper)
             if traced:
                 _telemetry.end(f"block.{mode}", category="kpn.block")
             if acct is not None:
@@ -684,10 +680,8 @@ class BoundedByteBuffer:
             self._data.clear()
             self._read_pos = 0
             self.total_read += len(chunk)
-            if self._writers_waiting:
-                self._not_full.notify_all()
-            if self._async_writers:
-                self._wake_async_writers()
+            if self._writers:
+                self._wake_writers()
             return chunk
 
     # ------------------------------------------------------------------
@@ -708,10 +702,10 @@ class BoundedByteBuffer:
                 return
             self._write_closed = True
             self._write_aborted = aborted
-            self._not_empty.notify_all()
-            self._not_full.notify_all()
-            self._wake_async_readers()
-            self._wake_async_writers()
+            if self._readers:
+                self._wake_readers()
+            if self._writers:
+                self._wake_writers()
             self._fire_listeners()
 
     def close_read(self) -> None:
@@ -722,10 +716,10 @@ class BoundedByteBuffer:
             self._read_closed = True
             self._data.clear()
             self._read_pos = 0
-            self._not_empty.notify_all()
-            self._not_full.notify_all()
-            self._wake_async_readers()
-            self._wake_async_writers()
+            if self._readers:
+                self._wake_readers()
+            if self._writers:
+                self._wake_writers()
             self._fire_listeners()
 
     def record_history(self, enable: bool = True) -> None:
@@ -782,8 +776,8 @@ class BoundedByteBuffer:
                     "t": time.monotonic(), "old": old, "new": new_capacity,
                     "cause": cause, "process": process,
                     "blocked": tuple(blocked)},)
-            self._not_full.notify_all()
-            self._wake_async_writers()
+            if self._writers:
+                self._wake_writers()
         if _telemetry.enabled and new_capacity != old:
             _telemetry.instant("channel.grow", category="kpn.channel",
                                channel=self.name, old=old, new=new_capacity,

@@ -1,11 +1,13 @@
 """LocalCluster and the Figure 14/15 partitioned workflow."""
 
 import os
+import socket
 import sys
 
 import pytest
 
 from repro.config import RunConfig, use
+from repro.errors import RemoteError
 from repro.kpn import Network
 from repro.distributed import LocalCluster, run_partitioned
 from repro.parallel import CallableTask
@@ -99,3 +101,47 @@ def test_process_mode_cluster_real_parallelism():
         net.add(Collect(b.get_input_stream(), out))
         net.run(timeout=60)
         assert out == [5, 10, 15, 20, 25, 30]
+
+
+def _refuses_connections(port):
+    try:
+        socket.create_connection(("127.0.0.1", port), timeout=5).close()
+    except ConnectionRefusedError:
+        return True
+    return False
+
+
+def test_a_server_that_fails_to_start_says_why(monkeypatch):
+    monkeypatch.setenv("PYTHONPATH", "/nonexistent")
+    cluster = LocalCluster(1, mode="process")
+    with pytest.raises(RemoteError) as caught:
+        cluster.start()
+    message = str(caught.value)
+    assert "server-0 failed to start (exit code 1)" in message
+    assert "No module named 'repro'" in message
+    # the failed start stopped the registry it had started
+    assert _refuses_connections(cluster.registry_server.port)
+
+
+@pytest.mark.slow
+def test_a_failed_start_stops_the_servers_it_started(monkeypatch):
+    """Under ``with`` a failing start gets no ``__exit__``: the registry
+    and the server that did start must be stopped by start itself."""
+    spawn = LocalCluster._spawn_process_server
+    spawned = []
+
+    def second_fails(self, name):
+        if spawned:
+            monkeypatch.setenv("PYTHONPATH", "/nonexistent")
+        spawned.append(name)
+        spawn(self, name)
+
+    monkeypatch.setattr(LocalCluster, "_spawn_process_server", second_fails)
+    cluster = LocalCluster(2, mode="process")
+    with pytest.raises(RemoteError, match="server-1 failed to start"):
+        with cluster:
+            pass
+    assert spawned == ["server-0", "server-1"]
+    assert len(cluster._procs) == 2
+    assert all(proc.poll() is not None for proc in cluster._procs)
+    assert _refuses_connections(cluster.registry_server.port)

@@ -196,7 +196,9 @@ def test_event_loop_survives_runner_failure():
     victim.process = Broken()
     victim.name = "broken"
     victim.loop = loop
-    victim._done = threading.Event()
+    victim._done = threading.Lock()
+    victim._done.acquire()
+    victim._finished = False
     victim._on_finish = None
     loop.schedule(victim)
     victim.join(5)

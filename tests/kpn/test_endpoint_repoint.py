@@ -572,9 +572,9 @@ def test_write_blocked_during_switch_goes_to_the_old_target():
     writer = threading.Thread(target=out.write, args=(b"b" * 8,), daemon=True)
     writer.start()
     deadline = time.monotonic() + 10
-    while not ch.buffer._writers_waiting and time.monotonic() < deadline:
+    while not ch.buffer._writers and time.monotonic() < deadline:
         time.sleep(0.001)
-    assert ch.buffer._writers_waiting == 1
+    assert len(ch.buffer._writers) == 1
     other = Fifo("other")
     out.sequence.switch_to(FifoOutput(other))
     assert inp.read_exactly(16) == b"a" * 16      # makes room: writer wakes

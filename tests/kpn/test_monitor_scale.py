@@ -106,8 +106,7 @@ def _stamp_transitions(net):
     acct._enter, acct._exit = stamped(acct._enter), stamped(acct._exit)
     for ch in net.channels:
         buffer = ch.buffer
-        for name in ("async_park", "_wake_async_readers",
-                     "_wake_async_writers"):
+        for name in ("async_park", "_wake_readers", "_wake_writers"):
             setattr(buffer, name, stamped(getattr(buffer, name)))
     resolve = net.monitor._resolve
 

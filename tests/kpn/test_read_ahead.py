@@ -443,4 +443,4 @@ def test_tight_pipeline_under_fast_switching_loses_no_wakeup():
     assert got == list(range(total))
     assert net.growth_events() == []
     for ch in chans:
-        assert ch.buffer._readers_waiting == ch.buffer._writers_waiting == 0
+        assert ch.buffer._readers == ch.buffer._writers == []
