@@ -27,8 +27,8 @@ and a step that has to sleep anyway is given a stack to sleep on:
   a reader list takes the one input of its default rule as ready.  A
   stale take (a splice moved the input since) costs a hand-off, never a
   wrong park.  A park is one entry in the accounting's blocked map and
-  one on the buffer's waiter list; the deadlock monitor is kicked by the
-  loop when it runs out of work, not by each park.
+  one on the buffer's waiter list; it kicks the deadlock monitor only
+  when it leaves every live actor blocked.
 * **Hand-off.**  A step that passes the gate is plain Python on the
   ordinary blocking channel code, read-ahead included.  If one of its
   operations must sleep after all, the buffer tells the task
@@ -169,7 +169,11 @@ class Task:
 
     # -- called by buffers and the monitor (any thread) -----------------------
     def unparked(self, buffer: BoundedByteBuffer, mode: str) -> None:
-        """Woken off ``buffer``'s wait list (buffer lock held)."""
+        """Woken off ``buffer``'s wait list (buffer lock held): no longer
+        blocked, in the accounting too."""
+        acct = buffer.accounting
+        if acct is not None:
+            acct._blocked.pop(self, None)
         self.assumed = False
         self._fed = mode == "read"
         if self._park_traced:
@@ -366,16 +370,12 @@ class EventLoop:
     :attr:`thread` is the thread running the queue *now*: a task whose
     step must sleep keeps the one it is on (:meth:`hand_off`).
 
-    ``idle`` (the network's deadlock-monitor kick) is called each time
-    the queue runs dry, before the loop sleeps: task parks do not kick,
-    and a loop whose tasks have all parked is exactly a loop with nothing
-    to run.
+    The loop never kicks the deadlock monitor: the last task to park
+    does, from :meth:`~repro.kpn.buffers.BoundedByteBuffer.async_park`.
     """
 
-    def __init__(self, name: str = "kpn-loop",
-                 idle: Optional[Callable[[], None]] = None) -> None:
+    def __init__(self, name: str = "kpn-loop") -> None:
         self.name = name
-        self._idle = idle
         self._cond = threading.Condition()
         self._runnable: deque = deque()
         self._stopped = False
@@ -423,15 +423,12 @@ class EventLoop:
         me = threading.current_thread()
         self._ident = me.ident
         runnable = self._runnable
-        idle = self._idle
         while self.thread is me and not self._stopped:
             try:
                 # only the loop's thread pops, so a non-empty deque stays
                 # non-empty; the condition is needed only to sleep
                 task = runnable.popleft()
             except IndexError:
-                if idle is not None:
-                    idle()
                 with self._cond:
                     while not runnable and not self._stopped:
                         self._cond.wait()
@@ -447,14 +444,11 @@ class EventLoop:
 
 
 class LoopPool:
-    """Round-robin task placement over ``workers`` event loops, each
-    calling ``idle`` when it runs dry (see :class:`EventLoop`)."""
+    """Round-robin task placement over ``workers`` event loops."""
 
-    def __init__(self, workers: int = 1, name: str = "kpn-loop",
-                 idle: Optional[Callable[[], None]] = None) -> None:
+    def __init__(self, workers: int = 1, name: str = "kpn-loop") -> None:
         self.workers = max(1, int(workers))
         self.name = name
-        self._idle = idle
         self._loops: List[EventLoop] = []
         self._next = 0
         self._lock = threading.Lock()
@@ -463,10 +457,8 @@ class LoopPool:
         """Pick (lazily starting) the loop for one new task."""
         with self._lock:
             if not self._loops or all(l.stopped for l in self._loops):
-                self._loops = [
-                    EventLoop(name=f"{self.name}-{i}", idle=self._idle)
-                    for i in range(self.workers)
-                ]
+                self._loops = [EventLoop(name=f"{self.name}-{i}")
+                               for i in range(self.workers)]
                 self._next = 0
             loop = self._loops[self._next % len(self._loops)]
             self._next += 1

@@ -22,12 +22,13 @@ the reproduction needs:
   a network-wide deadlock monitor can tell when *every* live process
   actor (OS thread or cooperative task) is blocked — the precondition for
   Parks' artificial-deadlock resolution.  A sleeping thread enters and
-  leaves through the accounting (its lock, a kick of the monitor); a
-  parked task is one entry in its map, written and removed under this
-  buffer's lock.  Both wait on one list per direction (``_readers``,
-  ``_writers``) of anything with ``unparked(buffer, mode)``: the task, or
-  the thread's :class:`_Sleeper`.  A wake empties the list; a woken thread
-  looks again and may sleep again, as after ``Condition.notify_all``.
+  leaves through the accounting (its lock); a parked task is one entry
+  in its map, written and removed under this buffer's lock.  Only the
+  last actor to block kicks the monitor; a wake never does.  Both wait on
+  one list per direction (``_readers``, ``_writers``) of anything with
+  ``unparked(buffer, mode)``: the task, or the thread's
+  :class:`_Sleeper`.  A wake empties the list; a woken thread looks again
+  and may sleep again, as after ``Condition.notify_all``.
 
 * **Cooperative (async-backend) hooks.**  A cooperative task
   (``Network(backend="async")``) runs its step on the ordinary blocking
@@ -88,20 +89,36 @@ PARKS_CAUSES = ("parks", "parks-distributed")
 
 
 class BlockAccounting:
-    """Callback interface used by the scheduler's deadlock monitor.
+    """Who is blocked where, for the scheduler's deadlock monitor.
 
-    A network installs one accounting object on all of its channel buffers.
-    The default implementation counts blocked *actors* — OS threads in the
-    thread backend, cooperative tasks in the async backend — which is all
-    the deadlock monitor needs.  A thread's wait goes through
-    :meth:`_enter` / :meth:`_exit`, which invoke an optional callback
-    (the monitor's kick); a task's park and wake write :attr:`_blocked`
-    and :attr:`generation` directly (:meth:`BoundedByteBuffer.async_park`)
-    and call nothing.  That needs no lock: a single dict store or pop is
-    atomic, the queries copy or size the map in one call and never walk
-    it, and :attr:`generation` is only ever compared for change, so a
-    lost increment costs nothing.  Methods are invoked *while holding the
-    buffer's lock*, so implementations must not call back into the buffer.
+    A network installs one accounting object on all of its channel
+    buffers and keeps :attr:`live`, its live-actor count, up to date.
+    The map records only that network's *actors* — OS threads it spawned
+    (they carry the marker ``Network.spawn`` sets, see :meth:`_enter`)
+    and cooperative tasks, which pass themselves.  A link's pump or a
+    caller's thread still sleeps on the buffer's waiter list, but it is
+    not entered here: it never counts toward a stall.
+
+    The kick rule is one for both kinds of actor: after a wait is
+    recorded, the optional ``on_change`` callback (the monitor's kick)
+    runs iff at least :attr:`live` actors are blocked — a stall needs
+    every live actor blocked, so only the last one to block can complete
+    it.  A wake never kicks.  A thread's wait goes through :meth:`_enter`
+    under the accounting lock; a task's park writes :attr:`_blocked` and
+    :attr:`generation` directly (:meth:`BoundedByteBuffer.async_park`),
+    and a wake removes the entry of whoever it woke, task or thread,
+    before the woken actor runs (:meth:`_exit` is left for a wait that
+    ended without a wake).  Those writes need no lock: a single dict
+    store or pop is atomic, each recorder stores before it counts (so of
+    two racing last blockers, the later count sees both), the queries
+    copy or size the map in one call and never walk it, and
+    :attr:`generation` is only ever compared for change, so a lost
+    increment costs nothing.  Methods are invoked *while holding the
+    buffer's lock*, so implementations must not call back into the
+    buffer.
+
+    An accounting no network owns (:attr:`live` is None) records every
+    waiting thread and kicks on each wait.
     """
 
     def __init__(self, on_change: Optional[Callable[[], None]] = None) -> None:
@@ -111,26 +128,40 @@ class BlockAccounting:
         #: bumped on every blocking transition so the monitor can detect
         #: churn between two observations (stability check)
         self.generation = 0
+        #: the owning network's live actors (``Network.live_count``),
+        #: written under its lock and read without one; None: no owner
+        self.live: Optional[int] = None
         self._on_change = on_change
 
     # -- updates (called by buffers) -------------------------------------
     def _enter(self, buffer: "BoundedByteBuffer", mode: str,
-               actor: object = None) -> None:
-        """``actor`` (default: the calling thread) starts waiting."""
-        with self._lock:
-            key = actor if actor is not None else threading.current_thread()
-            self._blocked[key] = (buffer, mode)
-            self.generation += 1
-        if self._on_change is not None:
-            self._on_change()
+               actor: object = None) -> object:
+        """``actor`` (default: the calling thread) starts waiting.
 
-    def _exit(self, actor: object = None) -> None:
+        Returns the key recorded, or None for a thread that is not one
+        of the owning network's actors (its ``kpn_accounting`` marker is
+        not this object).
+        """
+        if actor is None:
+            actor = threading.current_thread()
+            if self.live is not None and \
+                    getattr(actor, "kpn_accounting", None) is not self:
+                return None
         with self._lock:
-            key = actor if actor is not None else threading.current_thread()
-            self._blocked.pop(key, None)
+            self._blocked[actor] = (buffer, mode)
             self.generation += 1
-        if self._on_change is not None:
+            live = self.live
+            stall = live is None or len(self._blocked) >= live
+        if stall and self._on_change is not None:
             self._on_change()
+        return actor
+
+    def _exit(self, actor: object) -> None:
+        """``actor`` (a key :meth:`_enter` returned) stopped waiting
+        without being woken: a wake removes the entry itself."""
+        with self._lock:
+            self._blocked.pop(actor, None)
+            self.generation += 1
 
     # -- queries (used by the deadlock monitor) --------------------------
     def snapshot(self) -> dict[object, tuple["BoundedByteBuffer", str]]:
@@ -152,15 +183,26 @@ class BlockAccounting:
 
 class _Sleeper:
     """A thread asleep on a waiter list: a lock taken at birth, which the
-    thread's second ``acquire`` waits on and the waker releases."""
+    thread's second ``acquire`` waits on and the waker releases.
 
-    __slots__ = ("lock",)
+    ``key`` is the thread's entry in ``accounting`` (None: not
+    recorded).  The waker removes it, as it does a parked task's: a woken
+    thread that has not run yet is not blocked, and must not make the
+    monitor see a stall that is over.
+    """
 
-    def __init__(self) -> None:
+    __slots__ = ("lock", "accounting", "key")
+
+    def __init__(self, accounting: Optional[BlockAccounting],
+                 key: object) -> None:
         self.lock = threading.Lock()
         self.lock.acquire()
+        self.accounting = accounting
+        self.key = key
 
     def unparked(self, buffer: "BoundedByteBuffer", mode: str) -> None:
+        if self.key is not None:
+            self.accounting._blocked.pop(self.key, None)
         self.lock.release()
 
 
@@ -315,11 +357,8 @@ class BoundedByteBuffer:
         self._readers = []
         acct = self.accounting
         if acct is not None:
-            # undo async_park's record the way it was written (a sleeping
-            # thread's is its own to remove, by _exit)
+            # each waiter's unparked removes its own accounting entry
             acct.generation += 1
-            for w in waiters:
-                acct._blocked.pop(w, None)
         for w in waiters:
             w.unparked(self, "read")
 
@@ -330,8 +369,6 @@ class BoundedByteBuffer:
         acct = self.accounting
         if acct is not None:
             acct.generation += 1
-            for w in waiters:
-                acct._blocked.pop(w, None)
         for w in waiters:
             w.unparked(self, "write")
 
@@ -349,13 +386,13 @@ class BoundedByteBuffer:
         ``block.write`` telemetry span opens — the waiter's ``unparked``
         callback closes it.  ``waiter`` must expose ``unparked(buffer,
         mode)`` (reschedule, called with the buffer lock held) and
-        ``name``.
+        ``name``; ``unparked`` removes the accounting entry.
 
         The record is one store into the accounting's map and a bump of
-        its generation, under this buffer's lock only (see
-        :class:`BlockAccounting`); the deadlock monitor is left to the
-        task's event loop, which wakes it on running dry (see
-        :mod:`repro.kpn.scheduler`).
+        its generation, under this buffer's lock only, and the deadlock
+        monitor is kicked only when the park leaves at least as many
+        actors blocked as are live (the rule of :class:`BlockAccounting`,
+        a ``len`` and a compare).
         """
         with self._lock:
             if self._write_closed or self._read_closed:
@@ -371,8 +408,13 @@ class BoundedByteBuffer:
                 self._writers.append(waiter)
             acct = self.accounting
             if acct is not None:
-                acct._blocked[waiter] = (self, mode)
+                blocked = acct._blocked
+                blocked[waiter] = (self, mode)
                 acct.generation += 1
+                # BlockAccounting's kick rule, inline: the last to block
+                if len(blocked) >= (acct.live or 0) \
+                        and acct._on_change is not None:
+                    acct._on_change()
             if _telemetry.enabled:
                 _telemetry.begin(f"block.{mode}", category="kpn.block",
                                  channel=self.name,
@@ -636,8 +678,8 @@ class BoundedByteBuffer:
             # this thread, its event loop continues on a fresh one
             task.hand_off(self, mode)
         acct = self.accounting
-        if acct is not None:
-            acct._enter(self, mode, task)
+        # None: no accounting, or a thread that is no network actor
+        key = acct._enter(self, mode, task) if acct is not None else None
         traced = _telemetry.enabled
         if traced:
             # `process` makes block spans joinable with process lifecycle
@@ -650,7 +692,7 @@ class BoundedByteBuffer:
                 process=(task or threading.current_thread()).name,
                 **({"capacity": self._capacity} if mode == "write" else {}))
             _telemetry.inc(f"kpn.channel.{mode}_blocks", 1, channel=self.name)
-        sleeper = _Sleeper()
+        sleeper = _Sleeper(acct, key)
         # a wake swaps the whole list out: unwoken, it is still the live one
         waiters = self._readers if mode == "read" else self._writers
         waiters.append(sleeper)
@@ -665,8 +707,9 @@ class BoundedByteBuffer:
                 waiters.remove(sleeper)
             if traced:
                 _telemetry.end(f"block.{mode}", category="kpn.block")
-            if acct is not None:
-                acct._exit(task)
+            if key is not None and not woken:
+                # the waker removed a woken thread's entry (unparked)
+                acct._exit(key)
 
     def drain(self) -> bytes:
         """Non-blocking: remove and return everything currently buffered.

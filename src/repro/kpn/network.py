@@ -88,21 +88,22 @@ class Network:
         self.monitor: Optional[DeadlockMonitor] = None
         if bounded:
             self.monitor = DeadlockMonitor(self, policy)
-        kick = self.monitor.kick if self.monitor is not None else None
         self._loops = None
         if self.backend == "async":
             from repro.kpn.aio import LoopPool
-            # a task's park does not kick; its loop does, on running dry
-            self._loops = LoopPool(workers, name=f"{name}-loop", idle=kick)
+            self._loops = LoopPool(workers, name=f"{name}-loop")
         self.default_capacity = default_capacity
         if capacity_spec:
             from repro.kpn.compile import load_capacity_spec
             self.capacity_spec = load_capacity_spec(capacity_spec)
         else:
             self.capacity_spec = {}
-        # a thread's every blocking transition kicks the monitor, so the
-        # accounting calls its bound kick with no frame in between
-        self.accounting = BlockAccounting(on_change=kick)
+        # the last actor to block kicks the monitor: the accounting calls
+        # its bound kick with no frame in between
+        self.accounting = BlockAccounting(
+            on_change=self.monitor.kick if self.monitor is not None else None)
+        #: live actors (``live_count``), written under ``_lock``
+        self.accounting.live = 0
         self.channels: List[Channel] = []
         self.processes: List[Process] = []
         # identity set shadowing ``processes`` — membership checks on the
@@ -111,9 +112,8 @@ class Network:
         # its object alive via the list, so ids are never recycled.
         self._process_ids: set = set()
         self._threads: List[threading.Thread] = []
-        #: actors of ``_threads`` that have reported finishing; with the
-        #: append-only list's length this makes :meth:`live_count` O(1)
-        self._finished = 0
+        #: composite threads waiting on their members (:meth:`join_members`)
+        self._waiting: set = set()
         self._lock = threading.RLock()
         self._started = False
         self.fusion_plan = None
@@ -187,8 +187,12 @@ class Network:
             actor = threading.Thread(target=self._run_process,
                                      args=(process,),
                                      name=process.name, daemon=True)
+            # the marker that makes its channel waits count (a pump's or
+            # a caller's thread has none); a task passes itself
+            actor.kpn_accounting = self.accounting
         with self._lock:
             self._threads.append(actor)
+            self.accounting.live += 1
             # identity-set membership, not a list scan: spawn() runs once
             # per process and a linear check makes startup O(n^2)
             if id(process) not in self._process_ids:
@@ -213,8 +217,29 @@ class Network:
         """One spawned actor is done: count it, then let the monitor look
         (the last runnable actor exiting can complete a stall)."""
         with self._lock:
-            self._finished += 1
+            self.accounting.live -= 1
         self._kick_monitor()
+
+    def join_members(self, actors) -> None:
+        """Wait, on a composite's thread, for the actors running its
+        members.  Meanwhile that thread is not a live actor for the stall
+        rule: it blocks on no channel and can only finish after they do,
+        so counting it would hide every deadlock among them."""
+        me = threading.current_thread()
+        counted = getattr(me, "kpn_accounting", None) is self.accounting
+        if counted:
+            with self._lock:
+                self._waiting.add(me)
+                self.accounting.live -= 1
+            self._kick_monitor()    # its members may all be blocked already
+        try:
+            for actor in actors:
+                actor.join()
+        finally:
+            if counted:
+                with self._lock:
+                    self._waiting.discard(me)
+                    self.accounting.live += 1
 
     def preflight(self) -> None:
         """Static pre-flight: graph rules, proofs, and race scan.
@@ -287,24 +312,30 @@ class Network:
         return self
 
     def live_threads(self) -> List:
-        """Process actors (threads and tasks) still alive (monitor's view).
+        """Process actors (threads and tasks) still alive (monitor's view),
+        less composite threads waiting on their members.
 
         O(actors ever spawned); callers that only need the number use
         :meth:`live_count`.
         """
         with self._lock:
-            return [t for t in self._threads if t.is_alive()]
+            waiting = self._waiting
+            return [t for t in self._threads
+                    if t.is_alive() and t not in waiting]
 
     def live_count(self) -> int:
-        """Actors spawned minus actors that reported finishing, in O(1).
+        """Actors spawned minus actors that reported finishing, less
+        composites waiting on their members: one integer, read without
+        the lock.
 
         Agrees with ``len(live_threads())`` except while an actor is
         starting or exiting: a thread is counted from ``spawn`` (before
         ``is_alive()`` turns true) until its ``run`` returns (just before
         it turns false), a task until its ``on_finish`` has been counted.
+        A stale read is harmless to the stall rule: a concurrent spawn
+        adds a running actor, and a concurrent exit kicks the monitor.
         """
-        with self._lock:
-            return len(self._threads) - self._finished
+        return self.accounting.live
 
     def join(self, timeout: Optional[float] = None) -> bool:
         """Wait for every process thread (including late-spawned ones).
@@ -444,33 +475,32 @@ class Network:
         algorithm" needs exactly this per-site information).
         """
         blocked_map = self.accounting.snapshot()
-        live = self.live_threads()
-        live_names = [t.name for t in live]
+        live_names = [t.name for t in self.live_threads()]
         with self._lock:
             channels = list(self.channels)
         # fill levels come from the channel, which also counts what its
         # consumer endpoint read ahead; the accounting only knows buffers
         by_buffer = {id(ch.buffer): ch for ch in channels}
         blocked = []
+        # only network actors are ever in the map
         for actor, (buffer, mode) in blocked_map.items():
-            if actor in live:
-                ch = by_buffer.get(id(buffer))
-                entry = {
-                    "thread": actor.name,
-                    "kind": "thread",
-                    "mode": mode,
-                    "channel": buffer.name,
-                    "capacity": buffer.capacity,
-                    "buffered": (ch.buffered() if ch is not None
-                                 else buffer.available()),
-                }
-                if not isinstance(actor, threading.Thread):
-                    # a task: parked by its gate on a guess or on a
-                    # declared rule, or asleep inside an operation on a
-                    # thread it borrowed from its loop
-                    entry.update(kind="task", assumed=actor.assumed,
-                                 on_thread=actor.on_thread)
-                blocked.append(entry)
+            ch = by_buffer.get(id(buffer))
+            entry = {
+                "thread": actor.name,
+                "kind": "thread",
+                "mode": mode,
+                "channel": buffer.name,
+                "capacity": buffer.capacity,
+                "buffered": (ch.buffered() if ch is not None
+                             else buffer.available()),
+            }
+            if not isinstance(actor, threading.Thread):
+                # a task: parked by its gate on a guess or on a declared
+                # rule, or asleep inside an operation on a thread it
+                # borrowed from its loop
+                entry.update(kind="task", assumed=actor.assumed,
+                             on_thread=actor.on_thread)
+            blocked.append(entry)
         remote = [ch.name for ch in channels if is_remote(ch)]
         return {
             "network": self.name,

@@ -505,8 +505,11 @@ class CompositeProcess(Process):
                 t = threading.Thread(target=p.run, name=p.name, daemon=True)
                 t.start()
                 threads.append(t)
-        for t in threads:
-            t.join()
+        if self.network is not None:
+            self.network.join_members(threads)
+        else:
+            for t in threads:
+                t.join()
         self.end()
 
     def close_all_streams(self) -> None:

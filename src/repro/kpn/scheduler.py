@@ -22,29 +22,29 @@ Detection uses the blocked-actor accounting that
 :class:`~repro.kpn.buffers.BlockAccounting`, and a generation-stable
 double-read filters out the race where an actor is about to be woken.
 
-The monitor is kicked (woken to look) from three places, which between
-them follow every transition that can *complete* a stall:
+A stall needs every live actor blocked, so only two transitions can
+*complete* one, and the monitor is kicked (woken to look) from exactly
+those, plus a timer:
 
-* a thread that starts or stops sleeping in a channel operation kicks
-  through the accounting;
-* an actor that finishes kicks from ``Network._actor_finished``;
-* an async event loop kicks each time its run queue runs dry, before it
-  sleeps.
+* the last actor to block: a thread's wait (``BlockAccounting._enter``)
+  or a task's park (``BoundedByteBuffer.async_park``) that leaves at
+  least as many actors blocked as are live kicks, and any other kicks
+  nothing — one rule, a ``len`` and a compare, for both kinds of actor;
+* an actor that finishes kicks from ``Network._actor_finished`` (and a
+  composite that starts waiting on its members, which stops counting as
+  live, from ``Network.join_members``);
+* the monitor's 50 ms poll, the backstop for a lost wake-up.
 
-A cooperative task's park and wake kick nothing.  They need not: a stall
-needs every live actor blocked.  If the last actor to block is a task,
-it parked on its loop's thread, in that loop's last resume — every other
-task of the loop is parked too, or blocked on a borrowed thread — so the
-loop's queue is empty right after the park, and the loop kicks on its way
-to sleep.  If the last actor to block is a thread, it kicked itself.  The
-monitor's 50 ms poll stays as the backstop for a lost wake-up.
+A wake never kicks: it unblocks an actor, which cannot complete a stall.
+Only the network's own actors are recorded, so a link's pump thread
+blocked on one of its buffers neither kicks nor counts.
 
-A stall needs at least as many blocked actors as live ones, so the
-monitor first compares two counters — the accounting's blocked count and
-:meth:`Network.live_count` — and builds the live-actor list for the
-authoritative wait-graph check only when ``blocked >= live``.  Kicks
-coalesce on a pending flag: an unstalled network of any size costs the
-monitor nothing per park.
+The monitor's own check starts from the same necessary condition — the
+accounting's blocked count against :meth:`Network.live_count` — and
+builds the live-actor list for the authoritative wait-graph check only
+when ``blocked >= live``.  Kicks coalesce on a pending flag: an
+unstalled network of any size costs the monitor nothing per park or
+wait.
 
 A monitor that raises stores the error and shuts the network down, so
 :meth:`Network.join` re-raises it promptly instead of the network
@@ -124,9 +124,8 @@ class DeadlockMonitor:
     """Watches a network for global stalls and applies the policy.
 
     The monitor runs in its own daemon thread.  It is *kicked* (woken) by
-    a thread's blocking transitions, by actor exits and by an event loop
-    running dry (see the module docstring), then re-verifies the stall
-    after a settle window.
+    the last actor to block and by actor exits (see the module
+    docstring), then re-verifies the stall after a settle window.
     """
 
     def __init__(self, network: "Network", policy: Optional[DeadlockPolicy] = None,
@@ -204,9 +203,9 @@ class DeadlockMonitor:
         """Return the blocked map if every live network thread is blocked."""
         acct = self.network.accounting
         # O(1) pre-check: fewer blocked actors than live ones cannot be a
-        # stall.  Blocked actors outside the network (a link's pump thread
-        # in write_donate) only make it pass more often; the wait-graph
-        # check below stays authoritative.
+        # stall (an actor counted out a moment before is_alive() turns
+        # false only makes it pass more often); the wait-graph check below
+        # stays authoritative.
         live_count = self.network.live_count()
         if live_count <= 0 or acct.total_blocked < live_count:
             return None
@@ -278,13 +277,11 @@ class DeadlockMonitor:
 
     # -- resolution ----------------------------------------------------------
     def _resolve(self, blocked: dict) -> None:
-        live = set(self.network.live_threads())
-        names = tuple(sorted(t.name for t in live))
-        write_waits = [
-            (buffer, thread)
-            for thread, (buffer, mode) in blocked.items()
-            if mode == "write" and thread in live
-        ]
+        names = tuple(sorted(t.name for t in self.network.live_threads()))
+        # only network actors are in the map, every one of them live here
+        write_waits = [(buffer, thread)
+                       for thread, (buffer, mode) in blocked.items()
+                       if mode == "write"]
         if write_waits and self.policy.grow \
                 and self._grow_smallest(write_waits, names):
             return
@@ -294,7 +291,7 @@ class DeadlockMonitor:
         # first runs its step for real; we look again once it has blocked
         # where it really blocks — or gone on.
         guesses = [(actor, wait) for actor, wait in blocked.items()
-                   if actor in live and getattr(actor, "assumed", False)]
+                   if getattr(actor, "assumed", False)]
         if guesses:
             for actor, (buffer, mode) in guesses:
                 actor.force(buffer, mode)

@@ -10,8 +10,9 @@ which see Python frames only, so the number repeats: 16 per hop.  It was
 47 when the gate walked the stream stack and the read miss went through
 the sequence, and 22 while every park and wake entered and left the
 accounting under its lock and kicked the deadlock monitor.  A park is
-now one entry in the accounting's map; the loop kicks the monitor once
-each time it runs dry.
+now one entry in the accounting's map, and it kicks the monitor only
+when it leaves every live actor blocked (a ``len`` and a compare, no
+frame otherwise).
 
 The same ring with telemetry on must still put every event of a task in
 that task's lane, and a step that hands its thread off and then wakes a
@@ -172,12 +173,11 @@ def test_one_token_hop_is_at_most_17_frames_on_the_loop_thread():
                 if name.split(".")[0] in ("BlockingInputStream",
                                           "SequenceInputStream", "Network")]
     # a park and a wake are the buffer's own: no accounting call, no
-    # schedule frame, and the monitor is kicked only when the loop runs
-    # dry — once per token, after it has left the last relay
+    # schedule frame, and no kick — the feed waits on its queue, not a
+    # channel, so no park leaves every live actor blocked
     for name in ("BlockAccounting._enter", "BlockAccounting._exit",
-                 "EventLoop.schedule"):
+                 "EventLoop.schedule", "DeadlockMonitor.kick"):
         assert name not in frames, frames
-    assert frames.get("DeadlockMonitor.kick", 0) <= TOKENS
     # the wake fed the relay: only the gate after its step reads the input
     assert frames["ChannelInputStream.would_block_on"] == hops
 

@@ -300,15 +300,20 @@ def test_accounting_generation_bumps_on_transitions():
     t.join(timeout=10)
 
 
-def test_accounting_on_change_callback_fires():
+def test_unowned_accounting_kicks_on_a_wait_never_on_a_wake():
+    """No network owns it (``live`` is None): every wait is a possible
+    last one.  A network's own rule is pinned in test_stall_rule.py."""
     calls = []
     acct = BlockAccounting(on_change=lambda: calls.append(1))
+    assert acct.live is None
     buf = BoundedByteBuffer(64, accounting=acct)
     t = start_thread(lambda: buf.read(1))
     time.sleep(0.05)
+    assert calls == [1]     # the wait
     buf.write(b"x")
     t.join(timeout=10)
-    assert len(calls) >= 2  # enter + exit at least
+    assert calls == [1]     # not the wake
+    assert acct.total_blocked == 0
 
 
 # ---------------------------------------------------------------------------

@@ -31,12 +31,17 @@ from repro.processes.sources import FromIterable
 BACKENDS = ["thread", "async"]
 
 
-def _settled_thread_count(baseline, timeout=5.0):
-    """Loop and borrowed threads end on their own, a moment after join."""
+def _threads_left(before, timeout=5.0):
+    """Threads started since ``before`` (a set of ``threading.enumerate()``)
+    still alive.  Loop and borrowed threads end on their own, a moment
+    after join; a thread of an earlier test that ends meanwhile is not
+    counted against this one, as a bare ``active_count`` would."""
     deadline = time.monotonic() + timeout
-    while threading.active_count() > baseline and time.monotonic() < deadline:
+    while True:
+        left = set(threading.enumerate()) - before
+        if not left or time.monotonic() >= deadline:
+            return left
         time.sleep(0.01)
-    return threading.active_count()
 
 
 @pytest.fixture
@@ -212,7 +217,7 @@ class Gated(IterativeProcess):
 
 
 def test_step_blocking_on_its_second_read_hands_off(handoffs):
-    baseline = threading.active_count()
+    baseline = set(threading.enumerate())
     net = Network(backend="async")
     slow = net.channel(name="slow")
     summed = net.channel(name="summed")
@@ -237,8 +242,14 @@ def test_step_blocking_on_its_second_read_hands_off(handoffs):
         time.sleep(0.005)
     assert handoffs == [("PairSum", "read")]
     assert loop.thread is not first_thread      # the loop moved on
-    entry = next(b for b in net.wait_snapshot()["blocked"]
-                 if b["thread"] == "pair")
+    # the hand-off comes first in the buffer's _block, the accounting's
+    # record of the wait a moment later
+    entry = None
+    while entry is None and time.monotonic() < deadline:
+        entry = next((b for b in net.wait_snapshot()["blocked"]
+                      if b["thread"] == "pair"), None)
+        time.sleep(0.001)
+    assert entry is not None, "pair never recorded as blocked"
     assert entry["kind"] == "task" and entry["on_thread"] is True
     assert entry["assumed"] is False            # an observed wait
     for _ in range(50):
@@ -252,7 +263,7 @@ def test_step_blocking_on_its_second_read_hands_off(handoffs):
     assert net.join(timeout=30)
     assert sums == [1]
     assert handoffs == [("PairSum", "read")]
-    assert _settled_thread_count(baseline) == baseline
+    assert _threads_left(baseline) == set()
 
 
 def test_handed_off_task_is_tagged_in_top():
@@ -377,11 +388,11 @@ def test_real_true_deadlock_still_diagnosed_after_the_check(
 def test_network_without_a_monitor_makes_no_assumptions(handoffs):
     """Nobody could release a wrong guess, so none is made: the pair runs
     like threads, sleeping where it really sleeps."""
-    baseline = threading.active_count()
+    baseline = set(threading.enumerate())
     net, a, b = _facing_pair(Alternator, bounded=False)
     assert net.run(timeout=30)
     assert a.got == b.got == [0, 2, 4, 6]
-    assert _settled_thread_count(baseline) == baseline
+    assert _threads_left(baseline) == set()
 
 
 def test_growth_disabled_verdict_waits_for_observed_waits(forced):
@@ -427,7 +438,7 @@ def test_growth_disabled_verdict_waits_for_observed_waits(forced):
 # ---------------------------------------------------------------------------
 
 def test_relay_ring_of_two_thousand_never_hands_off(handoffs):
-    baseline = threading.active_count()
+    baseline = set(threading.enumerate())
     relays, tokens = 2000, 10                   # 20 000 hops
     net = Network(backend="async", name="ring")
     chans = [net.channel(name=f"r{k}") for k in range(relays + 1)]
@@ -440,7 +451,7 @@ def test_relay_ring_of_two_thousand_never_hands_off(handoffs):
     assert net.run(timeout=120)
     assert out == list(range(tokens))
     assert handoffs == []
-    assert _settled_thread_count(baseline) == baseline
+    assert _threads_left(baseline) == set()
 
 
 def _dynamic_farm():
@@ -464,13 +475,13 @@ def _dynamic_farm():
 ], ids=["fibonacci", "hamming", "newton", "fig13", "farm-dynamic"])
 def test_declared_library_rules_leave_the_figures_without_hand_offs(
         build, handoffs):
-    baseline = threading.active_count()
+    baseline = set(threading.enumerate())
     built = build()
     net = built.network
     net.run(timeout=120)
     assert any(isinstance(t, Task) for t in net._threads)
     assert handoffs == []
-    assert _settled_thread_count(baseline) == baseline
+    assert _threads_left(baseline) == set()
 
 
 # ---------------------------------------------------------------------------
@@ -606,11 +617,11 @@ def _outcome(shape, cls, backend):
 @settings(max_examples=40, deadline=None)
 @given(shape=_networks())
 def test_random_scripts_match_the_thread_backend(shape):
-    baseline = threading.active_count()
+    baseline = set(threading.enumerate())
     oracle = _outcome(shape, Scripted, "thread")
     for cls in (Scripted, DeclaredScripted):
         assert _outcome(shape, cls, "async") == oracle, cls.__name__
-    assert _settled_thread_count(baseline) == baseline
+    assert _threads_left(baseline) == set()
 
 
 # ---------------------------------------------------------------------------

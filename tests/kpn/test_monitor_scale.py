@@ -3,7 +3,8 @@ that the O(1) pre-check (``blocked >= live``) hides no real stall, and
 that a monitor which raises ends the run with its error.
 
 Counts, not timings: a reintroduced per-park scan of every actor fails
-here by the number of ``Network.live_threads`` calls.
+here by the number of ``Network.live_threads`` calls, and a kick from a
+park or wait that cannot complete a stall by the accounting's kicks.
 """
 
 import threading
@@ -91,9 +92,10 @@ def _relay_chain(net, first, count, prefix):
 
 def _stamp_transitions(net):
     """Measure how long after the last blocking transition the monitor
-    first resolved a stall.  A thread's transitions go through the
-    accounting; a task's park and wake are the buffer's own (they write
-    the accounting's map directly and kick nothing)."""
+    first resolved a stall.  A thread's wait goes through the
+    accounting (``_enter``); a task's park and every wake are the
+    buffer's own (they write the accounting's map directly; the last
+    park kicks, a wake never)."""
     stamps = {"changed": None, "latency": None}
 
     def stamped(call):
@@ -144,6 +146,9 @@ def test_unstalled_async_ring_builds_no_live_actor_lists(monkeypatch):
     wakes = []
     examine = net.monitor._examine
     net.monitor._examine = lambda: wakes.append(1) or examine()
+    wait_kicks = []
+    kick = net.accounting._on_change
+    net.accounting._on_change = lambda: wait_kicks.append(1) or kick()
 
     window = threading.Semaphore(2)
     first = net.channel(name="sc-in")
@@ -159,9 +164,14 @@ def test_unstalled_async_ring_builds_no_live_actor_lists(monkeypatch):
     # tokens in flight together share parks; alone, every hop is one
     assert parks >= tokens * N // 4
     assert len(scans) <= 10, f"{len(scans)} live-actor scans over {parks} parks"
-    # a lock-and-notify kick needs the pending flag clear, and only a
-    # monitor wake-up clears it; three threads kick (loop, source, sink)
-    # and may each find it clear once.  stop() notifies too.
+    # no park or wait ever left every live actor blocked: the source
+    # waits on its semaphore, not a channel, and after it ends each relay
+    # sees the end of stream instead of parking
+    assert wait_kicks == []
+    # so only exits kick: a lock-and-notify kick needs the pending flag
+    # clear, and only a monitor wake-up clears it; three threads kick
+    # (the loop, whose tasks finish on it, the source and the sink) and
+    # may each find it clear once.  stop() notifies too.
     assert cond.notifies <= 3 * (len(wakes) + 1) + 1
     assert cond.notifies < parks // 10
     assert net.live_count() == 0
@@ -238,8 +248,9 @@ def test_a_monitor_that_raises_ends_the_run_with_its_error(backend):
 
 class _OutsidePump:
     """A thread that is not a network actor, blocked in ``write_donate``
-    on one of the network's buffers — what a link's receiver pump is to
-    the accounting map while its consumer is slow."""
+    on one of the network's buffers — what a link's receiver pump does
+    while its consumer is slow.  It sleeps on the buffer's writer list
+    and is never in the accounting map."""
 
     def __init__(self, net):
         self.channel = net.channel(8, name="pump-link")
@@ -258,7 +269,8 @@ class _OutsidePump:
         self.thread.start()
         deadline = time.monotonic() + 5
         while time.monotonic() < deadline:
-            if self.thread in net.accounting.snapshot():
+            if self.channel.buffer._writers:
+                assert self.thread not in net.accounting.snapshot()
                 return
             time.sleep(0.005)
         raise AssertionError("pump never blocked")
@@ -286,8 +298,8 @@ def test_true_deadlock_diagnosed_beside_blocked_pump(backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_blocked_pump_never_makes_a_busy_network_look_stalled(backend):
-    """With the pump in the map ``blocked == live`` while one actor is
-    computing: the pre-check passes and the wait-graph check must say no."""
+    """One actor is computing while every other one and the pump are
+    blocked: the pump is no actor, so it must not complete the count."""
 
     class SlowSource(IterativeProcess):
         kpn_async = False
