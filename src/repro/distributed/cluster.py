@@ -38,7 +38,7 @@ class LocalCluster:
     ``mode="thread"`` hosts everything in this interpreter — ideal for
     tests and for exercising the full network protocol without process
     startup cost.  ``mode="process"`` launches each server with
-    ``python -m repro.distributed.server`` so workers truly run in
+    ``python -m repro.distributed`` so workers truly run in
     parallel (separate GILs), which is what the real-execution benchmark
     uses.
 
@@ -93,7 +93,7 @@ class LocalCluster:
         return self
 
     def _spawn_process_server(self, name: str) -> None:
-        argv = [sys.executable, "-m", "repro.distributed.server",
+        argv = [sys.executable, "-m", "repro.distributed",
                 "--name", name, "--port", "0",
                 "--registry", f"127.0.0.1:{self.registry_server.port}",
                 *self.config.argv()]

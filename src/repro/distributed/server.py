@@ -24,7 +24,7 @@ In-process (tests)::
 
 Standalone (real parallelism across OS processes)::
 
-    python -m repro.distributed.server --name alpha --port 9001
+    python -m repro.distributed --name alpha --port 9001
 """
 
 from __future__ import annotations
@@ -358,7 +358,7 @@ class ServerClient(RequestClient):
 
 def add_server_arguments(parser: argparse.ArgumentParser) -> None:
     """The compute server's options: the one spelling, shared by ``python
-    -m repro.distributed.server`` and ``repro server``."""
+    -m repro.distributed`` and ``repro server``."""
     parser.add_argument("--port", type=int, default=0)
     parser.add_argument("--name", default="server")
     parser.add_argument("--registry", default=None,

@@ -229,9 +229,11 @@ class Task:
 
         The gate applies once the tail driver has started (its first pump
         is ``on_start`` alone, which may write — a Delay's initial values
-        — before anything is read).  A pump that sleeps in a channel op
-        takes the thread it is on, exactly as it would block a thread of
-        the thread backend.
+        — before anything is read), and not to a pump that only finishes
+        a stage whose ``iterations`` budget is spent: that stage reads
+        nothing more, and parked on its input it would never end.  A
+        pump that sleeps in a channel op takes the thread it is on,
+        exactly as it would block a thread of the thread backend.
         """
         here = _HERE
         prev = here.actor
@@ -243,9 +245,13 @@ class Task:
                 chain.begin()       # first resume: it pumps drivers[0]
             budget = MAX_STEPS_PER_RESUME
             while self._dindex < len(drivers):
-                if drivers[0].started and not self._gate():
+                driver = drivers[self._dindex]
+                stage = driver.stage
+                if (drivers[0].started
+                        and not 0 < stage.iterations <= stage.steps_completed
+                        and not self._gate()):
                     return
-                if drivers[self._dindex].pump():
+                if driver.pump():
                     budget -= 1
                 else:
                     self._dindex += 1

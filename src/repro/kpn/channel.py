@@ -128,6 +128,24 @@ class ChannelInputStream(InputStream):
                     return bytes(batch[:n])
         return self.blocking.read_exactly(n)
 
+    def take_ready(self, width: int, limit: int) -> Optional[memoryview]:
+        # The whole elements left in the local endpoint's read-ahead, as
+        # one view of the batch (its storage is never mutated, so the view
+        # outlives the next refill).  No lock: only the consumer moves
+        # _pos.  A spliced, fused, remote, finished or closed sequence has
+        # no local head and holds nothing here.
+        head = self.sequence.local_head
+        if head is None:
+            return None
+        batch, pos = head._batch, head._pos
+        count = (len(batch) - pos) // width
+        if count > limit:
+            count = limit
+        if count <= 0:
+            return None
+        end = head._pos = pos + count * width
+        return batch[pos:end]
+
     def available(self) -> int:
         return self.blocking.available()
 

@@ -9,7 +9,9 @@ Reproduces section 3.2 of the paper:
   ``step`` / ``on_stop`` and an optional iteration limit; its ``run``
   method is a line-for-line analogue of the paper's Figure 4, including
   the silent swallowing of channel I/O exceptions that drives the
-  cascading-termination protocol of section 3.4.
+  cascading-termination protocol of section 3.4.  A 1-in/1-out map may
+  also define ``steps``: several steps in one call, over the elements
+  its input endpoint already holds.
 * :class:`CompositeProcess` — hierarchy without deadlock: every component
   keeps "a separate thread for each process within a CompositeProcess to
   avoid introducing deadlock through composition".
@@ -18,6 +20,7 @@ Reproduces section 3.2 of the paper:
 from __future__ import annotations
 
 import itertools
+import sys
 import threading
 from typing import Iterable, List, Optional, Sequence
 
@@ -295,6 +298,17 @@ class IterativeProcess(Process):
     def step(self) -> None:
         """One unit of work; default does nothing."""
 
+    def steps(self, limit: int) -> int:
+        """Run between 1 and ``limit`` steps; return how many ran.
+
+        The default is one :meth:`step`.  A map (one element in, one out
+        per step) overrides it to also take every whole element its input
+        already holds and write all the results at once; only its first
+        read may block.  Drivers call it as :func:`_batches` decides.
+        """
+        self.step()
+        return 1
+
     def on_stop(self) -> None:
         """One-time cleanup; default closes all tracked streams."""
         self.close_all_streams()
@@ -370,6 +384,7 @@ class IterativeProcess(Process):
             # countdown) lets a live-migrated process resume exactly where
             # it parked — "data elements are neither lost nor repeated".
             step = self.step
+            steps = self.steps if _batches(type(self)) else None
             while self.iterations <= 0 or self.steps_completed < self.iterations:
                 # _ctrl is None unless a migrator asked for control(), which
                 # it may do from its own thread at any time: re-read it
@@ -377,11 +392,34 @@ class IterativeProcess(Process):
                 if self._ctrl is not None and self._pause_point():
                     reason = "abandoned"
                     break
-                step()
-                self.steps_completed += 1
+                if steps is None:
+                    step()
+                    self.steps_completed += 1
+                else:
+                    done = self.steps_completed
+                    self.steps_completed = done + steps(
+                        self.iterations - done if self.iterations > 0
+                        else sys.maxsize)
         except Exception as exc:  # noqa: BLE001 - classified, then cleaned up
             reason = self._ended_by(exc)
         self._finish(reason, traced)
+
+
+def _batches(cls: type) -> bool:
+    """Should drivers call ``cls.steps`` rather than ``cls.step``?
+
+    Only when ``steps`` is overridden at or below the class that defines
+    ``step``: a subclass that overrides ``step`` alone (to add a dwell, a
+    count, a side effect) must see every element go through it, so it
+    keeps one element per call whatever its base class batches.
+    """
+    for klass in cls.__mro__:
+        defined = vars(klass)
+        if "steps" in defined:
+            return klass is not IterativeProcess
+        if "step" in defined:
+            return False
+    return False
 
 
 class _StepDriver:
@@ -392,12 +430,17 @@ class _StepDriver:
     points.  It is how a process runs when something other than a thread
     of its own decides when its next step happens: a stage of a
     compiler-fused chain (pumped from inside its consumer's read), a
-    cooperative task (pumped by its event loop).
+    cooperative task (pumped by its event loop).  A task's pump runs
+    ``steps`` where the thread loop would; a fused stage's always runs
+    one ``step``, since its fused input delivers one element per pump.
     """
 
     def __init__(self, stage: IterativeProcess, fused: bool = False) -> None:
         self.stage = stage
         self.fused = fused
+        #: the stage's bound ``steps``, or None: one ``step`` per pump
+        self._steps = (stage.steps if not fused and _batches(type(stage))
+                       else None)
         self.started = False
         self.finished = False
         self._traced = False
@@ -419,8 +462,14 @@ class _StepDriver:
                     st.on_start()
                 return True
             if not 0 < st.iterations <= st.steps_completed:
-                st.step()
-                st.steps_completed += 1
+                if self._steps is None:
+                    st.step()
+                    st.steps_completed += 1
+                else:
+                    done = st.steps_completed
+                    st.steps_completed = done + self._steps(
+                        st.iterations - done if st.iterations > 0
+                        else sys.maxsize)
                 return True
             reason = "limit"
         except Exception as exc:  # noqa: BLE001 - as IterativeProcess.run

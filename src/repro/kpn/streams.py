@@ -84,6 +84,13 @@ class InputStream:
         and the reader finds out by blocking."""
         return None
 
+    def take_ready(self, width: int, limit: int) -> Optional[memoryview]:
+        """Consume and return up to ``limit`` whole ``width``-byte elements
+        this stream already holds, or None when it holds none or cannot
+        tell.  Never blocks and never reads further; a partial trailing
+        element stays for the next read.  The default holds nothing."""
+        return None
+
 
 class OutputStream:
     """Abstract byte sink with blocking writes (section 3.5)."""

@@ -15,6 +15,10 @@ the only code that knows an element's bytes:
 
 A codec reads through the source's ``read_exactly`` and writes through
 the sink's ``write``/``write_vectored``: a channel endpoint has all three.
+A fixed-width codec also decodes a run of whole elements at once
+(:meth:`StructCodec.unpack_all`) and encodes a list of them as one write
+(:meth:`StructCodec.write_all`): that is how a map stage consumes what its
+endpoint has already read ahead.
 A foreign byte source (a file, a ``BytesIO``) is wrapped in
 :class:`~repro.kpn.streams.BlockingInputStream` first; a foreign sink
 takes :meth:`Codec.encode`.
@@ -72,18 +76,53 @@ class Codec:
 
 
 class StructCodec(Codec):
-    """Fixed-width codec described by a :mod:`struct` format string."""
+    """Fixed-width codec described by a :mod:`struct` format string of one
+    value (``">q"``, ``"?"``, ``"8s"``)."""
 
     def __init__(self, fmt: str, name: str) -> None:
         self._struct = struct.Struct(fmt)
         self.width = self._struct.size
         self.name = name
+        # n elements as one format: ">q" -> ">{n}q", "8s" -> "8s8s..."
+        self._order = fmt[:1] if fmt[:1] in "@=<>!" else ""
+        self._code = fmt[len(self._order):]
+        #: one compiled Struct per run length seen (struct's own cache
+        #: holds 100 formats and empties itself when full)
+        self._runs: dict[int, struct.Struct] = {}
+
+    def _run(self, n: int) -> struct.Struct:
+        run = self._runs.get(n)
+        if run is None:
+            code = self._code
+            run = self._runs[n] = struct.Struct(
+                self._order + (f"{n}{code}" if len(code) == 1 else code * n))
+        return run
 
     def write(self, out: OutputStream, value: Any) -> None:
         out.write(self._struct.pack(value))
 
     def read(self, source: InputStream) -> Any:
         return self._struct.unpack_from(source.read_exactly(self.width))[0]
+
+    def unpack_all(self, view) -> tuple:
+        """Decode ``view``, a whole number of elements, in one call."""
+        return self._run(len(view) // self.width).unpack(view)
+
+    def write_all(self, out: OutputStream, values: list) -> None:
+        """``write`` each of ``values`` in turn, as one pack and one write.
+
+        A value ``write`` would refuse fails the whole pack; then the
+        values before it are written one by one and ``write`` raises on
+        it, so the stream ends exactly where, and with the error that,
+        element-at-a-time writing would have ended it.
+        """
+        try:
+            data = self._run(len(values)).pack(*values)
+        except Exception:
+            for value in values:
+                self.write(out, value)
+            raise
+        out.write(data)
 
     def encode(self, value: Any) -> bytes:
         return self._struct.pack(value)

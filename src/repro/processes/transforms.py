@@ -14,7 +14,10 @@ bytes and need not be aware of any structure within a byte stream."
   thread remains.
 * :class:`Duplicate` — fan-out of one byte stream to N outputs (Figure 5).
 * :class:`Scale`, :class:`MapProcess` — element-level transforms used by
-  the Hamming network (Figure 12) and general plumbing.
+  the Hamming network (Figure 12) and general plumbing.  Both are rate-1
+  maps, so on fixed-width codecs their ``steps`` turns every whole
+  element the input endpoint has already read ahead into one unpack, one
+  pack and one channel write.
 """
 
 from __future__ import annotations
@@ -201,6 +204,24 @@ class Scale(IterativeProcess):
     def step(self) -> None:
         self.codec.write(self.out, self.codec.read(self.source) * self.factor)
 
+    def steps(self, limit: int) -> int:
+        codec = self.codec
+        if codec.width is None:
+            self.step()
+            return 1
+        source, factor = self.source, self.factor
+        first = codec.read(source) * factor
+        ready = source.take_ready(codec.width, limit - 1)
+        if ready is None:
+            # a lone element goes out as step writes it: a run of one
+            # would cost a paced chain latency at every hop
+            codec.write(self.out, first)
+            return 1
+        values = [first]
+        values += [value * factor for value in codec.unpack_all(ready)]
+        codec.write_all(self.out, values)
+        return len(values)
+
 
 class MapProcess(IterativeProcess):
     """Applies a pure function to each element.
@@ -228,3 +249,26 @@ class MapProcess(IterativeProcess):
 
     def step(self) -> None:
         self.out_codec.write(self.out, self.fn(self.codec.read(self.source)))
+
+    def steps(self, limit: int) -> int:
+        codec, out_codec = self.codec, self.out_codec
+        if codec.width is None or out_codec.width is None:
+            self.step()
+            return 1
+        source, fn = self.source, self.fn
+        first = fn(codec.read(source))
+        ready = source.take_ready(codec.width, limit - 1)
+        if ready is None:
+            out_codec.write(self.out, first)
+            return 1
+        results = [first]
+        try:
+            for value in codec.unpack_all(ready):
+                results.append(fn(value))
+        except Exception:
+            # what one element per step would have written before fn
+            # failed on this element
+            out_codec.write_all(self.out, results)
+            raise
+        out_codec.write_all(self.out, results)
+        return len(results)

@@ -2,6 +2,7 @@
 
 import os
 import socket
+import subprocess
 import sys
 
 import pytest
@@ -101,6 +102,38 @@ def test_process_mode_cluster_real_parallelism():
         net.add(Collect(b.get_input_stream(), out))
         net.run(timeout=60)
         assert out == [5, 10, 15, 20, 25, 30]
+
+
+@pytest.mark.slow
+def test_a_process_mode_server_runs_its_module_once(monkeypatch):
+    """The cluster's command line must not run repro.distributed.server
+    as ``__main__`` after the package has imported it (runpy warns, and
+    every class in it is defined twice)."""
+    launched = []
+    popen = subprocess.Popen
+
+    def recording(argv, **kwargs):
+        launched.append(list(argv))
+        return popen(argv, **kwargs)
+
+    monkeypatch.setattr(subprocess, "Popen", recording)
+    with LocalCluster(1, mode="process"):
+        argv = launched[0]
+        argv[argv.index("--name") + 1] = "probe"
+        probe = popen(argv, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                      text=True)
+        try:
+            before = []
+            for line in probe.stdout:
+                if line.startswith("SERVER probe LISTENING"):
+                    break
+                before.append(line)
+        finally:
+            probe.terminate()
+            probe.wait(timeout=10)
+            probe.stdout.close()
+    assert not [line for line in before if "Warning" in line], before
+    assert argv[1:3] == ["-m", "repro.distributed"]
 
 
 def _refuses_connections(port):

@@ -12,12 +12,12 @@ import threading
 
 import pytest
 
-from repro.errors import ArtificialDeadlockError
+from repro.errors import ArtificialDeadlockError, EndOfStreamError
 from repro.kpn import Network
 from repro.kpn.aio import EventLoop, LoopPool, Task, async_hostable
 from repro.kpn.process import IterativeProcess
 from repro.kpn.scheduler import DeadlockPolicy
-from repro.processes import Collect, Sequence
+from repro.processes import Collect, Scale, Sequence
 from repro.processes.codecs import LONG
 from repro.processes.networks import modulo_merge
 from repro.processes.routing import Turnstile
@@ -126,6 +126,57 @@ def test_on_stop_runs_once_after_parks():
     assert net.run(timeout=60)
     assert out == list(range(100))
     assert stops == ["src"]  # exactly once, despite many parked attempts
+
+
+class _WriteThenWait(IterativeProcess):
+    """P: writes 1, 2, 3, then reads the reply."""
+
+    def __init__(self, out, reply):
+        super().__init__(iterations=1, name="P")
+        self.out, self.reply = out, reply
+        self.got = []
+        self.track(out, reply)
+
+    def step(self):
+        for value in (1, 2, 3):
+            LONG.write(self.out, value)
+        self.got.append(LONG.read(self.reply))
+
+
+class _SumAtEnd(IterativeProcess):
+    """Q: reads to end of stream, then writes the sum."""
+
+    def __init__(self, source, out):
+        super().__init__(name="Q")
+        self.source, self.out = source, out
+        self.seen = []
+        self.track(source, out)
+
+    def step(self):
+        try:
+            self.seen.append(LONG.read(self.source))
+        except EndOfStreamError:
+            LONG.write(self.out, sum(self.seen))
+            raise
+
+
+@pytest.mark.parametrize("bounded", [False, True])
+@pytest.mark.parametrize("backend", ["thread", "async"])
+def test_a_spent_iteration_budget_ends_the_task(backend, bounded):
+    """Scale(iterations=3) has done its last step while its input is
+    empty and open (P still holds it, waiting on the reply).  It must
+    end, not park on that input: its end is what lets Q reply."""
+    net = Network(backend=backend, bounded=bounded)
+    a, b, c = (net.channel(name=n) for n in "abc")
+    p = net.add(_WriteThenWait(a.get_output_stream(), c.get_input_stream()))
+    net.add(Scale(a.get_input_stream(), b.get_output_stream(), 10,
+                  iterations=3, name="Scale-0"))
+    net.add(_SumAtEnd(b.get_input_stream(), c.get_output_stream()))
+    try:
+        assert net.run(timeout=10)
+    finally:
+        net.shutdown()
+    assert p.got == [60]
 
 
 def test_step_exception_propagates_from_join():

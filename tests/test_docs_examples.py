@@ -56,6 +56,40 @@ def test_custom_process_and_kernel_roundtrip():
     assert list(predicted) == out
 
 
+class BatchedClamp(ClampAbove):
+    """Section 1's "Batching a rate-1 map" snippet."""
+
+    def steps(self, budget):
+        codec = self.codec
+        if codec.width is None:             # variable width: no batching
+            self.step()
+            return 1
+        first = min(codec.read(self.source), self.limit)    # may block
+        ready = self.source.take_ready(codec.width, budget - 1)
+        if ready is None:                   # nothing more held
+            codec.write(self.out, first)
+            return 1
+        values = [first]
+        values += [min(v, self.limit) for v in codec.unpack_all(ready)]
+        codec.write_all(self.out, values)   # one pack, one write
+        return len(values)
+
+
+@pytest.mark.parametrize("backend", ["thread", "async"])
+def test_batched_map_snippet(backend):
+    net = Network(backend=backend)
+    a, b = net.channels_n(2)
+    values = [(k * 37) % 101 for k in range(500)]
+    out = []
+    net.add(FromIterable(a.get_output_stream(), values))
+    clamp = net.add(BatchedClamp(a.get_input_stream(), b.get_output_stream(),
+                                 50, iterations=400))
+    net.add(Collect(b.get_input_stream(), out))
+    net.run(timeout=30)
+    assert out == [min(v, 50) for v in values[:400]]
+    assert clamp.steps_completed == 400
+
+
 # -- section 3: custom task workload -----------------------------------------
 
 class Crc32Task:
