@@ -15,14 +15,18 @@ Three passes over a constructed (not yet started) :class:`Network`:
 1. **Chain fusion** — detect maximal linear chains of eligible processes
    (head: one output; interior: one input, one output; tail: anything)
    and replace each with a :class:`FusedChain`: one thread that runs the
-   *tail* stage eagerly and pumps upstream stages one ``step`` at a time
-   when an intra-chain read finds its pipe empty.  Intra-chain channels
-   keep their :class:`~repro.kpn.channel.Channel` identity (names,
-   graph/profiler visibility, history capture) but their ring buffers
-   are bypassed by lock-free :class:`collections.deque` pipes — and
-   where producer and consumer declare matching fixed-width codecs, the
-   encode/decode round trip is skipped entirely and elements pass as
-   Python objects.
+   *tail* stage eagerly and pumps an upstream stage one ``step`` at a
+   time when an intra-chain read finds its pipe empty.  An interior map
+   that declares ``element_fn`` between two object-mode pipes is
+   *pulled* instead: its consumer's read takes one object from the
+   stage's input pipe and applies the function in place, with no pump,
+   no codec and no queue in between, so a run of maps costs function
+   application.  Intra-chain channels keep their
+   :class:`~repro.kpn.channel.Channel` identity (names, graph/profiler
+   visibility, history capture) but their ring buffers are bypassed by
+   lock-free :class:`collections.deque` pipes — and where producer and
+   consumer declare matching fixed-width codecs, the encode/decode round
+   trip is skipped entirely and elements pass as Python objects.
 
 2. **Channel collapse** — only *intra-chain* channels are bypassed.
    Boundary channels of fused regions keep full Channel semantics, so
@@ -53,13 +57,13 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (BrokenChannelError, ChannelClosedError,
                           EndOfStreamError)
 from repro.kpn.channel import Channel
 from repro.kpn.process import (CompositeProcess, IterativeProcess, Process,
-                               _StepDriver)
+                               _declares, _StepDriver)
 from repro.kpn.streams import InputStream, OutputStream
 from repro.processes.codecs import Codec, StructCodec
 from repro.telemetry.core import TELEMETRY as _telemetry
@@ -79,7 +83,9 @@ class _FusedPipe:
     fast path).  A read that finds the pipe empty *pumps* the upstream
     stage driver — production happens inside the read call, which is
     what lets a whole chain run demand-driven in one thread with no
-    locks, no condition variables, and no coroutines.
+    locks, no condition variables, and no coroutines.  An object read
+    from a *pulled* stage's pipe goes one step further and runs the
+    stage itself: see :meth:`read_object`.
 
     Unboundedness cannot introduce deadlock: it only ever *removes*
     write blocking, and the pipe holds at most the run-ahead of single
@@ -107,6 +113,10 @@ class _FusedPipe:
         #: mirror written bytes into the channel buffer's history so
         #: HistoryCapture sees the same byte stream as an unfused run
         self.record_history = channel.buffer.history is not None
+        #: set by FusedChain when the producing stage is pulled: its
+        #: driver, the stage, its element function and its input pipe
+        self.pull: Optional[Tuple[_StepDriver, IterativeProcess,
+                                  Callable[[Any], Any], "_FusedPipe"]] = None
 
     # -- producer side -----------------------------------------------------
     def write_bytes(self, data) -> None:
@@ -216,6 +226,17 @@ class _FusedPipe:
                 return 0
 
     def read_object(self) -> Any:
+        """The next element, as an object.
+
+        With nothing queued and a pulled producer that is running
+        (started, not finished), this read is the producer's step: one
+        object from its input pipe through its element function, counted
+        as a completed step.  An exception out of either ends the stage
+        exactly as one out of ``step`` would in a pump, and the loop then
+        reads the end of stream its cleanup left here.  The stage's
+        ``on_start`` and anything after it finishes go through its driver
+        as usual.
+        """
         while True:
             if self.entries:
                 if type(self.entries[0]) is tuple:
@@ -224,6 +245,20 @@ class _FusedPipe:
                 # through the codec's ordinary stream reader, which pulls
                 # from this pipe via the consumer endpoint
                 return self.object_codec.read(self.reader_endpoint)
+            pull = self.pull
+            if pull is not None and not self.read_closed:
+                driver, stage, fn, source = pull
+                if not driver.started:
+                    driver.pump()           # on_start alone
+                    continue
+                if not driver.finished:
+                    try:
+                        value = fn(source.read_object())
+                    except Exception as exc:  # noqa: BLE001 - as pump
+                        driver.stop(stage._ended_by(exc))
+                        continue
+                    stage.steps_completed += 1
+                    return value
             if not self._fill():
                 raise EndOfStreamError("end of stream")
 
@@ -338,13 +373,15 @@ class FusedChain(CompositeProcess):
     (:mod:`repro.kpn.topology`) and every pass reading it still see the
     member stages — but ``run`` replaces thread-per-member execution
     with the demand-driven loop: the tail stage runs eagerly; empty
-    intra-chain pipes pump their upstream stage from inside the read.
-    Stages are then finished tail-to-head, so closing streams cascades
-    termination exactly as it would across threads.
+    intra-chain pipes pump their upstream stage from inside the read, or
+    run it in place when the plan marked it pulled.  Stages are then
+    finished tail-to-head, so closing streams cascades termination
+    exactly as it would across threads.
     """
 
     def __init__(self, stages: Sequence[IterativeProcess],
                  pipes: Sequence[_FusedPipe],
+                 pulled: Sequence[IterativeProcess],
                  name: Optional[str] = None) -> None:
         super().__init__(stages,
                          name=name or "fused:" + "+".join(s.name
@@ -353,8 +390,12 @@ class FusedChain(CompositeProcess):
         self.drivers: List[_StepDriver] = [_StepDriver(s, fused=True)
                                           for s in stages]
         # pipe i carries stage i -> stage i+1
-        for pipe, driver in zip(self.pipes, self.drivers):
+        for i, (pipe, driver) in enumerate(zip(self.pipes, self.drivers)):
             pipe.upstream = driver
+            stage = driver.stage
+            if stage in pulled:
+                pipe.pull = (driver, stage, stage.element_fn(),
+                             self.pipes[i - 1])
 
     @property
     def channel_names(self) -> List[str]:
@@ -422,6 +463,7 @@ class FusionPlan:
     def __init__(self, network,
                  chains: List[Tuple[List[Process], List[Channel],
                                     List[Optional[Codec]], Any]],
+                 pulled: List[List[Process]],
                  refusals: List[Tuple[str, str]],
                  spec: Dict[str, int], leaf_count: int) -> None:
         self.network = network
@@ -430,6 +472,8 @@ class FusionPlan:
         #: (stages, intra-chain channels, per-channel object codec or
         #: None, direct container of every stage)
         self.chains = chains
+        #: per chain, the stages its consumers' reads run in place
+        self.pulled = pulled
         #: (subject, reason) — processes/chains that must keep threads
         self.refusals = refusals
         self.spec = spec
@@ -459,7 +503,9 @@ class FusionPlan:
                 "channels": [ch.name for ch in chans],
                 "object_channels": [ch.name for ch, oc in zip(chans, codecs)
                                     if oc is not None],
-            } for stages, chans, codecs, _ in self.chains],
+                "pulled": [s.name for s in pulled],
+            } for (stages, chans, codecs, _), pulled in zip(self.chains,
+                                                            self.pulled)],
             "refusals": [{"subject": s, "reason": r}
                          for s, r in self.refusals],
             "capacity_spec": dict(self.spec),
@@ -473,12 +519,16 @@ class FusionPlan:
         lines = [f"fusion plan for network {self.network.name!r}: "
                  f"{len(self.chains)} chain(s), "
                  f"{before} -> {after} thread(s)"]
-        for i, (stages, chans, codecs, _) in enumerate(self.chains, start=1):
+        for i, ((stages, chans, codecs, _), pulled) in enumerate(
+                zip(self.chains, self.pulled), start=1):
             arrow = " -> ".join(s.name for s in stages)
             parts = [f"{ch.name}[{'objects' if oc is not None else 'bytes'}]"
                      for ch, oc in zip(chans, codecs)]
             lines.append(f"  chain {i}: {arrow}")
             lines.append(f"           collapsed: {', '.join(parts)}")
+            if pulled:
+                lines.append("           pulled: "
+                             + ", ".join(s.name for s in pulled))
         if self.refusals:
             lines.append("  kept threaded:")
             for subject, reason in self.refusals:
@@ -503,7 +553,8 @@ class FusionPlan:
             return self.network
         net = self.network
         shim_cache: Dict[int, Tuple[Codec, _CodecShim]] = {}
-        for stages, chans, codecs, container in self.chains:
+        for (stages, chans, codecs, container), pulled in zip(self.chains,
+                                                              self.pulled):
             pipes: List[_FusedPipe] = []
             for ch, ocodec in zip(chans, codecs):
                 pipe = _FusedPipe(ch, object_codec=ocodec)
@@ -520,7 +571,7 @@ class FusionPlan:
             if any(oc is not None for oc in codecs):
                 for stage in stages:
                     _install_codec_shims(stage, shim_cache)
-            chain = FusedChain(stages, pipes)
+            chain = FusedChain(stages, pipes, pulled)
             chain.network = net
             members = (net.processes if container is net
                        else container.processes)
@@ -537,7 +588,8 @@ class FusionPlan:
                 _telemetry.instant("compile.fuse", category="kpn.compile",
                                    chain=chain.name,
                                    stages=len(stages),
-                                   channels=",".join(chain.channel_names))
+                                   channels=",".join(chain.channel_names),
+                                   pulled=",".join(s.name for s in pulled))
         fused_names = set(self.fused_channel_names)
         for name, cap in self.spec.items():
             ch = net.channel_by_name(name)
@@ -593,6 +645,22 @@ def _object_codec_for(edge) -> Optional[Codec]:
     if len(edge.consumer.input_streams) != 1:
         return None
     return w if isinstance(w, StructCodec) else None
+
+
+def _pulled(stage: Process, in_codec: Optional[Codec], in_edge,
+            out_codec: Optional[Codec]) -> bool:
+    """Can the consumer's read run ``stage`` in place?
+
+    Only a map declaring ``element_fn`` (at or below its ``step``), with
+    no ``iterations=`` budget to count against, whose input and output
+    pipes both move objects of its own codec instances — the identity
+    the codec shim tests — so that skipping its ``step`` skips nothing
+    but an object write and an object read.
+    """
+    return (in_codec is not None and in_codec is in_edge.read_codec
+            and out_codec is not None
+            and isinstance(stage, IterativeProcess) and stage.iterations <= 0
+            and _declares(type(stage), "element_fn"))
 
 
 def compile_network(network, spec=None) -> FusionPlan:
@@ -683,6 +751,7 @@ def compile_network(network, spec=None) -> FusionPlan:
 
     chains: List[Tuple[List[Process], List[Channel],
                        List[Optional[Codec]], Any]] = []
+    pulled: List[List[Process]] = []
     for stages, edges in raw_chains:
         member_ids = {id(s) for s in stages}
         side = next((e for e in topology.edges
@@ -701,9 +770,14 @@ def compile_network(network, spec=None) -> FusionPlan:
         codecs = [_object_codec_for(e) for e in edges]
         chains.append((stages, [e.channel for e in edges], codecs,
                        containers[id(stages[0])]))
+        # stage i reads pipe i-1 and writes pipe i: the head and the tail
+        # have a boundary side and are always pumped
+        pulled.append([stages[i] for i in range(1, len(edges))
+                       if _pulled(stages[i], codecs[i - 1], edges[i - 1],
+                                  codecs[i])])
 
-    return FusionPlan(network, chains, refusals, load_capacity_spec(spec),
-                      leaf_count=len(leaves))
+    return FusionPlan(network, chains, pulled, refusals,
+                      load_capacity_spec(spec), leaf_count=len(leaves))
 
 
 def fuse(network, spec=None) -> FusionPlan:

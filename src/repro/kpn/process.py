@@ -11,7 +11,8 @@ Reproduces section 3.2 of the paper:
   the silent swallowing of channel I/O exceptions that drives the
   cascading-termination protocol of section 3.4.  A 1-in/1-out map may
   also define ``steps``: several steps in one call, over the elements
-  its input endpoint already holds.
+  its input endpoint already holds; and ``element_fn``: the function one
+  step applies to an element, which a fused chain calls in place.
 * :class:`CompositeProcess` — hierarchy without deadlock: every component
   keeps "a separate thread for each process within a CompositeProcess to
   avoid introducing deadlock through composition".
@@ -304,7 +305,7 @@ class IterativeProcess(Process):
         The default is one :meth:`step`.  A map (one element in, one out
         per step) overrides it to also take every whole element its input
         already holds and write all the results at once; only its first
-        read may block.  Drivers call it as :func:`_batches` decides.
+        read may block.  Drivers call it as :func:`_declares` decides.
         """
         self.step()
         return 1
@@ -384,7 +385,7 @@ class IterativeProcess(Process):
             # countdown) lets a live-migrated process resume exactly where
             # it parked — "data elements are neither lost nor repeated".
             step = self.step
-            steps = self.steps if _batches(type(self)) else None
+            steps = self.steps if _declares(type(self), "steps") else None
             while self.iterations <= 0 or self.steps_completed < self.iterations:
                 # _ctrl is None unless a migrator asked for control(), which
                 # it may do from its own thread at any time: re-read it
@@ -405,17 +406,18 @@ class IterativeProcess(Process):
         self._finish(reason, traced)
 
 
-def _batches(cls: type) -> bool:
-    """Should drivers call ``cls.steps`` rather than ``cls.step``?
+def _declares(cls: type, name: str) -> bool:
+    """Does ``cls`` define ``name`` at or below the class defining ``step``?
 
-    Only when ``steps`` is overridden at or below the class that defines
-    ``step``: a subclass that overrides ``step`` alone (to add a dwell, a
-    count, a side effect) must see every element go through it, so it
-    keeps one element per call whatever its base class batches.
+    Drivers call ``steps`` rather than ``step``, and a fused chain runs a
+    stage's ``element_fn`` in its consumer's read, only when this holds:
+    a subclass that overrides ``step`` alone (to add a dwell, a count, a
+    side effect) must see every element go through it, so it keeps one
+    ``step`` per element whatever its base class declares.
     """
     for klass in cls.__mro__:
         defined = vars(klass)
-        if "steps" in defined:
+        if name in defined:
             return klass is not IterativeProcess
         if "step" in defined:
             return False
@@ -432,14 +434,18 @@ class _StepDriver:
     compiler-fused chain (pumped from inside its consumer's read), a
     cooperative task (pumped by its event loop).  A task's pump runs
     ``steps`` where the thread loop would; a fused stage's always runs
-    one ``step``, since its fused input delivers one element per pump.
+    one ``step``.  A fused map stage the compiler marked *pulled* is
+    pumped only to start it and to finish it: between the two its
+    consumer's read applies its ``element_fn`` in place and ends it
+    through :meth:`stop` (see :class:`repro.kpn.compile._FusedPipe`).
     """
 
     def __init__(self, stage: IterativeProcess, fused: bool = False) -> None:
         self.stage = stage
         self.fused = fused
         #: the stage's bound ``steps``, or None: one ``step`` per pump
-        self._steps = (stage.steps if not fused and _batches(type(stage))
+        self._steps = (stage.steps
+                       if not fused and _declares(type(stage), "steps")
                        else None)
         self.started = False
         self.finished = False
@@ -474,9 +480,13 @@ class _StepDriver:
             reason = "limit"
         except Exception as exc:  # noqa: BLE001 - as IterativeProcess.run
             reason = st._ended_by(exc)
-        self.finished = True
-        st._finish(reason, self._traced)
+        self.stop(reason)
         return False
+
+    def stop(self, reason: str) -> None:
+        """The process has terminated for ``reason``: run its cleanup."""
+        self.finished = True
+        self.stage._finish(reason, self._traced)
 
     def drive(self) -> None:
         """Run the process to completion."""

@@ -17,7 +17,8 @@ bytes and need not be aware of any structure within a byte stream."
   the Hamming network (Figure 12) and general plumbing.  Both are rate-1
   maps, so on fixed-width codecs their ``steps`` turns every whole
   element the input endpoint has already read ahead into one unpack, one
-  pack and one channel write.
+  pack and one channel write, and their ``element_fn`` lets a fused
+  chain apply them inside their consumer's read.
 """
 
 from __future__ import annotations
@@ -204,6 +205,11 @@ class Scale(IterativeProcess):
     def step(self) -> None:
         self.codec.write(self.out, self.codec.read(self.source) * self.factor)
 
+    def element_fn(self) -> Callable[[Any], Any]:
+        """What ``step`` does to one element."""
+        factor = self.factor
+        return lambda value: value * factor
+
     def steps(self, limit: int) -> int:
         codec = self.codec
         if codec.width is None:
@@ -249,6 +255,10 @@ class MapProcess(IterativeProcess):
 
     def step(self) -> None:
         self.out_codec.write(self.out, self.fn(self.codec.read(self.source)))
+
+    def element_fn(self) -> Callable[[Any], Any]:
+        """What ``step`` does to one element."""
+        return self.fn
 
     def steps(self, limit: int) -> int:
         codec, out_codec = self.codec, self.out_codec

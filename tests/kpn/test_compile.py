@@ -20,6 +20,7 @@ from repro.processes import (Collect, FromIterable, Scale, Sequence,
                              fibonacci, hamming, modulo_merge, newton_sqrt,
                              primes)
 from repro.processes.codecs import LONG
+from repro.telemetry.core import TELEMETRY
 
 
 def chain_names(plan):
@@ -431,10 +432,15 @@ def test_plan_describe_and_to_dict():
     plan = compile_network(net)
     text = plan.describe()
     assert "chain 1" in text and "Src -> Map-0 -> Dst" in text
+    assert "pulled: Map-0" in text
     doc = plan.to_dict()
     assert doc["threads_before"] == 3 and doc["threads_after"] == 1
+    assert doc["chains"][0]["pulled"] == ["Map-0"]
     assert doc["applied"] is False
-    plan.apply()
+    with TELEMETRY.enabled_scope(reset=True):
+        plan.apply()
+        (fused,) = [e for e in TELEMETRY.events() if e.name == "compile.fuse"]
+    assert fused.args["pulled"] == "Map-0"
     assert plan.to_dict()["applied"] is True
     net.run(timeout=30)
 
@@ -445,6 +451,11 @@ def test_cli_compile_plan_and_json(capsys):
     assert main(["compile", "fig13"]) == 0
     out = capsys.readouterr().out
     assert "Source -> Mod" in out and "Merge -> Sink" in out
+    # two-stage chains: a head and a tail, both pumped
+    assert "pulled:" not in out
+    assert main(["compile", "fig13", "--json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert [c["pulled"] for c in doc["chains"]] == [[], []]
     assert main(["compile", "primes", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["chains"] == []

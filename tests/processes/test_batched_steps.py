@@ -16,7 +16,7 @@ import pytest
 from repro.kpn import Network
 from repro.kpn.channel import Channel
 from repro.kpn.history import HistoryCapture
-from repro.kpn.process import IterativeProcess, _batches
+from repro.kpn.process import IterativeProcess, _declares
 from repro.processes import Collect, FromIterable, MapProcess, Scale
 from repro.processes.codecs import BOOL, DOUBLE, INT, LONG, StructCodec
 from repro.semantics.compile import compile_network
@@ -199,7 +199,8 @@ def _refuse_huge(x):
 ])
 def test_a_failure_mid_batch_matches_per_element(batched, per_element, arg,
                                                  backend):
-    assert _batches(batched) and not _batches(per_element)
+    assert _declares(batched, "steps")
+    assert not _declares(per_element, "steps")
     got = _run_failing(batched, backend, arg)
     want = _run_failing(per_element, backend, arg)
     assert got == want
@@ -261,14 +262,24 @@ def test_which_classes_batch():
         def steps(self, limit):
             return super().steps(limit)
 
+    class StepAndFn(PerElementMap):
+        def element_fn(self):
+            return super().element_fn()
+
     class Plain(IterativeProcess):
         def step(self):
             pass
 
-    assert _batches(Scale) and _batches(MapProcess) and _batches(HeldAtStop)
-    assert not _batches(PerElementScale)
-    assert _batches(Both)
-    assert not _batches(Plain) and not _batches(IterativeProcess)
+    for name in ("steps", "element_fn"):
+        assert _declares(Scale, name) and _declares(MapProcess, name)
+        assert _declares(HeldAtStop, name)
+        assert not _declares(PerElementScale, name)
+        assert not _declares(PerElementMap, name)
+        assert not _declares(Plain, name)
+        assert not _declares(IterativeProcess, name)
+    assert _declares(Both, "steps") and not _declares(Both, "element_fn")
+    assert _declares(StepAndFn, "element_fn")
+    assert not _declares(StepAndFn, "steps")
 
 
 @pytest.mark.parametrize("backend", ["thread", "async"])

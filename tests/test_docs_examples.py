@@ -5,7 +5,7 @@ import zlib
 import pytest
 
 from repro.kpn import IterativeProcess, Network
-from repro.processes import Collect, FromIterable
+from repro.processes import Collect, FromIterable, Sequence
 from repro.processes.codecs import get_codec
 from repro.semantics.closed import CStream
 from repro.semantics.compile import compile_network, register_kernel
@@ -88,6 +88,31 @@ def test_batched_map_snippet(backend):
     net.run(timeout=30)
     assert out == [min(v, 50) for v in values[:400]]
     assert clamp.steps_completed == 400
+
+
+class PulledClamp(ClampAbove):
+    """Section 1's "Declaring an element function" snippet."""
+
+    def element_fn(self):
+        limit = self.limit
+        return lambda value: min(value, limit)
+
+
+@pytest.mark.parametrize("backend", ["thread", "async"])
+def test_element_fn_snippet(backend):
+    net = Network(backend=backend)
+    a, b, c = net.channels_n(3)
+    out = []
+    # a fusable head: FromIterable keeps a thread of its own
+    net.add(Sequence(a.get_output_stream(), iterations=500))
+    clamp = net.add(PulledClamp(a.get_input_stream(), b.get_output_stream(),
+                                250))
+    net.add(ClampAbove(b.get_input_stream(), c.get_output_stream(), 400))
+    net.add(Collect(c.get_input_stream(), out))
+    assert net.optimize().fusion_plan.pulled == [[clamp]]
+    net.run(timeout=30)
+    assert out == [min(v, 250) for v in range(500)]
+    assert clamp.steps_completed == 500
 
 
 # -- section 3: custom task workload -----------------------------------------
