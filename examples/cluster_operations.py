@@ -8,21 +8,19 @@ Run:  python examples/cluster_operations.py
 3. live-migrate a running producer from this process to a server while
    its consumer keeps reading (no element lost or repeated);
 4. run a Figure-13 graph whose channels are too small, spanning two
-   sites, and let the *distributed* deadlock detector grow the right
-   buffer globally.
+   sites: the driver's own deadlock monitor, polling the server it
+   shipped to, grows the right buffer where it lives.
 """
 
 import time
 
 from repro.kpn import Network
-from repro.kpn.process import IterativeProcess
-from repro.kpn.scheduler import DeadlockPolicy
-from repro.distributed import (DistributedDeadlockDetector, LocalCluster,
-                               SpeedWeightedPlacement, place_workers,
-                               profile_servers)
+from repro.kpn.process import CompositeProcess, IterativeProcess
+from repro.distributed import (LocalCluster, SpeedWeightedPlacement,
+                               place_workers, profile_servers)
 from repro.distributed.migration import migrate_live
 from repro.parallel import CallableTask, RangeProducerTask, build_farm
-from repro.processes import Collect, ModuloRouter, OrderedMerge, Scale, Sequence
+from repro.processes import Collect, ModuloRouter, OrderedMerge, Sequence
 from repro.processes.codecs import LONG
 
 
@@ -73,29 +71,32 @@ def live_migration_demo(cluster: LocalCluster) -> None:
 
 
 def distributed_deadlock_demo(cluster: LocalCluster) -> None:
-    print("== distributed deadlock detection (Figure 13 across 2 sites) ==")
-    net = Network(name="client", bounded=False)  # no local monitor: the
-    src, upper, lower, merged, back = net.channels_n(5, capacity=16)
+    print("== deadlock resolution across sites (Figure 13 on 2 sites) ==")
+    net = Network(name="client")    # the default monitor, nothing else
+    src, upper, lower, merged = net.channels_n(4, capacity=16,
+                                              prefix="fig13")
     out = []
     net.add(Sequence(src.get_output_stream(), start=1, iterations=150,
                      name="Source"))
-    net.add(ModuloRouter(src.get_input_stream(), upper.get_output_stream(),
-                         lower.get_output_stream(), 10, name="Mod"))
-    net.add(OrderedMerge(upper.get_input_stream(), lower.get_input_stream(),
-                         merged.get_output_stream(), name="Merge"))
-    cluster.client(1).run(Scale(merged.get_input_stream(),
-                                back.get_output_stream(), 1, name="RemoteEcho"))
-    net.add(Collect(back.get_input_stream(), out, name="Sink"))
-
-    detector = DistributedDeadlockDetector([net, cluster.client(1)],
-                                           settle_s=0.03)
-    with detector:
-        net.start()
-        assert net.join(timeout=120)
+    # Mod and Merge, where the write block happens, run on the server
+    server = cluster.client(1)
+    server.run(CompositeProcess([
+        ModuloRouter(src.get_input_stream(), upper.get_output_stream(),
+                     lower.get_output_stream(), 10, name="Mod"),
+        OrderedMerge(upper.get_input_stream(), lower.get_input_stream(),
+                     merged.get_output_stream(), name="Merge")],
+        name="ModMerge"))
+    net.add(Collect(merged.get_input_stream(), out, name="Sink"))
+    assert net.run(timeout=120)
     assert out == list(range(1, 151))
-    print(f"  global Parks rule grew {len(detector.growth_events)} channel(s):")
-    for e in detector.growth_events:
-        print(f"    {e.channel_name}: {e.old_capacity} -> {e.new_capacity}")
+    for site, census in (("driver", net.census()),
+                         (cluster.names[1], server.census())):
+        grown = [g for g in census["growths"]
+                 if g["cause"].startswith("parks")]
+        print(f"  {site}: Parks' rule grew {len(grown)} channel(s)")
+        for g in grown:
+            print(f"    {g['channel']}: {g['old']} -> {g['new']} "
+                  f"({g['cause']})")
     print("  all 150 values delivered ✓")
 
 

@@ -8,6 +8,9 @@ swap channel transports automatically as processes migrate; socket pumps
 bounded capacity, termination cascades — intact across the network; and
 source shipping (:mod:`~repro.distributed.codebase`) moves code with the
 data.  :mod:`~repro.distributed.cluster` bundles it all for one-call use.
+Deadlocks across servers need nothing here: the deadlock monitor of the
+network that shipped the parts polls their servers
+(:mod:`repro.kpn.scheduler`).
 """
 
 from repro.distributed.balancer import (CalibrationTask,
@@ -16,8 +19,6 @@ from repro.distributed.balancer import (CalibrationTask,
                                         ServerProfile, SpeedWeightedPlacement,
                                         place_workers, profile_servers,
                                         suggest_rebalance)
-from repro.distributed.deadlock import (DistributedDeadlockDetector,
-                                        GlobalStallReport)
 from repro.distributed.cluster import LocalCluster, run_partitioned
 from repro.distributed.codebase import (SourceShippingPickler, dumps_shipped,
                                         loads_shipped, register_ship_module,
@@ -33,7 +34,6 @@ __all__ = [
     "CalibrationTask", "LeastLoadedPlacement", "PlacementPolicy",
     "RoundRobinPlacement", "ServerProfile", "SpeedWeightedPlacement",
     "place_workers", "profile_servers", "suggest_rebalance",
-    "DistributedDeadlockDetector", "GlobalStallReport",
     "LocalCluster", "run_partitioned",
     "SourceShippingPickler", "dumps_shipped", "loads_shipped",
     "register_ship_module", "shippable",

@@ -154,15 +154,12 @@ class SpeedWeightedPlacement(PlacementPolicy):
 # ---------------------------------------------------------------------------
 
 def place_workers(harness, cluster, policy: Optional[PlacementPolicy] = None,
-                  profiles: Optional[List[ServerProfile]] = None,
-                  settle: float = 0.0) -> List[int]:
+                  profiles: Optional[List[ServerProfile]] = None) -> List[int]:
     """Ship a harness's workers per the policy; returns the assignment.
 
     Like :meth:`ParallelHarness.distribute`, but policy-driven.  The
     harness's ``workers`` list is emptied (they now live remotely).
     """
-    import time as _time
-
     policy = policy or RoundRobinPlacement()
     if profiles is None:
         profiles = profile_servers(
@@ -170,8 +167,6 @@ def place_workers(harness, cluster, policy: Optional[PlacementPolicy] = None,
     assignment = policy.assign(len(harness.workers), profiles)
     for worker, server_index in zip(harness.workers, assignment):
         cluster.client(server_index).run(worker)
-        if settle:
-            _time.sleep(settle)
     harness.workers = []
     return assignment
 

@@ -19,7 +19,6 @@ import collections
 import subprocess
 import sys
 import threading
-import time
 from typing import Dict, List, Optional, Sequence
 
 from repro.config import RunConfig
@@ -158,8 +157,8 @@ class LocalCluster:
     def merged_metrics(self) -> Dict[str, float]:
         """Cluster-wide counter totals, summed across servers.
 
-        The metrics analogue of aggregating ``wait_snapshot`` replies for
-        distributed deadlock detection.  Note that ``mode="thread"``
+        The metrics analogue of the deadlock monitor aggregating its
+        sites' ``wait_snapshot`` replies.  Note that ``mode="thread"``
         servers share one interpreter-wide hub, so their per-server
         snapshots coincide; real aggregation happens in
         ``mode="process"`` (one hub per OS process).
@@ -251,8 +250,7 @@ def run_partitioned(local_part: Optional[Process],
                     remote_parts: Sequence[Process],
                     cluster: LocalCluster,
                     network: Optional[Network] = None,
-                    timeout: Optional[float] = 120.0,
-                    settle: float = 0.05) -> Network:
+                    timeout: Optional[float] = 120.0) -> Network:
     """The Figure 14/15 workflow.
 
     Build the whole graph on this machine, pass the composites to ship in
@@ -262,7 +260,11 @@ def run_partitioned(local_part: Optional[Process],
     serialize — the caller never touches a socket.
 
     Ships remote parts *in order* before starting the local part, matching
-    the paper's staging; returns the local network after joining it.
+    the paper's staging; returns the local network after joining it.  A
+    part may read a channel the previous part writes: re-migrating that
+    end waits for the previous link to connect, so no pause is needed.
+    Each server becomes a site of ``network``, whose deadlock monitor
+    then decides stalls across all of them.
 
     When no ``network`` is supplied, the local partition runs on the
     cluster's scheduler backend — remote parts already do, on their
@@ -272,7 +274,6 @@ def run_partitioned(local_part: Optional[Process],
                              backend=cluster.config.backend)
     for i, part in enumerate(remote_parts):
         cluster.client(i % len(cluster.clients)).run(part)
-        time.sleep(settle)  # let listeners/pumps of that hop establish
     if local_part is not None:
         net.add(local_part)
     net.run(timeout=timeout)

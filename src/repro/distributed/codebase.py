@@ -175,11 +175,12 @@ class SourceShippingPickler(MigrationPickler):
 
     def __init__(self, file, process: Optional[Process] = None,
                  protocol: int = pickle.HIGHEST_PROTOCOL,
-                 buffer_callback=None) -> None:
+                 buffer_callback=None, site=None) -> None:
         # A dummy process makes channel classification trivially "no owned
         # endpoints" when shipping plain tasks rather than processes.
         super().__init__(file, process or Process(name="no-endpoints"),
-                         protocol=protocol, buffer_callback=buffer_callback)
+                         protocol=protocol, buffer_callback=buffer_callback,
+                         site=site)
 
     def reducer_override(self, obj: Any):
         reduced = super().reducer_override(obj)
@@ -209,17 +210,19 @@ class SourceShippingPickler(MigrationPickler):
         return NotImplemented
 
 
-def dumps_shipped(obj: Any, process: Optional[Process] = None) -> bytes:
+def dumps_shipped(obj: Any, process: Optional[Process] = None,
+                  site=None) -> bytes:
     """Serialize with both migration plumbing and source shipping.
 
     When ``obj`` is itself a process (or composite), it defines the
     channel-ownership boundary for migration; otherwise ``process`` may
     name the owning process explicitly (rarely needed for plain tasks).
+    ``site`` is the server it goes to (see :class:`MigrationPickler`).
     """
     if process is None and isinstance(obj, Process):
         process = obj
     buf = io.BytesIO()
-    SourceShippingPickler(buf, process).dump(obj)
+    SourceShippingPickler(buf, process, site=site).dump(obj)
     return buf.getvalue()
 
 

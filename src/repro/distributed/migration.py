@@ -103,18 +103,20 @@ def _channel_input(ch: Channel) -> ChannelInputStream:
 
 
 def _rebuild_remote_output(host: str, port: int, capacity: int,
-                           name: str) -> ChannelOutputStream:
+                           name: str, link: str = "") -> ChannelOutputStream:
     ch = _make_channel(name, capacity)
-    pump = SenderPump(ch.buffer, connect=(host, port), name=name).start()
+    pump = SenderPump(ch.buffer, connect=(host, port), name=name,
+                      link=link).start()
     ch.sender_pump = pump
     return ch.get_output_stream()
 
 
 def _rebuild_remote_input(host: str, port: int, capacity: int, name: str,
-                          preload: bytes) -> ChannelInputStream:
+                          preload: bytes, link: str = "") -> ChannelInputStream:
     ch = _make_channel(name, capacity)
     _preload(ch, preload)
-    pump = ReceiverPump(ch.buffer, connect=(host, port), name=name).start()
+    pump = ReceiverPump(ch.buffer, connect=(host, port), name=name,
+                        link=link).start()
     ch.receiver_pump = pump
     return ch.get_input_stream()
 
@@ -152,14 +154,19 @@ class MigrationPickler(pickle.Pickler):
     write side of a buffer whose producer migrated) and ``dump`` runs
     them last — for every user of the pickler, the RPC layer's
     ``pickler_factory`` hook included.
+
+    ``site`` is the server the pickle is shipped to: the network owning
+    each boundary channel learns it (:meth:`Network.add_site`), so that
+    network's deadlock monitor can decide stalls across the link.
     """
 
     def __init__(self, file, process: Process,
                  protocol: int = pickle.HIGHEST_PROTOCOL,
-                 buffer_callback=None) -> None:
+                 buffer_callback=None, site=None) -> None:
         super().__init__(file, protocol=protocol,
                          buffer_callback=buffer_callback)
         self._owned = owned_endpoints(process)
+        self._site = site
         self.post_actions: List[Callable[[], None]] = []
 
     def dump(self, obj: Any) -> None:
@@ -174,6 +181,13 @@ class MigrationPickler(pickle.Pickler):
         in_ep = ch._input
         return (out_ep is not None and id(out_ep) in self._owned
                 and in_ep is not None and id(in_ep) in self._owned)
+
+    def _crossing(self, ch: Channel) -> None:
+        """``ch`` now spans this host and the site the pickle goes to."""
+        accounting = ch.buffer.accounting
+        network = accounting.network if accounting is not None else None
+        if network is not None and self._site is not None:
+            self.post_actions.append(lambda: network.add_site(self._site))
 
     # -- the hook -----------------------------------------------------------
     def reducer_override(self, obj: Any):
@@ -201,6 +215,7 @@ class MigrationPickler(pickle.Pickler):
         ch = out.channel
         if self._is_internal(ch):
             return (_channel_output, (ch,))
+        self._crossing(ch)
         sender: Optional[SenderPump] = getattr(ch, "sender_pump", None)
         if sender is not None:
             # Re-migration of the producer end (Figure 15): the consumer's
@@ -209,14 +224,15 @@ class MigrationPickler(pickle.Pickler):
             host, port = sender.begin_migration()
             self.post_actions.append(sender.finish_migration)
             return (_rebuild_remote_output,
-                    (host, port, ch.capacity, ch.name))
+                    (host, port, ch.capacity, ch.name, sender.link))
         # First migration of the producer end: the consumer stays here;
         # install a receiver pump feeding the consumer's existing buffer.
         pump = ReceiverPump(ch.buffer, name=ch.name)
         host, port = pump.ensure_listener()
         ch.receiver_pump = pump
         self.post_actions.append(pump.start)
-        return (_rebuild_remote_output, (host, port, ch.capacity, ch.name))
+        return (_rebuild_remote_output,
+                (host, port, ch.capacity, ch.name, pump.link))
 
     def _reduce_input(self, inp: ChannelInputStream):
         if inp.detached:
@@ -229,6 +245,7 @@ class MigrationPickler(pickle.Pickler):
                 "before or after reconfiguration, not mid-splice")
         if self._is_internal(ch):
             return (_channel_input, (ch,))
+        self._crossing(ch)
         receiver: Optional[ReceiverPump] = getattr(ch, "receiver_pump", None)
         if receiver is not None:
             # Re-migration of the consumer end: producer side accepts a
@@ -237,7 +254,8 @@ class MigrationPickler(pickle.Pickler):
             host, port = receiver.begin_migration()
             drained = ch.reader.take_held() + receiver.detach_and_drain()
             return (_rebuild_remote_input,
-                    (host, port, ch.capacity, ch.name, drained))
+                    (host, port, ch.capacity, ch.name, drained,
+                     receiver.link))
         # First migration of the consumer end: producer stays; install a
         # sender pump draining the producer's existing buffer.  What the
         # endpoint read ahead is older than anything the pump will send,
@@ -247,7 +265,8 @@ class MigrationPickler(pickle.Pickler):
         ch.sender_pump = pump
         self.post_actions.append(pump.start)
         return (_rebuild_remote_input,
-                (host, port, ch.capacity, ch.name, ch.reader.take_held()))
+                (host, port, ch.capacity, ch.name, ch.reader.take_held(),
+                 pump.link))
 
 
 # ---------------------------------------------------------------------------

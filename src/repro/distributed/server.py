@@ -162,6 +162,8 @@ class ComputeServer(RequestServer):
             return {"ok": True, "result": self._executor().run_task(target)}
         if op == "wait_snapshot":
             return {"ok": True, "snapshot": self.network.wait_snapshot()}
+        if op == "census":
+            return {"ok": True, "census": self.network.census()}
         if op == "grow_channel":
             grown = self.network.grow_channel(
                 request["channel"], request["capacity"],
@@ -300,9 +302,14 @@ class ServerClient(RequestClient):
         return self.request({"op": "ping"})["name"]
 
     def run(self, target: Any) -> None:
-        """``void run(Runnable)``: ship and return immediately."""
+        """``void run(Runnable)``: ship and return immediately.
+
+        Every local network a shipped channel end leaves learns this
+        server as a site: its deadlock monitor polls it before deciding
+        a stall that involves a link.
+        """
         self.request({"op": "run",
-                       "payload": OutOfBand(dumps_shipped(target))})
+                       "payload": OutOfBand(dumps_shipped(target, site=self))})
 
     def call(self, task: Any) -> Any:
         """``Object run(Task)``: ship, execute, return the result."""
@@ -310,8 +317,13 @@ class ServerClient(RequestClient):
                               "payload": OutOfBand(dumps_shipped(task))})["result"]
 
     def wait_snapshot(self) -> dict:
-        """Per-server blocking snapshot (distributed deadlock detection)."""
+        """The server network's :meth:`~repro.kpn.network.Network.wait_snapshot`
+        (what a driver's deadlock monitor polls)."""
         return self.request({"op": "wait_snapshot"})["snapshot"]
+
+    def census(self) -> dict:
+        """The server network's :meth:`~repro.kpn.network.Network.census`."""
+        return self.request({"op": "census"})["census"]
 
     def grow_channel(self, channel: str, capacity: int,
                      process: str = "") -> bool:

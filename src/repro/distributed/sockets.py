@@ -31,6 +31,7 @@ like the paper's RedirectedInputStream + SequenceInputStream).
 
 from __future__ import annotations
 
+import os
 import pickle
 import queue
 import socket
@@ -85,17 +86,46 @@ def _tune_link_socket(sock: socket.socket) -> None:
 
 
 class _LinkBase:
-    """State shared by both pump kinds: socket, listener, control queue."""
+    """State shared by both pump kinds: socket, listener, control queue,
+    and the traffic count a deadlock monitor reads (:meth:`state`).
 
-    def __init__(self, buffer: BoundedByteBuffer, name: str = "") -> None:
+    ``link`` names the link, the same at both ends and across
+    re-migrations (the migration pickler hands it on); a fresh one is
+    drawn when none is given.
+    """
+
+    #: the end of the link this pump is, as :meth:`state` reports it
+    role = ""
+
+    def __init__(self, buffer: BoundedByteBuffer, name: str = "",
+                 link: str = "") -> None:
         self.buffer = buffer
         self.name = name or buffer.name
+        self.link = link or os.urandom(16).hex()
         self.sock: Optional[socket.socket] = None
         self.listener: Optional[socket.socket] = None
         self._send_lock = threading.Lock()
         self._listen_ok: "queue.Queue[Tuple[str, int]]" = queue.Queue()
+        self._connected = threading.Event()
         self._closed = threading.Event()
         self.failure: Optional[Exception] = None
+        #: DATA payload bytes sent (or delivered into the buffer), plus
+        #: one per EOF or SWITCH frame, so an end of stream in flight
+        #: counts as traffic too
+        self.moved = 0
+        #: the pump's thread has returned: this end moves nothing more
+        self.finished = False
+
+    def state(self) -> dict:
+        """This end's traffic, for a deadlock monitor's in-flight check.
+
+        ``full``: a receiving pump whose buffer has no room — what is
+        still in flight towards it waits for the consumer, not the wire.
+        """
+        return {"link": self.link, "role": self.role, "moved": self.moved,
+                "live": not self.finished,
+                "full": (self.role == "recv" and not self.finished
+                         and self.buffer.free_space() == 0)}
 
     # -- listener management -------------------------------------------------
     def ensure_listener(self) -> Tuple[str, int]:
@@ -124,12 +154,19 @@ class _LinkBase:
         """Ask the peer to open a listener; returns its (host, port).
 
         Called by the migration pickler on the end that is about to move.
-        The reply arrives through this end's frame-reading thread and is
-        handed over via a queue.
+        A pump still waiting for its peer to dial in (the part at the far
+        end was shipped a moment ago) is waited for first, within the same
+        deadline.  The reply arrives through this end's frame-reading
+        thread and is handed over via a queue.
         """
+        deadline = time.monotonic() + timeout
+        if not self._connected.wait(timeout):
+            raise MigrationError(
+                f"link {self.name!r} never connected to its peer")
         self._send(Tag.LISTEN_REQ)
         try:
-            return self._listen_ok.get(timeout=timeout)
+            return self._listen_ok.get(
+                timeout=max(0.0, deadline - time.monotonic()))
         except queue.Empty:
             raise MigrationError(
                 f"peer of link {self.name!r} did not answer LISTEN_REQ")
@@ -189,10 +226,12 @@ class SenderPump(_LinkBase):
         0 disables coalescing).
     """
 
+    role = "send"
+
     def __init__(self, buffer: BoundedByteBuffer, connect: Optional[Tuple[str, int]] = None,
                  name: str = "", chunk: Optional[int] = None,
-                 coalesce: Optional[int] = None) -> None:
-        super().__init__(buffer, name=name)
+                 coalesce: Optional[int] = None, link: str = "") -> None:
+        super().__init__(buffer, name=name, link=link)
         self.chunk = chunk if chunk else LINK_CHUNK
         self.coalesce = COALESCE_WATERMARK if coalesce is None else coalesce
         self._connect_to = connect
@@ -218,6 +257,7 @@ class SenderPump(_LinkBase):
             else:
                 self.ensure_listener()
                 self.sock = self.accept()
+            self._connected.set()
             self._start_control()
             while True:
                 try:
@@ -228,12 +268,14 @@ class SenderPump(_LinkBase):
                     # on the wire the stream simply ends, so the remote
                     # reader sees the same EOF it always did.
                     self._send(Tag.EOF)
+                    self.moved += 1
                     break
                 except ChannelError:
                     # our read side was closed (CLOSE_READ relayed): stop
                     break
                 if views is None:
                     self._send(Tag.SWITCH if self.migrating else Tag.EOF)
+                    self.moved += 1
                     break
                 self._send_data(views)
         except Exception as exc:  # noqa: BLE001
@@ -242,6 +284,7 @@ class SenderPump(_LinkBase):
         finally:
             if not self._expect_reaccept.is_set():
                 self.close()
+            self.finished = True
 
     def _gather(self) -> Optional[list]:
         """One blocking drain plus adaptive coalescing.
@@ -293,10 +336,11 @@ class SenderPump(_LinkBase):
                     if sock is None:
                         continue
                     send_frame_views(sock, Tag.DATA, views)
+                size = sum(len(v) for v in views)
+                self.moved += size
                 if _telemetry.enabled:
                     _telemetry.inc("link.chunks_out", 1, link=self.name)
-                    _telemetry.inc("link.bytes_out",
-                                   sum(len(v) for v in views), link=self.name)
+                    _telemetry.inc("link.bytes_out", size, link=self.name)
                 return
             except OSError:
                 # Socket replaced mid-migration: retry on the new one.
@@ -368,9 +412,11 @@ class ReceiverPump(_LinkBase):
     on the same socket direction.
     """
 
+    role = "recv"
+
     def __init__(self, buffer: BoundedByteBuffer, connect: Optional[Tuple[str, int]] = None,
-                 name: str = "") -> None:
-        super().__init__(buffer, name=name)
+                 name: str = "", link: str = "") -> None:
+        super().__init__(buffer, name=name, link=link)
         self._connect_to = connect
         self._pending_switch = False
         self._detached = threading.Event()
@@ -389,6 +435,7 @@ class ReceiverPump(_LinkBase):
             else:
                 self.ensure_listener()
                 self.sock = self.accept()
+            self._connected.set()
             # buffered reader: one recv can supply several DATA frames
             reader = FrameReader(self.sock)
             while not self._detached.is_set():
@@ -402,14 +449,15 @@ class ReceiverPump(_LinkBase):
                     self.buffer.close_write()
                     return
                 if tag == Tag.DATA:
+                    size = len(payload)
                     if _telemetry.enabled:
                         _telemetry.inc("link.chunks_in", 1, link=self.name)
-                        _telemetry.inc("link.bytes_in", len(payload),
-                                       link=self.name)
+                        _telemetry.inc("link.bytes_in", size, link=self.name)
                     try:
                         # recv_frame hands over a fresh bytearray; the ring
                         # adopts it wholesale when empty (no copy).
                         self.buffer.write_donate(payload)
+                        self.moved += size
                     except BrokenChannelError:
                         # Local consumer terminated: tell the producer side
                         # so its writes start failing too.
@@ -420,11 +468,13 @@ class ReceiverPump(_LinkBase):
                         return
                 elif tag == Tag.EOF:
                     self.buffer.close_write()
+                    self.moved += 1
                     return
                 elif tag == Tag.SWITCH:
                     # Producer moved servers: its replacement connects to
                     # our listener (created during LISTEN_REQ).  Residual
                     # bytes all arrived before SWITCH, so FIFO holds.
+                    self.moved += 1
                     old = self.sock
                     self.sock = None
                     _shutdown_and_close(old)
@@ -442,6 +492,7 @@ class ReceiverPump(_LinkBase):
         finally:
             if not self._detached.is_set():
                 self.close()
+            self.finished = True
 
     # -- migration hooks --------------------------------------------------------
     def begin_migration(self) -> Tuple[str, int]:

@@ -131,6 +131,9 @@ class BlockAccounting:
         #: the owning network's live actors (``Network.live_count``),
         #: written under its lock and read without one; None: no owner
         self.live: Optional[int] = None
+        #: the owning network (the migration pickler finds a boundary
+        #: channel's network here); None: no owner
+        self.network = None
         self._on_change = on_change
 
     # -- updates (called by buffers) -------------------------------------

@@ -37,7 +37,7 @@ from repro.kpn.buffers import BlockAccounting, DEFAULT_CAPACITY, PARKS_CAUSES
 from repro.kpn.channel import Channel
 from repro.kpn.process import CompositeProcess, Process
 from repro.kpn.scheduler import DeadlockMonitor, DeadlockPolicy, GrowthEvent
-from repro.kpn.topology import Topology, build_topology, is_remote
+from repro.kpn.topology import Topology, build_topology, pumps
 
 __all__ = ["Network"]
 
@@ -104,6 +104,10 @@ class Network:
             on_change=self.monitor.kick if self.monitor is not None else None)
         #: live actors (``live_count``), written under ``_lock``
         self.accounting.live = 0
+        self.accounting.network = self
+        #: servers this network shipped parts to, by ``(host, port)``
+        #: (:meth:`add_site`): the monitor's view across its links
+        self.sites: dict = {}
         self.channels: List[Channel] = []
         self.processes: List[Process] = []
         # identity set shadowing ``processes`` — membership checks on the
@@ -467,12 +471,15 @@ class Network:
         return self.topology().has_undirected_cycle()
 
     def wait_snapshot(self) -> dict:
-        """Blocking-state snapshot for distributed deadlock detection.
+        """Who is blocked where: one site's share of a stall decision.
 
-        Serializable summary of who is blocked where, plus the accounting
-        generation so a coordinator can verify stability between two
-        observations (section 6.2's "distributed deadlock detection
-        algorithm" needs exactly this per-site information).
+        Serializable: the live actors, each blocked one with its channel,
+        the accounting generation (unchanged between two observations
+        means no actor blocked or woke), and ``links`` — one
+        :meth:`~repro.distributed.sockets.SenderPump.state` per socket
+        pump on this network's channels, its bytes moved so far.  The
+        deadlock monitor of the network that shipped parts elsewhere
+        polls it from every site (section 6.2's distributed detection).
         """
         blocked_map = self.accounting.snapshot()
         live_names = [t.name for t in self.live_threads()]
@@ -501,14 +508,15 @@ class Network:
                 entry.update(kind="task", assumed=actor.assumed,
                              on_thread=actor.on_thread)
             blocked.append(entry)
-        remote = [ch.name for ch in channels if is_remote(ch)]
+        links = [dict(pump.state(), channel=ch.name)
+                 for ch in channels for pump in pumps(ch)]
         return {
             "network": self.name,
             "backend": self.backend,
             "generation": self.accounting.generation,
             "live": live_names,
             "blocked": blocked,
-            "remote_links": remote,
+            "links": links,
         }
 
     def census(self) -> dict:
@@ -547,10 +555,10 @@ class Network:
 
     def grow_channel(self, name: str, new_capacity: int,
                      process: str = "") -> bool:
-        """Grow a channel by name on behalf of a cross-site coordinator
-        resolving a global artificial deadlock (section 6.2), ``process``
-        being the blocked writer it saw; False if the channel is unknown
-        here."""
+        """Grow a channel by name on behalf of another site's deadlock
+        monitor resolving an artificial deadlock across links (section
+        6.2), ``process`` being the blocked writer it saw; False if the
+        channel is unknown here."""
         ch = self.channel_by_name(name)
         if ch is None:
             return False
@@ -559,16 +567,27 @@ class Network:
         return True
 
     def has_remote_links(self) -> bool:
-        """True if any channel is fed or drained by another server.
+        """True while a socket pump still feeds or drains a channel.
 
-        A network with remote links can be unblocked by external traffic,
-        so an all-blocked-on-reads state is *not* diagnosable as true
-        deadlock locally — the paper defers distributed deadlock detection
-        to future work (section 6.2), and so does the monitor.
+        Traffic from another server can wake such a network, so its
+        monitor decides no stall on its own view: with sites
+        (:meth:`add_site`) it polls them all first, without it leaves the
+        verdict to the network that shipped its parts (see
+        :mod:`repro.kpn.scheduler`).  Links whose pumps have all finished
+        carry nothing more and no longer count.
         """
         with self._lock:
             channels = list(self.channels)
-        return any(is_remote(ch) for ch in channels)
+        return any(not getattr(pump, "finished", False)
+                   for ch in channels for pump in pumps(ch))
+
+    def add_site(self, site) -> None:
+        """Poll ``site`` (a :class:`~repro.distributed.server.ServerClient`,
+        or anything with ``host``, ``port``, ``wait_snapshot`` and
+        ``grow_channel``) before deciding a stall.  ``ServerClient.run``
+        calls this for every network a shipped part leaves."""
+        with self._lock:
+            self.sites.setdefault((site.host, site.port), site)
 
     def total_buffered_bytes(self) -> int:
         return sum(ch.buffered() for ch in self.channels)

@@ -49,17 +49,40 @@ wait.
 A monitor that raises stores the error and shuts the network down, so
 :meth:`Network.join` re-raises it promptly instead of the network
 running on without deadlock detection.
+
+**Across sites (paper section 6.2).**  A network with socket links can
+be woken by traffic from another server, so its monitor never decides
+a stall on its own view.  The network that shipped the parts does
+decide: ``ServerClient.run`` made each destination one of its sites
+(:meth:`Network.add_site`).  After its own settle window confirms a
+local stall, the monitor polls every site's ``wait_snapshot`` twice, a
+settle window apart, and goes on only if nothing changed, every live
+actor at every site is blocked, and no link has bytes in flight: per
+link, the bytes its pumps sent equal the bytes delivered, unless the
+receiving buffer is full (what is in flight then waits for the
+consumer, not the wire), and a link still moving shows both its ends.
+Then Parks' rule runs over all sites: the smallest full channel being
+written to grows where it lives — here as ``parks``, elsewhere through
+the ``grow_channel`` RPC as ``parks-distributed`` — or, with no writer
+blocked anywhere, the deadlock is true.  A hosted network with links
+but no sites only forces its own guessed tasks and leaves the verdict
+to the network that shipped its parts.  A site that does not answer,
+or a link with one end outside the sites, means no verdict: the safe
+direction.
 """
 
 from __future__ import annotations
 
+import functools
 import threading
 import time
+from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Callable, List, Optional, TYPE_CHECKING
+from typing import List, Optional, TYPE_CHECKING
 
 from repro.errors import (
     ArtificialDeadlockError,
+    RemoteError,
     TrueDeadlockError,
 )
 from repro.telemetry.core import TELEMETRY as _telemetry
@@ -128,11 +151,10 @@ class DeadlockMonitor:
     docstring), then re-verifies the stall after a settle window.
     """
 
-    def __init__(self, network: "Network", policy: Optional[DeadlockPolicy] = None,
-                 on_event: Optional[Callable[[GrowthEvent], None]] = None) -> None:
+    def __init__(self, network: "Network",
+                 policy: Optional[DeadlockPolicy] = None) -> None:
         self.network = network
         self.policy = policy or DeadlockPolicy()
-        self.on_event = on_event
         #: wait-graph snapshots the stall watchdog captured (newest last)
         self.stall_snapshots: List[dict] = []
         self.error: Optional[Exception] = None
@@ -249,26 +271,31 @@ class DeadlockMonitor:
                 stalled_for=snapshot["stalled_for"])
             _telemetry.inc("kpn.scheduler.stall_snapshots")
 
+    def _settle(self) -> bool:
+        """Wait out the stability window; False if the monitor was stopped
+        meanwhile.  The wait is sliced so the stall watchdog can fire
+        *during* the window — a long settle must not hide the stall it
+        is confirming."""
+        deadline = time.monotonic() + self.policy.settle_ms / 1000.0
+        while True:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                return True
+            with self._cond:
+                if self._stop:
+                    return False
+                self._cond.wait(min(remaining, 0.01))
+            self._watchdog()
+
     def _examine(self) -> None:
         acct = self.network.accounting
         first = self._stalled()
         if first is None:
             return
         gen = acct.generation
-        # stability window: wait, then confirm nothing moved.  The wait is
-        # sliced so the stall watchdog can fire *during* the window — a
-        # long settle must not hide the stall it is confirming.
-        deadline = time.monotonic() + self.policy.settle_ms / 1000.0
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            with self._cond:
-                if self._stop:
-                    return      # a stopped monitor reaches no verdict
-                self._cond.wait(min(remaining, 0.01))
-            self._watchdog()
-        if acct.generation != gen:
+        # stability window: wait, then confirm nothing moved.  A stopped
+        # monitor reaches no verdict.
+        if not self._settle() or acct.generation != gen:
             return
         blocked = self._stalled()
         if blocked is None:
@@ -277,31 +304,33 @@ class DeadlockMonitor:
 
     # -- resolution ----------------------------------------------------------
     def _resolve(self, blocked: dict) -> None:
-        names = tuple(sorted(t.name for t in self.network.live_threads()))
-        # only network actors are in the map, every one of them live here
-        write_waits = [(buffer, thread)
-                       for thread, (buffer, mode) in blocked.items()
-                       if mode == "write"]
-        if write_waits and self.policy.grow \
-                and self._grow_smallest(write_waits, names):
+        linked = self.network.has_remote_links()
+        if linked:
+            # traffic from another site can wake this network: it decides
+            # on the view across its sites, once its guesses are tested
+            if self._force_guesses(blocked):
+                return
+            view = self._across_sites()
+            if view is None:
+                return
+            names, writes = view
+        else:
+            names = tuple(sorted(t.name for t in self.network.live_threads()))
+            writes = self._local_writes(blocked, names)
+        if writes and self.policy.grow and self._grow_smallest(writes):
             return
         # Every other verdict ends the network, or leaves it blocked for
         # good: it may rest on observed waits only.  A task the async
         # backend parked on a guess (its default firing rule, output room)
         # first runs its step for real; we look again once it has blocked
         # where it really blocks — or gone on.
-        guesses = [(actor, wait) for actor, wait in blocked.items()
-                   if getattr(actor, "assumed", False)]
-        if guesses:
-            for actor, (buffer, mode) in guesses:
-                actor.force(buffer, mode)
+        if not linked and self._force_guesses(blocked):
             return
-        if write_waits:
+        if writes:
             if self.policy.grow:
-                full = min((b for b, _ in write_waits),
-                           key=lambda b: b.capacity)
-                message = (f"channel {full.name!r} already at max capacity "
-                           f"{full.capacity}")
+                capacity, channel, _ = min(writes, key=lambda w: w[0])
+                message = (f"channel {channel!r} already at max capacity "
+                           f"{capacity}")
             else:
                 message = "artificial deadlock (growth disabled)"
             self.error = ArtificialDeadlockError(message, names)
@@ -309,35 +338,120 @@ class DeadlockMonitor:
         else:
             self._resolve_true(names)
 
-    def _grow_smallest(self, write_waits, names) -> bool:
+    @staticmethod
+    def _force_guesses(blocked: dict) -> bool:
+        """Run every task parked on a guess for real; False if none is."""
+        guesses = [(actor, wait) for actor, wait in blocked.items()
+                   if getattr(actor, "assumed", False)]
+        for actor, (buffer, mode) in guesses:
+            actor.force(buffer, mode)
+        return bool(guesses)
+
+    @staticmethod
+    def _local_writes(blocked: dict, names) -> list:
+        """``(capacity, channel, grow)`` per full channel a local actor is
+        blocked writing, in the order first seen.  The buffer records the
+        growth (and emits the channel.grow instant, which counts the
+        blocked) from *this* monitor thread, so it is handed the blocked
+        writer's name, for readers to attribute the growth to the process
+        it frees."""
+        writers: dict = {}
+        for actor, (buffer, mode) in blocked.items():
+            if mode == "write":
+                writers.setdefault(buffer, []).append(actor.name)
+        return [(buffer.capacity, buffer.name,
+                 functools.partial(buffer.grow, cause="parks",
+                                   process=min(found), blocked=names))
+                for buffer, found in writers.items()]
+
+    def _across_sites(self):
+        """``(names, writes)`` of a stall every site confirms, or None."""
+        sites = list(self.network.sites.values())
+        if not sites:
+            return None     # hosted: the network that shipped us decides
+        first = self._poll(sites)
+        if first is None or not self._settle():
+            return None
+        second = self._poll(sites)
+        if second != first or not self._quiet(second):
+            return None
+        acct = self.network.accounting
+        blocked = acct.snapshot()
+        if acct.generation != second[0]["generation"]:
+            return None
+        names = tuple(sorted(second[0]["live"] + [
+            f"{snap['network']}/{name}"
+            for snap in second[1:] for name in snap["live"]]))
+        writes = self._local_writes(blocked, names)
+        for site, snap in zip(sites, second[1:]):
+            writers: dict = {}
+            for entry in snap["blocked"]:
+                if entry["mode"] == "write":
+                    writers.setdefault((entry["capacity"], entry["channel"]),
+                                       []).append(entry["thread"])
+            writes += [(capacity, channel,
+                        functools.partial(site.grow_channel, channel,
+                                          process=min(found)))
+                       for (capacity, channel), found in writers.items()]
+        return names, writes
+
+    def _poll(self, sites) -> Optional[list]:
+        """This network's wait snapshot, then every site's; None when a
+        site does not answer (no verdict rests on a missing view)."""
+        try:
+            return [self.network.wait_snapshot()] + [
+                site.wait_snapshot() for site in sites]
+        except (RemoteError, OSError) as exc:
+            if _telemetry.enabled:
+                _telemetry.instant("stall.site_unanswered",
+                                   category="kpn.scheduler", error=repr(exc))
+            return None
+
+    @staticmethod
+    def _quiet(snapshots: list) -> bool:
+        """Every live actor at every site blocked (a task parked on a
+        guess is not: its own monitor tests it), and no link with bytes
+        in flight towards a buffer that has room."""
+        sent: Counter = Counter()
+        delivered: Counter = Counter()
+        ends = defaultdict(set)
+        moving, full = set(), set()
+        for snap in snapshots:
+            waiting = {entry["thread"] for entry in snap["blocked"]
+                       if not entry.get("assumed")}
+            if not waiting.issuperset(snap["live"]):
+                return False
+            for end in snap["links"]:
+                link = end["link"]
+                ends[link].add(end["role"])
+                (sent if end["role"] == "send" else delivered)[link] += \
+                    end["moved"]
+                if end["live"]:
+                    moving.add(link)
+                if end["full"]:
+                    full.add(link)
+        # a link whose pumps have all finished carries nothing more; one
+        # still moving must show both ends, and all its bytes delivered
+        return all(len(ends[link]) == 2
+                   and (sent[link] == delivered[link] or link in full)
+                   for link in moving)
+
+    def _grow_smallest(self, writes) -> bool:
         """Parks' rule: among the full channels being written to, grow the
         one with the smallest capacity.  False at ``max_capacity``."""
-        buffer = min((b for b, _ in write_waits), key=lambda b: b.capacity)
-        old = buffer.capacity
+        old, _, grow = min(writes, key=lambda w: w[0])
         new = min(old * self.policy.growth_factor, self.policy.max_capacity)
         if new <= old:
             return False
-        # the buffer records the growth (and emits the channel.grow
-        # instant, which counts the blocked) from *this* monitor thread;
-        # hand it the blocked writer's name so readers can attribute the
-        # growth to the process it frees
-        writers = sorted(t.name for b, t in write_waits if b is buffer)
-        buffer.grow(new, "parks", writers[0] if writers else "", names)
+        grow(new)
         if _telemetry.enabled:
             _telemetry.inc("kpn.scheduler.artificial_deadlocks")
-        if self.on_event is not None:
-            self.on_event(GrowthEvent(buffer.name, old, new, names))
         return True
 
     def _resolve_true(self, names) -> None:
+        # Every live actor is blocked reading — at every site, when the
+        # network has links (_across_sites): no capacity helps.
         if self.policy.on_true == "ignore":
-            return
-        has_remote = getattr(self.network, "has_remote_links", None)
-        if has_remote is not None and has_remote():
-            # Distributed case: a read-blocked stall may be waiting on
-            # traffic from another server.  Local diagnosis would need the
-            # distributed deadlock detection the paper leaves as future
-            # work (section 6.2), so we stand down.
             return
         if _telemetry.enabled:
             _telemetry.instant("deadlock.true", category="kpn.scheduler",

@@ -35,13 +35,20 @@ from typing import Any, Dict, List, Tuple
 
 from repro.kpn.process import CompositeProcess
 
-__all__ = ["Edge", "Topology", "build_topology", "is_remote"]
+__all__ = ["Edge", "Topology", "build_topology", "is_remote",
+           "pumps"]
+
+
+def pumps(channel) -> list:
+    """The socket pumps migration attached to ``channel`` (none if local)."""
+    return [pump for pump in (getattr(channel, "sender_pump", None),
+                              getattr(channel, "receiver_pump", None))
+            if pump is not None]
 
 
 def is_remote(channel) -> bool:
     """True when a socket pump feeds or drains ``channel``."""
-    return (getattr(channel, "receiver_pump", None) is not None
-            or getattr(channel, "sender_pump", None) is not None)
+    return bool(pumps(channel))
 
 
 @dataclass(eq=False)

@@ -70,22 +70,16 @@ class ParallelHarness:
             network.add(p)
         return self
 
-    def distribute(self, cluster, settle: float = 0.0) -> "ParallelHarness":
+    def distribute(self, cluster) -> "ParallelHarness":
         """Ship worker i to cluster server ``i % n_servers``.
 
         Channel links between the local plumbing and each worker are
-        established automatically during serialization (section 4.2).
-        Workers share no channels with each other, so no settling delay
-        is needed between shipments (``settle`` remains available for
-        callers chaining dependent stages).
+        established automatically during serialization (section 4.2),
+        with no pause between shipments.
         """
-        import time
-
         self.worker_names = [w.name for w in self.workers]
         for i, worker in enumerate(self.workers):
             cluster.client(i % len(cluster.clients)).run(worker)
-            if settle:
-                time.sleep(settle)
         self.workers = []
         return self
 

@@ -10,9 +10,8 @@ Three consumers of the data :mod:`repro.telemetry.core` collects:
 * :func:`prometheus_text` — a counter snapshot in the Prometheus text
   exposition format (``repro metrics <host:port>`` prints this).
 * :func:`merge_counters` / :func:`cluster_report` — sum per-server counter
-  snapshots into one cluster-wide view, the metrics analogue of how
-  ``wait_snapshot`` aggregates blocking state for distributed deadlock
-  detection.
+  snapshots into one cluster-wide view, the metrics analogue of how a
+  driver's deadlock monitor merges its sites' ``wait_snapshot`` replies.
 """
 
 from __future__ import annotations

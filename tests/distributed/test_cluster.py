@@ -56,6 +56,25 @@ def test_run_partitioned_pipeline(thread_cluster):
     assert out == [6, 12, 18, 24]
 
 
+def test_chained_parts_ship_back_to_back(thread_cluster):
+    """The second part takes the input end of the link the first part's
+    output opened a moment ago: moving that end waits for the link to
+    connect, so no pause between the two shipments is needed (without
+    the wait, about one shipment in five found the link unconnected)."""
+    for _ in range(20):
+        net = Network(name="back-to-back")
+        a, b, c = net.channels_n(3)
+        out = []
+        net.add(Sequence(a.get_output_stream(), iterations=50))
+        thread_cluster.client(0).run(
+            Scale(a.get_input_stream(), b.get_output_stream(), 2, name="x2"))
+        thread_cluster.client(1).run(
+            Scale(b.get_input_stream(), c.get_output_stream(), 3, name="x3"))
+        net.add(Collect(c.get_input_stream(), out))
+        assert net.run(timeout=60)
+        assert out == [6 * i for i in range(50)]
+
+
 def test_thread_mode_servers_size_their_pool_from_the_config():
     shutdown_shared_executors()
     config = RunConfig(executor="process", pool_size=1)

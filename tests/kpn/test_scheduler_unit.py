@@ -15,12 +15,11 @@ from repro.processes.codecs import LONG
 from repro.processes.networks import modulo_merge
 
 
-def test_growth_event_callback_invoked():
-    seen = []
+def test_growth_events_recorded():
     net = Network(policy=DeadlockPolicy(growth_factor=2))
-    net.monitor.on_event = seen.append
     built = modulo_merge(150, divisor=10, network=net, channel_capacity=16)
     built.run(timeout=60)
+    seen = net.growth_events()
     assert seen
     assert all(isinstance(e, GrowthEvent) for e in seen)
     assert all(e.new_capacity == 2 * e.old_capacity for e in seen)
