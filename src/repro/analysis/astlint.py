@@ -241,7 +241,7 @@ class _FunctionLinter(ast.NodeVisitor):
     def _is_read_call(self, node: ast.AST) -> bool:
         return (isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
-                and node.func.attr in ("read", "read_exactly", "readinto"))
+                and node.func.attr in ("read", "read_exactly"))
 
     def _expr_tainted(self, node: ast.AST) -> bool:
         for sub in ast.walk(node):

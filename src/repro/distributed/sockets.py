@@ -47,26 +47,12 @@ from repro.distributed.wire import (FrameError, FrameReader, Tag,
                                     open_listener, recv_frame, send_frame,
                                     send_frame_views)
 
-__all__ = ["SenderPump", "ReceiverPump", "LINK_CHUNK", "COALESCE_WATERMARK",
-           "LINK_SOCKBUF"]
+__all__ = ["SenderPump", "ReceiverPump", "LINK_SOCKBUF"]
 
 
-#: bytes read from the local buffer per pump read
-LINK_CHUNK = 64 * 1024
-
-#: coalescing watermark: maximum payload bytes packed into one DATA frame.
-#: The sender never *waits* for this much — it sends whatever one blocking
-#: read returned plus anything already buffered, so latency is unaffected
-#: while back-to-back small writes share one frame.  0 disables
-#: coalescing (one buffer read per frame, the pre-coalescing behaviour).
-COALESCE_WATERMARK = 4 * LINK_CHUNK
-
-#: cap on memoryview segments per coalesced frame (stays well under any
-#: platform's IOV_MAX for the scatter-gather sendmsg)
-_MAX_SEGMENTS = 64
-
-#: upper bound on bytes drained per DATA frame from very large channels
-#: (keeps a single frame far below the wire-level payload cap)
+#: upper bound on the bytes one DATA frame carries: a frame is one drain
+#: of whatever the channel buffers, and this keeps a very large channel's
+#: frame far below the wire-level payload cap
 _MAX_DRAIN = 8 * 1024 * 1024
 
 #: kernel send/receive buffer size requested for link sockets.  Generous
@@ -218,22 +204,18 @@ class SenderPump(_LinkBase):
         ``(host, port)`` of the consumer-side listener, or None to listen
         locally and wait for the consumer to connect (the mode used when
         the *input* end migrated away and will call back).
-    chunk:
-        Bytes per buffer read (default :data:`LINK_CHUNK`).
-    coalesce:
-        Watermark in bytes up to which consecutive buffer reads are packed
-        into a single DATA frame (default :data:`COALESCE_WATERMARK`;
-        0 disables coalescing).
+
+    Each DATA frame is one :meth:`~BoundedByteBuffer.drain_up_to` of the
+    channel's buffer: it blocks only while the buffer is empty and then
+    takes everything buffered, so a burst of small producer writes
+    shares one frame and no frame waits for more bytes.
     """
 
     role = "send"
 
     def __init__(self, buffer: BoundedByteBuffer, connect: Optional[Tuple[str, int]] = None,
-                 name: str = "", chunk: Optional[int] = None,
-                 coalesce: Optional[int] = None, link: str = "") -> None:
+                 name: str = "", link: str = "") -> None:
         super().__init__(buffer, name=name, link=link)
-        self.chunk = chunk if chunk else LINK_CHUNK
-        self.coalesce = COALESCE_WATERMARK if coalesce is None else coalesce
         self._connect_to = connect
         #: set by the migration pickler: the producer has moved away; after
         #: draining residual bytes send SWITCH instead of EOF.
@@ -261,7 +243,8 @@ class SenderPump(_LinkBase):
             self._start_control()
             while True:
                 try:
-                    views = self._gather()
+                    # everything buffered, as a view that owns its storage
+                    view = self.buffer.drain_up_to(_MAX_DRAIN)
                 except BrokenChannelError:
                     # the local producer *aborted* (cascade close).  The
                     # abort classification is a local scheduling detail;
@@ -273,11 +256,11 @@ class SenderPump(_LinkBase):
                 except ChannelError:
                     # our read side was closed (CLOSE_READ relayed): stop
                     break
-                if views is None:
+                if not view:
                     self._send(Tag.SWITCH if self.migrating else Tag.EOF)
                     self.moved += 1
                     break
-                self._send_data(views)
+                self._send_data(view)
         except Exception as exc:  # noqa: BLE001
             self.failure = exc
             self.buffer.close_read()  # break the local producer
@@ -286,38 +269,7 @@ class SenderPump(_LinkBase):
                 self.close()
             self.finished = True
 
-    def _gather(self) -> Optional[list]:
-        """One blocking drain plus adaptive coalescing.
-
-        Blocks for the first view; then — without ever waiting — keeps
-        taking bytes that are *already* buffered until the watermark (or
-        the segment cap) is reached, so a burst of small producer writes
-        becomes one DATA frame instead of many.  Returns a list of
-        zero-copy views, or None at end of stream.
-        """
-        # Draining at least the ring's whole capacity means the take always
-        # covers everything buffered, so the buffer's storage-stealing path
-        # applies and the drain is zero-copy.  drain_up_to never waits for
-        # that much — the frame is whatever is buffered right now — so
-        # latency is unaffected; large-capacity channels simply ship
-        # proportionally larger frames.
-        limit = max(self.chunk, min(self.buffer.capacity, _MAX_DRAIN))
-        first = self.buffer.drain_up_to(limit)
-        if len(first) == 0:
-            return None
-        views = [first]
-        if self.coalesce:
-            total = len(first)
-            while total < self.coalesce and len(views) < _MAX_SEGMENTS:
-                more = self.buffer.read_available(
-                    min(limit, self.coalesce - total))
-                if len(more) == 0:
-                    break
-                views.append(more)
-                total += len(more)
-        return views
-
-    def _send_data(self, views: list) -> None:
+    def _send_data(self, view: memoryview) -> None:
         deadline = time.monotonic() + 120.0
         while True:
             # During a consumer hand-off (LISTEN_REQ seen, replacement not
@@ -335,8 +287,8 @@ class SenderPump(_LinkBase):
                     sock = self.sock
                     if sock is None:
                         continue
-                    send_frame_views(sock, Tag.DATA, views)
-                size = sum(len(v) for v in views)
+                    send_frame_views(sock, Tag.DATA, (view,))
+                size = len(view)
                 self.moved += size
                 if _telemetry.enabled:
                     _telemetry.inc("link.chunks_out", 1, link=self.name)
@@ -344,7 +296,7 @@ class SenderPump(_LinkBase):
                 return
             except OSError:
                 # Socket replaced mid-migration: retry on the new one.
-                # The views own their storage, so a full resend is safe.
+                # The view owns its storage, so a full resend is safe.
                 if self._expect_reaccept.is_set() or self.sock is None:
                     continue
                 raise

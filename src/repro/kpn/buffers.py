@@ -654,24 +654,6 @@ class BoundedByteBuffer:
                     return memoryview(b"")
                 self._block("read")
 
-    def read_available(self, max_bytes: int) -> memoryview:
-        """Non-blocking companion of :meth:`drain_up_to`.
-
-        Returns whatever is buffered right now (up to ``max_bytes``) as a
-        zero-copy view, or an empty view when nothing is buffered — it
-        never blocks and never signals EOF.  The coalescing sender pump
-        uses it to top up a frame with bytes that are already waiting.
-        """
-        if max_bytes <= 0:
-            return memoryview(b"")
-        with self._lock:
-            if self._read_closed:
-                raise ChannelClosedError(
-                    f"read on closed input of channel {self.name!r}")
-            if self._buffered() == 0:
-                return memoryview(b"")
-            return self._take_locked(max_bytes)
-
     def _block(self, mode: str) -> None:
         """Sleep on the ``mode`` waiter list until a wake site empties it
         (caller holds the lock, and holds it again on return)."""

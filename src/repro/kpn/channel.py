@@ -62,9 +62,6 @@ class ChannelOutputStream(OutputStream):
         self.sequence = sequence
         sequence.bind(self)
 
-    def flush(self) -> None:
-        self.sequence.flush()
-
     def close(self) -> None:
         self.sequence.close()
 
@@ -99,9 +96,6 @@ class ChannelInputStream(InputStream):
     # -- reading ---------------------------------------------------------
     def read(self, max_bytes: int) -> bytes:
         return self.blocking.read(max_bytes)
-
-    def readinto(self, target) -> int:
-        return self.blocking.readinto(target)
 
     def read_exactly(self, n: int) -> bytes:
         # An element lying whole in what the local endpoint has read ahead

@@ -205,26 +205,6 @@ class _FusedPipe:
             if not self._fill():
                 return b""
 
-    def readinto(self, target) -> int:
-        view = memoryview(target).cast("B")
-        n = len(view)
-        while True:
-            if self.entries:
-                head = self.entries[0]
-                if type(head) is tuple:
-                    head = self.object_codec.encode(head[0])
-                    self.entries[0] = head
-                k = len(head)
-                if k <= n:
-                    view[:k] = head
-                    self.entries.popleft()
-                    return k
-                view[:] = head[:n]
-                self.entries[0] = head[n:]
-                return n
-            if not self._fill():
-                return 0
-
     def read_object(self) -> Any:
         """The next element, as an object.
 
@@ -286,9 +266,6 @@ class _PipeOutput(OutputStream):
         for c in chunks:
             self.pipe.write_bytes(c)
 
-    def flush(self) -> None:
-        pass
-
     def close(self) -> None:
         self.pipe.close_write()
 
@@ -304,9 +281,6 @@ class _PipeInput(InputStream):
 
     def read(self, max_bytes: int) -> bytes:
         return self.pipe.read(max_bytes)
-
-    def readinto(self, target) -> int:
-        return self.pipe.readinto(target)
 
     def close(self) -> None:
         self.pipe.close_read()

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import sys
 import threading
-from typing import Iterable, Optional
+from typing import Optional
 
 from repro.errors import ChannelClosedError, EndOfStreamError
 from repro.kpn.buffers import BoundedByteBuffer
@@ -51,20 +51,13 @@ class InputStream:
     top, which converts short reads into blocking loops — the property
     Kahn's model requires (section 3.1: "read operations on channels
     *must* block if no data is available").
+
+    A lowest layer provides ``read``, ``close``, ``available``, ``at_eof``
+    and ``would_block_on``; nothing above it needs more.
     """
 
     def read(self, max_bytes: int) -> bytes:
         raise NotImplementedError
-
-    def readinto(self, target) -> int:
-        """Blocking read into a writable bytes-like; returns the count
-        (0 only at end of stream).  The default adapts :meth:`read`; local
-        streams override it to slice the batch they have read ahead.
-        """
-        view = memoryview(target).cast("B")
-        chunk = self.read(len(view))
-        view[:len(chunk)] = chunk
-        return len(chunk)
 
     def close(self) -> None:
         raise NotImplementedError
@@ -93,7 +86,12 @@ class InputStream:
 
 
 class OutputStream:
-    """Abstract byte sink with blocking writes (section 3.5)."""
+    """Abstract byte sink with blocking writes (section 3.5).
+
+    A lowest layer provides ``write``, ``write_vectored``, ``close``,
+    ``abort`` and ``would_block_on``.  Writes are unbuffered: no written
+    byte waits for a flush to reach the reader.
+    """
 
     def write(self, data: bytes) -> None:
         raise NotImplementedError
@@ -108,9 +106,6 @@ class OutputStream:
         """
         self.write(b"".join(bytes(c) if not isinstance(c, (bytes, bytearray))
                             else c for c in chunks))
-
-    def flush(self) -> None:
-        """Push buffered bytes downstream.  Local pipes are unbuffered."""
 
     def close(self) -> None:
         raise NotImplementedError
@@ -178,19 +173,6 @@ class LocalInputStream(InputStream):
         chunk = bytes(batch[pos:pos + max_bytes])
         self._pos = pos + len(chunk)
         return chunk
-
-    def readinto(self, target) -> int:
-        out = memoryview(target).cast("B")
-        if len(out) == 0:
-            return 0
-        batch, pos = self._batch, self._pos
-        if pos >= len(batch):
-            batch, pos = self._refill(), 0
-        part = batch[pos:pos + len(out)]
-        got = len(part)
-        out[:got] = part
-        self._pos = pos + got
-        return got
 
     def held(self) -> int:
         """Bytes read ahead and not yet consumed.
@@ -283,34 +265,26 @@ class BlockingInputStream(InputStream):
     def read(self, max_bytes: int) -> bytes:
         return self.source.read(max_bytes)
 
-    def readinto(self, target) -> int:
-        return self.source.readinto(target)
-
     def read_exactly(self, n: int) -> bytes:
         if n <= 0:
             return b""
         # The common case is one read: a local endpoint slices the element
         # out of the batch it holds, and the result is final.
         chunk = self.source.read(n)
-        filled = len(chunk)
-        if filled == n:
+        if len(chunk) == n:
             return chunk
-        if filled == 0:
+        if not chunk:
             raise EndOfStreamError("end of stream")
-        # Short read: finish into one preallocated buffer via readinto —
-        # no per-chunk bytes objects and no join, however many blocking
-        # reads it takes.
-        out = bytearray(n)
-        out[:filled] = chunk
-        view = memoryview(out)
-        while filled < n:
-            got = self.source.readinto(view[filled:])
-            if got == 0:
+        # Torn element: append further reads, each for what is missing,
+        # to one bytearray, however many blocking reads it takes.
+        out = bytearray(chunk)
+        while len(out) < n:
+            more = self.source.read(n - len(out))
+            if not more:
                 raise EndOfStreamError(
                     f"stream ended mid-element: wanted {n} bytes, "
-                    f"got {filled}")
-            filled += got
-        view.release()
+                    f"got {len(out)}")
+            out += more
         return bytes(out)
 
     def close(self) -> None:
@@ -431,29 +405,6 @@ class SequenceInputStream(InputStream):
                     self._finished = True
                     return b""
 
-    def readinto(self, target) -> int:
-        # Mirrors read(): blocking happens outside the lock, stream
-        # advance under it, so splices stay possible mid-read.
-        while True:
-            with self._lock:
-                if self._closed:
-                    raise ChannelClosedError(
-                        "read on closed SequenceInputStream")
-                if not self._streams:
-                    self._finished = True
-                    return 0
-                current = self._streams[0]
-            got = current.readinto(target)
-            if got:
-                return got
-            with self._lock:
-                if self._streams and self._streams[0] is current:
-                    self._streams.pop(0)
-                    self._note_head()
-                if not self._streams:
-                    self._finished = True
-                    return 0
-
     def close(self) -> None:
         with self._lock:
             streams = list(self._streams)
@@ -567,11 +518,6 @@ class SequenceOutputStream(OutputStream):
             self._raise_closed(chunks)
         self._target.write_vectored(chunks)
 
-    def flush(self) -> None:
-        with self._lock:
-            target = self._target
-        target.flush()
-
     def close(self) -> None:
         with self._lock:
             if self._closed:
@@ -593,10 +539,3 @@ class SequenceOutputStream(OutputStream):
     def would_block_on(self) -> Optional[BoundedByteBuffer]:
         return self._target.would_block_on()
 
-
-def concatenated(streams: Iterable[InputStream]) -> SequenceInputStream:
-    """Convenience: a SequenceInputStream over ``streams`` in order."""
-    seq = SequenceInputStream()
-    for s in streams:
-        seq.append(s)
-    return seq

@@ -16,10 +16,11 @@ from repro.errors import BrokenChannelError, EndOfStreamError
 from repro.kpn.compile import (FusedChain, _FusedPipe, compile_network,
                                fuse, load_capacity_spec)
 from repro.kpn.network import Network
-from repro.processes import (Collect, FromIterable, Scale, Sequence,
-                             fibonacci, hamming, modulo_merge, newton_sqrt,
-                             primes)
-from repro.processes.codecs import LONG
+from repro.kpn.process import IterativeProcess
+from repro.processes import (Collect, FromIterable, MapProcess, Scale,
+                             Sequence, fibonacci, hamming, modulo_merge,
+                             newton_sqrt, primes)
+from repro.processes.codecs import LONG, OBJECT
 from repro.telemetry.core import TELEMETRY
 
 
@@ -266,6 +267,49 @@ def test_armed_history_capture_forces_byte_mode():
     assert all(oc is None for oc in codecs)
 
 
+class ChoppedObjects(IterativeProcess):
+    """Writes OBJECT frames three bytes per step: no single write holds
+    a whole frame, so every frame read downstream is torn."""
+
+    def __init__(self, out, items, name=None):
+        self.stream = b"".join(OBJECT.encode(v) for v in items)
+        super().__init__(iterations=-(-len(self.stream) // 3), name=name)
+        self.out = out
+        self.pos = 0
+        self.track(out)
+
+    def step(self):
+        self.out.write(self.stream[self.pos:self.pos + 3])
+        self.pos += 3
+
+
+def build_chopped(items):
+    """ChoppedObjects -> MapProcess -> Collect, all on OBJECT frames."""
+    net = Network()
+    raw, mapped = net.channel(name="raw"), net.channel(name="mapped")
+    net.add(ChoppedObjects(raw.get_output_stream(), items, name="Src"))
+    net.add(MapProcess(raw.get_input_stream(), mapped.get_output_stream(),
+                       lambda v: (v, len(v)), codec=OBJECT, name="Pair"))
+    out = []
+    net.add(Collect(mapped.get_input_stream(), out, codec=OBJECT,
+                    name="Dst"))
+    return net, out
+
+
+def test_byte_mode_pipe_finishes_torn_frames_through_read():
+    items = ["x" * i for i in range(60)]
+    unfused, expected = build_chopped(items)
+    unfused.run(timeout=30)
+    net, out = build_chopped(items)
+    plan = compile_network(net)
+    ((stages, _, codecs, _),) = plan.chains
+    assert [s.name for s in stages] == ["Src", "Pair", "Dst"]
+    assert all(oc is None for oc in codecs)     # pickle frames: byte mode
+    plan.apply()
+    net.run(timeout=30)
+    assert out == expected == [(v, len(v)) for v in items]
+
+
 # ---------------------------------------------------------------------------
 # channel collapse bookkeeping
 # ---------------------------------------------------------------------------
@@ -353,8 +397,6 @@ def test_network_capacity_spec_presizes_at_creation(tmp_path):
 # ---------------------------------------------------------------------------
 
 def test_fused_stage_failure_propagates():
-    from repro.processes import MapProcess
-
     def boom(v):
         if v == 3:
             raise ValueError("boom at 3")

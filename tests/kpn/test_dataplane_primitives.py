@@ -1,5 +1,5 @@
 """Unit tests for the zero-copy data-plane primitives of BoundedByteBuffer
-(write_vectored / write_donate / drain_up_to / read_available)."""
+(write_vectored / write_donate / drain_up_to)."""
 
 import threading
 import time
@@ -109,7 +109,7 @@ def test_write_donate_raises_when_reader_closed():
 
 
 # ---------------------------------------------------------------------------
-# drain_up_to / read_available
+# drain_up_to
 # ---------------------------------------------------------------------------
 
 def test_drain_up_to_returns_owned_view_and_eof():
@@ -154,22 +154,16 @@ def test_drain_up_to_blocks_until_data():
     assert got == [b"late"]
 
 
-def test_read_available_never_blocks():
-    buf = BoundedByteBuffer(64)
-    assert len(buf.read_available(16)) == 0  # empty, not EOF, no block
-    buf.write(b"now")
-    assert bytes(buf.read_available(16)) == b"now"
-    buf.close_write()
-    assert len(buf.read_available(16)) == 0  # EOF also reads as empty
-
-
 def test_drain_and_available_raise_after_close_read():
     buf = BoundedByteBuffer(64)
     buf.close_read()
     with pytest.raises(ChannelClosedError):
         buf.drain_up_to(8)
+    held = BoundedByteBuffer(64)
+    held.write(b"abcdef")
+    held.close_read()
     with pytest.raises(ChannelClosedError):
-        buf.read_available(8)
+        held.drain_up_to(3)   # less than was written: raises, takes nothing
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +201,7 @@ def test_grow_while_reader_holds_pending_view():
     raise BufferError on resize."""
     buf = BoundedByteBuffer(16)
     buf.write(b"0123456789abcdef")
-    partial = buf.read_available(6)   # copy path
+    partial = buf.drain_up_to(6)      # partial take: copy path
     rest = buf.drain_up_to(16)        # steal path
     buf.grow(1 << 16)
     buf.write(b"Z" * 1000)            # storage regrows under the views

@@ -445,7 +445,10 @@ class RepointMachine(RuleBasedStateMachine):
         for _ in range(k):
             self.read_exactly(n)
 
-    def _short_read(self, n, call):
+    @rule(n=sizes)
+    def read(self, n):
+        def call(side):
+            return side.inp.read(n)
         if self.in_closed:
             assert self.both(call) == (
                 "ChannelClosedError", "read on closed SequenceInputStream")
@@ -459,17 +462,6 @@ class RepointMachine(RuleBasedStateMachine):
             outcome = self.both(call)
             assert outcome[0] != "ok" or len(outcome[1]) == 0
             self._ran_out(outcome, "ok")
-
-    @rule(n=sizes)
-    def read(self, n):
-        self._short_read(n, lambda side: side.inp.read(n))
-
-    @rule(n=sizes)
-    def readinto(self, n):
-        def call(side):
-            target = bytearray(n)
-            return bytes(target[:side.inp.readinto(target)])
-        self._short_read(n, call)
 
     # -- what must hold after every step ------------------------------------
     @invariant()

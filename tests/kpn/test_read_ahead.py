@@ -69,34 +69,20 @@ class ReadAheadMachine(RuleBasedStateMachine):
             self.out.close()
 
     # -- consumer -------------------------------------------------------
-    def _expect_end(self, read):
-        """The stream is drained and closed: a clean end, or the abort."""
-        if self.aborted:
-            with pytest.raises(BrokenChannelError):
-                read()
-        else:
-            assert len(read()) == 0
-
-    def _short_read(self, n, read):
-        """read / readinto: 1..n bytes, the oldest first."""
+    @rule(n=sizes)
+    def read(self, n):
+        """1..n bytes, the oldest first."""
         if not self.model:
-            if self.closed:
-                self._expect_end(read)
+            if self.closed and self.aborted:
+                with pytest.raises(BrokenChannelError):
+                    self.inp.read(n)
+            elif self.closed:
+                assert self.inp.read(n) == b""
             return  # open and empty: would block
-        got = bytes(read())
+        got = self.inp.read(n)
         assert 1 <= len(got) <= n
         assert got == bytes(self.model[:len(got)])
         del self.model[:len(got)]
-
-    @rule(n=sizes)
-    def read(self, n):
-        self._short_read(n, lambda: self.inp.read(n))
-
-    @rule(n=sizes)
-    def readinto(self, n):
-        target = bytearray(n)
-        self._short_read(
-            n, lambda: target[:self.inp.readinto(target)])
 
     @rule(n=sizes)
     def read_exactly(self, n):
@@ -170,7 +156,7 @@ def test_element_spanning_two_batches():
     assert LONG.read(inp) == 0x0102030405060708
 
 
-def test_frames_larger_than_the_batch_finish_through_readinto():
+def test_frames_larger_than_the_batch_finish_through_read():
     ch = Channel(64)
     out, inp = ch.get_output_stream(), ch.get_input_stream()
     payload = bytes(range(256)) * 4
@@ -179,6 +165,36 @@ def test_frames_larger_than_the_batch_finish_through_readinto():
     assert inp.read_exactly(len(payload)) == payload
     writer.join(10)
     assert not writer.is_alive()
+
+
+def test_longs_through_a_three_byte_ring_span_three_refills():
+    ch = Channel(3)
+    out, inp = ch.get_output_stream(), ch.get_input_stream()
+    drains = []
+    drain = ch.buffer.drain_up_to
+
+    def counted(max_bytes):
+        view = drain(max_bytes)
+        drains.append(len(view))
+        return view
+    ch.buffer.drain_up_to = counted
+    values = [(-1) ** i * (i << 40) + i for i in range(200)]
+
+    def produce():
+        for v in values:
+            LONG.write(out, v)
+        out.close()
+    writer = threading.Thread(target=produce, daemon=True)
+    writer.start()
+    assert [LONG.read(inp) for _ in values] == values
+    with pytest.raises(EndOfStreamError):
+        LONG.read(inp)
+    writer.join(10)
+    assert not writer.is_alive()
+    # no batch holds more than 3 bytes, so every 8-byte element was
+    # finished by further reads across at least three refills
+    assert max(drains) <= 3
+    assert sum(drains) == 8 * len(values)
 
 
 def test_close_by_reader_drops_the_batch_and_breaks_the_writer():

@@ -9,7 +9,7 @@ from repro.errors import ChannelClosedError, EndOfStreamError
 from repro.kpn.buffers import BoundedByteBuffer
 from repro.kpn.streams import (BlockingInputStream, LocalInputStream,
                                LocalOutputStream, SequenceInputStream,
-                               SequenceOutputStream, concatenated)
+                               SequenceOutputStream)
 
 from tests.conftest import start_thread
 
@@ -99,7 +99,8 @@ def test_sequence_reads_streams_in_order():
     out1.close()
     out2.write(b"second")
     out2.close()
-    seq = concatenated([in1, in2])
+    seq = SequenceInputStream(in1)
+    seq.append(in2)
     data = b""
     while True:
         chunk = seq.read(4)
@@ -134,7 +135,8 @@ def test_sequence_eof_only_after_last_stream():
     out2, in2, _ = pipe()
     out2.write(b"x")
     out2.close()
-    seq = concatenated([in1, in2])
+    seq = SequenceInputStream(in1)
+    seq.append(in2)
     assert seq.read(10) == b"x"
     assert seq.read(10) == b""
 
@@ -152,7 +154,8 @@ def test_sequence_append_after_finish_rejected():
 def test_sequence_close_closes_all_queued_streams():
     out1, in1, buf1 = pipe()
     out2, in2, buf2 = pipe()
-    seq = concatenated([in1, in2])
+    seq = SequenceInputStream(in1)
+    seq.append(in2)
     seq.close()
     assert buf1.read_closed and buf2.read_closed
     with pytest.raises(ChannelClosedError):
@@ -169,7 +172,8 @@ def test_sequence_available_sums_queued():
     out2, in2, _ = pipe()
     out1.write(b"ab")
     out2.write(b"cde")
-    seq = concatenated([in1, in2])
+    seq = SequenceInputStream(in1)
+    seq.append(in2)
     assert seq.available() == 5
 
 
