@@ -4,7 +4,7 @@ The paper runs every KPN process on its own Java thread.  That is also
 this library's reference backend — but one OS thread per process caps
 practical graph sizes at a few thousand processes (stack memory, context
 switches, scheduler pressure).  This module multiplexes *cooperative
-tasks* over a small pool of event-loop threads so one core can host tens
+tasks* over one event-loop thread per network so one core can host tens
 of thousands of processes, while keeping the channel contract — blocking
 reads, bounded blocking writes — observably identical.
 
@@ -57,13 +57,14 @@ What runs as a task
 :class:`~repro.kpn.process.IterativeProcess` with the *default* ``run``
 and no ``@nondeterminate`` marker, or a compiler-produced
 :class:`~repro.kpn.compile.FusedChain` (one task for the whole chain).
-Everything else — custom ``run`` loops, Turnstile's readiness polling,
-plain composites — keeps its OS thread, as does a process that sleeps on
-something that is not a channel and says so with ``kpn_async = False``
-(the farm's Worker waits on executor futures: it would stall every task
-sharing its loop).  Both kinds of actor interoperate freely on the same
-channels: a sleeping thread and a parked task wait on one buffer waiter
-list.  Live migration pause points are not polled between task steps;
+Everything else — custom ``run`` loops, plain composites, any
+``@nondeterminate`` process (the Turnstile waits on its inputs like any
+read, but it is not determinate) — keeps its OS thread, as does a
+process that sleeps on something that is not a channel and says so with
+``kpn_async = False`` (the farm's Worker waits on executor futures: it
+would stall every task sharing its loop).  Both kinds of actor
+interoperate freely on the same channels: a sleeping thread and a
+parked task wait on one buffer waiter list.  Live migration pause points are not polled between task steps;
 migrate from thread-backend networks (servers default to threads).
 """
 
@@ -72,7 +73,7 @@ from __future__ import annotations
 import itertools
 import threading
 from collections import deque
-from typing import Callable, List, Optional
+from typing import Callable, Optional
 
 from repro.kpn.buffers import BoundedByteBuffer
 from repro.kpn.process import IterativeProcess, Process, _StepDriver
@@ -339,10 +340,11 @@ def async_hostable(process) -> bool:
 
     Yes for compiler-produced fused chains and for IterativeProcess
     subclasses that keep the default ``run`` skeleton, are not declared
-    ``@nondeterminate`` (Turnstile polls for readiness — it needs a
-    thread), and do not opt out with ``kpn_async = False`` (they sleep on
-    something that is not a channel).  Everything else keeps the thread
-    backend's semantics on its own OS thread.
+    ``@nondeterminate`` (the Turnstile: it waits like any read, but keeps
+    a thread because it is not determinate), and do not opt out with
+    ``kpn_async = False`` (they sleep on something that is not a
+    channel).  Everything else keeps the thread backend's semantics on
+    its own OS thread.
     """
     from repro.analysis.markers import declared_nondeterminate
 
@@ -447,36 +449,3 @@ class EventLoop:
                 if task.process.failure is None:
                     task.process.failure = exc
                 task._complete()
-
-
-class LoopPool:
-    """Round-robin task placement over ``workers`` event loops."""
-
-    def __init__(self, workers: int = 1, name: str = "kpn-loop") -> None:
-        self.workers = max(1, int(workers))
-        self.name = name
-        self._loops: List[EventLoop] = []
-        self._next = 0
-        self._lock = threading.Lock()
-
-    def place(self) -> EventLoop:
-        """Pick (lazily starting) the loop for one new task."""
-        with self._lock:
-            if not self._loops or all(l.stopped for l in self._loops):
-                self._loops = [EventLoop(name=f"{self.name}-{i}")
-                               for i in range(self.workers)]
-                self._next = 0
-            loop = self._loops[self._next % len(self._loops)]
-            self._next += 1
-            return loop
-
-    def stop(self) -> None:
-        with self._lock:
-            loops, self._loops = self._loops, []
-        for loop in loops:
-            loop.stop()
-
-    @property
-    def active(self) -> bool:
-        with self._lock:
-            return any(not l.stopped for l in self._loops)

@@ -17,31 +17,24 @@ the reproduction needs:
   scheduler while writer threads are blocked on a full buffer; they wake
   up and retry against the new capacity.
 
-* **Blocking accounting.**  Every potentially-blocking operation records
-  who waits where in an optional :class:`BlockAccounting` object so that
-  a network-wide deadlock monitor can tell when *every* live process
-  actor (OS thread or cooperative task) is blocked — the precondition for
-  Parks' artificial-deadlock resolution.  A sleeping thread enters and
-  leaves through the accounting (its lock); a parked task is one entry
-  in its map, written and removed under this buffer's lock.  Only the
-  last actor to block kicks the monitor; a wake never does.  Both wait on
-  one list per direction (``_readers``, ``_writers``) of anything with
-  ``unparked(buffer, mode)``: the task, or the thread's
-  :class:`_Sleeper`.  A wake empties the list; a woken thread looks again
-  and may sleep again, as after ``Condition.notify_all``.
+* **One way to wait.**  Every wait is an entry on a waiter list
+  (``_readers``, ``_writers``) of anything with ``unparked(buffer,
+  mode)`` — a parked task, or a sleeping thread's :class:`_Sleeper`, on
+  one ring or (:func:`wait_readable`, a reader of several channels) on
+  each of them — and one entry in an optional :class:`BlockAccounting`,
+  so that a network-wide deadlock monitor can tell when *every* live
+  actor is blocked: Parks' precondition.  Only the last actor to block
+  kicks the monitor.  A wake empties the list; a woken thread looks
+  again and may sleep again, as after ``Condition.notify_all``.
 
-* **Cooperative (async-backend) hooks.**  A cooperative task
-  (``Network(backend="async")``) runs its step on the ordinary blocking
-  code below.  Before the step, its scheduler asks the task's channel
-  endpoints whether an operation would sleep (``would_block_on``: a
-  lock-free look at this ring's fill and close flags and at the
-  consumer's read-ahead) and parks the task on the buffer's waiter list
-  (:meth:`async_park`, which looks again under the lock) when the step
-  could not proceed; whichever thread next changes the buffer state
-  re-schedules it.  A step that nevertheless has to sleep inside an
-  operation keeps the thread it is on: ``_block`` tells the task (found
-  through a thread-local), whose event loop moves to a fresh thread, and
-  then waits like any thread with the task as the accounting identity.
+* **Cooperative (async-backend) hooks.**  A task's scheduler asks its
+  endpoints, lock-free, whether an operation would sleep
+  (``would_block_on``) and parks the task (:meth:`async_park`, which
+  looks again under the lock) when its step could not proceed; whoever
+  next changes the buffer re-schedules it.  A step that has to sleep
+  inside an operation after all keeps its thread: ``_block`` tells the
+  task, whose event loop moves to a fresh thread, and waits like any
+  thread with the task as the accounting identity.
 
 * **Abort-aware close.**  ``close_write(aborted=True)`` marks the end of
   stream as a *cascade* abort rather than a graceful exhaustion: readers
@@ -91,31 +84,24 @@ PARKS_CAUSES = ("parks", "parks-distributed")
 class BlockAccounting:
     """Who is blocked where, for the scheduler's deadlock monitor.
 
-    A network installs one accounting object on all of its channel
-    buffers and keeps :attr:`live`, its live-actor count, up to date.
-    The map records only that network's *actors* — OS threads it spawned
-    (they carry the marker ``Network.spawn`` sets, see :meth:`_enter`)
-    and cooperative tasks, which pass themselves.  A link's pump or a
-    caller's thread still sleeps on the buffer's waiter list, but it is
-    not entered here: it never counts toward a stall.
+    A network installs one on all of its channel buffers and keeps
+    :attr:`live`, its live-actor count, up to date.  The map records only
+    its *actors*: OS threads it spawned (marked by ``Network.spawn``, see
+    :meth:`_enter`) and tasks, which pass themselves.  A pump's or a
+    caller's thread sleeps on the same waiter lists, unrecorded.
 
-    The kick rule is one for both kinds of actor: after a wait is
-    recorded, the optional ``on_change`` callback (the monitor's kick)
-    runs iff at least :attr:`live` actors are blocked — a stall needs
-    every live actor blocked, so only the last one to block can complete
-    it.  A wake never kicks.  A thread's wait goes through :meth:`_enter`
-    under the accounting lock; a task's park writes :attr:`_blocked` and
-    :attr:`generation` directly (:meth:`BoundedByteBuffer.async_park`),
-    and a wake removes the entry of whoever it woke, task or thread,
-    before the woken actor runs (:meth:`_exit` is left for a wait that
-    ended without a wake).  Those writes need no lock: a single dict
-    store or pop is atomic, each recorder stores before it counts (so of
-    two racing last blockers, the later count sees both), the queries
-    copy or size the map in one call and never walk it, and
-    :attr:`generation` is only ever compared for change, so a lost
-    increment costs nothing.  Methods are invoked *while holding the
-    buffer's lock*, so implementations must not call back into the
-    buffer.
+    After a wait is recorded, ``on_change`` (the monitor's kick) runs iff
+    at least :attr:`live` actors are blocked: only the last to block can
+    complete a stall, and a wake never kicks.  A thread's wait goes
+    through :meth:`_enter` under the accounting lock; a task's park
+    writes :attr:`_blocked` and :attr:`generation` directly, and a wake
+    removes the entry of whoever it woke before that actor runs
+    (:meth:`_exit` ends a wait no wake ended).  Those writes need no
+    lock: a dict store or pop is atomic, each recorder stores before it
+    counts (of two racing last blockers, the later count sees both), the
+    queries copy or size the map in one call, and :attr:`generation` is
+    only compared for change (a lost increment costs nothing).  Methods
+    run under the buffer's lock and must not call back into the buffer.
 
     An accounting no network owns (:attr:`live` is None) records every
     waiting thread and kicks on each wait.
@@ -206,7 +192,41 @@ class _Sleeper:
     def unparked(self, buffer: "BoundedByteBuffer", mode: str) -> None:
         if self.key is not None:
             self.accounting._blocked.pop(self.key, None)
-        self.lock.release()
+        try:
+            self.lock.release()
+        except RuntimeError:
+            pass    # asleep on several lists: another ring woke it first
+
+
+def wait_readable(rings: list["BoundedByteBuffer"],
+                  timeout: Optional[float] = None) -> None:
+    """Sleep until a write or a close on any of ``rings``, or ``timeout``
+    seconds: a thread's wait on several channels (a ``@nondeterminate``
+    reader's, never a task's).  It is recorded once, as a read of the
+    first ring, with one :class:`_Sleeper` on every ring's reader list; a
+    ring found buffering or closed ends it at once.  Every ring's lock is
+    taken again before the entry goes, so no wake of it is still running.
+    """
+    first = rings[0]
+    acct = first.accounting
+    key = acct._enter(first, "read") if acct is not None else None
+    sleeper = _Sleeper(acct, key)
+    try:
+        for ring in rings:
+            with ring._lock:
+                if (len(ring._data) > ring._read_pos or ring._write_closed
+                        or ring._read_closed):
+                    break
+                ring._readers.append(sleeper)
+        else:
+            sleeper.lock.acquire(timeout=-1 if timeout is None else timeout)
+    finally:
+        for ring in rings:
+            with ring._lock:
+                if sleeper in ring._readers:
+                    ring._readers.remove(sleeper)
+        if key is not None:
+            acct._exit(key)
 
 
 class BoundedByteBuffer:
@@ -268,11 +288,6 @@ class BoundedByteBuffer:
         #: written is appended here — the channel's full history, the
         #: object Kahn's theorem actually quantifies over.
         self.history: Optional[bytearray] = None
-        # listeners called (outside the lock is unsafe; we call under lock,
-        # listeners must be lock-free, e.g. threading.Event.set) whenever
-        # data becomes available or the stream reaches EOF.  Used by
-        # Turnstile's wait-on-any-input and by the deadlock monitor.
-        self._listeners: list[Callable[[], None]] = []
 
     # ------------------------------------------------------------------
     # introspection
@@ -324,27 +339,6 @@ class BoundedByteBuffer:
         with self._lock:
             return self._write_closed and self._buffered() == 0
 
-    def add_listener(self, callback: Callable[[], None]) -> None:
-        """Register ``callback`` to run whenever readability may change.
-
-        The callback runs with the buffer lock held; it must be cheap and
-        must not touch the buffer (setting a ``threading.Event`` is the
-        intended use).
-        """
-        with self._lock:
-            self._listeners.append(callback)
-
-    def remove_listener(self, callback: Callable[[], None]) -> None:
-        with self._lock:
-            try:
-                self._listeners.remove(callback)
-            except ValueError:
-                pass
-
-    def _fire_listeners(self) -> None:
-        for cb in self._listeners:
-            cb()
-
     # ------------------------------------------------------------------
     # cooperative-task (async backend) support
     # ------------------------------------------------------------------
@@ -378,24 +372,15 @@ class BoundedByteBuffer:
     def async_park(self, mode: str, waiter) -> bool:
         """Park a cooperative task on this buffer, or refuse.
 
-        Atomically re-checks that the operation would still block (a read:
-        nothing buffered and both ends open; a write: no room for a byte
-        and both ends open); a False return means the buffer state changed
-        since the task read the lock-free hint (a stream's
-        ``would_block_on``) and it should simply look again (classic
-        lost-wakeup guard).  On
-        True the waiter is registered, blocked-actor accounting records
-        it (the waiter object *is* the actor key) and a ``block.read`` /
-        ``block.write`` telemetry span opens — the waiter's ``unparked``
-        callback closes it.  ``waiter`` must expose ``unparked(buffer,
-        mode)`` (reschedule, called with the buffer lock held) and
-        ``name``; ``unparked`` removes the accounting entry.
-
-        The record is one store into the accounting's map and a bump of
-        its generation, under this buffer's lock only, and the deadlock
-        monitor is kicked only when the park leaves at least as many
-        actors blocked as are live (the rule of :class:`BlockAccounting`,
-        a ``len`` and a compare).
+        Re-checks under the lock that the operation would still block (a
+        read: nothing buffered; a write: no room for a byte; both ends
+        open).  False: the buffer changed since the task's lock-free look
+        (``would_block_on``), and it should look again.  True: ``waiter``
+        (with ``unparked(buffer, mode)``, called under the buffer lock,
+        which removes its entry and closes its ``block.<mode>`` span, and
+        ``name``) is on the list and is its own accounting key — one store
+        and a generation bump, with :class:`BlockAccounting`'s kick rule
+        inline.
         """
         with self._lock:
             if self._write_closed or self._read_closed:
@@ -419,13 +404,7 @@ class BoundedByteBuffer:
                         and acct._on_change is not None:
                     acct._on_change()
             if _telemetry.enabled:
-                _telemetry.begin(f"block.{mode}", category="kpn.block",
-                                 channel=self.name,
-                                 process=getattr(waiter, "name", ""),
-                                 **({"capacity": self._capacity}
-                                    if mode == "write" else {}))
-                _telemetry.inc(f"kpn.channel.{mode}_blocks", 1,
-                               channel=self.name)
+                self._trace_block(mode, getattr(waiter, "name", ""))
             return True
 
     def async_release(self, mode: str) -> None:
@@ -481,8 +460,6 @@ class BoundedByteBuffer:
                                        channel=self.name)
                     if self._readers:
                         self._wake_readers()
-                    if self._listeners:
-                        self._fire_listeners()
                     return
             self._write_locked(memoryview(data).cast("B"))
 
@@ -519,27 +496,14 @@ class BoundedByteBuffer:
         if _telemetry.enabled:
             _telemetry.inc("kpn.channel.writes", 1, channel=self.name)
         with self._lock:
-            if (isinstance(data, bytearray) and self._buffered() == 0
-                    and len(data) <= self._capacity
-                    and not self._write_closed and not self._read_closed
-                    and self.history is None):
-                self._data = data
-                self._read_pos = 0
-                self.total_written += len(data)
-                if len(data) > self._high_watermark:
-                    self._high_watermark = len(data)
-                if _telemetry.enabled:
-                    _telemetry.inc("kpn.channel.bytes_written", len(data),
-                                   channel=self.name)
-                if self._readers:
-                    self._wake_readers()
-                if self._listeners:
-                    self._fire_listeners()
-                return
-            self._write_locked(memoryview(data).cast("B"))
+            self._write_locked(memoryview(data).cast("B"),
+                               data if isinstance(data, bytearray) else None)
 
-    def _write_locked(self, view: memoryview) -> None:
-        """Deliver one chunk, blocking on capacity (caller holds the lock)."""
+    def _write_locked(self, view: memoryview,
+                      donated: Optional[bytearray] = None) -> None:
+        """Deliver one chunk, blocking on capacity (caller holds the lock).
+        ``donated``, the bytearray ``view`` covers, becomes the storage of
+        an empty ring that all of it fits in, and is copied otherwise."""
         offset = 0
         while offset < len(view):
             if self._write_closed:
@@ -548,17 +512,23 @@ class BoundedByteBuffer:
             if self._read_closed:
                 raise BrokenChannelError(
                     f"reader closed channel {self.name!r}")
-            space = self._capacity - self._buffered()
+            buffered = len(self._data) - self._read_pos
+            space = self._capacity - buffered
             if space <= 0:
                 self._block("write")
                 continue
             chunk = view[offset:offset + space]
-            self._data.extend(chunk)
+            if (donated is not None and not offset and not buffered
+                    and len(view) <= space):
+                self._data = donated
+                self._read_pos = 0
+            else:
+                self._data.extend(chunk)
             if self.history is not None:
                 self.history.extend(chunk)
             offset += len(chunk)
             self.total_written += len(chunk)
-            buffered = self._buffered()
+            buffered += len(chunk)
             if buffered > self._high_watermark:
                 self._high_watermark = buffered
             if _telemetry.enabled:
@@ -566,8 +536,6 @@ class BoundedByteBuffer:
                                channel=self.name)
             if self._readers:
                 self._wake_readers()
-            if self._listeners:
-                self._fire_listeners()
 
     def read(self, max_bytes: int) -> bytes:
         """Remove and return 1..max_bytes bytes, blocking while empty.
@@ -600,12 +568,10 @@ class BoundedByteBuffer:
         """Consume up to ``max_bytes`` buffered bytes (caller holds the
         lock, buffered > 0) and return them as a memoryview.
 
-        With ``steal``, a request covering everything buffered takes the
-        internal storage itself — handed over as a view and replaced with
-        a fresh bytearray — so no bytes are copied and later writes cannot
-        mutate what the caller holds.  Callers that copy the result anyway
-        (:meth:`read`) pass ``steal=False`` to keep the storage (and its
-        already-grown allocation) in place.  Partial takes copy once.
+        With ``steal``, a take of everything buffered hands the storage
+        itself over, replaced by a fresh bytearray: no copy, and later
+        writes cannot mutate it.  :meth:`read`, which copies anyway, keeps
+        the grown storage in place.  Partial takes copy once.
         """
         buffered = len(self._data) - self._read_pos
         take = min(max_bytes, buffered)
@@ -631,14 +597,11 @@ class BoundedByteBuffer:
 
     def drain_up_to(self, max_bytes: int) -> memoryview:
         """Blocking zero-copy read: like :meth:`read` but returns a
-        memoryview instead of bytes.
+        memoryview, empty at end of stream.
 
-        The returned view owns its storage (the ring's bytearray is stolen
-        or the bytes are copied out), so it stays valid across later
-        writes, reads, ``grow`` and close calls.  An *empty* view means
-        end of stream, mirroring ``read`` returning ``b""``.  This is the
-        sender pump's hot path: the view goes straight into a
-        scatter-gather ``sendmsg`` with no intermediate concatenation.
+        The view owns its storage (stolen or copied out), so it stays
+        valid across later writes, reads, ``grow`` and closes: a local
+        endpoint's read-ahead, or a sender pump's ``sendmsg`` argument.
         """
         if max_bytes <= 0:
             return memoryview(b"")
@@ -667,16 +630,7 @@ class BoundedByteBuffer:
         key = acct._enter(self, mode, task) if acct is not None else None
         traced = _telemetry.enabled
         if traced:
-            # `process` makes block spans joinable with process lifecycle
-            # spans and channel.grow instants without relying on thread
-            # names (network-spawned threads carry the process name, a
-            # handed-off task runs on a thread named after its loop; pump
-            # and test threads may carry neither)
-            _telemetry.begin(
-                f"block.{mode}", category="kpn.block", channel=self.name,
-                process=(task or threading.current_thread()).name,
-                **({"capacity": self._capacity} if mode == "write" else {}))
-            _telemetry.inc(f"kpn.channel.{mode}_blocks", 1, channel=self.name)
+            self._trace_block(mode, (task or threading.current_thread()).name)
         sleeper = _Sleeper(acct, key)
         # a wake swaps the whole list out: unwoken, it is still the live one
         waiters = self._readers if mode == "read" else self._writers
@@ -696,21 +650,23 @@ class BoundedByteBuffer:
                 # the waker removed a woken thread's entry (unparked)
                 acct._exit(key)
 
-    def drain(self) -> bytes:
-        """Non-blocking: remove and return everything currently buffered.
+    def _trace_block(self, mode: str, process: str) -> None:
+        """Open and count the ``block.<mode>`` span of a wait here (the
+        caller tests that telemetry is on).  ``process`` joins it with the
+        waiter's lifecycle spans, whatever thread the waiter is on."""
+        _telemetry.begin(
+            f"block.{mode}", category="kpn.block", channel=self.name,
+            process=process,
+            **({"capacity": self._capacity} if mode == "write" else {}))
+        _telemetry.inc(f"kpn.channel.{mode}_blocks", 1, channel=self.name)
 
-        Used during migration to preserve unconsumed data (paper section
-        3.3: "Care must be taken to preserve any unconsumed data residing
-        in the channels at the time that reconfiguration takes place").
-        """
+    def drain(self) -> bytes:
+        """Non-blocking: remove and return everything buffered — the
+        unconsumed data migration preserves (paper section 3.3)."""
         with self._lock:
-            chunk = bytes(self._data[self._read_pos:])
-            self._data.clear()
-            self._read_pos = 0
-            self.total_read += len(chunk)
-            if self._writers:
-                self._wake_writers()
-            return chunk
+            if len(self._data) == self._read_pos:
+                return b""
+            return bytes(self._take_locked(len(self._data)))
 
     # ------------------------------------------------------------------
     # control plane
@@ -734,7 +690,6 @@ class BoundedByteBuffer:
                 self._wake_readers()
             if self._writers:
                 self._wake_writers()
-            self._fire_listeners()
 
     def close_read(self) -> None:
         """Close the consumer side; subsequent/blocked writes break."""
@@ -748,7 +703,6 @@ class BoundedByteBuffer:
                 self._wake_readers()
             if self._writers:
                 self._wake_writers()
-            self._fire_listeners()
 
     def record_history(self, enable: bool = True) -> None:
         """Start (or stop) recording the complete byte history.

@@ -26,7 +26,8 @@ import threading
 import time
 from typing import Optional, Sequence
 
-from repro.kpn.buffers import BlockAccounting, BoundedByteBuffer, DEFAULT_CAPACITY
+from repro.kpn.buffers import (BlockAccounting, BoundedByteBuffer,
+                               DEFAULT_CAPACITY, wait_readable)
 from repro.telemetry.core import TELEMETRY as _telemetry
 from repro.kpn.streams import (
     _NOTHING,
@@ -280,36 +281,34 @@ class Channel:
 
 
 def wait_any_readable(inputs: Sequence[ChannelInputStream],
-                      poll_interval: float = 0.002,
                       timeout: Optional[float] = None) -> list[int]:
     """Block until at least one input is readable; return the ready indices.
 
     This is the nondeterministic primitive used *only* by the Turnstile
     process (paper Figures 17–18) — ordinary Kahn processes never test for
-    data availability.  Readiness events are delivered by buffer listeners
-    where the input's head is a local buffer; a short poll interval covers
-    inputs whose head is an exotic layered stream (e.g. mid-splice).
+    data availability.  The caller waits like any blocked read, on the
+    reader list of every input's ring at once
+    (:func:`~repro.kpn.buffers.wait_readable`), as one read wait the
+    deadlock monitor counts.  An input whose head is no local ring (fused,
+    remote, or mid-splice) is looked at again every 2 ms instead.
     """
-    event = threading.Event()
-    buffers: list[BoundedByteBuffer] = []
-    for s in inputs:
-        head = s.sequence.current
-        if isinstance(head, LocalInputStream):
-            head.buffer.add_listener(event.set)
-            buffers.append(head.buffer)
     deadline = None if timeout is None else time.monotonic() + timeout
-    try:
-        while True:
-            ready = [i for i, s in enumerate(inputs) if s.poll_ready()]
-            if ready:
-                return ready
-            if deadline is not None and time.monotonic() >= deadline:
+    while True:
+        # rings first: an input that turns ready after its look is seen
+        # ready below, or ends the wait under its ring's lock
+        rings = [s.would_block_on() for s in inputs]
+        ready = [i for i, s in enumerate(inputs) if s.poll_ready()]
+        if ready:
+            return ready
+        remaining = None
+        if deadline is not None:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
                 return []
-            event.clear()
-            event.wait(poll_interval)
-    finally:
-        for b in buffers:
-            b.remove_listener(event.set)
+        if None in rings:
+            time.sleep(0.002 if remaining is None else min(0.002, remaining))
+        else:
+            wait_readable(rings, remaining)
 
 
 def make_channels(n: int, capacity: int = DEFAULT_CAPACITY,

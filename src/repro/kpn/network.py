@@ -65,15 +65,11 @@ class Network:
     backend:
         Scheduler backend: ``"thread"`` (default; one OS thread per
         process, the paper's model) or ``"async"`` (cooperative tasks
-        multiplexed over event loops — see :mod:`repro.kpn.aio`).
+        multiplexed over one event loop — see :mod:`repro.kpn.aio`).
         ``None`` follows the run configuration (:mod:`repro.config`).
         Processes the async runtime cannot host (custom ``run`` loops,
         ``@nondeterminate`` processes) transparently keep their own
         thread; the two actor kinds share channels freely.
-    workers:
-        Event-loop threads for the async backend (ignored under
-        ``"thread"``).  One loop per core is plenty: tasks are
-        cooperative, so loops only buy parallelism, not concurrency.
     """
 
     def __init__(self, bounded: bool = True,
@@ -81,17 +77,15 @@ class Network:
                  policy: Optional[DeadlockPolicy] = None,
                  name: str = "network",
                  capacity_spec=None,
-                 backend: Optional[str] = None,
-                 workers: int = 1) -> None:
+                 backend: Optional[str] = None) -> None:
         self.name = name
         self.backend = RunConfig.resolve(backend=backend).backend
         self.monitor: Optional[DeadlockMonitor] = None
         if bounded:
             self.monitor = DeadlockMonitor(self, policy)
-        self._loops = None
-        if self.backend == "async":
-            from repro.kpn.aio import LoopPool
-            self._loops = LoopPool(workers, name=f"{name}-loop")
+        #: the async backend's event loop, started with its first task
+        #: (again after a stop)
+        self._loop = None
         self.default_capacity = default_capacity
         if capacity_spec:
             from repro.kpn.compile import load_capacity_spec
@@ -171,8 +165,8 @@ class Network:
 
         Under the thread backend (and for processes the async runtime
         cannot host) the actor is a daemon thread; under the async
-        backend, hostable processes become cooperative tasks on one of
-        the network's event loops.  Either way the returned handle
+        backend, hostable processes become cooperative tasks on the
+        network's event loop.  Either way the returned handle
         supports ``join``/``is_alive``/``name``.  Used both by
         :meth:`start` and by running processes that insert new processes
         into the graph (Sift, MetaDynamic reconfiguration).
@@ -182,11 +176,14 @@ class Network:
             for member in process.processes:
                 member.network = self
         actor = None
-        if self._loops is not None:
-            from repro.kpn.aio import Task, async_hostable
+        if self.backend == "async":
+            from repro.kpn.aio import EventLoop, Task, async_hostable
             if async_hostable(process):
-                actor = Task(process, self._loops.place(),
-                             on_finish=self._actor_finished)
+                with self._lock:
+                    if self._loop is None or self._loop.stopped:
+                        self._loop = EventLoop(name=f"{self.name}-loop")
+                    loop = self._loop
+                actor = Task(process, loop, on_finish=self._actor_finished)
         if actor is None:
             actor = threading.Thread(target=self._run_process,
                                      args=(process,),
@@ -367,8 +364,8 @@ class Network:
                 t.join(timeout=remaining if remaining is not None else 0.5)
                 if deadline is not None and time.monotonic() >= deadline and t.is_alive():
                     return False
-        if self._loops is not None:
-            self._loops.stop()
+        if self._loop is not None:
+            self._loop.stop()
         if self.monitor is not None:
             self.monitor.stop()
             if self.monitor.error is not None:
@@ -415,9 +412,9 @@ class Network:
             self.shutdown()
         if self.monitor is not None:
             self.monitor.stop()
-        if self._loops is not None and not any(
+        if self._loop is not None and not any(
                 t.is_alive() for t in self._threads):
-            self._loops.stop()
+            self._loop.stop()
 
     # ------------------------------------------------------------------
     # analysis

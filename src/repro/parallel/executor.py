@@ -428,7 +428,3 @@ def resolve_executor(spec: "str | TaskExecutor | None") -> TaskExecutor:
         return spec
     config = RunConfig.resolve(executor=spec)
     return shared_executor(config.executor, config.pool_size)
-
-
-if __name__ == "__main__":  # pragma: no cover - child entry point
-    _child_serve(int(sys.argv[1]))

@@ -194,6 +194,11 @@ class Turnstile(IterativeProcess):
     Select" with "an index stream indicating that order", guaranteeing
     the Select sees index and result atomically even across migration.
 
+    It waits for the first of its inputs to hold a result as any read
+    waits, on their buffers' reader lists (:func:`wait_any_readable`), so
+    the deadlock monitor counts it as blocked reading.  Being
+    ``@nondeterminate`` it keeps its own thread under every backend.
+
     Termination: inputs that reach end-of-stream are retired; when all
     are retired the Turnstile stops.  A failed write on the *index*
     output (the Direct has already stopped because the producer ran dry)
@@ -219,15 +224,13 @@ class Turnstile(IterativeProcess):
             if not self._active:
                 raise EndOfStreamError("all worker inputs exhausted")
             active_streams = [self.inputs[i] for i in self._active]
-            ready = wait_any_readable(active_streams, timeout=5.0)
+            ready = wait_any_readable(active_streams)
             # resolve positions to worker ids BEFORE mutating _active
             ready_ids = [self._active[pos] for pos in ready]
-            progressed = False
             for i in ready_ids:
                 stream = self.inputs[i]
                 if stream.at_eof():
                     self._active.remove(i)
-                    progressed = True
                     continue
                 result = self.codec.read(stream)
                 OBJECT.write(self.pairs_out, (i, result))
@@ -237,8 +240,6 @@ class Turnstile(IterativeProcess):
                     except ChannelError:
                         self._index_broken = True
                 return
-            if progressed:
-                continue
 
 
 class Select(IterativeProcess):

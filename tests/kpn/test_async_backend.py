@@ -14,7 +14,7 @@ import pytest
 
 from repro.errors import ArtificialDeadlockError, EndOfStreamError
 from repro.kpn import Network
-from repro.kpn.aio import EventLoop, LoopPool, Task, async_hostable
+from repro.kpn.aio import EventLoop, Task, async_hostable
 from repro.kpn.process import IterativeProcess
 from repro.kpn.scheduler import DeadlockPolicy
 from repro.processes import Collect, Scale, Sequence
@@ -211,23 +211,24 @@ def test_task_duck_types_thread_surface():
         t.join(0.1)  # second join is a no-op, like a finished Thread
 
 
-def test_loop_pool_restarts_after_stop_and_multi_worker():
-    pool = LoopPool(workers=2, name="t-pool")
-    a, b = pool.place(), pool.place()
-    assert a is not b  # round-robin over two loops
-    pool.stop()
-    assert not pool.active
-    c = pool.place()   # lazily rebuilds after a stop
-    assert pool.active and not c.stopped
-    pool.stop()
-
-    net = Network(name="mw", backend="async", workers=2)
+def test_network_loop_restarts_after_stop():
+    net = Network(name="mw", backend="async")
     ch = net.channel(name="mw-ch")
     out = []
     net.add(Sequence(ch.get_output_stream(), iterations=200, name="s"))
     net.add(Collect(ch.get_input_stream(), out, name="c"))
     assert net.run(timeout=60)
     assert out == list(range(200))
+    first = net._loop
+    assert first.stopped and first.thread.name == "mw-loop"
+    # a task spawned after the run starts a fresh loop
+    ch = net.channel(name="mw-again")
+    again = []
+    net.spawn(Sequence(ch.get_output_stream(), iterations=50, name="s2"))
+    net.spawn(Collect(ch.get_input_stream(), again, name="c2"))
+    assert net.join(timeout=60)
+    assert again == list(range(50))
+    assert net._loop is not first and net._loop.stopped
 
 
 def test_event_loop_survives_runner_failure():

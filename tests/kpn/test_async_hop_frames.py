@@ -129,7 +129,7 @@ def stop(net, items):
 
 def test_one_token_hop_is_at_most_17_frames_on_the_loop_thread():
     net, items, results = ring("frames")
-    loop_name = "frames-loop-0"
+    loop_name = "frames-loop"
     counting = False
     frames = {}
 
@@ -314,7 +314,7 @@ def test_block_spans_keep_the_task_name_and_lane():
     for e in events:
         # nothing is emitted from the loop's own lane: every event of a
         # step, a park or a wake belongs to a task or a real thread
-        assert e.thread_name != "lanes-loop-0", e
+        assert e.thread_name != "lanes-loop", e
         if e.tid < 0:
             assert lanes[e.tid] == e.thread_name, e
     for e in blocks:
@@ -363,7 +363,7 @@ def test_wake_from_a_borrowed_thread_reaches_the_sleeping_loop():
     net.add(Relay(x.get_input_stream(), y.get_output_stream(), name="fwd"))
     net.add(StrictCollect(y.get_input_stream(), got, name="collect"))
     net.start()
-    loop = net._loops.place()
+    loop = net._loop
     forward = next(a for a in net.live_threads() if a.name == "fwd")
     deadline = time.monotonic() + 10
     # "fwd" sleeps on its borrowed thread, "collect" is parked on y, and
@@ -399,7 +399,7 @@ class Arrivals(queue.Queue):
 
 
 def test_hand_offs_under_a_tiny_switch_interval_lose_no_wake_up(handoffs):
-    """One token at a time through ungated relays on three loops: each
+    """One token at a time through ungated relays on one loop: each
     finds its input empty, hands off, and from the borrowed thread wakes
     the next relay and requeues itself, with a thread switch forced
     every microsecond.  Every token arrives, in order."""
@@ -407,8 +407,7 @@ def test_hand_offs_under_a_tiny_switch_interval_lose_no_wake_up(handoffs):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        net = Network(name="stress", backend="async", bounded=False,
-                      workers=3)
+        net = Network(name="stress", backend="async", bounded=False)
         chans = [net.channel(name=f"st-{k}") for k in range(6)]
         items, arrivals = queue.Queue(), Arrivals()
         net.add(Feed(chans[0].get_output_stream(), items, name="st-feed"))

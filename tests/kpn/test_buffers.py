@@ -6,7 +6,7 @@ import time
 import pytest
 
 from repro.errors import BrokenChannelError, ChannelClosedError
-from repro.kpn.buffers import BlockAccounting, BoundedByteBuffer
+from repro.kpn.buffers import BlockAccounting, BoundedByteBuffer, _Sleeper
 
 from tests.conftest import start_thread
 
@@ -316,26 +316,14 @@ def test_unowned_accounting_kicks_on_a_wait_never_on_a_wake():
     assert acct.total_blocked == 0
 
 
-# ---------------------------------------------------------------------------
-# listeners (Turnstile wait-any feed)
-# ---------------------------------------------------------------------------
-
-def test_listener_fires_on_data_and_eof():
-    buf = BoundedByteBuffer(64)
-    event = threading.Event()
-    buf.add_listener(event.set)
-    buf.write(b"x")
-    assert event.is_set()
-    event.clear()
-    buf.close_write()
-    assert event.is_set()
-
-
-def test_remove_listener():
-    buf = BoundedByteBuffer(64)
-    event = threading.Event()
-    buf.add_listener(event.set)
-    buf.remove_listener(event.set)
-    buf.write(b"x")
-    assert not event.is_set()
-    buf.remove_listener(event.set)  # removing twice is harmless
+def test_a_sleeper_on_several_lists_tolerates_a_second_wake():
+    # a reader of several channels sleeps on each of their reader lists:
+    # two rings may both wake it before it takes itself off them
+    acct = BlockAccounting()
+    buf = BoundedByteBuffer(64, accounting=acct)
+    key = acct._enter(buf, "read")
+    sleeper = _Sleeper(acct, key)
+    sleeper.unparked(buf, "read")
+    sleeper.unparked(buf, "read")
+    assert sleeper.lock.acquire(timeout=0)
+    assert acct.total_blocked == 0

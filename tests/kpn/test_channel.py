@@ -7,7 +7,8 @@ import pytest
 
 from repro.errors import BrokenChannelError, EndOfStreamError
 from repro.kpn.buffers import BlockAccounting
-from repro.kpn.channel import Channel, make_channels, wait_any_readable
+from repro.kpn.channel import (Channel, ChannelInputStream, make_channels,
+                               wait_any_readable)
 
 from tests.conftest import start_thread
 
@@ -141,6 +142,35 @@ def test_wait_any_reports_eof_as_ready():
 def test_wait_any_timeout_returns_empty():
     a = Channel(64)
     assert wait_any_readable([a.get_input_stream()], timeout=0.05) == []
+
+
+def test_wait_any_wakes_on_late_data_on_a_later_input():
+    a, b = Channel(64), Channel(64)
+
+    def late_writer():
+        time.sleep(0.05)
+        b.get_output_stream().write(b"y")
+
+    start_thread(late_writer)
+    ready = wait_any_readable([a.get_input_stream(), b.get_input_stream()],
+                              timeout=10)
+    assert ready == [1]
+    assert not a.buffer._readers and not b.buffer._readers
+
+
+def test_an_idle_wait_sleeps_instead_of_polling(monkeypatch):
+    a, b = Channel(64), Channel(64)
+    looks = []
+    poll_ready = ChannelInputStream.poll_ready
+
+    def counted(self):
+        looks.append(self)
+        return poll_ready(self)
+
+    monkeypatch.setattr(ChannelInputStream, "poll_ready", counted)
+    assert wait_any_readable([a.get_input_stream(), b.get_input_stream()],
+                             timeout=0.3) == []
+    assert len(looks) <= 4
 
 
 def test_wait_any_multiple_ready_reports_all():

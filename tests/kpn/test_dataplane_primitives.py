@@ -1,6 +1,7 @@
 """Unit tests for the zero-copy data-plane primitives of BoundedByteBuffer
 (write_vectored / write_donate / drain_up_to)."""
 
+import sys
 import threading
 import time
 
@@ -99,6 +100,38 @@ def test_write_donate_respects_history_recording():
     buf.write_donate(bytearray(b"logged"))
     assert buf.read(64) == b"logged"
     assert buf.history_bytes() == b"logged"
+
+
+def test_write_donate_adopts_storage_while_recording_history():
+    buf = BoundedByteBuffer(64)
+    buf.record_history()
+    frame = bytearray(b"logged")
+    buf.write_donate(frame)
+    assert buf._data is frame
+    assert buf.history_bytes() == b"logged"
+    assert buf.read(64) == b"logged"
+
+
+def test_write_donate_copies_the_rest_once_part_is_written():
+    """A donation written in part that then finds the ring empty with
+    room for all of it copies the rest: adopting it would repeat the part
+    already written."""
+    buf = BoundedByteBuffer(4)
+    writer = start_thread(lambda: buf.write_donate(bytearray(b"0123456789")))
+    deadline = time.monotonic() + 10
+    while not buf._writers:
+        assert time.monotonic() < deadline, "the writer never blocked"
+        time.sleep(0.001)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1.0)
+    try:
+        head = buf.drain()      # wakes the writer, which has not run ...
+        buf.grow(64)            # ... when the ring is empty with room
+    finally:
+        sys.setswitchinterval(interval)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert head + buf.drain() == b"0123456789"
 
 
 def test_write_donate_raises_when_reader_closed():

@@ -233,7 +233,7 @@ def test_step_blocking_on_its_second_read_hands_off(handoffs):
                   name="side-gated"))
     net.add(Collect(side.get_input_stream(), others, name="others"))
     net.start()
-    loop = net._loops.place()
+    loop = net._loop
     first_thread = loop.thread
 
     go.release()                                # first element only

@@ -1,10 +1,16 @@
 """Routing processes: Guard, ModuloRouter, Scatter/Gather, Direct/Turnstile/Select."""
 
+import threading
+import time
+
 import pytest
 
+from repro.errors import TrueDeadlockError
 from repro.kpn import Network
+from repro.kpn.process import IterativeProcess
 from repro.processes import (Collect, Direct, FromIterable, Gather, Guard,
-                             ModuloRouter, Scatter, Select, Sequence, Turnstile)
+                             MapProcess, ModuloRouter, Scatter, Select,
+                             Sequence, Turnstile)
 from repro.processes.codecs import BOOL, INT, OBJECT
 
 
@@ -137,6 +143,66 @@ def test_turnstile_pairs_results_with_indices():
     # per-worker FIFO preserved
     w0 = [r for i, r in got_pairs if i == 0]
     assert w0 == ["x0", "x1"]
+
+
+@pytest.mark.parametrize("backend", ["thread", "async"])
+def test_a_turnstile_cycle_with_no_token_is_a_true_deadlock(backend):
+    """Turnstile -> worker -> Turnstile with nothing in flight: the
+    Turnstile's wait on its inputs is a blocked read like the worker's,
+    so the monitor names the deadlock instead of the run timing out."""
+    net = Network(name="tcycle", backend=backend)
+    pairs, results, idx = net.channels_n(3, prefix="tc")
+    net.add(Turnstile([results.get_input_stream()], pairs.get_output_stream(),
+                      idx.get_output_stream(), name="turnstile"))
+    net.add(MapProcess(pairs.get_input_stream(), results.get_output_stream(),
+                       lambda pair: pair[1], codec=OBJECT, name="worker"))
+    net.add(Collect(idx.get_input_stream(), [], codec=INT, name="indices"))
+    start = time.monotonic()
+    with pytest.raises(TrueDeadlockError) as info:
+        net.run(timeout=3)
+    assert time.monotonic() - start < 2
+    assert "turnstile" in info.value.blocked
+
+
+class Bystander(IterativeProcess):
+    """Live, and waiting on an event rather than a channel."""
+
+    kpn_async = False
+
+    def __init__(self, go, **kw):
+        super().__init__(iterations=1, **kw)
+        self.go = go
+
+    def step(self):
+        assert self.go.wait(10)
+
+
+def test_a_waiting_turnstile_is_listed_as_blocked_reading():
+    net = Network(name="tsnap")
+    a, b = net.channel(name="ts-a"), net.channel(name="ts-b")
+    pairs, idx = net.channels_n(2, prefix="ts-out")
+    go, got = threading.Event(), []
+    net.add(Turnstile([a.get_input_stream(), b.get_input_stream()],
+                      pairs.get_output_stream(), idx.get_output_stream(),
+                      name="turnstile"))
+    net.add(Collect(pairs.get_input_stream(), got, codec=OBJECT, name="pairs"))
+    net.add(Collect(idx.get_input_stream(), [], codec=INT, name="indices"))
+    net.add(Bystander(go, name="bystander"))
+    net.start()
+    deadline = time.monotonic() + 5
+    entry = None
+    while entry is None and time.monotonic() < deadline:
+        entry = next((e for e in net.wait_snapshot()["blocked"]
+                      if e["thread"] == "turnstile"), None)
+        time.sleep(0.005)
+    assert entry is not None, "the waiting Turnstile is not listed"
+    assert (entry["mode"], entry["channel"]) == ("read", "ts-a")
+    OBJECT.write(b.get_output_stream(), "r")
+    for ch in (a, b):
+        ch.get_output_stream().close()
+    go.set()
+    assert net.join(timeout=10)
+    assert got == [(1, "r")]
 
 
 def test_select_resequences_to_dispatch_order():
