@@ -14,14 +14,16 @@ Three passes over a constructed (not yet started) :class:`Network`:
 
 1. **Chain fusion** — detect maximal linear chains of eligible processes
    (head: one output; interior: one input, one output; tail: anything)
-   and replace each with a :class:`FusedChain`: one thread that runs the
-   *tail* stage eagerly and pumps an upstream stage one ``step`` at a
-   time when an intra-chain read finds its pipe empty.  An interior map
-   that declares ``element_fn`` between two object-mode pipes is
-   *pulled* instead: its consumer's read takes one object from the
-   stage's input pipe and applies the function in place, with no pump,
-   no codec and no queue in between, so a run of maps costs function
-   application.  Intra-chain channels keep their
+   and replace each with a :class:`FusedChain`: one thread that steps
+   the *tail* stage eagerly and steps an upstream stage one ``step`` at
+   a time when an intra-chain read finds its pipe empty.  An interior
+   map that declares ``element_fn`` between two object-mode pipes is
+   *pulled* instead: the read of the last pipe of a run of pulled maps
+   takes one object from the run's first pipe and applies each map's
+   function in turn, in one loop, with no pump, no codec and no queue
+   in between, so a run of maps costs its function calls.  A stage's
+   driver pumps it only to start it, at its ``iterations=`` budget and
+   at its end.  Intra-chain channels keep their
    :class:`~repro.kpn.channel.Channel` identity (names, graph/profiler
    visibility, history capture) but their ring buffers are bypassed by
    lock-free :class:`collections.deque` pipes — and where producer and
@@ -57,7 +59,7 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import (BrokenChannelError, ChannelClosedError,
                           EndOfStreamError)
@@ -80,12 +82,12 @@ class _FusedPipe:
     """Unbounded single-thread conduit replacing one fused channel's ring.
 
     Entries are ``bytes`` chunks or ``(object,)`` wrappers (the object
-    fast path).  A read that finds the pipe empty *pumps* the upstream
-    stage driver — production happens inside the read call, which is
-    what lets a whole chain run demand-driven in one thread with no
-    locks, no condition variables, and no coroutines.  An object read
-    from a *pulled* stage's pipe goes one step further and runs the
-    stage itself: see :meth:`read_object`.
+    fast path).  A read that finds the pipe empty *steps* the upstream
+    stage — production happens inside the read call, which is what lets
+    a whole chain run demand-driven in one thread with no locks, no
+    condition variables, and no coroutines.  The pipe at the end of a
+    run of *pulled* stages goes one step further and runs the whole run
+    itself: see :meth:`read_object`.
 
     Unboundedness cannot introduce deadlock: it only ever *removes*
     write blocking, and the pipe holds at most the run-ahead of single
@@ -113,19 +115,28 @@ class _FusedPipe:
         #: mirror written bytes into the channel buffer's history so
         #: HistoryCapture sees the same byte stream as an unfused run
         self.record_history = channel.buffer.history is not None
-        #: set by FusedChain when the producing stage is pulled: its
-        #: driver, the stage, its element function and its input pipe
-        self.pull: Optional[Tuple[_StepDriver, IterativeProcess,
-                                  Callable[[Any], Any], "_FusedPipe"]] = None
+        #: set by FusedChain on the output pipe of a run of pulled
+        #: stages: ``(element function, stage, driver)`` of each, first
+        #: to last, and the pipe each one reads
+        self.pulled: Optional[tuple] = None
+        self.pulled_from: Tuple["_FusedPipe", ...] = ()
+        #: ``(source pipe, pulled)`` while every pulled stage runs and no
+        #: pipe inside the run holds an entry: where each value enters
+        #: the run, known without looking; None means look (``_entry``)
+        self.steady: Optional[Tuple["_FusedPipe", tuple]] = None
 
     # -- producer side -----------------------------------------------------
-    def write_bytes(self, data) -> None:
+    def refuse_write(self) -> None:
+        """Raise what a write to this closed pipe raises."""
         if self.read_closed:
             raise BrokenChannelError(
                 f"write to channel {self.channel.name!r} after reader closed")
-        if self.write_closed:
-            raise ChannelClosedError(
-                f"write on closed channel {self.channel.name!r}")
+        raise ChannelClosedError(
+            f"write on closed channel {self.channel.name!r}")
+
+    def write_bytes(self, data) -> None:
+        if self.read_closed or self.write_closed:
+            self.refuse_write()
         data = bytes(data)
         if not data:
             return
@@ -134,12 +145,8 @@ class _FusedPipe:
         self.entries.append(data)
 
     def write_object(self, value: Any) -> None:
-        if self.read_closed:
-            raise BrokenChannelError(
-                f"write to channel {self.channel.name!r} after reader closed")
-        if self.write_closed:
-            raise ChannelClosedError(
-                f"write on closed channel {self.channel.name!r}")
+        if self.read_closed or self.write_closed:
+            self.refuse_write()
         self.entries.append((value,))
 
     def close_write(self, aborted: bool = False) -> None:
@@ -149,15 +156,18 @@ class _FusedPipe:
 
     def close_read(self) -> None:
         self.read_closed = True
+        self.steady = None
         self.entries.clear()
 
     # -- consumer side -----------------------------------------------------
     def _fill(self) -> bool:
         """Ensure at least one entry is queued; False at end of stream.
 
-        Empty pipe + live writer = demand: pump the upstream stage one
-        step and look again.  The pump either produces, finishes the
-        stage (whose ``on_stop`` closes our write side), or blocks in a
+        Empty pipe + live writer = demand: step the upstream stage and
+        look again.  A started stage within its ``iterations`` budget
+        steps right here; its driver's ``pump`` starts it, and ends it
+        at its budget.  The step either produces, finishes the stage
+        (whose ``on_stop`` closes our write side), or blocks in a
         *boundary* channel read — exactly where the producing thread of
         an unfused network would be blocked.
         """
@@ -173,19 +183,30 @@ class _FusedPipe:
             up = self.upstream
             if up is None:
                 return False
-            if not up.pump():
-                # The stage terminated, and its on_stop ran inside pump():
-                # loop so the close it performed is re-examined — a stage
-                # killed by a cascade *aborted* our write side, and that
-                # abort must surface as BrokenChannelError above, not as a
-                # fake EOF (an EOF-tolerant merge downstream would switch
-                # to pass-through and emit a timing-dependent tail).
-                if self.write_closed:
+            stage = up.stage
+            if (up.started and not up.finished
+                    and not 0 < stage.iterations <= stage.steps_completed):
+                try:
+                    stage.step()
+                except Exception as exc:  # noqa: BLE001 - as pump
+                    up.stop(stage._ended_by(exc))
+                else:
+                    stage.steps_completed += 1
                     continue
-                # on_stop overridden without closing its streams — the
-                # threaded runtime would leave the consumer blocked
-                # forever; report end of stream instead.
-                return False
+            elif up.pump():
+                continue
+            # The stage terminated, and its on_stop ran: loop so the close
+            # it performed is re-examined — a stage killed by a cascade
+            # *aborted* our write side, and that abort must surface as
+            # BrokenChannelError above, not as a fake EOF (an EOF-tolerant
+            # merge downstream would switch to pass-through and emit a
+            # timing-dependent tail).
+            if self.write_closed:
+                continue
+            # on_stop overridden without closing its streams — the
+            # threaded runtime would leave the consumer blocked forever;
+            # report end of stream instead.
+            return False
         return True
 
     def read(self, max_bytes: int) -> bytes:
@@ -202,45 +223,83 @@ class _FusedPipe:
                     return head
                 self.entries[0] = head[max_bytes:]
                 return head[:max_bytes]
+            # the last pulled stage may step (or end) in _fill, outside
+            # the run: the next object read looks again
+            self.steady = None
             if not self._fill():
                 return b""
 
     def read_object(self) -> Any:
         """The next element, as an object.
 
-        With nothing queued and a pulled producer that is running
-        (started, not finished), this read is the producer's step: one
-        object from its input pipe through its element function, counted
-        as a completed step.  An exception out of either ends the stage
-        exactly as one out of ``step`` would in a pump, and the loop then
-        reads the end of stream its cleanup left here.  The stage's
-        ``on_start`` and anything after it finishes go through its driver
-        as usual.
+        On the output pipe of a run of pulled stages, with nothing
+        queued, this read is one step of every stage of the run: one
+        object from the run's source pipe through each stage's element
+        function in order, each counted as a completed step.  An
+        exception out of the source read or out of stage k's function
+        ends stage k exactly as one out of its ``step`` would in a pump;
+        the loop then looks again (:meth:`_entry`), and the stages after
+        k read the end of stream its cleanup left, one by one, as they
+        would across threads.
         """
         while True:
-            if self.entries:
-                if type(self.entries[0]) is tuple:
-                    return self.entries.popleft()[0]
+            entries = self.entries
+            if entries:
+                if type(entries[0]) is tuple:
+                    return entries.popleft()[0]
                 # byte entries (producer bypassed the fast path): decode
                 # through the codec's ordinary stream reader, which pulls
                 # from this pipe via the consumer endpoint
                 return self.object_codec.read(self.reader_endpoint)
-            pull = self.pull
-            if pull is not None and not self.read_closed:
-                driver, stage, fn, source = pull
-                if not driver.started:
-                    driver.pump()           # on_start alone
+            entry = self.steady
+            if entry is None:
+                pulled = self.pulled
+                if (pulled is None or self.read_closed
+                        or pulled[-1][2].finished):
+                    # no running run: fill as any pipe
+                    if not self._fill():
+                        raise EndOfStreamError("end of stream")
                     continue
-                if not driver.finished:
-                    try:
-                        value = fn(source.read_object())
-                    except Exception as exc:  # noqa: BLE001 - as pump
-                        driver.stop(stage._ended_by(exc))
-                        continue
+                entry = self._entry()
+                if entry is None:
+                    continue
+            source, stages = entry
+            fn, stage, driver = stages[0]
+            try:
+                value = source.read_object()
+                for fn, stage, driver in stages:
+                    value = fn(value)
                     stage.steps_completed += 1
-                    return value
-            if not self._fill():
-                raise EndOfStreamError("end of stream")
+            except Exception as exc:  # noqa: BLE001 - as pump
+                self.steady = None
+                driver.stop(stage._ended_by(exc))
+                continue
+            return value
+
+    def _entry(self) -> Optional[Tuple["_FusedPipe", tuple]]:
+        """Where the next value enters the running pulled run feeding
+        this empty pipe: ``(pipe, stages)`` — read ``pipe``, then apply
+        each of ``stages`` — or None after an ``on_start`` ran (look
+        again: it may have queued an entry).
+
+        Looks at the run last stage first, as one read per stage would:
+        a stage not yet started runs its ``on_start`` (through its
+        driver's pump); a stage whose output pipe holds an entry, or
+        that has finished, is where the value comes from — a finished
+        stage's pipe yields its end of stream.
+        """
+        pulled = self.pulled
+        out = self
+        for k in range(len(pulled) - 1, -1, -1):
+            driver = pulled[k][2]
+            if not driver.started:
+                driver.pump()           # on_start alone
+                return None
+            if driver.finished or out.entries:
+                return out, pulled[k + 1:]
+            out = self.pulled_from[k]
+        self.steady = (out, pulled)
+        return self.steady
 
     def available(self) -> int:
         # object entries exist only in object mode, whose codec is a
@@ -311,7 +370,10 @@ class _CodecShim(Codec):
     def write(self, out, value) -> None:
         pipe = getattr(out, "_fused_pipe", None)
         if pipe is not None and pipe.object_codec is self._inner:
-            pipe.write_object(value)
+            # _FusedPipe.write_object, inline: one frame less an element
+            if pipe.read_closed or pipe.write_closed:
+                pipe.refuse_write()
+            pipe.entries.append((value,))
         else:
             self._inner.write(out, value)
 
@@ -347,10 +409,11 @@ class FusedChain(CompositeProcess):
     (:mod:`repro.kpn.topology`) and every pass reading it still see the
     member stages — but ``run`` replaces thread-per-member execution
     with the demand-driven loop: the tail stage runs eagerly; empty
-    intra-chain pipes pump their upstream stage from inside the read, or
-    run it in place when the plan marked it pulled.  Stages are then
-    finished tail-to-head, so closing streams cascades termination
-    exactly as it would across threads.
+    intra-chain pipes step their upstream stage from inside the read,
+    and the last pipe of a run of stages the plan marked pulled runs the
+    whole run in place.  Stages are then finished tail-to-head, so
+    closing streams cascades termination exactly as it would across
+    threads.
     """
 
     def __init__(self, stages: Sequence[IterativeProcess],
@@ -363,13 +426,20 @@ class FusedChain(CompositeProcess):
         self.pipes: List[_FusedPipe] = list(pipes)
         self.drivers: List[_StepDriver] = [_StepDriver(s, fused=True)
                                           for s in stages]
-        # pipe i carries stage i -> stage i+1
+        # pipe i carries stage i -> stage i+1 (so stage i reads pipe
+        # i-1); a run of pulled stages is run by its last one's pipe
+        run: List[int] = []
         for i, (pipe, driver) in enumerate(zip(self.pipes, self.drivers)):
             pipe.upstream = driver
-            stage = driver.stage
-            if stage in pulled:
-                pipe.pull = (driver, stage, stage.element_fn(),
-                             self.pipes[i - 1])
+            if driver.stage in pulled:
+                run.append(i)
+                if self.drivers[i + 1].stage not in pulled:
+                    pipe.pulled = tuple(
+                        (self.drivers[k].stage.element_fn(),
+                         self.drivers[k].stage, self.drivers[k])
+                        for k in run)
+                    pipe.pulled_from = tuple(self.pipes[k - 1] for k in run)
+                    run = []
 
     @property
     def channel_names(self) -> List[str]:

@@ -434,9 +434,11 @@ class _StepDriver:
     compiler-fused chain (pumped from inside its consumer's read), a
     cooperative task (pumped by its event loop).  A task's pump runs
     ``steps`` where the thread loop would; a fused stage's always runs
-    one ``step``.  A fused map stage the compiler marked *pulled* is
-    pumped only to start it and to finish it: between the two its
-    consumer's read applies its ``element_fn`` in place and ends it
+    one ``step``.  A fused stage is pumped only to start it, at its
+    ``iterations=`` budget and at its end: once started, its chain's
+    :meth:`drive` loop or its consumer's pipe calls its ``step``
+    directly, and a stage the compiler marked *pulled* is one function
+    call in the loop of the read that pulls its run, which ends it
     through :meth:`stop` (see :class:`repro.kpn.compile._FusedPipe`).
     """
 
@@ -489,9 +491,18 @@ class _StepDriver:
         self.stage._finish(reason, self._traced)
 
     def drive(self) -> None:
-        """Run the process to completion."""
+        """Run the process to completion (a fused chain's stages, tail
+        first): ``pump`` starts it and ends it, and between the two it
+        steps in this loop itself, one ``step`` a call."""
+        st = self.stage
         while self.pump():
-            pass
+            while not 0 < st.iterations <= st.steps_completed:
+                try:
+                    st.step()
+                except Exception as exc:  # noqa: BLE001 - as pump
+                    self.stop(st._ended_by(exc))
+                    return
+                st.steps_completed += 1
 
 
 class CompositeProcess(Process):
