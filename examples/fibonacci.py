@@ -47,8 +47,9 @@ def denotational() -> None:
     print("== denotational check (least fixed point) ==")
     solution = fibonacci_equations(max_len=25).solve()
     operational = fibonacci(20).run(timeout=30)
-    print("fixed point ['fh'][:20] ==", list(solution["fh"][:20]))
-    assert list(solution["fh"][:20]) == operational
+    fixed_point = list(solution.history("fh")[:20])
+    print("fixed point ['fh'][:20] ==", fixed_point)
+    assert fixed_point == operational
     print("operational history equals the least fixed point — determinate.")
 
 

@@ -8,9 +8,9 @@ A from-scratch reproduction of *Distributed Process Networks in Java*
   bounded scheduling with automatic buffer growth;
 * :mod:`repro.processes` — the standard process library and the paper's
   example graphs;
-* :mod:`repro.semantics` — Kahn's denotational semantics: streams as a
-  complete partial order, continuous kernels, least-fixed-point solving,
-  and a determinacy oracle used by the property tests;
+* :mod:`repro.semantics` — Kahn's denotational semantics: closed streams
+  as a complete partial order, continuous kernels, least-fixed-point
+  solving, and a determinacy oracle used by the property tests;
 * :mod:`repro.distributed` — compute servers, name registry, socket
   channels, and serialization-driven automatic connection establishment;
 * :mod:`repro.parallel` — the embarrassingly-parallel framework: generic

@@ -9,10 +9,12 @@ Reproduces section 3.2 of the paper:
   ``step`` / ``on_stop`` and an optional iteration limit; its ``run``
   method is a line-for-line analogue of the paper's Figure 4, including
   the silent swallowing of channel I/O exceptions that drives the
-  cascading-termination protocol of section 3.4.  A 1-in/1-out map may
-  also define ``steps``: several steps in one call, over the elements
-  its input endpoint already holds; and ``element_fn``: the function one
-  step applies to an element, which a fused chain calls in place.
+  cascading-termination protocol of section 3.4.  A process may also
+  define ``steps``: several steps in one call, over the elements its
+  input endpoint already holds; and ``element_fn``: the function one
+  step applies to an element, which a fused chain calls in place.  A
+  rate-1 map (:class:`repro.processes.transforms.Map`) states only the
+  function and derives the other two from it.
 * :class:`CompositeProcess` — hierarchy without deadlock: every component
   keeps "a separate thread for each process within a CompositeProcess to
   avoid introducing deadlock through composition".

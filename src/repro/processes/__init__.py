@@ -2,9 +2,10 @@
 
 Byte-level (type-independent): Cons, SelfRemovingCons, Duplicate, Identity.
 Typed (codec-parameterized): Constant, Sequence, FromIterable, Print,
-Collect, Discard, Scale, MapProcess, Add/Subtract/Multiply/Divide/Average/
-Equal, ModuloFilter, OrderedMerge, Guard, ModuloRouter, Scatter, Gather,
-Direct, Turnstile, Select, Sift, RecursiveSift.
+Collect, Discard, Map (the rate-1 map shape) with Scale and MapProcess,
+BinaryOp with Add/Subtract/Multiply/Divide/Average/Equal, ModuloFilter,
+OrderedMerge, Guard, ModuloRouter, Scatter, Gather, Direct, Turnstile,
+Select, Sift, RecursiveSift.
 
 :mod:`~repro.processes.networks` assembles them into the paper's example
 graphs (Fibonacci, sieve, Newton square root, Hamming, Figure 13).
@@ -24,8 +25,8 @@ from repro.processes.routing import (Direct, Gather, Guard, ModuloRouter,
                                      Scatter, Select, Turnstile)
 from repro.processes.sinks import Collect, Discard, Print
 from repro.processes.sources import Constant, FromIterable, Sequence
-from repro.processes.transforms import (Cons, Duplicate, Identity, MapProcess,
-                                        Scale, SelfRemovingCons)
+from repro.processes.transforms import (Cons, Duplicate, Identity, Map,
+                                        MapProcess, Scale, SelfRemovingCons)
 
 __all__ = [
     "Add", "Average", "BinaryOp", "Divide", "Equal", "ModuloFilter",
@@ -42,5 +43,6 @@ __all__ = [
     "Turnstile",
     "Collect", "Discard", "Print",
     "Constant", "FromIterable", "Sequence",
-    "Cons", "Duplicate", "Identity", "MapProcess", "Scale", "SelfRemovingCons",
+    "Cons", "Duplicate", "Identity", "Map", "MapProcess", "Scale",
+    "SelfRemovingCons",
 ]

@@ -19,7 +19,12 @@ __all__ = ["Add", "Subtract", "Multiply", "Divide", "Average", "Equal",
 
 
 class BinaryOp(IterativeProcess):
-    """Base: combine one element from each of two inputs per step."""
+    """Base: combine one element from each of two inputs per step.
+
+    A subclass states what a pair becomes, once, in :meth:`combine`; the
+    step applies it, and so does the kernel the semantics compiler
+    builds for every ``BinaryOp``.
+    """
 
     kpn_strict = True
     kpn_rate_balanced = True
@@ -120,9 +125,13 @@ class ModuloFilter(IterativeProcess):
         self.codec = get_codec(codec)
         self.track(source, out)
 
+    def keeps(self, value) -> bool:
+        """The filter's predicate: the step and the kernel both apply it."""
+        return value % self.divisor != 0
+
     def step(self) -> None:
         while True:
             value = self.codec.read(self.source)
-            if value % self.divisor != 0:
+            if self.keeps(value):
                 self.codec.write(self.out, value)
                 return

@@ -7,7 +7,7 @@ the classic streaming DSP blocks as Kahn processes.  All are continuous
 stream functions — rate-changing ones included (a downsampler consuming k
 inputs per output is still monotonic) — so networks built from them stay
 determinate, and each has a denotational kernel registered with the
-network compiler.
+network compiler (``Zip``'s is every ``BinaryOp``'s).
 
 Blocks
 ------
@@ -28,6 +28,7 @@ from typing import Any, Callable, Optional, Sequence
 
 from repro.kpn.process import IterativeProcess
 from repro.kpn.streams import InputStream, OutputStream
+from repro.processes.arithmetic import BinaryOp
 from repro.processes.codecs import Codec, DOUBLE, LONG, OBJECT, get_codec
 
 __all__ = ["Delay", "FIRFilter", "MovingAverage", "Downsample", "Upsample",
@@ -156,7 +157,7 @@ class Upsample(IterativeProcess):
             self.codec.write(self.out, self.fill)
 
 
-class Zip(IterativeProcess):
+class Zip(BinaryOp):
     """Pairs elements of two streams: out = ((a1,b1), (a2,b2), …).
 
     Output uses the object codec (tuples); inputs share ``codec``.
@@ -165,20 +166,11 @@ class Zip(IterativeProcess):
     def __init__(self, left: InputStream, right: InputStream,
                  out: OutputStream, iterations: int = 0,
                  codec: "Codec | str" = DOUBLE, name: Optional[str] = None) -> None:
-        super().__init__(iterations=iterations, name=name)
-        self.left = left
-        self.right = right
-        self.out = out
-        self.codec = get_codec(codec)
-        self.track(left, right, out)
+        super().__init__(left, right, out, iterations=iterations, codec=codec,
+                         out_codec=OBJECT, name=name)
 
-    def awaits(self):
-        return self.left, self.right
-
-    def step(self) -> None:
-        a = self.codec.read(self.left)
-        b = self.codec.read(self.right)
-        OBJECT.write(self.out, (a, b))
+    def combine(self, a, b):
+        return (a, b)
 
 
 class Unzip(IterativeProcess):
@@ -314,12 +306,6 @@ def _register_dsp_kernels() -> None:
             return (CStream(tuple(out), s.closed),)
 
         ctx.node(p, kernel, [p.source], [p.out])
-
-    @register_kernel(Zip)
-    def _zip(p, ctx):
-        from repro.semantics.closed import ck_binary
-
-        ctx.node(p, ck_binary(lambda a, b: (a, b)), [p.left, p.right], [p.out])
 
     @register_kernel(Unzip)
     def _unzip(p, ctx):

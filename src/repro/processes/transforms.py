@@ -13,12 +13,12 @@ bytes and need not be aware of any structure within a byte stream."
   downstream channel and removes itself from the graph, so no copying
   thread remains.
 * :class:`Duplicate` — fan-out of one byte stream to N outputs (Figure 5).
-* :class:`Scale`, :class:`MapProcess` — element-level transforms used by
-  the Hamming network (Figure 12) and general plumbing.  Both are rate-1
-  maps, so on fixed-width codecs their ``steps`` turns every whole
-  element the input endpoint has already read ahead into one unpack, one
-  pack and one channel write, and their ``element_fn`` lets a fused
-  chain apply them inside their consumer's read.
+* :class:`Map` — the shape of a rate-1 element map.  On fixed-width
+  codecs its ``steps`` turns every whole element the input endpoint has
+  already read ahead into one unpack, one pack and one channel write.
+* :class:`Scale`, :class:`MapProcess` — the library's maps, used by the
+  Hamming network (Figure 12) and general plumbing: each is a
+  constructor and an ``element_fn``.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from repro.kpn.process import IterativeProcess, StopProcess
 from repro.kpn.streams import InputStream, OutputStream
 from repro.processes.codecs import Codec, LONG, get_codec
 
-__all__ = ["Cons", "SelfRemovingCons", "Duplicate", "Scale", "MapProcess", "Identity"]
+__all__ = ["Cons", "SelfRemovingCons", "Duplicate", "Map", "Scale", "MapProcess",
+           "Identity"]
 
 #: chunk size for byte-level copying; FIFO order is preserved regardless
 COPY_CHUNK = 4096
@@ -186,50 +187,78 @@ class Identity(IterativeProcess):
         self.out.write(chunk)
 
 
-class Scale(IterativeProcess):
-    """Multiplies each element by a constant (Hamming network, Figure 12)."""
+class Map(IterativeProcess):
+    """A rate-1 map: a subclass states what one element becomes, once, in
+    :meth:`element_fn`, and ``step``, the batched ``steps``, a fused
+    chain's pulled read and the compiled kernel all apply it.
+
+    ``element_fn`` builds the function from the process's attributes
+    each time it is called, so the process pickles (migration, shipping
+    to a server) whatever the function closes over.
+    """
 
     kpn_strict = True
     kpn_rate_balanced = True
 
-    def __init__(self, source: InputStream, out: OutputStream, factor: Any,
+    def __init__(self, source: InputStream, out: OutputStream,
                  iterations: int = 0, codec: "Codec | str" = LONG,
+                 out_codec: "Codec | str | None" = None,
                  name: Optional[str] = None) -> None:
         super().__init__(iterations=iterations, name=name)
         self.source = source
         self.out = out
-        self.factor = factor
         self.codec = get_codec(codec)
+        self.out_codec = get_codec(out_codec) if out_codec is not None else self.codec
         self.track(source, out)
 
-    def step(self) -> None:
-        self.codec.write(self.out, self.codec.read(self.source) * self.factor)
-
     def element_fn(self) -> Callable[[Any], Any]:
-        """What ``step`` does to one element."""
-        factor = self.factor
-        return lambda value: value * factor
+        """What one step does to one element."""
+        raise NotImplementedError
+
+    def step(self) -> None:
+        self.out_codec.write(self.out,
+                             self.element_fn()(self.codec.read(self.source)))
 
     def steps(self, limit: int) -> int:
-        codec = self.codec
-        if codec.width is None:
+        codec, out_codec = self.codec, self.out_codec
+        if codec.width is None or out_codec.width is None:
             self.step()
             return 1
-        source, factor = self.source, self.factor
-        first = codec.read(source) * factor
+        source, fn = self.source, self.element_fn()
+        first = fn(codec.read(source))
         ready = source.take_ready(codec.width, limit - 1)
         if ready is None:
             # a lone element goes out as step writes it: a run of one
             # would cost a paced chain latency at every hop
-            codec.write(self.out, first)
+            out_codec.write(self.out, first)
             return 1
-        values = [first]
-        values += [value * factor for value in codec.unpack_all(ready)]
-        codec.write_all(self.out, values)
-        return len(values)
+        results = [first]
+        try:
+            for value in codec.unpack_all(ready):
+                results.append(fn(value))
+        finally:
+            # on a failure, what one element per step would have written
+            # before fn failed on this element
+            out_codec.write_all(self.out, results)
+        return len(results)
 
 
-class MapProcess(IterativeProcess):
+class Scale(Map):
+    """Multiplies each element by a constant (Hamming network, Figure 12)."""
+
+    def __init__(self, source: InputStream, out: OutputStream, factor: Any,
+                 iterations: int = 0, codec: "Codec | str" = LONG,
+                 name: Optional[str] = None) -> None:
+        super().__init__(source, out, iterations=iterations, codec=codec,
+                         name=name)
+        self.factor = factor
+
+    def element_fn(self) -> Callable[[Any], Any]:
+        factor = self.factor
+        return lambda value: value * factor
+
+
+class MapProcess(Map):
     """Applies a pure function to each element.
 
     The host-language escape hatch of section 1: any Python callable can
@@ -237,48 +266,14 @@ class MapProcess(IterativeProcess):
     other processes) the network remains determinate.
     """
 
-    kpn_strict = True
-    kpn_rate_balanced = True
-
     def __init__(self, source: InputStream, out: OutputStream,
                  fn: Callable[[Any], Any], iterations: int = 0,
                  codec: "Codec | str" = LONG,
                  out_codec: "Codec | str | None" = None,
                  name: Optional[str] = None) -> None:
-        super().__init__(iterations=iterations, name=name)
-        self.source = source
-        self.out = out
+        super().__init__(source, out, iterations=iterations, codec=codec,
+                         out_codec=out_codec, name=name)
         self.fn = fn
-        self.codec = get_codec(codec)
-        self.out_codec = get_codec(out_codec) if out_codec is not None else self.codec
-        self.track(source, out)
-
-    def step(self) -> None:
-        self.out_codec.write(self.out, self.fn(self.codec.read(self.source)))
 
     def element_fn(self) -> Callable[[Any], Any]:
-        """What ``step`` does to one element."""
         return self.fn
-
-    def steps(self, limit: int) -> int:
-        codec, out_codec = self.codec, self.out_codec
-        if codec.width is None or out_codec.width is None:
-            self.step()
-            return 1
-        source, fn = self.source, self.fn
-        first = fn(codec.read(source))
-        ready = source.take_ready(codec.width, limit - 1)
-        if ready is None:
-            out_codec.write(self.out, first)
-            return 1
-        results = [first]
-        try:
-            for value in codec.unpack_all(ready):
-                results.append(fn(value))
-        except Exception:
-            # what one element per step would have written before fn
-            # failed on this element
-            out_codec.write_all(self.out, results)
-            raise
-        out_codec.write_all(self.out, results)
-        return len(results)

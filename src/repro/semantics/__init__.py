@@ -1,13 +1,16 @@
 """Kahn's denotational semantics (paper section 2), executable.
 
-Streams form a complete partial order under the prefix relation
-(:mod:`~repro.semantics.streams`); processes are continuous functions on
-it (:mod:`~repro.semantics.kernels`); a network's meaning is the least
-fixed point of its equations, found by Kleene iteration
-(:mod:`~repro.semantics.fixpoint`); and determinacy — the paper's central
-correctness claim — is checked by comparing operational histories against
-that fixed point and across schedules
-(:mod:`~repro.semantics.determinacy`).
+A stream value is a finite prefix plus a flag saying whether it is
+complete, ordered by extension (:mod:`~repro.semantics.closed`, the one
+domain); processes are continuous functions on it — the ``ck_*``
+kernels, which :mod:`~repro.semantics.compile` derives from a built
+network, reading each map's ``element_fn`` and each binary operator's
+``combine``; a network's meaning is the least fixed point of its
+equations, found by Kleene iteration
+(:class:`~repro.semantics.closed.ClosedEquationNetwork`); and
+determinacy — the paper's central correctness claim — is checked by
+comparing operational histories against that fixed point and across
+schedules (:mod:`~repro.semantics.determinacy`).
 """
 
 from repro.semantics.closed import (CBOTTOM, CStream, ClosedEquationNetwork,
@@ -20,11 +23,6 @@ from repro.semantics.determinacy import (fibonacci_equations,
                                          hamming_equations, hamming_reference,
                                          histories_under_capacities,
                                          primes_reference, sieve_equations)
-from repro.semantics.fixpoint import (EquationNetwork, FixpointResult,
-                                      NonMonotonicError)
-from repro.semantics.streams import (BOTTOM, cons, first, glb, is_chain, lub,
-                                     prefix_le, rest, take, tuple_prefix_le,
-                                     tuples_lub)
 
 __all__ = [
     "CBOTTOM", "CStream", "ClosedEquationNetwork", "cprefix_le",
@@ -33,7 +31,4 @@ __all__ = [
     "fibonacci_equations", "fibonacci_reference", "hamming_equations",
     "hamming_reference", "histories_under_capacities", "primes_reference",
     "sieve_equations",
-    "EquationNetwork", "FixpointResult", "NonMonotonicError",
-    "BOTTOM", "cons", "first", "glb", "is_chain", "lub", "prefix_le", "rest",
-    "take", "tuple_prefix_le", "tuples_lub",
 ]

@@ -1,24 +1,31 @@
-"""Closed-stream semantics: prefixes enriched with termination information.
+"""Closed-stream semantics: the one denotational domain (paper section 2).
 
-The plain prefix domain of :mod:`repro.semantics.streams` cannot express
-"this stream is *finished*", so kernels over it must be conservative:
-an ordered merge may never drain its surviving input (the other side's
-next element might still undercut it), and Cons may only switch to its
-tail once the head is complete.  Operationally, completeness is exactly
+A stream is a finite prefix plus termination information.  A bare prefix
+cannot say "this stream is *finished*", so kernels over prefixes alone
+must be conservative: an ordered merge could never drain its surviving
+input (the other side's next element might still undercut it), and Cons
+could never switch to its tail.  Operationally, completeness is exactly
 what channel end-of-stream delivers — so to predict the runtime's full
-histories, the denotational domain needs it too.
+histories, the denotational domain carries it too.
 
 Here a stream value is a :class:`CStream` ``(elems, closed)`` with order
 
     (a, ca) ⊑ (b, cb)   iff   a prefix-of b  and  (ca ⇒ (cb and a == b))
 
 i.e. a closed stream is maximal: nothing extends it.  ⊥ is ``((), False)``.
-This is still a CPO (chains stabilize once closed), all the ``ck_*``
-kernels below are monotonic in it, and :class:`ClosedEquationNetwork`
-solves fixed points by the same Kleene iteration.  The network compiler
-(:mod:`repro.semantics.compile`) runs on this domain, which is what lets
-it predict, e.g., that Figure 13's merge emits *all* 60 integers — the
-last few only flow after the upper branch's end-of-stream.
+This is a CPO (chains stabilize once closed), all the ``ck_*`` kernels
+below are monotonic in it, and :class:`ClosedEquationNetwork` solves a
+network's equations by Kleene iteration::
+
+    X_0 = ⊥,   X_{j+1} = f(X_j),   meaning = ⊔_j X_j
+
+stopping at a fixed point (a terminating network) or at ``max_len``
+elements per stream (the finite prefix of an infinite behaviour).  The
+network compiler (:mod:`repro.semantics.compile`) and the hand-written
+equations of :mod:`repro.semantics.determinacy` run on this domain,
+which is what lets them predict, e.g., that Figure 13's merge emits
+*all* 60 integers — the last few only flow after the upper branch's
+end-of-stream.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 __all__ = [
     "CStream", "CBOTTOM", "cprefix_le",
-    "ck_source", "ck_identity", "ck_map", "ck_scale", "ck_duplicate",
+    "ck_source", "ck_identity", "ck_map", "ck_duplicate",
     "ck_binary", "ck_cons", "ck_filter", "ck_ordered_merge", "ck_guard",
     "ck_router", "ck_sieve",
     "ClosedEquationNetwork", "ClosedFixpointResult",
@@ -92,10 +99,6 @@ def ck_map(fn: Callable[[Any], Any]) -> CKernel:
         return (CStream(tuple(fn(x) for x in s.elems), s.closed),)
 
     return kernel
-
-
-def ck_scale(factor: Any) -> CKernel:
-    return ck_map(lambda x: x * factor)
 
 
 def ck_duplicate(n: int) -> CKernel:
@@ -246,11 +249,14 @@ class _CNode:
 
 
 class ClosedEquationNetwork:
-    """Kleene iteration over :class:`CStream` values.
+    """Builder and Kleene solver for a system of stream equations.
 
-    API mirrors :class:`~repro.semantics.fixpoint.EquationNetwork`; the
-    only differences are the value domain and that "converged" means a
-    genuine fixed point was reached with no stream truncated.
+    Declare streams by name and attach one producing kernel per stream
+    (single-producer, like operational channels).  "Converged" means a
+    genuine fixed point was reached with no stream truncated.  A kernel
+    that retracts output it produced in an earlier sweep raises
+    :class:`NonMonotonicClosedError`; one that reports a shorter but
+    consistent output keeps the longer history.
     """
 
     def __init__(self, max_len: int = 1000, max_iterations: int = 100000) -> None:

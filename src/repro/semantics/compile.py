@@ -24,8 +24,10 @@ an *open* stream truncated at the solver's ``max_len`` — so even
 data-dependently-terminating graphs (the Newton square-root network, via
 Guard's ``stop_after_true`` closing its output) compile and solve.
 
-Processes are mapped through a type-indexed registry; third-party
-processes can register their own kernels with :func:`register_kernel`.
+Processes are mapped through a type-indexed registry, walked up the
+class hierarchy; third-party processes can register their own kernels
+with :func:`register_kernel`.  A ``Map`` or a ``BinaryOp`` compiles from
+the function it states (``element_fn()``, ``combine``), subclasses too.
 Processes with no denotational meaning (the Turnstile is deliberately
 non-determinate) raise :class:`UncompilableProcessError`.
 """
@@ -41,7 +43,7 @@ from repro.semantics.closed import (CStream, ClosedEquationNetwork,
                                     ClosedFixpointResult, ck_binary, ck_cons,
                                     ck_duplicate, ck_filter, ck_guard,
                                     ck_identity, ck_map, ck_ordered_merge,
-                                    ck_router, ck_scale, ck_sieve, ck_source)
+                                    ck_router, ck_sieve, ck_source)
 
 __all__ = ["compile_network", "register_kernel", "CompiledNetwork",
            "UncompilableProcessError"]
@@ -139,16 +141,13 @@ def _open_source(items: Tuple[Any, ...]):
 # ---------------------------------------------------------------------------
 
 def _register_standard() -> None:
-    from repro.processes.arithmetic import (Add, Average, Divide, Equal,
-                                            ModuloFilter, Multiply, Subtract)
+    from repro.processes.arithmetic import BinaryOp, ModuloFilter
     from repro.processes.merges import OrderedMerge
     from repro.processes.reconfig import RecursiveSift, Sift
     from repro.processes.routing import Guard, ModuloRouter
     from repro.processes.sinks import Collect, Discard, Print
     from repro.processes.sources import Constant, FromIterable, Sequence
-    from repro.processes.transforms import (Cons, Duplicate, Identity,
-                                            MapProcess, Scale,
-                                            SelfRemovingCons)
+    from repro.processes.transforms import Cons, Duplicate, Identity, Map
 
     @register_kernel(Constant)
     def _c(p, ctx):
@@ -173,8 +172,6 @@ def _register_standard() -> None:
     def _cons(p, ctx):
         ctx.node(p, ck_cons, [p.head, p.tail], [p.out])
 
-    _COMPILERS[SelfRemovingCons] = _COMPILERS[Cons]
-
     @register_kernel(Duplicate)
     def _dup(p, ctx):
         ctx.node(p, ck_duplicate(len(p.outputs)), [p.source], list(p.outputs))
@@ -183,31 +180,17 @@ def _register_standard() -> None:
     def _id(p, ctx):
         ctx.node(p, ck_identity, [p.source], [p.out])
 
-    @register_kernel(Scale)
-    def _scale(p, ctx):
-        ctx.node(p, ck_scale(p.factor), [p.source], [p.out])
-
-    @register_kernel(MapProcess)
+    @register_kernel(Map)
     def _map(p, ctx):
-        ctx.node(p, ck_map(p.fn), [p.source], [p.out])
+        ctx.node(p, ck_map(p.element_fn()), [p.source], [p.out])
 
-    def _binary(op):
-        def compiler(p, ctx):
-            ctx.node(p, ck_binary(op), [p.left, p.right], [p.out])
-
-        return compiler
-
-    _COMPILERS[Add] = _binary(lambda a, b: a + b)
-    _COMPILERS[Subtract] = _binary(lambda a, b: a - b)
-    _COMPILERS[Multiply] = _binary(lambda a, b: a * b)
-    _COMPILERS[Divide] = _binary(lambda a, b: a / b)
-    _COMPILERS[Average] = _binary(lambda a, b: (a + b) / 2)
-    _COMPILERS[Equal] = _binary(lambda a, b: a == b)
+    @register_kernel(BinaryOp)
+    def _binary(p, ctx):
+        ctx.node(p, ck_binary(p.combine), [p.left, p.right], [p.out])
 
     @register_kernel(ModuloFilter)
     def _mf(p, ctx):
-        divisor = p.divisor
-        ctx.node(p, ck_filter(lambda x: x % divisor != 0), [p.source], [p.out])
+        ctx.node(p, ck_filter(p.keeps), [p.source], [p.out])
 
     @register_kernel(OrderedMerge)
     def _om(p, ctx):

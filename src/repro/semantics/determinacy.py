@@ -13,18 +13,20 @@ network".  Two executable consequences, both used by the test suite:
 
 2. **Operational = denotational** — the operational history must equal
    the least fixed point of the network's equations.
-   :func:`fibonacci_equations` and :func:`hamming_equations` build the
-   denotational models of the paper's two feedback networks.
+   :func:`fibonacci_equations`, :func:`hamming_equations` and
+   :func:`sieve_equations` write the paper's networks out by hand, over
+   the same closed-stream kernels :func:`~repro.semantics.compile.compile_network`
+   derives from a built network.
 """
 
 from __future__ import annotations
 
+import operator
 from typing import Any, Callable, List, Sequence
 
-from repro.semantics.fixpoint import EquationNetwork
-from repro.semantics.kernels import (k_add, k_cons, k_constant, k_duplicate,
-                                     k_ordered_merge, k_scale, k_sequence,
-                                     k_sieve)
+from repro.semantics.closed import (ClosedEquationNetwork, ck_binary, ck_cons,
+                                    ck_duplicate, ck_map, ck_ordered_merge,
+                                    ck_sieve, ck_source)
 
 __all__ = [
     "histories_under_capacities",
@@ -57,42 +59,41 @@ def histories_under_capacities(builder: Callable[[int], "object"],
 # denotational models of the paper's feedback networks
 # ---------------------------------------------------------------------------
 
-def fibonacci_equations(max_len: int = 40) -> EquationNetwork:
+def fibonacci_equations(max_len: int = 40) -> ClosedEquationNetwork:
     """Equations of Figures 2/6: B = cons(1,G), F = cons(1,B), G = B + F.
 
-    Solving yields stream ``F`` = 1, 1, 2, 3, 5, … — the history the
+    Solving yields stream ``fh`` = 1, 1, 2, 3, 5, … — the history the
     operational Fibonacci network must print.
     """
-    eq = EquationNetwork(max_len=max_len)
-    eq.node("seed-b", k_constant(1, 1), [], ["ab"])
-    eq.node("cons-b", k_cons, ["ab", "gb"], ["b"])
-    eq.node("dup-b", k_duplicate(2), ["b"], ["ed", "eg"])
-    eq.node("add", k_add, ["eg", "fg"], ["gb"])
-    eq.node("seed-f", k_constant(1, 1), [], ["cd"])
-    eq.node("cons-f", k_cons, ["cd", "ed"], ["f"])
-    eq.node("dup-f", k_duplicate(2), ["f"], ["fh", "fg"])
+    eq = ClosedEquationNetwork(max_len=max_len)
+    eq.node("seed-b", ck_source((1,)), [], ["ab"])
+    eq.node("cons-b", ck_cons, ["ab", "gb"], ["b"])
+    eq.node("dup-b", ck_duplicate(2), ["b"], ["ed", "eg"])
+    eq.node("add", ck_binary(operator.add), ["eg", "fg"], ["gb"])
+    eq.node("seed-f", ck_source((1,)), [], ["cd"])
+    eq.node("cons-f", ck_cons, ["cd", "ed"], ["f"])
+    eq.node("dup-f", ck_duplicate(2), ["f"], ["fh", "fg"])
     return eq
 
 
-def hamming_equations(max_len: int = 60) -> EquationNetwork:
+def hamming_equations(max_len: int = 60) -> ClosedEquationNetwork:
     """Equations of Figure 12: H = cons(1, merge(2H, merge(3H, 5H)))."""
-    eq = EquationNetwork(max_len=max_len)
-    eq.node("one", k_constant(1, 1), [], ["seed"])
-    eq.node("cons", k_cons, ["seed", "merged"], ["h"])
-    eq.node("dup", k_duplicate(4), ["h"], ["hx2", "hx3", "hx5", "hout"])
-    eq.node("s2", k_scale(2), ["hx2"], ["m2"])
-    eq.node("s3", k_scale(3), ["hx3"], ["m3"])
-    eq.node("s5", k_scale(5), ["hx5"], ["m5"])
-    eq.node("merge-a", k_ordered_merge(True), ["m2", "m3"], ["m23"])
-    eq.node("merge-b", k_ordered_merge(True), ["m23", "m5"], ["merged"])
+    eq = ClosedEquationNetwork(max_len=max_len)
+    eq.node("one", ck_source((1,)), [], ["seed"])
+    eq.node("cons", ck_cons, ["seed", "merged"], ["h"])
+    eq.node("dup", ck_duplicate(4), ["h"], ["hx2", "hx3", "hx5", "hout"])
+    for k in (2, 3, 5):
+        eq.node(f"s{k}", ck_map(lambda x, k=k: x * k), [f"hx{k}"], [f"m{k}"])
+    eq.node("merge-a", ck_ordered_merge(True), ["m2", "m3"], ["m23"])
+    eq.node("merge-b", ck_ordered_merge(True), ["m23", "m5"], ["merged"])
     return eq
 
 
-def sieve_equations(below: int, max_len: int = 1000) -> EquationNetwork:
+def sieve_equations(below: int, max_len: int = 1000) -> ClosedEquationNetwork:
     """Equations of Figure 7 with the whole Sift subgraph as one kernel."""
-    eq = EquationNetwork(max_len=max_len)
-    eq.node("source", k_sequence(2, max(0, below - 2)), [], ["feed"])
-    eq.node("sift", k_sieve, ["feed"], ["primes"])
+    eq = ClosedEquationNetwork(max_len=max_len)
+    eq.node("source", ck_source(range(2, below)), [], ["feed"])
+    eq.node("sift", ck_sieve, ["feed"], ["primes"])
     return eq
 
 

@@ -17,7 +17,8 @@ from repro.kpn import Network
 from repro.kpn.channel import Channel
 from repro.kpn.history import HistoryCapture
 from repro.kpn.process import IterativeProcess, _declares
-from repro.processes import Collect, FromIterable, MapProcess, Scale
+from repro.processes import (Collect, FromIterable, MapProcess, Scale,
+                             Sequence)
 from repro.processes.codecs import BOOL, DOUBLE, INT, LONG, StructCodec
 from repro.semantics.compile import compile_network
 from repro.telemetry.core import TELEMETRY
@@ -69,6 +70,14 @@ class PerElementScale(Scale):
 class PerElementMap(MapProcess):
     def step(self):
         super().step()
+
+
+class OffsetScale(Scale):
+    """Restates the function alone: every path must run this one."""
+
+    def element_fn(self):
+        factor = self.factor
+        return lambda value: value * factor + 1
 
 
 # ---------------------------------------------------------------------------
@@ -129,6 +138,21 @@ def test_histories_equal_the_fixed_point(mode, capacity):
     raw = capture.raw()
     for ch in (a, b, c, d):
         assert raw[ch.name] == _longs(predicted[ch.name]), ch.name
+
+
+@pytest.mark.parametrize("mode", MODES)
+def test_a_subclass_stating_only_element_fn_runs_it_everywhere(mode):
+    net = Network(backend="async" if mode == "async" else "thread")
+    a, b = net.channels_n(2)
+    out = []
+    net.add(Sequence(a.get_output_stream(), iterations=5))
+    net.add(OffsetScale(a.get_input_stream(), b.get_output_stream(), 3))
+    net.add(Collect(b.get_input_stream(), out))
+    predicted = compile_network(net).predict(b.name)
+    if mode == "fused":
+        assert net.optimize().fusion_plan.fused
+    assert net.run(timeout=30)
+    assert out == list(predicted) == [1, 4, 7, 10, 13]
 
 
 # ---------------------------------------------------------------------------

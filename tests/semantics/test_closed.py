@@ -59,6 +59,11 @@ def test_open_prefix_below_closed_whole(s):
     assert cprefix_le(open_prefix, s)
 
 
+@given(cstreams, st.integers(min_value=0, max_value=12))
+def test_take_is_a_prefix(s, n):
+    assert cprefix_le(s.take(n), s)
+
+
 def test_take_drops_closedness():
     s = CStream((1, 2, 3), True)
     assert s.take(2) == CStream((1, 2), False)

@@ -6,10 +6,10 @@ import pytest
 
 from repro.kpn import Network
 from repro.kpn.process import CompositeProcess, IterativeProcess
-from repro.processes import (Add, Collect, Cons, Duplicate, FromIterable,
-                             Guard, MapProcess, OrderedMerge, Scale, Sequence,
-                             fibonacci, hamming, modulo_merge, newton_sqrt,
-                             primes)
+from repro.processes import (Add, BinaryOp, Collect, Cons, Duplicate,
+                             FromIterable, Guard, MapProcess, OrderedMerge,
+                             Scale, Sequence, fibonacci, hamming, modulo_merge,
+                             newton_sqrt, primes)
 from repro.semantics.compile import (CompiledNetwork, UncompilableProcessError,
                                      compile_network, register_kernel)
 
@@ -197,3 +197,29 @@ def test_subclass_inherits_base_kernel():
     net.add(Collect(b.get_input_stream(), []))
     compiled = compile_network(net)
     assert compiled.predict("ch-1") == (10, 20)
+
+
+class CappedAdd(Add):
+    def combine(self, a, b):
+        return min(a + b, 10)
+
+
+class Max(BinaryOp):
+    def combine(self, a, b):
+        return max(a, b)
+
+
+@pytest.mark.parametrize("op, want", [(CappedAdd, [3, 10, 10]),
+                                      (Max, [2, 7, 9])])
+def test_a_binary_op_compiles_to_its_own_combine(op, want):
+    net = Network()
+    left, right, c = net.channels_n(3)
+    out = []
+    net.add(FromIterable(left.get_output_stream(), [1, 5, 8]))
+    net.add(FromIterable(right.get_output_stream(), [2, 7, 9]))
+    net.add(op(left.get_input_stream(), right.get_input_stream(),
+               c.get_output_stream()))
+    net.add(Collect(c.get_input_stream(), out))
+    predicted = compile_network(net).predict(c.name)
+    assert net.run(timeout=30)
+    assert out == list(predicted) == want

@@ -70,19 +70,19 @@ def test_fibonacci_determinate_property(count, capacity):
 def test_fibonacci_operational_equals_fixed_point():
     solution = fibonacci_equations(max_len=30).solve()
     operational = fibonacci(25).run(timeout=60)
-    assert list(solution["fh"][:25]) == operational
+    assert list(solution.history("fh")[:25]) == operational
 
 
 def test_hamming_operational_equals_fixed_point():
     solution = hamming_equations(max_len=50).solve()
     operational = hamming(40).run(timeout=120)
-    assert list(solution["hout"][:40]) == operational
+    assert list(solution.history("hout")[:40]) == operational
 
 
 def test_sieve_operational_equals_fixed_point():
     solution = sieve_equations(below=80).solve()
     operational = primes(below=80).run(timeout=120)
-    assert list(solution["primes"]) == operational
+    assert list(solution.history("primes")) == operational
 
 
 def test_fixed_point_internal_streams_consistent():
@@ -90,7 +90,7 @@ def test_fixed_point_internal_streams_consistent():
     its defining equation at the solution."""
     eq = fibonacci_equations(max_len=30)
     res = eq.solve()
-    b, f, g = res["b"], res["f"], res["gb"]
+    b, f, g = res.history("b"), res.history("f"), res.history("gb")
     # G = B + F elementwise (up to computed length)
     n = len(g)
     assert g[:n] == tuple(x + y for x, y in zip(b, f))[:n]

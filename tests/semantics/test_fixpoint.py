@@ -1,82 +1,85 @@
-"""The Kleene least-fixed-point solver (paper section 2.2)."""
+"""The Kleene least-fixed-point solver (paper section 2.2), run on the
+closed-stream domain."""
+
+import operator
 
 import pytest
 
-from repro.semantics.fixpoint import EquationNetwork, NonMonotonicError
-from repro.semantics.kernels import (k_add, k_cons, k_constant, k_duplicate,
-                                     k_identity, k_map, k_sequence)
-from repro.semantics.streams import prefix_le
+from repro.semantics.closed import (CBOTTOM, CStream, ClosedEquationNetwork,
+                                    NonMonotonicClosedError, ck_binary,
+                                    ck_cons, ck_identity, ck_map, ck_source,
+                                    cprefix_le)
+
+
+def _counter(eq):
+    """x = cons(0, map(+1, x)) — the canonical feedback equation."""
+    eq.node("seed", ck_source((0,)), [], ["head"])
+    eq.node("inc", ck_map(lambda v: v + 1), ["x"], ["xi"])
+    eq.node("cons", ck_cons, ["head", "xi"], ["x"])
+    return eq
 
 
 def test_single_source_converges():
-    eq = EquationNetwork(max_len=100)
-    eq.node("src", k_sequence(0, 5), [], ["s"])
+    eq = ClosedEquationNetwork(max_len=100)
+    eq.node("src", ck_source(range(5)), [], ["s"])
     res = eq.solve()
-    assert res["s"] == (0, 1, 2, 3, 4)
+    assert res["s"] == CStream((0, 1, 2, 3, 4), True)
     assert res.converged
 
 
 def test_pipeline_composition():
-    eq = EquationNetwork(max_len=100)
-    eq.node("src", k_sequence(1, 4), [], ["a"])
-    eq.node("sq", k_map(lambda x: x * x), ["a"], ["b"])
-    assert eq.solve()["b"] == (1, 4, 9, 16)
+    eq = ClosedEquationNetwork(max_len=100)
+    eq.node("src", ck_source((1, 2, 3, 4)), [], ["a"])
+    eq.node("sq", ck_map(lambda x: x * x), ["a"], ["b"])
+    assert eq.solve().history("b") == (1, 4, 9, 16)
 
 
 def test_feedback_loop_counts_up():
-    """x = cons(0, map(+1, x)) — the canonical feedback equation."""
-    eq = EquationNetwork(max_len=10)
-    eq.node("seed", k_constant(0, 1), [], ["head"])
-    eq.node("inc", k_map(lambda v: v + 1), ["x"], ["xi"])
-    eq.node("cons", k_cons, ["head", "xi"], ["x"])
-    res = eq.solve()
-    assert res["x"] == tuple(range(10))
+    res = _counter(ClosedEquationNetwork(max_len=10)).solve()
+    assert res["x"] == CStream(tuple(range(10)), False)
     assert not res.converged  # infinite stream truncated at max_len
 
 
 def test_iterates_form_increasing_chain():
     """Each Kleene sweep extends streams — checked via successive solves
     with growing iteration budgets."""
-    prefixes = []
-    for max_iter in (1, 2, 3, 5, 8):
-        eq = EquationNetwork(max_len=50, max_iterations=max_iter)
-        eq.node("seed", k_constant(0, 1), [], ["head"])
-        eq.node("inc", k_map(lambda v: v + 1), ["x"], ["xi"])
-        eq.node("cons", k_cons, ["head", "xi"], ["x"])
-        prefixes.append(eq.solve()["x"])
+    prefixes = [
+        _counter(ClosedEquationNetwork(max_len=50,
+                                       max_iterations=max_iter)).solve()["x"]
+        for max_iter in (1, 2, 3, 5, 8)]
     for a, b in zip(prefixes, prefixes[1:]):
-        assert prefix_le(a, b)
+        assert cprefix_le(a, b)
 
 
 def test_mutual_recursion_fibonacci_style():
-    eq = EquationNetwork(max_len=12)
-    eq.node("seed-b", k_constant(1, 1), [], ["sb"])
-    eq.node("seed-f", k_constant(1, 1), [], ["sf"])
-    eq.node("cons-b", k_cons, ["sb", "g"], ["b"])
-    eq.node("cons-f", k_cons, ["sf", "b"], ["f"])
-    eq.node("add", k_add, ["b", "f"], ["g"])
+    eq = ClosedEquationNetwork(max_len=12)
+    eq.node("seed-b", ck_source((1,)), [], ["sb"])
+    eq.node("seed-f", ck_source((1,)), [], ["sf"])
+    eq.node("cons-b", ck_cons, ["sb", "g"], ["b"])
+    eq.node("cons-f", ck_cons, ["sf", "b"], ["f"])
+    eq.node("add", ck_binary(operator.add), ["b", "f"], ["g"])
     res = eq.solve()
-    assert res["f"][:8] == (1, 1, 2, 3, 5, 8, 13, 21)
+    assert res.history("f")[:8] == (1, 1, 2, 3, 5, 8, 13, 21)
 
 
 def test_unconnected_stream_stays_bottom():
-    eq = EquationNetwork()
+    eq = ClosedEquationNetwork()
     eq.stream("floating")
-    eq.node("src", k_sequence(0, 3), [], ["s"])
-    res = eq.solve()
-    assert res["floating"] == ()
+    eq.node("src", ck_source((0, 1, 2)), [], ["s"])
+    assert eq.solve()["floating"] == CBOTTOM
 
 
 def test_duplicate_producer_rejected():
-    eq = EquationNetwork()
-    eq.node("a", k_sequence(0, 3), [], ["s"])
+    eq = ClosedEquationNetwork()
+    eq.node("a", ck_source((0, 1, 2)), [], ["s"])
     with pytest.raises(ValueError, match="already has a producer"):
-        eq.node("b", k_sequence(9, 3), [], ["s"])
+        eq.node("b", ck_source((9, 10, 11)), [], ["s"])
 
 
 def test_wrong_output_arity_detected():
-    eq = EquationNetwork()
-    eq.node("bad", lambda inputs: ((1,), (2,)), [], ["only-one"])
+    eq = ClosedEquationNetwork()
+    eq.node("bad", lambda inputs: (CStream((1,)), CStream((2,))), [],
+            ["only-one"])
     with pytest.raises(ValueError, match="returned 2 streams"):
         eq.solve()
 
@@ -87,11 +90,11 @@ def test_non_monotonic_kernel_detected():
     def flaky(inputs):
         calls["n"] += 1
         # first sweep emits (1, 2); later sweeps retract to (9,)
-        return ((1, 2) if calls["n"] == 1 else (9,),)
+        return (CStream((1, 2) if calls["n"] == 1 else (9,)),)
 
-    eq = EquationNetwork()
+    eq = ClosedEquationNetwork()
     eq.node("flaky", flaky, [], ["s"])
-    with pytest.raises(NonMonotonicError):
+    with pytest.raises(NonMonotonicClosedError):
         eq.solve()
 
 
@@ -102,32 +105,23 @@ def test_shorter_but_consistent_output_kept():
 
     def shrinking(inputs):
         calls["n"] += 1
-        return ((1, 2, 3) if calls["n"] == 1 else (1, 2),)
+        return (CStream((1, 2, 3) if calls["n"] == 1 else (1, 2)),)
 
-    eq = EquationNetwork()
+    eq = ClosedEquationNetwork()
     eq.node("s", shrinking, [], ["out"])
-    assert eq.solve()["out"] == (1, 2, 3)
+    assert eq.solve().history("out") == (1, 2, 3)
 
 
 def test_max_iterations_bound_respected():
-    eq = EquationNetwork(max_len=10 ** 6, max_iterations=3)
-    eq.node("seed", k_constant(0, 1), [], ["head"])
-    eq.node("inc", k_map(lambda v: v + 1), ["x"], ["xi"])
-    eq.node("cons", k_cons, ["head", "xi"], ["x"])
-    res = eq.solve()
+    res = _counter(ClosedEquationNetwork(max_len=10 ** 6,
+                                         max_iterations=3)).solve()
     assert res.iterations == 3
     assert not res.converged
 
 
-def test_solve_stream_shortcut():
-    eq = EquationNetwork()
-    eq.node("src", k_sequence(5, 3), [], ["s"])
-    assert eq.solve_stream("s") == (5, 6, 7)
-
-
 def test_identity_chain_propagates_through_layers():
-    eq = EquationNetwork()
-    eq.node("src", k_sequence(0, 4), [], ["l0"])
+    eq = ClosedEquationNetwork()
+    eq.node("src", ck_source((0, 1, 2, 3)), [], ["l0"])
     for i in range(6):
-        eq.node(f"id{i}", k_identity, [f"l{i}"], [f"l{i + 1}"])
-    assert eq.solve()["l6"] == (0, 1, 2, 3)
+        eq.node(f"id{i}", ck_identity, [f"l{i}"], [f"l{i + 1}"])
+    assert eq.solve()["l6"] == CStream((0, 1, 2, 3), True)

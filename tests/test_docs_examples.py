@@ -5,12 +5,13 @@ import zlib
 import pytest
 
 from repro.kpn import IterativeProcess, Network
-from repro.processes import Collect, FromIterable, Sequence
-from repro.processes.codecs import get_codec
+from repro.processes import Collect, FromIterable, Map, Sequence
+from repro.processes.codecs import LONG, get_codec
 from repro.semantics.closed import CStream
 from repro.semantics.compile import compile_network, register_kernel
 from repro.parallel import run_farm
 from repro.distributed.balancer import PlacementPolicy
+from repro.telemetry.core import TELEMETRY
 
 
 # -- section 1 + 2: custom process with a registered kernel -----------------
@@ -56,46 +57,40 @@ def test_custom_process_and_kernel_roundtrip():
     assert list(predicted) == out
 
 
-class BatchedClamp(ClampAbove):
-    """Section 1's "Batching a rate-1 map" snippet."""
+# -- section 1, "Declaring a map" ---------------------------------------------
 
-    def steps(self, budget):
-        codec = self.codec
-        if codec.width is None:             # variable width: no batching
-            self.step()
-            return 1
-        first = min(codec.read(self.source), self.limit)    # may block
-        ready = self.source.take_ready(codec.width, budget - 1)
-        if ready is None:                   # nothing more held
-            codec.write(self.out, first)
-            return 1
-        values = [first]
-        values += [min(v, self.limit) for v in codec.unpack_all(ready)]
-        codec.write_all(self.out, values)   # one pack, one write
-        return len(values)
+class MapClamp(Map):
+    """The section's ``ClampAbove``: it states ``element_fn`` only."""
 
-
-@pytest.mark.parametrize("backend", ["thread", "async"])
-def test_batched_map_snippet(backend):
-    net = Network(backend=backend)
-    a, b = net.channels_n(2)
-    values = [(k * 37) % 101 for k in range(500)]
-    out = []
-    net.add(FromIterable(a.get_output_stream(), values))
-    clamp = net.add(BatchedClamp(a.get_input_stream(), b.get_output_stream(),
-                                 50, iterations=400))
-    net.add(Collect(b.get_input_stream(), out))
-    net.run(timeout=30)
-    assert out == [min(v, 50) for v in values[:400]]
-    assert clamp.steps_completed == 400
-
-
-class PulledClamp(ClampAbove):
-    """Section 1's "Declaring an element function" snippet."""
+    def __init__(self, source, out, limit, iterations=0, codec="long",
+                 name=None):
+        super().__init__(source, out, iterations=iterations, codec=codec,
+                         name=name)
+        self.limit = limit
 
     def element_fn(self):
         limit = self.limit
         return lambda value: min(value, limit)
+
+
+@pytest.mark.parametrize("backend", ["thread", "async"])
+def test_batched_map_snippet(backend):
+    values = [(k * 37) % 101 for k in range(500)]
+    with TELEMETRY.enabled_scope(reset=True):
+        net = Network(backend=backend)
+        a, b = net.channel(capacity=1 << 13), net.channel()
+        feed = a.get_output_stream()
+        LONG.write_all(feed, values)
+        feed.close()
+        out = []
+        clamp = net.add(MapClamp(a.get_input_stream(), b.get_output_stream(),
+                                 50, iterations=400))
+        net.add(Collect(b.get_input_stream(), out))
+        net.run(timeout=30)
+        writes = TELEMETRY.counter("kpn.channel.writes", channel=b.name)
+    assert out == [min(v, 50) for v in values[:400]]
+    assert clamp.steps_completed == 400
+    assert 0 < writes < 400             # batched: one write per run
 
 
 @pytest.mark.parametrize("backend", ["thread", "async"])
@@ -105,13 +100,13 @@ def test_element_fn_snippet(backend):
     out = []
     # a fusable head: FromIterable keeps a thread of its own
     net.add(Sequence(a.get_output_stream(), iterations=500))
-    clamp = net.add(PulledClamp(a.get_input_stream(), b.get_output_stream(),
-                                250))
+    clamp = net.add(MapClamp(a.get_input_stream(), b.get_output_stream(), 250))
     net.add(ClampAbove(b.get_input_stream(), c.get_output_stream(), 400))
     net.add(Collect(c.get_input_stream(), out))
+    predicted = compile_network(net).predict(b.name)    # no register_kernel
     assert net.optimize().fusion_plan.pulled == [[clamp]]
     net.run(timeout=30)
-    assert out == [min(v, 250) for v in range(500)]
+    assert out == list(predicted) == [min(v, 250) for v in range(500)]
     assert clamp.steps_completed == 500
 
 
