@@ -1,138 +1,35 @@
-"""Order-theoretic laws of the stream CPO (paper section 2.1)."""
+"""Order laws of the prefix order on open streams (paper section 2.1).
 
-import pytest
-from hypothesis import given, settings, strategies as st
+An open ``CStream`` (not closed) is a finite prefix of a stream that may
+still grow; restricted to these the information order is the plain
+prefix order on sequences, and it is a partial order with ⊥ below all.
+"""
 
-from repro.semantics.streams import (BOTTOM, cons, first, glb, is_chain, lub,
-                                     prefix_le, rest, take, tuple_prefix_le,
-                                     tuples_lub)
+from hypothesis import given, strategies as st
+
+from repro.semantics.closed import CBOTTOM, CStream, cprefix_le
 
 streams = st.lists(st.integers(min_value=-100, max_value=100),
-                   max_size=12).map(tuple)
+                   max_size=12).map(lambda e: CStream(tuple(e), False))
 
-
-# ---------------------------------------------------------------------------
-# the prefix relation is a partial order
-# ---------------------------------------------------------------------------
 
 @given(streams)
 def test_reflexive(x):
-    assert prefix_le(x, x)
+    assert cprefix_le(x, x)
 
 
 @given(streams, streams)
 def test_antisymmetric(x, y):
-    if prefix_le(x, y) and prefix_le(y, x):
+    if cprefix_le(x, y) and cprefix_le(y, x):
         assert x == y
 
 
 @given(streams, streams, streams)
 def test_transitive(x, y, z):
-    if prefix_le(x, y) and prefix_le(y, z):
-        assert prefix_le(x, z)
+    if cprefix_le(x, y) and cprefix_le(y, z):
+        assert cprefix_le(x, z)
 
 
 @given(streams)
 def test_bottom_below_everything(x):
-    assert prefix_le(BOTTOM, x)
-
-
-@given(streams, st.integers(min_value=0, max_value=12))
-def test_take_is_a_prefix(x, n):
-    assert prefix_le(take(x, n), x)
-
-
-# ---------------------------------------------------------------------------
-# chains and least upper bounds
-# ---------------------------------------------------------------------------
-
-@given(streams)
-def test_prefix_chain_of_takes_is_chain(x):
-    chain = [take(x, n) for n in range(len(x) + 1)]
-    assert is_chain(chain)
-    assert lub(chain) == x
-
-
-@given(streams, streams)
-def test_lub_rejects_non_chains(x, y):
-    if not (prefix_le(x, y) or prefix_le(y, x)):
-        with pytest.raises(ValueError):
-            lub([x, y])
-
-
-def test_lub_empty_chain_is_bottom():
-    assert lub([]) == BOTTOM
-
-
-@given(streams, streams)
-def test_glb_is_lower_bound_and_greatest(x, y):
-    g = glb(x, y)
-    assert prefix_le(g, x) and prefix_le(g, y)
-    # one element longer is no longer a common prefix (greatestness)
-    longer_x = take(x, len(g) + 1)
-    longer_y = take(y, len(g) + 1)
-    if longer_x != g and longer_y != g:
-        assert not (prefix_le(longer_x, y) and prefix_le(longer_y, x))
-
-
-@given(streams)
-def test_glb_idempotent(x):
-    assert glb(x, x) == x
-
-
-# ---------------------------------------------------------------------------
-# first / rest / cons with the paper's bottom conventions
-# ---------------------------------------------------------------------------
-
-def test_first_of_bottom_is_bottom():
-    assert first(BOTTOM) == BOTTOM
-
-
-def test_rest_of_bottom_is_bottom():
-    assert rest(BOTTOM) == BOTTOM
-
-
-def test_cons_of_bottom_element_is_bottom():
-    assert cons(BOTTOM, (1, 2)) == BOTTOM
-
-
-def test_cons_onto_bottom_is_singleton():
-    assert cons(5, BOTTOM) == (5,)
-
-
-@given(streams)
-def test_cons_first_rest_roundtrip(x):
-    if x:
-        assert cons(x[0], rest(x)) == x
-        assert first(x) == (x[0],)
-
-
-@given(streams, streams)
-def test_first_rest_monotonic(x, y):
-    if prefix_le(x, y):
-        assert prefix_le(first(x), first(y))
-        assert prefix_le(rest(x), rest(y))
-
-
-# ---------------------------------------------------------------------------
-# p-tuples (S^p)
-# ---------------------------------------------------------------------------
-
-@given(streams, streams)
-def test_tuple_prefix_pointwise(x, y):
-    assert tuple_prefix_le((x, x), (x, x))
-    if prefix_le(x, y):
-        assert tuple_prefix_le((x, x), (y, y))
-
-
-def test_tuple_prefix_arity_mismatch():
-    with pytest.raises(ValueError):
-        tuple_prefix_le(((1,),), ((1,), (2,)))
-
-
-@given(streams)
-def test_tuples_lub_pointwise(x):
-    chain = [(take(x, n), take(x, max(0, n - 1))) for n in range(len(x) + 1)]
-    result = tuples_lub(chain)
-    assert result[0] == x
-    assert result[1] == take(x, max(0, len(x) - 1))
+    assert cprefix_le(CBOTTOM, x)
