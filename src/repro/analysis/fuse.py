@@ -28,7 +28,6 @@ import inspect
 import textwrap
 from typing import Dict, Optional
 
-from repro.analysis.markers import NONDETERMINATE_ATTR
 from repro.analysis.races import detect_races
 
 __all__ = ["fusion_blockers", "dynamic_reason", "DYNAMIC_CALLS"]
@@ -78,30 +77,22 @@ def dynamic_reason(klass: type) -> Optional[str]:
 def fusion_blockers(network, topology=None) -> Dict[str, str]:
     """Map every unfusable leaf process's name to the reason.
 
-    Consults the ``@nondeterminate`` markers, the run-loop protocol, the
+    Consults :func:`~repro.kpn.process.needs_own_thread` (the
+    ``@nondeterminate`` markers and the run-loop protocol), the
     dynamic-capability scan, and the shared-state race detector
     (:func:`repro.analysis.races.detect_races`) over the built network.
     Processes absent from the result are structurally safe to fuse;
     whether they actually fuse is the compiler's chain-shape decision.
     """
-    from repro.kpn.process import IterativeProcess
+    from repro.kpn.process import needs_own_thread
 
     topology = topology or network.topology()
     blockers: Dict[str, str] = {}
     for p in topology.leaves:
-        klass = type(p)
-        declared = getattr(klass, NONDETERMINATE_ATTR, None)
-        if declared is not None:
-            blockers[p.name] = f"@nondeterminate: {declared}"
-            continue
-        if (not isinstance(p, IterativeProcess)
-                or klass.run is not IterativeProcess.run):
-            blockers[p.name] = ("custom run() loop (not the "
-                                "on_start/step/on_stop protocol)")
-            continue
-        dyn = dynamic_reason(klass)
-        if dyn is not None:
-            blockers[p.name] = f"dynamic: {dyn}"
+        reason = needs_own_thread(p)
+        dyn = None if reason else dynamic_reason(type(p))
+        if reason or dyn:
+            blockers[p.name] = reason or f"dynamic: {dyn}"
     for race in detect_races(network, topology):
         shared = ", ".join(race.processes)
         for name in race.processes:

@@ -53,19 +53,21 @@ real, and judges observed waits only.  A network without a monitor
 What runs as a task
 -------------------
 
-``Network.spawn`` routes a process here when it is an
-:class:`~repro.kpn.process.IterativeProcess` with the *default* ``run``
-and no ``@nondeterminate`` marker, or a compiler-produced
-:class:`~repro.kpn.compile.FusedChain` (one task for the whole chain).
-Everything else — custom ``run`` loops, plain composites, any
-``@nondeterminate`` process (the Turnstile waits on its inputs like any
-read, but it is not determinate) — keeps its OS thread, as does a
-process that sleeps on something that is not a channel and says so with
-``kpn_async = False`` (the farm's Worker waits on executor futures: it
-would stall every task sharing its loop).  Both kinds of actor
+``Network.spawn`` routes a process here when something other than its
+own thread may drive it (:func:`~repro.kpn.process.needs_own_thread`:
+the *default* ``run`` and no ``@nondeterminate`` marker), or when it is
+a compiler-produced :class:`~repro.kpn.compile.FusedChain` (one task for
+the whole chain); a plain composite is no actor, its members are.
+Everything else — custom ``run`` loops, any ``@nondeterminate`` process
+(the Turnstile waits on its inputs like any read, but it is not
+determinate) — keeps its OS thread, as does a process that sleeps on
+something that is not a channel and says so with ``kpn_async = False``
+(the farm's Worker on executor futures, FromIterable on its iterable:
+either would stall every task sharing its loop).  Both kinds of actor
 interoperate freely on the same channels: a sleeping thread and a
-parked task wait on one buffer waiter list.  Live migration pause points are not polled between task steps;
-migrate from thread-backend networks (servers default to threads).
+parked task wait on one buffer waiter list.  Live migration pause
+points are not polled between task steps; migrate from thread-backend
+networks (servers default to threads).
 """
 
 from __future__ import annotations
@@ -76,7 +78,7 @@ from collections import deque
 from typing import Callable, Optional
 
 from repro.kpn.buffers import BoundedByteBuffer
-from repro.kpn.process import IterativeProcess, Process, _StepDriver
+from repro.kpn.process import Process, _StepDriver, needs_own_thread
 from repro.telemetry.core import TELEMETRY as _telemetry
 
 __all__ = ["EventLoop", "Task", "async_hostable"]
@@ -103,7 +105,7 @@ class Task:
 
     Duck-types the slice of ``threading.Thread`` the rest of the runtime
     relies on — ``name``, ``is_alive()``, ``join(timeout)``, ``daemon`` —
-    so ``Network.live_threads``, composite joins and the deadlock
+    so ``Network.live_threads``, ``Network.join`` and the deadlock
     monitor's wait-graph logic work on mixed actor populations unchanged.
     """
 
@@ -323,10 +325,14 @@ class Task:
             # once only: the loop's defensive handler completes a task
             # again when _on_finish itself raised
             return
-        self._finished = True
-        self._done.release()
-        if self._on_finish is not None:
-            self._on_finish()
+        try:
+            # counted out before a join can see it finished, as a thread
+            # is by Network._run_process
+            if self._on_finish is not None:
+                self._on_finish()
+        finally:
+            self._finished = True
+            self._done.release()
 
 
 def _is_fused_chain(process) -> bool:
@@ -338,28 +344,18 @@ def _is_fused_chain(process) -> bool:
 def async_hostable(process) -> bool:
     """Can ``process`` run as a cooperative task?
 
-    Yes for compiler-produced fused chains and for IterativeProcess
-    subclasses that keep the default ``run`` skeleton, are not declared
-    ``@nondeterminate`` (the Turnstile: it waits like any read, but keeps
-    a thread because it is not determinate), and do not opt out with
+    Yes for compiler-produced fused chains and for processes that do not
+    :func:`~repro.kpn.process.needs_own_thread`, unless they opt out with
     ``kpn_async = False`` (they sleep on something that is not a
     channel).  Everything else keeps the thread backend's semantics on
     its own OS thread.
     """
-    from repro.analysis.markers import declared_nondeterminate
-
     if not getattr(process, "kpn_async", True):
         return False
     if _is_fused_chain(process):
         # one member that must not share a loop keeps the chain off it
         return all(getattr(p, "kpn_async", True) for p in process.processes)
-    if not isinstance(process, IterativeProcess):
-        return False
-    if type(process).run is not IterativeProcess.run:
-        return False
-    if declared_nondeterminate(process) is not None:
-        return False
-    return True
+    return needs_own_thread(process) is None
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,9 @@ The paper constructs a graph, wraps it in a ``CompositeProcess`` and calls
 richer equivalent this library uses as its main entry point: it
 
 * creates channels that share one blocked-thread accounting object;
-* starts one daemon thread per process (including processes spawned
-  dynamically by self-reconfiguring graphs, which inherit the network
-  through :meth:`repro.kpn.process.Process.spawn`);
+* starts one actor (thread or task) per leaf process, including
+  processes spawned dynamically by self-reconfiguring graphs, which
+  inherit the network through :meth:`repro.kpn.process.Process.spawn`;
 * optionally runs the :class:`~repro.kpn.scheduler.DeadlockMonitor`
   implementing Parks' bounded scheduling;
 * joins everything and surfaces process failures and deadlock diagnoses;
@@ -110,8 +110,6 @@ class Network:
         # its object alive via the list, so ids are never recycled.
         self._process_ids: set = set()
         self._threads: List[threading.Thread] = []
-        #: composite threads waiting on their members (:meth:`join_members`)
-        self._waiting: set = set()
         self._lock = threading.RLock()
         self._started = False
         self.fusion_plan = None
@@ -167,14 +165,17 @@ class Network:
         cannot host) the actor is a daemon thread; under the async
         backend, hostable processes become cooperative tasks on the
         network's event loop.  Either way the returned handle
-        supports ``join``/``is_alive``/``name``.  Used both by
-        :meth:`start` and by running processes that insert new processes
-        into the graph (Sift, MetaDynamic reconfiguration).
+        supports ``join``/``is_alive``/``name``.  A composite that keeps
+        ``CompositeProcess.run`` is no actor: it is registered as by
+        :meth:`add`, its members are spawned, and the result is None.
+        Used both by :meth:`start` and by running processes that insert
+        new processes into the graph (Sift, MetaDynamic reconfiguration).
         """
-        process.network = self
-        if isinstance(process, CompositeProcess):
+        self.add(process)
+        if type(process).run is CompositeProcess.run:
             for member in process.processes:
-                member.network = self
+                self.spawn(member)
+            return None
         actor = None
         if self.backend == "async":
             from repro.kpn.aio import EventLoop, Task, async_hostable
@@ -194,11 +195,6 @@ class Network:
         with self._lock:
             self._threads.append(actor)
             self.accounting.live += 1
-            # identity-set membership, not a list scan: spawn() runs once
-            # per process and a linear check makes startup O(n^2)
-            if id(process) not in self._process_ids:
-                self._process_ids.add(id(process))
-                self.processes.append(process)
         try:
             actor.start()
         except BaseException:
@@ -220,27 +216,6 @@ class Network:
         with self._lock:
             self.accounting.live -= 1
         self._kick_monitor()
-
-    def join_members(self, actors) -> None:
-        """Wait, on a composite's thread, for the actors running its
-        members.  Meanwhile that thread is not a live actor for the stall
-        rule: it blocks on no channel and can only finish after they do,
-        so counting it would hide every deadlock among them."""
-        me = threading.current_thread()
-        counted = getattr(me, "kpn_accounting", None) is self.accounting
-        if counted:
-            with self._lock:
-                self._waiting.add(me)
-                self.accounting.live -= 1
-            self._kick_monitor()    # its members may all be blocked already
-        try:
-            for actor in actors:
-                actor.join()
-        finally:
-            if counted:
-                with self._lock:
-                    self._waiting.discard(me)
-                    self.accounting.live += 1
 
     def preflight(self) -> None:
         """Static pre-flight: graph rules, proofs, and race scan.
@@ -313,21 +288,17 @@ class Network:
         return self
 
     def live_threads(self) -> List:
-        """Process actors (threads and tasks) still alive (monitor's view),
-        less composite threads waiting on their members.
+        """Process actors (threads and tasks) still alive (monitor's view).
 
         O(actors ever spawned); callers that only need the number use
         :meth:`live_count`.
         """
         with self._lock:
-            waiting = self._waiting
-            return [t for t in self._threads
-                    if t.is_alive() and t not in waiting]
+            return [t for t in self._threads if t.is_alive()]
 
     def live_count(self) -> int:
-        """Actors spawned minus actors that reported finishing, less
-        composites waiting on their members: one integer, read without
-        the lock.
+        """Actors spawned minus actors that reported finishing: one
+        integer, read without the lock.
 
         Agrees with ``len(live_threads())`` except while an actor is
         starting or exiting: a thread is counted from ``spawn`` (before

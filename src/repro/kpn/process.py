@@ -1,23 +1,25 @@
-"""Processes: one thread each, iterative skeleton, hierarchical composition.
+"""Processes: one actor each, iterative skeleton, hierarchical composition.
 
 Reproduces section 3.2 of the paper:
 
-* :class:`Process` — the ``Runnable`` interface; every process executes in
-  its own thread "to exploit the parallelism available in the program
-  graph".
+* :class:`Process` — the ``Runnable`` interface; every leaf process is
+  an actor of its own "to exploit the parallelism available in the
+  program graph".
 * :class:`IterativeProcess` — the abstract base with ``on_start`` /
-  ``step`` / ``on_stop`` and an optional iteration limit; its ``run``
-  method is a line-for-line analogue of the paper's Figure 4, including
-  the silent swallowing of channel I/O exceptions that drives the
-  cascading-termination protocol of section 3.4.  A process may also
-  define ``steps``: several steps in one call, over the elements its
-  input endpoint already holds; and ``element_fn``: the function one
-  step applies to an element, which a fused chain calls in place.  A
-  rate-1 map (:class:`repro.processes.transforms.Map`) states only the
-  function and derives the other two from it.
-* :class:`CompositeProcess` — hierarchy without deadlock: every component
-  keeps "a separate thread for each process within a CompositeProcess to
-  avoid introducing deadlock through composition".
+  ``step`` / ``on_stop`` and an optional iteration limit; its ``run`` is
+  the paper's Figure 4, written once in :class:`_StepDriver` for
+  threads, tasks and fused chains, including the silent swallowing of
+  channel I/O exceptions that drives the cascading-termination protocol
+  of section 3.4.  A process may also define ``steps``: several steps in
+  one call, over the elements its input endpoint already holds; and
+  ``element_fn``: the function one step applies to an element, which a
+  fused chain calls in place.  A rate-1 map
+  (:class:`repro.processes.transforms.Map`) states only the function and
+  derives the other two from it.
+* :class:`CompositeProcess` — hierarchy without deadlock: a grouping,
+  not an actor, so every component keeps "a separate thread for each
+  process within a CompositeProcess to avoid introducing deadlock
+  through composition".
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import sys
 import threading
 from typing import Iterable, List, Optional, Sequence
 
+from repro.analysis.markers import declared_nondeterminate
 from repro.errors import BrokenChannelError, ChannelClosedError, ChannelError
 from repro.kpn.channel import Channel
 from repro.kpn.streams import InputStream, OutputStream
@@ -245,12 +248,13 @@ class Process:
             return net.channel(capacity=capacity, name=name)
         return Channel(name=name) if capacity is None else Channel(capacity, name=name)
 
-    def spawn(self, process: "Process") -> threading.Thread:
-        """Start another process in a new thread, inheriting the network.
+    def spawn(self, process: "Process"):
+        """Start another process, inheriting the network.
 
         Reconfiguration must be "initiated by processes and not some
         external agent" (section 3.3); this is the hook processes use to
-        activate the processes they insert into the graph.
+        activate the processes they insert into the graph.  Off a
+        network the new process runs in a plain thread.
         """
         net = self.network
         if net is not None:
@@ -324,9 +328,9 @@ class IterativeProcess(Process):
         return False
 
     # -- the Figure 4 protocol, once ----------------------------------------
-    # The thread loop below and the call-at-a-time driver both go through
-    # these three: what starts a process, what an exception out of a step
-    # means, and what finishing does.
+    # _StepDriver, whoever runs it, goes through these three: what starts
+    # a process, what an exception out of a step means, and what
+    # finishing does.
     def _begin(self, **span_args) -> bool:
         """Open the process's span; True if telemetry is recording it."""
         traced = _telemetry.enabled
@@ -378,34 +382,7 @@ class IterativeProcess(Process):
             _telemetry.inc("kpn.process.terminated", 1, reason=reason)
 
     def run(self) -> None:
-        traced = self._begin()
-        reason = "limit"
-        try:
-            if not self._live_migrated:
-                self.on_start()
-            # counting against steps_completed (rather than a local
-            # countdown) lets a live-migrated process resume exactly where
-            # it parked — "data elements are neither lost nor repeated".
-            step = self.step
-            steps = self.steps if _declares(type(self), "steps") else None
-            while self.iterations <= 0 or self.steps_completed < self.iterations:
-                # _ctrl is None unless a migrator asked for control(), which
-                # it may do from its own thread at any time: re-read it
-                # every iteration, never hoist it out of the loop
-                if self._ctrl is not None and self._pause_point():
-                    reason = "abandoned"
-                    break
-                if steps is None:
-                    step()
-                    self.steps_completed += 1
-                else:
-                    done = self.steps_completed
-                    self.steps_completed = done + steps(
-                        self.iterations - done if self.iterations > 0
-                        else sys.maxsize)
-        except Exception as exc:  # noqa: BLE001 - classified, then cleaned up
-            reason = self._ended_by(exc)
-        self._finish(reason, traced)
+        _StepDriver(self).drive()
 
 
 def _declares(cls: type, name: str) -> bool:
@@ -426,22 +403,33 @@ def _declares(cls: type, name: str) -> bool:
     return False
 
 
-class _StepDriver:
-    """Runs one process's on_start/step/on_stop protocol a call at a time.
+def needs_own_thread(process: Process) -> Optional[str]:
+    """Why nothing but a thread of its own may drive ``process`` — not a
+    fused chain (:mod:`repro.analysis.fuse`), not an event loop
+    (:func:`repro.kpn.aio.async_hostable`) — or None."""
+    declared = declared_nondeterminate(process)
+    if declared is not None:
+        return f"@nondeterminate: {declared}"
+    if (not isinstance(process, IterativeProcess)
+            or type(process).run is not IterativeProcess.run):
+        return "custom run() loop (not the on_start/step/on_stop protocol)"
+    return None
 
-    The same protocol as :meth:`IterativeProcess.run` (it calls the same
-    three methods) minus the thread and minus live-migration pause
-    points.  It is how a process runs when something other than a thread
-    of its own decides when its next step happens: a stage of a
-    compiler-fused chain (pumped from inside its consumer's read), a
-    cooperative task (pumped by its event loop).  A task's pump runs
-    ``steps`` where the thread loop would; a fused stage's always runs
-    one ``step``.  A fused stage is pumped only to start it, at its
-    ``iterations=`` budget and at its end: once started, its chain's
-    :meth:`drive` loop or its consumer's pipe calls its ``step``
-    directly, and a stage the compiler marked *pulled* is one function
-    call in the loop of the read that pulls its run, which ends it
-    through :meth:`stop` (see :class:`repro.kpn.compile._FusedPipe`).
+
+class _StepDriver:
+    """Runs one process's on_start/step/on_stop protocol (Figure 4).
+
+    :meth:`drive` runs it to completion on the calling thread: the
+    process's own (:meth:`IterativeProcess.run`: ``steps`` where
+    :func:`_declares` allows, a pause point between steps for a live
+    migrator), or a fused chain's (its stages tail first, one ``step`` a
+    call, no pause point).  :meth:`pump` runs it a call at a time: a
+    task's quantum (``steps`` as a thread would), and a fused stage's
+    start, ``iterations=`` budget and end.  Once started, a fused stage
+    is stepped by its chain's :meth:`drive` or its consumer's pipe, and
+    a stage the compiler marked *pulled* is one function call in the
+    read that pulls its run, which ends it through :meth:`stop` (see
+    :class:`repro.kpn.compile._FusedPipe`).
     """
 
     def __init__(self, stage: IterativeProcess, fused: bool = False) -> None:
@@ -482,7 +470,7 @@ class _StepDriver:
                         else sys.maxsize)
                 return True
             reason = "limit"
-        except Exception as exc:  # noqa: BLE001 - as IterativeProcess.run
+        except Exception as exc:  # noqa: BLE001 - classified, then cleaned up
             reason = st._ended_by(exc)
         self.stop(reason)
         return False
@@ -493,26 +481,44 @@ class _StepDriver:
         self.stage._finish(reason, self._traced)
 
     def drive(self) -> None:
-        """Run the process to completion (a fused chain's stages, tail
-        first): ``pump`` starts it and ends it, and between the two it
-        steps in this loop itself, one ``step`` a call."""
+        """Run the process to completion: ``pump`` starts it and ends it,
+        and between the two it steps in this loop itself."""
         st = self.stage
+        step, steps = st.step, self._steps
+        own_thread = not self.fused
         while self.pump():
-            while not 0 < st.iterations <= st.steps_completed:
-                try:
-                    st.step()
-                except Exception as exc:  # noqa: BLE001 - as pump
-                    self.stop(st._ended_by(exc))
-                    return
-                st.steps_completed += 1
+            try:
+                # counting against steps_completed, not a local countdown,
+                # resumes a live-migrated process exactly where it parked
+                while not 0 < st.iterations <= st.steps_completed:
+                    # _ctrl is None unless a migrator asked for control(),
+                    # which it may do from its own thread at any time:
+                    # re-read it every step, never hoist it out of the loop
+                    if (own_thread and st._ctrl is not None
+                            and st._pause_point()):
+                        self.stop("abandoned")
+                        return
+                    if steps is None:
+                        step()
+                        st.steps_completed += 1
+                    else:
+                        done = st.steps_completed
+                        st.steps_completed = done + steps(
+                            st.iterations - done if st.iterations > 0
+                            else sys.maxsize)
+            except Exception as exc:  # noqa: BLE001 - as pump
+                self.stop(st._ended_by(exc))
+                return
 
 
 class CompositeProcess(Process):
     """Hierarchy in the program graph (section 3.2, Figure 6).
 
-    Running a composite starts **one thread per component** and waits for
-    all of them: sequencing the components' steps in a single thread could
-    deadlock, so composition never reduces concurrency.  Composites nest:
+    A composite is a grouping, not an actor: on a network **every
+    component is an actor of its own**, and run off one a composite
+    starts one thread per component and waits for all of them.
+    Sequencing the components' steps in a single thread could deadlock,
+    so composition never reduces concurrency.  Composites nest:
     a member may itself be a CompositeProcess.  Distributing a composite
     moves all of its members (and their channel endpoints) together, which
     is exactly how the paper partitions graphs across servers (Figures
@@ -547,8 +553,8 @@ class CompositeProcess(Process):
 
     def begin(self) -> None:
         """Open the composite's own span (whoever runs the members — the
-        threads below, a fused chain's one thread or task — calls this
-        first)."""
+        threads of :meth:`run`, a fused chain's one thread or task —
+        calls this first)."""
         self._traced = _telemetry.enabled
         if self._traced:
             _telemetry.begin(self.name, category="kpn.process",
@@ -566,22 +572,16 @@ class CompositeProcess(Process):
                            failures=len(failures), process=self.name)
 
     def run(self) -> None:
+        """Off a network: one plain thread per member, then wait for them
+        all.  A network never runs a composite: :meth:`Network.spawn`
+        makes each member an actor of its own instead."""
         self.begin()
-        threads = []
-        for p in self.processes:
-            if p.network is None:
-                p.network = self.network
-            if self.network is not None:
-                threads.append(self.network.spawn(p))
-            else:
-                t = threading.Thread(target=p.run, name=p.name, daemon=True)
-                t.start()
-                threads.append(t)
-        if self.network is not None:
-            self.network.join_members(threads)
-        else:
-            for t in threads:
-                t.join()
+        threads = [threading.Thread(target=p.run, name=p.name, daemon=True)
+                   for p in self.processes]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
         self.end()
 
     def close_all_streams(self) -> None:

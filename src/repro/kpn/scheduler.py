@@ -6,8 +6,9 @@ scheduling fairness, but "may introduce deadlock" — even in acyclic graphs
 undecidable, Parks' bounded-scheduling procedure [13] manages capacities at
 run time:
 
-1. Detect that the network has globally stalled: every live process thread
-   is blocked on a channel operation.
+1. Detect that the network has globally stalled: every live actor (a
+   leaf process's thread or task; a composite is none) is blocked on a
+   channel operation.
 2. If at least one of them is blocked **writing** to a full channel, the
    deadlock is *artificial*: enlarge the smallest-capacity full channel
    among those written to and resume.  Repeating this executes any program
@@ -30,9 +31,7 @@ those, plus a timer:
   or a task's park (``BoundedByteBuffer.async_park``) that leaves at
   least as many actors blocked as are live kicks, and any other kicks
   nothing — one rule, a ``len`` and a compare, for both kinds of actor;
-* an actor that finishes kicks from ``Network._actor_finished`` (and a
-  composite that starts waiting on its members, which stops counting as
-  live, from ``Network.join_members``);
+* an actor that finishes kicks from ``Network._actor_finished``;
 * the monitor's 50 ms poll, the backstop for a lost wake-up.
 
 A wake never kicks: it unblocks an actor, which cannot complete a stall.

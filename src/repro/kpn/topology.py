@@ -14,9 +14,9 @@ which channel — including when a channel has more than one owner.
 Conventions, each stated once here:
 
 * **Order.**  Leaves come in declaration order (``network.processes``,
-  composites expanded in place, depth first); an edge's owners are
-  listed in that order; edges follow ``network.channels``, then any
-  channel reachable only through a tracked stream.
+  composites expanded in place, depth first, each leaf once); an edge's
+  owners are listed in that order; edges follow ``network.channels``,
+  then any channel reachable only through a tracked stream.
 * **Composite boundary.**  A composite that tracks a stream itself owns
   that end of the channel only when no leaf does: re-tracking a
   member's stream is the grouping idiom, not a second owner.
@@ -153,9 +153,13 @@ def build_topology(network) -> Topology:
         channels = list(network.channels)
     topo = Topology()
     composites: List[Any] = []
+    seen: set = set()
 
     def expand(container, members) -> None:
         for p in members:
+            if id(p) in seen:
+                continue
+            seen.add(id(p))
             if isinstance(p, CompositeProcess):
                 composites.append(p)
                 expand(p, list(p.processes))

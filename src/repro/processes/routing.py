@@ -62,18 +62,15 @@ class Guard(IterativeProcess):
 
 
 class ModuloRouter(IterativeProcess):
-    """The ``mod`` process of Figure 13.
-
-    "sends all values that are evenly divisible by some constant N to its
-    upper output and all other values to its lower output."  For every N
-    consecutive integers it emits 1 on the upper and N−1 on the lower
-    output — the imbalance that deadlocks small channel capacities even in
-    an acyclic graph.
+    """The ``mod`` process of Figure 13: "sends all values that are evenly
+    divisible by some constant N to its upper output and all other values
+    to its lower output."  For every N consecutive integers it emits 1 on
+    the upper and N−1 on the lower output — the imbalance that deadlocks
+    small channel capacities even in an acyclic graph.
     """
 
     kpn_strict = True
-    # NOT rate-balanced: output selection is data-dependent, so relative
-    # occupancies can grow without bound (the whole point of Figure 13)
+    # NOT rate-balanced: data-dependent output selection (Figure 13's point)
 
     def __init__(self, source: InputStream, upper: OutputStream,
                  lower: OutputStream, divisor: int, iterations: int = 0,
@@ -86,10 +83,13 @@ class ModuloRouter(IterativeProcess):
         self.codec = get_codec(codec)
         self.track(source, upper, lower)
 
+    def goes_upper(self, value) -> bool:
+        """The router's predicate: the step and the kernel both apply it."""
+        return value % self.divisor == 0
+
     def step(self) -> None:
         value = self.codec.read(self.source)
-        out = self.upper if value % self.divisor == 0 else self.lower
-        self.codec.write(out, value)
+        self.codec.write(self.upper if self.goes_upper(value) else self.lower, value)
 
 
 class Scatter(IterativeProcess):

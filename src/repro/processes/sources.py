@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Optional
 
-from repro.kpn.process import IterativeProcess
+from repro.kpn.process import IterativeProcess, StopProcess
 from repro.kpn.streams import OutputStream
 from repro.processes.codecs import Codec, LONG, get_codec
 
@@ -65,6 +65,8 @@ class FromIterable(IterativeProcess):
 
     kpn_strict = True
     kpn_rate_balanced = True
+    # the iterable is user code that may sleep: it keeps a thread on async
+    kpn_async = False
 
     def __init__(self, out: OutputStream, items: Iterable[Any],
                  codec: "Codec | str" = LONG, name: Optional[str] = None) -> None:
@@ -74,15 +76,12 @@ class FromIterable(IterativeProcess):
         self.codec = get_codec(codec)
         self.track(out)
 
-    def run(self) -> None:  # simple non-step loop: bounded by the iterable
+    def on_start(self) -> None:
+        self._items = iter(self.items)
+
+    def step(self) -> None:
         try:
-            self.on_start()
-            for item in self.items:
-                self.codec.write(self.out, item)
-                self.steps_completed += 1
-        except Exception as exc:
-            from repro.errors import ChannelError
-            if not isinstance(exc, ChannelError):
-                self.failure = exc
-        finally:
-            self.on_stop()
+            item = next(self._items)
+        except StopIteration:
+            raise StopProcess from None
+        self.codec.write(self.out, item)

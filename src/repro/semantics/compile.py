@@ -202,9 +202,7 @@ def _register_standard() -> None:
 
     @register_kernel(ModuloRouter)
     def _mr(p, ctx):
-        divisor = p.divisor
-        ctx.node(p, ck_router(lambda x: x % divisor == 0),
-                 [p.source], [p.upper, p.lower])
+        ctx.node(p, ck_router(p.goes_upper), [p.source], [p.upper, p.lower])
 
     @register_kernel(Sift)
     def _sift(p, ctx):

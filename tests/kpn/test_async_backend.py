@@ -38,7 +38,8 @@ def test_async_hostable_rules():
     col = Collect(a.get_input_stream(), out)
     # plain IterativeProcess with default run: cooperative
     assert async_hostable(seq) and async_hostable(col)
-    # custom run loop (FromIterable) keeps its thread
+    # an iterable may sleep on something that is not a channel:
+    # FromIterable opts out (kpn_async = False) and keeps its thread
     src = FromIterable(b.get_output_stream(), [1, 2, 3])
     assert not async_hostable(src)
     # declared-@nondeterminate (Turnstile readiness polling) needs a thread

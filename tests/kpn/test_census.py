@@ -6,12 +6,13 @@ visualiser, growth_events() — reads it instead of keeping a copy."""
 import pytest
 
 from repro.kpn import Network, Tracer
+from repro.kpn.process import IterativeProcess
 from repro.kpn.visual import to_ascii, to_dot
 from repro.parallel import CallableTask, RangeProducerTask
 from repro.parallel.farm import build_farm
-from repro.processes import (Collect, FromIterable, Scale, Sequence,
-                             fibonacci, hamming, modulo_merge, newton_sqrt,
-                             primes)
+from repro.processes import (Collect, Scale, Sequence, fibonacci, hamming,
+                             modulo_merge, newton_sqrt, primes)
+from repro.processes.codecs import LONG
 from repro.telemetry.core import TELEMETRY
 from repro.telemetry.profile import PROFILER, analyze
 
@@ -181,13 +182,29 @@ def test_hamming_advice_knows_every_initial_capacity(
 # one growth book: every capacity change, each with its cause
 # ---------------------------------------------------------------------------
 
+class LoopSource(IterativeProcess):
+    """Writes ``items`` from a run loop of its own: a custom ``run``."""
+
+    def __init__(self, out, items, **kw):
+        super().__init__(**kw)
+        self.out, self.items = out, items
+        self.track(out)
+
+    def run(self):
+        try:
+            for item in self.items:
+                LONG.write(self.out, item)
+        finally:
+            self.on_stop()
+
+
 def test_compiler_presize_is_not_a_parks_resolution(telemetry_off_again):
     PROFILER.reset().enable()
     net = Network()
     b = net.channel(64, name="b")
     out = []
     # a custom run loop is never fused, so `b` survives to be pre-sized
-    net.add(FromIterable(b.get_output_stream(), range(50)))
+    net.add(LoopSource(b.get_output_stream(), range(50)))
     net.add(Collect(b.get_input_stream(), out))
     net.optimize(spec={"b": 4096})
     assert not b.fused

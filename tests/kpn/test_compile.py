@@ -121,15 +121,53 @@ def test_turnstile_refused_as_nondeterminate():
     assert "Turnstile" not in fused
 
 
+class LoopSource(IterativeProcess):
+    """Writes ``items`` from a run loop of its own: a custom ``run``."""
+
+    def __init__(self, out, items, **kw):
+        super().__init__(**kw)
+        self.out, self.items = out, items
+        self.track(out)
+
+    def run(self):
+        try:
+            for item in self.items:
+                LONG.write(self.out, item)
+        finally:
+            self.on_stop()
+
+
 def test_custom_run_loop_refused():
     net = Network()
     ch = net.channel(name="from-iter")
-    net.add(FromIterable(ch.get_output_stream(), [1, 2, 3], name="Iter"))
+    net.add(LoopSource(ch.get_output_stream(), [1, 2, 3], name="Iter"))
     out = []
     net.add(Collect(ch.get_input_stream(), out, name="Dst"))
     plan = compile_network(net)
     assert plan.chains == []
     assert "custom run()" in dict(plan.refusals)["Iter"]
+
+
+@pytest.mark.parametrize("backend", ["thread", "async"])
+def test_from_iterable_heads_a_chain_and_is_traced(backend):
+    """FromIterable runs the Figure 4 protocol, so the compiler fuses it
+    like any source and telemetry opens its span like any process's."""
+    net = Network(backend=backend)
+    a, b = net.channel(name="fi-a"), net.channel(name="fi-b")
+    out = []
+    net.add(FromIterable(a.get_output_stream(), range(20), name="Items"))
+    net.add(Scale(a.get_input_stream(), b.get_output_stream(), 3,
+                  name="Triple"))
+    net.add(Collect(b.get_input_stream(), out, name="Out"))
+    plan = fuse(net)
+    assert chain_names(plan) == [("Items", "Triple", "Out")]
+    assert [s.name for s in plan.pulled[0]] == ["Triple"]
+    with TELEMETRY.enabled_scope(reset=True):
+        assert net.run(timeout=30)
+        spans = {e.name for e in TELEMETRY.events()
+                 if e.category == "kpn.process" and e.phase == "B"}
+    assert {"Items", "Triple", "Out"} <= spans
+    assert out == [3 * k for k in range(20)]
 
 
 def test_shared_state_refused():

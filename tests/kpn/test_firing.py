@@ -26,7 +26,6 @@ from repro.kpn.scheduler import DeadlockPolicy
 from repro.processes import (Collect, Scale, Sequence, fibonacci, hamming,
                              modulo_merge, newton_sqrt)
 from repro.processes.codecs import LONG
-from repro.processes.sources import FromIterable
 
 BACKENDS = ["thread", "async"]
 
@@ -160,6 +159,22 @@ class Counted(IterativeProcess):
         super().on_stop()
 
 
+class LoopSource(IterativeProcess):
+    """Writes ``items`` from a run loop of its own: a custom ``run``."""
+
+    def __init__(self, out, items, **kw):
+        super().__init__(**kw)
+        self.out, self.items = out, items
+        self.track(out)
+
+    def run(self):
+        try:
+            for item in self.items:
+                LONG.write(self.out, item)
+        finally:
+            self.on_stop()
+
+
 @pytest.mark.parametrize("fused", [False, True])
 def test_no_body_is_entered_twice(fused, handoffs):
     net = Network(backend="async")
@@ -170,7 +185,7 @@ def test_no_body_is_entered_twice(fused, handoffs):
     # a custom run loop keeps its thread and stays out of the fused chain,
     # so channel a is a real one-element ring either way: a pump of the
     # chain counted+scale+collect sleeps in it like a lone step does
-    net.add(FromIterable(a.get_output_stream(), range(20)))
+    net.add(LoopSource(a.get_output_stream(), range(20)))
     counted = net.add(Counted(a.get_input_stream(), b.get_output_stream()))
     net.add(Scale(b.get_input_stream(), c.get_output_stream(), 1))
     net.add(Collect(c.get_input_stream(), out))

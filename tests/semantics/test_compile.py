@@ -7,9 +7,9 @@ import pytest
 from repro.kpn import Network
 from repro.kpn.process import CompositeProcess, IterativeProcess
 from repro.processes import (Add, BinaryOp, Collect, Cons, Duplicate,
-                             FromIterable, Guard, MapProcess, OrderedMerge,
-                             Scale, Sequence, fibonacci, hamming, modulo_merge,
-                             newton_sqrt, primes)
+                             FromIterable, Guard, MapProcess, ModuloRouter,
+                             OrderedMerge, Scale, Sequence, fibonacci,
+                             hamming, modulo_merge, newton_sqrt, primes)
 from repro.semantics.compile import (CompiledNetwork, UncompilableProcessError,
                                      compile_network, register_kernel)
 
@@ -223,3 +223,27 @@ def test_a_binary_op_compiles_to_its_own_combine(op, want):
     predicted = compile_network(net).predict(c.name)
     assert net.run(timeout=30)
     assert out == list(predicted) == want
+
+
+class OddUp(ModuloRouter):
+    def goes_upper(self, value):
+        return value % 2 == 1
+
+
+@pytest.mark.parametrize("mode", ["thread", "async", "fused"])
+def test_a_router_compiles_to_its_own_predicate(mode):
+    net = Network(backend="async" if mode == "async" else "thread")
+    src, up, low = net.channels_n(3)
+    upper, lower = [], []
+    net.add(FromIterable(src.get_output_stream(), range(10)))
+    net.add(OddUp(src.get_input_stream(), up.get_output_stream(),
+                  low.get_output_stream(), divisor=3))
+    net.add(Collect(up.get_input_stream(), upper))
+    net.add(Collect(low.get_input_stream(), lower))
+    compiled = compile_network(net)
+    predicted = [list(compiled.predict(up.name)),
+                 list(compiled.predict(low.name))]
+    if mode == "fused":
+        assert net.optimize().fusion_plan.chains
+    assert net.run(timeout=30)
+    assert [upper, lower] == predicted == [[1, 3, 5, 7, 9], [0, 2, 4, 6, 8]]
