@@ -15,7 +15,7 @@ in this process):
    fast workers more — the load-balancing story of Figures 19–20.
 
 The paper-scale run (2048 tasks, 34 CPUs, 1024-bit N) lives in the
-simulated-cluster benchmarks; see benchmarks/bench_table2_parallel.py.
+simulated-cluster benchmarks; see experiments/bench_table2_parallel.py.
 """
 
 import time

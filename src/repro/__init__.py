@@ -16,12 +16,14 @@ A from-scratch reproduction of *Distributed Process Networks in Java*
 * :mod:`repro.parallel` — the embarrassingly-parallel framework: generic
   Producer/Worker/Consumer over Tasks, MetaStatic and MetaDynamic load
   balancing, and the weak-RSA factorization workload;
-* :mod:`repro.simcluster` — a discrete-event simulation of the paper's
-  heterogeneous 34-CPU lab used to regenerate Tables 1–2 and Figures
-  19–20;
 * :mod:`repro.telemetry` — the unified observability layer: an
   off-by-default event bus + counter registry instrumented into all of
   the above, with Chrome-trace (Perfetto) and Prometheus exporters.
+
+The paper's evaluation — the simulated 34-CPU lab behind Tables 1–2 and
+Figures 19–20, and §6.2's CSP comparison — lives in the separate
+top-level ``experiments`` package, which builds on this runtime and is
+never imported by it.
 
 Quickstart::
 

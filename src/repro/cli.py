@@ -12,7 +12,6 @@ registry        start a name registry (wraps repro.distributed.registry)
 ping            ping a server (host:port or registry name)
 metrics         scrape a server's telemetry counters (Prometheus text)
 top             live refreshing view of per-server cluster state
-experiment      regenerate table1 / table2 / fig19 / fig20 on the simulator
 example         run one of the bundled examples by name
 lint            Kahn-semantics static analyzer: AST process lint,
                 shared-state race detection, graph construction rules and
@@ -27,9 +26,13 @@ compile         build a figure network and print the graph compiler's
 version         print the library version
 ==============  ==============================================================
 
-``experiment`` and ``example`` accept ``--trace-out FILE``: the run
-executes with telemetry enabled and its event stream is written as a
-Chrome trace-event JSON file (load it in Perfetto / chrome://tracing).
+``example`` accepts ``--trace-out FILE``: the run executes with
+telemetry enabled and its event stream is written as a Chrome trace-event
+JSON file (load it in Perfetto / chrome://tracing).
+
+The paper's evaluation (Tables 1-2, Figures 19-20) is regenerated by the
+separate ``experiments`` package (``python -m experiments``), which
+builds on this runtime; nothing here imports it.
 """
 
 from __future__ import annotations
@@ -42,12 +45,10 @@ from repro.config import RunConfig, add_run_arguments, use
 
 __all__ = ["main", "build_parser"]
 
-EXPERIMENTS = ("table1", "table2", "fig19", "fig20", "report")
 EXAMPLES = ("quickstart", "fibonacci", "primes_sieve", "newton_sqrt",
             "hamming", "distributed_fibonacci", "parallel_factorization",
-            "image_compression", "simulated_cluster", "signal_processing",
-            "tracing_and_graphs", "mandelbrot_farm", "cluster_operations",
-            "csp_comparison")
+            "image_compression", "signal_processing", "tracing_and_graphs",
+            "mandelbrot_farm", "cluster_operations")
 CHECKABLE = ("fibonacci", "primes", "hamming", "newton", "fig13")
 #: figure networks `repro profile` can build and run; fig19 is the task
 #: farm (the paper's real workload shape), fig13 exercises Parks growth
@@ -89,13 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print one snapshot and exit (no screen clear)")
     p_top.add_argument("--iterations", type=int, default=0, metavar="N",
                        help="stop after N refreshes (0 = until Ctrl-C)")
-
-    p_exp = sub.add_parser("experiment",
-                           help="regenerate a paper table/figure")
-    p_exp.add_argument("which", choices=EXPERIMENTS)
-    p_exp.add_argument("--trace-out", default=None, metavar="FILE",
-                       help="run with telemetry on; write a Chrome "
-                            "trace-event JSON file")
 
     p_ex = sub.add_parser("example", help="run a bundled example")
     p_ex.add_argument("which", choices=EXAMPLES + ("list",))
@@ -279,54 +273,6 @@ def _cmd_top(args) -> int:
     return 0
 
 
-def _cmd_experiment(args) -> int:
-    return _traced(args, f"experiment:{args.which}",
-                   lambda: _run_experiment(args))
-
-
-def _run_experiment(args) -> int:
-    from repro.simcluster import (ideal_speed, sequential_times,
-                                  sweep_workers, table2_rows)
-    from repro.simcluster.paperdata import table2_by_workers
-
-    if args.which == "report":
-        from repro.simcluster.report import generate_report
-
-        print(generate_report())
-        return 0
-    if args.which == "table1":
-        print("Table 1: sequential execution (minutes)")
-        print(f"{'class':>5} {'speed':>6} {'model':>7} {'paper':>7}")
-        for r in sequential_times():
-            print(f"{r['class']:>5} {r['speed']:>6.2f} "
-                  f"{r['time_model']:>7.2f} {r['time_paper']:>7.2f}")
-    elif args.which == "table2":
-        paper = table2_by_workers()
-        print("Table 2: parallel execution (minutes)")
-        print(f"{'W':>3} {'ideal':>7} {'stat-mdl':>9} {'stat-ppr':>9} "
-              f"{'dyn-mdl':>8} {'dyn-ppr':>8}")
-        for row in table2_rows():
-            p = paper[row.workers]
-            print(f"{row.workers:>3} {row.ideal_time:>7.2f} "
-                  f"{row.static_time:>9.2f} {p.static_time:>9.2f} "
-                  f"{row.dynamic_time:>8.2f} {p.dynamic_time:>8.2f}")
-    else:
-        rows = sweep_workers(range(1, 33))
-        if args.which == "fig19":
-            print("Figure 19: elapsed time (minutes) vs workers")
-            print(f"{'W':>3} {'ideal':>8} {'static':>8} {'dynamic':>8}")
-            for r in rows:
-                print(f"{r.workers:>3} {r.ideal_time:>8.2f} "
-                      f"{r.static_time:>8.2f} {r.dynamic_time:>8.2f}")
-        else:
-            print("Figure 20: speedup vs workers")
-            print(f"{'W':>3} {'ideal':>8} {'static':>8} {'dynamic':>8}")
-            for r in rows:
-                print(f"{r.workers:>3} {r.ideal_speed:>8.2f} "
-                      f"{r.static_speed:>8.2f} {r.dynamic_speed:>8.2f}")
-    return 0
-
-
 def _cmd_example(args) -> int:
     if args.which == "list":
         for name in EXAMPLES:
@@ -497,7 +443,6 @@ _HANDLERS = {
     "ping": _cmd_ping,
     "metrics": _cmd_metrics,
     "top": _cmd_top,
-    "experiment": _cmd_experiment,
     "example": _cmd_example,
     "lint": _cmd_lint,
     "profile": _cmd_profile,

@@ -43,6 +43,11 @@ _HEADER = struct.Struct(">BI")
 #: OBJ_OOB preamble: number of out-of-band buffers + pickle byte length
 _OOB_HEAD = struct.Struct(">IQ")
 _OOB_LEN = struct.Struct(">Q")
+#: FrameReader's scratch size: moderate, so bulk payloads rarely land
+#: there first — they take the direct recv_into path instead
+_READAHEAD = 32 * 1024
+#: pending-connection queue of a listening socket
+_BACKLOG = 16
 
 
 class Tag:
@@ -165,12 +170,10 @@ class FrameReader:
     with bare :func:`recv_frame` calls on the same connection.
     """
 
-    def __init__(self, sock: socket.socket, readahead: int = 32 * 1024) -> None:
+    def __init__(self, sock: socket.socket) -> None:
         self.sock = sock
-        #: fixed scratch; [_pos, _end) is the unparsed byte range.  Kept
-        #: moderate so bulk payloads rarely land here first — they take
-        #: the direct recv_into path below instead.
-        self._buf = bytearray(max(readahead, _HEADER.size))
+        #: fixed scratch; [_pos, _end) is the unparsed byte range
+        self._buf = bytearray(_READAHEAD)
         self._pos = 0
         self._end = 0
         #: adaptive peek: after a bulk frame, the next header is received
@@ -418,12 +421,12 @@ def set_advertised_host(host: str) -> None:
     _advertised_host = host
 
 
-def open_listener(port: int = 0, backlog: int = 16) -> socket.socket:
+def open_listener(port: int = 0) -> socket.socket:
     """A listening TCP socket on all interfaces; port 0 = ephemeral."""
     listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
     listener.bind(("0.0.0.0", port))
-    listener.listen(backlog)
+    listener.listen(_BACKLOG)
     return listener
 
 

@@ -72,6 +72,9 @@ __all__ = [
     "default_pool_size", "EXECUTOR_KINDS",
 ]
 
+#: retries of a task whose pool child died (the crash-survival contract)
+_MAX_RETRIES = 1
+
 
 def default_pool_size() -> int:
     """Pool width: the run configuration's ``pool_size``."""
@@ -183,7 +186,7 @@ class _PoolFuture:
     def result(self) -> Any:
         pool = self._pool
         child = self._child
-        attempts_left = pool.max_retries
+        attempts_left = _MAX_RETRIES
         try:
             while True:
                 try:
@@ -195,7 +198,7 @@ class _PoolFuture:
                         raise ChannelError("process pool closed") from exc
                     if attempts_left <= 0:
                         raise RemoteError(
-                            f"pool task failed {pool.max_retries + 1} times: "
+                            f"pool task failed {_MAX_RETRIES + 1} times: "
                             f"child died while executing it ({exc})") from exc
                     attempts_left -= 1
                     try:
@@ -218,20 +221,19 @@ class _PoolFuture:
 class ProcessPool(TaskExecutor):
     """A host-wide pool of warm child interpreters executing tasks.
 
+    A task whose child died is retried once on a fresh child (the
+    crash-survival contract).
+
     Parameters
     ----------
     size:
         Number of children (default: :func:`default_pool_size`).
-    max_retries:
-        How many times a task whose child died is retried on a fresh
-        child (default 1, per the crash-survival contract).
     """
 
     kind = "process"
 
-    def __init__(self, size: Optional[int] = None, max_retries: int = 1) -> None:
+    def __init__(self, size: Optional[int] = None) -> None:
         self.size = size or default_pool_size()
-        self.max_retries = max_retries
         self.tasks_completed = 0
         self.respawns = 0
         self.children_spawned = 0
@@ -403,7 +405,8 @@ def shared_executor(kind: str, size: Optional[int] = None) -> TaskExecutor:
 def shutdown_shared_executors() -> None:
     """Close and forget the shared process pool (idempotent)."""
     with _shared_lock:
-        executors, _shared_state = list(_shared.values()), _shared.clear()
+        executors = list(_shared.values())
+        _shared.clear()
     for ex in executors:
         try:
             ex.close()

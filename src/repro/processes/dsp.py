@@ -284,12 +284,9 @@ def _register_dsp_kernels() -> None:
 
         def kernel(inputs):
             (s,) = inputs
-            out = s.elems[::k]
-            # the last kept element is only safe once its whole group has
-            # arrived (or the stream closed)
-            if not s.closed and len(s.elems) % k != 0:
-                pass  # partial group: its head was already emitted; fine
-            return (CStream(out, s.closed),)
+            # a partial last group's head is already emitted: a prefix of
+            # the closed stream's output either way
+            return (CStream(s.elems[::k], s.closed),)
 
         ctx.node(p, kernel, [p.source], [p.out])
 

@@ -20,14 +20,6 @@ def test_version(capsys):
     assert capsys.readouterr().out.strip() == repro.__version__
 
 
-@pytest.mark.parametrize("which", ["table1", "table2", "fig19", "fig20"])
-def test_experiments_print_tables(which, capsys):
-    assert run_cli("experiment", which) == 0
-    out = capsys.readouterr().out
-    assert "paper" in out or "ideal" in out
-    assert len(out.splitlines()) >= 6
-
-
 def test_check_clean_graph(capsys):
     assert run_cli("lint", "fibonacci") == 0
     assert "cycle" in capsys.readouterr().out
@@ -72,11 +64,6 @@ def test_parser_rejects_unknown_command():
         build_parser().parse_args(["frobnicate"])
 
 
-def test_parser_rejects_unknown_experiment():
-    with pytest.raises(SystemExit):
-        build_parser().parse_args(["experiment", "table99"])
-
-
 def test_ping_roundtrip():
     from repro.distributed.server import ComputeServer
 
@@ -118,14 +105,14 @@ def test_metrics_command_raw_output(capsys):
     assert "wire.frames_received" in capsys.readouterr().out
 
 
-def test_experiment_trace_out_writes_valid_chrome_trace(tmp_path, capsys):
+def test_example_trace_out_writes_valid_chrome_trace(tmp_path, capsys):
     import json
 
     from repro.telemetry.core import TELEMETRY
 
     path = tmp_path / "trace.json"
     try:
-        assert run_cli("experiment", "table1", "--trace-out", str(path)) == 0
+        assert run_cli("example", "quickstart", "--trace-out", str(path)) == 0
     finally:
         TELEMETRY.disable().reset()
     assert "trace written to" in capsys.readouterr().err
