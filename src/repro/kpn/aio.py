@@ -73,6 +73,7 @@ networks (servers default to threads).
 from __future__ import annotations
 
 import itertools
+import sys
 import threading
 from collections import deque
 from typing import Callable, Optional
@@ -131,7 +132,7 @@ class Task:
         self.on_thread = False
         self._forced = False
         #: woken off a buffer's reader list: the next gate takes the
-        #: default rule's one input as ready (see _gate)
+        #: default rule's one input as ready (see _resume)
         self._fed = False
         # a fused chain is driven tail first; a lone process is a chain of one
         self._chain = process if _is_fused_chain(process) else None
@@ -227,16 +228,20 @@ class Task:
         """One scheduling quantum, started on the event-loop thread.
 
         Mirror of :meth:`FusedChain.run` — and, a lone process being a
-        chain of one, of :meth:`IterativeProcess.run`: pump the drivers
-        tail-to-head until each has finished, one quantum at a time.
+        chain of one, of :meth:`IterativeProcess.run`: run the drivers
+        tail-to-head until each has finished, one quantum at a time.  A
+        started stage is stepped here directly, as
+        :meth:`_StepDriver.drive` steps it on a thread; its start, its end
+        and a finished stage go through :meth:`_StepDriver.pump`.
 
-        The gate applies once the tail driver has started (its first pump
-        is ``on_start`` alone, which may write — a Delay's initial values
-        — before anything is read), and not to a pump that only finishes
-        a stage whose ``iterations`` budget is spent: that stage reads
-        nothing more, and parked on its input it would never end.  A
-        pump that sleeps in a channel op takes the thread it is on,
-        exactly as it would block a thread of the thread backend.
+        The gate — the firing rule, evaluated inline — applies once the
+        tail driver has started (its first pump is ``on_start`` alone,
+        which may write — a Delay's initial values — before anything is
+        read), and not to a pump that only finishes a stage whose
+        ``iterations`` budget is spent: that stage reads nothing more,
+        and parked on its input it would never end.  A step that sleeps
+        in a channel op takes the thread it is on, exactly as it would
+        block a thread of the thread backend.
         """
         here = _HERE
         prev = here.actor
@@ -250,11 +255,77 @@ class Task:
             while self._dindex < len(drivers):
                 driver = drivers[self._dindex]
                 stage = driver.stage
-                if (drivers[0].started
-                        and not 0 < stage.iterations <= stage.steps_completed
-                        and not self._gate()):
-                    return
-                if driver.pump():
+                gated = (drivers[0].started and not
+                         0 < stage.iterations <= stage.steps_completed)
+                if gated and not self._forced:
+                    # May the next step start?  If not, park on the
+                    # first buffer an operation of the step would
+                    # sleep on, and run nothing.  A forced task runs
+                    # ungated until this resume ends (_requeue).
+                    buffer = None
+                    if self._guesses or self._declared:
+                        awaits = self._awaits
+                        if awaits is None:
+                            if self._fed:
+                                # the write or close that woke us made
+                                # the one input ready; if a splice has
+                                # moved it since, the step hands off
+                                self._fed = False
+                                inputs = ()
+                            else:
+                                # Process.awaits, inlined: the only
+                                # tracked input, if one
+                                inputs = self._head.input_streams
+                                if len(inputs) > 1:
+                                    inputs = ()
+                        else:
+                            inputs = awaits() or ()
+                        for stream in inputs:
+                            buffer = stream.would_block_on()
+                            if buffer is not None:
+                                mode, assumed = "read", not self._declared
+                                break
+                    if buffer is None and self._guesses:
+                        for out in self._outputs_of.output_streams:
+                            ring = out.local_ring
+                            if ring is None:
+                                buffer = out.would_block_on()
+                            elif (len(ring._data) - ring._read_pos
+                                    >= ring._capacity
+                                    and not ring._read_closed
+                                    and not ring._write_closed):
+                                # LocalOutputStream.would_block_on
+                                buffer = ring
+                            if buffer is not None:
+                                mode, assumed = "write", True
+                                break
+                    if buffer is not None:
+                        self.assumed = assumed
+                        self._park_traced = _telemetry.enabled
+                        if not buffer.async_park(mode, self):
+                            # the buffer changed between the look and
+                            # the park: look again
+                            self.assumed = False
+                            self._park_traced = False
+                            self.loop.schedule(self)
+                        return
+                if gated and driver.started and not driver.finished:
+                    # _StepDriver.pump's step, with no frame of its own
+                    try:
+                        steps = driver._steps
+                        if steps is None:
+                            stage.step()
+                            stage.steps_completed += 1
+                        else:
+                            done = stage.steps_completed
+                            stage.steps_completed = done + steps(
+                                stage.iterations - done
+                                if stage.iterations > 0 else sys.maxsize)
+                        budget -= 1
+                    except Exception as exc:  # noqa: BLE001 - as pump
+                        driver.stop(stage._ended_by(exc))
+                        self._dindex += 1
+                elif driver.pump():
                     budget -= 1
                 else:
                     self._dindex += 1
@@ -266,51 +337,6 @@ class Task:
             self._complete()
         finally:
             here.task, here.actor = None, prev
-
-    def _gate(self) -> bool:
-        """May the next step start?  False: parked on the first buffer
-        an operation of the step would sleep on, run nothing."""
-        if self._forced:
-            return True             # until this resume ends (_requeue)
-        guesses = self._guesses
-        buffer = None
-        if guesses or self._declared:
-            awaits = self._awaits
-            if awaits is None:
-                if self._fed:
-                    # the write or close that woke us made the one input
-                    # ready; if a splice has moved it since, the step
-                    # hands off
-                    self._fed = False
-                    inputs = ()
-                else:
-                    # Process.awaits, inlined: the only tracked input, if one
-                    inputs = self._head.input_streams
-                    if len(inputs) > 1:
-                        inputs = ()
-            else:
-                inputs = awaits() or ()
-            for stream in inputs:
-                buffer = stream.would_block_on()
-                if buffer is not None:
-                    mode, assumed = "read", not self._declared
-                    break
-        if buffer is None and guesses:
-            for stream in self._outputs_of.output_streams:
-                buffer = stream.would_block_on()
-                if buffer is not None:
-                    mode, assumed = "write", True
-                    break
-        if buffer is None:
-            return True
-        self.assumed = assumed
-        self._park_traced = _telemetry.enabled
-        if not buffer.async_park(mode, self):
-            # the buffer changed between the hint and the park: look again
-            self.assumed = False
-            self._park_traced = False
-            self.loop.schedule(self)
-        return False
 
     def _requeue(self) -> None:
         """End this resume with the task runnable again.  A thread the

@@ -382,7 +382,9 @@ class BoundedByteBuffer:
         and a generation bump, with :class:`BlockAccounting`'s kick rule
         inline.
         """
-        with self._lock:
+        lock = self._lock
+        lock.acquire()
+        try:
             if self._write_closed or self._read_closed:
                 return False
             buffered = len(self._data) - self._read_pos
@@ -406,6 +408,8 @@ class BoundedByteBuffer:
             if _telemetry.enabled:
                 self._trace_block(mode, getattr(waiter, "name", ""))
             return True
+        finally:
+            lock.release()
 
     def async_release(self, mode: str) -> None:
         """Reschedule the tasks parked here for ``mode`` although nothing
@@ -439,12 +443,17 @@ class BoundedByteBuffer:
             return
         if _telemetry.enabled:
             _telemetry.inc("kpn.channel.writes", 1, channel=self.name)
-        with self._lock:
+        # acquire/try/finally, not ``with``: the cheaper lock section on
+        # the path every element takes
+        lock = self._lock
+        lock.acquire()
+        try:
             # The usual element — bytes, both ends open, room for all of
             # it — is one += and the bookkeeping _write_locked does for a
-            # chunk, with no view, no loop and no further frame.  Anything
-            # else (a closed end to raise on, a full ring to block on, a
-            # chunked or non-bytes write) is _write_locked's, unchanged.
+            # chunk, with no view, no loop and no further frame; its wake
+            # is _wake_readers' body, inline.  Anything else (a closed end
+            # to raise on, a full ring to block on, a chunked or non-bytes
+            # write) is _write_locked's, unchanged.
             if (type(data) is bytes and not self._write_closed
                     and not self._read_closed):
                 buffered = len(self._data) - self._read_pos + len(data)
@@ -458,10 +467,18 @@ class BoundedByteBuffer:
                     if _telemetry.enabled:
                         _telemetry.inc("kpn.channel.bytes_written", len(data),
                                        channel=self.name)
-                    if self._readers:
-                        self._wake_readers()
+                    waiters = self._readers
+                    if waiters:
+                        self._readers = []
+                        acct = self.accounting
+                        if acct is not None:
+                            acct.generation += 1
+                        for w in waiters:
+                            w.unparked(self, "read")
                     return
             self._write_locked(memoryview(data).cast("B"))
+        finally:
+            lock.release()
 
     def write_vectored(self, chunks) -> None:
         """Append several bytes-like chunks under one lock acquisition.
@@ -605,17 +622,34 @@ class BoundedByteBuffer:
         """
         if max_bytes <= 0:
             return memoryview(b"")
-        with self._lock:
+        lock = self._lock
+        lock.acquire()
+        try:
             while True:
                 if self._read_closed:
                     raise ChannelClosedError(
                         f"read on closed input of channel {self.name!r}")
-                if len(self._data) > self._read_pos:
-                    return self._take_locked(max_bytes)
+                start = self._read_pos
+                buffered = len(self._data) - start
+                if buffered > 0:
+                    if buffered > max_bytes or _telemetry.enabled:
+                        return self._take_locked(max_bytes)
+                    # _take_locked's steal, inline: the refill of every
+                    # read-ahead endpoint takes everything buffered
+                    stolen = self._data
+                    self._data = bytearray()
+                    self._read_pos = 0
+                    self.total_read += buffered
+                    if self._writers:
+                        self._wake_writers()
+                    return (memoryview(stolen)[start:] if start
+                            else memoryview(stolen))
                 if self._write_closed:
                     self._check_aborted_eof()
                     return memoryview(b"")
                 self._block("read")
+        finally:
+            lock.release()
 
     def _block(self, mode: str) -> None:
         """Sleep on the ``mode`` waiter list until a wake site empties it

@@ -123,6 +123,31 @@ class ChannelInputStream(InputStream):
                     return bytes(batch[:n])
         return self.blocking.read_exactly(n)
 
+    def read_in_place(self, n: int) -> tuple:
+        """Consume the next ``n`` bytes and say where they lie: ``(buffer,
+        offset)``, for a fixed-width codec to unpack at that offset.
+
+        An element lying whole in the local endpoint's read-ahead is
+        returned as the batch itself and its position, with no copy; a
+        used-up batch is refilled first, as in :meth:`read_exactly`.
+        Every other case is ``(read_exactly(n), 0)``: the stack below,
+        with the same values and the same errors."""
+        head = self.sequence.local_head
+        if head is not None:
+            batch, pos = head._batch, head._pos
+            end = pos + n
+            if pos < end <= len(batch):
+                head._pos = end
+                return batch, pos
+            if pos >= len(batch) and n > 0:
+                # as read_exactly's refill
+                head._batch, head._pos = _NOTHING, 0
+                batch = head._batch = head.buffer.drain_up_to(sys.maxsize)
+                if n <= len(batch):
+                    head._pos = n
+                    return batch, 0
+        return self.blocking.read_exactly(n), 0
+
     def take_ready(self, width: int, limit: int) -> Optional[memoryview]:
         # The whole elements left in the local endpoint's read-ahead, as
         # one view of the batch (its storage is never mutated, so the view

@@ -424,11 +424,12 @@ class _StepDriver:
     :func:`_declares` allows, a pause point between steps for a live
     migrator), or a fused chain's (its stages tail first, one ``step`` a
     call, no pause point).  :meth:`pump` runs it a call at a time: a
-    task's quantum (``steps`` as a thread would), and a fused stage's
-    start, ``iterations=`` budget and end.  Once started, a fused stage
-    is stepped by its chain's :meth:`drive` or its consumer's pipe, and
-    a stage the compiler marked *pulled* is one function call in the
-    read that pulls its run, which ends it through :meth:`stop` (see
+    task's or a fused stage's start, ``iterations=`` budget and end.
+    Once started, a task's stage is stepped by the task's resume
+    (``steps`` as a thread would), a fused stage by its chain's
+    :meth:`drive` or its consumer's pipe, and a stage the compiler
+    marked *pulled* is one function call in the read that pulls its run,
+    which ends it through :meth:`stop` (see
     :class:`repro.kpn.compile._FusedPipe`).
     """
 

@@ -13,8 +13,11 @@ the only code that knows an element's bytes:
 * :class:`ObjectCodec` stands in for ``ObjectOutputStream``: a 4-byte
   big-endian length, then a pickle, at most :data:`MAX_FRAME_BYTES` long.
 
-A codec reads through the source's ``read_exactly`` and writes through
-the sink's ``write``/``write_vectored``: a channel endpoint has all three.
+A codec reads through the source's ``read_exactly`` (a fixed-width one
+through ``read_in_place``, which says where the element lies, so that it
+is unpacked at its offset in the endpoint's read-ahead with no copy) and
+writes through the sink's ``write``/``write_vectored``: a channel
+endpoint has all four.
 A fixed-width codec also decodes a run of whole elements at once
 (:meth:`StructCodec.unpack_all`) and encodes a list of them as one write
 (:meth:`StructCodec.write_all`): that is how a map stage consumes what its
@@ -102,7 +105,8 @@ class StructCodec(Codec):
         out.write(self._struct.pack(value))
 
     def read(self, source: InputStream) -> Any:
-        return self._struct.unpack_from(source.read_exactly(self.width))[0]
+        # the element at its offset in what the source holds: no copy
+        return self._struct.unpack_from(*source.read_in_place(self.width))[0]
 
     def unpack_all(self, view) -> tuple:
         """Decode ``view``, a whole number of elements, in one call."""

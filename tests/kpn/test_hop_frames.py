@@ -3,10 +3,12 @@
 ``LONG.write`` into a ring with room and ``LONG.read`` from a batch the
 endpoint already holds are each one frame below the codec and take no
 sequence lock (they were 8 and 5 frames and an RLock each when every call
-walked the Figure-3 stack); a read that finds the batch used up refills
-it with one ``drain_up_to``, still without the lock.  End of stream, and
-an endpoint whose sequence is fused, spliced or closed, still go through
-the stack, layer by layer.  Counted with
+walked the Figure-3 stack); the read's frame only says where the element
+lies, and the codec unpacks it there.  A read that finds the batch used
+up refills it with one ``drain_up_to``, which takes everything the ring
+buffers in its own frame, still without the sequence lock.  End of
+stream, and an endpoint whose sequence is fused, spliced or closed, still
+go through the stack, layer by layer.  Counted with
 ``sys.setprofile`` ``call`` events, which see Python frames only, so the
 numbers repeat exactly.
 """
@@ -88,7 +90,7 @@ def test_hit_path_is_one_frame_below_the_codec_and_takes_no_lock():
         assert calls(LONG.write, out, 4) == [
             "StructCodec.write", "BoundedByteBuffer.write"]
         assert calls(LONG.read, inp) == [
-            "StructCodec.read", "ChannelInputStream.read_exactly"]
+            "StructCodec.read", "ChannelInputStream.read_in_place"]
     assert out.sequence._lock.taken == inp.sequence._lock.taken == 0
     assert inp.sequence.local_head is ch.reader
 
@@ -101,8 +103,8 @@ def test_an_empty_batch_is_refilled_by_one_drain():
     LONG.write(out, 5)
     for _ in range(2):                    # exact, so it repeats
         assert calls(LONG.read, inp) == [
-            "StructCodec.read", "ChannelInputStream.read_exactly",
-            "BoundedByteBuffer.drain_up_to", "BoundedByteBuffer._take_locked"]
+            "StructCodec.read", "ChannelInputStream.read_in_place",
+            "BoundedByteBuffer.drain_up_to"]
         assert ch.reader.held() == 8      # the refill took both elements
         assert LONG.read(inp) == 5        # ... and the first was 4
         LONG.write(out, 4)
@@ -133,7 +135,7 @@ def test_spliced_endpoint_reads_through_the_stack():
     inp.sequence._lock.taken = 0
     # the element lies whole in the batch, as on the hit path
     assert calls(LONG.read, inp) == [
-        "StructCodec.read", "ChannelInputStream.read_exactly",
+        "StructCodec.read", "ChannelInputStream.read_in_place",
         "BlockingInputStream.read_exactly", "SequenceInputStream.read",
         "LocalInputStream.read"]
     assert inp.sequence._lock.taken == 1
@@ -161,7 +163,7 @@ def test_a_collection_never_lands_in_a_count():
         gc.set_threshold(*threshold)
         gc.callbacks.remove(on_gc)
     assert frames == [
-        "StructCodec.read", "ChannelInputStream.read_exactly",
+        "StructCodec.read", "ChannelInputStream.read_in_place",
         "BlockingInputStream.read_exactly", "SequenceInputStream.read",
         "LocalInputStream.read"]
 
@@ -177,7 +179,7 @@ def test_fused_endpoint_reaches_the_pipe_through_the_stack():
     assert calls(LONG.write, out, 9) == [
         "StructCodec.write", "_PipeOutput.write", "_FusedPipe.write_bytes"]
     assert calls(LONG.read, inp) == [
-        "StructCodec.read", "ChannelInputStream.read_exactly",
+        "StructCodec.read", "ChannelInputStream.read_in_place",
         "BlockingInputStream.read_exactly", "SequenceInputStream.read",
         "_PipeInput.read", "_FusedPipe.read"]
     assert inp.sequence._lock.taken == 1
@@ -194,7 +196,7 @@ def test_closed_endpoint_raises_from_the_sequence():
     inp.close()
     assert inp.sequence.local_head is None
     assert calls(LONG.read, inp) == [
-        "StructCodec.read", "ChannelInputStream.read_exactly",
+        "StructCodec.read", "ChannelInputStream.read_in_place",
         "BlockingInputStream.read_exactly", "SequenceInputStream.read"]
     with pytest.raises(ChannelClosedError, match="SequenceInputStream"):
         LONG.read(inp)

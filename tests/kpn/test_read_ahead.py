@@ -9,6 +9,7 @@ places where held bytes could be lost or repeated — splicing, migration,
 a task-hosted reader — and the diagnostics that must count them.
 """
 
+import struct
 import sys
 import threading
 import time
@@ -23,7 +24,7 @@ from repro.kpn import Network
 from repro.kpn.channel import Channel, wait_any_readable
 from repro.kpn.process import IterativeProcess
 from repro.processes import Collect, Scale, Sequence
-from repro.processes.codecs import LONG
+from repro.processes.codecs import LONG, StructCodec
 
 CAPACITY = 32
 sizes = st.integers(min_value=1, max_value=24)
@@ -98,6 +99,20 @@ class ReadAheadMachine(RuleBasedStateMachine):
             self.model.clear()
         # else: would block
 
+    @rule(n=sizes)
+    def read_in_place(self, n):
+        """A fixed-width codec's read: unpacked where the element lies."""
+        codec = StructCodec(f"{n}s", f"bytes{n}")
+        if len(self.model) >= n:
+            assert codec.read(self.inp) == bytes(self.model[:n])
+            del self.model[:n]
+        elif self.closed:
+            with pytest.raises(BrokenChannelError if self.aborted
+                               else EndOfStreamError):
+                codec.read(self.inp)
+            self.model.clear()
+        # else: would block
+
     @rule()
     def drain_for_migration(self):
         assert self.ch.drain() == bytes(self.model)
@@ -154,6 +169,100 @@ def test_element_spanning_two_batches():
     assert LONG.read(inp) == 7            # batch now holds 3 of the next 8
     out.write(word[3:])
     assert LONG.read(inp) == 0x0102030405060708
+
+
+# ---------------------------------------------------------------------------
+# the in-place read against read_exactly, where the element does not lie
+# whole in the batch
+# ---------------------------------------------------------------------------
+
+def _both_ways(script):
+    """Run ``script(channel, read)`` twice on fresh channels: ``read``
+    is ``LONG.read`` (in place where it can be) and then
+    ``read_exactly`` decoded.  Both runs must read the same values and
+    end with the same error text."""
+    def exact(inp):
+        return struct.unpack(">q", inp.read_exactly(8))[0]
+
+    outcomes = []
+    for read in (LONG.read, exact):
+        got = []
+        try:
+            script(Channel(1024), lambda inp: got.append(read(inp)))
+            outcomes.append((got, None))
+        except EndOfStreamError as exc:
+            outcomes.append((got, str(exc)))
+    assert outcomes[0] == outcomes[1]
+    return outcomes[0]
+
+
+def test_in_place_read_of_an_element_torn_across_two_refills():
+    word = LONG.encode(0x0102030405060708)
+
+    def script(ch, read):
+        out, inp = ch.get_output_stream(), ch.get_input_stream()
+        out.write(LONG.encode(7) + word[:3])
+        read(inp)                         # the batch holds 3 of the next 8
+        out.write(word[3:])
+        read(inp)                         # finished from the next refill
+        out.write(LONG.encode(9))
+        read(inp)                         # whole in a fresh batch again
+
+    assert _both_ways(script) == ([7, 0x0102030405060708, 9], None)
+
+
+def test_in_place_read_at_end_of_stream_inside_an_element():
+    def script(ch, read):
+        out, inp = ch.get_output_stream(), ch.get_input_stream()
+        out.write(LONG.encode(5) + LONG.encode(6)[:3])
+        out.close()
+        read(inp)
+        read(inp)
+
+    assert _both_ways(script) == (
+        [5], "stream ended mid-element: wanted 8 bytes, got 3")
+
+    def at_the_end(ch, read):
+        out, inp = ch.get_output_stream(), ch.get_input_stream()
+        out.write(LONG.encode(5))
+        out.close()
+        read(inp)
+        read(inp)
+
+    assert _both_ways(at_the_end) == ([5], "end of stream")
+
+
+def test_in_place_read_after_a_splice_under_a_held_batch():
+    """The endpoint holds one element and 3 bytes of the next when an
+    upstream channel is spliced behind it: the rest of that element
+    comes from the spliced channel."""
+    word = LONG.encode(-2)
+
+    def script(ch, read):
+        out, inp = ch.get_output_stream(), ch.get_input_stream()
+        out.write(LONG.encode(1) + LONG.encode(2) + word[:3])
+        read(inp)                         # 2 and 3 bytes of -2 held
+        up = Channel(1024, name="up")
+        up.get_output_stream().write(word[3:] + LONG.encode(3))
+        up.get_output_stream().close()
+        inp.splice_from(up.get_input_stream())
+        out.close()
+        assert inp.sequence.local_head is None
+        for _ in range(4):
+            read(inp)
+
+    assert _both_ways(script) == ([1, 2, -2, 3], "end of stream")
+
+
+def test_in_place_read_unpacks_the_batch_itself():
+    ch = Channel(1024)
+    ch.get_output_stream().write(_longs([4, 5]))
+    inp = ch.get_input_stream()
+    batch, pos = inp.read_in_place(8)
+    assert (batch, pos) == (ch.reader._batch, 0)
+    assert batch is ch.reader._batch      # no copy, no slice
+    assert inp.read_in_place(8) == (batch, 8)
+    assert ch.reader.held() == 0
 
 
 def test_frames_larger_than_the_batch_finish_through_read():
