@@ -85,7 +85,8 @@ from repro.telemetry.core import TELEMETRY as _telemetry
 __all__ = ["EventLoop", "Task", "async_hostable"]
 
 #: per-thread: the task whose step runs here (``.task``, read by the
-#: buffers) and its telemetry lane (``.actor``); set around each resume
+#: buffers; its lane is the thread's telemetry lane); set around each
+#: resume
 _HERE = _telemetry.local
 
 #: steps a task may run per resume before yielding the loop (fairness:
@@ -119,7 +120,7 @@ class Task:
         self.loop = loop
         self.vtid = _next_vtid()
         #: the telemetry lane this task's events land in
-        self._lane = (self.vtid, self.name)
+        self.lane = (self.vtid, self.name)
         self._on_finish = on_finish
         # held until _complete: what join waits on (is_alive reads the flag)
         self._done = threading.Lock()
@@ -184,7 +185,7 @@ class Task:
             self._park_traced = False
             # close the block span in the *task's* lane even though the
             # waking thread emits it
-            prev = _telemetry.swap_actor(self._lane)
+            prev = _telemetry.swap_actor(self.lane)
             try:
                 _telemetry.end(f"block.{mode}", category="kpn.block")
             finally:
@@ -229,10 +230,10 @@ class Task:
 
         Mirror of :meth:`FusedChain.run` — and, a lone process being a
         chain of one, of :meth:`IterativeProcess.run`: run the drivers
-        tail-to-head until each has finished, one quantum at a time.  A
-        started stage is stepped here directly, as
-        :meth:`_StepDriver.drive` steps it on a thread; its start, its end
-        and a finished stage go through :meth:`_StepDriver.pump`.
+        tail-to-head until each has finished, one quantum at a time.  As
+        :meth:`_StepDriver.drive` does on a thread, a started stage is
+        stepped here, in a loop of its own, and its start, its end and a
+        finished stage go through :meth:`_StepDriver.pump`.
 
         The gate — the firing rule, evaluated inline — applies once the
         tail driver has started (its first pump is ``on_start`` alone,
@@ -243,9 +244,7 @@ class Task:
         in a channel op takes the thread it is on, exactly as it would
         block a thread of the thread backend.
         """
-        here = _HERE
-        prev = here.actor
-        here.task, here.actor = self, self._lane
+        _HERE.task = self
         try:
             chain = self._chain
             drivers = self._drivers
@@ -255,62 +254,56 @@ class Task:
             while self._dindex < len(drivers):
                 driver = drivers[self._dindex]
                 stage = driver.stage
-                gated = (drivers[0].started and not
-                         0 < stage.iterations <= stage.steps_completed)
-                if gated and not self._forced:
-                    # May the next step start?  If not, park on the
-                    # first buffer an operation of the step would
-                    # sleep on, and run nothing.  A forced task runs
-                    # ungated until this resume ends (_requeue).
-                    buffer = None
-                    if self._guesses or self._declared:
-                        awaits = self._awaits
-                        if awaits is None:
-                            if self._fed:
-                                # the write or close that woke us made
-                                # the one input ready; if a splice has
-                                # moved it since, the step hands off
-                                self._fed = False
-                                inputs = ()
-                            else:
-                                # Process.awaits, inlined: the only
-                                # tracked input, if one
-                                inputs = self._head.input_streams
-                                if len(inputs) > 1:
+                while (drivers[0].started and not
+                       0 < stage.iterations <= stage.steps_completed):
+                    if not self._forced:
+                        # May the next step start?  If not, park on the
+                        # first buffer an operation of the step would
+                        # sleep on, and run nothing.  A forced task runs
+                        # ungated until this resume ends (_requeue).
+                        buffer = None
+                        if self._guesses or self._declared:
+                            awaits = self._awaits
+                            if awaits is None:
+                                if self._fed:
+                                    # the write or close that woke us
+                                    # made the one input ready; if a
+                                    # splice has moved it since, the
+                                    # step hands off
+                                    self._fed = False
                                     inputs = ()
-                        else:
-                            inputs = awaits() or ()
-                        for stream in inputs:
-                            buffer = stream.would_block_on()
-                            if buffer is not None:
-                                mode, assumed = "read", not self._declared
-                                break
-                    if buffer is None and self._guesses:
-                        for out in self._outputs_of.output_streams:
-                            ring = out.local_ring
-                            if ring is None:
+                                else:
+                                    # Process.awaits, inlined: the only
+                                    # tracked input, if one
+                                    inputs = self._head.input_streams
+                                    if len(inputs) > 1:
+                                        inputs = ()
+                            else:
+                                inputs = awaits() or ()
+                            for stream in inputs:
+                                buffer = stream.would_block_on()
+                                if buffer is not None:
+                                    mode = "read"
+                                    assumed = not self._declared
+                                    break
+                        if buffer is None and self._guesses:
+                            for out in self._outputs_of.output_streams:
                                 buffer = out.would_block_on()
-                            elif (len(ring._data) - ring._read_pos
-                                    >= ring._capacity
-                                    and not ring._read_closed
-                                    and not ring._write_closed):
-                                # LocalOutputStream.would_block_on
-                                buffer = ring
-                            if buffer is not None:
-                                mode, assumed = "write", True
-                                break
-                    if buffer is not None:
-                        self.assumed = assumed
-                        self._park_traced = _telemetry.enabled
-                        if not buffer.async_park(mode, self):
-                            # the buffer changed between the look and
-                            # the park: look again
-                            self.assumed = False
-                            self._park_traced = False
-                            self.loop.schedule(self)
-                        return
-                if gated and driver.started and not driver.finished:
-                    # _StepDriver.pump's step, with no frame of its own
+                                if buffer is not None:
+                                    mode, assumed = "write", True
+                                    break
+                        if buffer is not None:
+                            self.assumed = assumed
+                            self._park_traced = _telemetry.enabled
+                            if not buffer.async_park(mode, self):
+                                # the buffer changed between the look
+                                # and the park: look again
+                                self.assumed = False
+                                self._park_traced = False
+                                self.loop.schedule(self)
+                            return
+                    if not driver.started or driver.finished:
+                        break               # its pump, below
                     try:
                         steps = driver._steps
                         if steps is None:
@@ -321,11 +314,14 @@ class Task:
                             stage.steps_completed = done + steps(
                                 stage.iterations - done
                                 if stage.iterations > 0 else sys.maxsize)
-                        budget -= 1
-                    except Exception as exc:  # noqa: BLE001 - as pump
+                    except Exception as exc:  # noqa: BLE001 - as drive
                         driver.stop(stage._ended_by(exc))
-                        self._dindex += 1
-                elif driver.pump():
+                        break
+                    budget -= 1
+                    if self.on_thread or budget <= 0:
+                        self._requeue()
+                        return
+                if driver.pump():
                     budget -= 1
                 else:
                     self._dindex += 1
@@ -336,7 +332,7 @@ class Task:
                 chain.end()
             self._complete()
         finally:
-            here.task, here.actor = None, prev
+            _HERE.task = None
 
     def _requeue(self) -> None:
         """End this resume with the task runnable again.  A thread the

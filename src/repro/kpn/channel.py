@@ -99,39 +99,21 @@ class ChannelInputStream(InputStream):
         return self.blocking.read(max_bytes)
 
     def read_exactly(self, n: int) -> bytes:
-        # An element lying whole in what the local endpoint has read ahead
-        # is one slice of that batch, and a used-up batch is refilled here
-        # with one drain_up_to (what LocalInputStream.read would do, four
-        # frames and a lock further down).  An element longer than what is
-        # left, end of stream, a refill shorter than the element, a
-        # spliced, fused, remote, finished or closed sequence: the stack
-        # below, unchanged.
-        head = self.sequence.local_head
-        if head is not None:
-            batch, pos = head._batch, head._pos
-            end = pos + n
-            if pos < end <= len(batch):
-                head._pos = end
-                return bytes(batch[pos:end])
-            if pos >= len(batch) and n > 0:
-                # LocalInputStream._refill: drop the used-up storage before
-                # blocking, then hold everything the ring buffers
-                head._batch, head._pos = _NOTHING, 0
-                batch = head._batch = head.buffer.drain_up_to(sys.maxsize)
-                if n <= len(batch):
-                    head._pos = n
-                    return bytes(batch[:n])
-        return self.blocking.read_exactly(n)
+        buf, pos = self.read_in_place(n)
+        return bytes(buf[pos:pos + n])
 
     def read_in_place(self, n: int) -> tuple:
         """Consume the next ``n`` bytes and say where they lie: ``(buffer,
-        offset)``, for a fixed-width codec to unpack at that offset.
+        offset)``, for a codec to decode at that offset with no copy.
 
-        An element lying whole in the local endpoint's read-ahead is
-        returned as the batch itself and its position, with no copy; a
-        used-up batch is refilled first, as in :meth:`read_exactly`.
-        Every other case is ``(read_exactly(n), 0)``: the stack below,
-        with the same values and the same errors."""
+        An element lying whole in what the local endpoint has read ahead
+        is that batch and its position, and a used-up batch is refilled
+        here with one drain_up_to (what LocalInputStream.read would do,
+        four frames and a lock further down).  An element longer than
+        what is left, end of stream, a refill shorter than the element, a
+        spliced, fused, remote, finished or closed sequence: the stack
+        below, unchanged — ``(bytes, 0)``, with the same values and the
+        same errors."""
         head = self.sequence.local_head
         if head is not None:
             batch, pos = head._batch, head._pos
@@ -140,7 +122,8 @@ class ChannelInputStream(InputStream):
                 head._pos = end
                 return batch, pos
             if pos >= len(batch) and n > 0:
-                # as read_exactly's refill
+                # LocalInputStream._refill: drop the used-up storage before
+                # blocking, then hold everything the ring buffers
                 head._batch, head._pos = _NOTHING, 0
                 batch = head._batch = head.buffer.drain_up_to(sys.maxsize)
                 if n <= len(batch):

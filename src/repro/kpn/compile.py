@@ -188,7 +188,7 @@ class _FusedPipe:
                     and not 0 < stage.iterations <= stage.steps_completed):
                 try:
                     stage.step()
-                except Exception as exc:  # noqa: BLE001 - as pump
+                except Exception as exc:  # noqa: BLE001 - as drive
                     up.stop(stage._ended_by(exc))
                 else:
                     stage.steps_completed += 1
@@ -237,10 +237,10 @@ class _FusedPipe:
         object from the run's source pipe through each stage's element
         function in order, each counted as a completed step.  An
         exception out of the source read or out of stage k's function
-        ends stage k exactly as one out of its ``step`` would in a pump;
-        the loop then looks again (:meth:`_entry`), and the stages after
-        k read the end of stream its cleanup left, one by one, as they
-        would across threads.
+        ends stage k exactly as one out of its ``step`` would in a step
+        loop; the loop then looks again (:meth:`_entry`), and the stages
+        after k read the end of stream its cleanup left, one by one, as
+        they would across threads.
         """
         while True:
             entries = self.entries
@@ -270,7 +270,7 @@ class _FusedPipe:
                 for fn, stage, driver in stages:
                     value = fn(value)
                     stage.steps_completed += 1
-            except Exception as exc:  # noqa: BLE001 - as pump
+            except Exception as exc:  # noqa: BLE001 - as drive
                 self.steady = None
                 driver.stop(stage._ended_by(exc))
                 continue

@@ -423,20 +423,20 @@ class _StepDriver:
     process's own (:meth:`IterativeProcess.run`: ``steps`` where
     :func:`_declares` allows, a pause point between steps for a live
     migrator), or a fused chain's (its stages tail first, one ``step`` a
-    call, no pause point).  :meth:`pump` runs it a call at a time: a
-    task's or a fused stage's start, ``iterations=`` budget and end.
-    Once started, a task's stage is stepped by the task's resume
-    (``steps`` as a thread would), a fused stage by its chain's
-    :meth:`drive` or its consumer's pipe, and a stage the compiler
-    marked *pulled* is one function call in the read that pulls its run,
-    which ends it through :meth:`stop` (see
+    call, no pause point).  :meth:`pump` is the rest of it, for a
+    caller that steps the stage itself: its start, and its end at its
+    ``iterations=`` budget.  Once started, a task's stage is stepped by
+    the task's resume (``steps`` as a thread would), a fused stage by
+    its chain's :meth:`drive` or its consumer's pipe, and a stage the
+    compiler marked *pulled* is one function call in the read that pulls
+    its run, which ends it through :meth:`stop` (see
     :class:`repro.kpn.compile._FusedPipe`).
     """
 
     def __init__(self, stage: IterativeProcess, fused: bool = False) -> None:
         self.stage = stage
         self.fused = fused
-        #: the stage's bound ``steps``, or None: one ``step`` per pump
+        #: the stage's bound ``steps``, or None: one ``step`` a call
         self._steps = (stage.steps
                        if not fused and _declares(type(stage), "steps")
                        else None)
@@ -445,36 +445,30 @@ class _StepDriver:
         self._traced = False
 
     def pump(self) -> bool:
-        """Run ``on_start`` (the first call) or one step; False once the
-        process has terminated.  The first call stops short of a step so
-        that a scheduler can look at the started process before its
-        first one."""
+        """Run ``on_start`` (the first call), or end a stage whose
+        ``iterations`` budget is spent; False once the process has
+        terminated.  A started stage within its budget is the caller's
+        to step, and a pump leaves it as it is.  The first call stops
+        short of a step so that a scheduler can look at the started
+        process before its first one."""
         if self.finished:
             return False
         st = self.stage
-        try:
-            if not self.started:
-                self.started = True
-                self._traced = st._begin(**({"fused": True} if self.fused
-                                            else {}))
-                if not st._live_migrated:
-                    st.on_start()
-                return True
+        if self.started:
             if not 0 < st.iterations <= st.steps_completed:
-                if self._steps is None:
-                    st.step()
-                    st.steps_completed += 1
-                else:
-                    done = st.steps_completed
-                    st.steps_completed = done + self._steps(
-                        st.iterations - done if st.iterations > 0
-                        else sys.maxsize)
                 return True
-            reason = "limit"
+            self.stop("limit")
+            return False
+        self.started = True
+        try:
+            self._traced = st._begin(**({"fused": True} if self.fused
+                                        else {}))
+            if not st._live_migrated:
+                st.on_start()
         except Exception as exc:  # noqa: BLE001 - classified, then cleaned up
-            reason = st._ended_by(exc)
-        self.stop(reason)
-        return False
+            self.stop(st._ended_by(exc))
+            return False
+        return True
 
     def stop(self, reason: str) -> None:
         """The process has terminated for ``reason``: run its cleanup."""
@@ -507,7 +501,7 @@ class _StepDriver:
                         st.steps_completed = done + steps(
                             st.iterations - done if st.iterations > 0
                             else sys.maxsize)
-            except Exception as exc:  # noqa: BLE001 - as pump
+            except Exception as exc:  # noqa: BLE001 - classified
                 self.stop(st._ended_by(exc))
                 return
 

@@ -93,11 +93,6 @@ class OutputStream:
     byte waits for a flush to reach the reader.
     """
 
-    #: the local ring a write lands in, for the async gate to look at
-    #: inline (what :meth:`would_block_on` would answer); None: ask
-    #: :meth:`would_block_on`
-    local_ring: Optional[BoundedByteBuffer] = None
-
     def write(self, data: bytes) -> None:
         raise NotImplementedError
 
@@ -228,7 +223,7 @@ class LocalOutputStream(OutputStream):
     """
 
     def __init__(self, buffer: BoundedByteBuffer) -> None:
-        self.buffer = self.local_ring = buffer
+        self.buffer = buffer
         self.write = buffer.write
         self.write_vectored = buffer.write_vectored
 
@@ -293,8 +288,8 @@ class BlockingInputStream(InputStream):
         return bytes(out)
 
     def read_in_place(self, n: int) -> tuple:
-        """``(read_exactly(n), 0)``: where the element a fixed-width codec
-        unpacks lies (a channel endpoint may answer with its read-ahead)."""
+        """``(read_exactly(n), 0)``: where the element a codec decodes lies
+        (a channel endpoint may answer with its read-ahead)."""
         return self.read_exactly(n), 0
 
     def close(self) -> None:
@@ -492,8 +487,7 @@ class SequenceOutputStream(OutputStream):
         # producer that mixes write and write_vectored never finds one
         # re-pointed and the other not (which could reorder its bytes)
         vars(endpoint).update(write=write, write_vectored=write_vectored,
-                              would_block_on=target.would_block_on,
-                              local_ring=target.local_ring)
+                              would_block_on=target.would_block_on)
 
     def _raise_closed(self, data) -> None:
         raise ChannelClosedError("write on closed SequenceOutputStream")

@@ -13,11 +13,10 @@ the only code that knows an element's bytes:
 * :class:`ObjectCodec` stands in for ``ObjectOutputStream``: a 4-byte
   big-endian length, then a pickle, at most :data:`MAX_FRAME_BYTES` long.
 
-A codec reads through the source's ``read_exactly`` (a fixed-width one
-through ``read_in_place``, which says where the element lies, so that it
-is unpacked at its offset in the endpoint's read-ahead with no copy) and
-writes through the sink's ``write``/``write_vectored``: a channel
-endpoint has all four.
+A codec reads through the source's ``read_in_place``, which says where
+the element lies, so that it is decoded at its offset in the endpoint's
+read-ahead with no copy, and writes through the sink's
+``write``/``write_vectored``: a channel endpoint has all three.
 A fixed-width codec also decodes a run of whole elements at once
 (:meth:`StructCodec.unpack_all`) and encodes a list of them as one write
 (:meth:`StructCodec.write_all`): that is how a map stage consumes what its
@@ -155,7 +154,8 @@ class ObjectCodec(Codec):
     re-pointed when its transport is switched, and a copy would go on
     writing into the old one.
 
-    * reads use the stream's ``read_exactly``;
+    * reads use the stream's ``read_in_place``, so a frame the endpoint
+      holds is unpickled from its read-ahead with no copy;
     * writes go through the stream's ``write_vectored``, so the 4-byte
       header and the payload reach the channel in one call with no
       ``header + payload`` concatenation copy.
@@ -187,11 +187,13 @@ class ObjectCodec(Codec):
         out.write_vectored((self._header(payload), payload))
 
     def read(self, source: InputStream) -> Any:
-        exact = source.read_exactly
-        (length,) = self._LEN.unpack_from(exact(4))
+        # header and payload decoded where they lie, as StructCodec.read
+        in_place = source.read_in_place
+        (length,) = self._LEN.unpack_from(*in_place(4))
         if length > MAX_FRAME_BYTES:
             raise _oversized(length)
-        return pickle.loads(exact(length))
+        buf, pos = in_place(length)
+        return pickle.loads(buf[pos:pos + length])
 
     def encode(self, value: Any) -> bytes:
         payload = pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)

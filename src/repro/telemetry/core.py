@@ -169,12 +169,13 @@ class _ThreadLocal(threading.local):
     """Whom the calling thread is working for (:attr:`TelemetryHub.local`)."""
 
     #: ``(tid, name)`` the thread's events are attributed to instead of
-    #: the OS thread, or None
+    #: the OS thread, or None: then ``task``'s lane, if a task is set
     actor: Optional[Tuple[int, str]] = None
     #: the cooperative task whose step runs on this thread, or None.  The
-    #: async backend sets it next to the task's ``actor`` around each
-    #: resume (two stores on one thread-local); the channel buffers read
-    #: it to find a task whose step has to sleep.
+    #: async backend sets it around each resume (one store on one
+    #: thread-local); the thread's events land in the task's ``lane``,
+    #: and the channel buffers read it to find a task whose step has to
+    #: sleep.
     task: Any = None
 
 
@@ -227,9 +228,9 @@ class TelemetryHub:
         self.events_emitted = 0
         #: per-thread state: ``actor``, the ``(tid, name)`` override
         #: attributed to events instead of the OS thread, and ``task``.
-        #: The async scheduler backend sets both around each task resume
-        #: so events from tasks that share one event-loop thread land in
-        #: distinct virtual lanes.
+        #: The async scheduler backend sets ``task`` around each task
+        #: resume so events from tasks that share one event-loop thread
+        #: land in distinct virtual lanes, the tasks' own.
         self.local = _ThreadLocal()
 
     # ------------------------------------------------------------------
@@ -290,7 +291,10 @@ class TelemetryHub:
               args: Optional[Dict[str, Any]]) -> None:
         if not self.enabled:
             return
-        actor = self.local.actor
+        local = self.local
+        actor = local.actor
+        if actor is None and local.task is not None:
+            actor = local.task.lane
         if actor is not None:
             tid, thread_name = actor
         else:

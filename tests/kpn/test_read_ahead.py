@@ -9,6 +9,7 @@ places where held bytes could be lost or repeated — splicing, migration,
 a task-hosted reader — and the diagnostics that must count them.
 """
 
+import pickle
 import struct
 import sys
 import threading
@@ -24,7 +25,7 @@ from repro.kpn import Network
 from repro.kpn.channel import Channel, wait_any_readable
 from repro.kpn.process import IterativeProcess
 from repro.processes import Collect, Scale, Sequence
-from repro.processes.codecs import LONG, StructCodec
+from repro.processes.codecs import LONG, OBJECT, StructCodec
 
 CAPACITY = 32
 sizes = st.integers(min_value=1, max_value=24)
@@ -263,6 +264,39 @@ def test_in_place_read_unpacks_the_batch_itself():
     assert batch is ch.reader._batch      # no copy, no slice
     assert inp.read_in_place(8) == (batch, 8)
     assert ch.reader.held() == 0
+
+
+def test_object_frames_decode_in_place_as_through_read_exactly():
+    """``OBJECT.read`` decodes a frame's header and pickle where they lie:
+    a frame whole in the batch, one torn across two refills, and end of
+    stream inside a frame read the same values and end with the same
+    error text as decoding what ``read_exactly`` returns."""
+    frame = OBJECT.encode({"k": list(range(20))})
+
+    def exact(inp):
+        (length,) = struct.unpack(">I", inp.read_exactly(4))
+        return pickle.loads(inp.read_exactly(length))
+
+    outcomes = []
+    for read in (OBJECT.read, exact):
+        ch = Channel(1024)
+        out, inp = ch.get_output_stream(), ch.get_input_stream()
+        got = []
+        try:
+            out.write(OBJECT.encode("a") + frame[:10])
+            got.append(read(inp))         # the batch holds 10 of the next
+            out.write(frame[10:] + frame[:2])
+            got.append(read(inp))         # finished from the next refill
+            out.write(frame[2:] + frame[:7])
+            out.close()
+            got.append(read(inp))         # a header torn, then whole
+            got.append(read(inp))         # 7 bytes of a frame, then EOF
+        except EndOfStreamError as exc:
+            outcomes.append((got, str(exc)))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0] == (
+        ["a", {"k": list(range(20))}, {"k": list(range(20))}],
+        f"stream ended mid-element: wanted {len(frame) - 4} bytes, got 3")
 
 
 def test_frames_larger_than_the_batch_finish_through_read():
