@@ -14,9 +14,11 @@ program graph :meth:`~repro.kpn.network.Network.topology` discovers.
 owners), ``self-loop`` (one process on both ends deadlocks on itself),
 ``no-producer`` / ``no-consumer`` / ``orphan-channel`` (dangling ends
 stall or leak), ``codec-mismatch`` (the consumer decodes another
-element format than the producer wrote), ``non-terminating`` (no
-iteration limit and no data-dependent stop anywhere: fine for signal
-processing, surprising in a test).
+element format than the producer wrote), ``duplicate-process-name``
+(two leaf processes share a name, which the stall rule, the fusion
+report, the profiler and the wait snapshot use as a key),
+``non-terminating`` (no iteration limit and no data-dependent stop
+anywhere: fine for signal processing, surprising in a test).
 
 **Proofs** upgrade the blanket "graph has an undirected cycle" flag of
 section 3.5 into directed-cycle analysis with initial-token accounting:
@@ -51,6 +53,7 @@ conservatively: they defeat both proofs, never enable one.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -290,6 +293,13 @@ def _rule_findings(network, topology) -> List[Finding]:
                    f"{reader.name} decodes {reads!r}")
 
     leaves = topology.leaves
+    names = Counter(p.name for p in leaves)
+    for name, count in sorted(names.items()):
+        if count > 1:
+            report("warning", "duplicate-process-name", name,
+                   f"{count} processes are named {name!r}: a blocked one "
+                   "can hide a running one from the stall rule, and "
+                   "reports keyed by name merge them")
     if leaves and not any(
             isinstance(p, IterativeProcess) and p.iterations > 0
             or type(p).__name__ in ("FromIterable", "Guard") for p in leaves):
@@ -315,12 +325,6 @@ def graph_findings(network, topology=None) -> List[Finding]:
         findings.append(_finding(
             "info", "proved-bounded", network.name,
             f"boundedness proof: {proof.bounded_reason}"))
-    elif network.monitor is None:
-        findings.append(_finding(
-            "warning", "cycle-unbounded-monitorless", network.name,
-            "undirected cycle with no boundedness proof and the deadlock "
-            "monitor is disabled: bounded channels may deadlock with no "
-            "recovery (section 3.5): " + proof.bounded_reason))
     else:
         findings.append(_finding(
             "info", "cycle-unproved", network.name,

@@ -47,8 +47,7 @@ fused chain's head stage, or on output room is an **assumption** — the
 step might not read, or might write elsewhere — made only where somebody
 can un-make it: before the deadlock monitor reaches a verdict that ends
 the network it releases every such task (:meth:`Task.force`) to run for
-real, and judges observed waits only.  A network without a monitor
-(``bounded=False``) gates on declared rules alone.
+real, and judges observed waits only.
 
 What runs as a task
 -------------------
@@ -151,9 +150,6 @@ class Task:
         self._declared = not self._chain and (
             not inherited or head.kpn_strict)
         self._outputs_of = process.processes[-1] if self._chain else process
-        # a guess needs the deadlock monitor to release it if it was wrong
-        network = getattr(process, "network", None)
-        self._guesses = getattr(network, "monitor", None) is not None
 
     # -- Thread-compatible surface ------------------------------------------
     def is_alive(self) -> bool:
@@ -262,31 +258,29 @@ class Task:
                         # sleep on, and run nothing.  A forced task runs
                         # ungated until this resume ends (_requeue).
                         buffer = None
-                        if self._guesses or self._declared:
-                            awaits = self._awaits
-                            if awaits is None:
-                                if self._fed:
-                                    # the write or close that woke us
-                                    # made the one input ready; if a
-                                    # splice has moved it since, the
-                                    # step hands off
-                                    self._fed = False
-                                    inputs = ()
-                                else:
-                                    # Process.awaits, inlined: the only
-                                    # tracked input, if one
-                                    inputs = self._head.input_streams
-                                    if len(inputs) > 1:
-                                        inputs = ()
+                        awaits = self._awaits
+                        if awaits is None:
+                            if self._fed:
+                                # the write or close that woke us made
+                                # the one input ready; if a splice has
+                                # moved it since, the step hands off
+                                self._fed = False
+                                inputs = ()
                             else:
-                                inputs = awaits() or ()
-                            for stream in inputs:
-                                buffer = stream.would_block_on()
-                                if buffer is not None:
-                                    mode = "read"
-                                    assumed = not self._declared
-                                    break
-                        if buffer is None and self._guesses:
+                                # Process.awaits, inlined: the only
+                                # tracked input, if one
+                                inputs = self._head.input_streams
+                                if len(inputs) > 1:
+                                    inputs = ()
+                        else:
+                            inputs = awaits() or ()
+                        for stream in inputs:
+                            buffer = stream.would_block_on()
+                            if buffer is not None:
+                                mode = "read"
+                                assumed = not self._declared
+                                break
+                        if buffer is None:
                             for out in self._outputs_of.output_streams:
                                 buffer = out.would_block_on()
                                 if buffer is not None:

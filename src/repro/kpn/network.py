@@ -8,8 +8,8 @@ richer equivalent this library uses as its main entry point: it
 * starts one actor (thread or task) per leaf process, including
   processes spawned dynamically by self-reconfiguring graphs, which
   inherit the network through :meth:`repro.kpn.process.Process.spawn`;
-* optionally runs the :class:`~repro.kpn.scheduler.DeadlockMonitor`
-  implementing Parks' bounded scheduling;
+* runs the :class:`~repro.kpn.scheduler.DeadlockMonitor` implementing
+  Parks' bounded scheduling, as the paper's runtime always does;
 * joins everything and surfaces process failures and deadlock diagnoses;
 * reads its own program graph (:meth:`topology`) for the analyses, the
   graph compiler and the exports (the paper's claim that default
@@ -47,10 +47,6 @@ class Network:
 
     Parameters
     ----------
-    bounded:
-        Enable the deadlock monitor / Parks bounded scheduling.  Defaults
-        to True — the paper's implementation always has bounded channels;
-        disable only for experiments.
     default_capacity:
         Initial capacity for channels created via :meth:`channel`.
     policy:
@@ -72,17 +68,14 @@ class Network:
         thread; the two actor kinds share channels freely.
     """
 
-    def __init__(self, bounded: bool = True,
-                 default_capacity: int = DEFAULT_CAPACITY,
+    def __init__(self, default_capacity: int = DEFAULT_CAPACITY,
                  policy: Optional[DeadlockPolicy] = None,
                  name: str = "network",
                  capacity_spec=None,
                  backend: Optional[str] = None) -> None:
         self.name = name
         self.backend = RunConfig.resolve(backend=backend).backend
-        self.monitor: Optional[DeadlockMonitor] = None
-        if bounded:
-            self.monitor = DeadlockMonitor(self, policy)
+        self.monitor = DeadlockMonitor(self, policy)
         #: the async backend's event loop, started with its first task
         #: (again after a stop)
         self._loop = None
@@ -94,8 +87,7 @@ class Network:
             self.capacity_spec = {}
         # the last actor to block kicks the monitor: the accounting calls
         # its bound kick with no frame in between
-        self.accounting = BlockAccounting(
-            on_change=self.monitor.kick if self.monitor is not None else None)
+        self.accounting = BlockAccounting(on_change=self.monitor.kick)
         #: live actors (``live_count``), written under ``_lock``
         self.accounting.live = 0
         self.accounting.network = self
@@ -192,6 +184,7 @@ class Network:
             # the marker that makes its channel waits count (a pump's or
             # a caller's thread has none); a task passes itself
             actor.kpn_accounting = self.accounting
+            actor.process = process
         with self._lock:
             self._threads.append(actor)
             self.accounting.live += 1
@@ -215,7 +208,7 @@ class Network:
         (the last runnable actor exiting can complete a stall)."""
         with self._lock:
             self.accounting.live -= 1
-        self._kick_monitor()
+        self.monitor.kick()
 
     def preflight(self) -> None:
         """Static pre-flight: graph rules, proofs, and race scan.
@@ -260,15 +253,15 @@ class Network:
                 raise RuntimeError("network already started")
             self._started = True
             pending = [p for p in self.processes]
-        if self.monitor is not None:
-            self.monitor.start()
+        self.monitor.start()
         with self._lock:
-            spawned = {t.name for t in self._threads}
+            spawned = {id(t.process) for t in self._threads}
         for p in pending:
-            # set membership, not a linear scan: start() is on the
+            # by identity, not by name: two processes may share a name.
+            # Set membership, not a linear scan: start() is on the
             # 10k-process scale path and a per-process scan is O(n^2)
-            if p.name not in spawned:
-                spawned.add(p.name)
+            if id(p) not in spawned:
+                spawned.add(id(p))
                 self.spawn(p)
         return self
 
@@ -283,8 +276,7 @@ class Network:
             if self._started:
                 return self
             self._started = True
-        if self.monitor is not None:
-            self.monitor.start()
+        self.monitor.start()
         return self
 
     def live_threads(self) -> List:
@@ -337,10 +329,9 @@ class Network:
                     return False
         if self._loop is not None:
             self._loop.stop()
-        if self.monitor is not None:
-            self.monitor.stop()
-            if self.monitor.error is not None:
-                raise self.monitor.error
+        self.monitor.stop()
+        if self.monitor.error is not None:
+            raise self.monitor.error
         self.raise_failures()
         return True
 
@@ -370,10 +361,6 @@ class Network:
             except Exception:
                 pass
 
-    def _kick_monitor(self) -> None:
-        if self.monitor is not None:
-            self.monitor.kick()
-
     # -- context manager -----------------------------------------------------
     def __enter__(self) -> "Network":
         return self
@@ -381,8 +368,7 @@ class Network:
     def __exit__(self, exc_type, exc, tb) -> None:
         if exc_type is not None:
             self.shutdown()
-        if self.monitor is not None:
-            self.monitor.stop()
+        self.monitor.stop()
         if self._loop is not None and not any(
                 t.is_alive() for t in self._threads):
             self._loop.stop()

@@ -74,7 +74,6 @@ from __future__ import annotations
 
 import functools
 import threading
-import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import List, Optional, TYPE_CHECKING
@@ -109,14 +108,13 @@ class DeadlockPolicy:
 
     Attributes
     ----------
-    grow:
-        Resolve artificial deadlocks by growing buffers (Parks).  When
-        False, an artificial deadlock is treated per ``on_true``.
     growth_factor:
         Multiplier applied to the chosen channel's capacity.
     max_capacity:
         Hard cap per channel; reaching it turns an artificial deadlock
-        into a reported :class:`ArtificialDeadlockError`.
+        into a reported :class:`ArtificialDeadlockError`.  A cap at the
+        channels' initial capacity refuses every growth: the network
+        runs under fixed bounds.
     on_true:
         "raise" — store a :class:`TrueDeadlockError` and shut the network
         down (``Network.join`` re-raises it);
@@ -125,21 +123,12 @@ class DeadlockPolicy:
     settle_ms:
         Stability window: the stall must persist, with no accounting
         churn, for this long before the monitor acts.
-    stall_watchdog_s:
-        When set, the monitor snapshots the wait-graph (who is blocked on
-        which channel, with buffer fill levels) once per stall after no
-        progress has been observed for this many seconds — turning a
-        silent hang into an inspectable artifact.  The snapshot lands in
-        :attr:`DeadlockMonitor.stall_snapshots` and, with telemetry on,
-        as a ``stall.wait_graph`` instant.  None disables the watchdog.
     """
 
-    grow: bool = True
     growth_factor: int = 2
     max_capacity: int = 64 * 1024 * 1024
     on_true: str = "raise"
     settle_ms: float = 20.0
-    stall_watchdog_s: Optional[float] = None
 
 
 class DeadlockMonitor:
@@ -154,18 +143,11 @@ class DeadlockMonitor:
                  policy: Optional[DeadlockPolicy] = None) -> None:
         self.network = network
         self.policy = policy or DeadlockPolicy()
-        #: wait-graph snapshots the stall watchdog captured (newest last)
-        self.stall_snapshots: List[dict] = []
         self.error: Optional[Exception] = None
         self._cond = threading.Condition()
         self._kicked = False
         self._stop = False
         self._thread: Optional[threading.Thread] = None
-        # stall-watchdog state: the generation we have been observing, when
-        # we first saw it, and whether this stall was already snapshotted
-        self._stall_gen: Optional[int] = None
-        self._stall_since: float = 0.0
-        self._stall_reported = False
 
     @property
     def growth_events(self) -> List[GrowthEvent]:
@@ -203,14 +185,12 @@ class DeadlockMonitor:
             with self._cond:
                 if not self._kicked and not self._stop:
                     # periodic re-check regardless of kicks: covers the
-                    # (unlikely) loss of a wakeup and lets the stall
-                    # watchdog observe windows expiring without churn.
+                    # (unlikely) loss of a wakeup
                     self._cond.wait(timeout=0.05)
                 if self._stop:
                     return
                 self._kicked = False
             try:
-                self._watchdog()
                 self._examine()
             except Exception as exc:
                 # without a monitor a later true deadlock would wait out
@@ -238,53 +218,13 @@ class DeadlockMonitor:
             return blocked
         return None
 
-    def _watchdog(self) -> None:
-        """Snapshot the wait-graph once per stall (no progress for the
-        configured window).  Runs on every monitor wakeup, so stalls are
-        noticed within ~50 ms of the window expiring even without kicks."""
-        window = self.policy.stall_watchdog_s
-        if window is None:
-            return
-        acct = self.network.accounting
-        generation = acct.generation
-        now = time.monotonic()
-        if self._stalled() is None or generation != self._stall_gen:
-            # progress (or a different stall): restart the window
-            self._stall_gen = generation
-            self._stall_since = now
-            self._stall_reported = False
-            return
-        if self._stall_reported or now - self._stall_since < window:
-            return
-        snapshot = self.network.wait_snapshot()
-        snapshot["stalled_for"] = now - self._stall_since
-        self.stall_snapshots.append(snapshot)
-        self._stall_reported = True
-        if _telemetry.enabled:
-            _telemetry.instant(
-                "stall.wait_graph", category="kpn.scheduler",
-                network=self.network.name,
-                blocked=[f"{b['thread']}:{b['mode']}:{b['channel']}"
-                         f"({b['buffered']}/{b['capacity']})"
-                         for b in snapshot["blocked"]],
-                stalled_for=snapshot["stalled_for"])
-            _telemetry.inc("kpn.scheduler.stall_snapshots")
-
     def _settle(self) -> bool:
         """Wait out the stability window; False if the monitor was stopped
-        meanwhile.  The wait is sliced so the stall watchdog can fire
-        *during* the window — a long settle must not hide the stall it
-        is confirming."""
-        deadline = time.monotonic() + self.policy.settle_ms / 1000.0
-        while True:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                return True
-            with self._cond:
-                if self._stop:
-                    return False
-                self._cond.wait(min(remaining, 0.01))
-            self._watchdog()
+        meanwhile.  A kick does not end the wait (it stays pending for the
+        next examination); a stop does."""
+        with self._cond:
+            return not self._cond.wait_for(lambda: self._stop,
+                                           self.policy.settle_ms / 1000.0)
 
     def _examine(self) -> None:
         acct = self.network.accounting
@@ -316,7 +256,7 @@ class DeadlockMonitor:
         else:
             names = tuple(sorted(t.name for t in self.network.live_threads()))
             writes = self._local_writes(blocked, names)
-        if writes and self.policy.grow and self._grow_smallest(writes):
+        if writes and self._grow_smallest(writes):
             return
         # Every other verdict ends the network, or leaves it blocked for
         # good: it may rest on observed waits only.  A task the async
@@ -326,13 +266,10 @@ class DeadlockMonitor:
         if not linked and self._force_guesses(blocked):
             return
         if writes:
-            if self.policy.grow:
-                capacity, channel, _ = min(writes, key=lambda w: w[0])
-                message = (f"channel {channel!r} already at max capacity "
-                           f"{capacity}")
-            else:
-                message = "artificial deadlock (growth disabled)"
-            self.error = ArtificialDeadlockError(message, names)
+            capacity, channel, _ = self._smallest(writes)
+            self.error = ArtificialDeadlockError(
+                f"channel {channel!r} already at max capacity {capacity}",
+                names)
             self.network.shutdown()
         else:
             self._resolve_true(names)
@@ -435,10 +372,17 @@ class DeadlockMonitor:
                    and (sent[link] == delivered[link] or link in full)
                    for link in moving)
 
+    @staticmethod
+    def _smallest(writes):
+        """Parks' choice among ``(capacity, channel, grow)``: the smallest
+        capacity, equal ones by channel name, so that the choice follows
+        the graph and not which actor happened to block first."""
+        return min(writes, key=lambda w: w[:2])
+
     def _grow_smallest(self, writes) -> bool:
         """Parks' rule: among the full channels being written to, grow the
         one with the smallest capacity.  False at ``max_capacity``."""
-        old, _, grow = min(writes, key=lambda w: w[0])
+        old, _, grow = self._smallest(writes)
         new = min(old * self.policy.growth_factor, self.policy.max_capacity)
         if new <= old:
             return False

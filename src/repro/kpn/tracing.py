@@ -6,6 +6,13 @@ how that state moved *over time*.  ``with Tracer(net) as tracer:
 net.run()`` reads the census on a fixed period and keeps each channel's
 occupancy and the blocked-actor counts as timelines; the totals of
 ``tracer.report()`` are the final census, never a maximum over samples.
+
+A reading in which every live actor is blocked, at the same accounting
+``generation`` as the reading before it, is a *stall*: nothing blocked
+or woke in between.  The tracer keeps the wait graph of the first such
+reading per stall (``TraceReport.stalls``), so that a hang, or a
+stall that Parks' rule is about to resolve, leaves an inspectable
+record of who waited on which channel.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ from dataclasses import asdict, dataclass, field
 from typing import Dict, List
 
 from repro.kpn.network import Network
+from repro.telemetry.core import TELEMETRY as _telemetry
 
 __all__ = ["Tracer", "TraceReport", "ChannelTrace"]
 
@@ -56,6 +64,10 @@ class TraceReport:
     blocked_timeline: List[tuple] = field(default_factory=list)
     #: the census' ``growths``: every capacity change, with its cause
     growth_events: List[dict] = field(default_factory=list)
+    #: one wait graph per stall seen: the census' ``t``, ``generation``,
+    #: ``live`` and ``blocked``, and ``stalled_for`` (seconds since the
+    #: first reading at that generation)
+    stalls: List[dict] = field(default_factory=list)
 
     def hottest_channels(self, n: int = 5) -> List[ChannelTrace]:
         return sorted(self.channels.values(),
@@ -99,6 +111,12 @@ class Tracer:
         self.period = period
         self._occupancy: Dict[str, List[tuple]] = {}
         self._blocked: List[tuple] = []
+        self._stalls: List[dict] = []
+        # the generation of the previous reading, the time it was first
+        # read, and the generation of the last stall kept
+        self._generation = None
+        self._since = 0.0
+        self._stalled_at = None
         self._t0 = time.monotonic()
         self._stop = threading.Event()
         self._thread = threading.Thread(target=self._run, name="tracer",
@@ -133,6 +151,29 @@ class Tracer:
             self._occupancy.setdefault(name, []).append((now, row["buffered"]))
         modes = [b["mode"] for b in census["blocked"]]
         self._blocked.append((now, modes.count("read"), modes.count("write")))
+        generation = census["generation"]
+        if generation != self._generation:
+            self._generation, self._since = generation, now
+        elif (generation != self._stalled_at and census["live"]
+              and set(census["live"]) <= {b["thread"]
+                                          for b in census["blocked"]}):
+            self._stall(census, now)
+
+    def _stall(self, census: dict, now: float) -> None:
+        self._stalled_at = census["generation"]
+        stall = {"t": now, "generation": census["generation"],
+                 "live": census["live"], "blocked": census["blocked"],
+                 "stalled_for": round(now - self._since, 6)}
+        self._stalls.append(stall)
+        if _telemetry.enabled:
+            _telemetry.instant(
+                "stall.wait_graph", category="kpn.scheduler",
+                network=census["network"],
+                blocked=[f"{b['thread']}:{b['mode']}:{b['channel']}"
+                         f"({b['buffered']}/{b['capacity']})"
+                         for b in census["blocked"]],
+                stalled_for=stall["stalled_for"])
+            _telemetry.inc("kpn.scheduler.stall_snapshots")
 
     def report(self) -> TraceReport:
         census = self.network.census()
@@ -143,4 +184,5 @@ class Tracer:
             for name, row in census["channels"].items()}
         blocked = list(self._blocked)
         return TraceReport(blocked[-1][0] if blocked else 0.0, len(blocked),
-                           channels, blocked, census["growths"])
+                           channels, blocked, census["growths"],
+                           list(self._stalls))

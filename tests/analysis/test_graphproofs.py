@@ -175,6 +175,19 @@ def test_bounded_findings_are_info():
     assert findings[0].severity == "info"
 
 
+def test_duplicate_leaf_names_warned():
+    net = Network()
+    a, b = net.channel(name="a"), net.channel(name="b")
+    net.add(Sequence(a.get_output_stream(), iterations=3, name="src"))
+    net.add(Sequence(b.get_output_stream(), iterations=3, name="src"))
+    net.add(Collect(a.get_input_stream(), [], name="sink-a"))
+    net.add(Collect(b.get_input_stream(), [], name="sink-b"))
+    [dup] = [f for f in graph_findings(net)
+             if f.rule == "duplicate-process-name"]
+    assert (dup.severity, dup.subject) == ("warning", "src")
+    assert "2 processes" in dup.message
+
+
 # ---------------------------------------------------------------------------
 # Network.preflight()
 # ---------------------------------------------------------------------------

@@ -161,13 +161,12 @@ class _SumAtEnd(IterativeProcess):
             raise
 
 
-@pytest.mark.parametrize("bounded", [False, True])
 @pytest.mark.parametrize("backend", ["thread", "async"])
-def test_a_spent_iteration_budget_ends_the_task(backend, bounded):
+def test_a_spent_iteration_budget_ends_the_task(backend):
     """Scale(iterations=3) has done its last step while its input is
     empty and open (P still holds it, waiting on the reply).  It must
     end, not park on that input: its end is what lets Q reply."""
-    net = Network(backend=backend, bounded=bounded)
+    net = Network(backend=backend)
     a, b, c = (net.channel(name=n) for n in "abc")
     p = net.add(_WriteThenWait(a.get_output_stream(), c.get_input_stream()))
     net.add(Scale(a.get_input_stream(), b.get_output_stream(), 10,
@@ -304,7 +303,7 @@ def test_parks_growth_resolves_artificial_deadlock_with_tasks():
 
 
 def test_true_deadlock_diagnosed_with_tasks():
-    net = Network(policy=DeadlockPolicy(grow=False), backend="async")
+    net = Network(policy=DeadlockPolicy(max_capacity=16), backend="async")
     built = modulo_merge(150, divisor=10, network=net, channel_capacity=16)
     with pytest.raises(ArtificialDeadlockError) as info:
         built.run(timeout=60)

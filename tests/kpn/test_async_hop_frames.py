@@ -38,6 +38,7 @@ import pytest
 from repro.kpn import Network
 from repro.kpn.aio import Task
 from repro.kpn.process import IterativeProcess, StopProcess
+from repro.kpn.scheduler import DeadlockPolicy
 from repro.processes.codecs import LONG
 from repro.telemetry.core import TELEMETRY
 
@@ -353,9 +354,17 @@ def test_block_spans_keep_the_task_name_and_lane():
 # the loop-thread test after a hand-off
 # ---------------------------------------------------------------------------
 
-# On a network without a monitor (``bounded=False``) a Relay's default
-# rule is not gated: its read of an empty channel sleeps inside the step
-# and borrows the loop's thread.
+# A relay whose declared rule names no input is not gated on its input:
+# its read of an empty channel sleeps inside the step and borrows the
+# loop's thread.
+
+class UngatedRelay(Relay):
+    """Declares a rule that names no input: every step starts, and a read
+    of an empty input hands the loop's thread off."""
+
+    def awaits(self):
+        return ()
+
 
 class StrictCollect(IterativeProcess):
     """Declared (``kpn_strict``): its gate parks it on an empty input."""
@@ -372,11 +381,15 @@ class StrictCollect(IterativeProcess):
 
 
 def test_wake_from_a_borrowed_thread_reaches_the_sleeping_loop():
-    net = Network(name="borrow", backend="async", bounded=False)
+    # both actors wait on this test's writes: a settle window longer than
+    # the test keeps the monitor from calling that a true deadlock
+    net = Network(name="borrow", backend="async",
+                  policy=DeadlockPolicy(settle_ms=30_000))
     x, y = net.channel(name="bw-x"), net.channel(name="bw-y")
     feed = x.get_output_stream()                # written by this test
     got = []
-    net.add(Relay(x.get_input_stream(), y.get_output_stream(), name="fwd"))
+    net.add(UngatedRelay(x.get_input_stream(), y.get_output_stream(),
+                         name="fwd"))
     net.add(StrictCollect(y.get_input_stream(), got, name="collect"))
     net.start()
     loop = net._loop
@@ -423,14 +436,14 @@ def test_hand_offs_under_a_tiny_switch_interval_lose_no_wake_up(handoffs):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        net = Network(name="stress", backend="async", bounded=False)
+        net = Network(name="stress", backend="async")
         chans = [net.channel(name=f"st-{k}") for k in range(6)]
         items, arrivals = queue.Queue(), Arrivals()
         net.add(Feed(chans[0].get_output_stream(), items, name="st-feed"))
         for k in range(5):
-            net.add(Relay(chans[k].get_input_stream(),
-                          chans[k + 1].get_output_stream(),
-                          name=f"st-fwd-{k}"))
+            net.add(UngatedRelay(chans[k].get_input_stream(),
+                                 chans[k + 1].get_output_stream(),
+                                 name=f"st-fwd-{k}"))
         net.add(StrictCollect(chans[-1].get_input_stream(), arrivals,
                               name="st-collect"))
         net.start()

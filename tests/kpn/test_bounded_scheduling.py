@@ -28,10 +28,12 @@ def test_fig13_needs_growth_with_tiny_capacity():
 
 
 def test_fig13_growth_disabled_reports_artificial_deadlock():
-    net = Network(policy=DeadlockPolicy(grow=False))
+    # a cap at the channels' capacity refuses every growth
+    net = Network(policy=DeadlockPolicy(max_capacity=16))
     built = modulo_merge(200, divisor=10, network=net, channel_capacity=16)
-    with pytest.raises(ArtificialDeadlockError):
+    with pytest.raises(ArtificialDeadlockError, match="max capacity 16"):
         built.run(timeout=60)
+    assert net.growth_events() == []
 
 
 def test_fig13_large_capacity_needs_no_growth():

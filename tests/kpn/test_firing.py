@@ -400,16 +400,6 @@ def test_real_true_deadlock_still_diagnosed_after_the_check(
                               else [])
 
 
-def test_network_without_a_monitor_makes_no_assumptions(handoffs):
-    """Nobody could release a wrong guess, so none is made: the pair runs
-    like threads, sleeping where it really sleeps."""
-    baseline = set(threading.enumerate())
-    net, a, b = _facing_pair(Alternator, bounded=False)
-    assert net.run(timeout=30)
-    assert a.got == b.got == [0, 2, 4, 6]
-    assert _threads_left(baseline) == set()
-
-
 def test_growth_disabled_verdict_waits_for_observed_waits(forced):
     """A full output is a guess too: the step might write elsewhere."""
 
@@ -432,7 +422,8 @@ def test_growth_disabled_verdict_waits_for_observed_waits(forced):
             self.into.extend(LONG.read(self.free) for _ in range(5))
             self.into.append(LONG.read(self.full))
 
-    net = Network(backend="async", policy=DeadlockPolicy(grow=False))
+    net = Network(backend="async",
+                  policy=DeadlockPolicy(max_capacity=LONG.width))
     full = net.channel(capacity=LONG.width, name="full")
     free = net.channel(name="free")
     full.get_output_stream().write(LONG.encode(7))  # stays full to the end
@@ -651,7 +642,7 @@ def test_raising_on_finish_completes_once_and_spares_the_loop():
         calls.append(1)
         raise RuntimeError("observer bug")
 
-    ch = Network(name="unused", bounded=False).channel()
+    ch = Network(name="unused").channel()
     out = []
     first = Task(Sequence(ch.get_output_stream(), iterations=3), loop,
                  on_finish=on_finish)
@@ -679,7 +670,7 @@ def test_live_count_exact_when_the_finish_kick_raises():
 
     # only _actor_finished looks this up at call time; the accounting
     # captured the real bound method when the network was built
-    net._kick_monitor = kick
+    net.monitor.kick = kick
     net.start()
     deadline = time.monotonic() + 10
     while net.live_threads() and time.monotonic() < deadline:

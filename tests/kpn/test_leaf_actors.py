@@ -14,6 +14,7 @@ import pytest
 
 from repro.kpn import Network
 from repro.kpn.process import CompositeProcess, IterativeProcess
+from repro.kpn.scheduler import DeadlockPolicy
 from repro.processes import Collect, Scale, Sequence
 from repro.telemetry.core import TELEMETRY
 from repro.telemetry.profile import PROFILER, process_utilization
@@ -38,7 +39,10 @@ def profiler_on():
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_the_profiler_charges_a_composite_nothing(backend, profiler_on):
-    net = Network(name=f"util-{backend}", backend=backend, bounded=False)
+    # a settle window longer than the test: the member left waiting on
+    # purpose is not called a true deadlock
+    net = Network(name=f"util-{backend}", backend=backend,
+                  policy=DeadlockPolicy(settle_ms=30_000))
     ch = net.channel(name="idle")
     net.add(CompositeProcess(
         [Collect(ch.get_input_stream(), [], name="member")],
@@ -108,7 +112,7 @@ def test_a_join_returns_after_every_actor_is_counted_out(backend, monkeypatch):
         counted_out(self)
 
     monkeypatch.setattr(Network, "_actor_finished", slowly)
-    net = Network(name=f"count-{backend}", backend=backend, bounded=False)
+    net = Network(name=f"count-{backend}", backend=backend)
     ch = net.channel(name="count-ch")
     net.add(Sequence(ch.get_output_stream(), iterations=3, name="source"))
     net.add(Collect(ch.get_input_stream(), [], name="sink"))

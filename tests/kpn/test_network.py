@@ -23,6 +23,32 @@ def test_run_joins_and_collects():
     assert out == list(range(10))
 
 
+@pytest.mark.parametrize("backend", ["thread", "async"])
+def test_processes_that_share_a_name_all_start(backend):
+    """start() skips what is already running by identity, not by name:
+    a second process named like the first must run too."""
+    net = Network(backend=backend)
+    a, b = net.channel(name="a"), net.channel(name="b")
+    out_a, out_b = [], []
+    net.add(Sequence(a.get_output_stream(), iterations=3, name="src"))
+    net.add(Sequence(b.get_output_stream(), iterations=3, name="src"))
+    net.add(Collect(a.get_input_stream(), out_a, name="sink-a"))
+    net.add(Collect(b.get_input_stream(), out_b, name="sink-b"))
+    assert net.run(timeout=30)
+    assert out_a == out_b == [0, 1, 2]
+
+
+def test_a_process_spawned_before_start_is_not_started_again():
+    net = Network()
+    ch = net.channel(name="only")
+    out = []
+    net.spawn(Sequence(ch.get_output_stream(), iterations=3, name="Src"))
+    net.add(Collect(ch.get_input_stream(), out, name="Dst"))
+    assert net.run(timeout=30)
+    assert out == [0, 1, 2]
+    assert len(net._threads) == 2
+
+
 def test_double_start_rejected():
     net, _ = simple_net()
     net.start()

@@ -24,6 +24,7 @@ from repro.errors import BrokenChannelError, EndOfStreamError
 from repro.kpn import Network
 from repro.kpn.channel import Channel, wait_any_readable
 from repro.kpn.process import IterativeProcess
+from repro.kpn.scheduler import DeadlockPolicy
 from repro.processes import Collect, Scale, Sequence
 from repro.processes.codecs import LONG, OBJECT, StructCodec
 
@@ -556,7 +557,8 @@ def test_channel_holding_a_kilobyte_is_not_reported_empty():
 
 
 def test_wait_snapshot_counts_read_ahead_behind_a_blocked_writer():
-    net = Network(bounded=False)          # no monitor: nothing grows the ring
+    # a settle window longer than the test: nothing grows the ring
+    net = Network(policy=DeadlockPolicy(settle_ms=30_000))
     ch = net.channel(capacity=16, name="tight")
     out, inp = ch.get_output_stream(), ch.get_input_stream()
     out.write(_longs([1, 2]))

@@ -33,6 +33,42 @@ def test_growth_factor_three():
         assert e.new_capacity == 3 * e.old_capacity
 
 
+class _Writer:
+    """A blocked actor as the accounting's map keys it: a name."""
+
+    def __init__(self, name):
+        self.name = name
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["b-first", "a-first"])
+def test_equal_full_channels_grow_by_name_not_by_who_blocked_first(order):
+    """Parks' choice among equally small full channels follows the graph:
+    the same channels, blocked on in either order, grow the same one."""
+    net = Network()
+    big, b, a = (net.channel(capacity, name=name) for capacity, name in
+                 ((32, "0-big"), (16, "ch-b"), (16, "ch-a")))
+    waits = [(_Writer(f"w-{ch.name}"), (ch.buffer, "write"))
+             for ch in (big, b, a)]
+    blocked = dict(waits[::order])
+    writes = net.monitor._local_writes(blocked, ("w-0-big", "w-ch-a",
+                                                 "w-ch-b"))
+    assert net.monitor._grow_smallest(writes)
+    assert [(e.channel_name, e.new_capacity)
+            for e in net.growth_events()] == [("ch-a", 32)]
+
+
+def test_removed_knobs_are_gone():
+    """One scheduler: a network always has its monitor, and growth stops
+    only at ``max_capacity``."""
+    assert Network().monitor is not None
+    with pytest.raises(TypeError):
+        Network(bounded=False)
+    with pytest.raises(TypeError):
+        DeadlockPolicy(grow=False)
+    with pytest.raises(TypeError):
+        DeadlockPolicy(stall_watchdog_s=1.0)
+
+
 def test_growth_chooses_smallest_full_channel():
     """With mixed capacities, Parks' rule targets the smallest one."""
     net = Network(policy=DeadlockPolicy(growth_factor=2))
@@ -85,7 +121,7 @@ def test_kick_before_start_harmless():
 
 
 def test_blocked_processes_recorded_in_diagnosis():
-    net = Network(policy=DeadlockPolicy(grow=False))
+    net = Network(policy=DeadlockPolicy(max_capacity=16))
     built = modulo_merge(150, divisor=10, network=net, channel_capacity=16)
     with pytest.raises(ArtificialDeadlockError) as info:
         built.run(timeout=60)

@@ -16,7 +16,8 @@ can complete one.  The contract pinned here:
   network.
 
 Kicks are counted on the accounting's ``on_change`` (a wait's kick);
-actor exits kick through ``Network._kick_monitor`` and are not counted.
+actor exits kick through ``Network._actor_finished`` and are not
+counted.
 """
 
 import sys
@@ -27,12 +28,17 @@ import pytest
 
 from repro.errors import TrueDeadlockError
 from repro.kpn import Network
+from repro.kpn.scheduler import DeadlockPolicy
 from repro.kpn.process import CompositeProcess, IterativeProcess
 from repro.processes import Collect, Scale
 from repro.processes.codecs import LONG
 from repro.telemetry.core import TELEMETRY
 
 BACKENDS = ["thread", "async"]
+
+#: a settle window longer than any test here: the monitor is kicked, and
+#: looks, but reaches no verdict on the stalls these tests set up
+HELD = DeadlockPolicy(settle_ms=30_000)
 
 
 def until(condition, what, timeout=10.0):
@@ -88,7 +94,7 @@ def blocked_names(net):
 # ---------------------------------------------------------------------------
 
 def test_only_the_last_actor_to_block_kicks_and_a_wake_never_does():
-    net = Network(name="rule", bounded=False)
+    net = Network(name="rule", policy=HELD)
     kicks = count_kicks(net)
     a, b = net.channel(name="rule-a"), net.channel(name="rule-b")
     go, got_a, got_b = threading.Event(), [], []
@@ -122,7 +128,7 @@ def test_a_woken_thread_is_not_blocked_before_it_runs(backend):
     thread next ran, and a monitor that looked meanwhile saw a stall that
     was over: on a loaded host the settle window ran out first and a
     producer/consumer pair at capacity 8 was grown."""
-    net = Network(name=f"woken-{backend}", backend=backend, bounded=False)
+    net = Network(name=f"woken-{backend}", backend=backend, policy=HELD)
     ch = net.channel(name="woken")
     out = []
     net.add(ThreadCollect(ch.get_input_stream(), out, name="reader"))
@@ -145,7 +151,7 @@ def test_a_pump_or_caller_thread_never_kicks_and_never_counts():
     """A link's receiver pump blocks in ``write_donate`` on a full buffer,
     a caller's thread in a read: both sleep on the buffer's waiter lists
     and neither is one of the network's actors."""
-    net = Network(name="outsiders", bounded=False)
+    net = Network(name="outsiders", policy=HELD)
     kicks = count_kicks(net)
     full = net.channel(8, name="out-full")
     empty = net.channel(name="out-empty")
@@ -228,7 +234,7 @@ def test_racing_last_blockers_never_lose_the_kick(backend):
     ``blocked >= live`` and kicked: each recorder stores before it
     counts, and a lost kick would leave a wave with none."""
     readers, waves = 8, 30
-    net = Network(name=f"race-{backend}", backend=backend, bounded=False)
+    net = Network(name=f"race-{backend}", backend=backend, policy=HELD)
     kicks = count_kicks(net)
     chans = [net.channel(name=f"race-{k}") for k in range(readers)]
     outs = [[] for _ in range(readers)]
@@ -394,7 +400,7 @@ def test_artificial_deadlock_inside_a_composite_grows(backend, wrapped):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_a_waiting_composite_is_not_live_and_counts_again_after(backend):
-    net = Network(name=f"live-{backend}", backend=backend, bounded=False)
+    net = Network(name=f"live-{backend}", backend=backend, policy=HELD)
     ch = net.channel(name="live-ch")
     out = []
     composite = net.add(CompositeProcess(

@@ -1,45 +1,52 @@
-"""The stall watchdog: wait-graph snapshots for no-progress windows."""
+"""Stall snapshots: the wait graph a Tracer keeps for each stall it reads.
 
-import time
+A reading in which every live actor is blocked, at the same accounting
+generation as the reading before, is a stall.  The deadlock monitor's
+settle window makes each stall of Figure 13 last long enough for the
+Tracer's period to read it twice before Parks growth resolves it.
+"""
 
-from repro.kpn import Network
+from repro.kpn import Network, Tracer
 from repro.kpn.scheduler import DeadlockPolicy
 from repro.processes.networks import modulo_merge
 from repro.telemetry.core import TELEMETRY
 
 
+def _traced_figure_13(count, settle_ms=600, growth_factor=2,
+                      capacity=16):
+    net = Network(policy=DeadlockPolicy(growth_factor=growth_factor,
+                                        settle_ms=settle_ms))
+    built = modulo_merge(count, divisor=10, network=net,
+                         channel_capacity=capacity)
+    with Tracer(net) as tracer:
+        out = built.run(timeout=60)
+    return net, out, tracer.report()
+
+
 def test_watchdog_snapshots_induced_artificial_deadlock():
-    """Figure 13 with tiny channels stalls on a full buffer; with the
-    resolution delayed past the watchdog window, the stall becomes an
-    inspectable wait-graph snapshot *before* Parks growth resumes it."""
-    policy = DeadlockPolicy(growth_factor=2, settle_ms=600,
-                            stall_watchdog_s=0.05)
-    net = Network(policy=policy)
-    built = modulo_merge(200, divisor=10, network=net, channel_capacity=16)
-    assert built.run(timeout=60) == list(range(1, 201))
-    snapshots = net.monitor.stall_snapshots
-    assert snapshots, "stall watchdog never fired"
-    snap = snapshots[0]
-    assert snap["stalled_for"] >= 0.05
-    assert snap["blocked"], "wait-graph must name the blocked parties"
+    """Figure 13 with tiny channels stalls on a full buffer; the settle
+    window holds the stall long enough to become an inspectable wait
+    graph *before* Parks growth resumes it."""
+    net, out, report = _traced_figure_13(200)
+    assert out == list(range(1, 201))
+    assert report.stalls, "the tracer never read a stall"
+    snap = report.stalls[0]
+    assert snap["stalled_for"] > 0
+    assert snap["blocked"], "the wait graph must name the blocked parties"
+    assert set(snap["live"]) <= {b["thread"] for b in snap["blocked"]}
     modes = {b["mode"] for b in snap["blocked"]}
     assert "write" in modes         # the artificial-deadlock signature
     for entry in snap["blocked"]:
         assert {"thread", "mode", "channel", "capacity",
                 "buffered"} <= set(entry)
-    # the stall eventually resolved by growth, as usual
+    # the stall resolved by growth, as usual
     assert net.growth_events()
 
 
 def test_watchdog_emits_telemetry_instant():
-    policy = DeadlockPolicy(growth_factor=2, settle_ms=600,
-                            stall_watchdog_s=0.05)
     TELEMETRY.reset().enable()
     try:
-        net = Network(policy=policy)
-        built = modulo_merge(100, divisor=10, network=net,
-                             channel_capacity=16)
-        built.run(timeout=60)
+        _traced_figure_13(100)
         events = [e for e in TELEMETRY.events()
                   if e.name == "stall.wait_graph"]
         assert events
@@ -50,29 +57,22 @@ def test_watchdog_emits_telemetry_instant():
 
 
 def test_watchdog_snapshots_once_per_stall():
-    """One stall -> one snapshot, even though the monitor keeps polling
-    while the (deliberately slow) settle window delays resolution."""
-    policy = DeadlockPolicy(growth_factor=4, settle_ms=400,
-                            stall_watchdog_s=0.02)
-    net = Network(policy=policy)
-    built = modulo_merge(120, divisor=10, network=net, channel_capacity=16)
-    built.run(timeout=60)
-    snapshots = net.monitor.stall_snapshots
-    assert snapshots
+    """One stall -> one snapshot, however many readings fall inside the
+    (deliberately slow) settle window that delays its resolution."""
+    net, _, report = _traced_figure_13(120, settle_ms=400, growth_factor=4)
+    assert report.stalls
+    assert report.samples > 2 * len(report.stalls)
     # never more snapshots than distinct stalls (growths + final verdicts)
-    assert len(snapshots) <= len(net.growth_events()) + 1
+    assert len(report.stalls) <= len(net.growth_events()) + 1
+    generations = [s["generation"] for s in report.stalls]
+    assert len(set(generations)) == len(generations)
 
 
-def test_watchdog_disabled_by_default_and_quiet_when_progressing():
-    net = Network()     # default policy: stall_watchdog_s=None
-    built = modulo_merge(50, divisor=5, network=net, channel_capacity=1 << 16)
-    built.run(timeout=60)
-    assert net.monitor.stall_snapshots == []
-
-    fast = Network(policy=DeadlockPolicy(stall_watchdog_s=5.0))
-    built = modulo_merge(50, divisor=5, network=fast,
-                         channel_capacity=1 << 16)
-    start = time.monotonic()
-    built.run(timeout=60)
-    assert time.monotonic() - start < 5.0
-    assert fast.monitor.stall_snapshots == []
+def test_watchdog_quiet_when_progressing():
+    """Channels large enough for the whole run: the network keeps making
+    progress until it ends, and no reading is a stall."""
+    net, out, report = _traced_figure_13(50, settle_ms=20,
+                                         capacity=1 << 16)
+    assert out == list(range(1, 51))
+    assert net.growth_events() == []
+    assert report.stalls == []

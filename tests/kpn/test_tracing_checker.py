@@ -225,22 +225,6 @@ def test_unproved_cycle_reported_as_info_with_monitor():
     assert not any(i.severity == "error" for i in issues)
 
 
-def test_proved_bounded_cycle_not_warned_without_monitor():
-    # a proof makes the monitor unnecessary: no warning even when it is off
-    net = Network(bounded=False)
-    built = fibonacci(5, network=net)
-    issues = graph_findings(built.network)
-    assert "proved-bounded" in codes(issues)
-    assert "cycle-unbounded-monitorless" not in codes(issues)
-
-
-def test_unproved_cycle_warned_without_monitor():
-    net = Network(bounded=False)
-    built = hamming(5, network=net)
-    issues = graph_findings(built.network)
-    assert "cycle-unbounded-monitorless" in codes(issues)
-
-
 def test_non_terminating_flagged():
     net = Network()
     ch = net.channel()

@@ -37,7 +37,7 @@ def test_lint_passes(which, capsys):
 def test_proof_discharges_blanket_cycle_flag(which, capsys):
     assert main(["lint", which]) == 0
     out = capsys.readouterr().out
-    assert "cycle-unbounded-monitorless" not in out
+    assert "cycle-unproved" not in out
     # a discharged proof replaces the blanket flag (primes is acyclic:
     # its proof is section 3.5's own)
     assert "proved-bounded" in out or "graph is clean" in out
