@@ -18,15 +18,17 @@ their input streams and the ``on_start``/``step``/``on_stop`` protocol:
 This module centralizes those judgements so the compiler, the CLI plan
 printout, and the negative tests all agree on them.  The verdicts are
 conservative by construction: fusion must be *proved* safe, never
-assumed (a class whose source is unavailable counts as dynamic).
+assumed.  The dynamic-capability scan reads the compiled code of every
+routine a class body defines (nested functions, lambdas and
+comprehensions included), not its source, so a class built by ``exec``
+is judged like any other; a routine with no code to read counts as
+dynamic.
 """
 
 from __future__ import annotations
 
-import ast
-import inspect
-import textwrap
-from typing import Dict, Optional
+from types import CodeType, GetSetDescriptorType, MemberDescriptorType
+from typing import Dict, Iterator, Optional
 
 from repro.analysis.races import detect_races
 
@@ -39,35 +41,63 @@ DYNAMIC_CALLS = frozenset({"spawn", "new_channel", "splice_from"})
 _dynamic_cache: Dict[type, Optional[str]] = {}
 
 
+def _names(value, owner: str) -> Iterator[Optional[str]]:
+    """Every name the code behind a class-body ``value`` refers to, and
+    None for a routine that has no code to read.
+
+    Walks nested code objects (inner functions, lambdas, comprehensions),
+    static and class methods, properties, ``__wrapped__``, containers and
+    the bodies of classes nested in ``owner`` (by qualified name).
+    """
+    if isinstance(value, CodeType):
+        yield from value.co_names
+        for const in value.co_consts:
+            yield from _names(const, owner)
+    elif isinstance(value, (staticmethod, classmethod)):
+        yield from _names(value.__func__, owner)
+    elif isinstance(value, property):
+        for accessor in (value.fget, value.fset, value.fdel):
+            yield from _names(accessor, owner)
+    elif isinstance(value, type):
+        # a class merely referenced (a codec type, an exception) is not
+        # part of the body
+        if value.__qualname__.startswith(owner + "."):
+            for member in vars(value).values():
+                yield from _names(member, owner)
+    elif isinstance(value, (tuple, list, set, frozenset, dict)):
+        for item in (value.values() if isinstance(value, dict) else value):
+            yield from _names(item, owner)
+    elif isinstance(value, (GetSetDescriptorType, MemberDescriptorType)):
+        return
+    else:
+        code = getattr(value, "__code__", None)
+        wrapped = getattr(value, "__wrapped__", None)
+        if isinstance(code, CodeType) or wrapped is not None:
+            yield from _names(code, owner)
+            yield from _names(wrapped, owner)
+        elif callable(value) or hasattr(type(value), "__get__"):
+            yield None
+
+
 def dynamic_reason(klass: type) -> Optional[str]:
     """Why ``klass`` counts as dynamic (graph-reconfiguring), or None.
 
-    Scans the AST of every class in the MRO below the framework bases
-    for ``spawn`` / ``new_channel`` / ``splice_from`` call sites.
+    Reads the code of every routine defined in a class of the MRO below
+    the framework bases for a ``spawn`` / ``new_channel`` /
+    ``splice_from`` reference; a routine it cannot read counts as one.
     """
-    from repro.kpn.process import CompositeProcess, IterativeProcess, Process
-
     if klass in _dynamic_cache:
         return _dynamic_cache[klass]
     reason: Optional[str] = None
     for cls in klass.__mro__:
-        if cls in (Process, IterativeProcess, CompositeProcess, object):
+        if cls is object or cls.__module__ == "repro.kpn.process":
             continue
-        if cls.__module__ == "repro.kpn.process":
-            continue
-        try:
-            tree = ast.parse(textwrap.dedent(inspect.getsource(cls)))
-        except (OSError, TypeError, SyntaxError):
-            reason = (f"source of {cls.__name__} unavailable for the "
-                      f"dynamic-capability scan")
-            break
-        for node in ast.walk(tree):
-            if (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr in DYNAMIC_CALLS):
-                reason = (f"{cls.__name__}.{node.func.attr}() reconfigures "
-                          f"the graph at run time")
-                break
+        reason = next((
+            f"{cls.__name__}.{attr} has no code to scan" if name is None
+            else f"{cls.__name__}.{name}() reconfigures the graph at run time"
+            for attr, value in vars(cls).items()
+            for name in _names(value, cls.__qualname__)
+            if name is None or name in DYNAMIC_CALLS), None)
         if reason:
             break
     _dynamic_cache[klass] = reason

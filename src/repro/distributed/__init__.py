@@ -13,33 +13,23 @@ network that shipped the parts polls their servers
 (:mod:`repro.kpn.scheduler`).
 """
 
-from repro.distributed.balancer import (CalibrationTask,
-                                        LeastLoadedPlacement,
-                                        PlacementPolicy, RoundRobinPlacement,
-                                        ServerProfile, SpeedWeightedPlacement,
-                                        place_workers, profile_servers,
-                                        suggest_rebalance)
-from repro.distributed.cluster import LocalCluster, run_partitioned
-from repro.distributed.codebase import (SourceShippingPickler, dumps_shipped,
-                                        loads_shipped, register_ship_module,
-                                        shippable)
-from repro.distributed.migration import (MigrationPickler, dumps_migration,
-                                         import_network, loads_migration)
-from repro.distributed.registry import RegistryClient, RegistryServer
-from repro.distributed.server import ComputeServer, ServerClient
-from repro.distributed.sockets import ReceiverPump, SenderPump
-from repro.distributed.wire import (advertised_host, set_advertised_host)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "CalibrationTask", "LeastLoadedPlacement", "PlacementPolicy",
-    "RoundRobinPlacement", "ServerProfile", "SpeedWeightedPlacement",
-    "place_workers", "profile_servers", "suggest_rebalance",
-    "LocalCluster", "run_partitioned",
-    "SourceShippingPickler", "dumps_shipped", "loads_shipped",
-    "register_ship_module", "shippable",
-    "MigrationPickler", "dumps_migration", "import_network", "loads_migration",
-    "RegistryClient", "RegistryServer",
-    "ComputeServer", "ServerClient",
-    "ReceiverPump", "SenderPump",
-    "advertised_host", "set_advertised_host",
-]
+# Everything loads on first use: a standalone compute server
+# (``python -m repro.distributed``) needs the server and its wire, not the
+# cluster launcher, the balancer or the registry server.
+__getattr__ = lazy_exports(__name__, {
+    "balancer": ("CalibrationTask", "LeastLoadedPlacement",
+                 "PlacementPolicy", "RoundRobinPlacement", "ServerProfile",
+                 "SpeedWeightedPlacement", "place_workers",
+                 "profile_servers", "suggest_rebalance"),
+    "cluster": ("LocalCluster", "run_partitioned"),
+    "codebase": ("SourceShippingPickler", "dumps_shipped", "loads_shipped",
+                 "register_ship_module", "shippable"),
+    "migration": ("MigrationPickler", "dumps_migration", "import_network",
+                  "loads_migration"),
+    "registry": ("RegistryClient", "RegistryServer"),
+    "server": ("ComputeServer", "ServerClient"),
+    "sockets": ("ReceiverPump", "SenderPump"),
+    "wire": ("advertised_host", "set_advertised_host"),
+})

@@ -1,9 +1,8 @@
 """``python -m repro.distributed``: run one standalone compute server.
 
-The package's ``__init__`` imports :mod:`repro.distributed.server`, so
-``python -m repro.distributed.server`` would run that module a second
-time as ``__main__`` (and warn so).  This entry point is imported by
-nobody: the server module is loaded once.  Options are
+The package's ``__init__`` loads its submodules on first use, so this
+imports the server, its wire and the runtime it hosts processes in, and
+no cluster launcher, balancer or profiler.  Options are
 :func:`~repro.distributed.server.add_server_arguments`'s.
 """
 

@@ -33,7 +33,7 @@ import argparse
 import os
 import threading
 import time
-from typing import Any, List, Optional
+from typing import TYPE_CHECKING, Any, List, Optional
 
 from repro.config import RunConfig, add_run_arguments, use
 from repro.errors import RemoteError
@@ -45,10 +45,11 @@ from repro.distributed.registry import RegistryClient
 from repro.distributed.wire import (OutOfBand, RequestClient, RequestServer,
                                     advertised_host, connect_with_retry)
 from repro.telemetry.core import TELEMETRY as _telemetry
-from repro.telemetry.profile import PROFILER as _profiler
-from repro.telemetry.clock import ProbeSample, estimate_offset
 from repro.telemetry.distributed import (TraceContext, activate,
                                          current_context, event_to_dict)
+
+if TYPE_CHECKING:
+    from repro.telemetry.clock import ProbeSample
 
 __all__ = ["ComputeServer", "ServerClient", "Runnable", "add_server_arguments",
            "serve"]
@@ -189,8 +190,10 @@ class ComputeServer(RequestServer):
             # share of a cluster-wide metrics aggregation.  The hub is
             # process-wide, so thread-mode clusters (several servers in
             # one interpreter) see the interpreter's combined counters.
-            profile = (_profiler.snapshot(network=self.network)
-                       if _profiler.enabled else None)
+            from repro.telemetry.profile import PROFILER
+
+            profile = (PROFILER.snapshot(network=self.network)
+                       if PROFILER.enabled else None)
             return {"ok": True, "name": self.name,
                     "telemetry_enabled": _telemetry.enabled,
                     "counters": _telemetry.counters(),
@@ -346,6 +349,8 @@ class ServerClient(RequestClient):
 
     def clock_probe(self) -> ProbeSample:
         """One NTP-style probe: time a ping, note the server's hub clock."""
+        from repro.telemetry.clock import ProbeSample
+
         sent = _telemetry.now()
         reply = self.request({"op": "ping"})
         received = _telemetry.now()
@@ -359,6 +364,8 @@ class ServerClient(RequestClient):
         its ``offset`` to the server's event timestamps lands them on the
         local hub's timeline (the merged-trace alignment step).
         """
+        from repro.telemetry.clock import estimate_offset
+
         return estimate_offset(self.clock_probe() for _ in range(probes))
 
     def shutdown(self) -> None:
@@ -393,7 +400,9 @@ def serve(args: argparse.Namespace) -> None:  # pragma: no cover
     if config.telemetry:
         _telemetry.enable()
     if config.profile:
-        _profiler.enable()
+        from repro.telemetry.profile import PROFILER
+
+        PROFILER.enable()
     # one server per process in standalone mode: name its trace lane
     _telemetry.node = args.name
     if args.advertise:

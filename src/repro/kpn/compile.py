@@ -57,7 +57,6 @@ before the deadlock monitor arms.  Entry points: :func:`compile_network`
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -469,6 +468,8 @@ def load_capacity_spec(spec) -> Dict[str, int]:
     if spec is None:
         return {}
     if isinstance(spec, (str, bytes)):
+        import json
+
         with open(spec) as fh:
             spec = json.load(fh)
     if not isinstance(spec, dict):

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.config import RunConfig
 from repro.errors import DeadlockError
@@ -37,7 +37,9 @@ from repro.kpn.buffers import BlockAccounting, DEFAULT_CAPACITY, PARKS_CAUSES
 from repro.kpn.channel import Channel
 from repro.kpn.process import CompositeProcess, Process
 from repro.kpn.scheduler import DeadlockMonitor, DeadlockPolicy, GrowthEvent
-from repro.kpn.topology import Topology, build_topology, pumps
+
+if TYPE_CHECKING:
+    from repro.kpn.topology import Topology
 
 __all__ = ["Network"]
 
@@ -209,6 +211,8 @@ class Network:
         with self._lock:
             self.accounting.live -= 1
         self.monitor.kick()
+        if self.monitor.stopped:
+            self._stop_loop_when_idle()
 
     def preflight(self) -> None:
         """Static pre-flight: graph rules, proofs, and race scan.
@@ -350,7 +354,8 @@ class Network:
 
         Blocked processes wake with channel errors and run their normal
         ``on_stop`` cleanup, so even a forced shutdown follows the paper's
-        graceful cascading-termination path.
+        graceful cascading-termination path.  The deadlock monitor stops;
+        the async backend's event loop stops once no actor is left.
         """
         with self._lock:
             channels = list(self.channels)
@@ -360,6 +365,14 @@ class Network:
                 ch.buffer.close_read()
             except Exception:
                 pass
+        self.monitor.stop()
+        self._stop_loop_when_idle()
+
+    def _stop_loop_when_idle(self) -> None:
+        """Stop the event loop if no actor is alive.  Once the monitor is
+        stopped, the last actor to finish calls this as well."""
+        if self._loop is not None and self.accounting.live == 0:
+            self._loop.stop()
 
     # -- context manager -----------------------------------------------------
     def __enter__(self) -> "Network":
@@ -369,9 +382,7 @@ class Network:
         if exc_type is not None:
             self.shutdown()
         self.monitor.stop()
-        if self._loop is not None and not any(
-                t.is_alive() for t in self._threads):
-            self._loop.stop()
+        self._stop_loop_when_idle()
 
     # ------------------------------------------------------------------
     # analysis
@@ -381,6 +392,8 @@ class Network:
         channel every producer and consumer (see
         :mod:`repro.kpn.topology`).  Every analysis, the graph compiler
         and the exports below start from this one view."""
+        from repro.kpn.topology import build_topology
+
         return build_topology(self)
 
     def graph(self):
@@ -435,6 +448,8 @@ class Network:
         deadlock monitor of the network that shipped parts elsewhere
         polls it from every site (section 6.2's distributed detection).
         """
+        from repro.kpn.topology import pumps
+
         blocked_map = self.accounting.snapshot()
         live_names = [t.name for t in self.live_threads()]
         with self._lock:
@@ -530,6 +545,8 @@ class Network:
         :mod:`repro.kpn.scheduler`).  Links whose pumps have all finished
         carry nothing more and no longer count.
         """
+        from repro.kpn.topology import pumps
+
         with self._lock:
             channels = list(self.channels)
         return any(not getattr(pump, "finished", False)

@@ -163,8 +163,14 @@ class DeadlockMonitor:
         with self._cond:
             self._stop = True
             self._cond.notify_all()
-        if self._thread is not None:
+        # a verdict shuts the network down from the monitor's own thread,
+        # which then leaves _run by itself
+        if self._thread not in (None, threading.current_thread()):
             self._thread.join(timeout=5)
+
+    @property
+    def stopped(self) -> bool:
+        return self._stop
 
     def kick(self) -> None:
         """Wake the monitor to re-examine the network.

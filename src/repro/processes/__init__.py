@@ -11,38 +11,26 @@ Select, Sift, RecursiveSift.
 graphs (Fibonacci, sieve, Newton square root, Hamming, Figure 13).
 """
 
-from repro.processes.arithmetic import (Add, Average, BinaryOp, Divide, Equal,
-                                        ModuloFilter, Multiply, Subtract)
-from repro.processes.dsp import (Accumulate, Delay, Downsample, FIRFilter,
-                                 MovingAverage, Unzip, Upsample, Window, Zip)
-from repro.processes.codecs import (BOOL, Codec, DOUBLE, INT, LONG, OBJECT,
-                                    ObjectCodec, StructCodec, get_codec)
-from repro.processes.merges import OrderedMerge, ordered_merge_tree
-from repro.processes.networks import (BuiltNetwork, fibonacci, hamming,
-                                      modulo_merge, newton_sqrt, primes)
-from repro.processes.reconfig import RecursiveSift, Sift
-from repro.processes.routing import (Direct, Gather, Guard, ModuloRouter,
-                                     Scatter, Select, Turnstile)
-from repro.processes.sinks import Collect, Discard, Print
-from repro.processes.sources import Constant, FromIterable, Sequence
-from repro.processes.transforms import (Cons, Duplicate, Identity, Map,
-                                        MapProcess, Scale, SelfRemovingCons)
+from repro._lazy import lazy_exports
 
-__all__ = [
-    "Add", "Average", "BinaryOp", "Divide", "Equal", "ModuloFilter",
-    "Multiply", "Subtract",
-    "BOOL", "Codec", "DOUBLE", "INT", "LONG", "OBJECT", "ObjectCodec",
-    "StructCodec", "get_codec",
-    "Accumulate", "Delay", "Downsample", "FIRFilter", "MovingAverage",
-    "Unzip", "Upsample", "Window", "Zip",
-    "OrderedMerge", "ordered_merge_tree",
-    "BuiltNetwork", "fibonacci", "hamming", "modulo_merge", "newton_sqrt",
-    "primes",
-    "RecursiveSift", "Sift",
-    "Direct", "Gather", "Guard", "ModuloRouter", "Scatter", "Select",
-    "Turnstile",
-    "Collect", "Discard", "Print",
-    "Constant", "FromIterable", "Sequence",
-    "Cons", "Duplicate", "Identity", "Map", "MapProcess", "Scale",
-    "SelfRemovingCons",
-]
+# Every name loads with its module on first use: a chain of Scale stages
+# pays for codecs and transforms, not for the sieve, the merges or the
+# paper's example graphs.
+__getattr__ = lazy_exports(__name__, {
+    "arithmetic": ("Add", "Average", "BinaryOp", "Divide", "Equal",
+                   "ModuloFilter", "Multiply", "Subtract"),
+    "codecs": ("BOOL", "Codec", "DOUBLE", "INT", "LONG", "OBJECT",
+               "ObjectCodec", "StructCodec", "get_codec"),
+    "dsp": ("Accumulate", "Delay", "Downsample", "FIRFilter",
+            "MovingAverage", "Unzip", "Upsample", "Window", "Zip"),
+    "merges": ("OrderedMerge", "ordered_merge_tree"),
+    "networks": ("BuiltNetwork", "fibonacci", "hamming", "modulo_merge",
+                 "newton_sqrt", "primes"),
+    "reconfig": ("RecursiveSift", "Sift"),
+    "routing": ("Direct", "Gather", "Guard", "ModuloRouter", "Scatter",
+                "Select", "Turnstile"),
+    "sinks": ("Collect", "Discard", "Print"),
+    "sources": ("Constant", "FromIterable", "Sequence"),
+    "transforms": ("Cons", "Duplicate", "Identity", "Map", "MapProcess",
+                   "Scale", "SelfRemovingCons"),
+})

@@ -131,6 +131,19 @@ def test_shutdown_via_client():
     client.close()
 
 
+def test_stop_stops_the_hosted_networks_monitor():
+    before = set(threading.enumerate())
+    server = ComputeServer(name="monitored").start()
+    assert any(t.name == "deadlock-monitor" for t in threading.enumerate()
+               if t not in before)
+    server.stop()
+    deadline = time.monotonic() + 1
+    while [t for t in threading.enumerate()
+           if t not in before and t.name == "deadlock-monitor"]:
+        assert time.monotonic() < deadline, "the monitor outlived its server"
+        time.sleep(0.01)
+
+
 def test_two_clients_concurrently(server_client):
     server, _ = server_client
     results = []

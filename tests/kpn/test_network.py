@@ -1,7 +1,11 @@
 """Unit tests for Network lifecycle, graph export, and analysis."""
 
+import threading
+import time
+
 import pytest
 
+from repro.errors import TrueDeadlockError
 from repro.kpn import Network
 from repro.kpn.process import IterativeProcess
 from repro.processes import Collect, Duplicate, MapProcess, Sequence
@@ -125,6 +129,50 @@ def test_ensure_running_allows_spawn_only_use():
     net.spawn(One(iterations=1))
     assert net.join(timeout=30)
     assert done == [1]
+
+
+def _gone_within(names, before, seconds=1.0):
+    """True once no thread started since ``before`` has a name in ``names``."""
+    deadline = time.monotonic() + seconds
+    while True:
+        left = [t for t in threading.enumerate()
+                if t not in before and t.name in names]
+        if not left or time.monotonic() >= deadline:
+            return not left
+        time.sleep(0.01)
+
+
+@pytest.mark.parametrize("backend", ["thread", "async"])
+def test_shutdown_stops_the_monitor_and_the_idle_loop(backend):
+    class Blocked(IterativeProcess):
+        def __init__(self, stream):
+            super().__init__(name="blocked")
+            self.stream = stream
+            self.track(stream)
+
+        def step(self):
+            self.stream.read(1)  # no writer: blocks until shutdown
+
+    before = set(threading.enumerate())
+    net = Network(name="stopper", backend=backend)
+    net.monitor.policy.on_true = "ignore"  # keep it blocked
+    net.add(Blocked(net.channel().get_input_stream()))
+    net.start()
+    time.sleep(0.05)
+    net.shutdown()
+    assert _gone_within({"deadlock-monitor", "stopper-loop", "blocked"},
+                        before)
+    assert net.join(timeout=10)
+
+
+def test_a_verdict_shuts_down_from_the_monitor_thread():
+    """The monitor's own shutdown must not join the monitor's thread."""
+    before = set(threading.enumerate())
+    net = Network()
+    net.add(Collect(net.channel().get_input_stream(), [], name="starved"))
+    with pytest.raises(TrueDeadlockError):
+        net.run(timeout=30)
+    assert _gone_within({"deadlock-monitor"}, before)
 
 
 def test_context_manager_stops_monitor():

@@ -495,8 +495,8 @@ def test_live_migration_with_a_non_empty_batch():
     from repro.distributed.server import ComputeServer, ServerClient
 
     server = ComputeServer(name="ra").start()
+    client = ServerClient("127.0.0.1", server.port)
     try:
-        client = ServerClient("127.0.0.1", server.port)
         net = Network()
         a, b = net.channels_n(2, capacity=1 << 16)
         total = 200
@@ -525,6 +525,7 @@ def test_live_migration_with_a_non_empty_batch():
         assert net.join(timeout=120)
         assert got == [3 * k for k in range(total)]
     finally:
+        client.close()
         server.stop()
 
 

@@ -21,7 +21,8 @@ def _python(code, **env):
 
 
 @pytest.mark.parametrize("package", ["repro.kpn", "repro.telemetry",
-                                     "repro.analysis", "repro.parallel"])
+                                     "repro.analysis", "repro.parallel",
+                                     "repro.processes", "repro.distributed"])
 def test_every_public_name_still_resolves(package):
     module = importlib.import_module(package)
     for name in module.__all__:
@@ -42,6 +43,27 @@ def test_runtime_import_skips_the_tools():
         "repro.analysis.fuse", "repro.analysis.graphproofs"))]
     assert deferred == []
     assert "repro.analysis.markers" in loaded
+
+
+def test_a_chain_loads_only_the_processes_it_uses():
+    loaded = _python(
+        "import sys, repro.kpn.network\n"
+        "from repro.processes import Scale\n"
+        "print(*[m for m in sys.modules if m.startswith('repro.')])")
+    assert "repro.kpn.topology" not in loaded
+    assert sorted(m for m in loaded if m.startswith("repro.processes.")) \
+        == ["repro.processes.codecs", "repro.processes.transforms"]
+
+
+def test_a_compute_server_loads_no_cluster_tools():
+    loaded = _python(
+        "import sys, repro.distributed.server\n"
+        "print(*sys.modules)")
+    assert "repro.distributed.server" in loaded
+    assert [m for m in ("repro.distributed.cluster",
+                        "repro.distributed.balancer",
+                        "repro.telemetry.profile", "repro.telemetry.clock",
+                        "subprocess") if m in loaded] == []
 
 
 def test_executor_and_tasks_import_without_numpy():
