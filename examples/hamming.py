@@ -12,14 +12,12 @@ tiny channels and prints the growth events the scheduler performed.
 """
 
 from repro.kpn import Network
-from repro.kpn.scheduler import DeadlockPolicy
 from repro.processes import hamming
 from repro.semantics import hamming_reference
 
 
 def main(count: int = 40) -> None:
-    net = Network(name="hamming",
-                  policy=DeadlockPolicy(growth_factor=2, on_true="raise"))
+    net = Network(name="hamming")
     built = hamming(count, network=net, channel_capacity=16)
     out = built.run(timeout=120)
     print(f"first {count} Hamming numbers:", out)

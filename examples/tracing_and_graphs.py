@@ -18,14 +18,12 @@ Tools an open-source user reaches for on day two:
 
 from repro.analysis import graph_findings
 from repro.kpn import Network, Tracer
-from repro.kpn.scheduler import DeadlockPolicy
 from repro.kpn.visual import to_ascii, to_dot
 from repro.processes import hamming
 
 
 def main() -> None:
-    net = Network(name="traced-hamming",
-                  policy=DeadlockPolicy(growth_factor=2))
+    net = Network(name="traced-hamming")
     built = hamming(40, network=net, channel_capacity=16)
 
     print("== static checks ==")

@@ -11,13 +11,12 @@ import pytest
 
 from experiments.conftest import emit, fmt_row
 from repro.kpn import Network
-from repro.kpn.scheduler import DeadlockPolicy
 from repro.processes import hamming, modulo_merge
 from repro.semantics import hamming_reference
 
 
 def run_hamming(initial_capacity: int, count: int = 40):
-    net = Network(policy=DeadlockPolicy(growth_factor=2))
+    net = Network()
     built = hamming(count, network=net, channel_capacity=initial_capacity)
     out = built.run(timeout=300)
     assert out == hamming_reference(count)
@@ -53,7 +52,7 @@ def test_fig13_single_growth_sufficiency(benchmark):
     """Figure 13 with divisor N: the lower channel needs ~(N-1) longs;
     doubling from 16 bytes must unblock within a few growths."""
     def run():
-        net = Network(policy=DeadlockPolicy(growth_factor=2))
+        net = Network()
         built = modulo_merge(500, divisor=10, network=net,
                              channel_capacity=16)
         out = built.run(timeout=300)

@@ -91,9 +91,10 @@ class ComputeServer(RequestServer):
         #: the executor for shipped ``call`` tasks, built lazily so
         #: servers that never execute tasks never build a pool
         self._exec: Any = None
-        #: network hosting every process migrated to this server
+        #: network hosting every process migrated to this server; its
+        #: deadlock monitor runs while it hosts a live process
         self.network = Network(name=f"{name}-net",
-                               backend=self.config.backend).ensure_running()
+                               backend=self.config.backend)
         self._registry_client: Optional[RegistryClient] = None
         if registry is not None:
             self._registry_client = RegistryClient(*registry)
@@ -115,6 +116,7 @@ class ComputeServer(RequestServer):
                 self._registry_client.unregister(self.name)
             except Exception:
                 pass
+            self._registry_client.close()
         super().stop()
         self.network.shutdown()
 

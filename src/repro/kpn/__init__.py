@@ -17,7 +17,7 @@ from repro.kpn.channel import (Channel, ChannelInputStream, ChannelOutputStream,
 from repro.kpn.network import Network
 from repro.kpn.process import (CompositeProcess, IterativeProcess, Process,
                                StopProcess)
-from repro.kpn.scheduler import DeadlockMonitor, DeadlockPolicy, GrowthEvent
+from repro.kpn.scheduler import DeadlockMonitor, GrowthEvent
 from repro.kpn.streams import (BlockingInputStream, InputStream, LocalInputStream,
                                LocalOutputStream, OutputStream,
                                SequenceInputStream, SequenceOutputStream)
@@ -27,7 +27,7 @@ __all__ = [
     "Channel", "ChannelInputStream", "ChannelOutputStream", "wait_any_readable",
     "Network",
     "CompositeProcess", "IterativeProcess", "Process", "StopProcess",
-    "DeadlockMonitor", "DeadlockPolicy", "GrowthEvent",
+    "DeadlockMonitor", "GrowthEvent",
     "BlockingInputStream", "InputStream", "LocalInputStream",
     "LocalOutputStream", "OutputStream", "SequenceInputStream",
     "SequenceOutputStream",

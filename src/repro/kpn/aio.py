@@ -392,6 +392,10 @@ class EventLoop:
 
     The loop never kicks the deadlock monitor: the last task to park
     does, from :meth:`~repro.kpn.buffers.BoundedByteBuffer.async_park`.
+
+    A network's loop lives while the network has a live actor: the
+    count-out of the last one stops it (``Network._actor_finished``), and
+    a later task starts a fresh loop.
     """
 
     def __init__(self, name: str = "kpn-loop") -> None:

@@ -36,7 +36,7 @@ from repro.errors import DeadlockError
 from repro.kpn.buffers import BlockAccounting, DEFAULT_CAPACITY, PARKS_CAUSES
 from repro.kpn.channel import Channel
 from repro.kpn.process import CompositeProcess, Process
-from repro.kpn.scheduler import DeadlockMonitor, DeadlockPolicy, GrowthEvent
+from repro.kpn.scheduler import DeadlockMonitor, GrowthEvent
 
 if TYPE_CHECKING:
     from repro.kpn.topology import Topology
@@ -50,16 +50,8 @@ class Network:
     Parameters
     ----------
     default_capacity:
-        Initial capacity for channels created via :meth:`channel`.
-    policy:
-        Deadlock policy (growth factor, caps, true-deadlock reaction).
-    capacity_spec:
-        Optional ``{channel_name: initial_capacity}`` spec — a flat
-        dict, the capacity advisor's ``repro profile --spec-out``
-        document, or a path to a JSON file of either shape.  Channels
-        created via :meth:`channel` with a name in the spec (and no
-        explicit capacity) start pre-sized, avoiding grow-on-deadlock
-        cycles even without the graph compiler.
+        Initial capacity for channels created via :meth:`channel` (a
+        capacity advisor's spec pre-sizes them through :meth:`optimize`).
     backend:
         Scheduler backend: ``"thread"`` (default; one OS thread per
         process, the paper's model) or ``"async"`` (cooperative tasks
@@ -71,22 +63,15 @@ class Network:
     """
 
     def __init__(self, default_capacity: int = DEFAULT_CAPACITY,
-                 policy: Optional[DeadlockPolicy] = None,
                  name: str = "network",
-                 capacity_spec=None,
                  backend: Optional[str] = None) -> None:
         self.name = name
         self.backend = RunConfig.resolve(backend=backend).backend
-        self.monitor = DeadlockMonitor(self, policy)
+        self.monitor = DeadlockMonitor(self)
         #: the async backend's event loop, started with its first task
-        #: (again after a stop)
+        #: and stopped with the last actor (a later task starts another)
         self._loop = None
         self.default_capacity = default_capacity
-        if capacity_spec:
-            from repro.kpn.compile import load_capacity_spec
-            self.capacity_spec = load_capacity_spec(capacity_spec)
-        else:
-            self.capacity_spec = {}
         # the last actor to block kicks the monitor: the accounting calls
         # its bound kick with no frame in between
         self.accounting = BlockAccounting(on_change=self.monitor.kick)
@@ -112,13 +97,7 @@ class Network:
     # construction
     # ------------------------------------------------------------------
     def channel(self, capacity: Optional[int] = None, name: str = "") -> Channel:
-        """Create a channel owned by (and accounted to) this network.
-
-        With no explicit ``capacity``, a named channel listed in the
-        network's ``capacity_spec`` starts at the spec'd size.
-        """
-        if capacity is None and name:
-            capacity = self.capacity_spec.get(name)
+        """Create a channel owned by (and accounted to) this network."""
         ch = Channel(capacity or self.default_capacity, name=name,
                      accounting=self.accounting)
         with self._lock:
@@ -170,16 +149,11 @@ class Network:
             for member in process.processes:
                 self.spawn(member)
             return None
-        actor = None
+        hostable = False
         if self.backend == "async":
             from repro.kpn.aio import EventLoop, Task, async_hostable
-            if async_hostable(process):
-                with self._lock:
-                    if self._loop is None or self._loop.stopped:
-                        self._loop = EventLoop(name=f"{self.name}-loop")
-                    loop = self._loop
-                actor = Task(process, loop, on_finish=self._actor_finished)
-        if actor is None:
+            hostable = async_hostable(process)
+        if not hostable:
             actor = threading.Thread(target=self._run_process,
                                      args=(process,),
                                      name=process.name, daemon=True)
@@ -188,6 +162,23 @@ class Network:
             actor.kpn_accounting = self.accounting
             actor.process = process
         with self._lock:
+            if hostable:
+                # the loop is chosen in the count-in's lock section: the
+                # last actor's count-out, which stops it, comes before
+                # (a fresh loop) or after (not the last)
+                if self._loop is None or self._loop.stopped:
+                    self._loop = EventLoop(name=f"{self.name}-loop")
+                actor = Task(process, self._loop,
+                             on_finish=self._actor_finished)
+            monitor = self.monitor
+            if monitor.thread is None:
+                # the first live actor brings the monitor up, which ends
+                # itself when it finds none; started before the count-in,
+                # so a thread that fails to start counts nothing
+                thread = threading.Thread(target=monitor._run, daemon=True,
+                                          name="deadlock-monitor")
+                thread.start()
+                monitor.thread = thread
             self._threads.append(actor)
             self.accounting.live += 1
         try:
@@ -206,13 +197,14 @@ class Network:
             self._actor_finished()
 
     def _actor_finished(self) -> None:
-        """One spawned actor is done: count it, then let the monitor look
-        (the last runnable actor exiting can complete a stall)."""
+        """One spawned actor (or :meth:`start` itself) is done: count it
+        out, stop the event loop if it was the last, then let the monitor
+        look (the last runnable actor exiting can complete a stall)."""
         with self._lock:
             self.accounting.live -= 1
+            if self.accounting.live == 0 and self._loop is not None:
+                self._loop.stop()
         self.monitor.kick()
-        if self.monitor.stopped:
-            self._stop_loop_when_idle()
 
     def preflight(self) -> None:
         """Static pre-flight: graph rules, proofs, and race scan.
@@ -239,48 +231,41 @@ class Network:
 
         Fuses eligible linear process chains into single threads,
         collapses the intra-chain channels onto lock-free deques, and
-        pre-sizes surviving channels from ``spec`` (defaulting to the
-        network's own ``capacity_spec``).  The applied
+        pre-sizes surviving channels from ``spec`` (a capacity advisor's
+        spec; see :func:`~repro.kpn.compile.load_capacity_spec`).  The applied
         :class:`~repro.kpn.compile.FusionPlan` lands on
         ``self.fusion_plan``.  See :mod:`repro.kpn.compile`.
         """
         from repro.kpn.compile import fuse
 
-        if spec is None and self.capacity_spec:
-            spec = self.capacity_spec
         fuse(self, spec=spec)
         return self
 
     def start(self) -> "Network":
+        """Spawn every process added so far.
+
+        Until the last is spawned, ``start`` counts as a live actor that
+        never blocks, so the monitor rules on no half-started graph; its
+        count-out is the kick that can complete a stall.
+        """
         with self._lock:
             if self._started:
                 raise RuntimeError("network already started")
             self._started = True
             pending = [p for p in self.processes]
-        self.monitor.start()
-        with self._lock:
             spawned = {id(t.process) for t in self._threads}
-        for p in pending:
-            # by identity, not by name: two processes may share a name.
-            # Set membership, not a linear scan: start() is on the
-            # 10k-process scale path and a per-process scan is O(n^2)
-            if id(p) not in spawned:
-                spawned.add(id(p))
-                self.spawn(p)
-        return self
-
-    def ensure_running(self) -> "Network":
-        """Mark the network live without spawning anything yet.
-
-        Compute servers host a long-lived network that receives migrated
-        processes over time; this starts the deadlock monitor and allows
-        :meth:`spawn` to be the only way processes enter.
-        """
-        with self._lock:
-            if self._started:
-                return self
-            self._started = True
-        self.monitor.start()
+            self.accounting.live += 1
+        try:
+            for p in pending:
+                # by identity, not by name: two processes may share a
+                # name.  Set membership, not a linear scan: start() is on
+                # the 10k-process scale path and a per-process scan is
+                # O(n^2)
+                if id(p) not in spawned:
+                    spawned.add(id(p))
+                    self.spawn(p)
+        finally:
+            self._actor_finished()
         return self
 
     def live_threads(self) -> List:
@@ -302,6 +287,7 @@ class Network:
         it turns false), a task until its ``on_finish`` has been counted.
         A stale read is harmless to the stall rule: a concurrent spawn
         adds a running actor, and a concurrent exit kicks the monitor.
+        While :meth:`start` spawns, it counts itself as well.
         """
         return self.accounting.live
 
@@ -331,9 +317,6 @@ class Network:
                 t.join(timeout=remaining if remaining is not None else 0.5)
                 if deadline is not None and time.monotonic() >= deadline and t.is_alive():
                     return False
-        if self._loop is not None:
-            self._loop.stop()
-        self.monitor.stop()
         if self.monitor.error is not None:
             raise self.monitor.error
         self.raise_failures()
@@ -354,8 +337,8 @@ class Network:
 
         Blocked processes wake with channel errors and run their normal
         ``on_stop`` cleanup, so even a forced shutdown follows the paper's
-        graceful cascading-termination path.  The deadlock monitor stops;
-        the async backend's event loop stops once no actor is left.
+        graceful cascading-termination path.  The deadlock monitor and
+        the async backend's event loop end with the last actor.
         """
         with self._lock:
             channels = list(self.channels)
@@ -365,14 +348,6 @@ class Network:
                 ch.buffer.close_read()
             except Exception:
                 pass
-        self.monitor.stop()
-        self._stop_loop_when_idle()
-
-    def _stop_loop_when_idle(self) -> None:
-        """Stop the event loop if no actor is alive.  Once the monitor is
-        stopped, the last actor to finish calls this as well."""
-        if self._loop is not None and self.accounting.live == 0:
-            self._loop.stop()
 
     # -- context manager -----------------------------------------------------
     def __enter__(self) -> "Network":
@@ -381,8 +356,6 @@ class Network:
     def __exit__(self, exc_type, exc, tb) -> None:
         if exc_type is not None:
             self.shutdown()
-        self.monitor.stop()
-        self._stop_loop_when_idle()
 
     # ------------------------------------------------------------------
     # analysis

@@ -15,8 +15,13 @@ run time:
    that can run in bounded memory using bounded memory, and degrades
    gracefully (buffers grow only as needed) otherwise.
 3. If all are blocked **reading**, the deadlock is *true*: no capacity
-   assignment helps.  Depending on policy we raise, stop the network, or
-   leave it (an externally-fed network may legitimately idle).
+   assignment helps.  The monitor stores a :class:`TrueDeadlockError`
+   and shuts the network down.  (A network fed from outside is fed by
+   one of its processes, which sleeps on its source, not on a channel,
+   so the network never looks stalled.)
+
+The rule has no settings: growth doubles (:data:`GROWTH_FACTOR`) up to
+:data:`MAX_CAPACITY`, and a stall must hold for :data:`SETTLE_MS`.
 
 Detection uses the blocked-actor accounting that
 :class:`~repro.kpn.buffers.BoundedByteBuffer` reports into
@@ -49,6 +54,11 @@ A monitor that raises stores the error and shuts the network down, so
 :meth:`Network.join` re-raises it promptly instead of the network
 running on without deadlock detection.
 
+The monitor's thread lives exactly while the network has a live actor:
+the spawn that counts an actor in starts it if it is not running, and
+it ends itself, under the network lock, when it wakes to find no live
+actor.
+
 **Across sites (paper section 6.2).**  A network with socket links can
 be woken by traffic from another server, so its monitor never decides
 a stall on its own view.  The network that shipped the parts does
@@ -74,6 +84,7 @@ from __future__ import annotations
 
 import functools
 import threading
+import time
 from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import List, Optional, TYPE_CHECKING
@@ -88,7 +99,16 @@ from repro.telemetry.core import TELEMETRY as _telemetry
 if TYPE_CHECKING:  # pragma: no cover
     from repro.kpn.network import Network
 
-__all__ = ["DeadlockMonitor", "DeadlockPolicy", "GrowthEvent"]
+__all__ = ["DeadlockMonitor", "GrowthEvent"]
+
+#: Parks' growth multiplies the chosen channel's capacity by this ...
+GROWTH_FACTOR = 2
+#: ... up to this cap per channel; a full channel at the cap is an
+#: :class:`ArtificialDeadlockError`
+MAX_CAPACITY = 64 * 1024 * 1024
+#: stability window: a stall must persist, with no accounting churn, for
+#: this long before the monitor acts
+SETTLE_MS = 20.0
 
 
 @dataclass
@@ -102,75 +122,28 @@ class GrowthEvent:
     blocked_processes: tuple[str, ...] = ()
 
 
-@dataclass
-class DeadlockPolicy:
-    """Configuration for the monitor's reactions.
-
-    Attributes
-    ----------
-    growth_factor:
-        Multiplier applied to the chosen channel's capacity.
-    max_capacity:
-        Hard cap per channel; reaching it turns an artificial deadlock
-        into a reported :class:`ArtificialDeadlockError`.  A cap at the
-        channels' initial capacity refuses every growth: the network
-        runs under fixed bounds.
-    on_true:
-        "raise" — store a :class:`TrueDeadlockError` and shut the network
-        down (``Network.join`` re-raises it);
-        "stop" — shut down silently;
-        "ignore" — leave the network blocked.
-    settle_ms:
-        Stability window: the stall must persist, with no accounting
-        churn, for this long before the monitor acts.
-    """
-
-    growth_factor: int = 2
-    max_capacity: int = 64 * 1024 * 1024
-    on_true: str = "raise"
-    settle_ms: float = 20.0
-
-
 class DeadlockMonitor:
-    """Watches a network for global stalls and applies the policy.
+    """Watches a network for global stalls and applies Parks' rule.
 
-    The monitor runs in its own daemon thread.  It is *kicked* (woken) by
-    the last actor to block and by actor exits (see the module
-    docstring), then re-verifies the stall after a settle window.
+    The monitor runs in its own daemon thread while the network has a
+    live actor (see the module docstring).  It is *kicked* (woken) by the
+    last actor to block and by actor exits, then re-verifies the stall
+    after a settle window.
     """
 
-    def __init__(self, network: "Network",
-                 policy: Optional[DeadlockPolicy] = None) -> None:
+    def __init__(self, network: "Network") -> None:
         self.network = network
-        self.policy = policy or DeadlockPolicy()
         self.error: Optional[Exception] = None
         self._cond = threading.Condition()
         self._kicked = False
-        self._stop = False
-        self._thread: Optional[threading.Thread] = None
+        #: the monitor's thread while the network has a live actor, else
+        #: None; written under the network lock (``Network.spawn`` starts
+        #: it, :meth:`_run` clears it as it ends)
+        self.thread: Optional[threading.Thread] = None
 
     @property
     def growth_events(self) -> List[GrowthEvent]:
         return self.network.growth_events()
-
-    # -- lifecycle ---------------------------------------------------------
-    def start(self) -> None:
-        self._thread = threading.Thread(target=self._run, name="deadlock-monitor",
-                                        daemon=True)
-        self._thread.start()
-
-    def stop(self) -> None:
-        with self._cond:
-            self._stop = True
-            self._cond.notify_all()
-        # a verdict shuts the network down from the monitor's own thread,
-        # which then leaves _run by itself
-        if self._thread not in (None, threading.current_thread()):
-            self._thread.join(timeout=5)
-
-    @property
-    def stopped(self) -> bool:
-        return self._stop
 
     def kick(self) -> None:
         """Wake the monitor to re-examine the network.
@@ -187,15 +160,20 @@ class DeadlockMonitor:
 
     # -- main loop ---------------------------------------------------------
     def _run(self) -> None:
+        network = self.network
         while True:
             with self._cond:
-                if not self._kicked and not self._stop:
+                if not self._kicked:
                     # periodic re-check regardless of kicks: covers the
                     # (unlikely) loss of a wakeup
                     self._cond.wait(timeout=0.05)
-                if self._stop:
-                    return
                 self._kicked = False
+            with network._lock:
+                if network.accounting.live == 0:
+                    # nothing left to stall; the next spawn starts a
+                    # fresh thread
+                    self.thread = None
+                    return
             try:
                 self._examine()
             except Exception as exc:
@@ -203,8 +181,7 @@ class DeadlockMonitor:
                 # the caller's timeout with this error never raised: end
                 # the run now, and join() raises it
                 self.error = exc
-                self.network.shutdown()
-                return
+                network.shutdown()
 
     def _stalled(self) -> Optional[dict]:
         """Return the blocked map if every live network thread is blocked."""
@@ -225,12 +202,16 @@ class DeadlockMonitor:
         return None
 
     def _settle(self) -> bool:
-        """Wait out the stability window; False if the monitor was stopped
-        meanwhile.  A kick does not end the wait (it stays pending for the
-        next examination); a stop does."""
+        """Wait out the stability window; False if the network had no
+        live actor left by its end (seen at the latest at the next 50 ms
+        poll).  A kick does not end the wait: it stays pending for the
+        next examination."""
+        acct = self.network.accounting
+        deadline = time.monotonic() + SETTLE_MS / 1000.0
         with self._cond:
-            return not self._cond.wait_for(lambda: self._stop,
-                                           self.policy.settle_ms / 1000.0)
+            while acct.live and (left := deadline - time.monotonic()) > 0:
+                self._cond.wait(min(left, 0.05))
+        return bool(acct.live)
 
     def _examine(self) -> None:
         acct = self.network.accounting
@@ -238,8 +219,8 @@ class DeadlockMonitor:
         if first is None:
             return
         gen = acct.generation
-        # stability window: wait, then confirm nothing moved.  A stopped
-        # monitor reaches no verdict.
+        # stability window: wait, then confirm nothing moved.  A network
+        # whose actors have all ended meanwhile gets no verdict.
         if not self._settle() or acct.generation != gen:
             return
         blocked = self._stalled()
@@ -387,9 +368,9 @@ class DeadlockMonitor:
 
     def _grow_smallest(self, writes) -> bool:
         """Parks' rule: among the full channels being written to, grow the
-        one with the smallest capacity.  False at ``max_capacity``."""
+        one with the smallest capacity.  False at :data:`MAX_CAPACITY`."""
         old, _, grow = self._smallest(writes)
-        new = min(old * self.policy.growth_factor, self.policy.max_capacity)
+        new = min(old * GROWTH_FACTOR, MAX_CAPACITY)
         if new <= old:
             return False
         grow(new)
@@ -400,13 +381,10 @@ class DeadlockMonitor:
     def _resolve_true(self, names) -> None:
         # Every live actor is blocked reading — at every site, when the
         # network has links (_across_sites): no capacity helps.
-        if self.policy.on_true == "ignore":
-            return
         if _telemetry.enabled:
             _telemetry.instant("deadlock.true", category="kpn.scheduler",
                                blocked=len(names))
             _telemetry.inc("kpn.scheduler.true_deadlocks")
-        if self.policy.on_true == "raise":
-            self.error = TrueDeadlockError(
-                f"true deadlock: all processes blocked reading: {names}", names)
+        self.error = TrueDeadlockError(
+            f"true deadlock: all processes blocked reading: {names}", names)
         self.network.shutdown()

@@ -166,9 +166,9 @@ def hamming(count: int = 20, network: Optional[Network] = None,
     up to three new elements, so "the amount of storage required for the
     channels grows without bound as the program executes".  Run it in a
     bounded network and Parks' scheduler keeps growing the hot channels;
-    cap growth at the initial capacity (``DeadlockPolicy(max_capacity=``
-    the channel capacity ``)``) and it deadlocks artificially — both
-    behaviours are exercised in the tests.
+    with growth capped at the initial capacity (the tests patch
+    ``repro.kpn.scheduler.MAX_CAPACITY`` to the channel capacity) it
+    deadlocks artificially — both behaviours are exercised in the tests.
     """
     net = network or Network(name="hamming")
     cap = channel_capacity

@@ -11,7 +11,6 @@ import pytest
 from repro.errors import TrueDeadlockError
 from repro.kpn import Network
 from repro.kpn.process import CompositeProcess, IterativeProcess
-from repro.kpn.scheduler import DeadlockPolicy
 from repro.distributed.server import ComputeServer, ServerClient
 from repro.processes import (Collect, MapProcess, ModuloRouter, OrderedMerge,
                              Scale, Sequence)
@@ -79,8 +78,8 @@ def _wait_for(condition, seconds=10):
 # snapshots
 # ---------------------------------------------------------------------------
 
-def test_wait_snapshot_shape_local():
-    net = Network(policy=DeadlockPolicy(on_true="ignore"))
+def test_wait_snapshot_shape_local(hold_monitor):
+    net = Network()
     ch = net.channel(name="empty")
     net.add(ReadForever(ch.get_input_stream(), name="r"))
     net.start()
@@ -316,7 +315,7 @@ def test_a_site_without_a_clear_view_gets_no_verdict(server, fake):
     net.start()
     assert not net.join(timeout=1.5)        # no verdict ...
     assert net.monitor.error is None
-    assert net.monitor._thread.is_alive()   # ... and the monitor runs on
+    assert net.monitor.thread.is_alive()    # ... and the monitor runs on
     del net.sites[(fake.host, fake.port)]
     with pytest.raises(TrueDeadlockError):
         net.join(timeout=5)

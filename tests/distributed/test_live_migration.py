@@ -141,24 +141,30 @@ def test_live_migration_of_middle_stage(server):
 def test_live_migration_timeout_on_blocked_process(server):
     """A process blocked on an empty input can't reach a step boundary;
     migrate_live must fail cleanly and leave it runnable."""
-    from repro.kpn.scheduler import DeadlockPolicy
+    import queue
+
+    from repro.processes import FromIterable
 
     _, client = server
-    # the pre-feed phase is an intentional all-readers stall: tell the
-    # local monitor not to diagnose it
-    net = Network(policy=DeadlockPolicy(on_true="ignore"))
+    # fed from outside: the feeder sleeps on the queue, not on a channel,
+    # so the network never looks stalled while the stage starves
+    feed = queue.Queue()
+    net = Network()
     a, b = net.channels_n(2)
     out = []
     stage = Scale(a.get_input_stream(), b.get_output_stream(), 2,
                   codec="long", name="starved")
-    net.add(stage)          # no producer yet: blocked immediately
+    net.add(FromIterable(a.get_output_stream(), iter(feed.get, None),
+                         name="feeder"))
+    net.add(stage)          # nothing fed yet: blocked immediately
     net.add(Collect(b.get_input_stream(), out))
     net.start()
     time.sleep(0.1)
     with pytest.raises(MigrationError, match="step boundary"):
         migrate_live(stage, client, timeout=0.3)
     # now feed it: the process must still work after the aborted attempt
-    net.spawn(Sequence(a.get_output_stream(), iterations=5, name="late-src"))
+    for item in [*range(5), None]:
+        feed.put(item)
     assert net.join(timeout=60)
     assert out == [0, 2, 4, 6, 8]
 

@@ -9,8 +9,10 @@ from repro.config import RunConfig
 from repro.distributed.registry import RegistryClient, RegistryServer
 from repro.distributed.server import ComputeServer, ServerClient
 from repro.errors import RemoteError
+from repro.kpn import Network
 from repro.kpn.process import IterativeProcess
 from repro.parallel import CallableTask
+from repro.processes.codecs import LONG
 
 
 class _Once(IterativeProcess):
@@ -18,6 +20,18 @@ class _Once(IterativeProcess):
 
     def step(self):
         pass
+
+
+class _ReadOne(IterativeProcess):
+    """Reads one LONG and ends (module-level: must pickle)."""
+
+    def __init__(self, src, name=None):
+        super().__init__(iterations=1, name=name)
+        self.src = src
+        self.track(src)
+
+    def step(self):
+        LONG.read(self.src)
 
 
 @pytest.fixture
@@ -108,6 +122,7 @@ def test_registry_integration():
     try:
         client = ServerClient.from_registry(reg_client, "reg-me")
         assert client.ping() == "reg-me"
+        client.close()
         server.stop()
         # server unregisters on stop
         deadline = time.monotonic() + 5
@@ -131,17 +146,49 @@ def test_shutdown_via_client():
     client.close()
 
 
+def _monitor_of(server, present, seconds=0.5):
+    """Wait until the hosted network's monitor thread is (``present``) or
+    is not running; True if it got there within ``seconds``."""
+    deadline = time.monotonic() + seconds
+    while True:
+        thread = server.network.monitor.thread
+        running = thread is not None and thread.is_alive()
+        if running == present or time.monotonic() >= deadline:
+            return running == present
+        time.sleep(0.01)
+
+
 def test_stop_stops_the_hosted_networks_monitor():
+    """A server that hosts nothing holds no monitor; one that hosts a
+    process gets one, loses it when the process ends, gets it back for
+    the next, and ``stop`` ends it with the process it ends."""
     before = set(threading.enumerate())
     server = ComputeServer(name="monitored").start()
-    assert any(t.name == "deadlock-monitor" for t in threading.enumerate()
-               if t not in before)
-    server.stop()
-    deadline = time.monotonic() + 1
-    while [t for t in threading.enumerate()
-           if t not in before and t.name == "deadlock-monitor"]:
-        assert time.monotonic() < deadline, "the monitor outlived its server"
-        time.sleep(0.01)
+    client = ServerClient("127.0.0.1", server.port)
+    net = Network(name="feeder")
+    try:
+        assert client.ping() == "monitored"
+        assert server.network.monitor.thread is None
+        assert not [t for t in threading.enumerate()
+                    if t not in before and t.name == "deadlock-monitor"]
+        first, second = net.channel(name="sv-1"), net.channel(name="sv-2")
+        # hosted readers wait on links from here: their network has
+        # links and no sites, so its monitor looks but never rules
+        client.run(_ReadOne(first.get_input_stream(), name="reader-1"))
+        assert _monitor_of(server, present=True, seconds=5)
+        writer = first.get_output_stream()
+        writer.write(LONG.encode(7))
+        writer.close()
+        assert _monitor_of(server, present=False)   # drained: it ended
+        client.run(_ReadOne(second.get_input_stream(), name="reader-2"))
+        assert _monitor_of(server, present=True, seconds=5)
+        server.stop()
+        assert _monitor_of(server, present=False)
+    finally:
+        client.close()
+        server.stop()
+        for ch in net.channels:
+            ch.get_output_stream().close()
 
 
 def test_two_clients_concurrently(server_client):

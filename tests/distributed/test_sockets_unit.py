@@ -33,6 +33,8 @@ def test_bytes_flow_end_to_end():
     while len(collected) < 21 and time.monotonic() < deadline:
         collected += dst.read(64)
     assert collected == b"hello across the wire"
+    src.close_write()               # the pumps end with the stream
+    assert dst.read(64) == b""
 
 
 def test_eof_propagates():
@@ -115,6 +117,7 @@ def test_receiver_treats_connection_loss_as_eof():
     sender.close()  # simulate producer host death
     assert dst.read(16) == b"pre"
     assert dst.read(16) == b""  # clean EOF, not a hang
+    src.close_write()   # the dead host's pump, asleep on its buffer, ends
 
 
 def test_sender_listener_reuse_address_info():

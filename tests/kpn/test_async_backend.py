@@ -9,14 +9,14 @@ and profiler blocked-time joins.
 """
 
 import threading
+import time
 
 import pytest
 
 from repro.errors import ArtificialDeadlockError, EndOfStreamError
-from repro.kpn import Network
+from repro.kpn import Network, scheduler
 from repro.kpn.aio import EventLoop, Task, async_hostable
 from repro.kpn.process import IterativeProcess
-from repro.kpn.scheduler import DeadlockPolicy
 from repro.processes import Collect, Scale, Sequence
 from repro.processes.codecs import LONG
 from repro.processes.networks import modulo_merge
@@ -231,6 +231,37 @@ def test_network_loop_restarts_after_stop():
     assert net._loop is not first and net._loop.stopped
 
 
+class _Tick(IterativeProcess):
+    def __init__(self, ran, **kw):
+        super().__init__(iterations=1, **kw)
+        self.ran = ran
+
+    def step(self):
+        self.ran.append(self.name)
+
+
+def test_a_spawn_racing_the_last_count_out_never_lands_on_a_stopped_loop(
+        monkeypatch):
+    """Each one-step task is the network's only actor, so its count-out
+    stops the loop.  A task built slowly gives the previous one time to
+    end while the next spawn is between choosing a loop and counting its
+    task in; the two are one lock section, so every task runs."""
+    init = Task.__init__
+
+    def slow_init(self, *args, **kw):
+        init(self, *args, **kw)
+        time.sleep(0.02)            # the previous task ends meanwhile
+
+    monkeypatch.setattr(Task, "__init__", slow_init)
+    net = Network(name="relay", backend="async")
+    ran = []
+    for k in range(10):
+        net.spawn(_Tick(ran, name=f"tick-{k}"))
+    assert net.join(timeout=10)
+    assert sorted(ran) == sorted(f"tick-{k}" for k in range(10))
+    assert net.live_count() == 0 and net._loop.stopped
+
+
 def test_event_loop_survives_runner_failure():
     """A crash inside the runner marks that task done instead of killing
     the loop and stranding its mates."""
@@ -263,9 +294,8 @@ def test_event_loop_survives_runner_failure():
 # deadlock monitor over parked tasks
 # ---------------------------------------------------------------------------
 
-def test_wait_snapshot_reports_task_kind_and_backend():
+def test_wait_snapshot_reports_task_kind_and_backend(hold_monitor):
     net = Network(name="snapshot", backend="async")
-    net.monitor.policy.on_true = "ignore"
     ch = net.channel(name="ws-ch")
 
     class Forever(IterativeProcess):
@@ -296,14 +326,15 @@ def test_wait_snapshot_reports_task_kind_and_backend():
 
 
 def test_parks_growth_resolves_artificial_deadlock_with_tasks():
-    net = Network(policy=DeadlockPolicy(growth_factor=2), backend="async")
+    net = Network(backend="async")
     built = modulo_merge(150, divisor=10, network=net, channel_capacity=16)
     assert built.run(timeout=60) == list(range(1, 151))
     assert net.growth_events(), "expected Parks growth under async"
 
 
-def test_true_deadlock_diagnosed_with_tasks():
-    net = Network(policy=DeadlockPolicy(max_capacity=16), backend="async")
+def test_true_deadlock_diagnosed_with_tasks(monkeypatch):
+    monkeypatch.setattr(scheduler, "MAX_CAPACITY", 16)
+    net = Network(backend="async")
     built = modulo_merge(150, divisor=10, network=net, channel_capacity=16)
     with pytest.raises(ArtificialDeadlockError) as info:
         built.run(timeout=60)

@@ -38,7 +38,6 @@ import pytest
 from repro.kpn import Network
 from repro.kpn.aio import Task
 from repro.kpn.process import IterativeProcess, StopProcess
-from repro.kpn.scheduler import DeadlockPolicy
 from repro.processes.codecs import LONG
 from repro.telemetry.core import TELEMETRY
 
@@ -380,11 +379,10 @@ class StrictCollect(IterativeProcess):
         self.out.append(LONG.read(self.src))
 
 
-def test_wake_from_a_borrowed_thread_reaches_the_sleeping_loop():
+def test_wake_from_a_borrowed_thread_reaches_the_sleeping_loop(hold_monitor):
     # both actors wait on this test's writes: a settle window longer than
     # the test keeps the monitor from calling that a true deadlock
-    net = Network(name="borrow", backend="async",
-                  policy=DeadlockPolicy(settle_ms=30_000))
+    net = Network(name="borrow", backend="async")
     x, y = net.channel(name="bw-x"), net.channel(name="bw-y")
     feed = x.get_output_stream()                # written by this test
     got = []

@@ -3,9 +3,8 @@
 import pytest
 
 from repro.errors import ArtificialDeadlockError, TrueDeadlockError
-from repro.kpn import Network
+from repro.kpn import Network, scheduler
 from repro.kpn.process import IterativeProcess
-from repro.kpn.scheduler import DeadlockPolicy
 from repro.processes import Collect, Sequence
 from repro.processes.networks import hamming, modulo_merge
 from repro.semantics import hamming_reference
@@ -18,7 +17,7 @@ from repro.semantics import hamming_reference
 def test_fig13_needs_growth_with_tiny_capacity():
     """divisor=10 → 9 elements pile up on the lower channel per upper
     element; a 16-byte (2-long) channel must deadlock without growth."""
-    net = Network(policy=DeadlockPolicy(growth_factor=2))
+    net = Network()
     built = modulo_merge(200, divisor=10, network=net, channel_capacity=16)
     out = built.run(timeout=60)
     assert out == list(range(1, 201))
@@ -27,9 +26,10 @@ def test_fig13_needs_growth_with_tiny_capacity():
     assert any("lower" in e.channel_name for e in grown)
 
 
-def test_fig13_growth_disabled_reports_artificial_deadlock():
+def test_fig13_growth_disabled_reports_artificial_deadlock(monkeypatch):
     # a cap at the channels' capacity refuses every growth
-    net = Network(policy=DeadlockPolicy(max_capacity=16))
+    monkeypatch.setattr(scheduler, "MAX_CAPACITY", 16)
+    net = Network()
     built = modulo_merge(200, divisor=10, network=net, channel_capacity=16)
     with pytest.raises(ArtificialDeadlockError, match="max capacity 16"):
         built.run(timeout=60)
@@ -44,8 +44,9 @@ def test_fig13_large_capacity_needs_no_growth():
     assert net.growth_events() == []
 
 
-def test_fig13_capacity_cap_turns_growth_into_error():
-    net = Network(policy=DeadlockPolicy(growth_factor=2, max_capacity=32))
+def test_fig13_capacity_cap_turns_growth_into_error(monkeypatch):
+    monkeypatch.setattr(scheduler, "MAX_CAPACITY", 32)
+    net = Network()
     built = modulo_merge(2000, divisor=100, network=net, channel_capacity=16)
     with pytest.raises(ArtificialDeadlockError, match="max capacity"):
         built.run(timeout=60)
@@ -56,7 +57,7 @@ def test_fig13_capacity_cap_turns_growth_into_error():
 # ---------------------------------------------------------------------------
 
 def test_hamming_runs_under_growth():
-    net = Network(policy=DeadlockPolicy(growth_factor=2))
+    net = Network()
     built = hamming(40, network=net, channel_capacity=16)
     out = built.run(timeout=120)
     assert out == hamming_reference(40)
@@ -64,7 +65,7 @@ def test_hamming_runs_under_growth():
 
 
 def test_hamming_growth_chooses_smallest_full_channel():
-    net = Network(policy=DeadlockPolicy(growth_factor=2))
+    net = Network()
     built = hamming(30, network=net, channel_capacity=16)
     built.run(timeout=120)
     for e in net.growth_events():
@@ -93,7 +94,7 @@ class ReadForever(IterativeProcess):
 
 def test_true_deadlock_detected_and_raised():
     """Two processes each waiting for the other's (never-produced) data."""
-    net = Network(policy=DeadlockPolicy(on_true="raise"))
+    net = Network()
     a, b = net.channels_n(2)
     net.add(ReadForever(a.get_input_stream(), name="ra"))
     net.add(ReadForever(b.get_input_stream(), name="rb"))
@@ -101,16 +102,10 @@ def test_true_deadlock_detected_and_raised():
         net.run(timeout=30)
 
 
-def test_true_deadlock_stop_policy_silent():
-    net = Network(policy=DeadlockPolicy(on_true="stop"))
-    ch = net.channel()
-    net.add(ReadForever(ch.get_input_stream()))
-    assert net.run(timeout=30)  # shut down, no exception
-
-
-def test_no_false_positive_while_producer_computes():
+def test_no_false_positive_while_producer_computes(monkeypatch):
     """A busy (unblocked) producer must never be diagnosed as deadlock."""
-    net = Network(policy=DeadlockPolicy(on_true="raise", settle_ms=5))
+    monkeypatch.setattr(scheduler, "SETTLE_MS", 5.0)
+    net = Network()
 
     class SlowSource(IterativeProcess):
         def __init__(self, out_stream):
@@ -134,8 +129,9 @@ def test_no_false_positive_while_producer_computes():
     assert out == list(range(20))
 
 
-def test_growth_event_records_details():
-    net = Network(policy=DeadlockPolicy(growth_factor=4))
+def test_growth_event_records_details(monkeypatch):
+    monkeypatch.setattr(scheduler, "GROWTH_FACTOR", 4)
+    net = Network()
     built = modulo_merge(200, divisor=10, network=net, channel_capacity=16)
     built.run(timeout=60)
     e = net.growth_events()[0]

@@ -382,7 +382,7 @@ def test_farm_prefix_survives_fusion():
 
 
 # ---------------------------------------------------------------------------
-# capacity specs (pass 3 + the Network(capacity_spec=...) satellite)
+# capacity specs (pass 3)
 # ---------------------------------------------------------------------------
 
 def test_load_capacity_spec_shapes(tmp_path):
@@ -415,19 +415,22 @@ def test_plan_presizes_surviving_channels_only():
     net.run(timeout=30)
 
 
-def test_network_capacity_spec_presizes_at_creation(tmp_path):
+def test_optimize_presizes_from_an_advisor_spec_file(tmp_path):
+    """``optimize(spec=)`` is the one path from a capacity advisor's
+    document (here a JSON file) to channel sizes: a surviving channel
+    named in it is pre-sized, a fused one and an unnamed one are not."""
+    net = Network()
+    built = modulo_merge(50, divisor=10, network=net, channel_capacity=16)
     spec = {"version": 1,
-            "channels": {"sized": {"initial_capacity": 9999}}}
+            "channels": {"f13-lower": {"initial_capacity": 4096},
+                         "f13-src": {"initial_capacity": 4096}}}
     path = tmp_path / "cap.json"
     path.write_text(json.dumps(spec))
-    net = Network(capacity_spec=str(path))
-    assert net.channel(name="sized").capacity == 9999
-    assert net.channel(name="other").capacity == net.default_capacity
-    # explicit capacity always wins over the spec
-    assert net.channel(capacity=128, name="sized").capacity == 128
-    # dict form works too and feeds optimize()'s default spec
-    net2 = Network(capacity_spec={"sized": 4096})
-    assert net2.channel(name="sized").capacity == 4096
+    plan = net.optimize(spec=str(path)).fusion_plan
+    assert "f13-src" in plan.fused_channel_names
+    assert {ch.name: ch.capacity for ch in net.channels} == {
+        "f13-src": 16, "f13-upper": 16, "f13-lower": 4096, "f13-out": 16}
+    assert built.run(timeout=30) == list(range(1, 51))
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.errors import TrueDeadlockError
-from repro.kpn import Network
+from repro.kpn import Network, scheduler
 from repro.kpn.aio import EventLoop, Task
 from repro.kpn.history import HistoryCapture
 from repro.kpn.process import IterativeProcess
-from repro.kpn.scheduler import DeadlockPolicy
 from repro.processes import (Collect, Scale, Sequence, fibonacci, hamming,
                              modulo_merge, newton_sqrt)
 from repro.processes.codecs import LONG
@@ -400,7 +399,7 @@ def test_real_true_deadlock_still_diagnosed_after_the_check(
                               else [])
 
 
-def test_growth_disabled_verdict_waits_for_observed_waits(forced):
+def test_growth_disabled_verdict_waits_for_observed_waits(forced, monkeypatch):
     """A full output is a guess too: the step might write elsewhere."""
 
     class Chooser(IterativeProcess):
@@ -422,8 +421,8 @@ def test_growth_disabled_verdict_waits_for_observed_waits(forced):
             self.into.extend(LONG.read(self.free) for _ in range(5))
             self.into.append(LONG.read(self.full))
 
-    net = Network(backend="async",
-                  policy=DeadlockPolicy(max_capacity=LONG.width))
+    monkeypatch.setattr(scheduler, "MAX_CAPACITY", LONG.width)
+    net = Network(backend="async")
     full = net.channel(capacity=LONG.width, name="full")
     free = net.channel(name="free")
     full.get_output_stream().write(LONG.encode(7))  # stays full to the end
@@ -669,9 +668,11 @@ def test_live_count_exact_when_the_finish_kick_raises():
         raise RuntimeError("monitor bug")
 
     # only _actor_finished looks this up at call time; the accounting
-    # captured the real bound method when the network was built
+    # captured the real bound method when the network was built.  The
+    # first to raise is start()'s own count-out, after every spawn
     net.monitor.kick = kick
-    net.start()
+    with pytest.raises(RuntimeError, match="monitor bug"):
+        net.start()
     deadline = time.monotonic() + 10
     while net.live_threads() and time.monotonic() < deadline:
         time.sleep(0.01)

@@ -14,7 +14,6 @@ import pytest
 
 from repro.kpn import Network
 from repro.kpn.process import CompositeProcess, IterativeProcess
-from repro.kpn.scheduler import DeadlockPolicy
 from repro.processes import Collect, Scale, Sequence
 from repro.telemetry.core import TELEMETRY
 from repro.telemetry.profile import PROFILER, process_utilization
@@ -38,11 +37,11 @@ def profiler_on():
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_the_profiler_charges_a_composite_nothing(backend, profiler_on):
+def test_the_profiler_charges_a_composite_nothing(backend, profiler_on,
+                                                  hold_monitor):
     # a settle window longer than the test: the member left waiting on
     # purpose is not called a true deadlock
-    net = Network(name=f"util-{backend}", backend=backend,
-                  policy=DeadlockPolicy(settle_ms=30_000))
+    net = Network(name=f"util-{backend}", backend=backend)
     ch = net.channel(name="idle")
     net.add(CompositeProcess(
         [Collect(ch.get_input_stream(), [], name="member")],

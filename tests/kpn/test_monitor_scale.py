@@ -13,9 +13,8 @@ import time
 import pytest
 
 from repro.errors import TrueDeadlockError
-from repro.kpn import Network
+from repro.kpn import Network, scheduler
 from repro.kpn.process import IterativeProcess, StopProcess
-from repro.kpn.scheduler import DeadlockPolicy
 from repro.processes import Collect, ModuloRouter, OrderedMerge, Sequence
 from repro.processes.codecs import LONG
 
@@ -124,7 +123,7 @@ def _stamp_transitions(net):
 def _assert_within_settle_bound(net, stamps):
     # settle window + the monitor's 50 ms poll + scheduling slack for an
     # interpreter that hosts 2000 actors
-    bound = net.monitor.policy.settle_ms / 1000.0 + 0.05 + 2.0
+    bound = scheduler.SETTLE_MS / 1000.0 + 0.05 + 2.0
     assert stamps["latency"] is not None, "monitor never resolved the stall"
     assert stamps["latency"] < bound
 
@@ -171,7 +170,7 @@ def test_unstalled_async_ring_builds_no_live_actor_lists(monkeypatch):
     # so only exits kick: a lock-and-notify kick needs the pending flag
     # clear, and only a monitor wake-up clears it; three threads kick
     # (the loop, whose tasks finish on it, the source and the sink) and
-    # may each find it clear once.  stop() notifies too.
+    # may each find it clear once.  start()'s count-out kicks too.
     assert cond.notifies <= 3 * (len(wakes) + 1) + 1
     assert cond.notifies < parks // 10
     assert net.live_count() == 0
@@ -297,7 +296,8 @@ def test_true_deadlock_diagnosed_beside_blocked_pump(backend):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_blocked_pump_never_makes_a_busy_network_look_stalled(backend):
+def test_blocked_pump_never_makes_a_busy_network_look_stalled(backend,
+                                                             monkeypatch):
     """One actor is computing while every other one and the pump are
     blocked: the pump is no actor, so it must not complete the count."""
 
@@ -313,8 +313,8 @@ def test_blocked_pump_never_makes_a_busy_network_look_stalled(backend):
             time.sleep(0.03)        # computing, longer than settle_ms
             LONG.write(self.out, self.steps_completed)
 
-    net = Network(name=f"pump-busy-{backend}", backend=backend,
-                  policy=DeadlockPolicy(settle_ms=5))
+    monkeypatch.setattr(scheduler, "SETTLE_MS", 5.0)
+    net = Network(name=f"pump-busy-{backend}", backend=backend)
     pump = _OutsidePump(net)
     pump.start(net)
     ch = net.channel(name="pb-in")

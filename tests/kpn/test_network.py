@@ -61,7 +61,7 @@ def test_double_start_rejected():
     net.join(timeout=30)
 
 
-def test_join_timeout_returns_false():
+def test_join_timeout_returns_false(hold_monitor):
     net = Network()
     ch = net.channel()
 
@@ -74,7 +74,6 @@ def test_join_timeout_returns_false():
         def step(self):
             self.stream.read(1)  # blocks forever; no writer
 
-    net.monitor.policy.on_true = "ignore"  # keep it blocked
     net.add(Forever(ch.get_input_stream()))
     net.start()
     assert net.join(timeout=0.3) is False
@@ -117,9 +116,10 @@ def test_adopt_channel():
     assert ch.buffer.accounting is net.accounting
 
 
-def test_ensure_running_allows_spawn_only_use():
+def test_spawn_alone_runs_a_network():
+    """A compute server's network is never started: processes enter it
+    by spawn alone, and the first one brings the monitor up."""
     net = Network()
-    net.ensure_running()
     done = []
 
     class One(IterativeProcess):
@@ -143,7 +143,7 @@ def _gone_within(names, before, seconds=1.0):
 
 
 @pytest.mark.parametrize("backend", ["thread", "async"])
-def test_shutdown_stops_the_monitor_and_the_idle_loop(backend):
+def test_shutdown_stops_the_monitor_and_the_idle_loop(hold_monitor, backend):
     class Blocked(IterativeProcess):
         def __init__(self, stream):
             super().__init__(name="blocked")
@@ -155,7 +155,6 @@ def test_shutdown_stops_the_monitor_and_the_idle_loop(backend):
 
     before = set(threading.enumerate())
     net = Network(name="stopper", backend=backend)
-    net.monitor.policy.on_true = "ignore"  # keep it blocked
     net.add(Blocked(net.channel().get_input_stream()))
     net.start()
     time.sleep(0.05)
@@ -173,6 +172,41 @@ def test_a_verdict_shuts_down_from_the_monitor_thread():
     with pytest.raises(TrueDeadlockError):
         net.run(timeout=30)
     assert _gone_within({"deadlock-monitor"}, before)
+
+
+@pytest.mark.parametrize("backend", ["thread", "async"])
+@pytest.mark.parametrize("ending", ["run", "verdict"])
+def test_the_helpers_end_with_the_last_actor(backend, ending):
+    """The monitor and the event loop end, within 0.5 s, after a run that
+    finishes and after a true-deadlock verdict; nothing stops them."""
+    before = set(threading.enumerate())
+    net = Network(name="ender", backend=backend)
+    ch = net.channel()
+    if ending == "run":
+        out = []
+        net.add(Sequence(ch.get_output_stream(), iterations=5))
+        net.add(Collect(ch.get_input_stream(), out))
+        assert net.run(timeout=30)
+        assert out == list(range(5))
+    else:
+        net.add(Collect(ch.get_input_stream(), [], name="starved"))
+        with pytest.raises(TrueDeadlockError):
+            net.run(timeout=30)
+    assert _gone_within({"deadlock-monitor", "ender-loop"}, before, 0.5)
+    assert net.monitor.thread is None
+
+
+@pytest.mark.parametrize("backend", ["thread", "async"])
+def test_a_network_never_started_holds_no_helper_thread(backend):
+    before = set(threading.enumerate())
+    with Network(name="idle", backend=backend) as net:
+        ch = net.channel()
+        net.add(Sequence(ch.get_output_stream(), iterations=5))
+        net.add(Collect(ch.get_input_stream(), []))
+        net.monitor.kick()
+        net.shutdown()
+    assert net.monitor.thread is None and net._loop is None
+    assert set(threading.enumerate()) <= before
 
 
 def test_context_manager_stops_monitor():

@@ -24,7 +24,6 @@ from repro.errors import BrokenChannelError, EndOfStreamError
 from repro.kpn import Network
 from repro.kpn.channel import Channel, wait_any_readable
 from repro.kpn.process import IterativeProcess
-from repro.kpn.scheduler import DeadlockPolicy
 from repro.processes import Collect, Scale, Sequence
 from repro.processes.codecs import LONG, OBJECT, StructCodec
 
@@ -557,9 +556,10 @@ def test_channel_holding_a_kilobyte_is_not_reported_empty():
     assert wait_any_readable([inp], timeout=0) == [0]
 
 
-def test_wait_snapshot_counts_read_ahead_behind_a_blocked_writer():
+def test_wait_snapshot_counts_read_ahead_behind_a_blocked_writer(
+        hold_monitor):
     # a settle window longer than the test: nothing grows the ring
-    net = Network(policy=DeadlockPolicy(settle_ms=30_000))
+    net = Network()
     ch = net.channel(capacity=16, name="tight")
     out, inp = ch.get_output_stream(), ch.get_input_stream()
     out.write(_longs([1, 2]))

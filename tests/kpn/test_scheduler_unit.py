@@ -7,16 +7,16 @@ import time
 import pytest
 
 from repro.errors import ArtificialDeadlockError
-from repro.kpn import Network
-from repro.kpn.process import IterativeProcess
-from repro.kpn.scheduler import DeadlockPolicy, GrowthEvent
+from repro.kpn import Network, scheduler
+from repro.kpn.process import IterativeProcess, Process
+from repro.kpn.scheduler import GrowthEvent
 from repro.processes import Collect, Sequence
 from repro.processes.codecs import LONG
 from repro.processes.networks import modulo_merge
 
 
 def test_growth_events_recorded():
-    net = Network(policy=DeadlockPolicy(growth_factor=2))
+    net = Network()
     built = modulo_merge(150, divisor=10, network=net, channel_capacity=16)
     built.run(timeout=60)
     seen = net.growth_events()
@@ -25,8 +25,9 @@ def test_growth_events_recorded():
     assert all(e.new_capacity == 2 * e.old_capacity for e in seen)
 
 
-def test_growth_factor_three():
-    net = Network(policy=DeadlockPolicy(growth_factor=3))
+def test_growth_factor_three(monkeypatch):
+    monkeypatch.setattr(scheduler, "GROWTH_FACTOR", 3)
+    net = Network()
     built = modulo_merge(150, divisor=10, network=net, channel_capacity=16)
     built.run(timeout=60)
     for e in net.growth_events():
@@ -58,20 +59,29 @@ def test_equal_full_channels_grow_by_name_not_by_who_blocked_first(order):
 
 
 def test_removed_knobs_are_gone():
-    """One scheduler: a network always has its monitor, and growth stops
-    only at ``max_capacity``."""
+    """One scheduler: a network always has its monitor, Parks' rule has no
+    settings (growth stops only at ``MAX_CAPACITY``), and a capacity
+    spec pre-sizes channels through ``optimize`` alone."""
+    import repro.kpn
+
     assert Network().monitor is not None
     with pytest.raises(TypeError):
         Network(bounded=False)
     with pytest.raises(TypeError):
-        DeadlockPolicy(grow=False)
+        Network(policy=None)
     with pytest.raises(TypeError):
-        DeadlockPolicy(stall_watchdog_s=1.0)
+        Network(capacity_spec={"a": 64})
+    assert not hasattr(scheduler, "DeadlockPolicy")
+    assert "DeadlockPolicy" not in repro.kpn.__all__
+    with pytest.raises(AttributeError):
+        repro.kpn.DeadlockPolicy
+    assert (scheduler.GROWTH_FACTOR, scheduler.MAX_CAPACITY,
+            scheduler.SETTLE_MS) == (2, 64 * 1024 * 1024, 20.0)
 
 
 def test_growth_chooses_smallest_full_channel():
     """With mixed capacities, Parks' rule targets the smallest one."""
-    net = Network(policy=DeadlockPolicy(growth_factor=2))
+    net = Network()
     # build fig-13 by hand with asymmetric capacities
     from repro.processes import ModuloRouter, OrderedMerge
 
@@ -92,11 +102,12 @@ def test_growth_chooses_smallest_full_channel():
     assert grown == {"gs-lower"}
 
 
-def test_settle_window_filters_transient_stalls():
+def test_settle_window_filters_transient_stalls(monkeypatch):
     """A brief all-blocked moment while data is in flight must not grow
     anything: a producer/consumer pair at capacity crosses through
     transient all-blocked states constantly."""
-    net = Network(policy=DeadlockPolicy(settle_ms=10))
+    monkeypatch.setattr(scheduler, "SETTLE_MS", 10.0)
+    net = Network()
     ch = net.channel(capacity=8)
     out = []
     net.add(Sequence(ch.get_output_stream(), iterations=2000))
@@ -106,22 +117,41 @@ def test_settle_window_filters_transient_stalls():
     assert net.growth_events() == []  # never a real deadlock
 
 
-def test_monitor_stop_idempotent():
-    net = Network()
-    net.monitor.start()
-    net.monitor.stop()
-    net.monitor.stop()
-
-
 def test_kick_before_start_harmless():
     net = Network()
     net.monitor.kick()  # no thread yet: must not explode
-    net.monitor.start()
-    net.monitor.stop()
+    assert net.monitor.thread is None
+    ch = net.channel()
+    out = []
+    net.add(Sequence(ch.get_output_stream(), iterations=3))
+    net.add(Collect(ch.get_input_stream(), out))
+    assert net.run(timeout=30)
+    assert out == [0, 1, 2]
 
 
-def test_blocked_processes_recorded_in_diagnosis():
-    net = Network(policy=DeadlockPolicy(max_capacity=16))
+@pytest.mark.parametrize("backend", ["thread", "async"])
+def test_monitor_ends_and_restarts_with_the_actors(hold_monitor, backend):
+    """The monitor's thread lives while the network has a live actor:
+    none before the first spawn, none after the last actor ends, a fresh
+    one for an actor spawned later, which also ends."""
+    net = Network(backend=backend)
+    assert net.monitor.thread is None
+    for round_ in range(2):
+        ch = net.channel(name=f"again-{round_}")
+        out = []
+        net.spawn(Collect(ch.get_input_stream(), out))  # waits for input
+        thread = net.monitor.thread
+        assert thread is not None and thread.name == "deadlock-monitor"
+        net.spawn(Sequence(ch.get_output_stream(), iterations=5))
+        assert net.join(timeout=30)
+        assert out == list(range(5))
+        thread.join(5)
+        assert not thread.is_alive() and net.monitor.thread is None
+
+
+def test_blocked_processes_recorded_in_diagnosis(monkeypatch):
+    monkeypatch.setattr(scheduler, "MAX_CAPACITY", 16)
+    net = Network()
     built = modulo_merge(150, divisor=10, network=net, channel_capacity=16)
     with pytest.raises(ArtificialDeadlockError) as info:
         built.run(timeout=60)
@@ -139,6 +169,20 @@ class _NoPollCondition(threading.Condition):
 
     def wait(self, timeout=None):
         return super().wait()
+
+
+class _Holder(Process):
+    """A live actor asleep on an event, not a channel: it keeps the
+    monitor's thread up and never counts as blocked."""
+
+    kpn_async = False
+
+    def __init__(self):
+        super().__init__(name="holder")
+        self.release = threading.Event()
+
+    def run(self):
+        self.release.wait(60)
 
 
 def test_coalesced_kicks_never_lose_an_examination():
@@ -165,8 +209,9 @@ def test_coalesced_kicks_never_lose_an_examination():
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
+    holder = _Holder()
     try:
-        monitor.start()
+        net.spawn(holder)
         threads = [threading.Thread(target=kicker, args=(k,), daemon=True)
                    for k in range(kickers)]
         for t in threads:
@@ -183,7 +228,8 @@ def test_coalesced_kicks_never_lose_an_examination():
         assert len(seen) < kickers * rounds
     finally:
         sys.setswitchinterval(interval)
-        monitor.stop()
+        holder.release.set()
+    assert net.join(timeout=10)
 
 
 def test_kick_during_an_examination_triggers_another():
@@ -203,7 +249,8 @@ def test_kick_during_an_examination_triggers_another():
         release.wait(5)
 
     monitor._examine = examine
-    monitor.start()
+    holder = _Holder()
+    net.spawn(holder)
     try:
         monitor.kick()
         assert entered.wait(5)
@@ -218,12 +265,14 @@ def test_kick_during_an_examination_triggers_another():
         assert seen[-1] == 2
     finally:
         release.set()
-        monitor.stop()
+        holder.release.set()
+    assert net.join(timeout=10)
 
 
-def test_stop_interrupts_the_settle_window():
-    net = Network(policy=DeadlockPolicy(settle_ms=30_000))
-    ch = net.channel()
+def test_stop_interrupts_the_settle_window(hold_monitor):
+    """A network shut down while its monitor waits out a stall's settle
+    window has no live actor left: the monitor reaches no verdict and
+    ends within its 50 ms poll, not at the window's end."""
 
     class ReadForever(IterativeProcess):
         def __init__(self, stream):
@@ -234,19 +283,24 @@ def test_stop_interrupts_the_settle_window():
         def step(self):
             self.stream.read_exactly(8)
 
-    net.add(ReadForever(ch.get_input_stream()))
-    net.start()
-    deadline = time.monotonic() + 5
-    while net.accounting.total_blocked == 0 and time.monotonic() < deadline:
-        time.sleep(0.005)
-    time.sleep(0.1)                 # the monitor is inside its settle wait
-    start = time.monotonic()
-    net.monitor.stop()
-    assert time.monotonic() - start < 1.0
-    assert not net.monitor._thread.is_alive()
-    assert net.monitor.error is None    # stopped mid-settle: no verdict
-    net.shutdown()
-    assert net.join(timeout=10)
+    for backend in ("thread", "async"):
+        net = Network(backend=backend)
+        net.add(ReadForever(net.channel().get_input_stream()))
+        net.start()
+        deadline = time.monotonic() + 5
+        while (net.accounting.total_blocked == 0
+               and time.monotonic() < deadline):
+            time.sleep(0.005)
+        time.sleep(0.1)             # the monitor is inside its settle wait
+        monitor = net.monitor.thread
+        assert monitor is not None and monitor.is_alive()
+        start = time.monotonic()
+        net.shutdown()
+        assert net.join(timeout=10)
+        monitor.join(5)
+        assert time.monotonic() - start < 1.0
+        assert not monitor.is_alive() and net.monitor.thread is None
+        assert net.monitor.error is None    # ended mid-settle: no verdict
 
 
 @pytest.mark.parametrize("backend", ["thread", "async"])

@@ -28,7 +28,6 @@ import pytest
 
 from repro.errors import TrueDeadlockError
 from repro.kpn import Network
-from repro.kpn.scheduler import DeadlockPolicy
 from repro.kpn.process import CompositeProcess, IterativeProcess
 from repro.processes import Collect, Scale
 from repro.processes.codecs import LONG
@@ -36,9 +35,8 @@ from repro.telemetry.core import TELEMETRY
 
 BACKENDS = ["thread", "async"]
 
-#: a settle window longer than any test here: the monitor is kicked, and
-#: looks, but reaches no verdict on the stalls these tests set up
-HELD = DeadlockPolicy(settle_ms=30_000)
+# Tests that set a stall up on purpose take ``hold_monitor``: the monitor
+# is kicked, and looks, but reaches no verdict on it.
 
 
 def until(condition, what, timeout=10.0):
@@ -93,8 +91,9 @@ def blocked_names(net):
 # the kick rule
 # ---------------------------------------------------------------------------
 
-def test_only_the_last_actor_to_block_kicks_and_a_wake_never_does():
-    net = Network(name="rule", policy=HELD)
+def test_only_the_last_actor_to_block_kicks_and_a_wake_never_does(
+        hold_monitor):
+    net = Network(name="rule")
     kicks = count_kicks(net)
     a, b = net.channel(name="rule-a"), net.channel(name="rule-b")
     go, got_a, got_b = threading.Event(), [], []
@@ -122,13 +121,13 @@ def test_only_the_last_actor_to_block_kicks_and_a_wake_never_does():
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_a_woken_thread_is_not_blocked_before_it_runs(backend):
+def test_a_woken_thread_is_not_blocked_before_it_runs(hold_monitor, backend):
     """The wake removes a sleeping thread's entry, as it does a parked
     task's.  Left to the thread, the entry outlived the wait until the
     thread next ran, and a monitor that looked meanwhile saw a stall that
     was over: on a loaded host the settle window ran out first and a
     producer/consumer pair at capacity 8 was grown."""
-    net = Network(name=f"woken-{backend}", backend=backend, policy=HELD)
+    net = Network(name=f"woken-{backend}", backend=backend)
     ch = net.channel(name="woken")
     out = []
     net.add(ThreadCollect(ch.get_input_stream(), out, name="reader"))
@@ -147,11 +146,11 @@ def test_a_woken_thread_is_not_blocked_before_it_runs(backend):
     assert out == [3]
 
 
-def test_a_pump_or_caller_thread_never_kicks_and_never_counts():
+def test_a_pump_or_caller_thread_never_kicks_and_never_counts(hold_monitor):
     """A link's receiver pump blocks in ``write_donate`` on a full buffer,
     a caller's thread in a read: both sleep on the buffer's waiter lists
     and neither is one of the network's actors."""
-    net = Network(name="outsiders", policy=HELD)
+    net = Network(name="outsiders")
     kicks = count_kicks(net)
     full = net.channel(8, name="out-full")
     empty = net.channel(name="out-empty")
@@ -226,16 +225,21 @@ def test_a_task_that_blocks_last_kicks_and_the_deadlock_is_reported():
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_racing_last_blockers_never_lose_the_kick(backend):
+def test_racing_last_blockers_never_lose_the_kick(hold_monitor, backend):
     """Eight readers, half of them tasks on the async backend, are woken
     together and block again together, many times, with the interpreter
     switching threads as often as it can.  Each wave ends with every
     actor blocked, so some wait or park of the wave must have seen
     ``blocked >= live`` and kicked: each recorder stores before it
-    counts, and a lost kick would leave a wave with none."""
+    counts, and a lost kick would leave a wave with none.  Wave 0 may
+    block entirely while ``start`` still counts itself live: its kick is
+    then ``start``'s own count-out, recorded as "count-out" (no actor
+    ends before the last wave)."""
     readers, waves = 8, 30
-    net = Network(name=f"race-{backend}", backend=backend, policy=HELD)
+    net = Network(name=f"race-{backend}", backend=backend)
     kicks = count_kicks(net)
+    kick = net.monitor.kick
+    net.monitor.kick = lambda: kicks.append("count-out") or kick()
     chans = [net.channel(name=f"race-{k}") for k in range(readers)]
     outs = [[] for _ in range(readers)]
     for k, ch in enumerate(chans):
@@ -399,8 +403,9 @@ def test_artificial_deadlock_inside_a_composite_grows(backend, wrapped):
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
-def test_a_waiting_composite_is_not_live_and_counts_again_after(backend):
-    net = Network(name=f"live-{backend}", backend=backend, policy=HELD)
+def test_a_waiting_composite_is_not_live_and_counts_again_after(
+        hold_monitor, backend):
+    net = Network(name=f"live-{backend}", backend=backend)
     ch = net.channel(name="live-ch")
     out = []
     composite = net.add(CompositeProcess(

@@ -6,16 +6,26 @@ settle window makes each stall of Figure 13 last long enough for the
 Tracer's period to read it twice before Parks growth resolves it.
 """
 
-from repro.kpn import Network, Tracer
-from repro.kpn.scheduler import DeadlockPolicy
+import pytest
+
+from repro.kpn import Network, Tracer, scheduler
 from repro.processes.networks import modulo_merge
 from repro.telemetry.core import TELEMETRY
 
 
-def _traced_figure_13(count, settle_ms=600, growth_factor=2,
-                      capacity=16):
-    net = Network(policy=DeadlockPolicy(growth_factor=growth_factor,
-                                        settle_ms=settle_ms))
+@pytest.fixture
+def parks(monkeypatch):
+    """Set Parks' rule's constants for one test: ``parks(settle_ms=...,
+    growth_factor=...)``."""
+    def set_(settle_ms=600.0, growth_factor=2):
+        monkeypatch.setattr(scheduler, "SETTLE_MS", settle_ms)
+        monkeypatch.setattr(scheduler, "GROWTH_FACTOR", growth_factor)
+    set_()
+    return set_
+
+
+def _traced_figure_13(count, capacity=16):
+    net = Network()
     built = modulo_merge(count, divisor=10, network=net,
                          channel_capacity=capacity)
     with Tracer(net) as tracer:
@@ -23,7 +33,7 @@ def _traced_figure_13(count, settle_ms=600, growth_factor=2,
     return net, out, tracer.report()
 
 
-def test_watchdog_snapshots_induced_artificial_deadlock():
+def test_watchdog_snapshots_induced_artificial_deadlock(parks):
     """Figure 13 with tiny channels stalls on a full buffer; the settle
     window holds the stall long enough to become an inspectable wait
     graph *before* Parks growth resumes it."""
@@ -43,7 +53,7 @@ def test_watchdog_snapshots_induced_artificial_deadlock():
     assert net.growth_events()
 
 
-def test_watchdog_emits_telemetry_instant():
+def test_watchdog_emits_telemetry_instant(parks):
     TELEMETRY.reset().enable()
     try:
         _traced_figure_13(100)
@@ -56,10 +66,11 @@ def test_watchdog_emits_telemetry_instant():
         TELEMETRY.disable().reset()
 
 
-def test_watchdog_snapshots_once_per_stall():
+def test_watchdog_snapshots_once_per_stall(parks):
     """One stall -> one snapshot, however many readings fall inside the
     (deliberately slow) settle window that delays its resolution."""
-    net, _, report = _traced_figure_13(120, settle_ms=400, growth_factor=4)
+    parks(settle_ms=400.0, growth_factor=4)
+    net, _, report = _traced_figure_13(120)
     assert report.stalls
     assert report.samples > 2 * len(report.stalls)
     # never more snapshots than distinct stalls (growths + final verdicts)
@@ -68,11 +79,11 @@ def test_watchdog_snapshots_once_per_stall():
     assert len(set(generations)) == len(generations)
 
 
-def test_watchdog_quiet_when_progressing():
+def test_watchdog_quiet_when_progressing(parks):
     """Channels large enough for the whole run: the network keeps making
     progress until it ends, and no reading is a stall."""
-    net, out, report = _traced_figure_13(50, settle_ms=20,
-                                         capacity=1 << 16)
+    parks(settle_ms=20.0)
+    net, out, report = _traced_figure_13(50, capacity=1 << 16)
     assert out == list(range(1, 51))
     assert net.growth_events() == []
     assert report.stalls == []

@@ -7,7 +7,6 @@ import pytest
 from repro.kpn import Network
 from repro.analysis import graph_findings
 from repro.errors import GraphConsistencyError
-from repro.kpn.scheduler import DeadlockPolicy
 from repro.kpn.tracing import Tracer
 from repro.processes import (Collect, Duplicate, FromIterable, MapProcess,
                              Scale, Sequence, fibonacci, hamming, primes)
@@ -45,7 +44,7 @@ def test_tracer_sees_dynamic_channels():
 
 
 def test_tracer_records_growth_events():
-    net = Network(policy=DeadlockPolicy(growth_factor=2))
+    net = Network()
     built = hamming(25, network=net, channel_capacity=16)
     with Tracer(net, period=0.002) as tracer:
         built.run(timeout=120)

@@ -129,9 +129,9 @@ def _outcome(op, arg):
 def _blocked_together(mode, capacity):
     """``PER_KIND`` threads and ``PER_KIND`` tasks blocked on one ring's
     ``mode`` side; returns the network, the ring and the outcome list."""
+    # the monitor must see the stall (output parks need it) but not end
+    # it: its callers hold it off (hold_monitor)
     net = Network(name=f"mixed-{mode}", backend="async")
-    # the monitor must see the stall (output parks need it) but not end it
-    net.monitor.policy.settle_ms = 3_600_000
     buf = net.channel(capacity=capacity, name=f"mixed-{mode}").buffer
     outcomes = []
     if mode == "write":
@@ -173,7 +173,8 @@ def _all_woken_into(net, buf, outcomes, expected):
     ("close_write", b""),
     ("close_read", ChannelClosedError),
 ])
-def test_every_blocked_reader_is_woken_into_its_outcome(wake, expected):
+def test_every_blocked_reader_is_woken_into_its_outcome(hold_monitor, wake,
+                                                      expected):
     net, buf, outcomes = _blocked_together("read", 8)
     getattr(buf, wake)()
     _all_woken_into(net, buf, outcomes, expected)
@@ -184,7 +185,8 @@ def test_every_blocked_reader_is_woken_into_its_outcome(wake, expected):
     ("close_read", BrokenChannelError),
     ("grow", "written"),
 ])
-def test_every_blocked_writer_is_woken_into_its_outcome(wake, expected):
+def test_every_blocked_writer_is_woken_into_its_outcome(hold_monitor, wake,
+                                                      expected):
     net, buf, outcomes = _blocked_together("write", 1)
     if wake == "grow":
         buf.grow(1 + 2 * PER_KIND)

@@ -3,7 +3,6 @@
 import time
 
 from repro.kpn import IterativeProcess, Network
-from repro.kpn.scheduler import DeadlockPolicy
 from repro.kpn.tracing import Tracer
 from repro.parallel import CallableTask, RangeProducerTask, build_farm
 from repro.processes import Collect, MapProcess, Sequence
@@ -98,7 +97,7 @@ def test_blocking_spans_appear_when_capacity_is_tight(hub):
 # ---------------------------------------------------------------------------
 
 def test_growth_emits_instants_and_counters(hub):
-    net = Network(policy=DeadlockPolicy(growth_factor=2))
+    net = Network()
     built = modulo_merge(200, divisor=10, network=net, channel_capacity=16)
     assert built.run(timeout=60) == list(range(1, 201))
     grows = [e for e in hub.events() if e.name == "channel.grow"]
@@ -117,7 +116,7 @@ def test_growth_emits_instants_and_counters(hub):
 # ---------------------------------------------------------------------------
 
 def test_tracer_collects_growths_from_event_bus(hub):
-    net = Network(policy=DeadlockPolicy(growth_factor=2))
+    net = Network()
     built = modulo_merge(200, divisor=10, network=net, channel_capacity=16)
     with Tracer(net, period=0.002) as tracer:
         assert built.run(timeout=60) == list(range(1, 201))

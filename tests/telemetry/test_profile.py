@@ -6,7 +6,6 @@ import threading
 import pytest
 
 from repro.kpn import Network
-from repro.kpn.scheduler import DeadlockPolicy
 from repro.parallel import CallableTask, RangeProducerTask, build_farm
 from repro.processes.networks import modulo_merge
 from repro.telemetry.core import Event
@@ -160,7 +159,7 @@ def test_occupancy_sampling_and_gauges(profiler, hub):
 # ---------------------------------------------------------------------------
 
 def test_parks_growth_recorded_and_block_events_joinable(profiler, hub):
-    net = Network(policy=DeadlockPolicy(growth_factor=2))
+    net = Network()
     built = modulo_merge(200, divisor=10, network=net, channel_capacity=16)
     assert built.run(timeout=60) == list(range(1, 201))
 
