@@ -117,11 +117,10 @@ class LocalCluster:
 
     def stop(self) -> None:
         for client in self.clients:
-            try:
-                client.shutdown()
-                client.close()
-            except Exception:
-                pass
+            client.shutdown()      # swallows a server already gone
+            client.close()
+        if self.registry is not None:
+            self.registry.close()
         for server in self._servers:
             server.stop()
         for proc in self._procs:

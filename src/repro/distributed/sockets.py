@@ -27,6 +27,14 @@ address; the migrated end connects there directly — the origin server
 drops out of the path entirely once its residual bytes are flushed
 (``SWITCH`` frame marks the hand-off point, preserving FIFO order exactly
 like the paper's RedirectedInputStream + SequenceInputStream).
+
+A link end sends its stream frames (``DATA``, ``EOF``, ``SWITCH``) through
+one gate: an Event set while the end has a socket whose peer stays, and
+cleared from a consumer's ``LISTEN_REQ`` until its replacement dials in,
+so nothing reaches the departing consumer after ``LISTEN_OK``.  Control
+frames go out at once.  A listener serves one dial-in: the connection
+that starts the link, or the one a ``LISTEN_REQ`` announces; ``accept``
+closes it, and a pump closes whatever it still holds when it ends.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ import os
 import pickle
 import queue
 import socket
+import sys
 import threading
 import time
 from typing import Optional, Tuple
@@ -72,27 +81,33 @@ def _tune_link_socket(sock: socket.socket) -> None:
 
 
 class _LinkBase:
-    """State shared by both pump kinds: socket, listener, control queue,
-    and the traffic count a deadlock monitor reads (:meth:`state`).
+    """State shared by both pump kinds: socket, listener, send gate,
+    control queue, and the traffic count a deadlock monitor reads
+    (:meth:`state`).
 
     ``link`` names the link, the same at both ends and across
     re-migrations (the migration pickler hands it on); a fresh one is
-    drawn when none is given.
+    drawn when none is given.  ``connect`` is the peer's ``(host, port)``
+    to dial, or None to take the peer's dial-in on this end's listener.
     """
 
     #: the end of the link this pump is, as :meth:`state` reports it
     role = ""
 
-    def __init__(self, buffer: BoundedByteBuffer, name: str = "",
+    def __init__(self, buffer: BoundedByteBuffer,
+                 connect: Optional[Tuple[str, int]] = None, name: str = "",
                  link: str = "") -> None:
         self.buffer = buffer
         self.name = name or buffer.name
         self.link = link or os.urandom(16).hex()
+        self._connect_to = connect
         self.sock: Optional[socket.socket] = None
         self.listener: Optional[socket.socket] = None
         self._send_lock = threading.Lock()
+        #: the send gate: set while this end has a socket whose peer
+        #: stays, cleared while the peer redials
+        self._ready = threading.Event()
         self._listen_ok: "queue.Queue[Tuple[str, int]]" = queue.Queue()
-        self._connected = threading.Event()
         self._closed = threading.Event()
         self.failure: Optional[Exception] = None
         #: DATA payload bytes sent (or delivered into the buffer), plus
@@ -113,26 +128,53 @@ class _LinkBase:
                 "full": (self.role == "recv" and not self.finished
                          and self.buffer.free_space() == 0)}
 
-    # -- listener management -------------------------------------------------
+    # -- connection management -----------------------------------------------
     def ensure_listener(self) -> Tuple[str, int]:
-        """Open (or reuse) this end's listener; return (host, port)."""
+        """Open (or reuse) the listener for the next dial-in; return
+        (host, port)."""
         if self.listener is None:
             self.listener = open_listener()
         return advertised_host(), self.listener.getsockname()[1]
 
     def accept(self, timeout: float = 60.0) -> socket.socket:
-        if self.listener is None:
+        """Take one dial-in, then close the listener it came in on."""
+        listener = self.listener
+        if listener is None:
             raise ChannelError(f"link {self.name!r} has no listener")
-        self.listener.settimeout(timeout)
-        sock, _ = self.listener.accept()
+        try:
+            listener.settimeout(timeout)
+            sock, _ = listener.accept()
+        finally:
+            self.listener = None
+            listener.close()
         sock.settimeout(None)  # accepted sockets must block indefinitely
         _tune_link_socket(sock)
         return sock
 
-    def _send(self, tag: int, payload: bytes = b"") -> None:
+    def _open(self) -> None:
+        """Dial the peer, or take its dial-in; then open the send gate."""
+        if self._connect_to is not None:
+            sock = connect_with_retry(*self._connect_to)
+            _tune_link_socket(sock)
+        else:
+            self.ensure_listener()
+            sock = self.accept()
+        self.sock = sock
+        self._ready.set()
+
+    def _redial_in(self) -> None:
+        """The peer hung up to redial from elsewhere: take its new
+        connection on the listener the ``LISTEN_REQ`` handshake opened."""
+        self._ready.clear()
+        _shutdown_and_close(self.sock)
+        new = self.accept()
         with self._send_lock:
-            if self.sock is None:
-                raise ChannelError(f"link {self.name!r} not connected")
+            self.sock = new
+        self._ready.set()
+
+    def _send(self, tag: int, payload: bytes = b"") -> None:
+        """Send a control frame at once, on the current socket."""
+        with self._send_lock:
             send_frame(self.sock, tag, payload)
 
     # -- migration handshake -------------------------------------------------
@@ -141,12 +183,12 @@ class _LinkBase:
 
         Called by the migration pickler on the end that is about to move.
         A pump still waiting for its peer to dial in (the part at the far
-        end was shipped a moment ago) is waited for first, within the same
-        deadline.  The reply arrives through this end's frame-reading
-        thread and is handed over via a queue.
+        end was shipped a moment ago, or is redialling) is waited for
+        first, within the same deadline.  The reply arrives through this
+        end's frame-reading thread and is handed over via a queue.
         """
         deadline = time.monotonic() + timeout
-        if not self._connected.wait(timeout):
+        if not self._ready.wait(timeout):
             raise MigrationError(
                 f"link {self.name!r} never connected to its peer")
         self._send(Tag.LISTEN_REQ)
@@ -209,22 +251,22 @@ class SenderPump(_LinkBase):
     channel's buffer: it blocks only while the buffer is empty and then
     takes everything buffered, so a burst of small producer writes
     shares one frame and no frame waits for more bytes.
+
+    DATA, EOF and SWITCH all pass the send gate: while the consumer is
+    moving (``LISTEN_REQ`` seen, its replacement not yet dialled in) they
+    wait, so nothing reaches the departing consumer after ``LISTEN_OK``.
     """
 
     role = "send"
 
     def __init__(self, buffer: BoundedByteBuffer, connect: Optional[Tuple[str, int]] = None,
                  name: str = "", link: str = "") -> None:
-        super().__init__(buffer, name=name, link=link)
-        self._connect_to = connect
+        super().__init__(buffer, connect=connect, name=name, link=link)
         #: set by the migration pickler: the producer has moved away; after
         #: draining residual bytes send SWITCH instead of EOF.
         self.migrating = False
-        #: consumer is reconnecting; accept a replacement socket.
-        self._expect_reaccept = threading.Event()
         self._thread = threading.Thread(target=self._run, name=f"send-{self.name}",
                                         daemon=True)
-        self._control_thread: Optional[threading.Thread] = None
 
     def start(self) -> "SenderPump":
         self._thread.start()
@@ -233,14 +275,9 @@ class SenderPump(_LinkBase):
     # -- main data loop ------------------------------------------------------
     def _run(self) -> None:
         try:
-            if self._connect_to is not None:
-                self.sock = connect_with_retry(*self._connect_to)
-                _tune_link_socket(self.sock)
-            else:
-                self.ensure_listener()
-                self.sock = self.accept()
-            self._connected.set()
-            self._start_control()
+            self._open()
+            threading.Thread(target=self._control_loop,
+                             name=f"send-ctl-{self.name}", daemon=True).start()
             while True:
                 try:
                     # everything buffered, as a view that owns its storage
@@ -250,99 +287,69 @@ class SenderPump(_LinkBase):
                     # abort classification is a local scheduling detail;
                     # on the wire the stream simply ends, so the remote
                     # reader sees the same EOF it always did.
-                    self._send(Tag.EOF)
-                    self.moved += 1
+                    self._send_stream(Tag.EOF)
                     break
                 except ChannelError:
                     # our read side was closed (CLOSE_READ relayed): stop
                     break
                 if not view:
-                    self._send(Tag.SWITCH if self.migrating else Tag.EOF)
-                    self.moved += 1
+                    self._send_stream(Tag.SWITCH if self.migrating else Tag.EOF)
                     break
-                self._send_data(view)
+                self._send_stream(Tag.DATA, view)
+                if _telemetry.enabled:
+                    _telemetry.inc("link.chunks_out", 1, link=self.name)
+                    _telemetry.inc("link.bytes_out", len(view), link=self.name)
         except Exception as exc:  # noqa: BLE001
             self.failure = exc
             self.buffer.close_read()  # break the local producer
         finally:
-            if not self._expect_reaccept.is_set():
-                self.close()
+            self.close()
             self.finished = True
 
-    def _send_data(self, view: memoryview) -> None:
-        deadline = time.monotonic() + 120.0
+    def _send_stream(self, tag: int, payload=b"") -> None:
+        """Send a DATA, EOF or SWITCH frame once the send gate is open.
+
+        The gate is checked again under the send lock, where the control
+        thread closes it, so a frame goes either before ``LISTEN_OK`` or
+        on the replacement socket.
+        """
         while True:
-            # During a consumer hand-off (LISTEN_REQ seen, replacement not
-            # yet connected) data must not be written to the doomed socket
-            # — it would be silently lost in the kernel buffer.  The same
-            # applies while the control thread is mid-swap (sock None).
-            if self._expect_reaccept.is_set() or self.sock is None:
-                if time.monotonic() > deadline:
-                    raise ChannelError(
-                        f"link {self.name!r}: consumer never reconnected")
-                time.sleep(0.005)
-                continue
-            try:
-                with self._send_lock:
-                    sock = self.sock
-                    if sock is None:
-                        continue
-                    send_frame_views(sock, Tag.DATA, (view,))
-                size = len(view)
-                self.moved += size
-                if _telemetry.enabled:
-                    _telemetry.inc("link.chunks_out", 1, link=self.name)
-                    _telemetry.inc("link.bytes_out", size, link=self.name)
-                return
-            except OSError:
-                # Socket replaced mid-migration: retry on the new one.
-                # The view owns its storage, so a full resend is safe.
-                if self._expect_reaccept.is_set() or self.sock is None:
-                    continue
-                raise
+            with self._send_lock:
+                if self._ready.is_set():
+                    send_frame_views(self.sock, tag, (payload,))
+                    break
+            if not self._ready.wait(120.0):
+                raise ChannelError(
+                    f"link {self.name!r}: consumer never reconnected")
+        self.moved += len(payload) or 1
 
     # -- control channel -------------------------------------------------------
-    def _start_control(self) -> None:
-        self._control_thread = threading.Thread(
-            target=self._control_loop, name=f"send-ctl-{self.name}", daemon=True)
-        self._control_thread.start()
-
     def _control_loop(self) -> None:
         while not self._closed.is_set():
-            sock = self.sock
-            if sock is None:
-                return
             try:
-                tag, payload = recv_frame(sock)
+                tag, payload = recv_frame(self.sock)
             except (FrameError, OSError):
-                if self._expect_reaccept.is_set():
-                    try:
-                        self._reaccept()
-                        continue
-                    except Exception as exc:  # noqa: BLE001
-                        self.failure = exc
-                return
+                if self._ready.is_set() or self._closed.is_set():
+                    return
+                # the departing consumer hung up: take its replacement
+                try:
+                    self._redial_in()
+                except (ChannelError, OSError) as exc:
+                    self.failure = exc
+                    return
+                continue
             if tag == Tag.CLOSE_READ:
                 # Consumer terminated: propagate the broken pipe to the
                 # local producer (cross-network cascading termination).
                 self.buffer.close_read()
             elif tag == Tag.LISTEN_REQ:
-                # Our consumer is migrating; it will reconnect here.
-                self._expect_reaccept.set()
+                # Our consumer is moving and will redial: close the gate
+                # before LISTEN_OK goes out.
+                with self._send_lock:
+                    self._ready.clear()
                 self._handle_listen_req()
             elif tag == Tag.LISTEN_OK:
                 self._handle_listen_ok(payload)
-
-    def _reaccept(self) -> None:
-        with self._send_lock:
-            old = self.sock
-            self.sock = None
-        if old is not None:
-            _shutdown_and_close(old)
-        new = self.accept()
-        with self._send_lock:
-            self.sock = new
-        self._expect_reaccept.clear()
 
     # -- migration hooks --------------------------------------------------------
     def begin_migration(self) -> Tuple[str, int]:
@@ -368,9 +375,7 @@ class ReceiverPump(_LinkBase):
 
     def __init__(self, buffer: BoundedByteBuffer, connect: Optional[Tuple[str, int]] = None,
                  name: str = "", link: str = "") -> None:
-        super().__init__(buffer, name=name, link=link)
-        self._connect_to = connect
-        self._pending_switch = False
+        super().__init__(buffer, connect=connect, name=name, link=link)
         self._detached = threading.Event()
         self._thread = threading.Thread(target=self._run, name=f"recv-{self.name}",
                                         daemon=True)
@@ -381,13 +386,7 @@ class ReceiverPump(_LinkBase):
 
     def _run(self) -> None:
         try:
-            if self._connect_to is not None:
-                self.sock = connect_with_retry(*self._connect_to)
-                _tune_link_socket(self.sock)
-            else:
-                self.ensure_listener()
-                self.sock = self.accept()
-            self._connected.set()
+            self._open()
             # buffered reader: one recv can supply several DATA frames
             reader = FrameReader(self.sock)
             while not self._detached.is_set():
@@ -427,13 +426,8 @@ class ReceiverPump(_LinkBase):
                     # our listener (created during LISTEN_REQ).  Residual
                     # bytes all arrived before SWITCH, so FIFO holds.
                     self.moved += 1
-                    old = self.sock
-                    self.sock = None
-                    _shutdown_and_close(old)
-                    new = self.accept()
-                    with self._send_lock:
-                        self.sock = new
-                    reader = FrameReader(new)
+                    self._redial_in()
+                    reader = FrameReader(self.sock)
                 elif tag == Tag.LISTEN_REQ:
                     self._handle_listen_req()
                 elif tag == Tag.LISTEN_OK:
@@ -442,16 +436,21 @@ class ReceiverPump(_LinkBase):
             self.failure = exc
             self.buffer.close_write()
         finally:
-            if not self._detached.is_set():
-                self.close()
+            self.close()
             self.finished = True
 
     # -- migration hooks --------------------------------------------------------
     def begin_migration(self) -> Tuple[str, int]:
         """Consumer end is moving: ask the producer side to take a
-        reconnect; returns the address the new consumer should dial."""
-        host, port = self.request_peer_listener()
-        return host, port
+        reconnect; returns the address the new consumer should dial.
+
+        The paused consumer drains nothing, so the ring is first grown to
+        take whatever the producer sends before it sees ``LISTEN_REQ``:
+        otherwise ``LISTEN_OK`` could queue behind DATA this pump cannot
+        deliver.  Those bytes travel in the pickle either way.
+        """
+        self.buffer.grow(sys.maxsize, "migration")
+        return self.request_peer_listener()
 
     def detach_and_drain(self) -> bytes:
         """Stop pumping and hand back locally buffered, unconsumed bytes.
@@ -462,6 +461,5 @@ class ReceiverPump(_LinkBase):
         stream state and is preloaded on the destination.
         """
         self._detached.set()
-        if self.sock is not None:
-            _shutdown_and_close(self.sock)
+        self.close()
         return self.buffer.drain()

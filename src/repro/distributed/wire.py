@@ -32,7 +32,7 @@ from repro.telemetry.distributed import (TraceContext, current_context,
 
 __all__ = [
     "Tag", "send_frame", "send_frame_views", "recv_frame", "FrameReader",
-    "send_obj", "recv_obj", "OutOfBand", "read_exact", "FrameError", "open_listener",
+    "send_obj", "recv_obj", "OutOfBand", "FrameError", "open_listener",
     "encode_obj", "decode_obj", "serve_connection", "RequestServer", "RequestClient",
     "advertised_host", "set_advertised_host", "connect_with_retry",
     "retry_delays",
@@ -53,7 +53,6 @@ _BACKLOG = 16
 class Tag:
     """Frame type tags."""
 
-    HELLO = 1        #: connector introduces itself on a channel link
     DATA = 2         #: channel payload bytes
     EOF = 3          #: end of channel stream (producer stopped)
     SWITCH = 4       #: producer moved; expect a replacement connection
@@ -73,11 +72,12 @@ class FrameError(ChannelError):
     """Malformed or oversized frame — the connection is unusable."""
 
 
-def _recv_exact_into(sock: socket.socket, n: int) -> bytearray:
-    """Read exactly n bytes into one preallocated buffer (no chunk joins)."""
-    out = bytearray(n)
+def _recv_exact_into(sock: socket.socket, out: bytearray,
+                     got: int = 0) -> bytearray:
+    """Fill ``out`` past its first ``got`` bytes straight from ``sock``
+    (no chunk joins), or raise FrameError on a premature close."""
+    n = len(out)
     with memoryview(out) as view:
-        got = 0
         while got < n:
             r = sock.recv_into(view[got:], min(n - got, 1 << 20))
             if r == 0:
@@ -86,11 +86,6 @@ def _recv_exact_into(sock: socket.socket, n: int) -> bytearray:
                     f"{n} expected bytes ({n - got} missing)")
             got += r
     return out
-
-
-def read_exact(sock: socket.socket, n: int) -> bytes:
-    """Read exactly n bytes or raise FrameError on premature close."""
-    return bytes(_recv_exact_into(sock, n))
 
 
 def _sendmsg_all(sock: socket.socket, parts) -> None:
@@ -145,11 +140,11 @@ def send_frame_views(sock: socket.socket, tag: int, views) -> None:
 def recv_frame(sock: socket.socket) -> Tuple[int, bytes]:
     """Receive one frame; the payload is bytes-like (a single-allocation
     bytearray for non-empty payloads — no per-chunk copies or joins)."""
-    header = read_exact(sock, _HEADER.size)
-    tag, length = _HEADER.unpack(header)
+    tag, length = _HEADER.unpack(
+        _recv_exact_into(sock, bytearray(_HEADER.size)))
     if length > MAX_PAYLOAD:
         raise FrameError(f"incoming payload of {length} bytes exceeds cap")
-    payload = _recv_exact_into(sock, length) if length else b""
+    payload = _recv_exact_into(sock, bytearray(length)) if length else b""
     if _telemetry.enabled:
         name = TAG_NAMES.get(tag, str(tag))
         _telemetry.inc("wire.frames_received", 1, tag=name)
@@ -218,20 +213,11 @@ class FrameReader:
             self._pos = end
         else:
             payload = bytearray(length)
-            with memoryview(payload) as dst:
-                if avail:
-                    with memoryview(self._buf) as src:
-                        dst[:avail] = src[self._pos:self._end]
-                self._pos = self._end = 0
-                filled = avail
-                while filled < length:
-                    got = self.sock.recv_into(
-                        dst[filled:], min(length - filled, 1 << 20))
-                    if got == 0:
-                        raise FrameError(
-                            f"connection closed mid-frame: got {filled} of "
-                            f"{length} expected bytes ({length - filled} missing)")
-                    filled += got
+            if avail:
+                with memoryview(self._buf) as src:
+                    payload[:avail] = src[self._pos:self._end]
+            self._pos = self._end = 0
+            _recv_exact_into(self.sock, payload, avail)
         if _telemetry.enabled:
             name = TAG_NAMES.get(tag, str(tag))
             _telemetry.inc("wire.frames_received", 1, tag=name)

@@ -41,6 +41,19 @@ def start_thread(fn, *args, name: str = "test-helper") -> threading.Thread:
     return t
 
 
+def hosted(server, name: str, timeout: float = 10.0):
+    """The process called ``name`` once compute server ``server`` has
+    spawned it (a part shipped with ``client.run`` arrives
+    asynchronously)."""
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        for p in list(server.network.processes):
+            if p.name == name:
+                return p
+        time.sleep(0.005)
+    raise AssertionError(f"{name} never arrived on {server.name}")
+
+
 @pytest.fixture
 def hold_monitor(monkeypatch):
     """A settle window longer than any test: the deadlock monitor never

@@ -26,8 +26,11 @@ from repro.semantics import primes_reference
 def servers():
     s1 = ComputeServer(name="ds1").start()
     s2 = ComputeServer(name="ds2").start()
-    yield (s1, ServerClient("127.0.0.1", s1.port)), \
-        (s2, ServerClient("127.0.0.1", s2.port))
+    c1 = ServerClient("127.0.0.1", s1.port)
+    c2 = ServerClient("127.0.0.1", s2.port)
+    yield (s1, c1), (s2, c2)
+    c1.close()
+    c2.close()
     s1.stop()
     s2.stop()
 

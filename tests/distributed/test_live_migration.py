@@ -1,5 +1,6 @@
 """Live migration: moving processes after execution has begun (§6.1)."""
 
+import threading
 import time
 
 import pytest
@@ -9,14 +10,19 @@ from repro.kpn import Network
 from repro.kpn.process import IterativeProcess, ProcessControl
 from repro.distributed.migration import migrate_live
 from repro.distributed.server import ComputeServer, ServerClient
-from repro.processes import Collect, Scale, Sequence
+from repro.distributed.sockets import ReceiverPump
+from repro.processes import Collect, FromIterable, Scale, Sequence
 from repro.processes.codecs import LONG
+
+from tests.conftest import hosted
 
 
 @pytest.fixture
 def server():
     s = ComputeServer(name="lm").start()
-    yield s, ServerClient("127.0.0.1", s.port)
+    client = ServerClient("127.0.0.1", s.port)
+    yield s, client
+    client.close()
     s.stop()
 
 
@@ -186,3 +192,91 @@ def test_progress_counter_survives_migration(server):
     assert net.join(timeout=120)
     assert len(out) == 100          # not 130: the count resumed, not restarted
     assert out == list(range(100))
+
+
+# ---------------------------------------------------------------------------
+# a consumer's second hop: B → C while the producer stays
+# ---------------------------------------------------------------------------
+
+@pytest.fixture
+def server_c():
+    s = ComputeServer(name="lm-c").start()
+    client = ServerClient("127.0.0.1", s.port)
+    yield s, client
+    client.close()
+    s.stop()
+
+
+def test_consumer_hops_under_backpressure(server, server_c):
+    """The paused consumer drains nothing, so B's pump sits on a full
+    ring with DATA behind it: LISTEN_OK must still get through."""
+    srv_b, client_b = server
+    srv_c, client_c = server_c
+    net = Network()
+    ch, back = net.channels_n(2, capacity=64)
+    out = []
+    total = 3000
+    client_b.run(Scale(ch.get_input_stream(), back.get_output_stream(), 3,
+                       name="pressed"))
+    net.add(Sequence(ch.get_output_stream(), iterations=total))
+    net.add(Collect(back.get_input_stream(), out))
+    net.start()
+    pressed = hosted(srv_b, "pressed")
+    deadline = time.monotonic() + 30
+    while len(out) < 100 and time.monotonic() < deadline:
+        time.sleep(0.001)
+    migrate_live(pressed, client_c, timeout=30)
+    assert net.join(timeout=60)
+    assert out == [3 * k for k in range(total)]
+    assert [p.name for p in srv_c.network.processes] == ["pressed"]
+
+
+def test_eof_sent_during_the_hop_reaches_the_new_consumer(
+        server, server_c, monkeypatch, hold_monitor):
+    """The producer ends while its consumer moves B → C: its EOF must wait
+    for C to dial in, not go to the departing B.  (The shipping network's
+    monitor is held: it polls B alone, and C's part is out of its view.)"""
+    srv_b, client_b = server
+    srv_c, client_c = server_c
+    total = 400
+    release = threading.Event()
+
+    def held():
+        yield from range(total)
+        release.wait(30)        # everything sent; the end waits for the hop
+
+    net = Network()
+    ch, back = net.channels_n(2, capacity=1 << 16)
+    out = []
+    client_b.run(SlowScale(ch.get_input_stream(), back.get_output_stream(), 2,
+                           name="backlogged"))
+    net.add(FromIterable(ch.get_output_stream(), held(), name="held"))
+    net.add(Collect(back.get_input_stream(), out))
+    net.start()
+    mover = hosted(srv_b, "backlogged")
+    sender = ch.sender_pump
+    deadline = time.monotonic() + 30
+    while ((len(out) < 10 or sender.moved < total * 8)
+           and time.monotonic() < deadline):
+        time.sleep(0.002)
+    assert sender.moved == total * 8
+
+    detach = ReceiverPump.detach_and_drain
+
+    def detach_after_the_end(pump):
+        release.set()                       # the producer ends mid-hop
+        sender._thread.join(timeout=1.0)    # its EOF goes out, or waits
+        return detach(pump)
+
+    monkeypatch.setattr(ReceiverPump, "detach_and_drain",
+                        detach_after_the_end)
+    migrate_live(mover, client_c, timeout=30)
+    assert srv_c.network.join(timeout=60), "the moved process never ended"
+    [moved] = srv_c.network.processes
+    assert moved.name == "backlogged" and moved.failure is None
+    # the EOF came over C's own link, the only thing left to send on it
+    link = moved.source.channel.receiver_pump
+    assert (link.failure, link.moved) == (None, 1)
+    assert net.join(timeout=60)
+    assert out == [2 * k for k in range(total)]
+    assert sender.moved == total * 8 + 1    # 400 LONGs, then the EOF

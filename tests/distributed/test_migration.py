@@ -11,17 +11,23 @@ import pytest
 
 from repro.errors import MigrationError
 from repro.kpn import Network
-from repro.kpn.process import CompositeProcess
+from repro.kpn.process import CompositeProcess, IterativeProcess
 from repro.distributed.migration import (dumps_migration, import_network,
-                                         loads_migration, owned_endpoints)
+                                         loads_migration, migrate_live,
+                                         owned_endpoints)
 from repro.distributed.server import ComputeServer, ServerClient
 from repro.processes import Collect, FromIterable, Scale, Sequence
+from repro.processes.codecs import LONG
+
+from tests.conftest import hosted
 
 
 @pytest.fixture
 def server():
     s = ComputeServer(name="mig").start()
-    yield s, ServerClient("127.0.0.1", s.port)
+    client = ServerClient("127.0.0.1", s.port)
+    yield s, client
+    client.close()
     s.stop()
 
 
@@ -231,25 +237,54 @@ def test_remigration_producer_fig15(server):
         serverC.stop()
 
 
+class _Paced(IterativeProcess):
+    """Emits consecutive integers a millisecond apart, so the stream
+    outlasts a hop made while it runs."""
+
+    def __init__(self, out, iterations):
+        super().__init__(iterations=iterations, name="paced")
+        self.out = out
+        self.track(out)
+
+    def step(self):
+        LONG.write(self.out, self.steps_completed)
+        time.sleep(0.001)
+
+
 def test_remigration_consumer(server):
-    """Consumer hops twice: local → B; unconsumed bytes travel along."""
+    """Consumer hops twice: local → B, then B → C while it runs;
+    unconsumed bytes travel along, and the origin's link ends, once C
+    has dialled in, hold no listener that could take a stray dial-in."""
     serverC = ComputeServer(name="C2").start()
     clientC = ServerClient("127.0.0.1", serverC.port)
     try:
-        _, clientB = server
+        srvB, clientB = server
         net = Network()
         ch = net.channel(name="hop")
         back = net.channel(name="hop-back")
         out = []
-        # stage 1: consumer to B
-        scale = Scale(ch.get_input_stream(), back.get_output_stream(), 10,
-                      name="hopper")
-        clientB.run(scale)
-        time.sleep(0.1)
-        net.add(FromIterable(ch.get_output_stream(), [1, 2, 3]))
+        total = 1000
+        # hop 1: the consumer to B before the stream starts
+        clientB.run(Scale(ch.get_input_stream(), back.get_output_stream(), 10,
+                          name="hopper"))
+        net.add(_Paced(ch.get_output_stream(), total))
         net.add(Collect(back.get_input_stream(), out))
-        net.run(timeout=60)
-        assert out == [10, 20, 30]
+        net.start()
+        hopper = hosted(srvB, "hopper")
+        deadline = time.monotonic() + 30
+        while len(out) < 20 and time.monotonic() < deadline:
+            time.sleep(0.002)
+        # hop 2: B's running consumer to C
+        migrate_live(hopper, clientC, timeout=30)
+        hopped = len(out)
+        while len(out) < hopped + 50 and time.monotonic() < deadline:
+            time.sleep(0.002)
+        assert len(out) >= hopped + 50, "no output came back through C"
+        assert ch.sender_pump.listener is None
+        assert back.receiver_pump.listener is None
+        assert net.join(timeout=60)
+        assert out == [10 * k for k in range(total)]
+        assert [p.name for p in serverC.network.processes] == ["hopper"]
     finally:
         clientC.close()
         serverC.stop()

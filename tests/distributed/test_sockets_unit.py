@@ -1,6 +1,8 @@
 """Unit tests for the socket pumps, without the migration machinery."""
 
+import pickle
 import socket
+import sys
 import threading
 import time
 
@@ -9,7 +11,7 @@ import pytest
 from repro.errors import BrokenChannelError
 from repro.kpn.buffers import BoundedByteBuffer
 from repro.distributed.sockets import ReceiverPump, SenderPump
-from repro.distributed.wire import Tag, recv_frame, send_frame
+from repro.distributed.wire import FrameReader, Tag, recv_frame, send_frame
 
 from tests.conftest import start_thread
 
@@ -151,3 +153,54 @@ def test_frames_multiplex_control_and_data():
         collected += chunk
     assert collected == b"onetwo"
     sock.close()
+
+
+def test_a_consumer_redial_loses_and_repeats_nothing():
+    """The send gate under a short switch interval: the producer writes
+    without pause while its consumer redials.  The old connection carries
+    no DATA after LISTEN_OK, so reading it up to LISTEN_OK and the new one
+    to EOF gives the stream exactly once, in order."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        src = BoundedByteBuffer(256, name="redial-src")
+        sender = SenderPump(src, name="redial")
+        sender.start()
+        payload = bytes(i % 251 for i in range(20_000))
+
+        def produce():
+            for i in range(0, len(payload), 16):
+                src.write(payload[i:i + 16])
+            src.close_write()
+
+        writer = start_thread(produce)
+        got = bytearray()
+        old = socket.create_connection(sender.ensure_listener())
+        reader = FrameReader(old)
+        while len(got) < 1000:
+            tag, data = reader.recv_frame()
+            assert tag == Tag.DATA
+            got += data
+        send_frame(old, Tag.LISTEN_REQ)
+        while True:
+            tag, data = reader.recv_frame()
+            if tag == Tag.LISTEN_OK:
+                break
+            assert tag == Tag.DATA
+            got += data
+        old.close()
+        new = socket.create_connection(pickle.loads(data))
+        reader = FrameReader(new)
+        while True:
+            tag, data = reader.recv_frame()
+            if tag == Tag.EOF:
+                break
+            assert tag == Tag.DATA
+            got += data
+        new.close()
+    finally:
+        sys.setswitchinterval(interval)
+    writer.join(timeout=10)
+    assert not writer.is_alive()
+    assert bytes(got) == payload
+    assert sender.listener is None      # both dial-ins taken, both closed

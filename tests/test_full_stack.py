@@ -26,7 +26,10 @@ def run_paper_workflow(cluster: LocalCluster) -> None:
     names = cluster.registry.list()
     assert len(names) == len(cluster.clients)
     client0 = ServerClient.from_registry(cluster.registry, names[0])
-    assert client0.ping() == names[0]
+    try:
+        assert client0.ping() == names[0]
+    finally:
+        client0.close()
 
     # 2. profile and build the farm
     profiles = profile_servers(cluster)
