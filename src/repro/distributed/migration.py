@@ -250,12 +250,13 @@ class MigrationPickler(pickle.Pickler):
         if receiver is not None:
             # Re-migration of the consumer end: producer side accepts a
             # reconnect; unconsumed local bytes travel in the pickle, the
-            # endpoint's read-ahead ahead of the ring's.
+            # endpoint's read-ahead ahead of the ring's.  The capacity is
+            # read first: the handshake may grow the departing ring.
+            capacity = ch.capacity
             host, port = receiver.begin_migration()
             drained = ch.reader.take_held() + receiver.detach_and_drain()
             return (_rebuild_remote_input,
-                    (host, port, ch.capacity, ch.name, drained,
-                     receiver.link))
+                    (host, port, capacity, ch.name, drained, receiver.link))
         # First migration of the consumer end: producer stays; install a
         # sender pump draining the producer's existing buffer.  What the
         # endpoint read ahead is older than anything the pump will send,

@@ -43,7 +43,6 @@ import os
 import pickle
 import queue
 import socket
-import sys
 import threading
 import time
 from typing import Optional, Tuple
@@ -251,10 +250,6 @@ class SenderPump(_LinkBase):
     channel's buffer: it blocks only while the buffer is empty and then
     takes everything buffered, so a burst of small producer writes
     shares one frame and no frame waits for more bytes.
-
-    DATA, EOF and SWITCH all pass the send gate: while the consumer is
-    moving (``LISTEN_REQ`` seen, its replacement not yet dialled in) they
-    wait, so nothing reaches the departing consumer after ``LISTEN_OK``.
     """
 
     role = "send"
@@ -377,6 +372,11 @@ class ReceiverPump(_LinkBase):
                  name: str = "", link: str = "") -> None:
         super().__init__(buffer, connect=connect, name=name, link=link)
         self._detached = threading.Event()
+        #: the consumer is moving (see :meth:`begin_migration`), and the
+        #: size of the DATA frame being (or last) delivered
+        self._departing = False
+        self._arriving = 0
+        self._room = threading.Lock()
         self._thread = threading.Thread(target=self._run, name=f"recv-{self.name}",
                                         daemon=True)
 
@@ -400,11 +400,13 @@ class ReceiverPump(_LinkBase):
                     self.buffer.close_write()
                     return
                 if tag == Tag.DATA:
-                    size = len(payload)
+                    size = self._arriving = len(payload)
                     if _telemetry.enabled:
                         _telemetry.inc("link.chunks_in", 1, link=self.name)
                         _telemetry.inc("link.bytes_in", size, link=self.name)
                     try:
+                        if self._departing:
+                            self._make_room(size)
                         # recv_frame hands over a fresh bytearray; the ring
                         # adopts it wholesale when empty (no copy).
                         self.buffer.write_donate(payload)
@@ -444,13 +446,26 @@ class ReceiverPump(_LinkBase):
         """Consumer end is moving: ask the producer side to take a
         reconnect; returns the address the new consumer should dial.
 
-        The paused consumer drains nothing, so the ring is first grown to
-        take whatever the producer sends before it sees ``LISTEN_REQ``:
-        otherwise ``LISTEN_OK`` could queue behind DATA this pump cannot
-        deliver.  Those bytes travel in the pickle either way.
+        The paused consumer drains nothing, so until the handshake ends
+        the ring grows by what each DATA frame lacks (the one this pump
+        may be blocked on first): else ``LISTEN_OK`` could queue behind
+        DATA the pump cannot deliver.  Only what the producer sent before
+        it saw ``LISTEN_REQ`` arrives; it travels in the pickle, or stays
+        under the ring's new bound if the handshake fails.
         """
-        self.buffer.grow(sys.maxsize, "migration")
-        return self.request_peer_listener()
+        self._departing = True
+        try:
+            self._make_room(self._arriving)
+            return self.request_peer_listener()
+        finally:
+            self._departing = False
+
+    def _make_room(self, size: int) -> None:
+        """Grow the ring so that ``size`` more bytes fit (either thread)."""
+        with self._room:
+            short = size - self.buffer.free_space()
+            if short > 0:
+                self.buffer.grow(self.buffer.capacity + short, "migration")
 
     def detach_and_drain(self) -> bytes:
         """Stop pumping and hand back locally buffered, unconsumed bytes.

@@ -228,7 +228,13 @@ def test_consumer_hops_under_backpressure(server, server_c):
     migrate_live(pressed, client_c, timeout=30)
     assert net.join(timeout=60)
     assert out == [3 * k for k in range(total)]
-    assert [p.name for p in srv_c.network.processes] == ["pressed"]
+    [moved] = srv_c.network.processes
+    assert moved.name == "pressed"
+    # C's ring keeps the channel's bound: it grew, if at all, only to
+    # take the bytes B handed on
+    ring = moved.source.channel.buffer
+    assert ring.initial_capacity == 64
+    assert [g["cause"] for g in ring.growths] in ([], ["migration"])
 
 
 def test_eof_sent_during_the_hop_reaches_the_new_consumer(

@@ -284,7 +284,12 @@ def test_remigration_consumer(server):
         assert back.receiver_pump.listener is None
         assert net.join(timeout=60)
         assert out == [10 * k for k in range(total)]
-        assert [p.name for p in serverC.network.processes] == ["hopper"]
+        [moved] = serverC.network.processes
+        assert moved.name == "hopper"
+        # the channel's bound made both hops
+        ring = moved.source.channel.buffer
+        assert ring.initial_capacity == ch.capacity
+        assert [g["cause"] for g in ring.growths] in ([], ["migration"])
     finally:
         clientC.close()
         serverC.stop()

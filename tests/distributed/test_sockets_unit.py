@@ -8,7 +8,7 @@ import time
 
 import pytest
 
-from repro.errors import BrokenChannelError
+from repro.errors import BrokenChannelError, MigrationError
 from repro.kpn.buffers import BoundedByteBuffer
 from repro.distributed.sockets import ReceiverPump, SenderPump
 from repro.distributed.wire import FrameReader, Tag, recv_frame, send_frame
@@ -159,18 +159,25 @@ def test_a_consumer_redial_loses_and_repeats_nothing():
     """The send gate under a short switch interval: the producer writes
     without pause while its consumer redials.  The old connection carries
     no DATA after LISTEN_OK, so reading it up to LISTEN_OK and the new one
-    to EOF gives the stream exactly once, in order."""
+    to EOF gives the stream exactly once, in order.  The producer keeps
+    writing until the new connection is up, so the stream cannot end
+    before the redial starts."""
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         src = BoundedByteBuffer(256, name="redial-src")
         sender = SenderPump(src, name="redial")
         sender.start()
-        payload = bytes(i % 251 for i in range(20_000))
+        payload = bytearray()
+        redialled = threading.Event()
 
         def produce():
-            for i in range(0, len(payload), 16):
-                src.write(payload[i:i + 16])
+            tail = 64                   # writes after the redial
+            while tail:
+                chunk = bytes((len(payload) + k) % 251 for k in range(16))
+                src.write(chunk)
+                payload.extend(chunk)
+                tail -= redialled.is_set()
             src.close_write()
 
         writer = start_thread(produce)
@@ -190,6 +197,7 @@ def test_a_consumer_redial_loses_and_repeats_nothing():
             got += data
         old.close()
         new = socket.create_connection(pickle.loads(data))
+        redialled.set()
         reader = FrameReader(new)
         while True:
             tag, data = reader.recv_frame()
@@ -204,3 +212,49 @@ def test_a_consumer_redial_loses_and_repeats_nothing():
     assert not writer.is_alive()
     assert bytes(got) == payload
     assert sender.listener is None      # both dial-ins taken, both closed
+
+
+def test_a_failed_consumer_hop_leaves_the_ring_bounded():
+    """While its consumer moves, a full ring grows by exactly what the
+    producer sends before it sees LISTEN_REQ; when the handshake fails,
+    the ring keeps that bound and blocks the pump again."""
+    dst = BoundedByteBuffer(64, name="stay-dst")
+    receiver = ReceiverPump(dst, name="stay")
+    producer = socket.create_connection(receiver.ensure_listener())
+    receiver.start()
+    send_frame(producer, Tag.DATA, b"x" * 40)
+    send_frame(producer, Tag.DATA, b"y" * 40)   # blocks the pump at 64 B
+    deadline = time.monotonic() + 10
+    while dst.free_space() and time.monotonic() < deadline:
+        time.sleep(0.005)
+    assert dst.free_space() == 0
+    receiver.request_peer_listener = (
+        lambda: ReceiverPump.request_peer_listener(receiver, timeout=1.0))
+    outcome = []
+
+    def move():
+        try:
+            receiver.begin_migration()
+        except MigrationError as exc:
+            outcome.append(exc)
+
+    mover = start_thread(move)
+    tag, _ = recv_frame(producer)
+    assert tag == Tag.LISTEN_REQ
+    send_frame(producer, Tag.DATA, b"z" * 100)  # sent before LISTEN_REQ
+    mover.join(timeout=10)                      # ... which goes unanswered
+    assert len(outcome) == 1
+    assert dst.capacity == 180                  # just what it holds
+    assert [g["cause"] for g in dst.growths] == ["migration"] * 2
+    send_frame(producer, Tag.DATA, b"w" * 10)
+    time.sleep(0.2)
+    assert (dst.available(), receiver.moved) == (180, 180)   # w waits
+    send_frame(producer, Tag.EOF)
+    collected = b""
+    while True:
+        chunk = dst.read(256)
+        if not chunk:
+            break
+        collected += chunk
+    assert collected == b"x" * 40 + b"y" * 40 + b"z" * 100 + b"w" * 10
+    producer.close()
